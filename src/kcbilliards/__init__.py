@@ -9,7 +9,6 @@ line-wall billiard invariant D = L^2 - 2 h A_eta.
 
 from .billiard import (
     BilliardRun,
-    Collision,
     Escape,
     Hit,
     HitOutcome,
@@ -34,7 +33,6 @@ from .errors import (
     InconsistentWall,
     NegativeRadius,
     NonConvergence,
-    NotACollisionOrbit,
     NotInSouthHemisphere,
     NotOnWall,
     OriginSingularity,
@@ -73,15 +71,12 @@ from .model import (
 )
 from .planar import (
     ConicElements,
-    collision_bounce,
-    kepler_accel,
     orbit_elements,
     propagate_analytic,
     solve_kepler_equation,
 )
 from .projective import (
     AffinePlane,
-    Metric2,
     denormalize_chart,
     metric2_norm,
     normalize_chart,
@@ -89,11 +84,9 @@ from .projective import (
     planar_energy_prenorm,
 )
 from .spherical import (
-    SphericalCenter,
     chart_to_sphere,
     integrate_spherical,
     sphere_to_chart,
-    spherical_accel,
     spherical_energy_embedded,
 )
 

@@ -136,15 +136,10 @@ def cmd_simulate(args) -> int:
         rows = [_planar_row(0.0, cfg.initial, params)]
         rows += [_planar_row(r.t_hit, r.state_out, params) for r in records]
         out_io.write_planar_trajectory(traj_path, rows)
-        e_series = [integral_set(cfg.initial, params).E_pl] + [
-            r.integrals_in.E_pl for r in records
-        ]
-        d_series = [integral_set(cfg.initial, params).D] + [
-            r.integrals_in.D for r in records
-        ]
-        es_series = [integral_set(cfg.initial, params).E_sph] + [
-            r.integrals_in.E_sph for r in records
-        ]
+        ints0 = integral_set(cfg.initial, params)
+        e_series = [ints0.E_pl] + [r.integrals_in.E_pl for r in records]
+        d_series = [ints0.D] + [r.integrals_in.D for r in records]
+        es_series = [ints0.E_sph] + [r.integrals_in.E_sph for r in records]
     else:
         rows = [_spherical_row(0.0, cfg.initial, params)]
         rows += [_spherical_row(r.t_hit, r.state_out, params) for r in records]
@@ -227,8 +222,6 @@ def cmd_plot(args) -> int:
         points = [(r[1], r[2]) for r in rows]
     elif header[:4] == ["t", "qx", "qy", "qz"]:
         points = [(r[1], r[2]) for r in rows]
-    elif header[0] == "i" and "xi" in header:
-        bounce_points = [(r[2], r[3]) for r in rows]
     elif header[0] == "i":
         bounce_points = [(r[2], r[3]) for r in rows]
     else:

@@ -37,10 +37,6 @@ class CollisionInsideInterval(BilliardError):
     """Analytic propagation interval contains a collision with the center."""
 
 
-class NotACollisionOrbit(BilliardError):
-    """Collision continuation requested for a state with |L| above tolerance."""
-
-
 class PoleSingularity(BilliardError):
     """Spherical state too close to a force pole."""
 

@@ -57,9 +57,9 @@ def write_bounces(path: str, records: Sequence[BounceRecord]):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write((PLANAR_BOUNCE_HEADER if planar else SPHERICAL_BOUNCE_HEADER) + "\n")
         for i, rec in enumerate(records):
+            si, so = rec.state_in, rec.state_out
+            ii, io_ = rec.integrals_in, rec.integrals_out
             if planar:
-                si, so = rec.state_in, rec.state_out
-                ii, io_ = rec.integrals_in, rec.integrals_out
                 vals = [
                     i, rec.t_hit, si.xi, si.eta, si.xi_dot, si.eta_dot,
                     so.xi_dot, so.eta_dot,
@@ -68,8 +68,6 @@ def write_bounces(path: str, records: Sequence[BounceRecord]):
                     int(rec.tangent),
                 ]
             else:
-                si, so = rec.state_in, rec.state_out
-                ii, io_ = rec.integrals_in, rec.integrals_out
                 vals = [
                     i, rec.t_hit, si.q[0], si.q[1], si.q[2],
                     si.v[0], si.v[1], si.v[2], so.v[0], so.v[1], so.v[2],

@@ -2,8 +2,8 @@
 
 Provides the vector field (with the optional centrifugal perturbation),
 conic orbit elements, anomaly-equation solvers, exact conic propagation
-for either mass sign, time-of-flight helpers used by the analytic
-billiard map, and the elastic continuation through collisions.
+for either mass sign, and time-of-flight helpers used by the analytic
+billiard map.
 
 Sign convention: the acceleration is -m*q/r^3 + beta*q/r^4, so m > 0
 attracts and m < 0 repels; beta > 0 is an outward force beta/r^3 with
@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (
     CollisionInsideInterval,
     NonConvergence,
-    NotACollisionOrbit,
     PerturbedModel,
     SingularPosition,
 )
@@ -32,24 +31,14 @@ R_MIN_DEFAULT = 1e-12
 _MAX_ITER = 200
 
 
-def kepler_accel(position, params: SystemParams, r_min: float = R_MIN_DEFAULT) -> np.ndarray:
-    """Acceleration -m*q/r^3 + beta*q/r^4 at a planar position.
+def flow_rhs(t, y, params: SystemParams, r_min: float = R_MIN_DEFAULT):
+    """Right-hand side of the first-order system for solve_ivp.
+
+    The acceleration is -m*q/r^3 + beta*q/r^4.
 
     Raises:
         SingularPosition: if r < r_min (default 1e-12).
     """
-    q = np.asarray(position, dtype=float)
-    r = math.hypot(q[0], q[1])
-    if r < r_min:
-        raise SingularPosition(f"r = {r} below the singular-position guard {r_min}")
-    coeff = -params.m / r**3
-    if params.beta != 0.0:
-        coeff += params.beta / r**4
-    return coeff * q
-
-
-def flow_rhs(t, y, params: SystemParams, r_min: float = R_MIN_DEFAULT):
-    """Right-hand side of the first-order system for solve_ivp."""
     r = math.hypot(y[0], y[1])
     if r < r_min:
         raise SingularPosition(f"r = {r} below the singular-position guard {r_min}")
@@ -316,29 +305,8 @@ def _repulsive_propagate(state: PlanarState, dt: float, m: float) -> PlanarState
 
 
 # ---------------------------------------------------------------------------
-# Collision continuation and radial motion
+# Radial motion
 # ---------------------------------------------------------------------------
-
-def collision_bounce(
-    state: PlanarState, params: SystemParams, l_tol: float = 1e-10
-) -> PlanarState:
-    """Elastic continuation of a radial orbit through the center.
-
-    The incoming branch is retraced: the outgoing state sits at the same
-    position with the velocity exactly reversed, so the speed profile is
-    the time-reversal of the infall and the energy is unchanged.
-
-    Raises:
-        NotACollisionOrbit: if |L| exceeds the scaled tolerance, or the
-            center is never reached (m <= 0).
-    """
-    L = angular_momentum(state)
-    if abs(L) > collision_tolerance(state, l_tol):
-        raise NotACollisionOrbit(f"|L| = {abs(L)} exceeds the collision tolerance")
-    if params.m <= 0.0:
-        raise NotACollisionOrbit("a repulsive center is never reached")
-    return state.with_velocity(-state.xi_dot, -state.eta_dot)
-
 
 def radial_collision_time(state: PlanarState, m: float) -> Optional[float]:
     """Time until a radial (L = 0) orbit reaches the center, or None.
@@ -375,18 +343,6 @@ def radial_collision_time(state: PlanarState, m: float) -> Optional[float]:
     return (0.0 - M0) / n
 
 
-def time_through_center(state: PlanarState, params: SystemParams) -> float:
-    """Flight time from a radial pre-collision state through the bounce and back.
-
-    Equals twice the infall time to the center; the continuation then
-    retraces the incoming branch.
-    """
-    t = radial_collision_time(state, params.m)
-    if t is None:
-        raise NotACollisionOrbit("state is not on a collision course")
-    return 2.0 * t
-
-
 # ---------------------------------------------------------------------------
 # Exact propagation and time of flight
 # ---------------------------------------------------------------------------
@@ -403,7 +359,8 @@ def propagate_analytic(
     Raises:
         PerturbedModel: if params.beta != 0.
         CollisionInsideInterval: if the orbit is radial and meets the
-            center within (0, dt]; use collision_bounce to continue.
+            center within (0, dt]; the radial branch of the billiard map
+            continues such orbits through the center.
     """
     if params.beta != 0.0:
         raise PerturbedModel("analytic propagation requires beta = 0")

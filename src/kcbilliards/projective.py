@@ -34,19 +34,6 @@ class AffinePlane:
         return abs(float(np.dot(self.h_vec, q)) - 1.0) <= tol
 
 
-@dataclass(frozen=True)
-class Metric2:
-    """The transported norm on the wall chart, sqrt(x^2 + (y-a)^2/(1+a^2))."""
-
-    a: float
-
-    def norm(self, vx: float, vy: float) -> float:
-        return metric2_norm(vx, vy, self.a)
-
-    def distance_to_center(self, x: float, y: float) -> float:
-        return metric2_norm(x, y - self.a, self.a)
-
-
 def plane_plane_project(q1, h2) -> np.ndarray:
     """Project a point of one affine plane onto another along rays through O.
 
@@ -144,6 +131,3 @@ def tangent_plane(a: float) -> AffinePlane:
     """Plane tangent to the unit sphere at the center Z1(a)."""
     s = math.sqrt(1.0 + a * a)
     return AffinePlane((0.0, a / s, -1.0 / s))
-
-
-BASE_PLANE = AffinePlane((0.0, 0.0, -1.0))

@@ -15,7 +15,6 @@ d tau / d t = 1/lambda^2, lambda^2 = 1 + x^2 + y^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,38 +25,6 @@ from .model import ChartState, PlanarState, SphericalState, SystemParams, spheri
 from .projective import denormalize_chart, normalize_chart
 
 POLE_GUARD = 1e-10
-
-
-@dataclass(frozen=True)
-class SphericalCenter:
-    """The attractive (for m' > 0) center of the spherical system."""
-
-    Z1: np.ndarray
-
-    @classmethod
-    def from_params(cls, params: SystemParams) -> "SphericalCenter":
-        return cls(Z1=spherical_center(params))
-
-
-def spherical_accel(s: SphericalState, params: SystemParams) -> np.ndarray:
-    """Acceleration of the constrained spherical flow at a state.
-
-    Returns the tangential gradient of the force function m'*cot(theta),
-    which has magnitude |m'|/sin^2(theta), plus the centripetal constraint
-    term -|v|^2 q.
-
-    Raises:
-        PoleSingularity: when |q . Z1| > 1 - 1e-10.
-    """
-    z1 = spherical_center(params)
-    q = s.q
-    c = float(np.dot(q, z1))
-    if abs(c) > 1.0 - POLE_GUARD:
-        raise PoleSingularity(f"state within the pole guard, |q.Z1| = {abs(c)}")
-    sin2 = 1.0 - c * c
-    force = params.m_prime / (sin2 * math.sqrt(sin2)) * (z1 - c * q)
-    v2 = float(np.dot(s.v, s.v))
-    return force - v2 * q
 
 
 def _rhs(t, y, m_prime, z1):
@@ -80,7 +47,13 @@ def _rhs(t, y, m_prime, z1):
 
 
 def flow_rhs(params: SystemParams) -> Callable:
-    """Right-hand side of the embedded spherical system for solve_ivp."""
+    """Right-hand side of the embedded spherical system for solve_ivp.
+
+    The acceleration is the tangential gradient of the force function
+    m'*cot(theta), of magnitude |m'|/sin^2(theta), plus the centripetal
+    constraint term -|v|^2 q. The returned function raises
+    PoleSingularity when |q . Z1| > 1 - 1e-10.
+    """
     z1 = spherical_center(params)
     m_prime = params.m_prime
 

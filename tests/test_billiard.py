@@ -7,7 +7,6 @@ from scipy.integrate import quad, solve_ivp
 from oracles import ode_propagate
 
 from kcbilliards.billiard import (
-    Collision,
     Escape,
     Hit,
     Tangency,
@@ -17,7 +16,7 @@ from kcbilliards.billiard import (
     reflect,
     wall_signed_distance,
 )
-from kcbilliards.errors import NotOnWall, PerturbedModel
+from kcbilliards.errors import NotOnWall, PerturbedModel, PoleSingularity, Undetermined
 from kcbilliards.integrals import angular_momentum, planar_energy
 from kcbilliards.model import (
     IntegratorConfig,
@@ -271,23 +270,6 @@ class TestAnalyticLineHit:
             atol=1e-10,
         )
 
-    def test_radial_collision_outcome_when_not_resolved(self):
-        params = SystemParams(m=1.0, a=1.0)
-        wall = Wall.line(params.h, side=1)
-        r0 = math.hypot(0.3, params.h)
-        qhat = np.array([0.3, params.h]) / r0
-        s = PlanarState(0.3, params.h, -0.5 * qhat[0], -0.5 * qhat[1])
-        out = next_hit_analytic_line(s, params, wall, resolve_collisions=False)
-        assert isinstance(out, Collision)
-        np.testing.assert_allclose(
-            out.state_out.as_array(),
-            [0.3, params.h, 0.5 * qhat[0], 0.5 * qhat[1]],
-            atol=1e-15,
-        )
-        assert out.t_through == pytest.approx(
-            2.0 * radial_collision_time(s, 1.0)
-        )
-
     def test_wall_through_center_radial_escapes(self):
         # the center is removed from a wall line through it
         params = SystemParams(m=1.0, a=0.0)
@@ -416,6 +398,15 @@ class TestNumericHit:
         e0 = planar_energy(s, params.m, params.beta)
         e1 = planar_energy(out.record.state_in, params.m, params.beta)
         assert abs(e1 - e0) <= 1e-10 * max(1.0, abs(e0))
+
+    def test_bound_orbit_short_of_the_circle_is_undetermined(self):
+        # a circular orbit at r = 1 inside the wall r = 2: no hit, and a
+        # bound orbit carries no escape certificate
+        params = SystemParams(m=1.0, a=0.0)
+        wall = Wall.centered_circle(2.0, side=-1)
+        model = validate_config(params, wall)
+        with pytest.raises(Undetermined):
+            next_hit_numeric(PlanarState(1.0, 0.0, 0.0, 1.0), model, FAST, t_max=3.0)
 
 
 class TestBilliardMap:
@@ -582,6 +573,19 @@ class TestSphericalPoleCollision:
         )
         assert rec.t_hit == pytest.approx(2.0 * fall, rel=1e-10)
 
+    def test_near_radial_orbit_into_the_pole_guard_raises(self):
+        # |(q x v).att| = 1e-10 lies just above the radial tolerance
+        # 1e-10 |v| sin(theta) = 4e-11, so the orbit is integrated and
+        # passes within the pole guard before it can reach the wall
+        params = SystemParams(m=1.0, a=0.0)
+        wall = Wall.centered_small_circle(
+            math.pi / 2.0, spherical_center(params), side=1
+        )
+        model = validate_config(params, wall)
+        s0 = SphericalState(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1e-10, -0.4]))
+        with pytest.raises(PoleSingularity):
+            next_hit_numeric(s0, model, FAST, t_max=100.0)
+
     def test_radial_orbit_leaving_the_domain_reflects_at_once(self):
         # the same start with side = -1 (the hemisphere away from Z1)
         # points out of the domain: a hit at t = 0
@@ -670,8 +674,6 @@ class TestSphericalPoleCollision:
         assert abs(out.record.integrals_in.E_sph - energy) <= 1e-13
 
     def test_radial_orbit_short_of_the_wall_is_undetermined(self):
-        from kcbilliards.errors import Undetermined
-
         # turning point cot(theta_max) = -E/|m'| lies inside the wall
         params, att, e, wall, s0 = self._radial_setup(0.5, 1.2)
         model = validate_config(params, wall)
@@ -697,8 +699,6 @@ class TestSphericalPoleCollision:
         assert _radial_fall_time(energy, mu, u) == pytest.approx(want, rel=1e-12)
 
     def test_radial_orbit_along_the_wall_is_undetermined(self):
-        from kcbilliards.errors import Undetermined
-
         # the meridian of the orbit is the great-circle wall itself
         params = SystemParams(m=1.0, a=0.0)
         wall = Wall.great_circle((0.0, 1.0, 0.0), side=1)
@@ -712,8 +712,6 @@ class TestSphericalPoleCollision:
         # a great-circle wall containing the centers: the center point is
         # removed from the wall, so a radial infall mirrors instead of
         # registering a hit at the pole
-        from kcbilliards.errors import Undetermined
-
         params = SystemParams(m=1.0, a=0.0)
         wall = Wall.great_circle((0.0, 1.0, 0.0), side=1)  # contains both poles
         model = validate_config(params, wall)
