@@ -1,7 +1,7 @@
 """Wall geometry, reflection operators, hit detection and the billiard map.
 
 Hits are located either numerically (event-detecting adaptive integration
-with dense output and bracketed root refinement, any wall and any beta)
+with bracketed root refinement on the step interpolant, any wall and beta)
 or analytically for the planar line wall (conic-line intersection in
 closed form, beta = 0). Radial orbits aimed at an attractive center, in
 the plane and on the sphere, are continued through the collision by the
@@ -32,10 +32,7 @@ from .errors import (
 )
 from .integrals import angular_momentum, integral_set, planar_energy
 from .model import (
-    PLANAR_CENTERED_CIRCLE,
     PLANAR_LINE,
-    SPHERICAL_CENTERED_CIRCLE,
-    SPHERICAL_GREAT_CIRCLE,
     BounceRecord,
     IntegralSet,
     IntegratorConfig,
@@ -47,6 +44,7 @@ from .model import (
     spherical_center,
 )
 from .planar import (
+    L_TOL,
     collision_tolerance,
     flow_rhs,
     kepler_period,
@@ -97,42 +95,42 @@ HitOutcome = Union[Hit, Escape, Tangency]
 # ---------------------------------------------------------------------------
 
 def wall_signed_distance(point, wall: Wall) -> float:
-    """Signed distance-like wall function, positive on the dynamics side."""
+    """Signed distance-like wall function side*(f - level), positive on the
+    dynamics side; f is eta, r or q.axis (see :class:`Wall`)."""
     if wall.kind == PLANAR_LINE:
-        return (float(point[1]) - wall.h) * wall.side
-    if wall.kind == PLANAR_CENTERED_CIRCLE:
-        return (math.hypot(float(point[0]), float(point[1])) - wall.radius) * wall.side
-    q = np.asarray(point, dtype=float)
-    if wall.kind == SPHERICAL_GREAT_CIRCLE:
-        return float(np.dot(q, wall.normal)) * wall.side
-    if wall.kind == SPHERICAL_CENTERED_CIRCLE:
-        return (float(np.dot(q, wall.center)) - math.cos(wall.colatitude)) * wall.side
-    raise ValueError(f"unknown wall kind {wall.kind!r}")
+        f = float(point[1])
+    elif wall.axis is None:
+        f = math.hypot(float(point[0]), float(point[1]))
+    else:
+        f = float(np.dot(point, wall.axis))
+    return (f - wall.level) * wall.side
 
 
 def _wall_scale(wall: Wall) -> float:
-    if wall.kind == PLANAR_LINE:
-        return max(1.0, abs(wall.h))
-    if wall.kind == PLANAR_CENTERED_CIRCLE:
-        return max(1.0, wall.radius)
-    return 1.0
+    return max(1.0, abs(wall.level))
+
+
+def _wall_value(state, wall: Wall) -> float:
+    """wall_signed_distance at the position of a planar or spherical state."""
+    planar = isinstance(state, PlanarState)
+    return wall_signed_distance((state.xi, state.eta) if planar else state.q, wall)
+
+
+def _curved_normal(state, wall: Wall) -> np.ndarray:
+    """Unit normal of a circle or spherical wall at the state, along grad f."""
+    if wall.axis is None:
+        return state.position / state.r
+    axis = np.asarray(wall.axis, dtype=float)
+    n = axis - float(np.dot(state.q, axis)) * state.q
+    return n / np.linalg.norm(n)
 
 
 def _normal_velocity(state, wall: Wall) -> float:
     """Velocity along the unit wall normal, positive into the domain."""
-    if isinstance(state, PlanarState):
-        if wall.kind == PLANAR_LINE:
-            return wall.side * state.eta_dot
-        return wall.side * float(np.dot(state.velocity, state.position / state.r))
-    axis = np.asarray(
-        wall.normal if wall.kind == SPHERICAL_GREAT_CIRCLE else wall.center,
-        dtype=float,
-    )
-    n = axis - float(np.dot(state.q, axis)) * state.q
-    nn = np.linalg.norm(n)
-    if nn == 0.0:
-        return 0.0
-    return wall.side * float(np.dot(state.v, n / nn))
+    if wall.kind == PLANAR_LINE:
+        return wall.side * state.eta_dot
+    v = state.velocity if isinstance(state, PlanarState) else state.v
+    return wall.side * float(np.dot(v, _curved_normal(state, wall)))
 
 
 def reflect(state, wall: Wall):
@@ -145,27 +143,17 @@ def reflect(state, wall: Wall):
     Raises:
         NotOnWall: if the state is farther than 1e-10 (scaled) from the wall.
     """
+    g = _wall_value(state, wall)
+    if abs(g) > ON_WALL_TOL * _wall_scale(wall):
+        raise NotOnWall(f"signed distance {g} exceeds the on-wall tolerance")
+    if wall.kind == PLANAR_LINE:
+        return PlanarState(state.xi, state.eta, state.xi_dot, -state.eta_dot)
+    n = _curved_normal(state, wall)
     if isinstance(state, PlanarState):
-        g = wall_signed_distance((state.xi, state.eta), wall)
-        if abs(g) > ON_WALL_TOL * _wall_scale(wall):
-            raise NotOnWall(f"signed distance {g} exceeds the on-wall tolerance")
-        if wall.kind == PLANAR_LINE:
-            return PlanarState(state.xi, state.eta, state.xi_dot, -state.eta_dot)
-        n = state.position / state.r
         v = state.velocity
         v = v - 2.0 * float(np.dot(v, n)) * n
         return PlanarState(state.xi, state.eta, v[0], v[1])
-    g = wall_signed_distance(state.q, wall)
-    if abs(g) > ON_WALL_TOL:
-        raise NotOnWall(f"signed distance {g} exceeds the on-wall tolerance")
-    if wall.kind == SPHERICAL_GREAT_CIRCLE:
-        axis = np.asarray(wall.normal, dtype=float)
-    else:
-        axis = np.asarray(wall.center, dtype=float)
-    n = axis - float(np.dot(state.q, axis)) * state.q
-    n = n / np.linalg.norm(n)
-    v = state.v - 2.0 * float(np.dot(state.v, n)) * n
-    return SphericalState(state.q, v)
+    return SphericalState(state.q, state.v - 2.0 * float(np.dot(state.v, n)) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +213,11 @@ def _outward_start(state, params: SystemParams, wall: Wall) -> Optional[Hit]:
     tolerance), moves into the domain, or grazes it (normal speed at most
     TANGENCY_REL of the speed); the hit search then runs as usual.
     """
-    planar = isinstance(state, PlanarState)
-    g = wall_signed_distance((state.xi, state.eta) if planar else state.q, wall)
-    if abs(g) > ON_WALL_TOL * _wall_scale(wall):
+    if abs(_wall_value(state, wall)) > ON_WALL_TOL * _wall_scale(wall):
         return None
     if _normal_velocity(state, wall) >= -TANGENCY_REL * state.speed:
         return None
-    record = _planar_record if planar else _spherical_record
+    record = _planar_record if isinstance(state, PlanarState) else _spherical_record
     return Hit(record(0.0, state, params, wall))
 
 
@@ -283,10 +269,18 @@ def _conic_line_candidates(el, m: float, h: float) -> List[float]:
 
 
 def _hit_velocity(el, m: float, xi: float, h: float):
+    """Velocity on the conic at (xi, h), from its polar components.
+
+    vt = L/r; vr = (A x q_hat)/L. At near-radial states the quotient loses
+    digits, so when |vr| > |vt| its size comes from the energy instead.
+    """
     r = math.hypot(xi, h)
-    xd = -(el.A_eta + m * h / r) / el.L
-    ed = (el.A_xi + m * xi / r) / el.L
-    return xd, ed, r
+    c, s = xi / r, h / r
+    vt = el.L / r
+    vr = (el.A_xi * s - el.A_eta * c) / el.L
+    if abs(vr) > abs(vt):
+        vr = math.copysign(math.sqrt(max(2.0 * (el.E_pl + m / r) - vt * vt, 0.0)), vr)
+    return vr * c - vt * s, vr * s + vt * c, r
 
 
 def next_hit_analytic_line(
@@ -315,7 +309,7 @@ def next_hit_analytic_line(
     if outward is not None:
         return outward
     m = params.m
-    h = wall.h
+    h = wall.level
     L = angular_momentum(state)
     if L == 0.0:
         return _radial_hit(state, params, wall)
@@ -353,7 +347,7 @@ def next_hit_analytic_line(
 def _circular_line_hit(state, el, params, wall) -> HitOutcome:
     """Hit search for an (numerically) circular orbit, ordered by angle."""
     m = params.m
-    h = wall.h
+    h = wall.level
     r = state.r
     if abs(h) > r:
         return Escape("circular orbit does not reach the wall line")
@@ -396,11 +390,11 @@ def _radial_hit(state: PlanarState, params: SystemParams, wall: Wall) -> HitOutc
     E = planar_energy(state, m)
     qv0 = state.xi * state.xi_dot + state.eta * state.eta_dot
 
+    s_hit = wall.level
     if wall.kind == PLANAR_LINE:
-        h = wall.h
         if qhat[1] == 0.0:
             return Escape("radial orbit is parallel to the wall line")
-        s_hit = h / qhat[1]
+        s_hit /= qhat[1]
         if s_hit < 0.0:
             return Escape("radial ray does not meet the wall line")
         if s_hit == 0.0:
@@ -408,10 +402,6 @@ def _radial_hit(state: PlanarState, params: SystemParams, wall: Wall) -> HitOutc
                 "radial crossing coincides with the center, which is removed "
                 "from a wall line through it"
             )
-    elif wall.kind == PLANAR_CENTERED_CIRCLE:
-        s_hit = wall.radius
-    else:
-        raise ValueError("radial hit search supports planar walls only")
 
     two_e = 2.0 * (E + m / s_hit)
     if two_e < 0.0:
@@ -444,7 +434,6 @@ def _radial_hit(state: PlanarState, params: SystemParams, wall: Wall) -> HitOutc
 # Numerical hit search
 # ---------------------------------------------------------------------------
 
-_L_TOL = 1e-10
 _POLE_EVENT_MARGIN = 1e-6
 
 
@@ -475,12 +464,13 @@ def next_hit_numeric(
     chunks of 64 step caps, at least 0.25 in time; the cap is a quarter of
     (|g| + 0.05 wall scales) over the current speed, g the signed distance
     to the wall, so thin crossings near conic pericenters cannot be
-    stepped over. The crossing itself is located on the dense output by
-    bracketed root-finding. In the plane, Escape is returned only with a
-    certificate (unbound, receding beyond the fixed escape radius of 1e3
-    wall scales, and for the line wall no forward conic intersection);
-    otherwise exhausting t_max raises Undetermined. On the sphere the
-    state is projected back onto the unit tangent bundle after each chunk.
+    stepped over. The crossing itself is located on the interpolant of the
+    step that contains it by bracketed root-finding. In the plane, Escape
+    is returned only with a certificate (unbound, receding beyond the fixed
+    escape radius of 1e3 wall scales, and for the line wall no forward
+    conic intersection); otherwise exhausting t_max raises Undetermined.
+    On the sphere the state is projected back onto the unit tangent bundle
+    after each chunk.
 
     Two kinds of start are settled before any integration:
 
@@ -518,7 +508,7 @@ def next_hit_numeric(
         att = z1 if params.m_prime > 0.0 else -z1
         ell = float(np.dot(np.cross(state.q, state.v), att))
         sin0 = float(np.linalg.norm(np.cross(state.q, att)))
-        if abs(ell) <= _L_TOL * max(1e-30, state.speed * sin0):
+        if abs(ell) <= L_TOL * max(1e-30, state.speed * sin0):
             return _spherical_radial_hit(state, params, wall, att)
 
         def pole_event(t, y):
@@ -536,7 +526,7 @@ def next_hit_numeric(
         if (
             params.beta == 0.0
             and params.m > 0.0
-            and abs(angular_momentum(state)) <= collision_tolerance(state, _L_TOL)
+            and abs(angular_momentum(state)) <= collision_tolerance(state)
         ):
             radial = _radialized(state)
             if radial_collision_time(radial, params.m) is not None:
@@ -563,7 +553,6 @@ def next_hit_numeric(
             atol=integ.atol,
             max_step=cap,
             events=events,
-            dense_output=True,
         )
         if not sol.success and sol.status != 1:
             raise StepFailure(f"integration failed: {sol.message}")
@@ -651,10 +640,7 @@ def _spherical_radial_hit(
     u0 = c0 / sin0
     E = 0.5 * thdot0 * thdot0 - mu * u0
 
-    if wall.kind == SPHERICAL_GREAT_CIRCLE:
-        w, k = np.asarray(wall.normal, dtype=float), 0.0
-    else:
-        w, k = np.asarray(wall.center, dtype=float), math.cos(wall.colatitude)
+    w, k = np.asarray(wall.axis, dtype=float), wall.level
     A = float(np.dot(att, w))
     B = float(np.dot(e, w))
     R = math.hypot(A, B)

@@ -227,13 +227,12 @@ def cmd_plot(args) -> int:
     else:
         raise ConfigError("unrecognized CSV schema for plotting")
     wall = None
-    center = (0.0, 0.0)
     if args.config:
         cfg = load_config(args.config)
         if cfg.model.domain == "planar":
             wall = cfg.model.wall
     out_io.svg_plot(
-        args.outfile, points, bounce_points=bounce_points, wall=wall, center=center,
+        args.outfile, points, bounce_points=bounce_points, wall=wall,
         title=os.path.basename(args.infile),
     )
     log.info("plot written to %s", args.outfile)

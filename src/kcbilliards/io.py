@@ -133,24 +133,22 @@ def svg_plot(
     points: Sequence[Tuple[float, float]],
     bounce_points: Sequence[Tuple[float, float]] = (),
     wall: Optional[Wall] = None,
-    center: Optional[Tuple[float, float]] = None,
     title: str = "trajectory",
 ):
-    """Deterministic SVG: orbit polyline, wall, center marker, bounce dots."""
+    """Deterministic SVG: orbit polyline, wall, force-center marker at the
+    origin, bounce dots."""
     wall_pts: List[Tuple[float, float]] = []
     if wall is not None and wall.kind == PLANAR_CENTERED_CIRCLE:
         wall_pts = [
             (
-                wall.radius * math.cos(2 * math.pi * k / 256),
-                wall.radius * math.sin(2 * math.pi * k / 256),
+                wall.level * math.cos(2 * math.pi * k / 256),
+                wall.level * math.sin(2 * math.pi * k / 256),
             )
             for k in range(257)
         ]
-    extra = list(wall_pts)
-    if center is not None:
-        extra.append(center)
+    extra = wall_pts + [(0.0, 0.0)]
     if wall is not None and wall.kind == PLANAR_LINE:
-        extra.append((0.0, wall.h))
+        extra.append((0.0, wall.level))
     to_px, (x0, x1, y0, y1) = _view(points or [(0.0, 0.0)], extra)
 
     parts = [
@@ -175,7 +173,7 @@ def svg_plot(
         )
     if wall is not None:
         if wall.kind == PLANAR_LINE:
-            a, b = to_px((x0, wall.h)), to_px((x1, wall.h))
+            a, b = to_px((x0, wall.level)), to_px((x1, wall.level))
             parts.append(
                 f'<line x1="{_fmt_px(a[0])}" y1="{_fmt_px(a[1])}" '
                 f'x2="{_fmt_px(b[0])}" y2="{_fmt_px(b[1])}" '
@@ -189,12 +187,10 @@ def svg_plot(
                 f'<polyline points="{d}" fill="none" stroke="#202020" '
                 'stroke-width="2"/>'
             )
-    if center is not None:
-        c = to_px(center)
-        parts.append(
-            f'<circle cx="{_fmt_px(c[0])}" cy="{_fmt_px(c[1])}" r="5" '
-            'fill="#d62728"/>'
-        )
+    c = to_px((0.0, 0.0))
+    parts.append(
+        f'<circle cx="{_fmt_px(c[0])}" cy="{_fmt_px(c[1])}" r="5" fill="#d62728"/>'
+    )
     if points:
         d = " ".join(f"{_fmt_px(to_px(p)[0])},{_fmt_px(to_px(p)[1])}" for p in points)
         parts.append(

@@ -109,9 +109,6 @@ class PlanarState:
     def from_array(cls, y: Sequence[float]) -> "PlanarState":
         return cls(float(y[0]), float(y[1]), float(y[2]), float(y[3]))
 
-    def with_velocity(self, xi_dot: float, eta_dot: float) -> "PlanarState":
-        return PlanarState(self.xi, self.eta, float(xi_dot), float(eta_dot))
-
 
 @dataclass(frozen=True)
 class ChartState:
@@ -181,17 +178,23 @@ State = Union[PlanarState, SphericalState]
 
 @dataclass(frozen=True)
 class Wall:
-    """A reflection wall, one of four families.
+    """A reflection wall: the level set f = ``level`` of one wall function f.
 
-    The ``side`` sign selects the half-space the dynamics occupies:
-    the signed distance of :func:`kcbilliards.billiard.wall_signed_distance`
-    is positive there. ``side = +1`` selects
+    f is ``eta`` for the planar line (``level`` = h), the radius r for the
+    planar centered circle (``level`` = R), and ``q . axis`` on the sphere,
+    with ``axis`` the unit normal of the great circle's plane (``level`` =
+    0) or the center Z1 of the small circle (``level`` = cos colatitude).
+    ``axis`` is None for both planar walls.
+
+    The ``side`` sign selects the half-space the dynamics occupies: the
+    signed distance ``side * (f - level)`` of
+    :func:`kcbilliards.billiard.wall_signed_distance` is positive there.
+    ``side = +1`` selects
 
     - ``eta > h`` for the planar line;
     - ``r > R`` for the planar centered circle;
-    - ``q . normal > 0`` for the spherical great circle;
-    - the cap that contains ``center`` (Z1) for the spherical centered
-      circle.
+    - ``q . axis > 0`` for the spherical great circle;
+    - the cap that contains Z1 for the spherical centered circle.
 
     Under central projection the cap around Z1 is the region around the
     planar force center, so the spherical centered circle's ``+1`` is the
@@ -200,11 +203,8 @@ class Wall:
 
     kind: str
     side: int = 1
-    h: Optional[float] = None
-    radius: Optional[float] = None
-    normal: Optional[tuple] = None
-    colatitude: Optional[float] = None
-    center: Optional[tuple] = None
+    level: float = 0.0
+    axis: Optional[tuple] = None
 
     def __post_init__(self):
         if self.kind not in WALL_KINDS:
@@ -215,14 +215,14 @@ class Wall:
     @classmethod
     def line(cls, h: float, side: int = 1) -> "Wall":
         """Planar line wall eta = h."""
-        return cls(kind=PLANAR_LINE, side=side, h=float(h))
+        return cls(kind=PLANAR_LINE, side=side, level=float(h))
 
     @classmethod
     def centered_circle(cls, radius: float, side: int = 1) -> "Wall":
         """Planar circle of given radius centered at the force center."""
         if radius <= 0.0:
             raise NegativeRadius("circle wall radius must be positive")
-        return cls(kind=PLANAR_CENTERED_CIRCLE, side=side, radius=float(radius))
+        return cls(kind=PLANAR_CENTERED_CIRCLE, side=side, level=float(radius))
 
     @classmethod
     def great_circle(cls, normal: Sequence[float], side: int = 1) -> "Wall":
@@ -231,8 +231,7 @@ class Wall:
         nn = np.linalg.norm(n)
         if nn == 0.0:
             raise ConfigError("great-circle normal must be nonzero")
-        n = n / nn
-        return cls(kind=SPHERICAL_GREAT_CIRCLE, side=side, normal=tuple(n))
+        return cls(kind=SPHERICAL_GREAT_CIRCLE, side=side, axis=tuple(n / nn))
 
     @classmethod
     def centered_small_circle(
@@ -246,17 +245,13 @@ class Wall:
         return cls(
             kind=SPHERICAL_CENTERED_CIRCLE,
             side=side,
-            colatitude=float(colatitude),
-            center=tuple(c),
+            level=math.cos(colatitude),
+            axis=tuple(c),
         )
 
     @property
     def is_planar(self) -> bool:
         return self.kind in (PLANAR_LINE, PLANAR_CENTERED_CIRCLE)
-
-    @property
-    def is_spherical(self) -> bool:
-        return not self.is_planar
 
 
 @dataclass(frozen=True)
@@ -328,22 +323,18 @@ def validate_config(params: SystemParams, wall: Wall) -> Model:
         NegativeRadius: nonpositive circle radius.
         ZeroMass: raised earlier by SystemParams itself.
     """
-    if wall.kind == PLANAR_LINE:
-        if wall.h is None or abs(wall.h - params.h) > _H_TOL:
-            raise InconsistentWall(
-                f"line level {wall.h!r} does not equal h(a) = {params.h!r}"
-            )
-    elif wall.kind == PLANAR_CENTERED_CIRCLE:
-        if wall.radius is None or wall.radius <= 0.0:
-            raise NegativeRadius("circle wall radius must be positive")
-    elif wall.kind == SPHERICAL_GREAT_CIRCLE:
-        n = np.asarray(wall.normal, dtype=float)
-        if abs(np.linalg.norm(n) - 1.0) > _UNIT_TOL:
-            raise ConfigError("great-circle normal must be a unit vector")
-    elif wall.kind == SPHERICAL_CENTERED_CIRCLE:
-        z1 = spherical_center(params)
-        if wall.center is None or np.linalg.norm(np.asarray(wall.center) - z1) > 1e-9:
-            raise InconsistentWall("small-circle center must be Z1 of the params")
+    if wall.kind == PLANAR_LINE and abs(wall.level - params.h) > _H_TOL:
+        raise InconsistentWall(
+            f"line level {wall.level!r} does not equal h(a) = {params.h!r}"
+        )
+    if wall.kind == PLANAR_CENTERED_CIRCLE and wall.level <= 0.0:
+        raise NegativeRadius("circle wall radius must be positive")
+    if wall.kind == SPHERICAL_GREAT_CIRCLE and abs(np.linalg.norm(wall.axis) - 1) > _UNIT_TOL:
+        raise ConfigError("great-circle normal must be a unit vector")
+    if wall.kind == SPHERICAL_CENTERED_CIRCLE and (
+        np.linalg.norm(np.subtract(wall.axis, spherical_center(params))) > 1e-9
+    ):
+        raise InconsistentWall("small-circle center must be Z1 of the params")
     return Model(params=params, wall=wall)
 
 
@@ -427,7 +418,7 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"unknown wall kind {kind!r}")
 
     if name == "spherical":
-        _require(wall.is_spherical, "spherical model requires a spherical wall")
+        _require(not wall.is_planar, "spherical model requires a spherical wall")
     else:
         _require(wall.is_planar, f"{name} model requires a planar wall")
 

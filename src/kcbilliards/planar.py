@@ -27,30 +27,32 @@ from .errors import (
 from .integrals import angular_momentum, lrl_eta, lrl_xi, planar_energy
 from .model import PlanarState, SystemParams
 
-R_MIN_DEFAULT = 1e-12
+R_MIN = 1e-12
+L_TOL = 1e-10
+_ANOMALY_TOL = 1e-14
 _MAX_ITER = 200
 
 
-def flow_rhs(t, y, params: SystemParams, r_min: float = R_MIN_DEFAULT):
+def flow_rhs(t, y, params: SystemParams):
     """Right-hand side of the first-order system for solve_ivp.
 
     The acceleration is -m*q/r^3 + beta*q/r^4.
 
     Raises:
-        SingularPosition: if r < r_min (default 1e-12).
+        SingularPosition: if r < R_MIN (1e-12).
     """
     r = math.hypot(y[0], y[1])
-    if r < r_min:
-        raise SingularPosition(f"r = {r} below the singular-position guard {r_min}")
+    if r < R_MIN:
+        raise SingularPosition(f"r = {r} below the singular-position guard {R_MIN}")
     coeff = -params.m / r**3
     if params.beta != 0.0:
         coeff += params.beta / r**4
     return (y[2], y[3], coeff * y[0], coeff * y[1])
 
 
-def collision_tolerance(state: PlanarState, l_tol: float = 1e-10) -> float:
+def collision_tolerance(state: PlanarState) -> float:
     """Angular-momentum threshold below which an orbit counts as radial."""
-    return l_tol * max(1e-30, state.speed * state.r)
+    return L_TOL * max(1e-30, state.speed * state.r)
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,6 @@ class ConicElements:
     A_eta: float
     e: float
     p: float
-    pericenter_angle: float
 
 
 def orbit_elements(state: PlanarState, params: SystemParams) -> ConicElements:
@@ -86,7 +87,6 @@ def orbit_elements(state: PlanarState, params: SystemParams) -> ConicElements:
         A_eta=A_eta,
         e=math.hypot(A_xi, A_eta) / abs(m),
         p=L * L / abs(m),
-        pericenter_angle=math.atan2(A_eta, A_xi),
     )
 
 
@@ -94,7 +94,7 @@ def orbit_elements(state: PlanarState, params: SystemParams) -> ConicElements:
 # Anomaly equations
 # ---------------------------------------------------------------------------
 
-def solve_kepler_elliptic(mean_anomaly: float, e: float, tol: float = 1e-14) -> float:
+def solve_kepler_elliptic(mean_anomaly: float, e: float) -> float:
     """Solve E - e*sin(E) = M for the eccentric anomaly, 0 <= e < 1.
 
     Newton iteration with a bisection safeguard on the bracket
@@ -108,7 +108,7 @@ def solve_kepler_elliptic(mean_anomaly: float, e: float, tol: float = 1e-14) -> 
     E = Mr + e * math.sin(Mr) if e < 0.8 else math.copysign(math.pi, Mr) if Mr else 0.0
     for _ in range(_MAX_ITER):
         f = E - e * math.sin(E) - Mr
-        if abs(f) <= tol:
+        if abs(f) <= _ANOMALY_TOL:
             break
         fp = 1.0 - e * math.cos(E)
         if f > 0.0:
@@ -125,7 +125,7 @@ def solve_kepler_elliptic(mean_anomaly: float, e: float, tol: float = 1e-14) -> 
     return E + 2.0 * math.pi * k
 
 
-def solve_kepler_hyperbolic(mean_anomaly: float, e: float, tol: float = 1e-14) -> float:
+def solve_kepler_hyperbolic(mean_anomaly: float, e: float) -> float:
     """Solve e*sinh(H) - H = M, e > 1. Monotone Newton with safeguard."""
     M = mean_anomaly
     H = math.asinh(M / e) if e > 1.5 else math.copysign(
@@ -134,7 +134,7 @@ def solve_kepler_hyperbolic(mean_anomaly: float, e: float, tol: float = 1e-14) -
     lo, hi = -math.inf, math.inf
     for _ in range(_MAX_ITER):
         f = e * math.sinh(H) - H - M
-        if abs(f) <= tol * max(1.0, abs(M)):
+        if abs(f) <= _ANOMALY_TOL * max(1.0, abs(M)):
             return H
         if f > 0.0:
             hi = H
@@ -160,18 +160,6 @@ def solve_barker(mean_anomaly: float) -> float:
     return B
 
 
-def solve_repulsive(mean_anomaly: float, e: float, tol: float = 1e-14) -> float:
-    """Solve e*sinh(H) + H = M (repulsive-branch anomaly). Strictly monotone."""
-    M = mean_anomaly
-    H = math.asinh(M / (e + 1.0))
-    for _ in range(_MAX_ITER):
-        f = e * math.sinh(H) + H - M
-        if abs(f) <= tol * max(1.0, abs(M)):
-            return H
-        H -= f / (e * math.cosh(H) + 1.0)
-    raise NonConvergence(f"repulsive anomaly solver stalled at M={M}, e={e}")
-
-
 def solve_kepler_equation(mean_anomaly: float, e: float) -> float:
     """Anomaly from mean anomaly: eccentric (e<1), Barker (e=1), hyperbolic (e>1).
 
@@ -188,7 +176,7 @@ def solve_kepler_equation(mean_anomaly: float, e: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Universal-variable propagation (m > 0)
+# Universal-variable propagation (either sign of m)
 # ---------------------------------------------------------------------------
 
 def _stumpff_c(z: float) -> float:
@@ -211,97 +199,41 @@ def _stumpff_s(z: float) -> float:
 
 
 def _universal_propagate(state: PlanarState, dt: float, m: float) -> PlanarState:
-    """f-and-g propagation through the universal anomaly, attractive field."""
+    """f-and-g propagation in Goodyear's universal variable s, dt/ds = r.
+
+    With beta = 2m/r0 - |v0|^2 and G_k = s^k c_k(beta s^2), the flight time
+    is t(s) = r0 G1 + sigma0 G2 + m G3 (sigma0 = q0.v0) and the radius is
+    r(s) = dt/ds = r0 G0 + sigma0 G1 + m G2 > 0, for either sign of m.
+    """
     q0 = state.position
     v0 = state.velocity
     r0 = state.r
-    sqm = math.sqrt(m)
-    vr0 = float(np.dot(q0, v0)) / r0
-    alpha = 2.0 / r0 - float(np.dot(v0, v0)) / m
+    sigma0 = float(np.dot(q0, v0))
+    beta = 2.0 * m / r0 - float(np.dot(v0, v0))
 
-    if alpha > 1e-12:
-        chi = sqm * alpha * dt
-    else:
-        chi = sqm * dt / r0
-    target = sqm * dt
-    tol = 1e-13 * max(1.0, abs(target))
-    converged = False
+    def g_funcs(s):
+        z = beta * s * s
+        g2 = s * s * _stumpff_c(z)
+        g3 = s**3 * _stumpff_s(z)
+        return 1.0 - beta * g2, s - beta * g3, g2, g3
+
+    s = beta * dt / m if beta > 1e-12 * abs(m) else dt / r0
+    tol = 1e-13 * max(1.0, abs(dt))
     for _ in range(_MAX_ITER):
-        z = alpha * chi * chi
-        C = _stumpff_c(z)
-        S = _stumpff_s(z)
-        F = (
-            r0 * vr0 / sqm * chi * chi * C
-            + (1.0 - r0 * alpha) * chi**3 * S
-            + r0 * chi
-            - target
-        )
+        g0, g1, g2, g3 = g_funcs(s)
+        F = r0 * g1 + sigma0 * g2 + m * g3 - dt
         if abs(F) <= tol:
-            converged = True
             break
-        # dF/dchi equals the radius at chi, always >= 0
-        Fp = (
-            r0 * vr0 / sqm * chi * (1.0 - z * S)
-            + (1.0 - r0 * alpha) * chi * chi * C
-            + r0
-        )
-        if Fp <= 1e-300:
-            Fp = 1e-300
-        chi -= F / Fp
-    if not converged:
+        s -= F / max(r0 * g0 + sigma0 * g1 + m * g2, 1e-300)
+    else:
         raise NonConvergence("universal Kepler equation did not converge")
 
-    z = alpha * chi * chi
-    C = _stumpff_c(z)
-    S = _stumpff_s(z)
-    f = 1.0 - chi * chi * C / r0
-    g = dt - chi**3 * S / sqm
-    q1 = f * q0 + g * v0
+    q1 = (1.0 - m * g2 / r0) * q0 + (dt - m * g3) * v0
     r1 = math.hypot(q1[0], q1[1])
-    if r1 < R_MIN_DEFAULT:
+    if r1 < R_MIN:
         raise CollisionInsideInterval("propagation interval ends at the center")
-    fdot = sqm / (r1 * r0) * chi * (z * S - 1.0)
-    gdot = 1.0 - chi * chi * C / r1
-    v1 = fdot * q0 + gdot * v0
+    v1 = (-m * g1 / (r1 * r0)) * q0 + (1.0 - m * g2 / r1) * v0
     return PlanarState(q1[0], q1[1], v1[0], v1[1])
-
-
-# ---------------------------------------------------------------------------
-# Repulsive-branch propagation (m < 0)
-# ---------------------------------------------------------------------------
-
-def _repulsive_frame(state: PlanarState, m: float):
-    """Orbit frame and anomaly data for the repulsive branch."""
-    mu = -m
-    E = planar_energy(state, m)
-    if E <= 0.0:
-        raise ValueError("repulsive orbits must have positive energy")
-    abar = mu / (2.0 * E)
-    A = np.array([lrl_xi(state, m), lrl_eta(state, m)])
-    e = float(np.linalg.norm(A)) / mu
-    e1 = A / (e * mu)
-    L = angular_momentum(state)
-    s_l = 1.0 if L >= 0.0 else -1.0
-    e2 = s_l * np.array([-e1[1], e1[0]])
-    n = math.sqrt(mu / abar**3)
-    sqrt_mua = math.sqrt(mu * abar)
-    qv = state.xi * state.xi_dot + state.eta * state.eta_dot
-    H0 = math.asinh(qv / (e * sqrt_mua))
-    return mu, abar, e, e1, e2, n, sqrt_mua, H0
-
-
-def _repulsive_propagate(state: PlanarState, dt: float, m: float) -> PlanarState:
-    mu, abar, e, e1, e2, n, sqrt_mua, H0 = _repulsive_frame(state, m)
-    M1 = e * math.sinh(H0) + H0 + n * dt
-    H = solve_repulsive(M1, e)
-    r = abar * (e * math.cosh(H) + 1.0)
-    x_orb = abar * (math.cosh(H) + e)
-    y_orb = abar * math.sqrt(max(e * e - 1.0, 0.0)) * math.sinh(H)
-    xd_orb = sqrt_mua * math.sinh(H) / r
-    yd_orb = math.sqrt(max(e * e - 1.0, 0.0)) * sqrt_mua * math.cosh(H) / r
-    q = x_orb * e1 + y_orb * e2
-    v = xd_orb * e1 + yd_orb * e2
-    return PlanarState(q[0], q[1], v[0], v[1])
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +279,11 @@ def radial_collision_time(state: PlanarState, m: float) -> Optional[float]:
 # Exact propagation and time of flight
 # ---------------------------------------------------------------------------
 
-def propagate_analytic(
-    state: PlanarState, dt: float, params: SystemParams, l_tol: float = 1e-10
-) -> PlanarState:
+def propagate_analytic(state: PlanarState, dt: float, params: SystemParams) -> PlanarState:
     """Propagate a state exactly along its conic by time dt.
 
-    Uses the universal-variable formulation for m > 0 (one code path for
-    elliptic, parabolic and hyperbolic motion) and the repulsive-branch
-    anomaly for m < 0.
+    One universal-variable code path serves elliptic, parabolic and
+    hyperbolic motion, attractive (m > 0) and repulsive (m < 0) alike.
 
     Raises:
         PerturbedModel: if params.beta != 0.
@@ -367,16 +296,13 @@ def propagate_analytic(
     if dt == 0.0:
         return state
     m = params.m
-    L = angular_momentum(state)
-    if m > 0.0 and abs(L) <= collision_tolerance(state, l_tol):
+    if abs(angular_momentum(state)) <= collision_tolerance(state):
         t_c = radial_collision_time(state, m)
         if t_c is not None and 0.0 < t_c <= dt:
             raise CollisionInsideInterval(
                 f"radial orbit reaches the center at t = {t_c} <= dt"
             )
-    if m > 0.0:
-        return _universal_propagate(state, dt, m)
-    return _repulsive_propagate(state, dt, m)
+    return _universal_propagate(state, dt, m)
 
 
 def kepler_period(state: PlanarState, m: float) -> Optional[float]:
@@ -410,47 +336,37 @@ def time_of_flight(
     target returns 0.
     """
     e_scale = max(abs(E), abs(m) / max(r0, 1e-300))
-    if m > 0.0:
-        if abs(E) <= _PARABOLIC_REL * e_scale:
-            sqm = math.sqrt(m)
-            d0 = qv0 / sqm
-            d1 = qv1 / sqm
-            dt = (p * (d1 - d0) + (d1**3 - d0**3) / 3.0) / (2.0 * sqm)
-            return dt if dt >= 0.0 else None
-        if E < 0.0:
-            a = -m / (2.0 * E)
-            n = math.sqrt(m / a**3)
-            if e < 1e-12:
-                return None  # circular orbits carry no radial information
-            sqma = math.sqrt(m * a)
+    if m > 0.0 and abs(E) <= _PARABOLIC_REL * e_scale:
+        sqm = math.sqrt(m)
+        d0 = qv0 / sqm
+        d1 = qv1 / sqm
+        dt = (p * (d1 - d0) + (d1**3 - d0**3) / 3.0) / (2.0 * sqm)
+        return dt if dt >= 0.0 else None
+    if E < 0.0:
+        a = -m / (2.0 * E)
+        n = math.sqrt(m / a**3)
+        if e < 1e-12:
+            return None  # circular orbits carry no radial information
+        sqma = math.sqrt(m * a)
 
-            def mean(r, qv):
-                ce = (1.0 - r / a) / e
-                se = qv / (e * sqma)
-                ea = math.atan2(se, max(min(ce, 1.0), -1.0))
-                return ea - e * math.sin(ea)
+        def mean(r, qv):
+            ce = (1.0 - r / a) / e
+            se = qv / (e * sqma)
+            ea = math.atan2(se, max(min(ce, 1.0), -1.0))
+            return ea - e * math.sin(ea)
 
-            dM = (mean(r1, qv1) - mean(r0, qv0)) % (2.0 * math.pi)
-            return dM / n
-        aabs = m / (2.0 * E)
-        n = math.sqrt(m / aabs**3)
-        sqma = math.sqrt(m * aabs)
+        dM = (mean(r1, qv1) - mean(r0, qv0)) % (2.0 * math.pi)
+        return dM / n
+    # unbound: e sinh H - H = M attracting, e sinh H + H = M repelling
+    mu = abs(m)
+    sign = math.copysign(1.0, m)
+    aabs = mu / (2.0 * E)
+    n = math.sqrt(mu / aabs**3)
+    sqma = math.sqrt(mu * aabs)
 
-        def mean_h(qv):
-            H = math.asinh(qv / (e * sqma))
-            return e * math.sinh(H) - H
-
-        dt = (mean_h(qv1) - mean_h(qv0)) / n
-        return dt if dt >= -1e-15 else None
-    # repulsive branch
-    mu = -m
-    abar = mu / (2.0 * E)
-    n = math.sqrt(mu / abar**3)
-    sqma = math.sqrt(mu * abar)
-
-    def mean_r(qv):
+    def mean_h(qv):
         H = math.asinh(qv / (e * sqma))
-        return e * math.sinh(H) + H
+        return e * math.sinh(H) - sign * H
 
-    dt = (mean_r(qv1) - mean_r(qv0)) / n
+    dt = (mean_h(qv1) - mean_h(qv0)) / n
     return dt if dt >= -1e-15 else None

@@ -132,6 +132,9 @@ def project_constraints(y: np.ndarray) -> np.ndarray:
     return np.concatenate([q, v])
 
 
+_CHUNK = 5.0
+
+
 def integrate_spherical(
     state: SphericalState,
     t_span,
@@ -140,14 +143,12 @@ def integrate_spherical(
     atol: float = 1e-10,
     max_step: float = math.inf,
     t_eval=None,
-    renormalize: bool = True,
-    chunk: float = 5.0,
 ):
     """Integrate the embedded spherical flow over t_span.
 
-    With ``renormalize`` the state is projected back onto the unit tangent
-    bundle at chunk boundaries (constraint drift < 1e-14 afterwards);
-    without it the drift stays small only through the constraint force.
+    The integration runs in chunks of 5 time units; every sample and
+    every chunk's end state is projected back onto the unit tangent
+    bundle (constraint drift < 1e-14 afterwards).
 
     Returns:
         (ts, ys): sample times and 6-column state array. When ``t_eval``
@@ -164,9 +165,8 @@ def integrate_spherical(
     if want is None:
         ts_out.append(t)
         ys_out.append(y.copy())
-    step = chunk if renormalize else (t1 - t0)
     while t < t1 - 1e-15:
-        t_next = min(t + step, t1)
+        t_next = min(t + _CHUNK, t1)
         sol = solve_ivp(
             rhs,
             (t, t_next),
@@ -179,17 +179,14 @@ def integrate_spherical(
         )
         if not sol.success:
             raise StepFailure(f"spherical integration failed: {sol.message}")
-        post = project_constraints if renormalize else (lambda y: y)
         if want is not None:
             while w_idx < len(want) and want[w_idx] <= t_next + 1e-15:
                 ts_out.append(want[w_idx])
-                ys_out.append(post(sol.sol(want[w_idx])))
+                ys_out.append(project_constraints(sol.sol(want[w_idx])))
                 w_idx += 1
         else:
             ts_out.extend(sol.t[1:].tolist())
-            ys_out.extend(post(row) for row in sol.y.T[1:])
-        y = sol.y[:, -1]
-        if renormalize:
-            y = project_constraints(y)
+            ys_out.extend(project_constraints(row) for row in sol.y.T[1:])
+        y = project_constraints(sol.y[:, -1])
         t = t_next
     return np.array(ts_out), np.array(ys_out)

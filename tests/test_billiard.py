@@ -309,6 +309,23 @@ class TestAnalyticLineHit:
         assert out_a.record.state_in.eta_dot > 0.0
         assert out_a.record.t_hit == pytest.approx(out_n.record.t_hit, abs=1e-6)
 
+    def test_near_radial_hit_velocity_keeps_energy(self):
+        # a thin ellipse (|L| ~ 1e-5 at the hit): dividing A + m q_hat by L
+        # there loses E_pl; the exact hit must still match the numeric one
+        params = SystemParams(m=1.0, a=0.5)
+        wall = Wall.line(params.h, side=-1)
+        s = PlanarState(
+            0.20872219722905028, params.h, 0.45653500761726235, -0.9780968194095451
+        )
+        out_a = next_hit_analytic_line(s, params, wall)
+        out_n = next_hit_numeric(s, validate_config(params, wall), FAST)
+        assert isinstance(out_a, Hit) and isinstance(out_n, Hit)
+        np.testing.assert_allclose(
+            out_a.record.state_in.as_array(), out_n.record.state_in.as_array(),
+            atol=1e-8,
+        )
+        assert out_a.record.t_hit == pytest.approx(out_n.record.t_hit, abs=1e-8)
+
     def test_perturbed_rejected(self):
         params = SystemParams(m=1.0, a=1.0, beta=0.1)
         with pytest.raises(PerturbedModel):

@@ -96,7 +96,7 @@ class TestValidateConfig:
     def test_line_level_matches_h(self):
         params = SystemParams(m=1.0, a=1.0)
         model = validate_config(params, Wall.line(-1.0 / math.sqrt(2.0)))
-        assert model.wall.h == pytest.approx(params.h)
+        assert model.wall.level == pytest.approx(params.h)
 
     def test_inconsistent_line_rejected(self):
         params = SystemParams(m=1.0, a=1.0)
@@ -109,7 +109,7 @@ class TestValidateConfig:
 
     def test_great_circle_normal_normalized(self):
         w = Wall.great_circle((0.0, 2.0, 0.0))
-        assert np.linalg.norm(w.normal) == pytest.approx(1.0, abs=1e-15)
+        assert np.linalg.norm(w.axis) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestParseConfig:

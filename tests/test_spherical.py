@@ -174,24 +174,11 @@ class TestEmbeddedEnergy:
 
 
 class TestIntegration:
-    def test_constraints_without_renormalization(self):
-        params = SystemParams(m=1.0, a=0.5)
-        s0 = planar_to_sphere(PlanarState(1.0, 0.2, -0.1, 0.9), params)
-        ts, ys = integrate_spherical(
-            s0, (0.0, 100.0), params, rtol=1e-10, atol=1e-10, renormalize=False
-        )
-        q = ys[:, :3]
-        v = ys[:, 3:]
-        norm_drift = np.max(np.abs(np.linalg.norm(q, axis=1) - 1.0))
-        tang_drift = np.max(np.abs(np.sum(q * v, axis=1)))
-        assert norm_drift < 1e-9
-        assert tang_drift < 1e-9
-
     def test_constraints_with_renormalization(self):
         params = SystemParams(m=1.0, a=0.5)
         s0 = planar_to_sphere(PlanarState(1.0, 0.2, -0.1, 0.9), params)
         ts, ys = integrate_spherical(
-            s0, (0.0, 100.0), params, rtol=1e-10, atol=1e-10, renormalize=True
+            s0, (0.0, 100.0), params, rtol=1e-10, atol=1e-10
         )
         y_end = ys[-1]
         assert abs(np.linalg.norm(y_end[:3]) - 1.0) < 1e-14
