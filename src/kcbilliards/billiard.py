@@ -1,12 +1,13 @@
 """Wall geometry, reflection operators, hit detection and the billiard map.
 
 Hits are located either numerically (event-detecting adaptive integration
-with bracketed root refinement on the step interpolant, any wall and beta)
-or analytically for the planar line wall (conic-line intersection in
-closed form, beta = 0). Radial orbits aimed at an attractive center, in
-the plane and on the sphere, are continued through the collision by the
-analytic elastic bounce; the production map never integrates a
-regularized field.
+with bracketed root refinement on the step interpolant, any wall and beta;
+each step's minima of the wall function are tracked, so a crossing that
+enters and leaves within one step is found) or analytically for the
+planar line wall (conic-line intersection in closed form, beta = 0).
+Radial orbits aimed at an attractive center, in the plane and on the
+sphere, are continued through the collision by the analytic elastic
+bounce; the production map never integrates a regularized field.
 
 Both maps share one rule for a start on the wall: a start moving out of
 the domain (normal speed above TANGENCY_REL of the speed) is reflected at
@@ -24,9 +25,11 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import (
+    BilliardError,
     NotOnWall,
     PerturbedModel,
     PoleSingularity,
+    SingularPosition,
     StepFailure,
     Undetermined,
 )
@@ -104,6 +107,19 @@ def wall_signed_distance(point, wall: Wall) -> float:
     else:
         f = float(np.dot(point, wall.axis))
     return (f - wall.level) * wall.side
+
+
+def _wall_rate(y, wall: Wall) -> float:
+    """d g/dt of wall_signed_distance along a flow state y, up to a positive
+    factor (1/r for the planar circle): it crosses zero upwards exactly where
+    g has a minimum in time."""
+    if wall.kind == PLANAR_LINE:
+        f = y[3]
+    elif wall.axis is None:
+        f = y[0] * y[2] + y[1] * y[3]
+    else:
+        f = float(np.dot(y[3:], wall.axis))
+    return f * wall.side
 
 
 def _wall_scale(wall: Wall) -> float:
@@ -461,16 +477,20 @@ def next_hit_numeric(
     """Integrate the flow to the first wall crossing and refine the hit.
 
     One engine serves the plane and the sphere. The integrator advances in
-    chunks of 64 step caps, at least 0.25 in time; the cap is a quarter of
-    (|g| + 0.05 wall scales) over the current speed, g the signed distance
-    to the wall, so thin crossings near conic pericenters cannot be
-    stepped over. The crossing itself is located on the interpolant of the
-    step that contains it by bracketed root-finding. In the plane, Escape
-    is returned only with a certificate (unbound, receding beyond the fixed
-    escape radius of 1e3 wall scales, and for the line wall no forward
-    conic intersection); otherwise exhausting t_max raises Undetermined.
-    On the sphere the state is projected back onto the unit tangent bundle
-    after each chunk.
+    chunks of 16 (|g| + 0.05 wall scales) over the current speed, at least
+    0.25 in time, g the signed distance to the wall; its steps are limited
+    only by the tolerances and integ.max_step. A crossing whose step ends
+    outside the domain is located on that step's interpolant by bracketed
+    root-finding. A step whose ends both lie inside can still hide a
+    crossing, and only where g has an interior minimum below zero: each
+    step therefore also watches the wall rate d g/dt cross zero upwards.
+    At the first such minimum with g < 0 the step is integrated again from
+    its start to the minimum, which brackets the crossing, and the crossing
+    is refined as above. In the plane, Escape is returned only with a
+    certificate (unbound, receding beyond the fixed escape radius of 1e3
+    wall scales, and for the line wall no forward conic intersection);
+    otherwise exhausting t_max raises Undetermined. On the sphere the state
+    is projected back onto the unit tangent bundle after each chunk.
 
     Two kinds of start are settled before any integration:
 
@@ -503,6 +523,11 @@ def next_hit_numeric(
     g_event.terminal = True
     g_event.direction = -1.0
 
+    def minimum_event(t, y):
+        return _wall_rate(y, wall)
+
+    minimum_event.direction = 1.0
+
     if spherical:
         z1 = spherical_center(params)
         att = z1 if params.m_prime > 0.0 else -z1
@@ -519,7 +544,7 @@ def next_hit_numeric(
         pole_event.terminal = True
         pole_event.direction = 1.0
         rhs = spherical_flow_rhs(params)
-        events = [g_event, pole_event]
+        events = [g_event, minimum_event, pole_event]
         speed = lambda y: float(np.linalg.norm(y[3:]))  # noqa: E731
         hit_state = lambda y: SphericalState.project(y[:3], y[3:])  # noqa: E731
     else:
@@ -532,30 +557,44 @@ def next_hit_numeric(
             if radial_collision_time(radial, params.m) is not None:
                 return _radial_hit(radial, params, wall)
         rhs = lambda t, y: flow_rhs(t, y, params)  # noqa: E731
-        events = [g_event]
+        events = [g_event, minimum_event]
         speed = lambda y: math.hypot(y[2], y[3])  # noqa: E731
         hit_state = PlanarState.from_array
+
+    def integrate(t0, t1, y0, event_fns):
+        sol = solve_ivp(
+            rhs,
+            (t0, t1),
+            y0,
+            method="DOP853",
+            rtol=integ.rtol,
+            atol=integ.atol,
+            max_step=integ.max_step,
+            events=event_fns,
+        )
+        if not sol.success and sol.status != 1:
+            raise StepFailure(f"integration failed: {sol.message}")
+        return sol
 
     scale = _wall_scale(wall)
     t = 0.0
     y = state.as_array()
     while t < t_max:
         g = wall_signed_distance(y[:dim], wall)
-        cap = (abs(g) + 0.05 * scale) / (4.0 * max(speed(y), 1e-9))
-        cap = min(cap, integ.max_step)
-        chunk = min(t_max - t, max(64.0 * cap, 0.25))
-        sol = solve_ivp(
-            rhs,
-            (t, t + chunk),
-            y,
-            method="DOP853",
-            rtol=integ.rtol,
-            atol=integ.atol,
-            max_step=cap,
-            events=events,
-        )
-        if not sol.success and sol.status != 1:
-            raise StepFailure(f"integration failed: {sol.message}")
+        chunk = min(t_max - t, max(16.0 * (abs(g) + 0.05 * scale) / max(speed(y), 1e-9), 0.25))
+        sol = integrate(t, t + chunk, y, events)
+        # every minimum recorded here comes before any crossing event; one
+        # whose dip the step's re-integration does not confirm lies within
+        # the tolerances and is passed over
+        for t_min, y_min in zip(sol.t_events[1], sol.y_events[1]):
+            k = int(np.searchsorted(sol.t, t_min, side="right")) - 1
+            if wall_signed_distance(y_min[:dim], wall) >= 0.0 or t_min <= sol.t[k]:
+                continue
+            sub = integrate(sol.t[k], t_min, sol.y[:, k], [g_event])
+            if sub.status == 1:
+                return _hit_or_tangency(
+                    float(sub.t_events[0][0]), hit_state(sub.y_events[0][0]), params, wall
+                )
         if sol.status == 1 and sol.t_events[0].size:
             return _hit_or_tangency(
                 float(sol.t_events[0][0]), hit_state(sol.y_events[0][0]), params, wall
@@ -690,15 +729,31 @@ def _spherical_radial_hit(
 
 @dataclass(frozen=True)
 class BilliardRun:
-    """Result of iterating the billiard map."""
+    """Result of iterating the billiard map.
+
+    outcome is "completed", "escape" or "tangency", or, when a leg raised,
+    "undetermined", "step-failure", "pole-singularity" or
+    "singular-position"; error then holds that error, and records the
+    bounces computed before the failed leg.
+    """
 
     records: List[BounceRecord]
     outcome: str
     final_state: object
+    error: Optional[BilliardError] = None
 
     @property
     def n_bounces(self) -> int:
         return len(self.records)
+
+
+# the errors that end a run but keep its bounces, with their outcome names
+_RUN_ERRORS = {
+    Undetermined: "undetermined",
+    StepFailure: "step-failure",
+    PoleSingularity: "pole-singularity",
+    SingularPosition: "singular-position",
+}
 
 
 def billiard_map(
@@ -713,7 +768,9 @@ def billiard_map(
 
     Every bounce record carries the full integral set on both sides and
     an absolute hit time. ``mode="analytic"`` requires the planar line
-    wall and beta = 0.
+    wall and beta = 0. A leg that raises Undetermined, StepFailure,
+    PoleSingularity or SingularPosition ends the run with that outcome
+    and keeps the bounces before it.
     """
     if mode not in ("numeric", "analytic"):
         raise ValueError("mode must be 'numeric' or 'analytic'")
@@ -722,12 +779,17 @@ def billiard_map(
     records: List[BounceRecord] = []
     clock = 0.0
     outcome = "completed"
+    error = None
     current = state
     for _ in range(n):
-        if mode == "analytic":
-            out = next_hit_analytic_line(current, model.params, model.wall)
-        else:
-            out = next_hit_numeric(current, model, integ, t_max=t_max_per_leg)
+        try:
+            if mode == "analytic":
+                out = next_hit_analytic_line(current, model.params, model.wall)
+            else:
+                out = next_hit_numeric(current, model, integ, t_max=t_max_per_leg)
+        except tuple(_RUN_ERRORS) as exc:
+            outcome, error = _RUN_ERRORS[type(exc)], exc
+            break
         if isinstance(out, Escape):
             outcome = "escape"
             break
@@ -743,4 +805,4 @@ def billiard_map(
         if isinstance(out, Tangency):
             outcome = "tangency"
             break
-    return BilliardRun(records=records, outcome=outcome, final_state=current)
+    return BilliardRun(records=records, outcome=outcome, final_state=current, error=error)

@@ -1,8 +1,10 @@
 """Command-line front end: simulate, verify, project, plot.
 
 Exit codes: 0 success, 2 configuration error, 3 dynamics undetermined or
-failed, 4 verification failure. The BILLIARD_LOG environment variable
-sets the logging level.
+failed, 4 verification failure. A billiard run whose leg fails still
+writes the bounces computed before that leg, with the error as the
+summary's outcome. The BILLIARD_LOG environment variable sets the logging
+level.
 """
 
 from __future__ import annotations
@@ -162,6 +164,9 @@ def cmd_simulate(args) -> int:
     }
     out_io.write_summary(summary_path, summary)
     log.info("billiard run: %d bounces, outcome %s", run.n_bounces, run.outcome)
+    if run.error is not None:
+        print(f"dynamics error: {run.error}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -6,7 +6,9 @@ from scipy.integrate import quad, solve_ivp
 
 from oracles import ode_propagate
 
+import kcbilliards.billiard
 from kcbilliards.billiard import (
+    ON_WALL_TOL,
     Escape,
     Hit,
     Tangency,
@@ -27,7 +29,7 @@ from kcbilliards.model import (
     spherical_center,
     validate_config,
 )
-from kcbilliards.planar import radial_collision_time
+from kcbilliards.planar import orbit_elements, radial_collision_time, time_of_flight
 from kcbilliards.spherical import planar_to_sphere, spherical_energy_embedded
 
 S3 = math.sqrt(3.0)
@@ -425,6 +427,47 @@ class TestNumericHit:
         with pytest.raises(Undetermined):
             next_hit_numeric(PlanarState(1.0, 0.0, 0.0, 1.0), model, FAST, t_max=3.0)
 
+    @pytest.mark.parametrize("v_inf", [0.5, 2.0, 5.0])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7])
+    def test_thin_crossing_of_centered_circle(self, v_inf, eps):
+        # a hyperbolic flyby from r = 5 whose pericenter R (1 - eps) dips
+        # just inside the wall r = R: the orbit leaves the domain r > R for
+        # a short arc that a single step can span
+        params = SystemParams(m=1.0, a=0.0)
+        model = validate_config(params, Wall.centered_circle(1.0, side=1))
+        r_p = 1.0 - eps
+        L = r_p * math.sqrt(v_inf**2 + 2.0 / r_p)
+        r0 = 5.0
+        v_t = L / r0
+        v_r = -math.sqrt(v_inf**2 + 2.0 / r0 - v_t**2)
+        s = PlanarState(r0, 0.0, v_r, v_t)
+        el = orbit_elements(s, params)
+        qv_hit = -math.sqrt(2.0 * (el.E_pl + 1.0) - L**2)  # r = 1, inbound
+        t_exact = time_of_flight(1.0, el.E_pl, el.e, el.p, r0, r0 * v_r, 1.0, qv_hit)
+        out = next_hit_numeric(s, model, FAST)
+        assert isinstance(out, Hit)
+        assert out.record.t_hit == pytest.approx(t_exact, abs=1e-8)
+        assert abs(out.record.state_in.r - 1.0) <= ON_WALL_TOL
+
+    def test_line_run_evaluation_count(self, monkeypatch):
+        # this run's RHS evaluations with every step capped at a quarter of
+        # (|g| + 0.05 wall scales) over the speed
+        capped_nfev = 4907
+        counted = []
+        solve = kcbilliards.billiard.solve_ivp
+
+        def counting_solve_ivp(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            counted.append(sol.nfev)
+            return sol
+
+        monkeypatch.setattr(kcbilliards.billiard, "solve_ivp", counting_solve_ivp)
+        params = SystemParams(m=1.0, a=1.0)
+        model = validate_config(params, Wall.line(params.h, side=-1))
+        run = billiard_map(PlanarState(0.5, params.h, 0.3, -0.8), 5, model, integ=FAST)
+        assert run.outcome == "completed" and run.n_bounces == 5
+        assert sum(counted) <= capped_nfev / 2
+
 
 class TestBilliardMap:
     def test_zero_bounces(self):
@@ -460,6 +503,18 @@ class TestBilliardMap:
                 ra.state_in.as_array(), rn.state_in.as_array(), atol=1e-8
             )
             assert ra.t_hit == pytest.approx(rn.t_hit, abs=1e-8)
+
+    def test_failed_leg_keeps_earlier_bounces(self):
+        # legs after the first take 6.79 > t_max, and the orbit is bound
+        params = SystemParams(m=1.0, a=0.0)
+        model = validate_config(params, Wall.centered_circle(2.0, side=-1))
+        run = billiard_map(
+            PlanarState(1.0, 0.0, 0.0, 1.2), 4, model, integ=FAST, t_max_per_leg=5.0
+        )
+        assert run.n_bounces == 1
+        assert run.outcome == "undetermined"
+        assert isinstance(run.error, Undetermined)
+        assert run.final_state == run.records[0].state_out
 
     def test_perturbed_d_varies(self):
         params = SystemParams(m=1.0, a=1.0, beta=0.3)

@@ -285,6 +285,29 @@ class TestDynamicsExitCode:
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 3
 
+    def test_failed_later_leg_keeps_earlier_bounces(self, tmp_path):
+        # the first leg takes 3.40, every later one 6.79 > t_max, and the
+        # orbit is bound, so the second leg is undetermined
+        doc = {
+            "system": {"model": "kepler", "m": 1.0, "a": 0.0, "beta": 0.0},
+            "wall": {"kind": "planar-centered-circle", "radius": 2.0, "side": -1},
+            "initial": {"state": [1.0, 0.0, 0.0, 1.2]},
+            "integrator": {"rtol": 1e-11, "atol": 1e-11, "max_step": 1.0},
+            "run": {"n_bounces": 4, "t_max": 5.0},
+        }
+        cfg = tmp_path / "short.json"
+        write_config(cfg, doc)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["outcome"] == "undetermined"
+        assert summary["n_bounces"] == 1
+        _, rows = read_csv(str(out / "trajectory.csv"))
+        assert len(rows) == 2
+        _, bounces = read_csv(str(out / "bounces.csv"))
+        assert len(bounces) == 1
+        assert bounces[0][1] == pytest.approx(3.39732646848734, abs=1e-8)
+
     def test_log_env_smoke(self, tmp_path, billiard_config, monkeypatch):
         monkeypatch.setenv("BILLIARD_LOG", "INFO")
         out = tmp_path / "out"
