@@ -70,8 +70,6 @@ from .model import (
     validate_config,
 )
 from .planar import (
-    ConicElements,
-    orbit_elements,
     propagate_analytic,
     solve_kepler_equation,
 )

@@ -3,10 +3,11 @@
 Hits are located either numerically (event-detecting adaptive integration
 with bracketed root refinement on the step interpolant, any wall and beta;
 each step's minima of the wall function are tracked, so a crossing that
-enters and leaves within one step is found) or analytically for the
-planar line wall (conic-line intersection in closed form, beta = 0).
-Radial orbits aimed at an attractive center, in the plane and on the
-sphere, are continued through the collision by the analytic elastic
+enters and leaves within one step is found) or exactly for both planar
+walls (beta = 0): the crossing of the conic with the line or the centered
+circle is one closed-form root in the universal variable of the planar
+kernel. Radial orbits aimed at an attractive center, in the plane and on
+the sphere, are continued through the collision by the analytic elastic
 bounce; the production map never integrates a regularized field.
 
 Both maps share one rule for a start on the wall: a start moving out of
@@ -26,6 +27,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import (
     BilliardError,
+    CollisionInsideInterval,
     NotOnWall,
     PerturbedModel,
     PoleSingularity,
@@ -35,6 +37,7 @@ from .errors import (
 )
 from .integrals import angular_momentum, integral_set, planar_energy
 from .model import (
+    PLANAR_CENTERED_CIRCLE,
     PLANAR_LINE,
     BounceRecord,
     IntegralSet,
@@ -50,10 +53,10 @@ from .planar import (
     L_TOL,
     collision_tolerance,
     flow_rhs,
-    kepler_period,
-    orbit_elements,
     radial_collision_time,
     time_of_flight,
+    universal_kernel,
+    universal_state,
 )
 from .spherical import (
     POLE_GUARD,
@@ -66,7 +69,9 @@ from .spherical import (
 TANGENCY_REL = 1e-8
 ON_WALL_TOL = 1e-10
 _T_EPS_REL = 1e-9
-_CIRCULAR_E_TOL = 1e-12
+_EXACT_WALLS = (PLANAR_LINE, PLANAR_CENTERED_CIRCLE)
+# a discriminant this far below zero, relative to its terms, is a tangency
+_DISC_ROUNDING = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -249,201 +254,86 @@ def _hit_or_tangency(
 
 
 # ---------------------------------------------------------------------------
-# Analytic line-wall hit
+# Exact planar hit
 # ---------------------------------------------------------------------------
-
-def _conic_line_candidates(el, m: float, h: float) -> List[float]:
-    """xi-coordinates where the conic m*r = L^2 - A.q meets eta = h."""
-    c = el.L * el.L - el.A_eta * h
-    qa = m * m - el.A_xi * el.A_xi
-    qb = 2.0 * c * el.A_xi
-    qc = m * m * h * h - c * c
-    scale = m * m + el.A_xi * el.A_xi
-    roots: List[float] = []
-    if abs(qa) <= 1e-14 * scale:
-        if abs(qb) > 1e-300:
-            roots = [-qc / qb]
-    else:
-        disc = qb * qb - 4.0 * qa * qc
-        if disc < 0.0:
-            return []
-        sq = math.sqrt(disc)
-        if qb >= 0.0:
-            qq = -(qb + sq) / 2.0
-        else:
-            qq = -(qb - sq) / 2.0
-        if qq != 0.0:
-            roots = [qq / qa, qc / qq]
-        else:
-            roots = [0.0]
-    # keep only sign-consistent intersections (r > 0 on the right branch)
-    out = []
-    for xi in roots:
-        if (c - el.A_xi * xi) / m > 0.0:
-            out.append(xi)
-    return out
-
-
-def _hit_velocity(el, m: float, xi: float, h: float):
-    """Velocity on the conic at (xi, h), from its polar components.
-
-    vt = L/r; vr = (A x q_hat)/L. At near-radial states the quotient loses
-    digits, so when |vr| > |vt| its size comes from the energy instead.
-    """
-    r = math.hypot(xi, h)
-    c, s = xi / r, h / r
-    vt = el.L / r
-    vr = (el.A_xi * s - el.A_eta * c) / el.L
-    if abs(vr) > abs(vt):
-        vr = math.copysign(math.sqrt(max(2.0 * (el.E_pl + m / r) - vt * vt, 0.0)), vr)
-    return vr * c - vt * s, vr * s + vt * c, r
-
 
 def next_hit_analytic_line(
     state: PlanarState,
     params: SystemParams,
     wall: Wall,
 ) -> HitOutcome:
-    """First forward intersection of the orbit conic with the line wall.
+    """First forward crossing out of the domain of a planar wall, exactly.
 
-    Closed form: the conic meets {eta = h} where a quadratic in xi
-    vanishes; the velocity there is rebuilt from (E, L, A) and the first
-    intersection is selected by time of flight along the motion. As in the
-    numerical search, only crossings where the orbit leaves the domain
-    count (grazing ones included), and a start on the wall moving out of
-    the domain is a Hit at t = 0. Agrees with the numerical hit search to
-    1e-8.
+    Serves the line and the centered circle alike. Along the conic, in
+    Goodyear's universal variable s (dt/ds = r, see universal_kernel), the
+    wall function side*(f - level) is c + P G1(s) + Q G2(s), because eta
+    and r are affine in (1, G1, G2). In y = 2 G1/(1 + G0) (y = s on a
+    parabola, (2/w) tan(w s/2) on an ellipse and (2/w) tanh(w s/2) on a
+    hyperbola, w = sqrt|alpha|) that is the quadratic
+    (Q/2 + alpha c/4) y^2 + P y + c times a positive factor. Its root where
+    the quadratic does not increase is the one crossing out of the domain
+    (grazing ones included); on an ellipse it recurs once per period, and
+    the first one with s > 0 is taken. The root gets one Newton polish on
+    the kernel; the time is t(s) in closed form and the state comes from
+    the f and g functions. Radial, circular and near-parabolic legs take
+    the same path; a radial leg passes the center by the elastic bounce.
+    A crossing at the center itself is no hit (the center is removed from
+    the wall), and a start on the wall moving out of the domain is a Hit
+    at t = 0. Agrees with the numerical hit search to 1e-8.
 
     Raises:
         PerturbedModel: if params.beta != 0.
     """
     if params.beta != 0.0:
         raise PerturbedModel("the analytic billiard map requires beta = 0")
-    if wall.kind != PLANAR_LINE:
-        raise ValueError("analytic hit search supports only the planar line wall")
+    if wall.kind not in _EXACT_WALLS:
+        raise ValueError("analytic hit search supports only the planar walls")
     outward = _outward_start(state, params, wall)
     if outward is not None:
         return outward
     m = params.m
-    h = wall.level
-    L = angular_momentum(state)
-    if L == 0.0:
-        return _radial_hit(state, params, wall)
-    el = orbit_elements(state, params)
-
-    if el.e < _CIRCULAR_E_TOL:
-        return _circular_line_hit(state, el, params, wall)
-
     r0 = state.r
-    qv0 = state.xi * state.xi_dot + state.eta * state.eta_dot
-    period = kepler_period(state, m)
-    t_eps = _T_EPS_REL * (period if period is not None else max(r0 / max(state.speed, 1e-12), 1.0))
-
-    best = None
-    for xi in _conic_line_candidates(el, m, h):
-        xd, ed, r1 = _hit_velocity(el, m, xi, h)
-        if wall.side * ed > TANGENCY_REL * math.hypot(xd, ed):
-            continue  # the orbit enters the domain here
-        qv1 = xi * xd + h * ed
-        dt = time_of_flight(m, el.E_pl, el.e, el.p, r0, qv0, r1, qv1)
-        if dt is None:
-            continue
-        if dt <= t_eps:
-            if period is None:
-                continue
-            dt += period
-        if best is None or dt < best[0]:
-            best = (dt, xi, xd, ed)
-    if best is None:
-        return Escape("conic has no forward intersection with the wall line")
-    dt, xi, xd, ed = best
-    return _hit_or_tangency(dt, PlanarState(xi, h, xd, ed), params, wall)
-
-
-def _circular_line_hit(state, el, params, wall) -> HitOutcome:
-    """Hit search for an (numerically) circular orbit, ordered by angle."""
-    m = params.m
-    h = wall.level
-    r = state.r
-    if abs(h) > r:
-        return Escape("circular orbit does not reach the wall line")
-    L = el.L
-    s_l = 1.0 if L >= 0.0 else -1.0
-    th0 = math.atan2(state.eta, state.xi)
-    best = None
-    xi_abs = math.sqrt(max(r * r - h * h, 0.0))
-    omega = abs(L) / (r * r)
-    for xi in (xi_abs, -xi_abs):
-        th = math.atan2(h, xi)
-        if wall.side * s_l * math.cos(th) > TANGENCY_REL:
-            continue  # the orbit enters the domain here
-        dth = (s_l * (th - th0)) % (2.0 * math.pi)
-        if dth < 1e-9:
-            dth += 2.0 * math.pi
-        dt = dth / omega
-        if best is None or dt < best[0]:
-            best = (dt, xi, th)
-    dt, xi, th = best
-    speed = abs(L) / r
-    xd = -math.sin(th) * s_l * speed
-    ed = math.cos(th) * s_l * speed
-    return _hit_or_tangency(dt, PlanarState(xi, h, xd, ed), params, wall)
-
-
-def _radial_hit(state: PlanarState, params: SystemParams, wall: Wall) -> HitOutcome:
-    """Hit search for an exactly radial (L = 0) orbit, any planar wall.
-
-    Radial motion lives on the ray s*q_hat, s > 0; collisions with an
-    attractive center are continued by the elastic bounce, which in the
-    anomaly picture is the smooth passage of the radial anomaly through
-    zero. The wall crossing radius is |h/q_hat_eta| for the line and R
-    for the centered circle; of the two radial directions there, only the
-    one that leaves the domain is a hit.
-    """
-    m = params.m
-    r0 = state.r
-    qhat = state.position / r0
-    E = planar_energy(state, m)
-    qv0 = state.xi * state.xi_dot + state.eta * state.eta_dot
-
-    s_hit = wall.level
-    if wall.kind == PLANAR_LINE:
-        if qhat[1] == 0.0:
-            return Escape("radial orbit is parallel to the wall line")
-        s_hit /= qhat[1]
-        if s_hit < 0.0:
-            return Escape("radial ray does not meet the wall line")
-        if s_hit == 0.0:
-            return Escape(
-                "radial crossing coincides with the center, which is removed "
-                "from a wall line through it"
-            )
-
-    two_e = 2.0 * (E + m / s_hit)
-    if two_e < 0.0:
-        return Escape("radial orbit never reaches the wall radius")
-    rdot_mag = math.sqrt(two_e)
-
-    t_eps = _T_EPS_REL * max(r0 / max(state.speed, 1e-12), 1.0)
-    best = None
-    n_axis = qhat[1] if wall.kind == PLANAR_LINE else 1.0
-    for sgn in (-1.0, 1.0):
-        if wall.side * sgn * n_axis * rdot_mag > TANGENCY_REL * rdot_mag:
-            continue  # the orbit enters the domain here
-        qv1 = sgn * s_hit * rdot_mag
-        dt = time_of_flight(m, E, 1.0, 0.0, r0, qv0, s_hit, qv1)
-        if dt is None or dt <= t_eps:
-            continue
-        if best is None or dt < best[0]:
-            best = (dt, qv1)
-    if best is None:
-        return Escape("radial orbit has no forward wall crossing")
-    dt, qv1 = best
-    # the anomaly time of flight already runs through the elastic bounce
-    v = qv1 / s_hit * qhat
-    return _hit_or_tangency(
-        dt, PlanarState(s_hit * qhat[0], s_hit * qhat[1], v[0], v[1]), params, wall
-    )
+    sigma0 = state.xi * state.xi_dot + state.eta * state.eta_dot
+    v2 = state.xi_dot**2 + state.eta_dot**2
+    alpha = 2.0 * m / r0 - v2
+    if wall.kind == PLANAR_LINE:  # eta(s) = (1 - m G2/r0) eta0 + (r0 G1 + sigma0 G2) eta_dot0
+        c = state.eta - wall.level
+        P, Q = r0 * state.eta_dot, sigma0 * state.eta_dot - m * state.eta / r0
+    else:  # r(s) = r0 + sigma0 G1 + (m - alpha r0) G2
+        c, P, Q = r0 - wall.level, sigma0, r0 * v2 - m
+    c, P, Q = wall.side * c, wall.side * P, wall.side * Q
+    a2 = 0.5 * Q + 0.25 * alpha * c
+    disc = P * P - 4.0 * a2 * c
+    if disc < -_DISC_ROUNDING * (P * P + abs(4.0 * a2 * c)):
+        return Escape("the orbit does not reach the wall")
+    # the root (-P - sqrt(disc))/(2 a2) as num/den, free of cancellation
+    root = math.sqrt(max(disc, 0.0))
+    num, den = (-0.5 * (P + root), a2) if P >= 0.0 else (c, -0.5 * (P - root))
+    if alpha > 0.0:
+        w = math.sqrt(alpha)
+        s = 2.0 * (math.atan2(w * num, 2.0 * den) % math.pi or math.pi) / w
+    else:
+        y = num / den if den != 0.0 else -1.0
+        u = 0.5 * math.sqrt(-alpha) * y
+        if not (y > 0.0 and u < 1.0):
+            return Escape("the orbit has no forward crossing out of the domain")
+        s = 2.0 * math.atanh(u) / math.sqrt(-alpha) if alpha < 0.0 else y
+    g = universal_kernel(alpha, s)
+    F = c + P * g[1] + Q * g[2]
+    dF = P * g[0] + Q * g[1]
+    if dF < 0.0:  # one Newton step, kept if it helps; grazing roots stay
+        g_new = universal_kernel(alpha, s - F / dF)
+        F_new = c + P * g_new[1] + Q * g_new[2]
+        if abs(F_new) < abs(F):
+            g, F = g_new, F_new
+    if abs(F) > ON_WALL_TOL * _wall_scale(wall):  # a root at s = infinity
+        return Escape("the orbit meets the wall only at infinity")
+    t_hit = time_of_flight(r0, sigma0, m, g)
+    try:
+        hit = universal_state(state, m, t_hit, g)
+    except CollisionInsideInterval:
+        return Escape("the orbit meets the wall only at the removed center")
+    return _hit_or_tangency(t_hit, hit, params, wall)
 
 
 # ---------------------------------------------------------------------------
@@ -497,12 +387,12 @@ def next_hit_numeric(
     - A start on the wall (within the reflect tolerance) moving out of the
       domain, with normal speed above TANGENCY_REL of the speed, is
       reflected at once: a Hit at t = 0 whose state_in is the start and
-      whose state_out is reflect(start). The exact line map obeys the same
+      whose state_out is reflect(start). The exact planar map obeys the same
       rule; grazing starts are left to the search.
     - A radial orbit aimed at the attracting center (|L| or, on the
       sphere, |(q x v).att| below 1e-10 times speed times the distance
       to the center) is solved in closed form with the elastic bounce:
-      in the plane by the conic anomaly, on the sphere along the meridian
+      in the plane by next_hit_analytic_line, on the sphere along the meridian
       through q, with the flight time from the exact integral of
       d theta / sqrt(2 (E_sph + |m'| cot theta)). A spherical meridian
       that meets the wall only at the removed center raises Undetermined.
@@ -555,7 +445,7 @@ def next_hit_numeric(
         ):
             radial = _radialized(state)
             if radial_collision_time(radial, params.m) is not None:
-                return _radial_hit(radial, params, wall)
+                return next_hit_analytic_line(radial, params, wall)
         rhs = lambda t, y: flow_rhs(t, y, params)  # noqa: E731
         events = [g_event, minimum_event]
         speed = lambda y: math.hypot(y[2], y[3])  # noqa: E731
@@ -767,15 +657,16 @@ def billiard_map(
     """Iterate hit-and-reflect up to n times or until a non-hit outcome.
 
     Every bounce record carries the full integral set on both sides and
-    an absolute hit time. ``mode="analytic"`` requires the planar line
-    wall and beta = 0. A leg that raises Undetermined, StepFailure,
+    an absolute hit time. ``mode="analytic"`` takes the exact hit of
+    :func:`next_hit_analytic_line`: it requires a planar wall (line or
+    centered circle) and beta = 0. A leg that raises Undetermined, StepFailure,
     PoleSingularity or SingularPosition ends the run with that outcome
     and keeps the bounces before it.
     """
     if mode not in ("numeric", "analytic"):
         raise ValueError("mode must be 'numeric' or 'analytic'")
-    if mode == "analytic" and model.wall.kind != PLANAR_LINE:
-        raise ValueError("analytic mode supports only the planar line wall")
+    if mode == "analytic" and model.wall.kind not in _EXACT_WALLS:
+        raise ValueError("analytic mode supports only the planar walls")
     records: List[BounceRecord] = []
     clock = 0.0
     outcome = "completed"

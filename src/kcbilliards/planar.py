@@ -1,9 +1,10 @@
 """Planar Kepler-Coulomb flow in the normalized chart.
 
 Provides the vector field (with the optional centrifugal perturbation),
-conic orbit elements, anomaly-equation solvers, exact conic propagation
-for either mass sign, and time-of-flight helpers used by the analytic
-billiard map.
+anomaly-equation solvers, and the universal-variable kernel: the conic
+through a state, for either mass sign and any energy, as functions of
+Goodyear's s (dt/ds = r), with its flight time t(s) in closed form. The
+kernel serves both exact propagation and the exact planar wall hit.
 
 Sign convention: the acceleration is -m*q/r^3 + beta*q/r^4, so m > 0
 attracts and m < 0 repels; beta > 0 is an outward force beta/r^3 with
@@ -13,10 +14,7 @@ potential term beta/(2 r^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .errors import (
     CollisionInsideInterval,
@@ -24,11 +22,12 @@ from .errors import (
     PerturbedModel,
     SingularPosition,
 )
-from .integrals import angular_momentum, lrl_eta, lrl_xi, planar_energy
+from .integrals import angular_momentum, planar_energy
 from .model import PlanarState, SystemParams
 
 R_MIN = 1e-12
 L_TOL = 1e-10
+_PARABOLIC_REL = 1e-11
 _ANOMALY_TOL = 1e-14
 _MAX_ITER = 200
 
@@ -53,41 +52,6 @@ def flow_rhs(t, y, params: SystemParams):
 def collision_tolerance(state: PlanarState) -> float:
     """Angular-momentum threshold below which an orbit counts as radial."""
     return L_TOL * max(1e-30, state.speed * state.r)
-
-
-@dataclass(frozen=True)
-class ConicElements:
-    """Keplerian elements of the conic through a state (beta = 0 only)."""
-
-    E_pl: float
-    L: float
-    A_xi: float
-    A_eta: float
-    e: float
-    p: float
-
-
-def orbit_elements(state: PlanarState, params: SystemParams) -> ConicElements:
-    """Conic elements from a state; requires the unperturbed field.
-
-    Raises:
-        PerturbedModel: if params.beta != 0.
-    """
-    if params.beta != 0.0:
-        raise PerturbedModel("orbit elements are Keplerian only (beta must be 0)")
-    m = params.m
-    E = planar_energy(state, m)
-    L = angular_momentum(state)
-    A_xi = lrl_xi(state, m)
-    A_eta = lrl_eta(state, m)
-    return ConicElements(
-        E_pl=E,
-        L=L,
-        A_xi=A_xi,
-        A_eta=A_eta,
-        e=math.hypot(A_xi, A_eta) / abs(m),
-        p=L * L / abs(m),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -176,21 +140,30 @@ def solve_kepler_equation(mean_anomaly: float, e: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Universal-variable propagation (either sign of m)
+# Universal-variable kernel (either sign of m)
 # ---------------------------------------------------------------------------
 
+# c3(z) = sum_k (-z)^k / (2k+3)!, through the term below 1e-17 relative at |z| = 1
+_C3_SERIES = tuple((-1.0) ** k / math.factorial(2 * k + 3) for k in range(9))[::-1]
+
+
 def _stumpff_c(z: float) -> float:
+    """c2(z) = (1 - cos sqrt(z))/z in half-angle form, to a few ulps."""
     if abs(z) < 1e-5:
         return 1.0 / 2.0 - z / 24.0 + z * z / 720.0 - z**3 / 40320.0
     if z > 0.0:
-        return (1.0 - math.cos(math.sqrt(z))) / z
-    s = math.sqrt(-z)
-    return (math.cosh(s) - 1.0) / (-z)
+        return 2.0 * math.sin(0.5 * math.sqrt(z)) ** 2 / z
+    return 2.0 * math.sinh(0.5 * math.sqrt(-z)) ** 2 / -z
 
 
 def _stumpff_s(z: float) -> float:
-    if abs(z) < 1e-5:
-        return 1.0 / 6.0 - z / 120.0 + z * z / 5040.0 - z**3 / 362880.0
+    """c3(z) = (sqrt(z) - sin sqrt(z))/z^(3/2); the closed form cancels for
+    small |z|, so |z| < 1 takes the series."""
+    if abs(z) < 1.0:
+        acc = 0.0
+        for coef in _C3_SERIES:
+            acc = acc * z + coef
+        return acc
     if z > 0.0:
         s = math.sqrt(z)
         return (s - math.sin(s)) / (z * s)
@@ -198,42 +171,90 @@ def _stumpff_s(z: float) -> float:
     return (math.sinh(s) - s) / (-z * s)
 
 
-def _universal_propagate(state: PlanarState, dt: float, m: float) -> PlanarState:
-    """f-and-g propagation in Goodyear's universal variable s, dt/ds = r.
+def universal_kernel(alpha: float, s: float):
+    """(G0, G1, G2, G3) at the universal variable s, G_k = s^k c_k(alpha s^2).
 
-    With beta = 2m/r0 - |v0|^2 and G_k = s^k c_k(beta s^2), the flight time
-    is t(s) = r0 G1 + sigma0 G2 + m G3 (sigma0 = q0.v0) and the radius is
-    r(s) = dt/ds = r0 G0 + sigma0 G1 + m G2 > 0, for either sign of m.
+    alpha = 2m/r0 - |v0|^2. G_k' = G_(k-1), and G0 = 1 - alpha G2, so along
+    the conic x(s) = f x0 + g x0_dot with f = 1 - m G2/r0, g = r0 G1 +
+    sigma0 G2 (sigma0 = q0.v0), and r(s) = r0 + sigma0 G1 + (m - alpha r0) G2:
+    both coordinates and the radius are affine in (1, G1, G2).
     """
-    q0 = state.position
-    v0 = state.velocity
+    z = alpha * s * s
+    g2 = s * s * _stumpff_c(z)
+    g3 = s * s * s * _stumpff_s(z)
+    return 1.0 - alpha * g2, s - alpha * g3, g2, g3
+
+
+def time_of_flight(r0: float, sigma0: float, m: float, g) -> float:
+    """Flight time t(s) = r0 G1 + sigma0 G2 + m G3 to the universal variable
+    of the kernel g = universal_kernel(alpha, s); dt/ds = r(s) > 0."""
+    return r0 * g[1] + sigma0 * g[2] + m * g[3]
+
+
+def universal_state(state: PlanarState, m: float, t: float, g) -> PlanarState:
+    """The state a time t = time_of_flight(...) along the conic through state,
+    from the f and g functions of the kernel g.
+
+    Raises:
+        CollisionInsideInterval: if that point lies within R_MIN of the center.
+    """
     r0 = state.r
-    sigma0 = float(np.dot(q0, v0))
-    beta = 2.0 * m / r0 - float(np.dot(v0, v0))
+    f = 1.0 - m * g[2] / r0
+    gg = t - m * g[3]
+    xi = f * state.xi + gg * state.xi_dot
+    eta = f * state.eta + gg * state.eta_dot
+    r1 = math.hypot(xi, eta)
+    if r1 < R_MIN:
+        raise CollisionInsideInterval("the orbit point lies at the center")
+    f_dot = -m * g[1] / (r1 * r0)
+    g_dot = 1.0 - m * g[2] / r1
+    return PlanarState(
+        xi, eta,
+        f_dot * state.xi + g_dot * state.xi_dot,
+        f_dot * state.eta + g_dot * state.eta_dot,
+    )
 
-    def g_funcs(s):
-        z = beta * s * s
-        g2 = s * s * _stumpff_c(z)
-        g3 = s**3 * _stumpff_s(z)
-        return 1.0 - beta * g2, s - beta * g3, g2, g3
 
-    s = beta * dt / m if beta > 1e-12 * abs(m) else dt / r0
+def _universal_propagate(state: PlanarState, dt: float, m: float) -> PlanarState:
+    """Propagation by dt in Goodyear's universal variable s, dt/ds = r.
+
+    t(s) is increasing, so Newton on t(s) = dt keeps a bracket on s and
+    bisects whenever a step leaves it or is longer than half the step
+    before (near a pericentre r, the slope, is small; on a hyperbola t(s)
+    is exponential); an infinite side of the bracket is widened by doubling.
+
+    Raises:
+        NonConvergence: if the bracket does not close within _MAX_ITER steps.
+    """
+    r0 = state.r
+    sigma0 = state.xi * state.xi_dot + state.eta * state.eta_dot
+    alpha = 2.0 * m / r0 - state.speed**2
+    lo, hi = (0.0, math.inf) if dt > 0.0 else (-math.inf, 0.0)
+    s = alpha * dt / m if alpha > 1e-12 * abs(m) else dt / r0
+    step = math.inf
     tol = 1e-13 * max(1.0, abs(dt))
     for _ in range(_MAX_ITER):
-        g0, g1, g2, g3 = g_funcs(s)
-        F = r0 * g1 + sigma0 * g2 + m * g3 - dt
-        if abs(F) <= tol:
+        try:
+            g = universal_kernel(alpha, s)
+            F = time_of_flight(r0, sigma0, m, g) - dt
+            r = r0 * g[0] + sigma0 * g[1] + m * g[2]
+        except OverflowError:
+            F = r = math.nan
+        if not math.isfinite(F):  # t(s) overflowed, so s lies past the target
+            F = math.copysign(math.inf, s)
+        elif abs(F) <= tol or hi - lo <= 4e-16 * abs(s):
             break
-        s -= F / max(r0 * g0 + sigma0 * g1 + m * g2, 1e-300)
+        if F > 0.0:
+            hi = s
+        else:
+            lo = s
+        s_new = s - F / r if r > 0.0 else math.nan
+        if not (lo < s_new < hi and abs(s_new - s) <= 0.5 * abs(step)):
+            s_new = 2.0 * s if math.isinf(lo) or math.isinf(hi) else 0.5 * (lo + hi)
+        step, s = s_new - s, s_new
     else:
-        raise NonConvergence("universal Kepler equation did not converge")
-
-    q1 = (1.0 - m * g2 / r0) * q0 + (dt - m * g3) * v0
-    r1 = math.hypot(q1[0], q1[1])
-    if r1 < R_MIN:
-        raise CollisionInsideInterval("propagation interval ends at the center")
-    v1 = (-m * g1 / (r1 * r0)) * q0 + (1.0 - m * g2 / r1) * v0
-    return PlanarState(q1[0], q1[1], v1[0], v1[1])
+        raise NonConvergence(f"universal Kepler equation did not converge for dt = {dt}")
+    return universal_state(state, m, dt, g)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +297,7 @@ def radial_collision_time(state: PlanarState, m: float) -> Optional[float]:
 
 
 # ---------------------------------------------------------------------------
-# Exact propagation and time of flight
+# Exact propagation
 # ---------------------------------------------------------------------------
 
 def propagate_analytic(state: PlanarState, dt: float, params: SystemParams) -> PlanarState:
@@ -290,6 +311,7 @@ def propagate_analytic(state: PlanarState, dt: float, params: SystemParams) -> P
         CollisionInsideInterval: if the orbit is radial and meets the
             center within (0, dt]; the radial branch of the billiard map
             continues such orbits through the center.
+        NonConvergence: if the universal Kepler equation does not converge.
     """
     if params.beta != 0.0:
         raise PerturbedModel("analytic propagation requires beta = 0")
@@ -312,61 +334,3 @@ def kepler_period(state: PlanarState, m: float) -> Optional[float]:
         return None
     a = -m / (2.0 * E)
     return 2.0 * math.pi * math.sqrt(a**3 / m)
-
-
-_PARABOLIC_REL = 1e-11
-
-
-def time_of_flight(
-    m: float,
-    E: float,
-    e: float,
-    p: float,
-    r0: float,
-    qv0: float,
-    r1: float,
-    qv1: float,
-) -> Optional[float]:
-    """Time along the flow from orbit point (r0, qv0) to (r1, qv1).
-
-    Points are identified by radius and radial direction (qv = q.v = r*rdot),
-    which pins them uniquely on the conic regardless of orientation. Returns
-    a nonnegative time; for open orbits None means the target lies in the
-    past. Elliptic results are reduced modulo the period, so a same-point
-    target returns 0.
-    """
-    e_scale = max(abs(E), abs(m) / max(r0, 1e-300))
-    if m > 0.0 and abs(E) <= _PARABOLIC_REL * e_scale:
-        sqm = math.sqrt(m)
-        d0 = qv0 / sqm
-        d1 = qv1 / sqm
-        dt = (p * (d1 - d0) + (d1**3 - d0**3) / 3.0) / (2.0 * sqm)
-        return dt if dt >= 0.0 else None
-    if E < 0.0:
-        a = -m / (2.0 * E)
-        n = math.sqrt(m / a**3)
-        if e < 1e-12:
-            return None  # circular orbits carry no radial information
-        sqma = math.sqrt(m * a)
-
-        def mean(r, qv):
-            ce = (1.0 - r / a) / e
-            se = qv / (e * sqma)
-            ea = math.atan2(se, max(min(ce, 1.0), -1.0))
-            return ea - e * math.sin(ea)
-
-        dM = (mean(r1, qv1) - mean(r0, qv0)) % (2.0 * math.pi)
-        return dM / n
-    # unbound: e sinh H - H = M attracting, e sinh H + H = M repelling
-    mu = abs(m)
-    sign = math.copysign(1.0, m)
-    aabs = mu / (2.0 * E)
-    n = math.sqrt(mu / aabs**3)
-    sqma = math.sqrt(mu * aabs)
-
-    def mean_h(qv):
-        H = math.asinh(qv / (e * sqma))
-        return e * math.sinh(H) - sign * H
-
-    dt = (mean_h(qv1) - mean_h(qv0)) / n
-    return dt if dt >= -1e-15 else None

@@ -29,11 +29,17 @@ from kcbilliards.model import (
     spherical_center,
     validate_config,
 )
-from kcbilliards.planar import orbit_elements, radial_collision_time, time_of_flight
+from kcbilliards.planar import (
+    radial_collision_time,
+    time_of_flight,
+    universal_kernel,
+    universal_state,
+)
 from kcbilliards.spherical import planar_to_sphere, spherical_energy_embedded
 
 S3 = math.sqrt(3.0)
 FAST = IntegratorConfig(rtol=1e-12, atol=1e-12)
+TIGHT = IntegratorConfig(rtol=1e-13, atol=1e-13)
 
 
 def circle_wall_params():
@@ -232,6 +238,17 @@ class TestAnalyticLineHit:
         assert rec.state_out == rec.state_in  # map acts as the identity
         assert rec.state_in.eta == pytest.approx(params.h, abs=1e-12)
 
+    def test_grazing_start_is_not_its_own_hit(self):
+        # the circle r = |h| touches the line at the start: that grazing
+        # crossing comes back after one period, not at t = 0
+        params = SystemParams(m=1.0, a=1.0)
+        wall = Wall.line(params.h, side=1)
+        r = abs(params.h)
+        s0 = PlanarState(0.0, params.h, math.sqrt(1.0 / r), 0.0)
+        out = next_hit_analytic_line(s0, params, wall)
+        assert isinstance(out, Tangency)
+        assert out.record.t_hit == pytest.approx(2.0 * math.pi * r**1.5, rel=1e-12)
+
     def test_repulsive_escape(self):
         params = SystemParams(m=-1.0, a=1.0)
         wall = Wall.line(params.h, side=-1)
@@ -279,6 +296,15 @@ class TestAnalyticLineHit:
         s = PlanarState(0.0, 1.0, 0.0, -0.5)
         out = next_hit_analytic_line(s, params, wall)
         assert isinstance(out, Escape)
+
+    @pytest.mark.parametrize("start", [(2.1, 0.0, 2.0, 0.0), (2.1, 0.0, -2.0, 0.0)])
+    def test_unbound_radial_orbit_parallel_to_the_line_escapes(self, start):
+        # the orbit runs along eta = 0, outward or through the bounce at the
+        # center, and never meets eta = h; the quadratic's root at the end
+        # of the hyperbola (s -> infinity) is no hit
+        params = SystemParams(m=1.0, a=1.0)
+        wall = Wall.line(params.h, side=1)
+        assert isinstance(next_hit_analytic_line(PlanarState(*start), params, wall), Escape)
 
     def test_only_exit_crossings_count(self):
         # start off the wall on the outer side: the first crossing enters
@@ -345,6 +371,146 @@ class TestAnalyticLineHit:
         assert abs(L) > 0  # generic state, sanity
         out = next_hit_analytic_line(s, params, wall)
         assert isinstance(out, (Hit, Escape))
+
+
+def exact_numeric_gap(s, params, wall):
+    """Relative time gap and largest state gap of the exact and numeric hits."""
+    out_a = next_hit_analytic_line(s, params, wall)
+    out_n = next_hit_numeric(s, validate_config(params, wall), TIGHT)
+    assert isinstance(out_a, Hit) and isinstance(out_n, Hit)
+    ra, rn = out_a.record, out_n.record
+    gap = np.abs(ra.state_in.as_array() - rn.state_in.as_array())
+    return abs(ra.t_hit - rn.t_hit) / max(1.0, rn.t_hit), float(np.max(gap))
+
+
+class TestExactHitEdgeOrbits:
+    """Orbits on which the anomaly-based exact hit lost accuracy."""
+
+    def test_near_parabolic_bound_orbit_takes_no_extra_period(self):
+        # alpha = 2m/r - v^2 ~ 1e-6, period 6.3e9: a start window of 1e-9 periods
+        # exceeded the 0.87 flight, and the hit slipped a whole period
+        params = SystemParams(m=1.0, a=1.0)
+        wall = Wall.line(params.h, side=1)
+        s = PlanarState(
+            -0.8287016657127513, -0.7071067811865475, 0.8402620948485197, 1.0629520589138741
+        )
+        dt, ds = exact_numeric_gap(s, params, wall)
+        assert dt <= 1e-10 and ds <= 1e-10
+
+    def test_near_circular_orbit(self):
+        # e = 2e-10: an anomaly read off (1 - r/a)/e drifts in time
+        params = SystemParams(m=1.0, a=0.5)
+        wall = Wall.line(params.h, side=1)
+        dt, ds = exact_numeric_gap(PlanarState(1.0, 0.0, 0.0, 1.0 + 1e-10), params, wall)
+        assert dt <= 1e-10 and ds <= 1e-10
+
+    def test_near_radial_orbit_stays_on_its_ray(self):
+        # L = -2.8e-17: the hit lies on the start's ray at eta = h, and the
+        # flow itself reaches it at t_hit
+        params = SystemParams(m=1.0, a=0.5)
+        wall = Wall.line(params.h, side=-1)
+        s = PlanarState(0.6, -0.8944271909999159, -0.18, 0.2683281572999747)
+        out = next_hit_analytic_line(s, params, wall)
+        assert isinstance(out, Hit)
+        rec = out.record
+        assert rec.state_in.xi == pytest.approx(params.h * s.xi / s.eta, abs=1e-12)
+        want = ode_propagate(s, rec.t_hit, params, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(rec.state_in.as_array(), want.as_array(), atol=1e-10)
+
+
+def exit_start(rng, wall, m, kind):
+    """A start inside the domain whose orbit leaves it at a drawn wall point.
+
+    A wall point and a velocity out of the domain fix the orbit. kind is
+    "ellipse", "hyperbola", "near-circular" (e in [1e-12, 1e-6]),
+    "near-radial" (|L| in [1e-13, 1e-5]) or a value of alpha = 2m/r - v^2.
+    The start is the wall point taken back along the conic by 0.1 to 1.5
+    in s; near-radial starts that would pass the center on the way are
+    redrawn, since the numeric engine cannot integrate that passage.
+    """
+    while True:
+        if wall.kind == "planar-line":
+            q = (math.copysign(rng.uniform(0.2, 1.5), rng.uniform(-1, 1)), wall.level)
+            normal = (0.0, wall.side)
+        else:
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            q = (wall.level * math.cos(phi), wall.level * math.sin(phi))
+            normal = (wall.side * math.cos(phi), wall.side * math.sin(phi))
+        r = math.hypot(*q)
+        qhat = (q[0] / r, q[1] / r)
+        if kind == "near-circular":
+            e = 10.0 ** rng.uniform(-12, -6)
+            speed = math.sqrt(m / r) * (1.0 + 0.5 * e * rng.choice([-1.0, 1.0]))
+            d = (-qhat[1], qhat[0])
+        elif kind == "near-radial":
+            speed = math.sqrt(rng.uniform(0.3, 2.5) * 2.0 * abs(m) / r)
+            psi = 10.0 ** rng.uniform(-13, -5) * rng.choice([-1.0, 1.0]) / (r * speed)
+            d = (qhat[0] - psi * qhat[1], qhat[1] + psi * qhat[0])
+        else:
+            if kind == "ellipse":
+                v2 = rng.uniform(0.3, 0.9) * 2.0 * m / r
+            elif kind == "hyperbola":
+                v2 = rng.uniform(1.2, 3.0) * 2.0 / r if m > 0.0 else rng.uniform(0.3, 4.0)
+            else:
+                v2 = 2.0 * m / r - kind
+            speed = math.sqrt(v2)
+            th = rng.uniform(0.0, 2.0 * math.pi)
+            d = (math.cos(th), math.sin(th))
+            if abs(d[0] * normal[0] + d[1] * normal[1]) < 0.1:
+                continue
+        sign = -1.0 if d[0] * normal[0] + d[1] * normal[1] > 0.0 else 1.0
+        hit = PlanarState(q[0], q[1], sign * speed * d[0], sign * speed * d[1])
+        sigma = hit.xi * hit.xi_dot + hit.eta * hit.eta_dot
+        g = universal_kernel(2.0 * m / r - hit.speed**2, -rng.uniform(0.1, 1.5))
+        start = universal_state(hit, m, time_of_flight(r, sigma, m, g), g)
+        sigma0 = start.xi * start.xi_dot + start.eta * start.eta_dot
+        if kind == "near-radial" and sigma0 < 0.0 < sigma:
+            continue
+        if start.r > 0.05 and wall_signed_distance((start.xi, start.eta), wall) > 0.02:
+            return start
+
+
+_CONICS = {
+    1.0: ("ellipse", "near-circular", "near-radial", 0.0, 1e-9, -1e-9, 1e-6, -1e-6, "hyperbola"),
+    -1.0: ("near-radial", "hyperbola"),  # a repulsive center has alpha <= -2|m|/r
+}
+EXACT_GRID = [
+    (wall, m, kind) for wall in ("line", "circle") for m in (1.0, -1.0) for kind in _CONICS[m]
+    if not (wall == "circle" and kind == "near-circular")  # it would only graze the circle
+]
+
+
+@pytest.mark.parametrize("wall_kind, m, kind", EXACT_GRID)
+def test_exact_hit_matches_numeric(wall_kind, m, kind, rng):
+    for side in (1, -1):
+        if wall_kind == "line":
+            params = SystemParams(m=m, a=1.0)
+            wall = Wall.line(params.h, side=side)
+        else:
+            params = SystemParams(m=m, a=0.0)
+            wall = Wall.centered_circle(1.0, side=side)
+        for _ in range(4):
+            dt, ds = exact_numeric_gap(exit_start(rng, wall, m, kind), params, wall)
+            assert dt <= 1e-8 and ds <= 1e-8
+
+
+H1 = SystemParams(m=1.0, a=1.0).h
+
+
+@pytest.mark.parametrize("start, wall", [
+    ((2.0, 0.0, 0.8, -0.6), Wall.line(H1, side=1)),
+    ((0.0, -2.0, 0.6, 0.8), Wall.line(H1, side=-1)),
+    ((1.2, -1.6, -0.8, -0.6), Wall.line(H1, side=-1)),
+    ((2.0, 0.0, -0.8, -0.6), Wall.centered_circle(1.0, side=1)),
+    ((1.2, 1.6, -0.8, -0.6), Wall.centered_circle(1.0, side=1)),
+])
+def test_exact_hit_on_a_parabola(start, wall):
+    # r = 2 and |v| = 1 exactly: alpha = 2m/r - v^2 is exactly zero
+    s = PlanarState(*start)
+    assert 2.0 / s.r - s.speed**2 == 0.0
+    params = SystemParams(m=1.0, a=1.0 if wall.kind == "planar-line" else 0.0)
+    dt, ds = exact_numeric_gap(s, params, wall)
+    assert dt <= 1e-8 and ds <= 1e-8
 
 
 class TestNumericHit:
@@ -441,12 +607,10 @@ class TestNumericHit:
         v_t = L / r0
         v_r = -math.sqrt(v_inf**2 + 2.0 / r0 - v_t**2)
         s = PlanarState(r0, 0.0, v_r, v_t)
-        el = orbit_elements(s, params)
-        qv_hit = -math.sqrt(2.0 * (el.E_pl + 1.0) - L**2)  # r = 1, inbound
-        t_exact = time_of_flight(1.0, el.E_pl, el.e, el.p, r0, r0 * v_r, 1.0, qv_hit)
+        exact = next_hit_analytic_line(s, params, model.wall)
         out = next_hit_numeric(s, model, FAST)
-        assert isinstance(out, Hit)
-        assert out.record.t_hit == pytest.approx(t_exact, abs=1e-8)
+        assert isinstance(out, Hit) and isinstance(exact, Hit)
+        assert out.record.t_hit == pytest.approx(exact.record.t_hit, abs=1e-8)
         assert abs(out.record.state_in.r - 1.0) <= ON_WALL_TOL
 
     def test_line_run_evaluation_count(self, monkeypatch):
@@ -527,6 +691,19 @@ class TestBilliardMap:
         E = [r.integrals_in.E_pl for r in run.records]
         assert max(abs(d - D[0]) for d in D) > 1e-3
         assert max(abs(e - E[0]) for e in E) < 1e-9
+
+    def test_analytic_circle_run_matches_numeric(self):
+        params = SystemParams(m=1.0, a=0.0)
+        model = validate_config(params, Wall.centered_circle(2.0, side=-1))
+        s0 = PlanarState(1.0, 0.0, 0.0, 1.2)
+        run_a = billiard_map(s0, 5, model, mode="analytic")
+        run_n = billiard_map(s0, 5, model, integ=TIGHT)
+        assert run_a.n_bounces == run_n.n_bounces == 5
+        for ra, rn in zip(run_a.records, run_n.records):
+            np.testing.assert_allclose(
+                ra.state_in.as_array(), rn.state_in.as_array(), atol=1e-8
+            )
+            assert ra.t_hit == pytest.approx(rn.t_hit, abs=1e-8)
 
     def test_repulsive_pocket_escapes(self):
         # documented contrast: with a repulsive center the bouncing pocket

@@ -62,6 +62,18 @@ class TestLRL:
         # A_xi = L*eta_dot - m*xi/r = 2 - 1
         assert lrl_xi(s, 1.0) == pytest.approx(1.0)
 
+    def test_invariants_random(self, rng):
+        # |A|^2 = m^2 + 2 E L^2 on every state, either sign of m
+        for _ in range(200):
+            m = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+            y = rng.uniform(-3, 3, size=4)
+            if math.hypot(y[0], y[1]) < 0.2:
+                continue
+            s = PlanarState(*y)
+            a2 = lrl_xi(s, m) ** 2 + lrl_eta(s, m) ** 2
+            rhs = m * m + 2.0 * planar_energy(s, m) * angular_momentum(s) ** 2
+            assert abs(a2 - rhs) <= 1e-10 * max(1.0, abs(a2))
+
 
 class TestGJIntegral:
     def test_reduces_to_l_squared(self):

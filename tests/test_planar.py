@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from oracles import (
 
 from kcbilliards.errors import (
     CollisionInsideInterval,
+    NonConvergence,
     PerturbedModel,
     SingularPosition,
 )
@@ -23,14 +25,17 @@ from kcbilliards.integrals import (
 )
 from kcbilliards.model import PlanarState, SystemParams
 from kcbilliards.planar import (
+    _stumpff_c,
+    _stumpff_s,
     flow_rhs,
     kepler_period,
-    orbit_elements,
     propagate_analytic,
     radial_collision_time,
     solve_barker,
     solve_kepler_equation,
     time_of_flight,
+    universal_kernel,
+    universal_state,
 )
 
 
@@ -60,51 +65,6 @@ class TestKeplerAccel:
     def test_singular_guard(self):
         with pytest.raises(SingularPosition):
             rhs_accel([1e-13, 0.0], SystemParams(m=1.0))
-
-
-class TestOrbitElements:
-    def test_circular(self):
-        el = orbit_elements(PlanarState(1, 0, 0, 1), SystemParams(m=1.0))
-        assert el.E_pl == pytest.approx(-0.5)
-        assert el.L == pytest.approx(1.0)
-        assert el.e == pytest.approx(0.0, abs=1e-15)
-        assert el.p == pytest.approx(1.0)
-
-    def test_parabolic(self):
-        el = orbit_elements(
-            PlanarState(1, 0, 0, math.sqrt(2.0)), SystemParams(m=1.0)
-        )
-        assert el.E_pl == pytest.approx(0.0, abs=1e-15)
-        assert el.e == pytest.approx(1.0)
-
-    def test_oblique_sample(self):
-        s3 = math.sqrt(3.0)
-        el = orbit_elements(
-            PlanarState(s3 / 2, -0.5, 0.5, s3 / 2), SystemParams(m=1.0)
-        )
-        assert el.L == pytest.approx(1.0)
-        assert el.A_eta == pytest.approx(0.0, abs=1e-15)
-
-    def test_invariants_random(self, rng):
-        for _ in range(200):
-            m = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
-            y = rng.uniform(-3, 3, size=4)
-            if math.hypot(y[0], y[1]) < 0.2:
-                continue
-            s = PlanarState(*y)
-            el = orbit_elements(s, SystemParams(m=m))
-            assert el.e == pytest.approx(
-                math.hypot(el.A_xi, el.A_eta) / abs(m), rel=1e-12
-            )
-            assert el.p == pytest.approx(el.L**2 / abs(m), rel=1e-12)
-            # A^2 = m^2 + 2 E L^2
-            a2 = el.A_xi**2 + el.A_eta**2
-            rhs = m * m + 2.0 * el.E_pl * el.L**2
-            assert abs(a2 - rhs) <= 1e-10 * max(1.0, abs(a2))
-
-    def test_perturbed_rejected(self):
-        with pytest.raises(PerturbedModel):
-            orbit_elements(PlanarState(1, 0, 0, 1), SystemParams(m=1.0, beta=0.1))
 
 
 class TestKeplerEquation:
@@ -252,6 +212,54 @@ class TestPropagateAnalytic:
         np.testing.assert_allclose(got.as_array(), s0.as_array(), atol=1e-10)
 
 
+class TestUniversalKernel:
+    @staticmethod
+    def stumpff_series(z, k):
+        """c_k(z) = sum_n (-z)^n / (2n + k)!, summed in exact rationals."""
+        zf, total, n = Fraction(z), Fraction(0), 0
+        while True:
+            term = (-zf) ** n / math.factorial(2 * n + k)
+            total += term
+            if abs(term) < Fraction(1, 10**40) * abs(total):
+                return float(total)
+            n += 1
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_stumpff_against_rational_series(self, sign):
+        for z in sign * np.logspace(-7.0, 1.0, 81):
+            z = float(z)
+            assert abs(_stumpff_c(z) / self.stumpff_series(z, 2) - 1.0) <= 1e-14
+            assert abs(_stumpff_s(z) / self.stumpff_series(z, 3) - 1.0) <= 1e-14
+
+    def test_near_radial_ellipse_over_a_dt_grid(self):
+        # e = 0.99984, period 4.77: unguarded Newton left t(s) = dt near the
+        # pericentre; two half steps must land where one full step does
+        params = SystemParams(m=1.0)
+        s0 = PlanarState(
+            0.983054153359944, -0.2887210315396259, 0.8358933193415339, -0.2287340427888203
+        )
+        for dt in np.linspace(0.01, 10.0, 1000):
+            dt = float(dt)
+            full = propagate_analytic(s0, dt, params).as_array()
+            half = propagate_analytic(propagate_analytic(s0, 0.5 * dt, params), 0.5 * dt, params)
+            err = np.max(np.abs(half.as_array() - full)) / max(1.0, np.max(np.abs(full)))
+            assert err <= 1e-9
+
+    def test_random_sweep_converges(self, rng):
+        failed = []
+        for _ in range(3000):
+            y = rng.uniform(-2.0, 2.0, size=4)
+            while math.hypot(y[0], y[1]) < 0.2:
+                y = rng.uniform(-2.0, 2.0, size=4)
+            m = float(rng.choice([-1.0, 1.0]))
+            dt = float(rng.uniform(0.1, 20.0))
+            try:
+                propagate_analytic(PlanarState(*y), dt, SystemParams(m=m))
+            except (NonConvergence, ValueError, OverflowError) as exc:
+                failed.append((y.tolist(), m, dt, exc))
+        assert failed == []
+
+
 class TestCollision:
     def test_parabolic_infall_against_levi_civita_oracle(self):
         # E = 0 infall from (0, 1): speed sqrt(2) toward the center
@@ -282,25 +290,25 @@ class TestCollision:
 
 class TestTimeOfFlight:
     def test_against_ode_oracle_elliptic(self, rng):
+        # t(s) from the kernel, and the f-g state there, against the ODE flow
         params = SystemParams(m=1.0)
-        for _ in range(20):
+        checked = 0
+        while checked < 20:
             y = rng.uniform(-1.5, 1.5, size=4)
             if math.hypot(y[0], y[1]) < 0.5:
                 continue
             s0 = PlanarState(*y)
-            el_m = 1.0
-            E = planar_energy(s0, el_m)
-            L = angular_momentum(s0)
-            if E >= -0.05 or abs(L) < 0.05:
+            if planar_energy(s0, 1.0) >= -0.05 or abs(angular_momentum(s0)) < 0.05:
                 continue
-            dt = float(rng.uniform(0.1, 1.5))
-            s1 = ode_propagate(s0, dt, params)
-            e = math.hypot(lrl_xi(s0, el_m), lrl_eta(s0, el_m)) / el_m
-            p = L * L / el_m
-            qv0 = s0.xi * s0.xi_dot + s0.eta * s0.eta_dot
-            qv1 = s1.xi * s1.xi_dot + s1.eta * s1.eta_dot
-            got = time_of_flight(el_m, E, e, p, s0.r, qv0, s1.r, qv1)
-            assert got == pytest.approx(dt, abs=1e-8)
+            r0 = s0.r
+            sigma0 = s0.xi * s0.xi_dot + s0.eta * s0.eta_dot
+            alpha = 2.0 / r0 - s0.speed**2
+            g = universal_kernel(alpha, float(rng.uniform(0.1, 1.5)))
+            dt = time_of_flight(r0, sigma0, 1.0, g)
+            want = ode_propagate(s0, dt, params)
+            got = universal_state(s0, 1.0, dt, g)
+            np.testing.assert_allclose(got.as_array(), want.as_array(), atol=1e-9)
+            checked += 1
 
 
 class TestPerturbedFlow:
