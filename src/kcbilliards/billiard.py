@@ -341,6 +341,9 @@ def next_hit_analytic_line(
 # ---------------------------------------------------------------------------
 
 _POLE_EVENT_MARGIN = 1e-6
+# L^2/m over the start radius, below which DOP853 does not pass the
+# pericentre within 1e-8 in energy even at rtol 1e-12 (below 5e-10 it fails)
+_PERICENTRE_BAND = 1e-4
 
 
 def _escape_certified(y, params: SystemParams, wall: Wall) -> bool:
@@ -398,6 +401,10 @@ def next_hit_numeric(
       that meets the wall only at the removed center raises Undetermined.
       A non-radial spherical orbit that enters the pole guard raises
       PoleSingularity.
+    - A planar leg (beta = 0, m > 0) above that gate whose semi-latus
+      rectum L^2/m, which bounds its pericentre, is below 1e-4 times the
+      start radius also takes next_hit_analytic_line, unchanged: the
+      integrator cannot resolve so short a pericentre passage.
     """
     params = model.params
     wall = model.wall
@@ -438,14 +445,14 @@ def next_hit_numeric(
         speed = lambda y: float(np.linalg.norm(y[3:]))  # noqa: E731
         hit_state = lambda y: SphericalState.project(y[:3], y[3:])  # noqa: E731
     else:
-        if (
-            params.beta == 0.0
-            and params.m > 0.0
-            and abs(angular_momentum(state)) <= collision_tolerance(state)
-        ):
-            radial = _radialized(state)
-            if radial_collision_time(radial, params.m) is not None:
-                return next_hit_analytic_line(radial, params, wall)
+        if params.beta == 0.0 and params.m > 0.0:
+            lam = angular_momentum(state)
+            if abs(lam) <= collision_tolerance(state):
+                radial = _radialized(state)
+                if radial_collision_time(radial, params.m) is not None:
+                    return next_hit_analytic_line(radial, params, wall)
+            elif lam * lam < _PERICENTRE_BAND * params.m * state.r:
+                return next_hit_analytic_line(state, params, wall)
         rhs = lambda t, y: flow_rhs(t, y, params)  # noqa: E731
         events = [g_event, minimum_event]
         speed = lambda y: math.hypot(y[2], y[3])  # noqa: E731

@@ -10,6 +10,7 @@ level.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -30,7 +31,7 @@ from .errors import (
     StepFailure,
     Undetermined,
 )
-from .integrals import integral_set
+from .integrals import integral_columns, integral_set
 from .model import (
     PlanarState,
     RunConfig,
@@ -95,13 +96,15 @@ def cmd_simulate(args) -> int:
             )
             if not sol.success:
                 raise StepFailure(f"flow integration failed: {sol.message}")
-            rows = [
-                _planar_row(float(t), PlanarState.from_array(y), params)
-                for t, y in zip(sol.t, sol.y.T)
-            ]
-            out_io.write_planar_trajectory(traj_path, rows)
-            drift_cols = {"E_pl": [r[5] for r in rows], "D": [r[8] for r in rows],
-                          "E_sph": [r[9] for r in rows]}
+            xi, eta, xd, ed = sol.y
+            # math.hypot as in PlanarState.r: np.hypot rounds some pairs differently
+            r = np.array(list(map(math.hypot, xi.tolist(), eta.tolist())))
+            if (r == 0.0).any():
+                raise SingularPosition("(xi, eta) = (0, 0) is the singular center")
+            e_pl, lam, _, a_eta, d, e_sph = integral_columns(xi, eta, xd, ed, r, params)
+            out_io.write_planar_trajectory(traj_path, np.column_stack(
+                (sol.t, xi, eta, xd, ed, e_pl, lam, a_eta, d, e_sph)).tolist())
+            drift_cols = {"E_pl": e_pl.tolist(), "D": d.tolist(), "E_sph": e_sph.tolist()}
         else:
             tss, ys = integrate_spherical(
                 cfg.initial, (0.0, cfg.run.t_max), params,
@@ -209,10 +212,7 @@ def cmd_project(args) -> int:
                 [row[0], s.xi, s.eta, s.xi_dot, s.eta_dot, time_change_density(sp)]
             )
         header_out = "t,xi,eta,xi_dot,eta_dot,dtau_dt"
-    with open(args.outfile, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header_out + "\n")
-        for row in out_rows:
-            fh.write(",".join(out_io.fmt(v) for v in row) + "\n")
+    out_io.write_rows(args.outfile, header_out, out_rows)
     for i in bad:
         print(f"row {i}: not in the south hemisphere, skipped", file=sys.stderr)
     log.info("projected %d rows (%d skipped)", len(out_rows), len(bad))
@@ -244,7 +244,10 @@ def cmd_plot(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it
+    unchanged, and rebuilding it on every main call grows the process)."""
     p = argparse.ArgumentParser(
         prog="kcbilliards",
         description="Kepler-Coulomb billiards: simulation, verification, projection",
@@ -254,13 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("simulate", help="run a configured flow or billiard")
     ps.add_argument("--config", required=True, help="JSON configuration file")
     ps.add_argument("--out", required=True, help="output directory")
-    ps.set_defaults(func=cmd_simulate)
 
     pv = sub.add_parser("verify", help="run the seeded property suite")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--cases", type=int, default=10000)
     pv.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
-    pv.set_defaults(func=cmd_verify)
 
     pp = sub.add_parser("project", help="project a trajectory file")
     pp.add_argument("--in", dest="infile", required=True)
@@ -271,23 +272,23 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     pp.add_argument("--a", type=float, default=0.0, help="center offset parameter")
-    pp.set_defaults(func=cmd_project)
 
     pl = sub.add_parser("plot", help="render a trajectory or bounce CSV as SVG")
     pl.add_argument("--in", dest="infile", required=True)
     pl.add_argument("--out", dest="outfile", required=True)
     pl.add_argument("--config", default=None, help="optional config to draw the wall")
-    pl.set_defaults(func=cmd_plot)
     return p
 
 
 def main(argv=None) -> int:
     level = os.environ.get("BILLIARD_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, so a rebound module attribute is the one that runs
+    commands = {"simulate": cmd_simulate, "verify": cmd_verify,
+                "project": cmd_project, "plot": cmd_plot}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

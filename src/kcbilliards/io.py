@@ -1,6 +1,7 @@
 """File output: CSV trajectories, bounce tables, JSON summaries, SVG plots.
 
-All numbers are serialized with 17 significant digits so doubles
+Every CSV goes through one writer, write_rows, which formats each row
+with "%.17g" per value (the same digits as format(x, ".17g")), so doubles
 round-trip exactly and identical inputs produce byte-identical files.
 """
 
@@ -8,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .model import BounceRecord, PlanarState, Wall
 from .model import PLANAR_CENTERED_CIRCLE, PLANAR_LINE
@@ -27,54 +28,39 @@ SPHERICAL_BOUNCE_HEADER = (
 )
 
 
-def fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _row(values: Sequence[float]) -> str:
-    return ",".join(fmt(v) for v in values)
+def write_rows(path: str, header: str, rows: Iterable[Sequence[float]]):
+    """Write a CSV in one call: the header, then one line per row with each
+    value as %.17g (ints too), one value per header column."""
+    line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n" + "".join([line % tuple(row) for row in rows]))
 
 
 def write_planar_trajectory(path: str, rows: Sequence[Sequence[float]]):
     """Rows of (t, xi, eta, xi_dot, eta_dot, E_pl, L, A_eta, D, E_sph)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(PLANAR_HEADER + "\n")
-        for row in rows:
-            fh.write(_row(row) + "\n")
+    write_rows(path, PLANAR_HEADER, rows)
 
 
 def write_spherical_trajectory(path: str, rows: Sequence[Sequence[float]]):
     """Rows of (t, qx, qy, qz, vx, vy, vz, E_sph)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(SPHERICAL_HEADER + "\n")
-        for row in rows:
-            fh.write(_row(row) + "\n")
+    write_rows(path, SPHERICAL_HEADER, rows)
 
 
 def write_bounces(path: str, records: Sequence[BounceRecord]):
     """Bounce table; schema depends on the record state type."""
     planar = not records or isinstance(records[0].state_in, PlanarState)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write((PLANAR_BOUNCE_HEADER if planar else SPHERICAL_BOUNCE_HEADER) + "\n")
-        for i, rec in enumerate(records):
-            si, so = rec.state_in, rec.state_out
-            ii, io_ = rec.integrals_in, rec.integrals_out
-            if planar:
-                vals = [
-                    i, rec.t_hit, si.xi, si.eta, si.xi_dot, si.eta_dot,
-                    so.xi_dot, so.eta_dot,
-                    ii.E_pl, ii.L, ii.A_xi, ii.A_eta, ii.D, ii.E_sph,
-                    io_.E_pl, io_.L, io_.A_xi, io_.A_eta, io_.D, io_.E_sph,
-                    int(rec.tangent),
-                ]
-            else:
-                vals = [
-                    i, rec.t_hit, si.q[0], si.q[1], si.q[2],
-                    si.v[0], si.v[1], si.v[2], so.v[0], so.v[1], so.v[2],
-                    ii.E_sph, io_.E_sph, ii.E_pl, io_.E_pl, ii.D, io_.D,
-                    int(rec.tangent),
-                ]
-            fh.write(_row(vals) + "\n")
+    rows = []
+    for i, rec in enumerate(records):
+        si, so, ii, io_ = rec.state_in, rec.state_out, rec.integrals_in, rec.integrals_out
+        if planar:
+            rows.append((i, rec.t_hit, si.xi, si.eta, si.xi_dot, si.eta_dot, so.xi_dot,
+                         so.eta_dot, ii.E_pl, ii.L, ii.A_xi, ii.A_eta, ii.D, ii.E_sph,
+                         io_.E_pl, io_.L, io_.A_xi, io_.A_eta, io_.D, io_.E_sph,
+                         int(rec.tangent)))
+        else:
+            rows.append((i, rec.t_hit, *si.q, *si.v, *so.v, ii.E_sph, io_.E_sph,
+                         ii.E_pl, io_.E_pl, ii.D, io_.D, int(rec.tangent)))
+    write_rows(path, PLANAR_BOUNCE_HEADER if planar else SPHERICAL_BOUNCE_HEADER, rows)
 
 
 def write_summary(path: str, summary: dict):

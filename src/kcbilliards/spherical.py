@@ -148,7 +148,8 @@ def integrate_spherical(
 
     The integration runs in chunks of 5 time units; every sample and
     every chunk's end state is projected back onto the unit tangent
-    bundle (constraint drift < 1e-14 afterwards).
+    bundle (constraint drift < 1e-14 afterwards). An ascending ``t_eval`` is
+    read from each chunk's dense output in one call, equal to per-sample calls.
 
     Returns:
         (ts, ys): sample times and 6-column state array. When ``t_eval``
@@ -180,10 +181,11 @@ def integrate_spherical(
         if not sol.success:
             raise StepFailure(f"spherical integration failed: {sol.message}")
         if want is not None:
-            while w_idx < len(want) and want[w_idx] <= t_next + 1e-15:
-                ts_out.append(want[w_idx])
-                ys_out.append(project_constraints(sol.sol(want[w_idx])))
-                w_idx += 1
+            end = int(np.searchsorted(want, t_next + 1e-15, side="right"))
+            if end > w_idx:
+                ts_out.extend(want[w_idx:end])
+                ys_out.extend(project_constraints(row) for row in sol.sol(want[w_idx:end]).T)
+                w_idx = end
         else:
             ts_out.extend(sol.t[1:].tolist())
             ys_out.extend(project_constraints(row) for row in sol.y.T[1:])

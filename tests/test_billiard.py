@@ -560,6 +560,38 @@ class TestNumericHit:
             atol=1e-10,
         )
 
+    @pytest.mark.parametrize("integ", [FAST, TIGHT])
+    def test_near_radial_leg_above_the_radial_gate_takes_the_exact_hit(self, integ):
+        # L = 2.5e-10 lies above the radial gate (4.3e-11 here), but the
+        # pericentre, about L^2/2, is far shorter than DOP853 can step
+        # through: integrating this leg raised StepFailure
+        params = SystemParams(m=1.0, a=1.0)
+        wall = Wall.line(params.h, side=1)
+        s = PlanarState(-3.758216991712641e-05, -0.08502305769733931,
+                        0.0022278365136227593, 5.0400820550527285)
+        out = next_hit_numeric(s, validate_config(params, wall), integ)
+        assert isinstance(out, Hit)
+        assert out.record.t_hit == pytest.approx(0.24989, abs=1e-5)
+        exact = next_hit_analytic_line(s, params, wall)
+        assert out.record.t_hit == exact.record.t_hit
+        assert out.record.state_in == exact.record.state_in
+
+    @pytest.mark.parametrize("p_over_r", [1e-9, 1e-6])
+    def test_near_radial_leg_at_loose_tolerance_takes_the_exact_hit(self, p_over_r):
+        # integrated at rtol 1e-8, the first leg raised StepFailure and the
+        # second hit with E_pl off by 3e-3 (at p/r = 3e-9 the passage threw
+        # the orbit into a bound one and the leg ran on for minutes)
+        params = SystemParams(m=1.0, a=0.0)
+        wall = Wall.centered_circle(2.0, side=-1)
+        v = 1.03 * math.sqrt(2.0)
+        phi = math.asin(math.sqrt(p_over_r) / v)
+        s = PlanarState(1.0, 0.0, -v * math.cos(phi), v * math.sin(phi))
+        loose = IntegratorConfig(rtol=1e-8, atol=1e-8)
+        out = next_hit_numeric(s, validate_config(params, wall), loose)
+        exact = next_hit_analytic_line(s, params, wall)
+        assert isinstance(out, Hit)
+        assert out.record.state_in == exact.record.state_in
+
     def test_centered_circle_wall(self):
         params = SystemParams(m=1.0, a=0.0)
         wall = Wall.centered_circle(2.0, side=-1)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from kcbilliards.cli import main
+from kcbilliards.integrals import integral_set
 from kcbilliards.io import PLANAR_HEADER, SPHERICAL_HEADER, read_csv
+from kcbilliards.model import PlanarState, SystemParams
 
 H1 = -1.0 / math.sqrt(2.0)
 
@@ -93,6 +95,22 @@ class TestSimulate:
         assert main(["simulate", "--config", billiard_config, "--out", str(out2)]) == 0
         for name in ("trajectory.csv", "bounces.csv", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("model,beta", [("kepler", 0.0), ("boltzmann", 0.3)])
+    def test_flow_rows_are_bitwise_the_per_sample_integrals(
+        self, flow_config, tmp_path, model, beta
+    ):
+        doc = json.loads(open(flow_config).read())
+        doc["system"].update(model=model, beta=beta)
+        cfg = tmp_path / "flow_beta.json"
+        write_config(cfg, doc)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_csv(out / "trajectory.csv")  # %.17g round-trips doubles
+        params = SystemParams(m=1.0, a=0.5, beta=beta)
+        for row in rows:
+            ints = integral_set(PlanarState.from_array(row[1:5]), params)
+            assert row[5:] == [ints.E_pl, ints.L, ints.A_eta, ints.D, ints.E_sph]
 
     def test_config_error_exit_code(self, tmp_path):
         doc = {
@@ -312,3 +330,31 @@ class TestDynamicsExitCode:
         monkeypatch.setenv("BILLIARD_LOG", "INFO")
         out = tmp_path / "out"
         assert main(["simulate", "--config", billiard_config, "--out", str(out)]) == 0
+
+
+class TestInProcessCalls:
+    def test_argparse_footprint_stays_flat(self, tmp_path):
+        import argparse
+        import tracemalloc
+
+        csv = tmp_path / "traj.csv"
+        csv.write_text(PLANAR_HEADER + "\n0,1,0.5,0,1,0,0,0,0,0\n", encoding="utf-8")
+        argv = ["project", "--in", str(csv), "--out", str(tmp_path / "sph.csv"),
+                "--direction", "plane-to-sphere", "--a", "0.5"]
+        only_argparse = [tracemalloc.Filter(True, argparse.__file__)]
+
+        def held() -> int:
+            snap = tracemalloc.take_snapshot().filter_traces(only_argparse)
+            return sum(stat.size for stat in snap.statistics("filename"))
+
+        tracemalloc.start()
+        try:
+            for _ in range(20):
+                assert main(argv) == 0
+            before = held()
+            for _ in range(200):
+                assert main(argv) == 0
+            grown = held() - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 8 * 1024, f"argparse holds {grown} more bytes after 200 calls"

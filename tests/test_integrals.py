@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kcbilliards.integrals import (
     angular_momentum,
     gj_integral,
+    integral_columns,
     integral_gradients,
     integral_set,
     lrl_eta,
@@ -134,6 +137,44 @@ class TestIntegralSet:
         s = PlanarState(2.0, 0.0, 0.0, 0.5)
         ints = integral_set(s, params)
         assert ints.E_pl == pytest.approx(0.125 - 0.5 + 0.3 / 8.0)
+
+
+_COORD = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
+
+
+class TestIntegralColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        y=st.tuples(_COORD, _COORD, _COORD, _COORD),
+        m=st.floats(min_value=0.1, max_value=3.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+        a=st.floats(min_value=0.0, max_value=3.0),
+        beta=st.sampled_from([0.0, 0.3, -0.2, 1.7]),
+    )
+    def test_integral_set_is_bitwise_the_single_functions(self, y, m, sign, a, beta):
+        assume(math.hypot(y[0], y[1]) > 1e-3)
+        s = PlanarState(*y)
+        m *= sign
+        params = SystemParams(m=m, a=a, beta=beta)
+        ints = integral_set(s, params)
+        assert ints.E_pl == planar_energy(s, m, beta)
+        assert ints.L == angular_momentum(s)
+        assert ints.A_xi == lrl_xi(s, m)
+        assert ints.A_eta == lrl_eta(s, m)
+        assert ints.D == gj_integral(s, m, params.h)
+        assert ints.E_sph == spherical_energy_chart(s, m, a)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3])
+    def test_columns_are_bitwise_the_per_state_set(self, rng, beta):
+        params = SystemParams(m=1.3, a=0.8, beta=beta)
+        ys = rng.uniform(-3.0, 3.0, size=(4, 500))
+        r = np.array([math.hypot(x, e) for x, e in zip(ys[0], ys[1])])
+        cols = integral_columns(*ys, r, params)
+        for k, y in enumerate(ys.T):
+            ints = integral_set(PlanarState.from_array(y), params)
+            assert tuple(c[k] for c in cols) == (
+                ints.E_pl, ints.L, ints.A_xi, ints.A_eta, ints.D, ints.E_sph
+            )
 
 
 class TestGradients:

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from kcbilliards import spherical
 from kcbilliards.errors import NotInSouthHemisphere, PoleSingularity
 from kcbilliards.model import (
     ChartState,
@@ -15,6 +17,7 @@ from kcbilliards.spherical import (
     chart_to_sphere,
     integrate_spherical,
     planar_to_sphere,
+    project_constraints,
     sphere_to_chart,
     flow_rhs,
     sphere_to_planar,
@@ -198,6 +201,27 @@ class TestIntegration:
             s = SphericalState.project(y[:3], y[3:])
             worst = max(worst, abs(spherical_energy_embedded(s, params) - e0))
         assert worst / max(1.0, abs(e0)) < 1e-9
+
+
+    def test_samples_are_bitwise_the_per_sample_dense_output(self):
+        # the chunked loop with one sol.sol(t) call per sample, as reference
+        params = SystemParams(m=1.0, a=0.7)
+        s0 = planar_to_sphere(PlanarState(1.0, 0.2, -0.1, 0.9), params)
+        t_end, want = 12.5, np.linspace(0.0, 12.5, 401)
+        ts, ys = integrate_spherical(
+            s0, (0.0, t_end), params, rtol=1e-10, atol=1e-10, t_eval=want
+        )
+        ref, y, t, k = [], s0.as_array(), 0.0, 0
+        while t < t_end - 1e-15:
+            t_next = min(t + spherical._CHUNK, t_end)
+            sol = solve_ivp(flow_rhs(params), (t, t_next), y, method="DOP853",
+                            rtol=1e-10, atol=1e-10, dense_output=True)
+            while k < len(want) and want[k] <= t_next + 1e-15:
+                ref.append(project_constraints(sol.sol(want[k])))
+                k += 1
+            y, t = project_constraints(sol.y[:, -1]), t_next
+        assert np.array_equal(ts, want)
+        assert np.array_equal(ys, np.array(ref))
 
 
 class TestCorrespondence:
