@@ -51,7 +51,6 @@ from .model import (
 )
 from .planar import (
     L_TOL,
-    collision_tolerance,
     flow_rhs,
     radial_collision_time,
     time_of_flight,
@@ -342,7 +341,7 @@ def next_hit_analytic_line(
 
 _POLE_EVENT_MARGIN = 1e-6
 # L^2/m over the start radius, below which DOP853 does not pass the
-# pericentre within 1e-8 in energy even at rtol 1e-12 (below 5e-10 it fails)
+# pericentre within 1e-8 in energy even at rtol 1e-12 (below 5.6e-10 it fails)
 _PERICENTRE_BAND = 1e-4
 
 
@@ -381,29 +380,28 @@ def next_hit_numeric(
     its start to the minimum, which brackets the crossing, and the crossing
     is refined as above. In the plane, Escape is returned only with a
     certificate (unbound, receding beyond the fixed escape radius of 1e3
-    wall scales, and for the line wall no forward conic intersection);
+    wall scales, and for the line wall no forward conic intersection; for
+    the legs of _pericentre_leg, unbound with no forward conic crossing);
     otherwise exhausting t_max raises Undetermined. On the sphere the state
     is projected back onto the unit tangent bundle after each chunk.
 
-    Two kinds of start are settled before any integration:
+    Three kinds of start are settled before any integration:
 
     - A start on the wall (within the reflect tolerance) moving out of the
       domain, with normal speed above TANGENCY_REL of the speed, is
       reflected at once: a Hit at t = 0 whose state_in is the start and
       whose state_out is reflect(start). The exact planar map obeys the same
       rule; grazing starts are left to the search.
-    - A radial orbit aimed at the attracting center (|L| or, on the
-      sphere, |(q x v).att| below 1e-10 times speed times the distance
-      to the center) is solved in closed form with the elastic bounce:
-      in the plane by next_hit_analytic_line, on the sphere along the meridian
-      through q, with the flight time from the exact integral of
+    - A radial spherical orbit aimed at the attracting center
+      (|(q x v).att| below 1e-10 times speed times the distance to the
+      center) is solved in closed form with the elastic bounce, along the
+      meridian through q, with the flight time from the exact integral of
       d theta / sqrt(2 (E_sph + |m'| cot theta)). A spherical meridian
       that meets the wall only at the removed center raises Undetermined.
       A non-radial spherical orbit that enters the pole guard raises
       PoleSingularity.
-    - A planar leg (beta = 0, m > 0) above that gate whose semi-latus
-      rectum L^2/m, which bounds its pericentre, is below 1e-4 times the
-      start radius also takes next_hit_analytic_line, unchanged: the
+    - A near-radial planar leg that passes its pericentre before the wall
+      is solved by next_hit_analytic_line (see _pericentre_leg): the
       integrator cannot resolve so short a pericentre passage.
     """
     params = model.params
@@ -446,13 +444,9 @@ def next_hit_numeric(
         hit_state = lambda y: SphericalState.project(y[:3], y[3:])  # noqa: E731
     else:
         if params.beta == 0.0 and params.m > 0.0:
-            lam = angular_momentum(state)
-            if abs(lam) <= collision_tolerance(state):
-                radial = _radialized(state)
-                if radial_collision_time(radial, params.m) is not None:
-                    return next_hit_analytic_line(radial, params, wall)
-            elif lam * lam < _PERICENTRE_BAND * params.m * state.r:
-                return next_hit_analytic_line(state, params, wall)
+            exact = _pericentre_leg(state, params, wall, t_max)
+            if exact is not None:
+                return exact
         rhs = lambda t, y: flow_rhs(t, y, params)  # noqa: E731
         events = [g_event, minimum_event]
         speed = lambda y: math.hypot(y[2], y[3])  # noqa: E731
@@ -508,6 +502,40 @@ def next_hit_numeric(
             if _escape_certified(y, params, wall):
                 return Escape("unbound, receding beyond the escape radius")
     raise Undetermined(f"no hit or escape certificate within t_max = {t_max}")
+
+
+def _pericentre_leg(
+    state: PlanarState, params: SystemParams, wall: Wall, t_max: float
+) -> Optional[HitOutcome]:
+    """The exact outcome of a near-radial planar leg (beta = 0, m > 0) that
+    passes its pericentre before it meets the wall, or None.
+
+    A leg qualifies when L^2/m, the semi-latus rectum that bounds the
+    pericentre, is below _PERICENTRE_BAND times the start radius and the
+    next pericentre, timed on the radialized start (radial_collision_time),
+    comes before the exact hit (or the orbit never hits). Radial legs take
+    the same path; next_hit_analytic_line passes the center by the elastic
+    bounce. A leg that meets the wall before its pericentre is left to the
+    integrator, so it stays an independent check of the exact hit. The
+    outcome keeps the integrator's contract: a hit after t_max, or a bound
+    orbit that never meets the wall, is Undetermined.
+    """
+    lam = angular_momentum(state)
+    if lam * lam >= _PERICENTRE_BAND * params.m * state.r:
+        return None
+    t_peri = radial_collision_time(_radialized(state), params.m)
+    if t_peri is None:
+        return None
+    out = next_hit_analytic_line(state, params, wall)
+    if isinstance(out, Escape):
+        if planar_energy(state, params.m) < 0.0:
+            raise Undetermined("bound near-radial orbit that never meets the wall")
+        return out
+    if out.record.t_hit < t_peri:
+        return None
+    if out.record.t_hit > t_max:
+        raise Undetermined(f"no hit within t_max = {t_max}")
+    return out
 
 
 def _radialized(state: PlanarState) -> PlanarState:

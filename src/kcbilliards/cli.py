@@ -16,6 +16,7 @@ import logging
 import math
 import os
 import sys
+from types import SimpleNamespace
 from typing import List
 
 import numpy as np
@@ -31,7 +32,7 @@ from .errors import (
     StepFailure,
     Undetermined,
 )
-from .integrals import integral_columns, integral_set
+from .integrals import integral_set
 from .model import (
     PlanarState,
     RunConfig,
@@ -101,10 +102,13 @@ def cmd_simulate(args) -> int:
             r = np.array(list(map(math.hypot, xi.tolist(), eta.tolist())))
             if (r == 0.0).any():
                 raise SingularPosition("(xi, eta) = (0, 0) is the singular center")
-            e_pl, lam, _, a_eta, d, e_sph = integral_columns(xi, eta, xd, ed, r, params)
+            cols = SimpleNamespace(xi=xi, eta=eta, xi_dot=xd, eta_dot=ed, r=r)
+            ints = integral_set(cols, params)
             out_io.write_planar_trajectory(traj_path, np.column_stack(
-                (sol.t, xi, eta, xd, ed, e_pl, lam, a_eta, d, e_sph)).tolist())
-            drift_cols = {"E_pl": e_pl.tolist(), "D": d.tolist(), "E_sph": e_sph.tolist()}
+                (sol.t, xi, eta, xd, ed, ints.E_pl, ints.L, ints.A_eta, ints.D, ints.E_sph)
+            ).tolist())
+            drift_cols = {"E_pl": ints.E_pl.tolist(), "D": ints.D.tolist(),
+                          "E_sph": ints.E_sph.tolist()}
         else:
             tss, ys = integrate_spherical(
                 cfg.initial, (0.0, cfg.run.t_max), params,

@@ -5,8 +5,8 @@ angular momentum L, the two Laplace-Runge-Lenz components (A_xi, A_eta),
 the line-billiard invariant D = L^2 - 2 h A_eta, and the energy E_sph of
 the corresponding spherical system. E_sph is computed from its own chart
 expression, never via the identity E_sph = (1+a^2)(E_pl + D/2), so that
-the identity remains an end-to-end test. One formula, integral_columns,
-serves a single state (integral_set) and columns of flow samples alike.
+the identity remains an end-to-end test. The same functions serve a single
+state and columns of flow samples alike (see integral_set).
 """
 
 from __future__ import annotations
@@ -72,24 +72,22 @@ def spherical_energy_chart(s: PlanarState, m: float, a: float) -> float:
     return one_a2 * (kinetic - m / r) + 0.5 * one_a2 * coupling
 
 
-def integral_columns(xi, eta, xd, ed, r, params: SystemParams):
-    """(E_pl, L, A_xi, A_eta, D, E_sph) on floats or equal-length arrays, with
-    r = hypot(xi, eta). L, A_eta and m/r are computed once each, in the
-    operation order of the functions above, so every value equals theirs."""
-    m, a, one_a2 = params.m, params.a, 1.0 + params.a * params.a
-    kinetic, m_r, lam = 0.5 * (xd * xd + ed * ed), m / r, xi * ed - eta * xd
-    e_pl = kinetic - m_r
-    if params.beta != 0.0:
-        e_pl = e_pl + params.beta / (2.0 * r * r)
-    a_eta = -lam * xd - m * eta / r
-    coupling = lam * lam - (2.0 * a / math.sqrt(one_a2)) * (lam * xd + m * eta / r)
-    return (e_pl, lam, lam * ed - m * xi / r, a_eta, lam * lam - 2.0 * params.h * a_eta,
-            one_a2 * (kinetic - m_r) + 0.5 * one_a2 * coupling)
-
-
 def integral_set(s: PlanarState, params: SystemParams) -> IntegralSet:
-    """Evaluate all six integrals at a planar state."""
-    return IntegralSet(*integral_columns(s.xi, s.eta, s.xi_dot, s.eta_dot, s.r, params))
+    """Evaluate all six integrals at a planar state.
+
+    Every formula is elementwise, so s may also carry equal-length numpy
+    columns in xi, eta, xi_dot, eta_dot and r (the CLI's flow samples, with
+    r = math.hypot(xi, eta) per sample); each entry of the result is then
+    the value at that sample's PlanarState, to the bit.
+    """
+    return IntegralSet(
+        E_pl=planar_energy(s, params.m, params.beta),
+        L=angular_momentum(s),
+        A_xi=lrl_xi(s, params.m),
+        A_eta=lrl_eta(s, params.m),
+        D=gj_integral(s, params.m, params.h),
+        E_sph=spherical_energy_chart(s, params.m, params.a),
+    )
 
 
 def integral_gradients(s: PlanarState, m: float, h: float, a: float) -> dict:

@@ -592,6 +592,46 @@ class TestNumericHit:
         assert isinstance(out, Hit)
         assert out.record.state_in == exact.record.state_in
 
+    def test_near_radial_leg_meeting_the_wall_first_is_integrated(self, monkeypatch):
+        # L^2/(m r) ~ 6e-9, but the wall lies between the start and the
+        # center: no pericentre is passed, so the leg stays an independent
+        # check of the exact hit
+        params = SystemParams(m=1.0, a=0.7705378367530828)
+        wall = Wall.line(params.h, side=-1)
+        s = PlanarState(
+            -0.6394684320158801, params.h, -0.4708137498403941, -0.44928073572685706
+        )
+        calls = []
+
+        def counting_solve_ivp(*args, **kwargs):
+            calls.append(1)
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(kcbilliards.billiard, "solve_ivp", counting_solve_ivp)
+        out = next_hit_numeric(s, validate_config(params, wall), FAST)
+        assert isinstance(out, Hit) and calls
+
+    def test_near_radial_bound_orbit_missing_the_wall_is_undetermined(self):
+        # the exact conic never meets the circle; like an integration that
+        # exhausts t_max, the leg is Undetermined, not an escape
+        params = SystemParams(m=1.0, a=0.0)
+        wall = Wall.centered_circle(10.0, side=-1)
+        s = PlanarState(1.0, 0.0, -0.5, 1e-6)
+        assert isinstance(next_hit_analytic_line(s, params, wall), Escape)
+        with pytest.raises(Undetermined):
+            next_hit_numeric(s, validate_config(params, wall), FAST)
+
+    def test_near_radial_hit_after_t_max_is_undetermined(self):
+        params = SystemParams(m=1.0, a=0.0)
+        wall = Wall.centered_circle(10.0, side=-1)
+        s = PlanarState(1.0, 0.0, -1.4, 1e-6)
+        exact = next_hit_analytic_line(s, params, wall)
+        assert isinstance(exact, Hit) and exact.record.t_hit > 16.0
+        with pytest.raises(Undetermined):
+            next_hit_numeric(s, validate_config(params, wall), FAST, t_max=1.0)
+        out = next_hit_numeric(s, validate_config(params, wall), FAST, t_max=20.0)
+        assert out.record.state_in == exact.record.state_in
+
     def test_centered_circle_wall(self):
         params = SystemParams(m=1.0, a=0.0)
         wall = Wall.centered_circle(2.0, side=-1)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from kcbilliards.integrals import (
     angular_momentum,
     gj_integral,
-    integral_columns,
     integral_gradients,
     integral_set,
     lrl_eta,
@@ -142,7 +142,7 @@ class TestIntegralSet:
 _COORD = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
 
-class TestIntegralColumns:
+class TestIntegralSetBitwise:
     @settings(max_examples=300, deadline=None)
     @given(
         y=st.tuples(_COORD, _COORD, _COORD, _COORD),
@@ -169,12 +169,11 @@ class TestIntegralColumns:
         params = SystemParams(m=1.3, a=0.8, beta=beta)
         ys = rng.uniform(-3.0, 3.0, size=(4, 500))
         r = np.array([math.hypot(x, e) for x, e in zip(ys[0], ys[1])])
-        cols = integral_columns(*ys, r, params)
+        cols = integral_set(SimpleNamespace(
+            xi=ys[0], eta=ys[1], xi_dot=ys[2], eta_dot=ys[3], r=r), params)
         for k, y in enumerate(ys.T):
             ints = integral_set(PlanarState.from_array(y), params)
-            assert tuple(c[k] for c in cols) == (
-                ints.E_pl, ints.L, ints.A_xi, ints.A_eta, ints.D, ints.E_sph
-            )
+            assert tuple(c[k] for c in vars(cols).values()) == tuple(vars(ints).values())
 
 
 class TestGradients:
