@@ -74,7 +74,6 @@ from .planar import (
     solve_kepler_equation,
 )
 from .projective import (
-    AffinePlane,
     denormalize_chart,
     metric2_norm,
     normalize_chart,

@@ -51,8 +51,9 @@ from .model import (
 )
 from .planar import (
     L_TOL,
+    crossing_root,
     flow_rhs,
-    radial_collision_time,
+    pericentre_time,
     time_of_flight,
     universal_kernel,
     universal_state,
@@ -69,8 +70,6 @@ TANGENCY_REL = 1e-8
 ON_WALL_TOL = 1e-10
 _T_EPS_REL = 1e-9
 _EXACT_WALLS = (PLANAR_LINE, PLANAR_CENTERED_CIRCLE)
-# a discriminant this far below zero, relative to its terms, is a tangency
-_DISC_ROUNDING = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +265,10 @@ def next_hit_analytic_line(
     Serves the line and the centered circle alike. Along the conic, in
     Goodyear's universal variable s (dt/ds = r, see universal_kernel), the
     wall function side*(f - level) is c + P G1(s) + Q G2(s), because eta
-    and r are affine in (1, G1, G2). In y = 2 G1/(1 + G0) (y = s on a
-    parabola, (2/w) tan(w s/2) on an ellipse and (2/w) tanh(w s/2) on a
-    hyperbola, w = sqrt|alpha|) that is the quadratic
-    (Q/2 + alpha c/4) y^2 + P y + c times a positive factor. Its root where
-    the quadratic does not increase is the one crossing out of the domain
-    (grazing ones included); on an ellipse it recurs once per period, and
-    the first one with s > 0 is taken. The root gets one Newton polish on
-    the kernel; the time is t(s) in closed form and the state comes from
+    and r are affine in (1, G1, G2); its crossing_root, the first root
+    where it does not increase, is the first crossing out of the domain
+    (grazing ones included). The root gets one Newton polish on the
+    kernel; the time is t(s) in closed form and the state comes from
     the f and g functions. Radial, circular and near-parabolic legs take
     the same path; a radial leg passes the center by the elastic bounce.
     A crossing at the center itself is no hit (the center is removed from
@@ -301,22 +296,11 @@ def next_hit_analytic_line(
     else:  # r(s) = r0 + sigma0 G1 + (m - alpha r0) G2
         c, P, Q = r0 - wall.level, sigma0, r0 * v2 - m
     c, P, Q = wall.side * c, wall.side * P, wall.side * Q
-    a2 = 0.5 * Q + 0.25 * alpha * c
-    disc = P * P - 4.0 * a2 * c
-    if disc < -_DISC_ROUNDING * (P * P + abs(4.0 * a2 * c)):
+    s = crossing_root(alpha, c, P, Q)
+    if s is None:
         return Escape("the orbit does not reach the wall")
-    # the root (-P - sqrt(disc))/(2 a2) as num/den, free of cancellation
-    root = math.sqrt(max(disc, 0.0))
-    num, den = (-0.5 * (P + root), a2) if P >= 0.0 else (c, -0.5 * (P - root))
-    if alpha > 0.0:
-        w = math.sqrt(alpha)
-        s = 2.0 * (math.atan2(w * num, 2.0 * den) % math.pi or math.pi) / w
-    else:
-        y = num / den if den != 0.0 else -1.0
-        u = 0.5 * math.sqrt(-alpha) * y
-        if not (y > 0.0 and u < 1.0):
-            return Escape("the orbit has no forward crossing out of the domain")
-        s = 2.0 * math.atanh(u) / math.sqrt(-alpha) if alpha < 0.0 else y
+    if s == math.inf:
+        return Escape("the orbit has no forward crossing out of the domain")
     g = universal_kernel(alpha, s)
     F = c + P * g[1] + Q * g[2]
     dF = P * g[0] + Q * g[1]
@@ -512,10 +496,10 @@ def _pericentre_leg(
 
     A leg qualifies when L^2/m, the semi-latus rectum that bounds the
     pericentre, is below _PERICENTRE_BAND times the start radius and the
-    next pericentre, timed on the radialized start (radial_collision_time),
-    comes before the exact hit (or the orbit never hits). Radial legs take
-    the same path; next_hit_analytic_line passes the center by the elastic
-    bounce. A leg that meets the wall before its pericentre is left to the
+    next pericentre of its conic (pericentre_time) comes before the exact
+    hit (or the orbit never hits). Radial legs take the same path;
+    next_hit_analytic_line passes the center by the elastic bounce. A leg
+    that meets the wall before its pericentre is left to the
     integrator, so it stays an independent check of the exact hit. The
     outcome keeps the integrator's contract: a hit after t_max, or a bound
     orbit that never meets the wall, is Undetermined.
@@ -523,7 +507,7 @@ def _pericentre_leg(
     lam = angular_momentum(state)
     if lam * lam >= _PERICENTRE_BAND * params.m * state.r:
         return None
-    t_peri = radial_collision_time(_radialized(state), params.m)
+    t_peri = pericentre_time(state, params.m)
     if t_peri is None:
         return None
     out = next_hit_analytic_line(state, params, wall)
@@ -536,13 +520,6 @@ def _pericentre_leg(
     if out.record.t_hit > t_max:
         raise Undetermined(f"no hit within t_max = {t_max}")
     return out
-
-
-def _radialized(state: PlanarState) -> PlanarState:
-    """Project the velocity onto the radial direction (|L| below tolerance)."""
-    qhat = state.position / state.r
-    rdot = float(np.dot(state.velocity, qhat))
-    return PlanarState(state.xi, state.eta, rdot * qhat[0], rdot * qhat[1])
 
 
 def _radial_fall_time(E: float, mu: float, u: Optional[float] = None) -> float:

@@ -34,6 +34,7 @@ from .errors import (
 )
 from .integrals import integral_set
 from .model import (
+    IntegralSet,
     PlanarState,
     RunConfig,
     SphericalState,
@@ -55,15 +56,13 @@ log = logging.getLogger("kcbilliards")
 _FLOW_SAMPLES = 1001
 
 
-def _planar_row(t: float, s: PlanarState, params: SystemParams) -> List[float]:
-    ints = integral_set(s, params)
+def _planar_row(t: float, s: PlanarState, ints: IntegralSet) -> List[float]:
     return [t, s.xi, s.eta, s.xi_dot, s.eta_dot, ints.E_pl, ints.L, ints.A_eta,
             ints.D, ints.E_sph]
 
 
-def _spherical_row(t: float, s: SphericalState, params: SystemParams) -> List[float]:
-    return [t, s.q[0], s.q[1], s.q[2], s.v[0], s.v[1], s.v[2],
-            spherical_energy_embedded(s, params)]
+def _spherical_row(t: float, s: SphericalState, e_sph: float) -> List[float]:
+    return [t, s.q[0], s.q[1], s.q[2], s.v[0], s.v[1], s.v[2], e_sph]
 
 
 def _drift(values: List[float]) -> float:
@@ -111,14 +110,12 @@ def cmd_simulate(args) -> int:
                           "E_sph": ints.E_sph.tolist()}
         else:
             tss, ys = integrate_spherical(
-                cfg.initial, (0.0, cfg.run.t_max), params,
-                rtol=cfg.integrator.rtol, atol=cfg.integrator.atol,
-                max_step=cfg.integrator.max_step, t_eval=ts,
+                cfg.initial, ts, params, rtol=cfg.integrator.rtol,
+                atol=cfg.integrator.atol, max_step=cfg.integrator.max_step,
             )
-            rows = [
-                _spherical_row(float(t), SphericalState.project(y[:3], y[3:]), params)
-                for t, y in zip(tss, ys)
-            ]
+            states = [SphericalState.project(y[:3], y[3:]) for y in ys]
+            rows = [_spherical_row(float(t), s, spherical_energy_embedded(s, params))
+                    for t, s in zip(tss, states)]
             out_io.write_spherical_trajectory(traj_path, rows)
             drift_cols = {"E_sph": [r[7] for r in rows]}
         out_io.write_bounces(bounce_path, [])
@@ -141,23 +138,23 @@ def cmd_simulate(args) -> int:
         t_max_per_leg=cfg.run.t_max,
     )
     records = run.records
+    # each record carries the integrals of its state_out, so the rows reuse them
     if cfg.model.domain == "planar":
-        rows = [_planar_row(0.0, cfg.initial, params)]
-        rows += [_planar_row(r.t_hit, r.state_out, params) for r in records]
-        out_io.write_planar_trajectory(traj_path, rows)
         ints0 = integral_set(cfg.initial, params)
+        rows = [_planar_row(0.0, cfg.initial, ints0)]
+        rows += [_planar_row(r.t_hit, r.state_out, r.integrals_out) for r in records]
+        out_io.write_planar_trajectory(traj_path, rows)
         e_series = [ints0.E_pl] + [r.integrals_in.E_pl for r in records]
         d_series = [ints0.D] + [r.integrals_in.D for r in records]
         es_series = [ints0.E_sph] + [r.integrals_in.E_sph for r in records]
     else:
-        rows = [_spherical_row(0.0, cfg.initial, params)]
-        rows += [_spherical_row(r.t_hit, r.state_out, params) for r in records]
+        e_sph0 = spherical_energy_embedded(cfg.initial, params)
+        rows = [_spherical_row(0.0, cfg.initial, e_sph0)]
+        rows += [_spherical_row(r.t_hit, r.state_out, r.integrals_out.E_sph) for r in records]
         out_io.write_spherical_trajectory(traj_path, rows)
         e_series = [r.integrals_in.E_pl for r in records]
         d_series = [r.integrals_in.D for r in records]
-        es_series = [spherical_energy_embedded(cfg.initial, params)] + [
-            r.integrals_in.E_sph for r in records
-        ]
+        es_series = [e_sph0] + [r.integrals_in.E_sph for r in records]
     out_io.write_bounces(bounce_path, records)
     summary = {
         "outcome": run.outcome,

@@ -270,16 +270,6 @@ class IntegralSet:
     D: float
     E_sph: float
 
-    def as_dict(self) -> dict:
-        return {
-            "E_pl": self.E_pl,
-            "L": self.L,
-            "A_xi": self.A_xi,
-            "A_eta": self.A_eta,
-            "D": self.D,
-            "E_sph": self.E_sph,
-        }
-
 
 @dataclass(frozen=True)
 class BounceRecord:

@@ -4,7 +4,8 @@ Provides the vector field (with the optional centrifugal perturbation),
 anomaly-equation solvers, and the universal-variable kernel: the conic
 through a state, for either mass sign and any energy, as functions of
 Goodyear's s (dt/ds = r), with its flight time t(s) in closed form. The
-kernel serves both exact propagation and the exact planar wall hit.
+kernel serves exact propagation, and one crossing root on it times both
+the exact planar wall hit and the pericentre.
 
 Sign convention: the acceleration is -m*q/r^3 + beta*q/r^4, so m > 0
 attracts and m < 0 repels; beta > 0 is an outward force beta/r^3 with
@@ -27,9 +28,10 @@ from .model import PlanarState, SystemParams
 
 R_MIN = 1e-12
 L_TOL = 1e-10
-_PARABOLIC_REL = 1e-11
 _ANOMALY_TOL = 1e-14
 _MAX_ITER = 200
+# a discriminant this far below zero, relative to its terms, is a tangency
+_DISC_ROUNDING = 1e-15
 
 
 def flow_rhs(t, y, params: SystemParams):
@@ -47,11 +49,6 @@ def flow_rhs(t, y, params: SystemParams):
     if params.beta != 0.0:
         coeff += params.beta / r**4
     return (y[2], y[3], coeff * y[0], coeff * y[1])
-
-
-def collision_tolerance(state: PlanarState) -> float:
-    """Angular-momentum threshold below which an orbit counts as radial."""
-    return L_TOL * max(1e-30, state.speed * state.r)
 
 
 # ---------------------------------------------------------------------------
@@ -257,43 +254,57 @@ def _universal_propagate(state: PlanarState, dt: float, m: float) -> PlanarState
     return universal_state(state, m, dt, g)
 
 
-# ---------------------------------------------------------------------------
-# Radial motion
-# ---------------------------------------------------------------------------
+def crossing_root(alpha: float, c: float, P: float, Q: float) -> Optional[float]:
+    """First s > 0 where F(s) = c + P G1(s) + Q G2(s) reaches zero without
+    increasing, G_k = universal_kernel(alpha, s)[k].
 
-def radial_collision_time(state: PlanarState, m: float) -> Optional[float]:
-    """Time until a radial (L = 0) orbit reaches the center, or None.
+    Along the conic the wall functions and sigma = q.v = dr/ds all take
+    this form. In y = 2 G1/(1 + G0) (y = s on a parabola, (2/w) tan(w s/2)
+    on an ellipse and (2/w) tanh(w s/2) on a hyperbola, w = sqrt|alpha|),
+    F is the quadratic (Q/2 + alpha c/4) y^2 + P y + c times a positive
+    factor. Its root where it does not increase (grazing roots included)
+    is taken as num/den, free of cancellation, and mapped back to s; on an
+    ellipse it recurs once per period, and the first one with s > 0 is
+    taken.
 
-    Returns the first t > 0 with r(t) = 0; None when the orbit never
-    reaches the center (m <= 0, or unbound and already receding).
+    Returns:
+        s; None when F has no real root (the discriminant is below zero
+        beyond rounding), and math.inf when its root lies in the past or
+        beyond the asymptote of a hyperbola, so F never reaches it.
     """
-    if m <= 0.0:
+    a2 = 0.5 * Q + 0.25 * alpha * c
+    disc = P * P - 4.0 * a2 * c
+    if disc < -_DISC_ROUNDING * (P * P + abs(4.0 * a2 * c)):
         return None
-    E = planar_energy(state, m)
+    root = math.sqrt(max(disc, 0.0))
+    num, den = (-0.5 * (P + root), a2) if P >= 0.0 else (c, -0.5 * (P - root))
+    if alpha > 0.0:
+        w = math.sqrt(alpha)
+        return 2.0 * (math.atan2(w * num, 2.0 * den) % math.pi or math.pi) / w
+    y = num / den if den != 0.0 else -1.0
+    u = 0.5 * math.sqrt(-alpha) * y
+    if not (y > 0.0 and u < 1.0):
+        return math.inf
+    return 2.0 * math.atanh(u) / math.sqrt(-alpha) if alpha < 0.0 else y
+
+
+def pericentre_time(state: PlanarState, m: float) -> Optional[float]:
+    """Time to the next pericentre of the conic through state, or None.
+
+    A pericentre is where sigma = q.v = dr/ds crosses zero upwards. Along
+    the conic sigma(s) = sigma0 + (m - alpha r0) G1 - alpha sigma0 G2, so it
+    is the crossing_root of -sigma, timed by t(s). On a radial orbit of an
+    attracting center the pericentre is the collision. None when the orbit
+    has no forward pericentre (unbound and already receding).
+    """
     r0 = state.r
-    qv = state.xi * state.xi_dot + state.eta * state.eta_dot
-    e_scale = m / r0 + 0.5 * state.speed**2
-    if E < -_PARABOLIC_REL * e_scale:
-        a = -m / (2.0 * E)
-        n = math.sqrt(m / a**3)
-        # radial orbits have e = 1; collision at eccentric anomaly 0 (mod 2*pi)
-        cosE = 1.0 - r0 / a
-        sinE = qv / math.sqrt(m * a)
-        E0 = math.atan2(sinE, cosE)
-        M0 = E0 - math.sin(E0)
-        dM = (-M0) % (2.0 * math.pi)
-        return dM / n
-    if qv >= 0.0:
-        return None  # receding and unbound: never returns
-    if abs(E) <= _PARABOLIC_REL * e_scale:
-        d0 = qv / math.sqrt(m)
-        return -(d0**3) / (6.0 * math.sqrt(m))
-    aabs = m / (2.0 * E)
-    n = math.sqrt(m / aabs**3)
-    sinhH = qv / math.sqrt(m * aabs)
-    H0 = math.asinh(sinhH)
-    M0 = math.sinh(H0) - H0
-    return (0.0 - M0) / n
+    sigma0 = state.xi * state.xi_dot + state.eta * state.eta_dot
+    v2 = state.xi_dot**2 + state.eta_dot**2
+    alpha = 2.0 * m / r0 - v2
+    s = crossing_root(alpha, -sigma0, m - r0 * v2, alpha * sigma0)
+    if s is None or s == math.inf:
+        return None
+    return time_of_flight(r0, sigma0, m, universal_kernel(alpha, s))
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +319,10 @@ def propagate_analytic(state: PlanarState, dt: float, params: SystemParams) -> P
 
     Raises:
         PerturbedModel: if params.beta != 0.
-        CollisionInsideInterval: if the orbit is radial and meets the
-            center within (0, dt]; the radial branch of the billiard map
-            continues such orbits through the center.
+        CollisionInsideInterval: if the orbit is radial (|L| at most
+            L_TOL times speed times r), m > 0 and its pericentre, the
+            collision, lies within (0, dt]; the billiard map continues
+            such orbits through the center by the elastic bounce.
         NonConvergence: if the universal Kepler equation does not converge.
     """
     if params.beta != 0.0:
@@ -318,8 +330,8 @@ def propagate_analytic(state: PlanarState, dt: float, params: SystemParams) -> P
     if dt == 0.0:
         return state
     m = params.m
-    if abs(angular_momentum(state)) <= collision_tolerance(state):
-        t_c = radial_collision_time(state, m)
+    if m > 0.0 and abs(angular_momentum(state)) <= L_TOL * state.speed * state.r:
+        t_c = pericentre_time(state, m)
         if t_c is not None and 0.0 < t_c <= dt:
             raise CollisionInsideInterval(
                 f"radial orbit reaches the center at t = {t_c} <= dt"

@@ -11,27 +11,11 @@ becomes eta = h = -a/sqrt(1+a^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
 from .errors import SingularPosition, WrongHalfPlane
 from .model import ChartState, PlanarState
-
-
-@dataclass(frozen=True)
-class AffinePlane:
-    """Affine plane {q : <h_vec, q> = 1} in 3-space."""
-
-    h_vec: Tuple[float, float, float]
-
-    def __post_init__(self):
-        if not any(self.h_vec):
-            raise ValueError("h_vec must be nonzero")
-
-    def contains(self, q, tol: float = 1e-12) -> bool:
-        return abs(float(np.dot(self.h_vec, q)) - 1.0) <= tol
 
 
 def plane_plane_project(q1, h2) -> np.ndarray:
@@ -126,8 +110,3 @@ def planar_energy_prenorm(
         raise SingularPosition("(x, y) coincides with the center (0, a)")
     return 0.5 * (x_dot * x_dot + y_dot * y_dot / one_a2) - m / d
 
-
-def tangent_plane(a: float) -> AffinePlane:
-    """Plane tangent to the unit sphere at the center Z1(a)."""
-    s = math.sqrt(1.0 + a * a)
-    return AffinePlane((0.0, a / s, -1.0 / s))

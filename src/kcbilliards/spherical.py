@@ -137,35 +137,29 @@ _CHUNK = 5.0
 
 def integrate_spherical(
     state: SphericalState,
-    t_span,
+    t_eval,
     params: SystemParams,
     rtol: float = 1e-10,
     atol: float = 1e-10,
     max_step: float = math.inf,
-    t_eval=None,
 ):
-    """Integrate the embedded spherical flow over t_span.
+    """Integrate the embedded spherical flow from t_eval[0] to t_eval[-1].
 
     The integration runs in chunks of 5 time units; every sample and
     every chunk's end state is projected back onto the unit tangent
-    bundle (constraint drift < 1e-14 afterwards). An ascending ``t_eval`` is
-    read from each chunk's dense output in one call, equal to per-sample calls.
+    bundle (constraint drift < 1e-14 afterwards). The ascending samples
+    t_eval are read from each chunk's dense output in one call, equal to
+    per-sample calls.
 
     Returns:
-        (ts, ys): sample times and 6-column state array. When ``t_eval``
-        is given the samples are exactly those times.
+        (ts, ys): the sample times t_eval and their 6-column state array.
     """
     rhs = flow_rhs(params)
-    t0, t1 = float(t_span[0]), float(t_span[1])
+    want = np.asarray(t_eval, dtype=float)
+    t, t1 = float(want[0]), float(want[-1])
     y = state.as_array()
-    ts_out = []
     ys_out = []
-    want = None if t_eval is None else np.asarray(t_eval, dtype=float)
     w_idx = 0
-    t = t0
-    if want is None:
-        ts_out.append(t)
-        ys_out.append(y.copy())
     while t < t1 - 1e-15:
         t_next = min(t + _CHUNK, t1)
         sol = solve_ivp(
@@ -176,19 +170,14 @@ def integrate_spherical(
             rtol=rtol,
             atol=atol,
             max_step=max_step,
-            dense_output=want is not None,
+            dense_output=True,
         )
         if not sol.success:
             raise StepFailure(f"spherical integration failed: {sol.message}")
-        if want is not None:
-            end = int(np.searchsorted(want, t_next + 1e-15, side="right"))
-            if end > w_idx:
-                ts_out.extend(want[w_idx:end])
-                ys_out.extend(project_constraints(row) for row in sol.sol(want[w_idx:end]).T)
-                w_idx = end
-        else:
-            ts_out.extend(sol.t[1:].tolist())
-            ys_out.extend(project_constraints(row) for row in sol.y.T[1:])
+        end = int(np.searchsorted(want, t_next + 1e-15, side="right"))
+        if end > w_idx:
+            ys_out.extend(project_constraints(row) for row in sol.sol(want[w_idx:end]).T)
+            w_idx = end
         y = project_constraints(sol.y[:, -1])
         t = t_next
-    return np.array(ts_out), np.array(ys_out)
+    return want[:w_idx], np.array(ys_out)

@@ -29,7 +29,7 @@ from .model import (
     Wall,
     validate_config,
 )
-from .planar import flow_rhs
+from .planar import propagate_analytic
 from .spherical import flow_rhs as spherical_flow_rhs
 from .spherical import planar_to_sphere, spherical_energy_embedded
 
@@ -178,8 +178,9 @@ def correspondence_deviation(
 ):
     """Deviation between a projected planar arc and the spherical flow.
 
-    Integrates the planar trajectory at rtol = atol = 1e-12, maps samples to the sphere, and
-    compares them pointwise with the spherical trajectory launched from
+    Takes exact planar samples on the conic (propagate_analytic, so
+    params.beta = 0), maps them to the sphere, and compares them pointwise
+    with the spherical trajectory integrated at rtol = atol = 1e-12 from
     the mapped initial state; spherical time is aligned with planar time
     through the density d t / d tau = 1/q_z^2 integrated alongside.
 
@@ -187,18 +188,6 @@ def correspondence_deviation(
         (max geodesic distance, relative spherical-energy drift).
     """
     ts = np.linspace(0.0, t_end, n_samples)
-    sol_pl = solve_ivp(
-        lambda t, y: flow_rhs(t, y, params),
-        (0.0, t_end),
-        state0.as_array(),
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-12,
-        dense_output=True,
-    )
-    if not sol_pl.success:
-        raise RuntimeError(f"planar oracle integration failed: {sol_pl.message}")
-
     s_sph0 = planar_to_sphere(state0, params)
     rhs_sph = spherical_flow_rhs(params)
 
@@ -230,8 +219,7 @@ def correspondence_deviation(
     e0 = spherical_energy_embedded(s_sph0, params)
     e_drift = 0.0
     for t_k in ts:
-        y_pl = sol_pl.sol(t_k)
-        q_mapped = planar_to_sphere(PlanarState.from_array(y_pl), params).q
+        q_mapped = planar_to_sphere(propagate_analytic(state0, t_k, params), params).q
         if t_k <= 0.0:
             tau_k = 0.0
         else:

@@ -30,7 +30,7 @@ from kcbilliards.model import (
     validate_config,
 )
 from kcbilliards.planar import (
-    radial_collision_time,
+    pericentre_time,
     time_of_flight,
     universal_kernel,
     universal_state,
@@ -277,7 +277,7 @@ class TestAnalyticLineHit:
         qhat = np.array([0.3, params.h]) / r0
         speed = 0.5
         s = PlanarState(0.3, params.h, -speed * qhat[0], -speed * qhat[1])
-        t_c = radial_collision_time(s, 1.0)
+        t_c = pericentre_time(s, 1.0)
         assert t_c is not None and t_c > 0.0
         out = next_hit_analytic_line(s, params, wall)
         assert isinstance(out, Hit)

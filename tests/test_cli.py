@@ -112,6 +112,20 @@ class TestSimulate:
             ints = integral_set(PlanarState.from_array(row[1:5]), params)
             assert row[5:] == [ints.E_pl, ints.L, ints.A_eta, ints.D, ints.E_sph]
 
+    def test_billiard_rows_are_bitwise_the_integrals_of_their_states(
+        self, billiard_config, tmp_path
+    ):
+        # the rows after the start are the outgoing states of the bounces;
+        # on the line wall L and A_eta change sign there
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", billiard_config, "--out", str(out)]) == 0
+        _, rows = read_csv(out / "trajectory.csv")
+        params = SystemParams(m=1.0, a=1.0)
+        assert len(rows) == 9
+        for row in rows:
+            ints = integral_set(PlanarState.from_array(row[1:5]), params)
+            assert row[5:] == [ints.E_pl, ints.L, ints.A_eta, ints.D, ints.E_sph]
+
     def test_config_error_exit_code(self, tmp_path):
         doc = {
             "system": {"model": "kepler", "m": 0.0, "a": 1.0},
@@ -152,6 +166,9 @@ class TestSimulate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n_bounces"] == 5
         assert summary["max_drift"]["E_sph"] < 1e-8
+        for row in rows:  # each row's E_sph is that of its own state, to the bit
+            s = kb.SphericalState.from_array(row[1:7])
+            assert row[7] == kb.spherical_energy_embedded(s, params)
 
 
 class TestVerify:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from oracles import (
     bisection_kepler_elliptic,
@@ -29,8 +30,8 @@ from kcbilliards.planar import (
     _stumpff_s,
     flow_rhs,
     kepler_period,
+    pericentre_time,
     propagate_analytic,
-    radial_collision_time,
     solve_barker,
     solve_kepler_equation,
     time_of_flight,
@@ -197,6 +198,30 @@ class TestPropagateAnalytic:
         with pytest.raises(CollisionInsideInterval):
             propagate_analytic(s0, 10.0, params)
 
+    def test_repulsive_radial_orbit_turns_without_collision(self):
+        # m < 0: the radial infall turns at r = 1/3, a pericentre but no collision
+        params = SystemParams(m=-1.0)
+        s0 = PlanarState(0.0, 1.0, 0.0, -2.0)
+        s1 = propagate_analytic(s0, 1.0, params)
+        np.testing.assert_allclose(
+            s1.as_array(), ode_propagate(s0, 1.0, params).as_array(), atol=1e-9
+        )
+
+    @pytest.mark.parametrize("rel", [1e-9, 1e-6])
+    def test_collision_just_beyond_interval(self, rel):
+        # radial infall from r0 = 1 at speed 0.1: on r = a (1 - cos u),
+        # t = sqrt(a^3/m) (u - sin u), the fall takes as long as the rise to r0
+        params = SystemParams(m=1.0)
+        s0 = PlanarState(0.0, 1.0, 0.0, -0.1)
+        a = 1.0 / (2.0 - 0.01)
+        u0 = math.acos(1.0 - 1.0 / a)
+        t_c = math.sqrt(a**3) * (u0 - math.sin(u0))
+        s1 = propagate_analytic(s0, t_c * (1.0 - rel), params)
+        assert 0.0 < s1.r < 1e-2 and s1.eta_dot < 0.0
+        assert abs(planar_energy(s1, 1.0) - planar_energy(s0, 1.0)) <= 1e-9 * s1.speed**2
+        with pytest.raises(CollisionInsideInterval):
+            propagate_analytic(s0, t_c * (1.0 + rel), params)
+
     def test_perturbed_rejected(self):
         with pytest.raises(PerturbedModel):
             propagate_analytic(
@@ -267,7 +292,7 @@ class TestCollision:
         s0 = PlanarState(0.0, 1.0, 0.0, -math.sqrt(2.0))
         state_at, t_coll_oracle = levi_civita_through_collision(s0, params)
 
-        t_coll = radial_collision_time(s0, 1.0)
+        t_coll = pericentre_time(s0, 1.0)
         assert t_coll == pytest.approx(math.sqrt(2.0) / 3.0, rel=1e-13)
         assert t_coll == pytest.approx(t_coll_oracle, rel=1e-6)
 
@@ -281,11 +306,54 @@ class TestCollision:
         params = SystemParams(m=1.0)
         s0 = PlanarState(0.0, 1.0, 0.0, -0.5)  # E = -7/8, radial
         state_at, _ = levi_civita_through_collision(s0, params)
-        t_c = radial_collision_time(s0, 1.0)
+        t_c = pericentre_time(s0, 1.0)
         s_back = state_at(2.0 * t_c)
         np.testing.assert_allclose(
             s_back.as_array(), [0.0, 1.0, 0.0, 0.5], atol=1e-9
         )
+
+
+class TestPericentreTime:
+    def test_against_ode_pericentre_event(self, rng):
+        # the first upward crossing of q.v = 0 of the integrated flow;
+        # None exactly when the flow has no such crossing
+        seen = set()
+        checked = 0
+        while checked < 120:
+            m = float(rng.choice([-1.0, 1.0]))
+            r0 = float(rng.uniform(0.5, 2.0))
+            th, phi = rng.uniform(0.0, 2.0 * math.pi, size=2)
+            speed = float(rng.uniform(0.3, 1.7)) * math.sqrt(2.0 * abs(m) / r0)
+            s0 = PlanarState(r0 * math.cos(th), r0 * math.sin(th),
+                             speed * math.cos(phi), speed * math.sin(phi))
+            sigma0 = s0.xi * s0.xi_dot + s0.eta * s0.eta_dot
+            # near-radial orbits pass a pericentre the integrator cannot resolve
+            if angular_momentum(s0) ** 2 < 0.05 * abs(m) * r0 or abs(sigma0) < 1e-3:
+                continue
+            params = SystemParams(m=m)
+            t_p = pericentre_time(s0, m)
+            horizon = 60.0 if t_p is None else t_p + 1.0
+
+            def event(t, y):
+                return y[0] * y[2] + y[1] * y[3]
+
+            event.direction = 1.0
+            sol = solve_ivp(lambda t, y: flow_rhs(t, y, params), (0.0, horizon),
+                            s0.as_array(), method="DOP853", rtol=1e-12, atol=1e-12,
+                            events=event)
+            assert sol.success
+            found = sol.t_events[0]
+            if t_p is None:
+                assert found.size == 0
+            else:
+                assert found.size and abs(found[0] - t_p) <= 1e-9 * max(1.0, t_p)
+            bound = planar_energy(s0, m) < 0.0
+            seen.add((m > 0.0, bound, sigma0 > 0.0, t_p is None))
+            checked += 1
+        # both signs of m and of sigma0, bound and unbound, and None cases
+        assert {(True, True, False, False), (True, True, True, False),
+                (True, False, False, False), (True, False, True, True),
+                (False, False, False, False), (False, False, True, True)} <= seen
 
 
 class TestTimeOfFlight:

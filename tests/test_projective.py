@@ -13,7 +13,6 @@ from kcbilliards.projective import (
     plane_plane_push_velocity,
     planar_energy_prenorm,
     push_force_field,
-    tangent_plane,
 )
 from kcbilliards.integrals import planar_energy
 
@@ -200,10 +199,3 @@ class TestCentralForcePreservation:
             out = plane_plane_push_velocity(q1, vel, h2)
             assert abs(float(np.dot(h2, out))) < 1e-10
 
-
-def test_tangent_plane_contains_center():
-    for a in (0.0, 1.0, 2.5):
-        plane = tangent_plane(a)
-        s = math.sqrt(1.0 + a * a)
-        z1 = np.array([0.0, a / s, -1.0 / s])
-        assert plane.contains(z1)
