@@ -119,9 +119,6 @@ class ChartState:
     x_dot: float
     y_dot: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.x_dot, self.y_dot])
-
 
 _UNIT_TOL = 1e-12
 
@@ -348,7 +345,6 @@ class RunConfig:
     """Fully parsed simulation configuration."""
 
     model: Model
-    model_name: str
     initial: State
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
     run: RunSpec = field(default_factory=RunSpec)
@@ -444,7 +440,7 @@ def parse_config(doc: dict) -> RunConfig:
     _require(run.n_bounces >= 0, "run.n_bounces must be >= 0")
     _require(run.t_max > 0, "run.t_max must be positive")
 
-    return RunConfig(model=model, model_name=name, initial=initial, integrator=integ, run=run)
+    return RunConfig(model=model, initial=initial, integrator=integ, run=run)
 
 
 def load_config(path: str) -> RunConfig:

@@ -1,11 +1,12 @@
 """Planar Kepler-Coulomb flow in the normalized chart.
 
-Provides the vector field (with the optional centrifugal perturbation),
-anomaly-equation solvers, and the universal-variable kernel: the conic
-through a state, for either mass sign and any energy, as functions of
-Goodyear's s (dt/ds = r), with its flight time t(s) in closed form. The
-kernel serves exact propagation, and one crossing root on it times both
-the exact planar wall hit and the pericentre.
+Provides the vector field (with the optional centrifugal perturbation)
+and the universal-variable kernel: the conic through a state, for either
+mass sign and any energy, as functions of Goodyear's s (dt/ds = r), with
+its flight time t(s) in closed form. One Newton on t(s) serves exact
+propagation and the anomaly equations (eccentric, Barker, hyperbolic),
+each of which is t(s) from a pericentre; one crossing root on the kernel
+times both the exact planar wall hit and the pericentre.
 
 Sign convention: the acceleration is -m*q/r^3 + beta*q/r^4, so m > 0
 attracts and m < 0 repels; beta > 0 is an outward force beta/r^3 with
@@ -28,7 +29,6 @@ from .model import PlanarState, SystemParams
 
 R_MIN = 1e-12
 L_TOL = 1e-10
-_ANOMALY_TOL = 1e-14
 _MAX_ITER = 200
 # a discriminant this far below zero, relative to its terms, is a tangency
 _DISC_ROUNDING = 1e-15
@@ -49,91 +49,6 @@ def flow_rhs(t, y, params: SystemParams):
     if params.beta != 0.0:
         coeff += params.beta / r**4
     return (y[2], y[3], coeff * y[0], coeff * y[1])
-
-
-# ---------------------------------------------------------------------------
-# Anomaly equations
-# ---------------------------------------------------------------------------
-
-def solve_kepler_elliptic(mean_anomaly: float, e: float) -> float:
-    """Solve E - e*sin(E) = M for the eccentric anomaly, 0 <= e < 1.
-
-    Newton iteration with a bisection safeguard on the bracket
-    [M - e, M + e]; residual below 1e-13 for any e bounded away from 1.
-    """
-    M = mean_anomaly
-    # reduce to [-pi, pi] and restore the multiple of 2*pi afterwards
-    k = math.floor((M + math.pi) / (2.0 * math.pi))
-    Mr = M - 2.0 * math.pi * k
-    lo, hi = Mr - e, Mr + e
-    E = Mr + e * math.sin(Mr) if e < 0.8 else math.copysign(math.pi, Mr) if Mr else 0.0
-    for _ in range(_MAX_ITER):
-        f = E - e * math.sin(E) - Mr
-        if abs(f) <= _ANOMALY_TOL:
-            break
-        fp = 1.0 - e * math.cos(E)
-        if f > 0.0:
-            hi = E
-        else:
-            lo = E
-        step = f / fp if fp > 1e-300 else 0.0
-        E_new = E - step
-        if not lo <= E_new <= hi:
-            E_new = 0.5 * (lo + hi)
-        E = E_new
-    else:
-        raise NonConvergence(f"elliptic anomaly solver stalled at M={M}, e={e}")
-    return E + 2.0 * math.pi * k
-
-
-def solve_kepler_hyperbolic(mean_anomaly: float, e: float) -> float:
-    """Solve e*sinh(H) - H = M, e > 1. Monotone Newton with safeguard."""
-    M = mean_anomaly
-    H = math.asinh(M / e) if e > 1.5 else math.copysign(
-        math.log(2.0 * abs(M) / e + 1.8), M
-    ) if M != 0.0 else 0.0
-    lo, hi = -math.inf, math.inf
-    for _ in range(_MAX_ITER):
-        f = e * math.sinh(H) - H - M
-        if abs(f) <= _ANOMALY_TOL * max(1.0, abs(M)):
-            return H
-        if f > 0.0:
-            hi = H
-        else:
-            lo = H
-        fp = e * math.cosh(H) - 1.0
-        H_new = H - f / fp if fp > 1e-300 else H
-        if not lo < H_new < hi:
-            H_new = 0.5 * (lo + hi) if math.isfinite(lo) and math.isfinite(hi) else H_new
-        H = H_new
-    raise NonConvergence(f"hyperbolic anomaly solver stalled at M={M}, e={e}")
-
-
-def solve_barker(mean_anomaly: float) -> float:
-    """Solve B + B^3/3 = M in closed form (parabolic case)."""
-    M = mean_anomaly
-    s = math.sqrt(9.0 * M * M + 4.0)
-    w = (3.0 * M + s) / 2.0
-    c = math.copysign(abs(w) ** (1.0 / 3.0), w)
-    B = c - 1.0 / c if c != 0.0 else 0.0
-    # one Newton polish step
-    B -= (B + B**3 / 3.0 - M) / (1.0 + B * B)
-    return B
-
-
-def solve_kepler_equation(mean_anomaly: float, e: float) -> float:
-    """Anomaly from mean anomaly: eccentric (e<1), Barker (e=1), hyperbolic (e>1).
-
-    Residual of the corresponding equation is below 1e-13; inputs with
-    0 < |e - 1| < 1e-9 may raise NonConvergence.
-    """
-    if e < 0.0:
-        raise ValueError("eccentricity must be >= 0")
-    if e < 1.0:
-        return solve_kepler_elliptic(mean_anomaly, e)
-    if e == 1.0:
-        return solve_barker(mean_anomaly)
-    return solve_kepler_hyperbolic(mean_anomaly, e)
 
 
 # ---------------------------------------------------------------------------
@@ -212,24 +127,23 @@ def universal_state(state: PlanarState, m: float, t: float, g) -> PlanarState:
     )
 
 
-def _universal_propagate(state: PlanarState, dt: float, m: float) -> PlanarState:
-    """Propagation by dt in Goodyear's universal variable s, dt/ds = r.
+def _solve_flight(r0: float, sigma0: float, alpha: float, m: float, dt: float):
+    """The universal variable s where the flight time t(s) = r0 G1 +
+    sigma0 G2 + m G3 reaches dt, and the kernel there: (s, kernel).
 
-    t(s) is increasing, so Newton on t(s) = dt keeps a bracket on s and
+    t(s) is increasing (dt/ds = r > 0), so Newton keeps a bracket on s and
     bisects whenever a step leaves it or is longer than half the step
     before (near a pericentre r, the slope, is small; on a hyperbola t(s)
-    is exponential); an infinite side of the bracket is widened by doubling.
+    is exponential); an infinite side of the bracket is widened by
+    doubling. It stops at |t(s) - dt| <= 1e-14 max(1, |dt|).
 
     Raises:
         NonConvergence: if the bracket does not close within _MAX_ITER steps.
     """
-    r0 = state.r
-    sigma0 = state.xi * state.xi_dot + state.eta * state.eta_dot
-    alpha = 2.0 * m / r0 - state.speed**2
     lo, hi = (0.0, math.inf) if dt > 0.0 else (-math.inf, 0.0)
     s = alpha * dt / m if alpha > 1e-12 * abs(m) else dt / r0
     step = math.inf
-    tol = 1e-13 * max(1.0, abs(dt))
+    tol = 1e-14 * max(1.0, abs(dt))
     for _ in range(_MAX_ITER):
         try:
             g = universal_kernel(alpha, s)
@@ -240,7 +154,7 @@ def _universal_propagate(state: PlanarState, dt: float, m: float) -> PlanarState
         if not math.isfinite(F):  # t(s) overflowed, so s lies past the target
             F = math.copysign(math.inf, s)
         elif abs(F) <= tol or hi - lo <= 4e-16 * abs(s):
-            break
+            return s, g
         if F > 0.0:
             hi = s
         else:
@@ -249,9 +163,25 @@ def _universal_propagate(state: PlanarState, dt: float, m: float) -> PlanarState
         if not (lo < s_new < hi and abs(s_new - s) <= 0.5 * abs(step)):
             s_new = 2.0 * s if math.isinf(lo) or math.isinf(hi) else 0.5 * (lo + hi)
         step, s = s_new - s, s_new
+    raise NonConvergence(f"universal Kepler equation did not converge for dt = {dt}")
+
+
+def solve_kepler_equation(mean_anomaly: float, e: float) -> float:
+    """Anomaly from mean anomaly: eccentric (e<1), Barker (e=1), hyperbolic (e>1).
+
+    From a pericentre (sigma0 = 0) at unit mean motion the flight time t(s)
+    is the anomaly equation itself, and s the anomaly: s - e sin s for
+    alpha = 1, r0 = 1 - e, m = 1; s + s^3/3 for alpha = 0, r0 = 1, m = 2;
+    e sinh s - s for alpha = -1, r0 = e - 1, m = 1. The residual of that
+    equation is about 1e-14 max(1, |M|).
+    """
+    if e < 0.0:
+        raise ValueError("eccentricity must be >= 0")
+    if e == 1.0:
+        alpha, r0, m = 0.0, 1.0, 2.0
     else:
-        raise NonConvergence(f"universal Kepler equation did not converge for dt = {dt}")
-    return universal_state(state, m, dt, g)
+        alpha, r0, m = math.copysign(1.0, 1.0 - e), abs(1.0 - e), 1.0
+    return _solve_flight(r0, 0.0, alpha, m, mean_anomaly)[0]
 
 
 def crossing_root(alpha: float, c: float, P: float, Q: float) -> Optional[float]:
@@ -336,7 +266,10 @@ def propagate_analytic(state: PlanarState, dt: float, params: SystemParams) -> P
             raise CollisionInsideInterval(
                 f"radial orbit reaches the center at t = {t_c} <= dt"
             )
-    return _universal_propagate(state, dt, m)
+    r0 = state.r
+    sigma0 = state.xi * state.xi_dot + state.eta * state.eta_dot
+    _, g = _solve_flight(r0, sigma0, 2.0 * m / r0 - state.speed**2, m, dt)
+    return universal_state(state, m, dt, g)
 
 
 def kepler_period(state: PlanarState, m: float) -> Optional[float]:

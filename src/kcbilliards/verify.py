@@ -17,7 +17,6 @@ from typing import List
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .billiard import Hit, next_hit_analytic_line, next_hit_numeric
 from .integrals import gj_integral, planar_energy, spherical_energy_chart
@@ -181,8 +180,9 @@ def correspondence_deviation(
     Takes exact planar samples on the conic (propagate_analytic, so
     params.beta = 0), maps them to the sphere, and compares them pointwise
     with the spherical trajectory integrated at rtol = atol = 1e-12 from
-    the mapped initial state; spherical time is aligned with planar time
-    through the density d t / d tau = 1/q_z^2 integrated alongside.
+    the mapped initial state. The spherical field is scaled by
+    d tau / d t = q_z^2, so that trajectory runs on the planar clock and
+    is sampled at the same times.
 
     Returns:
         (max geodesic distance, relative spherical-energy drift).
@@ -191,43 +191,27 @@ def correspondence_deviation(
     s_sph0 = planar_to_sphere(state0, params)
     rhs_sph = spherical_flow_rhs(params)
 
-    def rhs_aug(t, y):
-        dq = rhs_sph(t, y[:6])
-        lam2 = 1.0 / (y[2] * y[2])  # dt_planar/dtau = lambda^2 = 1/q_z^2
-        return (*dq, lam2)
+    def rhs_planar_clock(t, y):
+        qz2 = y[2] * y[2]
+        return [qz2 * d for d in rhs_sph(t, y)]
 
-    # dt/dtau = lambda^2 >= 1, so the planar clock reaches t_end not later
-    # than tau = t_end; a slightly longer tau-span always brackets it
-    y0 = np.concatenate([s_sph0.as_array(), [0.0]])
     sol_sph = solve_ivp(
-        rhs_aug,
-        (0.0, 1.05 * t_end + 1e-6),
-        y0,
+        rhs_planar_clock,
+        (0.0, t_end),
+        s_sph0.as_array(),
         method="DOP853",
+        t_eval=ts,
         rtol=1e-12,
         atol=1e-12,
-        dense_output=True,
     )
     if not sol_sph.success:
         raise RuntimeError(f"spherical oracle integration failed: {sol_sph.message}")
-    tau_hi = float(sol_sph.t[-1])
-
-    def planar_clock(tau):
-        return float(sol_sph.sol(tau)[6])
-
     max_dist = 0.0
     e0 = spherical_energy_embedded(s_sph0, params)
     e_drift = 0.0
-    for t_k in ts:
+    for t_k, y_sph in zip(ts, sol_sph.y.T):
         q_mapped = planar_to_sphere(propagate_analytic(state0, t_k, params), params).q
-        if t_k <= 0.0:
-            tau_k = 0.0
-        else:
-            tau_k = brentq(
-                lambda tau: planar_clock(tau) - t_k, 0.0, tau_hi, xtol=1e-14
-            )
-        y_sph = sol_sph.sol(tau_k)
-        s_k = SphericalState.project(y_sph[:3], y_sph[3:6])
+        s_k = SphericalState.project(y_sph[:3], y_sph[3:])
         max_dist = max(max_dist, geodesic_distance(s_k.q, q_mapped))
         e_k = spherical_energy_embedded(s_k, params)
         e_drift = max(e_drift, abs(e_k - e0) / max(1.0, abs(e0)))

@@ -32,7 +32,6 @@ from kcbilliards.planar import (
     kepler_period,
     pericentre_time,
     propagate_analytic,
-    solve_barker,
     solve_kepler_equation,
     time_of_flight,
     universal_kernel,
@@ -80,13 +79,13 @@ class TestKeplerEquation:
         got = solve_kepler_equation(0.2, 0.9)
         assert got == pytest.approx(want, abs=1e-12)
 
-    @pytest.mark.parametrize("e", [0.0, 0.3, 0.9, 0.999])
+    @pytest.mark.parametrize("e", [0.0, 0.3, 0.9, 0.999, 1.0 - 1e-9, 1.0 - 1e-12])
     @pytest.mark.parametrize("M", [-2.5, -0.3, 0.0, 0.2, 1.0, 3.0, 9.0])
     def test_elliptic_residuals(self, e, M):
         E = solve_kepler_equation(M, e)
         assert abs(E - e * math.sin(E) - M) <= 1e-13
 
-    @pytest.mark.parametrize("e", [1.5, 5.0])
+    @pytest.mark.parametrize("e", [1.0 + 1e-12, 1.0 + 1e-9, 1.5, 5.0])
     @pytest.mark.parametrize("M", [-20.0, -1.0, 0.0, 0.4, 2.0, 50.0])
     def test_hyperbolic_residuals(self, e, M):
         H = solve_kepler_equation(M, e)
@@ -94,7 +93,7 @@ class TestKeplerEquation:
 
     @pytest.mark.parametrize("M", [-8.0, -0.5, 0.0, 0.1, 2.0, 40.0])
     def test_barker_residuals(self, M):
-        B = solve_barker(M)
+        B = solve_kepler_equation(M, 1.0)
         assert abs(B + B**3 / 3.0 - M) <= 1e-13 * max(1.0, abs(M))
 
 
@@ -144,6 +143,32 @@ class TestPropagateAnalytic:
                 got.as_array(), want.as_array(), rtol=1e-9, atol=1e-9
             )
             checked += 1
+
+    # 50-digit references: mpmath at 50 digits solves the universal Kepler
+    # equation t(s) = r0 G1 + sigma0 G2 + m G3 = dt with findroot, the
+    # Stumpff functions in closed trigonometric form (both orbits are
+    # bound), and applies the f and g functions there.
+    @pytest.mark.parametrize(
+        "start, want",
+        [
+            (
+                (0.11882839647950139, 0.22961216025334252,
+                 -0.38774738497643213, 1.0526678932833606),
+                (0.06171089424306873, 0.0017836457538056901,
+                 3.625109138513078, 3.574478472706728),
+            ),
+            (
+                (-0.6227568720615579, -0.43011418126697976,
+                 -1.0990575104679527, -0.047444848184317046),
+                (-0.18872117619442483, 0.27477061793355995,
+                 2.0432616775467523, -0.626610431826193),
+            ),
+        ],
+    )
+    def test_long_flight_against_high_precision_reference(self, start, want):
+        got = propagate_analytic(PlanarState(*start), 1000.0, SystemParams(m=1.0))
+        for x, w in zip(got.as_array(), want):
+            assert abs(x - w) <= 1e-10 * max(1.0, abs(w))
 
     def test_conserves_all_integrals(self, rng):
         params = SystemParams(m=1.0)
