@@ -172,8 +172,10 @@ def solve_kepler_equation(mean_anomaly: float, e: float) -> float:
     From a pericentre (sigma0 = 0) at unit mean motion the flight time t(s)
     is the anomaly equation itself, and s the anomaly: s - e sin s for
     alpha = 1, r0 = 1 - e, m = 1; s + s^3/3 for alpha = 0, r0 = 1, m = 2;
-    e sinh s - s for alpha = -1, r0 = e - 1, m = 1. The residual of that
-    equation is about 1e-14 max(1, |M|).
+    e sinh s - s for alpha = -1, r0 = e - 1, m = 1. An ellipse's anomaly
+    gains 2 pi per turn, so there M is reduced to [-pi, pi) and the turns
+    added back: its residual is about 1e-14 plus the rounding of M; that of
+    the other two is about 1e-14 max(1, |M|).
     """
     if e < 0.0:
         raise ValueError("eccentricity must be >= 0")
@@ -181,7 +183,10 @@ def solve_kepler_equation(mean_anomaly: float, e: float) -> float:
         alpha, r0, m = 0.0, 1.0, 2.0
     else:
         alpha, r0, m = math.copysign(1.0, 1.0 - e), abs(1.0 - e), 1.0
-    return _solve_flight(r0, 0.0, alpha, m, mean_anomaly)[0]
+    turns = 0.0
+    if e < 1.0:
+        turns = 2.0 * math.pi * math.floor((mean_anomaly + math.pi) / (2.0 * math.pi))
+    return turns + _solve_flight(r0, 0.0, alpha, m, mean_anomaly - turns)[0]
 
 
 def crossing_root(alpha: float, c: float, P: float, Q: float) -> Optional[float]:

@@ -85,6 +85,15 @@ class TestKeplerEquation:
         E = solve_kepler_equation(M, e)
         assert abs(E - e * math.sin(E) - M) <= 1e-13
 
+    @pytest.mark.parametrize("e", [0.3, 0.9, 0.999, 1.0 - 1e-9, 1.0 - 1e-12])
+    def test_elliptic_residuals_at_large_mean_anomaly(self, e):
+        # the ellipse is solved on M reduced to [-pi, pi), so the residual
+        # stays at the rounding of M; (E - M) is exact, as |E - M| <= e
+        Ms = np.random.default_rng(11).uniform(-1e5, 1e5, size=60)
+        for M in [-1e3, 1e3, *Ms]:
+            E = solve_kepler_equation(M, e)
+            assert abs((E - M) - e * math.sin(E)) <= 4.0 * math.ulp(M), M
+
     @pytest.mark.parametrize("e", [1.0 + 1e-12, 1.0 + 1e-9, 1.5, 5.0])
     @pytest.mark.parametrize("M", [-20.0, -1.0, 0.0, 0.4, 2.0, 50.0])
     def test_hyperbolic_residuals(self, e, M):
