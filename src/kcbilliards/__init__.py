@@ -10,9 +10,7 @@ line-wall billiard invariant D = L^2 - 2 h A_eta.
 from .billiard import (
     BilliardRun,
     Escape,
-    Hit,
     HitOutcome,
-    Tangency,
     billiard_map,
     next_hit_analytic_line,
     next_hit_numeric,
@@ -30,6 +28,7 @@ from .errors import (
     BilliardError,
     CollisionInsideInterval,
     ConfigError,
+    DynamicsError,
     InconsistentWall,
     NegativeRadius,
     NonConvergence,

@@ -12,7 +12,10 @@ bounce; the production map never integrates a regularized field.
 
 Both maps share one rule for a start on the wall: a start moving out of
 the domain (normal speed above TANGENCY_REL of the speed) is reflected at
-once, as a Hit at t = 0 with state_in equal to the start.
+once, as a bounce at t = 0 with state_in equal to the start.
+
+A leg returns the BounceRecord of its hit, whose tangent flag marks a
+graze (the map acts as the identity there), or an Escape.
 """
 
 from __future__ import annotations
@@ -26,12 +29,11 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import (
-    BilliardError,
     CollisionInsideInterval,
+    DynamicsError,
     NotOnWall,
     PerturbedModel,
     PoleSingularity,
-    SingularPosition,
     StepFailure,
     Undetermined,
 )
@@ -77,23 +79,11 @@ _EXACT_WALLS = (PLANAR_LINE, PLANAR_CENTERED_CIRCLE)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Hit:
-    record: BounceRecord
-
-
-@dataclass(frozen=True)
 class Escape:
     reason: str
 
 
-@dataclass(frozen=True)
-class Tangency:
-    """Grazing hit; the map acts as the identity there."""
-
-    record: BounceRecord
-
-
-HitOutcome = Union[Hit, Escape, Tangency]
+HitOutcome = Union[BounceRecord, Escape]
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +215,8 @@ def _spherical_record(
     )
 
 
-def _outward_start(state, params: SystemParams, wall: Wall) -> Optional[Hit]:
-    """Zero-time Hit for a start on the wall moving out of the domain.
+def _outward_start(state, params: SystemParams, wall: Wall) -> Optional[BounceRecord]:
+    """Zero-time bounce for a start on the wall moving out of the domain.
 
     Returns None when the start is off the wall (beyond the reflect
     tolerance), moves into the domain, or grazes it (normal speed at most
@@ -236,19 +226,17 @@ def _outward_start(state, params: SystemParams, wall: Wall) -> Optional[Hit]:
         return None
     if _normal_velocity(state, wall) >= -TANGENCY_REL * state.speed:
         return None
-    record = _planar_record if isinstance(state, PlanarState) else _spherical_record
-    return Hit(record(0.0, state, params, wall))
+    return _hit_or_tangency(0.0, state, params, wall)
 
 
 def _hit_or_tangency(
     t_hit: float, state_in, params: SystemParams, wall: Wall
-) -> HitOutcome:
-    """Tangency when the normal speed at the hit is at most TANGENCY_REL
-    of the speed, else Hit."""
+) -> BounceRecord:
+    """The bounce record at a hit, tangent when the normal speed there is at
+    most TANGENCY_REL of the speed."""
     tangent = abs(_normal_velocity(state_in, wall)) <= TANGENCY_REL * state_in.speed
     record = _planar_record if isinstance(state_in, PlanarState) else _spherical_record
-    rec = record(t_hit, state_in, params, wall, tangent=tangent)
-    return Tangency(rec) if tangent else Hit(rec)
+    return record(t_hit, state_in, params, wall, tangent=tangent)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +260,7 @@ def next_hit_analytic_line(
     the f and g functions. Radial, circular and near-parabolic legs take
     the same path; a radial leg passes the center by the elastic bounce.
     A crossing at the center itself is no hit (the center is removed from
-    the wall), and a start on the wall moving out of the domain is a Hit
+    the wall), and a start on the wall moving out of the domain bounces
     at t = 0. Agrees with the numerical hit search to 1e-8.
 
     Raises:
@@ -373,7 +361,7 @@ def next_hit_numeric(
 
     - A start on the wall (within the reflect tolerance) moving out of the
       domain, with normal speed above TANGENCY_REL of the speed, is
-      reflected at once: a Hit at t = 0 whose state_in is the start and
+      reflected at once: a bounce at t = 0 whose state_in is the start and
       whose state_out is reflect(start). The exact planar map obeys the same
       rule; grazing starts are left to the search.
     - A radial spherical orbit aimed at the attracting center
@@ -515,9 +503,9 @@ def _pericentre_leg(
         if planar_energy(state, params.m) < 0.0:
             raise Undetermined("bound near-radial orbit that never meets the wall")
         return out
-    if out.record.t_hit < t_peri:
+    if out.t_hit < t_peri:
         return None
-    if out.record.t_hit > t_max:
+    if out.t_hit > t_max:
         raise Undetermined(f"no hit within t_max = {t_max}")
     return out
 
@@ -633,29 +621,20 @@ def _spherical_radial_hit(
 class BilliardRun:
     """Result of iterating the billiard map.
 
-    outcome is "completed", "escape" or "tangency", or, when a leg raised,
-    "undetermined", "step-failure", "pole-singularity" or
-    "singular-position"; error then holds that error, and records the
-    bounces computed before the failed leg.
+    outcome is "completed", "escape" or "tangency", or, when a leg raised
+    a DynamicsError, that error's outcome ("undetermined", "step-failure",
+    "pole-singularity" or "singular-position"); error then holds that
+    error, and records the bounces computed before the failed leg.
     """
 
     records: List[BounceRecord]
     outcome: str
     final_state: object
-    error: Optional[BilliardError] = None
+    error: Optional[DynamicsError] = None
 
     @property
     def n_bounces(self) -> int:
         return len(self.records)
-
-
-# the errors that end a run but keep its bounces, with their outcome names
-_RUN_ERRORS = {
-    Undetermined: "undetermined",
-    StepFailure: "step-failure",
-    PoleSingularity: "pole-singularity",
-    SingularPosition: "singular-position",
-}
 
 
 def billiard_map(
@@ -671,9 +650,8 @@ def billiard_map(
     Every bounce record carries the full integral set on both sides and
     an absolute hit time. ``mode="analytic"`` takes the exact hit of
     :func:`next_hit_analytic_line`: it requires a planar wall (line or
-    centered circle) and beta = 0. A leg that raises Undetermined, StepFailure,
-    PoleSingularity or SingularPosition ends the run with that outcome
-    and keeps the bounces before it.
+    centered circle) and beta = 0. A leg that raises a DynamicsError ends
+    the run with that error's outcome and keeps the bounces before it.
     """
     if mode not in ("numeric", "analytic"):
         raise ValueError("mode must be 'numeric' or 'analytic'")
@@ -690,22 +668,21 @@ def billiard_map(
                 out = next_hit_analytic_line(current, model.params, model.wall)
             else:
                 out = next_hit_numeric(current, model, integ, t_max=t_max_per_leg)
-        except tuple(_RUN_ERRORS) as exc:
-            outcome, error = _RUN_ERRORS[type(exc)], exc
+        except DynamicsError as exc:
+            outcome, error = exc.outcome, exc
             break
         if isinstance(out, Escape):
             outcome = "escape"
             break
-        rec = out.record
-        clock += rec.t_hit
+        clock += out.t_hit
         # a direct call: dataclasses.replace costs twice as much on this hot path
         records.append(BounceRecord(
-            t_hit=clock, state_in=rec.state_in, state_out=rec.state_out,
-            integrals_in=rec.integrals_in, integrals_out=rec.integrals_out,
-            tangent=rec.tangent,
+            t_hit=clock, state_in=out.state_in, state_out=out.state_out,
+            integrals_in=out.integrals_in, integrals_out=out.integrals_out,
+            tangent=out.tangent,
         ))
-        current = rec.state_out
-        if isinstance(out, Tangency):
+        current = out.state_out
+        if out.tangent:
             outcome = "tangency"
             break
     return BilliardRun(records=records, outcome=outcome, final_state=current, error=error)

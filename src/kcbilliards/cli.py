@@ -27,10 +27,9 @@ from .billiard import billiard_map
 from .errors import (
     BilliardError,
     ConfigError,
-    PoleSingularity,
+    DynamicsError,
     SingularPosition,
     StepFailure,
-    Undetermined,
 )
 from .integrals import integral_set
 from .model import (
@@ -118,7 +117,7 @@ def cmd_simulate(args) -> int:
                     for t, s in zip(tss, states)]
             out_io.write_spherical_trajectory(traj_path, rows)
             drift_cols = {"E_sph": [r[7] for r in rows]}
-        out_io.write_bounces(bounce_path, [])
+        out_io.write_bounces(bounce_path, [], cfg.model.domain)
         summary = {
             "outcome": "flow",
             "n_bounces": 0,
@@ -155,7 +154,7 @@ def cmd_simulate(args) -> int:
         e_series = [r.integrals_in.E_pl for r in records]
         d_series = [r.integrals_in.D for r in records]
         es_series = [e_sph0] + [r.integrals_in.E_sph for r in records]
-    out_io.write_bounces(bounce_path, records)
+    out_io.write_bounces(bounce_path, records, cfg.model.domain)
     summary = {
         "outcome": run.outcome,
         "n_bounces": run.n_bounces,
@@ -189,7 +188,7 @@ def cmd_project(args) -> int:
     if args.direction == "plane-to-sphere":
         if header[:5] != ["t", "xi", "eta", "xi_dot", "eta_dot"]:
             raise ConfigError("input does not look like a planar trajectory CSV")
-        for i, row in enumerate(rows):
+        for row in rows:
             s = PlanarState(row[1], row[2], row[3], row[4])
             sp = planar_to_sphere(s, params)
             out_rows.append(
@@ -204,9 +203,6 @@ def cmd_project(args) -> int:
                 sp = SphericalState.project(row[1:4], row[4:7])
                 s = sphere_to_planar(sp, params)
             except BilliardError:
-                bad.append(i)
-                continue
-            if sp.q[2] >= 0.0:
                 bad.append(i)
                 continue
             out_rows.append(
@@ -293,7 +289,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (Undetermined, StepFailure, SingularPosition, PoleSingularity) as exc:
+    except DynamicsError as exc:
         print(f"dynamics error: {exc}", file=sys.stderr)
         return 3
     except BilliardError as exc:

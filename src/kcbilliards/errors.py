@@ -21,10 +21,6 @@ class InconsistentWall(ConfigError):
     """Wall geometry does not match the system parameters (line level != h(a))."""
 
 
-class SingularPosition(BilliardError):
-    """Position too close to the force center for the field to be evaluated."""
-
-
 class PerturbedModel(BilliardError):
     """Operation requires the unperturbed (beta = 0) Kepler-Coulomb field."""
 
@@ -35,10 +31,6 @@ class NonConvergence(BilliardError):
 
 class CollisionInsideInterval(BilliardError):
     """Analytic propagation interval contains a collision with the center."""
-
-
-class PoleSingularity(BilliardError):
-    """Spherical state too close to a force pole."""
 
 
 class NotInSouthHemisphere(BilliardError):
@@ -53,12 +45,35 @@ class NotOnWall(BilliardError):
     """Reflection requested for a state not on the wall."""
 
 
-class Undetermined(BilliardError):
+class DynamicsError(BilliardError):
+    """An error that ends a run and keeps the bounces computed before it;
+    each subclass names that run's outcome."""
+
+    outcome: str
+
+
+class Undetermined(DynamicsError):
     """Hit search exhausted t_max without a hit or an escape certificate."""
 
+    outcome = "undetermined"
 
-class StepFailure(BilliardError):
+
+class StepFailure(DynamicsError):
     """The ODE integrator failed to meet its tolerance."""
+
+    outcome = "step-failure"
+
+
+class PoleSingularity(DynamicsError):
+    """Spherical state too close to a force pole."""
+
+    outcome = "pole-singularity"
+
+
+class SingularPosition(DynamicsError):
+    """Position too close to the force center for the field to be evaluated."""
+
+    outcome = "singular-position"
 
 
 class OriginSingularity(BilliardError):

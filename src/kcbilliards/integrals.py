@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .model import IntegralSet, PlanarState, SystemParams
 
 
@@ -89,49 +87,3 @@ def integral_set(s: PlanarState, params: SystemParams) -> IntegralSet:
         E_sph=spherical_energy_chart(s, params.m, params.a),
     )
 
-
-def integral_gradients(s: PlanarState, m: float, h: float, a: float) -> dict:
-    """Analytic gradients of each integral w.r.t. (xi, eta, xi_dot, eta_dot).
-
-    Used only as a cross-check against finite differences.
-    """
-    xi, eta, xd, ed = s.xi, s.eta, s.xi_dot, s.eta_dot
-    r = s.r
-    r3 = r * r * r
-    lam = xi * ed - eta * xd
-
-    g_E = np.array([m * xi / r3, m * eta / r3, xd, ed])
-    g_L = np.array([ed, -xd, -eta, xi])
-    # A_xi = L*ed - m*xi/r ; d(xi/r)/dxi = eta^2/r^3, d(xi/r)/deta = -xi*eta/r^3
-    g_Axi = np.array(
-        [
-            ed * ed - m * eta * eta / r3,
-            -xd * ed + m * xi * eta / r3,
-            -eta * ed,
-            xi * ed + lam,
-        ]
-    )
-    # A_eta = -L*xd - m*eta/r
-    g_Aeta = np.array(
-        [
-            -ed * xd + m * xi * eta / r3,
-            xd * xd - m * xi * xi / r3,
-            eta * xd - lam,
-            -xi * xd,
-        ]
-    )
-    g_D = 2.0 * lam * g_L - 2.0 * h * g_Aeta
-    # E_sph gradient via the identity with h(a); valid because the chart
-    # expression and (1+a^2)(E_pl + D/2) agree identically as state functions.
-    one_a2 = 1.0 + a * a
-    ha = -a / math.sqrt(one_a2)
-    g_Da = 2.0 * lam * g_L - 2.0 * ha * g_Aeta
-    g_Esph = one_a2 * (g_E + 0.5 * g_Da)
-    return {
-        "E_pl": g_E,
-        "L": g_L,
-        "A_xi": g_Axi,
-        "A_eta": g_Aeta,
-        "D": g_D,
-        "E_sph": g_Esph,
-    }

@@ -11,7 +11,7 @@ import json
 import math
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .model import BounceRecord, PlanarState, Wall
+from .model import BounceRecord, Wall
 from .model import PLANAR_CENTERED_CIRCLE, PLANAR_LINE
 
 PLANAR_HEADER = "t,xi,eta,xi_dot,eta_dot,E_pl,L,A_eta,D,E_sph"
@@ -46,9 +46,10 @@ def write_spherical_trajectory(path: str, rows: Sequence[Sequence[float]]):
     write_rows(path, SPHERICAL_HEADER, rows)
 
 
-def write_bounces(path: str, records: Sequence[BounceRecord]):
-    """Bounce table; schema depends on the record state type."""
-    planar = not records or isinstance(records[0].state_in, PlanarState)
+def write_bounces(path: str, records: Sequence[BounceRecord], domain: str):
+    """Bounce table in the schema of the run's domain, "planar" or
+    "spherical" (a run without bounces still gets its own header)."""
+    planar = domain == "planar"
     rows = []
     for i, rec in enumerate(records):
         si, so, ii, io_ = rec.state_in, rec.state_out, rec.integrals_in, rec.integrals_out

@@ -24,7 +24,7 @@ from .errors import (
     PerturbedModel,
     SingularPosition,
 )
-from .integrals import angular_momentum, planar_energy
+from .integrals import angular_momentum
 from .model import PlanarState, SystemParams
 
 R_MIN = 1e-12
@@ -275,12 +275,3 @@ def propagate_analytic(state: PlanarState, dt: float, params: SystemParams) -> P
     sigma0 = state.xi * state.xi_dot + state.eta * state.eta_dot
     _, g = _solve_flight(r0, sigma0, 2.0 * m / r0 - state.speed**2, m, dt)
     return universal_state(state, m, dt, g)
-
-
-def kepler_period(state: PlanarState, m: float) -> Optional[float]:
-    """Orbital period for bound motion (m > 0, E < 0); None otherwise."""
-    E = planar_energy(state, m)
-    if m <= 0.0 or E >= 0.0:
-        return None
-    a = -m / (2.0 * E)
-    return 2.0 * math.pi * math.sqrt(a**3 / m)

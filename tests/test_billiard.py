@@ -10,8 +10,6 @@ import kcbilliards.billiard
 from kcbilliards.billiard import (
     ON_WALL_TOL,
     Escape,
-    Hit,
-    Tangency,
     billiard_map,
     next_hit_analytic_line,
     next_hit_numeric,
@@ -21,6 +19,7 @@ from kcbilliards.billiard import (
 from kcbilliards.errors import NotOnWall, PerturbedModel, PoleSingularity, Undetermined
 from kcbilliards.integrals import angular_momentum, planar_energy
 from kcbilliards.model import (
+    BounceRecord,
     IntegratorConfig,
     PlanarState,
     SphericalState,
@@ -40,6 +39,11 @@ from kcbilliards.spherical import planar_to_sphere, spherical_energy_embedded
 S3 = math.sqrt(3.0)
 FAST = IntegratorConfig(rtol=1e-12, atol=1e-12)
 TIGHT = IntegratorConfig(rtol=1e-13, atol=1e-13)
+
+
+def is_hit(out):
+    """A leg outcome that is a bounce and not a graze."""
+    return isinstance(out, BounceRecord) and not out.tangent
 
 
 def circle_wall_params():
@@ -173,16 +177,16 @@ class TestAnalyticLineHit:
         params, wall = circle_wall_params()
         s = PlanarState(S3 / 2, -0.5, 0.5, S3 / 2)
         out = next_hit_analytic_line(s, params, wall)
-        assert isinstance(out, Hit)
+        assert is_hit(out)
         np.testing.assert_allclose(
-            out.record.state_in.as_array(),
+            out.state_in.as_array(),
             [-S3 / 2, -0.5, 0.5, -S3 / 2],
             atol=1e-12,
         )
-        assert out.record.t_hit == pytest.approx(2.0 * math.pi * 2.0 / 3.0)
+        assert out.t_hit == pytest.approx(2.0 * math.pi * 2.0 / 3.0)
         # reflection flips the normal component
         np.testing.assert_allclose(
-            out.record.state_out.as_array(),
+            out.state_out.as_array(),
             [-S3 / 2, -0.5, 0.5, S3 / 2],
             atol=1e-12,
         )
@@ -219,10 +223,10 @@ class TestAnalyticLineHit:
         s0 = PlanarState(xi, eta, xd, ed)
         assert abs(planar_energy(s0, 1.0)) < 1e-14
         out = next_hit_analytic_line(s0, params, wall)
-        assert isinstance(out, (Tangency, Escape))
-        if isinstance(out, Tangency):
-            assert abs(out.record.state_in.eta_dot) <= 1e-8 * out.record.state_in.speed
-            assert out.record.state_out == out.record.state_in
+        assert isinstance(out, Escape) or out.tangent
+        if not isinstance(out, Escape):
+            assert abs(out.state_in.eta_dot) <= 1e-8 * out.state_in.speed
+            assert out.state_out == out.state_in
 
     def test_circular_grazing_is_tangent(self):
         # circle of radius |h| touches the wall line at exactly one point
@@ -231,10 +235,8 @@ class TestAnalyticLineHit:
         r = abs(params.h)
         v_c = math.sqrt(1.0 / r)
         s0 = PlanarState(r, 0.0, 0.0, v_c)
-        out = next_hit_analytic_line(s0, params, wall)
-        assert isinstance(out, Tangency)
-        rec = out.record
-        assert rec.tangent
+        rec = next_hit_analytic_line(s0, params, wall)
+        assert isinstance(rec, BounceRecord) and rec.tangent
         assert rec.state_out == rec.state_in  # map acts as the identity
         assert rec.state_in.eta == pytest.approx(params.h, abs=1e-12)
 
@@ -246,8 +248,8 @@ class TestAnalyticLineHit:
         r = abs(params.h)
         s0 = PlanarState(0.0, params.h, math.sqrt(1.0 / r), 0.0)
         out = next_hit_analytic_line(s0, params, wall)
-        assert isinstance(out, Tangency)
-        assert out.record.t_hit == pytest.approx(2.0 * math.pi * r**1.5, rel=1e-12)
+        assert isinstance(out, BounceRecord) and out.tangent
+        assert out.t_hit == pytest.approx(2.0 * math.pi * r**1.5, rel=1e-12)
 
     def test_repulsive_escape(self):
         params = SystemParams(m=-1.0, a=1.0)
@@ -262,10 +264,10 @@ class TestAnalyticLineHit:
         wall = Wall.line(params.h, side=1)
         s = PlanarState(0.0, params.h, 0.05, 0.4)
         out = next_hit_analytic_line(s, params, wall)
-        assert isinstance(out, Hit)
-        want = ode_propagate(s, out.record.t_hit, params)
+        assert is_hit(out)
+        want = ode_propagate(s, out.t_hit, params)
         np.testing.assert_allclose(
-            out.record.state_in.as_array(), want.as_array(), atol=1e-9
+            out.state_in.as_array(), want.as_array(), atol=1e-9
         )
 
     def test_radial_orbit_bounces_through_center(self):
@@ -279,9 +281,8 @@ class TestAnalyticLineHit:
         s = PlanarState(0.3, params.h, -speed * qhat[0], -speed * qhat[1])
         t_c = pericentre_time(s, 1.0)
         assert t_c is not None and t_c > 0.0
-        out = next_hit_analytic_line(s, params, wall)
-        assert isinstance(out, Hit)
-        rec = out.record
+        rec = next_hit_analytic_line(s, params, wall)
+        assert is_hit(rec)
         assert rec.t_hit == pytest.approx(2.0 * t_c, rel=1e-10)
         np.testing.assert_allclose(
             rec.state_in.as_array(),
@@ -314,13 +315,13 @@ class TestAnalyticLineHit:
         s = PlanarState(0.5, 0.0, 0.3, -1.6)
         out_a = next_hit_analytic_line(s, params, wall)
         out_n = next_hit_numeric(s, validate_config(params, wall), FAST)
-        assert isinstance(out_a, Hit) and isinstance(out_n, Hit)
-        assert out_a.record.state_in.eta_dot > 0.0
+        assert is_hit(out_a) and is_hit(out_n)
+        assert out_a.state_in.eta_dot > 0.0
         np.testing.assert_allclose(
-            out_a.record.state_in.as_array(), out_n.record.state_in.as_array(),
+            out_a.state_in.as_array(), out_n.state_in.as_array(),
             atol=1e-8,
         )
-        assert out_a.record.t_hit == pytest.approx(out_n.record.t_hit, abs=1e-8)
+        assert out_a.t_hit == pytest.approx(out_n.t_hit, abs=1e-8)
 
     def test_near_radial_start_is_not_its_own_hit(self):
         # |L| ~ 7e-5: the conic root at the start point carries a time of
@@ -333,9 +334,9 @@ class TestAnalyticLineHit:
         )
         out_a = next_hit_analytic_line(s, params, wall)
         out_n = next_hit_numeric(s, validate_config(params, wall), FAST)
-        assert isinstance(out_a, Hit) and isinstance(out_n, Hit)
-        assert out_a.record.state_in.eta_dot > 0.0
-        assert out_a.record.t_hit == pytest.approx(out_n.record.t_hit, abs=1e-6)
+        assert is_hit(out_a) and is_hit(out_n)
+        assert out_a.state_in.eta_dot > 0.0
+        assert out_a.t_hit == pytest.approx(out_n.t_hit, abs=1e-6)
 
     def test_near_radial_hit_velocity_keeps_energy(self):
         # a thin ellipse (|L| ~ 1e-5 at the hit): dividing A + m q_hat by L
@@ -347,12 +348,12 @@ class TestAnalyticLineHit:
         )
         out_a = next_hit_analytic_line(s, params, wall)
         out_n = next_hit_numeric(s, validate_config(params, wall), FAST)
-        assert isinstance(out_a, Hit) and isinstance(out_n, Hit)
+        assert is_hit(out_a) and is_hit(out_n)
         np.testing.assert_allclose(
-            out_a.record.state_in.as_array(), out_n.record.state_in.as_array(),
+            out_a.state_in.as_array(), out_n.state_in.as_array(),
             atol=1e-8,
         )
-        assert out_a.record.t_hit == pytest.approx(out_n.record.t_hit, abs=1e-8)
+        assert out_a.t_hit == pytest.approx(out_n.t_hit, abs=1e-8)
 
     def test_perturbed_rejected(self):
         params = SystemParams(m=1.0, a=1.0, beta=0.1)
@@ -370,17 +371,16 @@ class TestAnalyticLineHit:
         L = angular_momentum(s)
         assert abs(L) > 0  # generic state, sanity
         out = next_hit_analytic_line(s, params, wall)
-        assert isinstance(out, (Hit, Escape))
+        assert isinstance(out, (BounceRecord, Escape))
 
 
 def exact_numeric_gap(s, params, wall):
     """Relative time gap and largest state gap of the exact and numeric hits."""
     out_a = next_hit_analytic_line(s, params, wall)
     out_n = next_hit_numeric(s, validate_config(params, wall), TIGHT)
-    assert isinstance(out_a, Hit) and isinstance(out_n, Hit)
-    ra, rn = out_a.record, out_n.record
-    gap = np.abs(ra.state_in.as_array() - rn.state_in.as_array())
-    return abs(ra.t_hit - rn.t_hit) / max(1.0, rn.t_hit), float(np.max(gap))
+    assert is_hit(out_a) and is_hit(out_n)
+    gap = np.abs(out_a.state_in.as_array() - out_n.state_in.as_array())
+    return abs(out_a.t_hit - out_n.t_hit) / max(1.0, out_n.t_hit), float(np.max(gap))
 
 
 class TestExactHitEdgeOrbits:
@@ -410,9 +410,8 @@ class TestExactHitEdgeOrbits:
         params = SystemParams(m=1.0, a=0.5)
         wall = Wall.line(params.h, side=-1)
         s = PlanarState(0.6, -0.8944271909999159, -0.18, 0.2683281572999747)
-        out = next_hit_analytic_line(s, params, wall)
-        assert isinstance(out, Hit)
-        rec = out.record
+        rec = next_hit_analytic_line(s, params, wall)
+        assert is_hit(rec)
         assert rec.state_in.xi == pytest.approx(params.h * s.xi / s.eta, abs=1e-12)
         want = ode_propagate(s, rec.t_hit, params, rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(rec.state_in.as_array(), want.as_array(), atol=1e-10)
@@ -519,9 +518,9 @@ class TestNumericHit:
         model = validate_config(params, wall)
         s = PlanarState(S3 / 2, -0.5, 0.5, S3 / 2)
         out = next_hit_numeric(s, model, FAST)
-        assert isinstance(out, Hit)
+        assert is_hit(out)
         np.testing.assert_allclose(
-            out.record.state_in.as_array(),
+            out.state_in.as_array(),
             [-S3 / 2, -0.5, 0.5, -S3 / 2],
             atol=1e-8,
         )
@@ -532,9 +531,9 @@ class TestNumericHit:
         model = validate_config(params, wall)
         s = PlanarState(0.5, params.h, 0.3, -0.8)
         out = next_hit_numeric(s, model, FAST)
-        assert isinstance(out, Hit)
+        assert is_hit(out)
         assert abs(wall_signed_distance(
-            (out.record.state_in.xi, out.record.state_in.eta), wall
+            (out.state_in.xi, out.state_in.eta), wall
         )) < 1e-10
 
     def test_escape_certificate_repulsive(self):
@@ -553,9 +552,9 @@ class TestNumericHit:
         qhat = np.array([0.3, params.h]) / r0
         s = PlanarState(0.3, params.h, -0.5 * qhat[0], -0.5 * qhat[1])
         out = next_hit_numeric(s, model, FAST)
-        assert isinstance(out, Hit)
+        assert is_hit(out)
         np.testing.assert_allclose(
-            out.record.state_in.as_array(),
+            out.state_in.as_array(),
             [0.3, params.h, 0.5 * qhat[0], 0.5 * qhat[1]],
             atol=1e-10,
         )
@@ -570,11 +569,11 @@ class TestNumericHit:
         s = PlanarState(-3.758216991712641e-05, -0.08502305769733931,
                         0.0022278365136227593, 5.0400820550527285)
         out = next_hit_numeric(s, validate_config(params, wall), integ)
-        assert isinstance(out, Hit)
-        assert out.record.t_hit == pytest.approx(0.24989, abs=1e-5)
+        assert is_hit(out)
+        assert out.t_hit == pytest.approx(0.24989, abs=1e-5)
         exact = next_hit_analytic_line(s, params, wall)
-        assert out.record.t_hit == exact.record.t_hit
-        assert out.record.state_in == exact.record.state_in
+        assert out.t_hit == exact.t_hit
+        assert out.state_in == exact.state_in
 
     @pytest.mark.parametrize("p_over_r", [1e-9, 1e-6])
     def test_near_radial_leg_at_loose_tolerance_takes_the_exact_hit(self, p_over_r):
@@ -589,8 +588,8 @@ class TestNumericHit:
         loose = IntegratorConfig(rtol=1e-8, atol=1e-8)
         out = next_hit_numeric(s, validate_config(params, wall), loose)
         exact = next_hit_analytic_line(s, params, wall)
-        assert isinstance(out, Hit)
-        assert out.record.state_in == exact.record.state_in
+        assert is_hit(out)
+        assert out.state_in == exact.state_in
 
     def test_near_radial_leg_meeting_the_wall_first_is_integrated(self, monkeypatch):
         # L^2/(m r) ~ 6e-9, but the wall lies between the start and the
@@ -609,7 +608,7 @@ class TestNumericHit:
 
         monkeypatch.setattr(kcbilliards.billiard, "solve_ivp", counting_solve_ivp)
         out = next_hit_numeric(s, validate_config(params, wall), FAST)
-        assert isinstance(out, Hit) and calls
+        assert is_hit(out) and calls
 
     def test_near_radial_bound_orbit_missing_the_wall_is_undetermined(self):
         # the exact conic never meets the circle; like an integration that
@@ -626,20 +625,19 @@ class TestNumericHit:
         wall = Wall.centered_circle(10.0, side=-1)
         s = PlanarState(1.0, 0.0, -1.4, 1e-6)
         exact = next_hit_analytic_line(s, params, wall)
-        assert isinstance(exact, Hit) and exact.record.t_hit > 16.0
+        assert is_hit(exact) and exact.t_hit > 16.0
         with pytest.raises(Undetermined):
             next_hit_numeric(s, validate_config(params, wall), FAST, t_max=1.0)
         out = next_hit_numeric(s, validate_config(params, wall), FAST, t_max=20.0)
-        assert out.record.state_in == exact.record.state_in
+        assert out.state_in == exact.state_in
 
     def test_centered_circle_wall(self):
         params = SystemParams(m=1.0, a=0.0)
         wall = Wall.centered_circle(2.0, side=-1)
         model = validate_config(params, wall)
         s = PlanarState(1.0, 0.0, 0.0, 1.2)  # apoapsis beyond the wall
-        out = next_hit_numeric(s, model, FAST)
-        assert isinstance(out, Hit)
-        rec = out.record
+        rec = next_hit_numeric(s, model, FAST)
+        assert is_hit(rec)
         assert rec.state_in.r == pytest.approx(2.0, abs=1e-10)
         assert rec.integrals_out.E_pl == pytest.approx(rec.integrals_in.E_pl)
         assert rec.integrals_out.L == pytest.approx(rec.integrals_in.L, abs=1e-13)
@@ -650,10 +648,10 @@ class TestNumericHit:
         model = validate_config(params, wall)
         s = PlanarState(0.5, params.h, 0.3, -0.8)
         out = next_hit_numeric(s, model, FAST)
-        assert isinstance(out, Hit)
+        assert is_hit(out)
         # flow energy including the centrifugal term is conserved to the hit
         e0 = planar_energy(s, params.m, params.beta)
-        e1 = planar_energy(out.record.state_in, params.m, params.beta)
+        e1 = planar_energy(out.state_in, params.m, params.beta)
         assert abs(e1 - e0) <= 1e-10 * max(1.0, abs(e0))
 
     def test_bound_orbit_short_of_the_circle_is_undetermined(self):
@@ -681,9 +679,9 @@ class TestNumericHit:
         s = PlanarState(r0, 0.0, v_r, v_t)
         exact = next_hit_analytic_line(s, params, model.wall)
         out = next_hit_numeric(s, model, FAST)
-        assert isinstance(out, Hit) and isinstance(exact, Hit)
-        assert out.record.t_hit == pytest.approx(exact.record.t_hit, abs=1e-8)
-        assert abs(out.record.state_in.r - 1.0) <= ON_WALL_TOL
+        assert is_hit(out) and is_hit(exact)
+        assert out.t_hit == pytest.approx(exact.t_hit, abs=1e-8)
+        assert abs(out.state_in.r - 1.0) <= ON_WALL_TOL
 
     def test_line_run_evaluation_count(self, monkeypatch):
         # this run's RHS evaluations with every step capped at a quarter of
@@ -751,6 +749,20 @@ class TestBilliardMap:
         assert run.outcome == "undetermined"
         assert isinstance(run.error, Undetermined)
         assert run.final_state == run.records[0].state_out
+
+    def test_grazing_orbit_ends_in_tangency(self):
+        # the circular orbit of radius -h touches the line after a quarter period
+        params = SystemParams(m=1.0, a=0.5)
+        model = validate_config(params, Wall.line(params.h, side=1))
+        R = -params.h
+        run = billiard_map(PlanarState(R, 0.0, 0.0, -1.0 / math.sqrt(R)), 5, model,
+                           mode="analytic")
+        assert run.outcome == "tangency"
+        assert run.n_bounces == 1
+        rec = run.records[0]
+        assert rec.tangent
+        assert rec.t_hit == pytest.approx(0.5 * math.pi * R**1.5, rel=1e-12)
+        assert run.final_state == rec.state_in
 
     def test_perturbed_d_varies(self):
         params = SystemParams(m=1.0, a=1.0, beta=0.3)
@@ -837,10 +849,10 @@ class TestOnWallStart:
             next_hit_numeric(self.start, self.model, FAST),
         ]
         for out in outs:
-            assert isinstance(out, Hit)
-            assert out.record.t_hit == 0.0
-            assert out.record.state_in == self.start
-            assert out.record.state_out == reflect(self.start, self.wall)
+            assert is_hit(out)
+            assert out.t_hit == 0.0
+            assert out.state_in == self.start
+            assert out.state_out == reflect(self.start, self.wall)
 
     @pytest.mark.parametrize("mode", ["analytic", "numeric"])
     def test_every_hit_leaves_the_domain(self, mode):
@@ -878,9 +890,8 @@ class TestSphericalPoleCollision:
         q = np.array([1.0, 0.0, 0.0])
         v = np.array([0.0, 0.0, -0.4])  # along the meridian, toward the pole
         s0 = SphericalState(q, v)
-        out = next_hit_numeric(s0, model, FAST, t_max=100.0)
-        assert isinstance(out, Hit)
-        rec = out.record
+        rec = next_hit_numeric(s0, model, FAST, t_max=100.0)
+        assert is_hit(rec)
         np.testing.assert_allclose(rec.state_in.q, q, atol=1e-6)
         np.testing.assert_allclose(rec.state_in.v, -v, atol=1e-6)
         e0 = spherical_energy_embedded(s0, params)
@@ -917,10 +928,10 @@ class TestSphericalPoleCollision:
         model = validate_config(params, wall)
         s0 = SphericalState(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, -0.4]))
         out = next_hit_numeric(s0, model, FAST, t_max=100.0)
-        assert isinstance(out, Hit)
-        assert out.record.t_hit == 0.0
-        np.testing.assert_array_equal(out.record.state_in.v, s0.v)
-        np.testing.assert_array_equal(out.record.state_out.v, reflect(s0, wall).v)
+        assert is_hit(out)
+        assert out.t_hit == 0.0
+        np.testing.assert_array_equal(out.state_in.v, s0.v)
+        np.testing.assert_array_equal(out.state_out.v, reflect(s0, wall).v)
 
     @staticmethod
     def _radial_setup(thdot0, theta_wall):
@@ -942,7 +953,7 @@ class TestSphericalPoleCollision:
         params, att, e, wall, s0 = self._radial_setup(2.0, 1.2)
         model = validate_config(params, wall)
         out = next_hit_numeric(s0, model, FAST)
-        assert isinstance(out, Hit)
+        assert is_hit(out)
         m_prime = params.m_prime
 
         def rhs(t, y):
@@ -960,16 +971,16 @@ class TestSphericalPoleCollision:
         sol = solve_ivp(rhs, (0.0, 10.0), s0.as_array(), method="DOP853",
                         rtol=1e-13, atol=1e-13, events=g)
         assert sol.t_events[0].size
-        assert out.record.t_hit == pytest.approx(sol.t_events[0][0], rel=1e-9)
+        assert out.t_hit == pytest.approx(sol.t_events[0][0], rel=1e-9)
         np.testing.assert_allclose(
-            out.record.state_in.as_array(), sol.y_events[0][0], atol=1e-8
+            out.state_in.as_array(), sol.y_events[0][0], atol=1e-8
         )
 
     def test_radial_orbit_through_pole_matches_fall_time(self):
         params, att, e, wall, s0 = self._radial_setup(-2.0, 1.2)
         model = validate_config(params, wall)
         out = next_hit_numeric(s0, model, FAST)
-        assert isinstance(out, Hit)
+        assert is_hit(out)
         mu = abs(params.m_prime)
         energy = spherical_energy_embedded(s0, params)
 
@@ -981,18 +992,18 @@ class TestSphericalPoleCollision:
             return val
 
         # down to the pole, bounce, out to the wall
-        assert out.record.t_hit == pytest.approx(fall(0.6) + fall(1.2), rel=1e-10)
+        assert out.t_hit == pytest.approx(fall(0.6) + fall(1.2), rel=1e-10)
         thdot = math.sqrt(2.0 * (energy + mu / math.tan(1.2)))
         np.testing.assert_allclose(
-            out.record.state_in.q, math.cos(1.2) * att + math.sin(1.2) * e,
+            out.state_in.q, math.cos(1.2) * att + math.sin(1.2) * e,
             atol=1e-14,
         )
         np.testing.assert_allclose(
-            out.record.state_in.v,
+            out.state_in.v,
             thdot * (math.cos(1.2) * e - math.sin(1.2) * att),
             atol=1e-13,
         )
-        assert abs(out.record.integrals_in.E_sph - energy) <= 1e-13
+        assert abs(out.integrals_in.E_sph - energy) <= 1e-13
 
     def test_radial_orbit_short_of_the_wall_is_undetermined(self):
         # turning point cot(theta_max) = -E/|m'| lies inside the wall

@@ -7,7 +7,7 @@ import pytest
 
 from kcbilliards.cli import main
 from kcbilliards.integrals import integral_set
-from kcbilliards.io import PLANAR_HEADER, SPHERICAL_HEADER, read_csv
+from kcbilliards.io import PLANAR_HEADER, SPHERICAL_BOUNCE_HEADER, SPHERICAL_HEADER, read_csv
 from kcbilliards.model import PlanarState, SystemParams
 
 H1 = -1.0 / math.sqrt(2.0)
@@ -142,7 +142,10 @@ class TestSimulate:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
-    def test_spherical_run(self, tmp_path):
+    @pytest.mark.parametrize("n_bounces", [5, 0])
+    def test_spherical_run(self, tmp_path, n_bounces):
+        # n_bounces = 0 is the spherical flow: 1001 samples and no bounce,
+        # whose bounce table still has the spherical header
         import kcbilliards as kb
 
         params = kb.SystemParams(m=1.0, a=1.0)
@@ -154,7 +157,7 @@ class TestSimulate:
             "wall": {"kind": "spherical-great-circle", "side": -1},
             "initial": {"state": [*s0.q.tolist(), *s0.v.tolist()]},
             "integrator": {"rtol": 1e-11, "atol": 1e-11, "max_step": 1.0},
-            "run": {"n_bounces": 5, "t_max": 50.0},
+            "run": {"n_bounces": n_bounces, "t_max": 50.0},
         }
         cfg = tmp_path / "sph.json"
         write_config(cfg, doc)
@@ -163,9 +166,15 @@ class TestSimulate:
         assert rc == 0
         header, rows = read_csv(out / "trajectory.csv")
         assert ",".join(header) == SPHERICAL_HEADER
+        assert len(rows) == (1001 if n_bounces == 0 else n_bounces + 1)
+        bounce_header, _ = read_csv(out / "bounces.csv")
+        assert ",".join(bounce_header) == SPHERICAL_BOUNCE_HEADER
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["n_bounces"] == 5
-        assert summary["max_drift"]["E_sph"] < 1e-8
+        assert summary["n_bounces"] == n_bounces
+        # the flow passes near the pole every period and, at rtol 1e-11,
+        # loses about 5e-7 of E_sph per passage: only the billiard's drift is bounded
+        if n_bounces:
+            assert summary["max_drift"]["E_sph"] < 1e-8
         for row in rows:  # each row's E_sph is that of its own state, to the bit
             s = kb.SphericalState.from_array(row[1:7])
             assert row[7] == kb.spherical_energy_embedded(s, params)
@@ -342,6 +351,20 @@ class TestDynamicsExitCode:
         _, bounces = read_csv(str(out / "bounces.csv"))
         assert len(bounces) == 1
         assert bounces[0][1] == pytest.approx(3.39732646848734, abs=1e-8)
+
+    def test_flow_into_the_center_returns_three(self, tmp_path, capsys):
+        # a radial fall into the center: the flow integration itself fails
+        # and main reports the dynamics error
+        doc = {
+            "system": {"model": "kepler", "m": 1.0, "a": 0.5, "beta": 0.0},
+            "wall": {"kind": "planar-line", "side": -1},
+            "initial": {"state": [1.0, 0.0, -0.2, 0.0]},
+            "run": {"n_bounces": 0, "t_max": 5.0},
+        }
+        cfg = tmp_path / "fall.json"
+        write_config(cfg, doc)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith("dynamics error: flow integration failed: ")
 
     def test_log_env_smoke(self, tmp_path, billiard_config, monkeypatch):
         monkeypatch.setenv("BILLIARD_LOG", "INFO")

@@ -56,7 +56,7 @@ class TestWriteRows:
         run = billiard_map(PlanarState(0.5, params.h, 0.3, -0.8), 25, model, mode="analytic")
         assert run.n_bounces == 25
         path = tmp_path / "bounces.csv"
-        write_bounces(str(path), run.records)
+        write_bounces(str(path), run.records, "planar")
         expected = PLANAR_BOUNCE_HEADER + "\n" + "".join(
             _format_join(_bounce_values(i, rec, True)) + "\n"
             for i, rec in enumerate(run.records)
@@ -70,7 +70,7 @@ class TestWriteRows:
         records = [_spherical_record(0.5, s, params, wall),
                    _spherical_record(0.75, s, params, wall, tangent=True)]
         path = tmp_path / "bounces.csv"
-        write_bounces(str(path), records)
+        write_bounces(str(path), records, "spherical")
         expected = SPHERICAL_BOUNCE_HEADER + "\n" + "".join(
             _format_join(_bounce_values(i, rec, False)) + "\n"
             for i, rec in enumerate(records)
