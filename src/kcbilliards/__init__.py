@@ -32,7 +32,6 @@ from .errors import (
     InconsistentWall,
     NegativeRadius,
     NonConvergence,
-    NotInSouthHemisphere,
     NotOnWall,
     OriginSingularity,
     PerturbedModel,
@@ -54,7 +53,6 @@ from .integrals import (
 )
 from .model import (
     BounceRecord,
-    ChartState,
     IntegralSet,
     IntegratorConfig,
     Model,
@@ -72,17 +70,11 @@ from .planar import (
     propagate_analytic,
     solve_kepler_equation,
 )
-from .projective import (
-    denormalize_chart,
-    metric2_norm,
-    normalize_chart,
-    plane_plane_project,
-    planar_energy_prenorm,
-)
+from .projective import plane_plane_project
 from .spherical import (
-    chart_to_sphere,
     integrate_spherical,
-    sphere_to_chart,
+    planar_to_sphere,
+    sphere_to_planar,
     spherical_energy_embedded,
 )
 

@@ -112,11 +112,10 @@ def cmd_simulate(args) -> int:
                 cfg.initial, ts, params, rtol=cfg.integrator.rtol,
                 atol=cfg.integrator.atol, max_step=cfg.integrator.max_step,
             )
-            states = [SphericalState.project(y[:3], y[3:]) for y in ys]
-            rows = [_spherical_row(float(t), s, spherical_energy_embedded(s, params))
-                    for t, s in zip(tss, states)]
-            out_io.write_spherical_trajectory(traj_path, rows)
-            drift_cols = {"E_sph": [r[7] for r in rows]}
+            e_sph = spherical_energy_embedded(SimpleNamespace(q=ys[:, :3], v=ys[:, 3:]), params)
+            out_io.write_spherical_trajectory(
+                traj_path, np.column_stack((tss, ys, e_sph)).tolist())
+            drift_cols = {"E_sph": e_sph.tolist()}
         out_io.write_bounces(bounce_path, [], cfg.model.domain)
         summary = {
             "outcome": "flow",

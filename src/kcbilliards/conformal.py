@@ -17,16 +17,14 @@ from typing import List, Sequence, Tuple
 from .errors import OriginSingularity
 
 
-def kepler_to_hooke_point(
-    z: complex, z_dot: complex, energy: float
-) -> Tuple[complex, complex]:
+def kepler_to_hooke_point(z: complex, z_dot: complex) -> Tuple[complex, complex]:
     """Map one Kepler phase point to the Hooke plane (principal branch).
+
+    The Kepler energy enters only through :func:`hooke_invariant`.
 
     Args:
         z: planar position as a complex number (origin at the center).
         z_dot: velocity dz/dt.
-        energy: Kepler energy of the trajectory (enters only through the
-            invariant checked downstream).
 
     Returns:
         (w, w_prime) with w = sqrt(z) and w_prime = z_dot * |w|^2 / (2 w),
@@ -53,7 +51,7 @@ def sqrt_continuous(z: complex, w_prev: complex) -> complex:
 
 
 def transport_trajectory(
-    zs: Sequence[complex], z_dots: Sequence[complex], energy: float
+    zs: Sequence[complex], z_dots: Sequence[complex]
 ) -> List[Tuple[complex, complex]]:
     """Map a sampled Kepler trajectory to the Hooke plane.
 
@@ -65,7 +63,7 @@ def transport_trajectory(
     w_prev = None
     for z, zd in zip(zs, z_dots):
         if w_prev is None:
-            w, wp = kepler_to_hooke_point(z, zd, energy)
+            w, wp = kepler_to_hooke_point(z, zd)
         else:
             w = sqrt_continuous(z, w_prev)
             wp = zd * (abs(w) ** 2) / (2.0 * w)

@@ -33,12 +33,9 @@ class CollisionInsideInterval(BilliardError):
     """Analytic propagation interval contains a collision with the center."""
 
 
-class NotInSouthHemisphere(BilliardError):
-    """Central projection to the chart plane requires q_z < 0."""
-
-
 class WrongHalfPlane(BilliardError):
-    """Plane-plane projection requested outside the admissible half-plane."""
+    """Central projection requested outside the admissible half-space (for
+    the sphere-to-plane chart map: a point with q_z >= 0)."""
 
 
 class NotOnWall(BilliardError):

@@ -11,6 +11,7 @@ import json
 import math
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from .errors import ConfigError
 from .model import BounceRecord, Wall
 from .model import PLANAR_CENTERED_CIRCLE, PLANAR_LINE
 
@@ -71,14 +72,22 @@ def write_summary(path: str, summary: dict):
 
 
 def read_csv(path: str) -> Tuple[List[str], List[List[float]]]:
-    """Read a numeric CSV written by this package."""
+    """Read a numeric CSV written by this package; a non-numeric token, or a
+    row whose length differs from the header's, raises ConfigError."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         rows = []
-        for line in fh:
+        for n, line in enumerate(fh, start=2):
             line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split(",")])
+            if not line:
+                continue
+            toks = line.split(",")
+            try:
+                if len(toks) != len(header):
+                    raise ValueError(f"{len(toks)} values under {len(header)} names")
+                rows.append([float(tok) for tok in toks])
+            except ValueError as exc:
+                raise ConfigError(f"{path} line {n}: {exc}") from exc
     return header, rows
 
 

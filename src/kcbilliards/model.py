@@ -4,7 +4,7 @@ All types are immutable values and safe to share between threads. The
 planar system always lives in the normalized (xi, eta) chart: the force
 center sits at the origin, kinetic energy is Euclidean, and the line
 wall is eta = h with h = -a/sqrt(1+a^2). The pre-normalization (x, y)
-chart exists only inside :mod:`kcbilliards.projective`.
+chart exists only inside the chart maps of :mod:`kcbilliards.spherical`.
 """
 
 from __future__ import annotations
@@ -108,16 +108,6 @@ class PlanarState:
     @classmethod
     def from_array(cls, y: Sequence[float]) -> "PlanarState":
         return cls(float(y[0]), float(y[1]), float(y[2]), float(y[3]))
-
-
-@dataclass(frozen=True)
-class ChartState:
-    """Position and velocity in the pre-normalization (x, y) chart."""
-
-    x: float
-    y: float
-    x_dot: float
-    y_dot: float
 
 
 _UNIT_TOL = 1e-12

@@ -6,10 +6,11 @@ m' = m*sqrt(1+a^2). Integration uses the explicit constraint term
 -|v|^2 q plus a post-step projection back to the sphere, so there are no
 chart singularities at the equator.
 
-The open southern hemisphere is identified with the plane z = -1 by
-central projection; ``chart_to_sphere``/``sphere_to_chart`` convert
-states including the velocity push-forward with the time change
-d tau / d t = 1/lambda^2, lambda^2 = 1 + x^2 + y^2.
+One pair of maps, ``planar_to_sphere``/``sphere_to_planar``, identifies
+the open southern hemisphere with the normalized planar chart: central
+projection onto the plane z = -1 with the time change d tau / d t =
+1/lambda^2, lambda^2 = 1 + x^2 + y^2, and the normalization (x, y) =
+(xi, sqrt(1+a^2) eta + a) that moves the center to the origin.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import NotInSouthHemisphere, PoleSingularity, StepFailure
-from .model import ChartState, PlanarState, SphericalState, SystemParams, spherical_center
-from .projective import denormalize_chart, normalize_chart
+from .errors import PoleSingularity, StepFailure
+from .model import PlanarState, SphericalState, SystemParams, spherical_center
+from .projective import plane_plane_project, plane_plane_push_velocity
 
 POLE_GUARD = 1e-10
 
@@ -63,50 +64,18 @@ def flow_rhs(params: SystemParams) -> Callable:
     return rhs
 
 
-def spherical_energy_embedded(s: SphericalState, params: SystemParams) -> float:
-    """Spherical energy (1/2)|v|^2 - m' * cot(theta) in embedded form."""
-    z1 = spherical_center(params)
-    c = float(np.dot(s.q, z1))
-    if abs(c) > 1.0 - POLE_GUARD:
+def spherical_energy_embedded(s: SphericalState, params: SystemParams):
+    """Spherical energy (1/2)|v|^2 - m' * cot(theta) in embedded form.
+
+    Elementwise: for (n, 3) sample arrays in s.q and s.v, each entry is the
+    value at that sample's SphericalState, to the bit."""
+    c = s.q @ spherical_center(params)
+    if (np.abs(c) > 1.0 - POLE_GUARD).any():
         raise PoleSingularity("cot(theta) overflows inside the pole guard")
-    cot = c / math.sqrt(1.0 - c * c)
-    return 0.5 * float(np.dot(s.v, s.v)) - params.m_prime * cot
-
-
-def chart_to_sphere(p: ChartState) -> SphericalState:
-    """Central projection of an (x, y) chart state to the southern hemisphere.
-
-    The point maps to q = (x, y, -1)/sqrt(1+x^2+y^2); the velocity is the
-    tau-derivative of q with (x', y') = (1+x^2+y^2)(x_dot, y_dot).
-    """
-    x, y = p.x, p.y
-    lam2 = 1.0 + x * x + y * y
-    lam = math.sqrt(lam2)
-    q = np.array([x, y, -1.0]) / lam
-    xp = lam2 * p.x_dot
-    yp = lam2 * p.y_dot
-    dd = (x * xp + y * yp) / lam2
-    v = np.array([xp - x * dd, yp - y * dd, dd]) / lam
-    return SphericalState(q, v)
-
-
-def sphere_to_chart(s: SphericalState) -> ChartState:
-    """Inverse of :func:`chart_to_sphere`; requires q_z < 0.
-
-    Raises:
-        NotInSouthHemisphere: if q_z >= 0.
-    """
-    q, v = s.q, s.v
-    if q[2] >= 0.0:
-        raise NotInSouthHemisphere(f"q_z = {q[2]} must be negative")
-    lam = -1.0 / q[2]
-    x = q[0] * lam
-    y = q[1] * lam
-    # chart velocity in spherical time, then undo the time change
-    xp = (v[0] - q[0] * v[2] / q[2]) * lam
-    yp = (v[1] - q[1] * v[2] / q[2]) * lam
-    lam2 = lam * lam
-    return ChartState(x, y, xp / lam2, yp / lam2)
+    cot = c / np.sqrt(1.0 - c * c)
+    # the stacked matmul has np.dot's bits per sample (np.vecdot needs numpy 2)
+    v2 = (s.v[..., None, :] @ s.v[..., :, None])[..., 0, 0]
+    return 0.5 * v2 - params.m_prime * cot
 
 
 def time_change_density(s: SphericalState) -> float:
@@ -115,14 +84,32 @@ def time_change_density(s: SphericalState) -> float:
 
 
 def planar_to_sphere(state: PlanarState, params: SystemParams) -> SphericalState:
-    """Map a normalized planar state to the corresponding spherical state."""
-    return chart_to_sphere(denormalize_chart(state, params.a))
+    """Map a normalized planar state to the southern hemisphere: the chart
+    point (x, y) = (xi, sqrt(1+a^2) eta + a) goes to q = (x, y, -1)/lambda,
+    its velocity to d q/d tau, with (x', y') = lambda^2 (x_dot, y_dot)."""
+    k = math.sqrt(1.0 + params.a * params.a)
+    x, y = state.xi, k * state.eta + params.a
+    lam2 = 1.0 + x * x + y * y
+    lam = math.sqrt(lam2)
+    q = np.array([x, y, -1.0]) / lam
+    xp = lam2 * state.xi_dot
+    yp = lam2 * (k * state.eta_dot)
+    dd = (x * xp + y * yp) / lam2
+    v = np.array([xp - x * dd, yp - y * dd, dd]) / lam
+    return SphericalState(q, v)
+
+
+_CHART_PLANE = np.array([0.0, 0.0, -1.0])
 
 
 def sphere_to_planar(s: SphericalState, params: SystemParams) -> PlanarState:
-    """Map a southern-hemisphere state back to the normalized planar chart."""
-    c = sphere_to_chart(s)
-    return normalize_chart(c.x, c.y, c.x_dot, c.y_dot, params.a)
+    """Inverse of :func:`planar_to_sphere`. The projective pair onto z = -1
+    gives the chart point and its t-derivative -q_z v + v_z q; raises
+    WrongHalfPlane if q_z >= 0."""
+    x, y, _ = plane_plane_project(s.q, _CHART_PLANE)
+    x_dot, y_dot, _ = plane_plane_push_velocity(s.q, s.v, _CHART_PLANE)
+    k = math.sqrt(1.0 + params.a * params.a)
+    return PlanarState(x, (y - params.a) / k, x_dot, y_dot / k)
 
 
 def project_constraints(y: np.ndarray) -> np.ndarray:

@@ -239,7 +239,7 @@ def test_criterion_8_conformal_transport():
         hit_idx.append(len(zs) - 1)
         state = rec.state_out
         t_prev = rec.t_hit
-    ws = transport_trajectory(zs, zds, E)
+    ws = transport_trajectory(zs, zds)
     inv_worst = max(abs(hooke_invariant(w, wp, E) - params.m) for w, wp in ws)
     wall_img = line_image_wall(params.h)
     wall_worst = max(abs(wall_img.implicit(ws[i][0])) for i in hit_idx)

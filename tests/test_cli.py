@@ -126,6 +126,27 @@ class TestSimulate:
             ints = integral_set(PlanarState.from_array(row[1:5]), params)
             assert row[5:] == [ints.E_pl, ints.L, ints.A_eta, ints.D, ints.E_sph]
 
+    def test_spherical_flow_rows_are_bitwise_the_integrator_samples(self, tmp_path):
+        import kcbilliards as kb
+
+        params = kb.SystemParams(m=1.0, a=0.5)
+        s0 = kb.planar_to_sphere(kb.PlanarState(1.0, 0.2, -0.1, 0.9), params)
+        doc = {
+            "system": {"model": "spherical", "m": 1.0, "a": 0.5, "beta": 0.0},
+            "wall": {"kind": "spherical-great-circle", "side": -1},
+            "initial": {"state": [*s0.q.tolist(), *s0.v.tolist()]},
+            "integrator": {"rtol": 1e-10, "atol": 1e-10, "max_step": 1.0},
+            "run": {"n_bounces": 0, "t_max": 5.0},
+        }
+        cfg = tmp_path / "sph_flow.json"
+        write_config(cfg, doc)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_csv(out / "trajectory.csv")  # %.17g round-trips doubles
+        ts, ys = kb.integrate_spherical(s0, np.linspace(0.0, 5.0, 1001), params,
+                                        rtol=1e-10, atol=1e-10, max_step=1.0)
+        assert np.array_equal(np.array(rows)[:, :7], np.column_stack((ts, ys)))
+
     def test_config_error_exit_code(self, tmp_path):
         doc = {
             "system": {"model": "kepler", "m": 0.0, "a": 1.0},
@@ -149,9 +170,7 @@ class TestSimulate:
         import kcbilliards as kb
 
         params = kb.SystemParams(m=1.0, a=1.0)
-        s0 = kb.chart_to_sphere(
-            kb.denormalize_chart(kb.PlanarState(0.5, params.h, 0.3, -0.8), 1.0)
-        )
+        s0 = kb.planar_to_sphere(kb.PlanarState(0.5, params.h, 0.3, -0.8), params)
         doc = {
             "system": {"model": "spherical", "m": 1.0, "a": 1.0, "beta": 0.0},
             "wall": {"kind": "spherical-great-circle", "side": -1},
@@ -260,6 +279,15 @@ class TestProject:
         assert rows[0][2] == pytest.approx(h)
 
 
+    @pytest.mark.parametrize("row", ["0,0,0,-1,0,1", "0,0,0,-1,0,x,0,0"])
+    def test_malformed_rows_exit_two(self, tmp_path, row):
+        src = tmp_path / "s.csv"
+        src.write_text(f"{SPHERICAL_HEADER}\n{row}\n")
+        rc = main(["project", "--in", str(src), "--out", str(tmp_path / "d.csv"),
+                   "--direction", "sphere-to-plane", "--a", "0.5"])
+        assert rc == 2
+
+
 class TestPlot:
     def test_svg_structure(self, flow_config, tmp_path):
         out = tmp_path / "out"
@@ -283,6 +311,12 @@ class TestPlot:
         text = svg.read_text()
         assert "<line" in text  # the wall is drawn
         assert "</svg>" in text
+
+    @pytest.mark.parametrize("row", ["0,1,-0.5", "0,1,x,0,0,-0.5,1,0,1,0"])
+    def test_malformed_rows_exit_two(self, tmp_path, row):
+        src = tmp_path / "s.csv"
+        src.write_text(f"{PLANAR_HEADER}\n{row}\n")
+        assert main(["plot", "--in", str(src), "--out", str(tmp_path / "p.svg")]) == 2
 
     def test_byte_identical_for_identical_input(self, flow_config, tmp_path):
         out = tmp_path / "out"

@@ -20,27 +20,27 @@ from kcbilliards.planar import propagate_analytic
 
 class TestPointMap:
     def test_circular_sample(self):
-        w, wp = kepler_to_hooke_point(1.0 + 0.0j, 1.0j, -0.5)
+        w, wp = kepler_to_hooke_point(1.0 + 0.0j, 1.0j)
         assert w == pytest.approx(1.0)
         assert wp == pytest.approx(0.5j)
         assert hooke_invariant(w, wp, -0.5) == pytest.approx(1.0)
 
     def test_principal_branch(self):
-        w, _ = kepler_to_hooke_point(-1.0 + 0.0j, 0.0j, -0.5)
+        w, _ = kepler_to_hooke_point(-1.0 + 0.0j, 0.0j)
         assert w == pytest.approx(1.0j)
 
     def test_turning_point_relation(self):
         # z = 4 at rest: the invariant reads -4 E = m, so E = -m/4
         m = 1.0
         E = -m / 4.0
-        w, wp = kepler_to_hooke_point(4.0 + 0.0j, 0.0j, E)
+        w, wp = kepler_to_hooke_point(4.0 + 0.0j, 0.0j)
         assert w == pytest.approx(2.0)
         assert wp == 0.0
         assert hooke_invariant(w, wp, E) == pytest.approx(m)
 
     def test_origin_rejected(self):
         with pytest.raises(OriginSingularity):
-            kepler_to_hooke_point(0.0j, 1.0j, -0.5)
+            kepler_to_hooke_point(0.0j, 1.0j)
 
     def test_branch_continuity(self):
         # walk across the negative real axis without jumping sheets
@@ -114,20 +114,20 @@ class TestTrajectoryTransport:
 
     def test_invariant_constant_along_image(self):
         params, E, zs, zds, _ = self._billiard_samples()
-        ws = transport_trajectory(zs, zds, E)
+        ws = transport_trajectory(zs, zds)
         vals = [hooke_invariant(w, wp, E) for w, wp in ws]
         assert max(abs(v - params.m) for v in vals) <= 1e-10
 
     def test_wall_hits_land_on_hyperbola(self):
         params, E, zs, zds, hits = self._billiard_samples()
-        ws = transport_trajectory(zs, zds, E)
+        ws = transport_trajectory(zs, zds)
         wall = line_image_wall(params.h)
         for idx, _, _ in hits:
             assert abs(wall.implicit(ws[idx][0])) <= 1e-10
 
     def test_reflection_maps_to_hooke_reflection(self):
         params, E, zs, zds, hits = self._billiard_samples()
-        ws = transport_trajectory(zs, zds, E)
+        ws = transport_trajectory(zs, zds)
         wall = line_image_wall(params.h)
         for idx, zd_in, zd_out in hits:
             w = ws[idx][0]
@@ -139,6 +139,6 @@ class TestTrajectoryTransport:
 
     def test_branch_tracking_keeps_continuity(self):
         _, E, zs, zds, _ = self._billiard_samples()
-        ws = transport_trajectory(zs, zds, E)
+        ws = transport_trajectory(zs, zds)
         for (w0, _), (w1, _) in zip(ws, ws[1:]):
             assert abs(w1 - w0) < 0.5

@@ -4,17 +4,13 @@ import numpy as np
 import pytest
 
 from kcbilliards.errors import WrongHalfPlane
+from kcbilliards.model import PlanarState, SphericalState, SystemParams
 from kcbilliards.projective import (
-    denormalize_chart,
-    metric2_norm,
-    nonstandard_norm,
-    normalize_chart,
     plane_plane_project,
     plane_plane_push_velocity,
-    planar_energy_prenorm,
     push_force_field,
 )
-from kcbilliards.integrals import planar_energy
+from kcbilliards.spherical import planar_to_sphere, sphere_to_planar
 
 
 class TestPlanePlaneProject:
@@ -48,102 +44,55 @@ class TestPlanePlaneProject:
             np.testing.assert_allclose(back, q1, rtol=1e-13, atol=1e-13)
 
 
-class TestMetric:
-    def test_euclidean_at_zero_offset(self):
-        assert metric2_norm(3.0, 4.0, 0.0) == pytest.approx(5.0)
-
-    def test_compression_along_y(self):
-        assert metric2_norm(0.0, math.sqrt(2.0), 1.0) == pytest.approx(1.0)
-
-    def test_distance_to_center(self):
-        # point (1, 1), center (0, a) with a = 1: displacement (1, 0)
-        assert metric2_norm(1.0, 1.0 - 1.0, 1.0) == pytest.approx(1.0)
-
-    def test_positive_definite(self, rng):
-        for a in (0.0, 0.5, 2.0, 10.0):
-            for _ in range(20):
-                v = rng.normal(size=2)
-                if np.linalg.norm(v) < 1e-12:
-                    continue
-                assert metric2_norm(v[0], v[1], a) > 0.0
-
-    def test_nonstandard_norm_matches_chart_form(self, rng):
-        # the 3-space decomposition against the closed (x, y) expression
-        for a in (0.0, 0.7, 2.0):
-            s = math.sqrt(1.0 + a * a)
-            z1 = np.array([0.0, a / s, -1.0 / s])
-            h1 = z1  # tangent plane covector
-            for _ in range(20):
-                x, y = rng.uniform(-3, 3, size=2)
-                v = np.array([x, y, -1.0]) - np.array([0.0, a, -1.0])
-                got = nonstandard_norm(v, h1, z1)
-                want = math.sqrt(x * x + (y - a) ** 2 / (1.0 + a * a))
-                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-
-
 class TestNormalizeChart:
-    def test_identity_at_zero_offset(self):
-        s = normalize_chart(0.3, -0.7, 1.1, 0.2, 0.0)
-        assert (s.xi, s.eta, s.xi_dot, s.eta_dot) == (0.3, -0.7, 1.1, 0.2)
+    """The affine normalization inside the chart pair of kcbilliards.spherical."""
 
-    def test_wall_line_maps_to_h(self):
-        s = normalize_chart(0.0, 0.0, 0.0, 1.0, 1.0)
-        assert s.eta == pytest.approx(-1.0 / math.sqrt(2.0))
+    def test_identity_at_zero_offset(self):
+        # at a = 0 sphere_to_planar is the bare projective pair onto z = -1
+        s = SphericalState.project([0.3, -0.7, -1.0], [1.1, 0.2, 0.4])
+        p = sphere_to_planar(s, SystemParams(m=1.0, a=0.0))
+        h2 = (0.0, 0.0, -1.0)
+        assert [p.xi, p.eta] == plane_plane_project(s.q, h2)[:2].tolist()
+        assert [p.xi_dot, p.eta_dot] == plane_plane_push_velocity(s.q, s.v, h2)[:2].tolist()
+
+    def test_wall_line_maps_to_h(self, rng):
+        # the wall line eta = h and the great circle q_y = 0 are one set
+        for a in (0.5, 1.0, 3.0):
+            params = SystemParams(m=1.0, a=a)
+            for xi in rng.uniform(-3, 3, size=10):
+                s = planar_to_sphere(PlanarState(xi, params.h, 0.3, -0.2), params)
+                assert abs(s.q[1]) <= 1e-15
+                s = SphericalState.project([xi, 0.0, -1.0], [0.1, 0.0, 0.2])
+                assert sphere_to_planar(s, params).eta == pytest.approx(params.h, abs=1e-15)
 
     def test_velocity_scaling(self):
-        s = normalize_chart(1.0, 0.0, 0.0, math.sqrt(2.0), 1.0)
-        assert s.eta_dot == pytest.approx(1.0)
-        assert s.xi_dot == 0.0
+        # at the tangency point the embedded velocity is the chart velocity
+        s = SphericalState([0.0, 0.0, -1.0], [0.0, math.sqrt(2.0), 0.0])
+        p = sphere_to_planar(s, SystemParams(m=1.0, a=1.0))
+        assert p.eta_dot == pytest.approx(1.0)
+        assert p.xi_dot == 0.0
 
     def test_round_trip(self, rng):
         for a in (0.0, 0.5, 1.0, 3.0):
+            params = SystemParams(m=1.0, a=a)
             for _ in range(25):
-                x, y, xd, yd = rng.uniform(-3, 3, size=4)
-                if x == 0 and abs(y - a) < 1e-12:
-                    continue
-                st = normalize_chart(x, y, xd, yd, a)
-                back = denormalize_chart(st, a)
+                st = PlanarState(*rng.uniform(-3, 3, size=4))
+                back = sphere_to_planar(planar_to_sphere(st, params), params)
                 np.testing.assert_allclose(
-                    [back.x, back.y, back.x_dot, back.y_dot],
-                    [x, y, xd, yd],
-                    rtol=1e-14,
-                    atol=1e-14,
+                    back.as_array(), st.as_array(), rtol=1e-13, atol=1e-13
                 )
 
     def test_metric_norm_becomes_euclidean(self, rng):
+        # the chart's transported norm sqrt(xd^2 + yd^2/(1+a^2)) becomes
+        # the Euclidean speed of the normalized chart
         for a in (0.5, 2.0):
+            params = SystemParams(m=1.0, a=a)
             for _ in range(25):
                 xd, yd = rng.uniform(-2, 2, size=2)
-                st = normalize_chart(1.0, 1.0, xd, yd, a)
-                assert metric2_norm(xd, yd, a) == pytest.approx(
-                    math.hypot(st.xi_dot, st.eta_dot), rel=1e-13
+                p = sphere_to_planar(SphericalState([0.0, 0.0, -1.0], [xd, yd, 0.0]), params)
+                assert math.sqrt(xd * xd + yd * yd / (1.0 + a * a)) == pytest.approx(
+                    math.hypot(p.xi_dot, p.eta_dot), rel=1e-13
                 )
-
-
-class TestPrenormEnergy:
-    def test_reduces_to_kepler_at_zero_offset(self):
-        e = planar_energy_prenorm(1.0, 0.0, 0.0, 1.0, 1.0, 0.0)
-        assert e == pytest.approx(-0.5)
-
-    def test_unit_distance_sample(self):
-        # a = 1, (x, y) = (1, 1): the metric distance to the center is 1
-        e = planar_energy_prenorm(1.0, 1.0, 0.0, 0.0, 1.0, 1.0)
-        assert e == pytest.approx(-1.0)
-
-    def test_kinetic_only_without_mass(self):
-        e = planar_energy_prenorm(0.0, 1.0, 2.0, 0.0, 0.0, 3.0)
-        assert e == pytest.approx(2.0)
-
-    def test_conjugacy_with_normalized_energy(self, rng):
-        for a in (0.0, 0.5, 1.0, 3.0):
-            for _ in range(50):
-                x, y, xd, yd = rng.uniform(-3, 3, size=4)
-                if math.hypot(x, y - a) < 0.1:
-                    continue
-                st = normalize_chart(x, y, xd, yd, a)
-                e1 = planar_energy_prenorm(x, y, xd, yd, 1.0, a)
-                e2 = planar_energy(st, 1.0)
-                assert abs(e1 - e2) <= 1e-13 * max(1.0, abs(e2))
 
 
 class TestCentralForcePreservation:

@@ -5,20 +5,17 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from kcbilliards import spherical
-from kcbilliards.errors import NotInSouthHemisphere, PoleSingularity
+from kcbilliards.errors import PoleSingularity, WrongHalfPlane
 from kcbilliards.model import (
-    ChartState,
     PlanarState,
     SphericalState,
     SystemParams,
     spherical_center,
 )
 from kcbilliards.spherical import (
-    chart_to_sphere,
     integrate_spherical,
     planar_to_sphere,
     project_constraints,
-    sphere_to_chart,
     flow_rhs,
     sphere_to_planar,
     spherical_energy_embedded,
@@ -85,59 +82,66 @@ class TestSphericalAccel:
 
 class TestChartMaps:
     def test_tangency_point(self):
-        s = chart_to_sphere(ChartState(0.0, 0.0, 0.0, 0.0))
-        np.testing.assert_allclose(s.q, [0.0, 0.0, -1.0])
+        # the south pole is the wall-chart point (0, h), both ways
+        for a in (0.5, 1.0, 3.0):
+            params = SystemParams(m=1.0, a=a)
+            s = planar_to_sphere(PlanarState(0.0, params.h, 0.0, 0.0), params)
+            np.testing.assert_allclose(s.q, [0.0, 0.0, -1.0], atol=1e-15)
+            p = sphere_to_planar(SphericalState([0.0, 0.0, -1.0], [0.0, 0.0, 0.0]), params)
+            assert p.xi == 0.0
+            assert p.eta == pytest.approx(params.h, abs=1e-15)
 
     def test_normalization(self):
-        s = chart_to_sphere(ChartState(1.0, 0.0, 0.0, 0.0))
+        s = planar_to_sphere(PlanarState(1.0, 0.0, 0.0, 0.0), SystemParams(m=1.0, a=0.0))
         np.testing.assert_allclose(
             s.q, np.array([1.0, 0.0, -1.0]) / math.sqrt(2.0), atol=1e-15
         )
 
     def test_velocity_at_tangency_is_identity(self):
-        s = chart_to_sphere(ChartState(0.0, 0.0, 1.0, 0.0))
+        params = SystemParams(m=1.0, a=1.0)
+        s = planar_to_sphere(PlanarState(0.0, params.h, 1.0, 0.0), params)
         np.testing.assert_allclose(s.v, [1.0, 0.0, 0.0], atol=1e-15)
 
     def test_inverse_examples(self):
-        c = sphere_to_chart(
-            SphericalState(np.array([0.0, 0.0, -1.0]), np.array([0.0, 1.0, 0.0]))
+        params = SystemParams(m=1.0, a=1.0)
+        p = sphere_to_planar(
+            SphericalState(np.array([0.0, 0.0, -1.0]), np.array([0.0, 1.0, 0.0])), params
         )
-        assert (c.x, c.y) == (0.0, 0.0)
-        assert (c.x_dot, c.y_dot) == (0.0, 1.0)
-        c2 = sphere_to_chart(
-            SphericalState.project([1.0, 0.0, -1.0], [0.0, 0.0, 0.0])
-        )
-        assert (c2.x, c2.y) == pytest.approx((1.0, 0.0))
+        assert (p.xi, p.xi_dot) == (0.0, 0.0)
+        assert (p.eta, p.eta_dot) == pytest.approx((params.h, 1.0 / math.sqrt(2.0)))
+        p2 = sphere_to_planar(SphericalState.project([1.0, 0.0, -1.0], [0.0, 0.0, 0.0]), params)
+        assert (p2.xi, p2.eta) == pytest.approx((1.0, params.h))
 
     def test_round_trip_random(self, rng):
-        for _ in range(100):
-            x, y = rng.uniform(-4, 4, size=2)
-            xd, yd = rng.uniform(-2, 2, size=2)
-            c0 = ChartState(x, y, xd, yd)
-            c1 = sphere_to_chart(chart_to_sphere(c0))
-            np.testing.assert_allclose(
-                [c1.x, c1.y, c1.x_dot, c1.y_dot],
-                [x, y, xd, yd],
-                rtol=1e-12,
-                atol=1e-12,
-            )
+        # the sphere side of the round trip; the planar side is TestNormalizeChart's
+        for a in (0.0, 0.5, 1.0, 3.0):
+            params = SystemParams(m=1.0, a=a)
+            for _ in range(25):
+                q = rng.normal(size=3)
+                q[2] = -abs(q[2]) - 0.3
+                s0 = tangent_state(q, rng.normal(size=3))
+                s1 = planar_to_sphere(sphere_to_planar(s0, params), params)
+                np.testing.assert_allclose(s1.q, s0.q, rtol=1e-13, atol=1e-13)
+                np.testing.assert_allclose(s1.v, s0.v, rtol=1e-12, atol=1e-12)
 
     def test_north_hemisphere_rejected(self):
-        s = SphericalState.project([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
-        with pytest.raises(NotInSouthHemisphere):
-            sphere_to_chart(s)
+        params = SystemParams(m=1.0, a=0.5)
+        for q in ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0]):
+            s = SphericalState.project(q, [0.0, 1.0, 0.0])
+            with pytest.raises(WrongHalfPlane):
+                sphere_to_planar(s, params)
 
     def test_time_change_density(self):
-        c = ChartState(1.0, 2.0, 0.0, 0.0)
-        s = chart_to_sphere(c)
+        s = planar_to_sphere(PlanarState(1.0, 2.0, 0.0, 0.0), SystemParams(m=1.0, a=0.0))
         assert time_change_density(s) == pytest.approx(1.0 / 6.0, rel=1e-14)
 
     def test_kinetic_energy_matches_gnomonic_form(self, rng):
         # embedded |v|^2/2 equals (v^2 + (x yd - y xd)^2)/2 in the a=0 chart
+        params = SystemParams(m=1.0, a=0.0)
         for _ in range(50):
             x, y = rng.uniform(-2, 2, size=2)
             xd, yd = rng.uniform(-2, 2, size=2)
-            s = chart_to_sphere(ChartState(x, y, xd, yd))
+            s = planar_to_sphere(PlanarState(x, y, xd, yd), params)
             want = 0.5 * ((xd**2 + yd**2) + (x * yd - y * xd) ** 2)
             assert 0.5 * s.speed**2 == pytest.approx(want, rel=1e-11, abs=1e-12)
 
