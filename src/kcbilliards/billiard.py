@@ -6,9 +6,11 @@ each step's minima of the wall function are tracked, so a crossing that
 enters and leaves within one step is found) or exactly for both planar
 walls (beta = 0): the crossing of the conic with the line or the centered
 circle is one closed-form root in the universal variable of the planar
-kernel. Radial orbits aimed at an attractive center, in the plane and on
-the sphere, are continued through the collision by the analytic elastic
-bounce; the production map never integrates a regularized field.
+kernel. Radial orbits aimed at an attractive center pass the collision by
+the elastic bounce: in the plane the numeric map integrates Levi-Civita's
+regularized field (q = u^2, dt/ds = r), which is regular through the
+center, and the exact map passes it in the universal variable; on the
+sphere a radial orbit is solved in closed form.
 
 Both maps share one rule for a start on the wall: a start moving out of
 the domain (normal speed above TANGENCY_REL of the speed) is reflected at
@@ -37,7 +39,8 @@ from .errors import (
     StepFailure,
     Undetermined,
 )
-from .integrals import angular_momentum, integral_set, planar_energy
+from .conformal import kepler_to_hooke_point
+from .integrals import integral_set, planar_energy
 from .model import (
     PLANAR_CENTERED_CIRCLE,
     PLANAR_LINE,
@@ -54,8 +57,7 @@ from .model import (
 from .planar import (
     L_TOL,
     crossing_root,
-    flow_rhs,
-    pericentre_time,
+    levi_civita_rhs,
     time_of_flight,
     universal_kernel,
     universal_state,
@@ -103,9 +105,9 @@ def wall_signed_distance(point, wall: Wall) -> float:
 
 
 def _wall_rate(y, wall: Wall) -> float:
-    """d g/dt of wall_signed_distance along a flow state y, up to a positive
-    factor (1/r for the planar circle): it crosses zero upwards exactly where
-    g has a minimum in time."""
+    """The rate of wall_signed_distance at y = (position, its derivative),
+    up to a positive factor (1/r for the planar circle): it crosses zero
+    upwards exactly where g has a minimum."""
     if wall.kind == PLANAR_LINE:
         f = y[3]
     elif wall.axis is None:
@@ -188,16 +190,9 @@ def _spherical_integrals(s: SphericalState, params: SystemParams) -> IntegralSet
     """Embedded spherical energy plus, when projectable, the planar set."""
     e_sph = spherical_energy_embedded(s, params)
     if s.q[2] < 0.0:
-        st = sphere_to_planar(s, params)
-        base = integral_set(st, params)
-        return IntegralSet(
-            E_pl=base.E_pl, L=base.L, A_xi=base.A_xi, A_eta=base.A_eta,
-            D=base.D, E_sph=e_sph,
-        )
-    return IntegralSet(
-        E_pl=math.nan, L=math.nan, A_xi=math.nan, A_eta=math.nan,
-        D=math.nan, E_sph=e_sph,
-    )
+        base = integral_set(sphere_to_planar(s, params), params)
+        return IntegralSet(base.E_pl, base.L, base.A_xi, base.A_eta, base.D, e_sph)
+    return IntegralSet(math.nan, math.nan, math.nan, math.nan, math.nan, e_sph)
 
 
 def _spherical_record(
@@ -312,24 +307,34 @@ def next_hit_analytic_line(
 # ---------------------------------------------------------------------------
 
 _POLE_EVENT_MARGIN = 1e-6
-# L^2/m over the start radius, below which DOP853 does not pass the
-# pericentre within 1e-8 in energy even at rtol 1e-12 (below 5.6e-10 it fails)
-_PERICENTRE_BAND = 1e-4
 
 
-def _escape_certified(y, params: SystemParams, wall: Wall) -> bool:
+def _escape_certified(s: PlanarState, params: SystemParams, wall: Wall) -> bool:
     """Unbound, receding beyond 1e3 wall scales, and for the line wall with
     beta = 0 no forward conic intersection."""
-    s = PlanarState.from_array(y)
     if not (
         s.r > 1e3 * _wall_scale(wall)
-        and y[0] * y[2] + y[1] * y[3] > 0.0
+        and s.xi * s.xi_dot + s.eta * s.eta_dot > 0.0
         and planar_energy(s, params.m, params.beta) >= 0.0
     ):
         return False
     if wall.kind != PLANAR_LINE or params.beta != 0.0:
         return True
     return isinstance(next_hit_analytic_line(s, params, wall), Escape)
+
+
+def _squared(y):
+    """q = u^2 and dq/ds = 2 u u' (= r v) of y = (u1, u2, u1', u2', t)."""
+    u1, u2, w1, w2 = y[0], y[1], y[2], y[3]
+    return (u1 * u1 - u2 * u2, 2.0 * u1 * u2,
+            2.0 * (u1 * w1 - u2 * w2), 2.0 * (u1 * w2 + u2 * w1))
+
+
+def _levi_civita_to_planar(y) -> PlanarState:
+    """The planar state of a Levi-Civita state: q = u^2, v = 2 u'/conj(u)."""
+    q1, q2, p1, p2 = _squared(y)
+    r = y[0] * y[0] + y[1] * y[1]
+    return PlanarState(q1, q2, p1 / r, p2 / r)
 
 
 def next_hit_numeric(
@@ -340,24 +345,32 @@ def next_hit_numeric(
 ) -> HitOutcome:
     """Integrate the flow to the first wall crossing and refine the hit.
 
-    One engine serves the plane and the sphere. The integrator advances in
-    chunks of 16 (|g| + 0.05 wall scales) over the current speed, at least
-    0.25 in time, g the signed distance to the wall; its steps are limited
-    only by the tolerances and integ.max_step. A crossing whose step ends
-    outside the domain is located on that step's interpolant by bracketed
-    root-finding. A step whose ends both lie inside can still hide a
-    crossing, and only where g has an interior minimum below zero: each
-    step therefore also watches the wall rate d g/dt cross zero upwards.
-    At the first such minimum with g < 0 the step is integrated again from
-    its start to the minimum, which brackets the crossing, and the crossing
-    is refined as above. In the plane, Escape is returned only with a
-    certificate (unbound, receding beyond the fixed escape radius of 1e3
-    wall scales, and for the line wall no forward conic intersection; for
-    the legs of _pericentre_leg, unbound with no forward conic crossing);
-    otherwise exhausting t_max raises Undetermined. On the sphere the state
-    is projected back onto the unit tangent bundle after each chunk.
+    One engine serves the plane and the sphere. The sphere's embedded flow
+    runs in the time t. The planar flow runs in Levi-Civita form
+    (levi_civita_rhs at the start's energy, which reflection keeps), in the
+    fictitious time s of dt/ds = r with the clock t as a fifth component:
+    that field is regular through the center, so radial and near-radial
+    legs pass it by the elastic bounce.
 
-    Three kinds of start are settled before any integration:
+    The integration runs in chunks of 16 (|g| + 0.05 wall scales) over the
+    current speed, at least 0.25 in time, g the signed distance to the
+    wall; the chunk and integ.max_step become spans of the independent
+    variable through dt/ds at the chunk start (a planar chunk spans at most
+    one period pi/sqrt(|E|/2) of the oscillator). Both events read the wall
+    function and its rate at the position and its derivative (dq/ds = r v
+    in the plane). A crossing whose step ends outside the domain is refined
+    on that step's interpolant by bracketed root-finding. A step whose ends
+    both lie inside hides a crossing only where g has an interior minimum
+    below zero, so each step also watches the wall rate cross zero upwards;
+    at the first such minimum with g < 0 the step is integrated again from
+    its start to the minimum, which brackets the crossing. A hit whose
+    clock exceeds t_max, or no hit before the clock reaches it, raises
+    Undetermined. In the plane, Escape is returned only with a certificate
+    (unbound, receding beyond 1e3 wall scales, and for the line wall no
+    forward conic intersection). On the sphere the state is projected back
+    onto the unit tangent bundle after each chunk.
+
+    Two kinds of start are settled before any integration:
 
     - A start on the wall (within the reflect tolerance) moving out of the
       domain, with normal speed above TANGENCY_REL of the speed, is
@@ -372,9 +385,6 @@ def next_hit_numeric(
       that meets the wall only at the removed center raises Undetermined.
       A non-radial spherical orbit that enters the pole guard raises
       PoleSingularity.
-    - A near-radial planar leg that passes its pericentre before the wall
-      is solved by next_hit_analytic_line (see _pericentre_leg): the
-      integrator cannot resolve so short a pericentre passage.
     """
     params = model.params
     wall = model.wall
@@ -384,17 +394,7 @@ def next_hit_numeric(
     spherical = isinstance(state, SphericalState)
     dim = 3 if spherical else 2
 
-    def g_event(t, y):
-        return wall_signed_distance(y[:dim], wall)
-
-    g_event.terminal = True
-    g_event.direction = -1.0
-
-    def minimum_event(t, y):
-        return _wall_rate(y, wall)
-
-    minimum_event.direction = 1.0
-
+    # per domain: field, start, events' (position, rate), clock, dt/ds, chunk cap, state
     if spherical:
         z1 = spherical_center(params)
         att = z1 if params.m_prime > 0.0 else -z1
@@ -403,111 +403,90 @@ def next_hit_numeric(
         if abs(ell) <= L_TOL * max(1e-30, state.speed * sin0):
             return _spherical_radial_hit(state, params, wall, att)
 
-        def pole_event(t, y):
-            return (y[0] * att[0] + y[1] * att[1] + y[2] * att[2]) - (
-                1.0 - _POLE_EVENT_MARGIN
-            )
+        def pole_event(s, y):
+            return (y[0] * att[0] + y[1] * att[1] + y[2] * att[2]) - (1.0 - _POLE_EVENT_MARGIN)
 
         pole_event.terminal = True
         pole_event.direction = 1.0
         rhs = spherical_flow_rhs(params)
-        events = [g_event, minimum_event, pole_event]
-        speed = lambda y: float(np.linalg.norm(y[3:]))  # noqa: E731
+        y = state.as_array()
+        extra_events = [pole_event]
+        phase = lambda y: y  # noqa: E731
+        clock = lambda s, y: s  # noqa: E731
+        dtds = lambda y: 1.0  # noqa: E731
+        span_cap = lambda t: t_max - t  # noqa: E731
         hit_state = lambda y: SphericalState.project(y[:3], y[3:])  # noqa: E731
     else:
-        if params.beta == 0.0 and params.m > 0.0:
-            exact = _pericentre_leg(state, params, wall, t_max)
-            if exact is not None:
-                return exact
-        rhs = lambda t, y: flow_rhs(t, y, params)  # noqa: E731
-        events = [g_event, minimum_event]
-        speed = lambda y: math.hypot(y[2], y[3])  # noqa: E731
-        hit_state = PlanarState.from_array
-
-    def integrate(t0, t1, y0, event_fns):
-        sol = solve_ivp(
-            rhs,
-            (t0, t1),
-            y0,
-            method="DOP853",
-            rtol=integ.rtol,
-            atol=integ.atol,
-            max_step=integ.max_step,
-            events=event_fns,
+        energy = planar_energy(state, params.m, params.beta)
+        rhs = levi_civita_rhs(energy, params.beta)
+        w, w_prime = kepler_to_hooke_point(
+            complex(state.xi, state.eta), complex(state.xi_dot, state.eta_dot)
         )
+        y = np.array([w.real, w.imag, w_prime.real, w_prime.imag, 0.0])
+        extra_events = []
+        period = math.pi / math.sqrt(0.5 * abs(energy)) if energy != 0.0 else math.inf
+        phase = _squared
+        clock = lambda s, y: y[4]  # noqa: E731
+        dtds = lambda y: y[0] * y[0] + y[1] * y[1]  # noqa: E731
+        span_cap = lambda t: period  # noqa: E731
+        hit_state = _levi_civita_to_planar
+
+    def g_event(s, y):
+        return wall_signed_distance(phase(y)[:dim], wall)
+
+    g_event.terminal = True
+    g_event.direction = -1.0
+
+    def minimum_event(s, y):
+        return _wall_rate(phase(y), wall)
+
+    minimum_event.direction = 1.0
+    events = [g_event, minimum_event] + extra_events
+
+    def hit(s_hit, y_hit):
+        t_hit = float(clock(s_hit, y_hit))
+        if t_hit > t_max:
+            raise Undetermined(f"no hit within t_max = {t_max}")
+        return _hit_or_tangency(t_hit, hit_state(y_hit), params, wall)
+
+    def integrate(s0, s1, y0, event_fns, max_step):
+        sol = solve_ivp(rhs, (s0, s1), y0, method="DOP853", rtol=integ.rtol,
+                        atol=integ.atol, max_step=max_step, events=event_fns)
         if not sol.success and sol.status != 1:
             raise StepFailure(f"integration failed: {sol.message}")
         return sol
 
     scale = _wall_scale(wall)
-    t = 0.0
-    y = state.as_array()
+    s = t = 0.0
     while t < t_max:
-        g = wall_signed_distance(y[:dim], wall)
-        chunk = min(t_max - t, max(16.0 * (abs(g) + 0.05 * scale) / max(speed(y), 1e-9), 0.25))
-        sol = integrate(t, t + chunk, y, events)
+        p, rate = phase(y), dtds(y)
+        g = wall_signed_distance(p[:dim], wall)
+        speed = float(np.linalg.norm(p[dim:])) / rate
+        chunk = max(16.0 * (abs(g) + 0.05 * scale) / max(speed, 1e-9), 0.25)
+        max_step = integ.max_step / rate
+        sol = integrate(s, s + min(span_cap(t), chunk / rate), y, events, max_step)
         # every minimum recorded here comes before any crossing event; one
         # whose dip the step's re-integration does not confirm lies within
         # the tolerances and is passed over
-        for t_min, y_min in zip(sol.t_events[1], sol.y_events[1]):
-            k = int(np.searchsorted(sol.t, t_min, side="right")) - 1
-            if wall_signed_distance(y_min[:dim], wall) >= 0.0 or t_min <= sol.t[k]:
+        for s_min, y_min in zip(sol.t_events[1], sol.y_events[1]):
+            k = int(np.searchsorted(sol.t, s_min, side="right")) - 1
+            if wall_signed_distance(phase(y_min)[:dim], wall) >= 0.0 or s_min <= sol.t[k]:
                 continue
-            sub = integrate(sol.t[k], t_min, sol.y[:, k], [g_event])
+            sub = integrate(sol.t[k], s_min, sol.y[:, k], [g_event], max_step)
             if sub.status == 1:
-                return _hit_or_tangency(
-                    float(sub.t_events[0][0]), hit_state(sub.y_events[0][0]), params, wall
-                )
+                return hit(sub.t_events[0][0], sub.y_events[0][0])
         if sol.status == 1 and sol.t_events[0].size:
-            return _hit_or_tangency(
-                float(sol.t_events[0][0]), hit_state(sol.y_events[0][0]), params, wall
-            )
+            return hit(sol.t_events[0][0], sol.y_events[0][0])
         if sol.status == 1:  # the only other terminal event is the pole's
-            raise PoleSingularity(
-                "non-radial trajectory entered the pole guard; no continuation"
-            )
-        t = float(sol.t[-1])
+            raise PoleSingularity("non-radial trajectory entered the pole guard; no continuation")
+        s = float(sol.t[-1])
+        y = sol.y[:, -1]
+        t = float(clock(s, y))
         if spherical:
-            y = project_constraints(sol.y[:, -1])
-        else:
-            y = sol.y[:, -1]
-            if _escape_certified(y, params, wall):
-                return Escape("unbound, receding beyond the escape radius")
+            y = project_constraints(y)
+        elif _escape_certified(hit_state(y), params, wall):
+            return Escape("unbound, receding beyond the escape radius")
     raise Undetermined(f"no hit or escape certificate within t_max = {t_max}")
-
-
-def _pericentre_leg(
-    state: PlanarState, params: SystemParams, wall: Wall, t_max: float
-) -> Optional[HitOutcome]:
-    """The exact outcome of a near-radial planar leg (beta = 0, m > 0) that
-    passes its pericentre before it meets the wall, or None.
-
-    A leg qualifies when L^2/m, the semi-latus rectum that bounds the
-    pericentre, is below _PERICENTRE_BAND times the start radius and the
-    next pericentre of its conic (pericentre_time) comes before the exact
-    hit (or the orbit never hits). Radial legs take the same path;
-    next_hit_analytic_line passes the center by the elastic bounce. A leg
-    that meets the wall before its pericentre is left to the
-    integrator, so it stays an independent check of the exact hit. The
-    outcome keeps the integrator's contract: a hit after t_max, or a bound
-    orbit that never meets the wall, is Undetermined.
-    """
-    lam = angular_momentum(state)
-    if lam * lam >= _PERICENTRE_BAND * params.m * state.r:
-        return None
-    t_peri = pericentre_time(state, params.m)
-    if t_peri is None:
-        return None
-    out = next_hit_analytic_line(state, params, wall)
-    if isinstance(out, Escape):
-        if planar_energy(state, params.m) < 0.0:
-            raise Undetermined("bound near-radial orbit that never meets the wall")
-        return out
-    if out.t_hit < t_peri:
-        return None
-    if out.t_hit > t_max:
-        raise Undetermined(f"no hit within t_max = {t_max}")
-    return out
 
 
 def _radial_fall_time(E: float, mu: float, u: Optional[float] = None) -> float:

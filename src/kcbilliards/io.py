@@ -72,9 +72,13 @@ def write_summary(path: str, summary: dict):
 
 
 def read_csv(path: str) -> Tuple[List[str], List[List[float]]]:
-    """Read a numeric CSV written by this package; a non-numeric token, or a
-    row whose length differs from the header's, raises ConfigError."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read a numeric CSV written by this package. ConfigError: unreadable
+    file, non-numeric token, or a row whose length differs from the header's."""
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    with fh:
         header = fh.readline().strip().split(",")
         rows = []
         for n, line in enumerate(fh, start=2):

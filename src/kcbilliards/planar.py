@@ -1,12 +1,12 @@
 """Planar Kepler-Coulomb flow in the normalized chart.
 
-Provides the vector field (with the optional centrifugal perturbation)
-and the universal-variable kernel: the conic through a state, for either
-mass sign and any energy, as functions of Goodyear's s (dt/ds = r), with
-its flight time t(s) in closed form. One Newton on t(s) serves exact
-propagation and the anomaly equations (eccentric, Barker, hyperbolic),
-each of which is t(s) from a pericentre; one crossing root on the kernel
-times both the exact planar wall hit and the pericentre.
+Provides the vector field (with the optional centrifugal perturbation),
+also in Levi-Civita's regularized form, and the universal-variable
+kernel: the conic through a state, for either mass sign and any energy,
+in Goodyear's s (dt/ds = r), with its flight time t(s) in closed form.
+One Newton on t(s) serves exact propagation and the anomaly equations
+(eccentric, Barker, hyperbolic), each t(s) from a pericentre; one
+crossing root on the kernel times the exact wall hit and the pericentre.
 
 Sign convention: the acceleration is -m*q/r^3 + beta*q/r^4, so m > 0
 attracts and m < 0 repels; beta > 0 is an outward force beta/r^3 with
@@ -49,6 +49,29 @@ def flow_rhs(t, y, params: SystemParams):
     if params.beta != 0.0:
         coeff += params.beta / r**4
     return (y[2], y[3], coeff * y[0], coeff * y[1])
+
+
+def levi_civita_rhs(energy: float, beta: float):
+    """The flow at energy E in Levi-Civita form: q = u^2, fictitious time s
+    with dt/ds = |u|^2 = r, y = (u1, u2, u1', u2', t), u'' = (E/2) u +
+    beta u/(4 |u|^4) and t' = r. At beta = 0 it is a harmonic oscillator,
+    regular through the center, where the orbit bounces elastically.
+
+    Raises:
+        SingularPosition: for beta != 0, if r < R_MIN (1e-12).
+    """
+    half_e, quarter_beta = 0.5 * energy, 0.25 * beta
+
+    def rhs(s, y):
+        r = y[0] * y[0] + y[1] * y[1]
+        c = half_e
+        if quarter_beta != 0.0:
+            if r < R_MIN:
+                raise SingularPosition(f"r = {r} below the singular-position guard {R_MIN}")
+            c += quarter_beta / (r * r)
+        return (y[2], y[3], c * y[0], c * y[1], r)
+
+    return rhs
 
 
 # ---------------------------------------------------------------------------

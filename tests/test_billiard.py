@@ -424,8 +424,7 @@ def exit_start(rng, wall, m, kind):
     "ellipse", "hyperbola", "near-circular" (e in [1e-12, 1e-6]),
     "near-radial" (|L| in [1e-13, 1e-5]) or a value of alpha = 2m/r - v^2.
     The start is the wall point taken back along the conic by 0.1 to 1.5
-    in s; near-radial starts that would pass the center on the way are
-    redrawn, since the numeric engine cannot integrate that passage.
+    in s.
     """
     while True:
         if wall.kind == "planar-line":
@@ -462,9 +461,6 @@ def exit_start(rng, wall, m, kind):
         sigma = hit.xi * hit.xi_dot + hit.eta * hit.eta_dot
         g = universal_kernel(2.0 * m / r - hit.speed**2, -rng.uniform(0.1, 1.5))
         start = universal_state(hit, m, time_of_flight(r, sigma, m, g), g)
-        sigma0 = start.xi * start.xi_dot + start.eta * start.eta_dot
-        if kind == "near-radial" and sigma0 < 0.0 < sigma:
-            continue
         if start.r > 0.05 and wall_signed_distance((start.xi, start.eta), wall) > 0.02:
             return start
 
@@ -561,9 +557,9 @@ class TestNumericHit:
 
     @pytest.mark.parametrize("integ", [FAST, TIGHT])
     def test_near_radial_leg_above_the_radial_gate_takes_the_exact_hit(self, integ):
-        # L = 2.5e-10 lies above the radial gate (4.3e-11 here), but the
-        # pericentre, about L^2/2, is far shorter than DOP853 can step
-        # through: integrating this leg raised StepFailure
+        # L = 2.5e-10 (the radial tolerance is 4.3e-11 here): the pericentre,
+        # about L^2/2, is far shorter than DOP853 can step through in the
+        # time t (that raised StepFailure); the Levi-Civita leg passes it
         params = SystemParams(m=1.0, a=1.0)
         wall = Wall.line(params.h, side=1)
         s = PlanarState(-3.758216991712641e-05, -0.08502305769733931,
@@ -572,14 +568,17 @@ class TestNumericHit:
         assert is_hit(out)
         assert out.t_hit == pytest.approx(0.24989, abs=1e-5)
         exact = next_hit_analytic_line(s, params, wall)
-        assert out.t_hit == exact.t_hit
-        assert out.state_in == exact.state_in
+        assert out.t_hit == pytest.approx(exact.t_hit, abs=1e-8)
+        np.testing.assert_allclose(
+            out.state_in.as_array(), exact.state_in.as_array(), rtol=0.0, atol=1e-8
+        )
 
     @pytest.mark.parametrize("p_over_r", [1e-9, 1e-6])
     def test_near_radial_leg_at_loose_tolerance_takes_the_exact_hit(self, p_over_r):
-        # integrated at rtol 1e-8, the first leg raised StepFailure and the
-        # second hit with E_pl off by 3e-3 (at p/r = 3e-9 the passage threw
-        # the orbit into a bound one and the leg ran on for minutes)
+        # integrated in the time t at rtol 1e-8, the first leg raised
+        # StepFailure and the second hit with E_pl off by 3e-3 (at p/r = 3e-9
+        # the passage threw the orbit into a bound one and the leg ran on for
+        # minutes); the Levi-Civita leg meets the exact hit
         params = SystemParams(m=1.0, a=0.0)
         wall = Wall.centered_circle(2.0, side=-1)
         v = 1.03 * math.sqrt(2.0)
@@ -589,12 +588,13 @@ class TestNumericHit:
         out = next_hit_numeric(s, validate_config(params, wall), loose)
         exact = next_hit_analytic_line(s, params, wall)
         assert is_hit(out)
-        assert out.state_in == exact.state_in
+        np.testing.assert_allclose(
+            out.state_in.as_array(), exact.state_in.as_array(), rtol=0.0, atol=1e-8
+        )
 
     def test_near_radial_leg_meeting_the_wall_first_is_integrated(self, monkeypatch):
-        # L^2/(m r) ~ 6e-9, but the wall lies between the start and the
-        # center: no pericentre is passed, so the leg stays an independent
-        # check of the exact hit
+        # L^2/(m r) ~ 6e-9, and the wall lies between the start and the
+        # center: the leg is integrated, an independent check of the exact hit
         params = SystemParams(m=1.0, a=0.7705378367530828)
         wall = Wall.line(params.h, side=-1)
         s = PlanarState(
@@ -629,7 +629,85 @@ class TestNumericHit:
         with pytest.raises(Undetermined):
             next_hit_numeric(s, validate_config(params, wall), FAST, t_max=1.0)
         out = next_hit_numeric(s, validate_config(params, wall), FAST, t_max=20.0)
-        assert out.state_in == exact.state_in
+        np.testing.assert_allclose(
+            out.state_in.as_array(), exact.state_in.as_array(), rtol=0.0, atol=1e-8
+        )
+
+    @pytest.mark.parametrize("wall_kind", ["line", "circle"])
+    def test_near_radial_grid_matches_the_exact_hit(self, wall_kind, rng):
+        # starts aimed at the center, with L = 0 or |L| log-uniform in
+        # [1e-12, 1e-5]: each leg passes the center, with no special case,
+        # and meets the exact hit to 1e-8; a bound orbit that turns short of
+        # the wall is Undetermined, and an unbound one cannot miss it (the
+        # line lies across the start's ray)
+        if wall_kind == "line":
+            params = SystemParams(m=1.0, a=1.0)
+            wall = Wall.line(params.h, side=1)
+        else:
+            params = SystemParams(m=1.0, a=0.0)
+            wall = Wall.centered_circle(2.0, side=-1)
+        model = validate_config(params, wall)
+        hits = misses = 0
+        for i in range(20):
+            ell = 0.0 if i < 4 else 10.0 ** rng.uniform(-12, -5) * rng.choice([-1.0, 1.0])
+            r0, phi = rng.uniform(0.1, 0.6), rng.uniform(math.pi, 2.0 * math.pi)
+            speed = math.sqrt(rng.uniform(0.3, 2.5) * 2.0 * params.m / r0)
+            v_r, v_t = -math.sqrt(speed**2 - (ell / r0) ** 2), ell / r0
+            c, sn = math.cos(phi), math.sin(phi)
+            s = PlanarState(r0 * c, r0 * sn, v_r * c - v_t * sn, v_r * sn + v_t * c)
+            exact = next_hit_analytic_line(s, params, wall)
+            if isinstance(exact, Escape):
+                misses += 1
+                assert planar_energy(s, params.m) < 0.0
+                with pytest.raises(Undetermined):
+                    next_hit_numeric(s, model, FAST, t_max=50.0)
+                continue
+            hits += 1
+            out = next_hit_numeric(s, model, FAST)
+            assert is_hit(out) and is_hit(exact)
+            assert out.t_hit == pytest.approx(exact.t_hit, abs=1e-8)
+            np.testing.assert_allclose(
+                out.state_in.as_array(), exact.state_in.as_array(), rtol=0.0, atol=1e-8
+            )
+        assert hits >= 10 and misses >= 1
+
+    def test_hit_after_t_max_inside_one_chunk_is_undetermined(self, monkeypatch):
+        # one chunk spans the whole leg, so the integrator reaches the hit
+        # at t = 3.397 in one call; with t_max at half of that it is no hit
+        params = SystemParams(m=1.0, a=0.0)
+        model = validate_config(params, Wall.centered_circle(2.0, side=-1))
+        s = PlanarState(1.0, 0.0, 0.0, 1.2)
+        exact = next_hit_analytic_line(s, params, model.wall)
+        calls = []
+
+        def counting_solve_ivp(*args, **kwargs):
+            calls.append(1)
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(kcbilliards.billiard, "solve_ivp", counting_solve_ivp)
+        out = next_hit_numeric(s, model, FAST)
+        assert out.t_hit == pytest.approx(exact.t_hit, abs=1e-8) and len(calls) == 1
+        with pytest.raises(Undetermined):
+            next_hit_numeric(s, model, FAST, t_max=0.5 * exact.t_hit)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("ell", [0.0, 1e-8, 1e-3])
+    def test_boltzmann_leg_through_the_barrier_keeps_the_energy(self, ell):
+        # beta = 0.3: a leg aimed at the center turns at the centrifugal
+        # barrier (L^2 + beta > 0) and leaves along its ray to the line
+        params = SystemParams(m=1.0, a=1.0, beta=0.3)
+        model = validate_config(params, Wall.line(params.h, side=1))
+        r0 = math.hypot(0.2, -0.5)
+        qhat = np.array([0.2, -0.5]) / r0
+        v = -1.5 * qhat + (ell / r0) * np.array([-qhat[1], qhat[0]])
+        s = PlanarState(0.2, -0.5, v[0], v[1])
+        out = next_hit_numeric(s, model, FAST)
+        assert is_hit(out)
+        e0 = planar_energy(s, params.m, params.beta)
+        e1 = planar_energy(out.state_in, params.m, params.beta)
+        assert abs(e1 - e0) <= 1e-10 * max(1.0, abs(e0))
+        if ell == 0.0:  # a radial leg comes back out along its ray
+            assert out.state_in.xi == pytest.approx(-0.4 * params.h, abs=1e-8)
 
     def test_centered_circle_wall(self):
         params = SystemParams(m=1.0, a=0.0)

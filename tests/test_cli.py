@@ -287,6 +287,11 @@ class TestProject:
                    "--direction", "sphere-to-plane", "--a", "0.5"])
         assert rc == 2
 
+    def test_missing_input_exits_two(self, tmp_path):
+        rc = main(["project", "--in", str(tmp_path / "nope.csv"), "--out",
+                   str(tmp_path / "d.csv"), "--direction", "sphere-to-plane", "--a", "0.5"])
+        assert rc == 2
+
 
 class TestPlot:
     def test_svg_structure(self, flow_config, tmp_path):
@@ -317,6 +322,10 @@ class TestPlot:
         src = tmp_path / "s.csv"
         src.write_text(f"{PLANAR_HEADER}\n{row}\n")
         assert main(["plot", "--in", str(src), "--out", str(tmp_path / "p.svg")]) == 2
+
+    def test_missing_input_exits_two(self, tmp_path):
+        assert main(["plot", "--in", str(tmp_path / "nope.csv"),
+                     "--out", str(tmp_path / "p.svg")]) == 2
 
     def test_byte_identical_for_identical_input(self, flow_config, tmp_path):
         out = tmp_path / "out"
