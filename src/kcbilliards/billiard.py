@@ -55,7 +55,6 @@ from .model import (
     spherical_center,
 )
 from .planar import (
-    L_TOL,
     crossing_root,
     levi_civita_rhs,
     time_of_flight,
@@ -72,6 +71,7 @@ from .spherical import (
 
 TANGENCY_REL = 1e-8
 ON_WALL_TOL = 1e-10
+L_TOL = 1e-10
 _T_EPS_REL = 1e-9
 _EXACT_WALLS = (PLANAR_LINE, PLANAR_CENTERED_CIRCLE)
 
@@ -365,10 +365,12 @@ def next_hit_numeric(
     at the first such minimum with g < 0 the step is integrated again from
     its start to the minimum, which brackets the crossing. A hit whose
     clock exceeds t_max, or no hit before the clock reaches it, raises
-    Undetermined. In the plane, Escape is returned only with a certificate
-    (unbound, receding beyond 1e3 wall scales, and for the line wall no
-    forward conic intersection). On the sphere the state is projected back
-    onto the unit tangent bundle after each chunk.
+    Undetermined; so does a bound planar leg at beta = 0 with no hit in
+    its first period of s, since its conic repeats. In the plane, Escape
+    is returned only with a certificate (unbound, receding beyond 1e3 wall
+    scales, and for the line wall no forward conic intersection). On the
+    sphere the state is projected back onto the unit tangent bundle after
+    each chunk.
 
     Two kinds of start are settled before any integration:
 
@@ -484,6 +486,8 @@ def next_hit_numeric(
         t = float(clock(s, y))
         if spherical:
             y = project_constraints(y)
+        elif params.beta == 0.0 and energy < 0.0 and s >= period:
+            raise Undetermined("the bound conic missed the wall for a whole period")
         elif _escape_certified(hit_state(y), params, wall):
             return Escape("unbound, receding beyond the escape radius")
     raise Undetermined(f"no hit or escape certificate within t_max = {t_max}")

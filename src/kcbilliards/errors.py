@@ -30,7 +30,7 @@ class NonConvergence(BilliardError):
 
 
 class CollisionInsideInterval(BilliardError):
-    """Analytic propagation interval contains a collision with the center."""
+    """The exact orbit point at the requested time lies at the center."""
 
 
 class WrongHalfPlane(BilliardError):
@@ -50,7 +50,8 @@ class DynamicsError(BilliardError):
 
 
 class Undetermined(DynamicsError):
-    """Hit search exhausted t_max without a hit or an escape certificate."""
+    """Hit search exhausted t_max without a hit or an escape certificate,
+    or a bound planar leg at beta = 0 missed the wall for a whole period."""
 
     outcome = "undetermined"
 

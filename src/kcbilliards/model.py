@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -345,6 +346,14 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
+def _finite(value, name: str) -> float:
+    """A JSON number as a float; ConfigError for anything else, bools,
+    NaN, infinities and integers beyond the float range included."""
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+             and abs(value) <= sys.float_info.max, f"{name} must be a finite number")
+    return float(value)
+
+
 def parse_config(doc: dict) -> RunConfig:
     """Parse and validate the JSON configuration document.
 
@@ -356,39 +365,46 @@ def parse_config(doc: dict) -> RunConfig:
          "initial": {"state": [4 or 6 numbers]},
          "integrator": {"rtol": num, "atol": num, "max_step": num},
          "run": {"n_bounces": int, "t_max": num}}
+
+    Every section is an object and every number finite (max_step defaults
+    to infinity); atol >= 0, max_step > 0, n_bounces >= 0 and t_max > 0.
     """
     _require(isinstance(doc, dict), "config must be a JSON object")
     for key in ("system", "wall", "initial"):
         _require(key in doc, f"config is missing the {key!r} section")
+    keys = ("system", "wall", "initial", "integrator", "run")
+    for key in keys:
+        _require(isinstance(doc.get(key, {}), dict), f"the {key!r} section must be an object")
+    sys_sec, wall_sec, init_sec, integ_sec, run_sec = (doc.get(key, {}) for key in keys)
 
-    sys_sec = doc["system"]
     name = sys_sec.get("model", "kepler")
     _require(
         name in ("kepler", "boltzmann", "spherical"),
         "system.model must be 'kepler', 'boltzmann' or 'spherical'",
     )
-    beta = float(sys_sec.get("beta", 0.0))
+    beta = _finite(sys_sec.get("beta", 0.0), "system.beta")
     if name == "kepler":
         _require(beta == 0.0, "kepler model requires beta = 0")
     params = SystemParams(
-        m=float(sys_sec.get("m", 1.0)), a=float(sys_sec.get("a", 0.0)), beta=beta
+        m=_finite(sys_sec.get("m", 1.0), "system.m"),
+        a=_finite(sys_sec.get("a", 0.0), "system.a"),
+        beta=beta,
     )
 
-    wall_sec = doc["wall"]
     kind = wall_sec.get("kind")
-    side = int(wall_sec.get("side", 1))
+    side = int(_finite(wall_sec.get("side", 1), "wall.side"))
     if kind == PLANAR_LINE:
         wall = Wall.line(params.h, side=side)
     elif kind == PLANAR_CENTERED_CIRCLE:
         _require("radius" in wall_sec, "planar circle wall requires 'radius'")
-        wall = Wall.centered_circle(float(wall_sec["radius"]), side=side)
+        wall = Wall.centered_circle(_finite(wall_sec["radius"], "wall.radius"), side=side)
     elif kind == SPHERICAL_GREAT_CIRCLE:
         # The canonical great circle corresponds to the planar line wall.
         wall = Wall.great_circle((0.0, 1.0, 0.0), side=side)
     elif kind == SPHERICAL_CENTERED_CIRCLE:
         _require("colatitude" in wall_sec, "centered circle wall requires 'colatitude'")
         wall = Wall.centered_small_circle(
-            float(wall_sec["colatitude"]), spherical_center(params), side=side
+            _finite(wall_sec["colatitude"], "wall.colatitude"), spherical_center(params), side=side
         )
     else:
         raise ConfigError(f"unknown wall kind {kind!r}")
@@ -400,32 +416,34 @@ def parse_config(doc: dict) -> RunConfig:
 
     model = validate_config(params, wall)
 
-    state_vec = doc["initial"].get("state")
+    state_vec = init_sec.get("state")
     _require(
         isinstance(state_vec, (list, tuple)) and len(state_vec) in (4, 6),
         "initial.state must hold 4 (planar) or 6 (spherical) numbers",
     )
+    values = [_finite(x, "each initial.state value") for x in state_vec]
     if model.domain == "planar":
-        _require(len(state_vec) == 4, "planar run requires a 4-number state")
-        initial: State = PlanarState.from_array([float(x) for x in state_vec])
+        _require(len(values) == 4, "planar run requires a 4-number state")
+        initial: State = PlanarState.from_array(values)
     else:
-        _require(len(state_vec) == 6, "spherical run requires a 6-number state")
+        _require(len(values) == 6, "spherical run requires a 6-number state")
         try:
-            initial = SphericalState.from_array([float(x) for x in state_vec])
+            initial = SphericalState.from_array(values)
         except ValueError as exc:
             raise ConfigError(f"invalid spherical state: {exc}") from exc
 
-    integ_sec = doc.get("integrator", {})
     integ = IntegratorConfig(
-        rtol=float(integ_sec.get("rtol", 1e-10)),
-        atol=float(integ_sec.get("atol", 1e-10)),
-        max_step=float(integ_sec.get("max_step", math.inf)),
+        rtol=_finite(integ_sec.get("rtol", 1e-10), "integrator.rtol"),
+        atol=_finite(integ_sec.get("atol", 1e-10), "integrator.atol"),
+        max_step=_finite(integ_sec["max_step"], "integrator.max_step")
+        if "max_step" in integ_sec else math.inf,
     )
+    _require(integ.atol >= 0.0, "integrator.atol must be >= 0")
+    _require(integ.max_step > 0.0, "integrator.max_step must be positive")
 
-    run_sec = doc.get("run", {})
     run = RunSpec(
-        n_bounces=int(run_sec.get("n_bounces", 0)),
-        t_max=float(run_sec.get("t_max", 100.0)),
+        n_bounces=int(_finite(run_sec.get("n_bounces", 0), "run.n_bounces")),
+        t_max=_finite(run_sec.get("t_max", 100.0), "run.t_max"),
     )
     _require(run.n_bounces >= 0, "run.n_bounces must be >= 0")
     _require(run.t_max > 0, "run.t_max must be positive")

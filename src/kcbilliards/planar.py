@@ -6,7 +6,8 @@ kernel: the conic through a state, for either mass sign and any energy,
 in Goodyear's s (dt/ds = r), with its flight time t(s) in closed form.
 One Newton on t(s) serves exact propagation and the anomaly equations
 (eccentric, Barker, hyperbolic), each t(s) from a pericentre; one
-crossing root on the kernel times the exact wall hit and the pericentre.
+crossing root on the kernel times the exact wall hit. The exact flight
+and hit pass a radial orbit's collision by the elastic bounce.
 
 Sign convention: the acceleration is -m*q/r^3 + beta*q/r^4, so m > 0
 attracts and m < 0 repels; beta > 0 is an outward force beta/r^3 with
@@ -24,11 +25,9 @@ from .errors import (
     PerturbedModel,
     SingularPosition,
 )
-from .integrals import angular_momentum
 from .model import PlanarState, SystemParams
 
 R_MIN = 1e-12
-L_TOL = 1e-10
 _MAX_ITER = 200
 # a discriminant this far below zero, relative to its terms, is a tangency
 _DISC_ROUNDING = 1e-15
@@ -246,25 +245,6 @@ def crossing_root(alpha: float, c: float, P: float, Q: float) -> Optional[float]
     return 2.0 * math.atanh(u) / math.sqrt(-alpha) if alpha < 0.0 else y
 
 
-def pericentre_time(state: PlanarState, m: float) -> Optional[float]:
-    """Time to the next pericentre of the conic through state, or None.
-
-    A pericentre is where sigma = q.v = dr/ds crosses zero upwards. Along
-    the conic sigma(s) = sigma0 + (m - alpha r0) G1 - alpha sigma0 G2, so it
-    is the crossing_root of -sigma, timed by t(s). On a radial orbit of an
-    attracting center the pericentre is the collision. None when the orbit
-    has no forward pericentre (unbound and already receding).
-    """
-    r0 = state.r
-    sigma0 = state.xi * state.xi_dot + state.eta * state.eta_dot
-    v2 = state.xi_dot**2 + state.eta_dot**2
-    alpha = 2.0 * m / r0 - v2
-    s = crossing_root(alpha, -sigma0, m - r0 * v2, alpha * sigma0)
-    if s is None or s == math.inf:
-        return None
-    return time_of_flight(r0, sigma0, m, universal_kernel(alpha, s))
-
-
 # ---------------------------------------------------------------------------
 # Exact propagation
 # ---------------------------------------------------------------------------
@@ -273,28 +253,20 @@ def propagate_analytic(state: PlanarState, dt: float, params: SystemParams) -> P
     """Propagate a state exactly along its conic by time dt.
 
     One universal-variable code path serves elliptic, parabolic and
-    hyperbolic motion, attractive (m > 0) and repulsive (m < 0) alike.
+    hyperbolic motion, attractive (m > 0) and repulsive (m < 0) alike. A
+    radial orbit of an attracting center passes the collision by the
+    elastic bounce, as in the billiard maps.
 
     Raises:
         PerturbedModel: if params.beta != 0.
-        CollisionInsideInterval: if the orbit is radial (|L| at most
-            L_TOL times speed times r), m > 0 and its pericentre, the
-            collision, lies within (0, dt]; the billiard map continues
-            such orbits through the center by the elastic bounce.
+        CollisionInsideInterval: if the state at dt lies within R_MIN of the center.
         NonConvergence: if the universal Kepler equation does not converge.
     """
     if params.beta != 0.0:
         raise PerturbedModel("analytic propagation requires beta = 0")
     if dt == 0.0:
         return state
-    m = params.m
-    if m > 0.0 and abs(angular_momentum(state)) <= L_TOL * state.speed * state.r:
-        t_c = pericentre_time(state, m)
-        if t_c is not None and 0.0 < t_c <= dt:
-            raise CollisionInsideInterval(
-                f"radial orbit reaches the center at t = {t_c} <= dt"
-            )
-    r0 = state.r
+    m, r0 = params.m, state.r
     sigma0 = state.xi * state.xi_dot + state.eta * state.eta_dot
     _, g = _solve_flight(r0, sigma0, 2.0 * m / r0 - state.speed**2, m, dt)
     return universal_state(state, m, dt, g)

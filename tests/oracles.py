@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they check: the flow oracle is a
 plain high-accuracy ODE integration of the raw vector field, the anomaly
-oracle is bisection, and the collision oracle integrates the regularized
-equations (z = w^2, dt = |w|^2 ds), which are smooth through the center.
+oracle is bisection, the collision oracle integrates the regularized
+equations (z = w^2, dt = |w|^2 ds), which are smooth through the center,
+and the radial fall time is Kepler's equation on the degenerate conic.
 """
 
 from __future__ import annotations
@@ -80,6 +81,27 @@ def bisection_kepler_elliptic(M: float, e: float, lo: float, hi: float) -> float
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def radial_fall_time(r0: float, speed: float, m: float) -> float:
+    """Time a radial infall from r0 at the given speed takes to reach an
+    attracting center (m > 0), in closed form on the degenerate conic:
+    r = a (1 - cos u), t = sqrt(a^3/m) (u - sin u) when bound (a = m/(2|E|),
+    u = 0 at the center), r = a (cosh u - 1), t = sqrt(a^3/m) (sinh u - u)
+    when unbound. u - sin u and sinh u - u lose about 1e-16/u^2 relative,
+    so these serve |E| r0/m above about 1e-3; an energy within rounding of
+    zero takes the parabolic t = sqrt(2 r0^3/m)/3.
+    """
+    assert m > 0.0
+    energy = 0.5 * speed * speed - m / r0
+    if abs(energy) <= 1e-14 * m / r0:
+        return math.sqrt(2.0 * r0**3 / m) / 3.0
+    a = m / (2.0 * abs(energy))
+    if energy < 0.0:
+        u = 2.0 * math.asin(math.sqrt(0.5 * r0 / a))
+        return math.sqrt(a**3 / m) * (u - math.sin(u))
+    u = 2.0 * math.asinh(math.sqrt(0.5 * r0 / a))
+    return math.sqrt(a**3 / m) * (math.sinh(u) - u)
 
 
 def levi_civita_through_collision(state: PlanarState, params: SystemParams):

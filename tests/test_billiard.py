@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from oracles import ode_propagate
+from oracles import ode_propagate, radial_fall_time
 
 import kcbilliards.billiard
 from kcbilliards.billiard import (
@@ -29,7 +29,6 @@ from kcbilliards.model import (
     validate_config,
 )
 from kcbilliards.planar import (
-    pericentre_time,
     time_of_flight,
     universal_kernel,
     universal_state,
@@ -279,8 +278,7 @@ class TestAnalyticLineHit:
         qhat = np.array([0.3, params.h]) / r0
         speed = 0.5
         s = PlanarState(0.3, params.h, -speed * qhat[0], -speed * qhat[1])
-        t_c = pericentre_time(s, 1.0)
-        assert t_c is not None and t_c > 0.0
+        t_c = radial_fall_time(r0, speed, 1.0)
         rec = next_hit_analytic_line(s, params, wall)
         assert is_hit(rec)
         assert rec.t_hit == pytest.approx(2.0 * t_c, rel=1e-10)
@@ -619,6 +617,27 @@ class TestNumericHit:
         assert isinstance(next_hit_analytic_line(s, params, wall), Escape)
         with pytest.raises(Undetermined):
             next_hit_numeric(s, validate_config(params, wall), FAST)
+
+    @pytest.mark.parametrize("start", [
+        (1e-8, 0.0, 0.0, 1e-3),  # a tiny bound orbit, period 2e-12
+        (1.0, 0.0, 0.0, 0.0),  # the fall from rest through the center
+        (1.0, 0.0, 0.0, 1.0),  # the circular orbit
+    ])
+    def test_bound_orbit_missing_the_wall_ends_after_one_period(self, start, monkeypatch):
+        # at beta = 0 a bound conic repeats, so a leg with no hit in its
+        # first period never meets the wall: Undetermined at once, not after
+        # integrating on to t_max (the call cap stops such a crawl early)
+        model = validate_config(SystemParams(m=1.0, a=0.0), Wall.centered_circle(10.0, side=-1))
+        calls = []
+
+        def capped_solve_ivp(*args, **kwargs):
+            calls.append(1)
+            assert len(calls) <= 2, "more than two solve_ivp calls"
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(kcbilliards.billiard, "solve_ivp", capped_solve_ivp)
+        with pytest.raises(Undetermined):
+            next_hit_numeric(PlanarState(*start), model, FAST)
 
     def test_near_radial_hit_after_t_max_is_undetermined(self):
         params = SystemParams(m=1.0, a=0.0)

@@ -158,6 +158,35 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("integrator", "atol", -1),
+        ("integrator", "max_step", 0),
+        ("integrator", "max_step", -1),
+        ("initial", "state", [0.5, math.nan, 0.3, -0.8]),
+        ("integrator", "rtol", "tight"),
+        ("run", "n_bounces", "eight"),
+        ("system", "m", "one"),
+        ("wall", None, ["planar-line", -1]),
+        # json accepts Infinity; with no bounce asked the flow would never end
+        ("run", None, {"n_bounces": 0, "t_max": math.inf}),
+    ])
+    def test_malformed_value_is_a_config_error(self, tmp_path, capsys, section, key, value):
+        doc = {
+            "system": {"model": "kepler", "m": 1.0, "a": 1.0, "beta": 0.0},
+            "wall": {"kind": "planar-line", "side": -1},
+            "initial": {"state": [0.5, H1, 0.3, -0.8]},
+            "integrator": {"rtol": 1e-10, "atol": 1e-10},
+            "run": {"n_bounces": 1, "t_max": 10.0},
+        }
+        if key is None:
+            doc[section] = value
+        else:
+            doc[section][key] = value
+        cfg = tmp_path / "bad.json"
+        write_config(cfg, doc)
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2 and "config error: " in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "o")])

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from oracles import (
     bisection_kepler_elliptic,
     levi_civita_through_collision,
     ode_propagate,
     ode_trajectory,
+    radial_fall_time,
 )
 
 from kcbilliards.errors import (
@@ -29,7 +29,6 @@ from kcbilliards.planar import (
     _stumpff_c,
     _stumpff_s,
     flow_rhs,
-    pericentre_time,
     propagate_analytic,
     solve_kepler_equation,
     time_of_flight,
@@ -226,10 +225,22 @@ class TestPropagateAnalytic:
         np.testing.assert_allclose(s2.as_array(), s0.as_array(), atol=1e-11)
 
     def test_collision_inside_interval(self):
+        # radial infall from r0 = 1 at speed 0.1: the elastic bounce at the
+        # center retraces the fall, so at 2 t_c the orbit is back at the
+        # start moving out, and it repeats with the period 2 pi a^(3/2)
         params = SystemParams(m=1.0)
-        s0 = PlanarState(0.0, 1.0, 0.0, -0.1)  # radial infall
-        with pytest.raises(CollisionInsideInterval):
-            propagate_analytic(s0, 10.0, params)
+        s0 = PlanarState(0.0, 1.0, 0.0, -0.1)
+        t_c = radial_fall_time(1.0, 0.1, 1.0)
+        np.testing.assert_allclose(
+            propagate_analytic(s0, 2.0 * t_c, params).as_array(), [0.0, 1.0, 0.0, 0.1],
+            atol=1e-12,
+        )
+        period = 2.0 * math.pi * (1.0 / 1.99) ** 1.5
+        np.testing.assert_allclose(
+            propagate_analytic(s0, 10.0, params).as_array(),
+            propagate_analytic(s0, 10.0 - 4.0 * period, params).as_array(),
+            atol=1e-10,
+        )
 
     def test_repulsive_radial_orbit_turns_without_collision(self):
         # m < 0: the radial infall turns at r = 1/3, a pericentre but no collision
@@ -242,18 +253,20 @@ class TestPropagateAnalytic:
 
     @pytest.mark.parametrize("rel", [1e-9, 1e-6])
     def test_collision_just_beyond_interval(self, rel):
-        # radial infall from r0 = 1 at speed 0.1: on r = a (1 - cos u),
-        # t = sqrt(a^3/m) (u - sin u), the fall takes as long as the rise to r0
+        # radial infall from r0 = 1 at speed 0.1: the state rel t_c past the
+        # collision mirrors the one rel t_c before it, the velocity reversed;
+        # the closed-form t_c and the kernel's collision time differ by a
+        # few ulps, which moves r by about (2/3) 1e-16/rel relative
         params = SystemParams(m=1.0)
         s0 = PlanarState(0.0, 1.0, 0.0, -0.1)
-        a = 1.0 / (2.0 - 0.01)
-        u0 = math.acos(1.0 - 1.0 / a)
-        t_c = math.sqrt(a**3) * (u0 - math.sin(u0))
-        s1 = propagate_analytic(s0, t_c * (1.0 - rel), params)
-        assert 0.0 < s1.r < 1e-2 and s1.eta_dot < 0.0
-        assert abs(planar_energy(s1, 1.0) - planar_energy(s0, 1.0)) <= 1e-9 * s1.speed**2
-        with pytest.raises(CollisionInsideInterval):
-            propagate_analytic(s0, t_c * (1.0 + rel), params)
+        t_c = radial_fall_time(1.0, 0.1, 1.0)
+        before = propagate_analytic(s0, t_c * (1.0 - rel), params)
+        after = propagate_analytic(s0, t_c * (1.0 + rel), params)
+        assert 0.0 < before.r < 1e-2 and before.eta_dot < 0.0 < after.eta_dot
+        mirror = [after.xi, after.eta, -after.xi_dot, -after.eta_dot]
+        np.testing.assert_allclose(mirror, before.as_array(), rtol=1e-14 / rel, atol=0.0)
+        for s1 in (before, after):
+            assert abs(planar_energy(s1, 1.0) - planar_energy(s0, 1.0)) <= 1e-9 * s1.speed**2
 
     def test_perturbed_rejected(self):
         with pytest.raises(PerturbedModel):
@@ -324,69 +337,60 @@ class TestCollision:
         params = SystemParams(m=1.0)
         s0 = PlanarState(0.0, 1.0, 0.0, -math.sqrt(2.0))
         state_at, t_coll_oracle = levi_civita_through_collision(s0, params)
-
-        t_coll = pericentre_time(s0, 1.0)
-        assert t_coll == pytest.approx(math.sqrt(2.0) / 3.0, rel=1e-13)
+        t_coll = radial_fall_time(1.0, math.sqrt(2.0), 1.0)
         assert t_coll == pytest.approx(t_coll_oracle, rel=1e-6)
 
         # after passing through, the regularized orbit retraces to (0, 1)
-        s_back = state_at(2.0 * t_coll)
+        back = [0.0, 1.0, 0.0, math.sqrt(2.0)]
+        np.testing.assert_allclose(state_at(2.0 * t_coll).as_array(), back, atol=1e-9)
         np.testing.assert_allclose(
-            s_back.as_array(), [0.0, 1.0, 0.0, math.sqrt(2.0)], atol=1e-9
+            propagate_analytic(s0, 2.0 * t_coll, params).as_array(), back, atol=1e-12
         )
 
     def test_bound_infall_against_levi_civita_oracle(self):
         params = SystemParams(m=1.0)
         s0 = PlanarState(0.0, 1.0, 0.0, -0.5)  # E = -7/8, radial
         state_at, _ = levi_civita_through_collision(s0, params)
-        t_c = pericentre_time(s0, 1.0)
-        s_back = state_at(2.0 * t_c)
+        t_c = radial_fall_time(1.0, 0.5, 1.0)
+        back = [0.0, 1.0, 0.0, 0.5]
+        np.testing.assert_allclose(state_at(2.0 * t_c).as_array(), back, atol=1e-9)
         np.testing.assert_allclose(
-            s_back.as_array(), [0.0, 1.0, 0.0, 0.5], atol=1e-9
+            propagate_analytic(s0, 2.0 * t_c, params).as_array(), back, atol=1e-12
         )
 
+    @pytest.mark.parametrize("speed", [0.5, math.sqrt(2.0), 2.0])
+    def test_radial_propagation_through_the_center(self, speed):
+        # bound, parabolic and hyperbolic infalls from r0 = 1 along
+        # (0.6, -0.8), propagated past the collision: the universal-variable
+        # kernel passes it by the elastic bounce, as the regularized oracle
+        params = SystemParams(m=1.0)
+        s0 = PlanarState(0.6, -0.8, -0.6 * speed, 0.8 * speed)
+        state_at, _ = levi_civita_through_collision(s0, params)
+        t_c = radial_fall_time(1.0, speed, 1.0)
+        for dt in np.linspace(1.3, 1.7, 9) * t_c:
+            want = state_at(float(dt)).as_array()
+            got = propagate_analytic(s0, float(dt), params).as_array()
+            assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
 
-class TestPericentreTime:
-    def test_against_ode_pericentre_event(self, rng):
-        # the first upward crossing of q.v = 0 of the integrated flow;
-        # None exactly when the flow has no such crossing
-        seen = set()
-        checked = 0
-        while checked < 120:
-            m = float(rng.choice([-1.0, 1.0]))
-            r0 = float(rng.uniform(0.5, 2.0))
-            th, phi = rng.uniform(0.0, 2.0 * math.pi, size=2)
-            speed = float(rng.uniform(0.3, 1.7)) * math.sqrt(2.0 * abs(m) / r0)
-            s0 = PlanarState(r0 * math.cos(th), r0 * math.sin(th),
-                             speed * math.cos(phi), speed * math.sin(phi))
-            sigma0 = s0.xi * s0.xi_dot + s0.eta * s0.eta_dot
-            # near-radial orbits pass a pericentre the integrator cannot resolve
-            if angular_momentum(s0) ** 2 < 0.05 * abs(m) * r0 or abs(sigma0) < 1e-3:
-                continue
-            params = SystemParams(m=m)
-            t_p = pericentre_time(s0, m)
-            horizon = 60.0 if t_p is None else t_p + 1.0
+    @pytest.mark.parametrize("ell", [0.0, 1e-12, 0.5e-10, 1e-9])
+    def test_continuous_in_angular_momentum_through_the_pericentre(self, ell):
+        # |L| = 0, 1e-12, 1e-10 r |v| (r = 1, |v| = 0.5) and 1e-9: past the
+        # pericentre r and speed match the radial orbit's to rounding, and
+        # the state turns by an angle of order |L|
+        params = SystemParams(m=1.0)
+        t_c = radial_fall_time(1.0, 0.5, 1.0)
 
-            def event(t, y):
-                return y[0] * y[2] + y[1] * y[3]
+        def start(l):
+            v_r, v_t = -math.sqrt(0.25 - l * l), l
+            return PlanarState(0.6, -0.8, 0.6 * v_r + 0.8 * v_t, -0.8 * v_r + 0.6 * v_t)
 
-            event.direction = 1.0
-            sol = solve_ivp(lambda t, y: flow_rhs(t, y, params), (0.0, horizon),
-                            s0.as_array(), method="DOP853", rtol=1e-12, atol=1e-12,
-                            events=event)
-            assert sol.success
-            found = sol.t_events[0]
-            if t_p is None:
-                assert found.size == 0
-            else:
-                assert found.size and abs(found[0] - t_p) <= 1e-9 * max(1.0, t_p)
-            bound = planar_energy(s0, m) < 0.0
-            seen.add((m > 0.0, bound, sigma0 > 0.0, t_p is None))
-            checked += 1
-        # both signs of m and of sigma0, bound and unbound, and None cases
-        assert {(True, True, False, False), (True, True, True, False),
-                (True, False, False, False), (True, False, True, True),
-                (False, False, False, False), (False, False, True, True)} <= seen
+        radial = propagate_analytic(start(0.0), 1.5 * t_c, params)
+        got = propagate_analytic(start(ell), 1.5 * t_c, params)
+        assert got.r == pytest.approx(radial.r, rel=1e-13)
+        assert got.speed == pytest.approx(radial.speed, rel=1e-13)
+        np.testing.assert_allclose(
+            got.as_array(), radial.as_array(), rtol=0.0, atol=10.0 * ell + 1e-13
+        )
 
 
 class TestTimeOfFlight:
