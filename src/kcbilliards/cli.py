@@ -24,22 +24,9 @@ from scipy.integrate import solve_ivp
 
 from . import io as out_io
 from .billiard import billiard_map
-from .errors import (
-    BilliardError,
-    ConfigError,
-    DynamicsError,
-    SingularPosition,
-    StepFailure,
-)
-from .integrals import integral_set
-from .model import (
-    IntegralSet,
-    PlanarState,
-    RunConfig,
-    SphericalState,
-    SystemParams,
-    load_config,
-)
+from .errors import BilliardError, ConfigError, DynamicsError, StepFailure
+from .integrals import integral_set, planar_columns
+from .model import PlanarState, RunConfig, SphericalState, SystemParams, load_config
 from .planar import flow_rhs
 from .spherical import (
     integrate_spherical,
@@ -55,15 +42,6 @@ log = logging.getLogger("kcbilliards")
 _FLOW_SAMPLES = 1001
 
 
-def _planar_row(t: float, s: PlanarState, ints: IntegralSet) -> List[float]:
-    return [t, s.xi, s.eta, s.xi_dot, s.eta_dot, ints.E_pl, ints.L, ints.A_eta,
-            ints.D, ints.E_sph]
-
-
-def _spherical_row(t: float, s: SphericalState, e_sph: float) -> List[float]:
-    return [t, s.q[0], s.q[1], s.q[2], s.v[0], s.v[1], s.v[2], e_sph]
-
-
 def _drift(values: List[float]) -> float:
     vals = [v for v in values if not math.isnan(v)]
     if len(vals) < 2:
@@ -73,16 +51,18 @@ def _drift(values: List[float]) -> float:
 
 
 def cmd_simulate(args) -> int:
+    """A flow's samples and a billiard run's start and bounces (each
+    rec.state_out at rec.t_hit) become one stack of states, whose columns
+    give every trajectory row its integrals."""
     cfg: RunConfig = load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
     params = cfg.model.params
-    traj_path = os.path.join(args.out, "trajectory.csv")
-    bounce_path = os.path.join(args.out, "bounces.csv")
-    summary_path = os.path.join(args.out, "summary.json")
-
+    planar = cfg.model.domain == "planar"
+    run = None
+    records = []
     if cfg.run.n_bounces == 0:
         ts = np.linspace(0.0, cfg.run.t_max, _FLOW_SAMPLES)
-        if cfg.model.domain == "planar":
+        if planar:
             sol = solve_ivp(
                 lambda t, y: flow_rhs(t, y, params),
                 (0.0, cfg.run.t_max),
@@ -95,78 +75,50 @@ def cmd_simulate(args) -> int:
             )
             if not sol.success:
                 raise StepFailure(f"flow integration failed: {sol.message}")
-            xi, eta, xd, ed = sol.y
-            # math.hypot as in PlanarState.r: np.hypot rounds some pairs differently
-            r = np.array(list(map(math.hypot, xi.tolist(), eta.tolist())))
-            if (r == 0.0).any():
-                raise SingularPosition("(xi, eta) = (0, 0) is the singular center")
-            cols = SimpleNamespace(xi=xi, eta=eta, xi_dot=xd, eta_dot=ed, r=r)
-            ints = integral_set(cols, params)
-            out_io.write_planar_trajectory(traj_path, np.column_stack(
-                (sol.t, xi, eta, xd, ed, ints.E_pl, ints.L, ints.A_eta, ints.D, ints.E_sph)
-            ).tolist())
-            drift_cols = {"E_pl": ints.E_pl.tolist(), "D": ints.D.tolist(),
-                          "E_sph": ints.E_sph.tolist()}
+            ts, ys = sol.t, sol.y.T
         else:
-            tss, ys = integrate_spherical(
+            ts, ys = integrate_spherical(
                 cfg.initial, ts, params, rtol=cfg.integrator.rtol,
                 atol=cfg.integrator.atol, max_step=cfg.integrator.max_step,
             )
-            e_sph = spherical_energy_embedded(SimpleNamespace(q=ys[:, :3], v=ys[:, 3:]), params)
-            out_io.write_spherical_trajectory(
-                traj_path, np.column_stack((tss, ys, e_sph)).tolist())
-            drift_cols = {"E_sph": e_sph.tolist()}
-        out_io.write_bounces(bounce_path, [], cfg.model.domain)
-        summary = {
-            "outcome": "flow",
-            "n_bounces": 0,
-            "t_final": cfg.run.t_max,
-            "max_drift": {k: _drift(v) for k, v in sorted(drift_cols.items())},
-        }
-        out_io.write_summary(summary_path, summary)
-        log.info("flow run written to %s", args.out)
-        return 0
-
-    run = billiard_map(
-        cfg.initial,
-        cfg.run.n_bounces,
-        cfg.model,
-        mode="numeric",
-        integ=cfg.integrator,
-        t_max_per_leg=cfg.run.t_max,
-    )
-    records = run.records
-    # each record carries the integrals of its state_out, so the rows reuse them
-    if cfg.model.domain == "planar":
-        ints0 = integral_set(cfg.initial, params)
-        rows = [_planar_row(0.0, cfg.initial, ints0)]
-        rows += [_planar_row(r.t_hit, r.state_out, r.integrals_out) for r in records]
-        out_io.write_planar_trajectory(traj_path, rows)
-        e_series = [ints0.E_pl] + [r.integrals_in.E_pl for r in records]
-        d_series = [ints0.D] + [r.integrals_in.D for r in records]
-        es_series = [ints0.E_sph] + [r.integrals_in.E_sph for r in records]
     else:
-        e_sph0 = spherical_energy_embedded(cfg.initial, params)
-        rows = [_spherical_row(0.0, cfg.initial, e_sph0)]
-        rows += [_spherical_row(r.t_hit, r.state_out, r.integrals_out.E_sph) for r in records]
-        out_io.write_spherical_trajectory(traj_path, rows)
-        e_series = [r.integrals_in.E_pl for r in records]
-        d_series = [r.integrals_in.D for r in records]
-        es_series = [e_sph0] + [r.integrals_in.E_sph for r in records]
-    out_io.write_bounces(bounce_path, records, cfg.model.domain)
+        run = billiard_map(
+            cfg.initial,
+            cfg.run.n_bounces,
+            cfg.model,
+            mode="numeric",
+            integ=cfg.integrator,
+            t_max_per_leg=cfg.run.t_max,
+        )
+        records = run.records
+        ts = [0.0] + [rec.t_hit for rec in records]
+        ys = np.array([cfg.initial.as_array()] + [rec.state_out.as_array() for rec in records])
+
+    traj_path = os.path.join(args.out, "trajectory.csv")
+    if planar:
+        ints = integral_set(planar_columns(ys), params)
+        out_io.write_planar_trajectory(traj_path, np.column_stack(
+            (ts, ys, ints.E_pl, ints.L, ints.A_eta, ints.D, ints.E_sph)).tolist())
+        series = {"D": ints.D.tolist(), "E_pl": ints.E_pl.tolist(), "E_sph": ints.E_sph.tolist()}
+    else:
+        e_sph = spherical_energy_embedded(SimpleNamespace(q=ys[:, :3], v=ys[:, 3:]), params)
+        out_io.write_spherical_trajectory(traj_path, np.column_stack((ts, ys, e_sph)).tolist())
+        series = {"E_sph": e_sph.tolist()}
+    if run is not None:
+        # the start row, then each bounce's integrals on arrival; spherical
+        # rows carry only E_sph, so E_pl and D start at the first bounce
+        series = {k: series.get(k, [])[:1] + [getattr(rec.integrals_in, k) for rec in records]
+                  for k in ("D", "E_pl", "E_sph")}
+    out_io.write_bounces(os.path.join(args.out, "bounces.csv"), records, cfg.model.domain)
     summary = {
-        "outcome": run.outcome,
-        "n_bounces": run.n_bounces,
-        "t_final": records[-1].t_hit if records else 0.0,
-        "max_drift": {
-            "D": _drift(d_series),
-            "E_pl": _drift(e_series),
-            "E_sph": _drift(es_series),
-        },
+        "outcome": "flow" if run is None else run.outcome,
+        "n_bounces": len(records),
+        "t_final": cfg.run.t_max if run is None else (records[-1].t_hit if records else 0.0),
+        "max_drift": {k: _drift(v) for k, v in sorted(series.items())},
     }
-    out_io.write_summary(summary_path, summary)
-    log.info("billiard run: %d bounces, outcome %s", run.n_bounces, run.outcome)
-    if run.error is not None:
+    out_io.write_summary(os.path.join(args.out, "summary.json"), summary)
+    log.info("run written to %s: %d bounces, outcome %s", args.out, len(records), summary["outcome"])
+    if run is not None and run.error is not None:
         print(f"dynamics error: {run.error}", file=sys.stderr)
         return 3
     return 0

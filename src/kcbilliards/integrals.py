@@ -5,14 +5,20 @@ angular momentum L, the two Laplace-Runge-Lenz components (A_xi, A_eta),
 the line-billiard invariant D = L^2 - 2 h A_eta, and the energy E_sph of
 the corresponding spherical system. E_sph is computed from its own chart
 expression, never via the identity E_sph = (1+a^2)(E_pl + D/2), so that
-the identity remains an end-to-end test. The same functions serve a single
-state and columns of flow samples alike (see integral_set).
+the identity remains an end-to-end test. Every formula is elementwise: the
+same functions serve a single PlanarState and the columns of a stack of
+states (planar_columns), which is how the CLI evaluates its trajectory
+rows and verify its sampled states.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
+import numpy as np
+
+from .errors import SingularPosition
 from .model import IntegralSet, PlanarState, SystemParams
 
 
@@ -70,14 +76,28 @@ def spherical_energy_chart(s: PlanarState, m: float, a: float) -> float:
     return one_a2 * (kinetic - m / r) + 0.5 * one_a2 * coupling
 
 
-def integral_set(s: PlanarState, params: SystemParams) -> IntegralSet:
-    """Evaluate all six integrals at a planar state.
+def planar_columns(y) -> SimpleNamespace:
+    """The columns xi, eta, xi_dot, eta_dot and r of an (n, 4) stack of
+    planar states, for the integral functions above.
 
-    Every formula is elementwise, so s may also carry equal-length numpy
-    columns in xi, eta, xi_dot, eta_dot and r (the CLI's flow samples, with
-    r = math.hypot(xi, eta) per sample); each entry of the result is then
-    the value at that sample's PlanarState, to the bit.
+    r is math.hypot per row, PlanarState.r's bits (np.hypot rounds some
+    pairs differently), so each entry of a function of the columns is its
+    value at that row's PlanarState, to the bit.
+
+    Raises:
+        SingularPosition: if a row lies at the center (0, 0).
     """
+    y = np.asarray(y, dtype=float)
+    xi, eta, xi_dot, eta_dot = y.T
+    r = np.array(list(map(math.hypot, xi.tolist(), eta.tolist())))
+    if (r == 0.0).any():
+        raise SingularPosition("(xi, eta) = (0, 0) is the singular center")
+    return SimpleNamespace(xi=xi, eta=eta, xi_dot=xi_dot, eta_dot=eta_dot, r=r)
+
+
+def integral_set(s: PlanarState, params: SystemParams) -> IntegralSet:
+    """Evaluate all six integrals at a planar state, or elementwise at the
+    rows of planar_columns(y)."""
     return IntegralSet(
         E_pl=planar_energy(s, params.m, params.beta),
         L=angular_momentum(s),

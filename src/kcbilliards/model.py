@@ -354,6 +354,13 @@ def _finite(value, name: str) -> float:
     return float(value)
 
 
+def _integer(value, name: str) -> int:
+    """A finite JSON number of integral value (2 or 2.0, not 2.7) as an int."""
+    x = _finite(value, name)
+    _require(x.is_integer(), f"{name} must be an integer")
+    return int(x)
+
+
 def parse_config(doc: dict) -> RunConfig:
     """Parse and validate the JSON configuration document.
 
@@ -367,7 +374,8 @@ def parse_config(doc: dict) -> RunConfig:
          "run": {"n_bounces": int, "t_max": num}}
 
     Every section is an object and every number finite (max_step defaults
-    to infinity); atol >= 0, max_step > 0, n_bounces >= 0 and t_max > 0.
+    to infinity); side and n_bounces are integral, rtol > 0, atol >= 0,
+    max_step > 0, n_bounces >= 0 and t_max > 0.
     """
     _require(isinstance(doc, dict), "config must be a JSON object")
     for key in ("system", "wall", "initial"):
@@ -392,7 +400,7 @@ def parse_config(doc: dict) -> RunConfig:
     )
 
     kind = wall_sec.get("kind")
-    side = int(_finite(wall_sec.get("side", 1), "wall.side"))
+    side = _integer(wall_sec.get("side", 1), "wall.side")
     if kind == PLANAR_LINE:
         wall = Wall.line(params.h, side=side)
     elif kind == PLANAR_CENTERED_CIRCLE:
@@ -438,11 +446,12 @@ def parse_config(doc: dict) -> RunConfig:
         max_step=_finite(integ_sec["max_step"], "integrator.max_step")
         if "max_step" in integ_sec else math.inf,
     )
+    _require(integ.rtol > 0.0, "integrator.rtol must be positive")
     _require(integ.atol >= 0.0, "integrator.atol must be >= 0")
     _require(integ.max_step > 0.0, "integrator.max_step must be positive")
 
     run = RunSpec(
-        n_bounces=int(_finite(run_sec.get("n_bounces", 0), "run.n_bounces")),
+        n_bounces=_integer(run_sec.get("n_bounces", 0), "run.n_bounces"),
         t_max=_finite(run_sec.get("t_max", 100.0), "run.t_max"),
     )
     _require(run.n_bounces >= 0, "run.n_bounces must be >= 0")

@@ -153,13 +153,15 @@ def levi_civita_through_collision(state: PlanarState, params: SystemParams):
         zd = 2.0 * w * wp / (abs(w) ** 2)
         return PlanarState(z.real, z.imag, zd.real, zd.imag)
 
-    # collision: true minimum of |w(s)|^2 refined on the dense output
+    # collision: the first zero of |w(s)|^2 with s > 0 (a bound orbit has
+    # one per period), bracketed by the first sample where |w| stops
+    # falling and starts growing, refined on the dense output
     from scipy.optimize import minimize_scalar
 
-    ws = np.abs(sol.y[0] + 1j * sol.y[1])
-    i_min = int(np.argmin(ws))
-    lo = sol.t[max(i_min - 1, 0)]
-    hi = sol.t[min(i_min + 1, len(sol.t) - 1)]
+    step = np.diff(np.abs(sol.y[0] + 1j * sol.y[1]))
+    turns = np.flatnonzero((step[:-1] <= 0.0) & (step[1:] > 0.0))
+    assert turns.size, "fictitious-time span ends before the collision"
+    lo, hi = sol.t[turns[0]], sol.t[turns[0] + 2]
     res = minimize_scalar(
         lambda s: sol.sol(s)[0] ** 2 + sol.sol(s)[1] ** 2,
         bounds=(lo, hi),

@@ -38,6 +38,7 @@ from kcbilliards.spherical import planar_to_sphere, spherical_energy_embedded
 S3 = math.sqrt(3.0)
 FAST = IntegratorConfig(rtol=1e-12, atol=1e-12)
 TIGHT = IntegratorConfig(rtol=1e-13, atol=1e-13)
+H05 = SystemParams(m=1.0, a=0.5).h
 
 
 def is_hit(out):
@@ -537,6 +538,19 @@ class TestNumericHit:
         s = PlanarState(0.0, -2.0, 0.0, -1.0)
         out = next_hit_numeric(s, model, FAST, t_max=5000.0)
         assert isinstance(out, Escape)
+
+    @pytest.mark.parametrize("params, wall, start", [
+        # an unbound flyby outside the unit circle, a repulsive start on it,
+        # and a start under a beta = 0.3 line
+        (SystemParams(m=1.0), Wall.centered_circle(1.0, side=1), (5.0, 3.0, -0.5, 2.0)),
+        (SystemParams(m=-1.0), Wall.centered_circle(1.0, side=1), (1.0, 0.0, 0.5, 0.1)),
+        (SystemParams(m=1.0, a=0.5, beta=0.3), Wall.line(H05, side=-1), (0.5, H05, 2.0, -0.3)),
+    ])
+    def test_escape_certificate_off_the_line_wall(self, params, wall, start):
+        # a centered circle or beta != 0 certifies an unbound leg receding
+        # far from the wall without the forward conic test of the line
+        model = validate_config(params, wall)
+        assert isinstance(next_hit_numeric(PlanarState(*start), model, FAST), Escape)
 
     def test_radial_collision_delegates_to_analytic(self):
         params = SystemParams(m=1.0, a=1.0)

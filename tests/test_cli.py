@@ -169,6 +169,11 @@ class TestSimulate:
         ("wall", None, ["planar-line", -1]),
         # json accepts Infinity; with no bounce asked the flow would never end
         ("run", None, {"n_bounces": 0, "t_max": math.inf}),
+        # scipy would clamp these tolerances, and int() truncate the counts
+        ("integrator", "rtol", -1),
+        ("integrator", "rtol", 0),
+        ("run", "n_bounces", 2.7),
+        ("wall", "side", 1.5),
     ])
     def test_malformed_value_is_a_config_error(self, tmp_path, capsys, section, key, value):
         doc = {
@@ -226,6 +231,61 @@ class TestSimulate:
         for row in rows:  # each row's E_sph is that of its own state, to the bit
             s = kb.SphericalState.from_array(row[1:7])
             assert row[7] == kb.spherical_energy_embedded(s, params)
+
+    def test_spherical_billiard_drifts_follow_the_bounce_records(self, tmp_path):
+        # drifts run over the start and each bounce's integrals on arrival;
+        # spherical rows carry only E_sph, so E_pl and D skip the start
+        import kcbilliards as kb
+
+        params = kb.SystemParams(m=1.0, a=1.0)
+        s0 = kb.planar_to_sphere(kb.PlanarState(0.5, params.h, 0.3, -0.8), params)
+        doc = {
+            "system": {"model": "spherical", "m": 1.0, "a": 1.0, "beta": 0.0},
+            "wall": {"kind": "spherical-great-circle", "side": -1},
+            "initial": {"state": [*s0.q.tolist(), *s0.v.tolist()]},
+            "integrator": {"rtol": 1e-11, "atol": 1e-11, "max_step": 1.0},
+            "run": {"n_bounces": 5, "t_max": 50.0},
+        }
+        cfg_path = tmp_path / "sph.json"
+        write_config(cfg_path, doc)
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        cfg = kb.load_config(str(cfg_path))
+        run = kb.billiard_map(cfg.initial, 5, cfg.model, mode="numeric", integ=cfg.integrator,
+                              t_max_per_leg=cfg.run.t_max)
+        arrivals = [rec.integrals_in for rec in run.records]
+
+        def drift(values):
+            return max(abs(v - values[0]) for v in values) / max(1.0, abs(values[0]))
+
+        assert summary["max_drift"] == {
+            "D": drift([i.D for i in arrivals]),
+            "E_pl": drift([i.E_pl for i in arrivals]),
+            "E_sph": drift([kb.spherical_energy_embedded(cfg.initial, params)]
+                           + [i.E_sph for i in arrivals]),
+        }
+
+    def test_spherical_cap_run(self, tmp_path):
+        # at a = 0 the planar circle r = 1 projects onto the circle of
+        # colatitude pi/4 about Z1; a colatitude outside (0, pi) is no wall
+        import kcbilliards as kb
+
+        s0 = kb.planar_to_sphere(kb.PlanarState(1.0, 0.0, 0.6, 0.5), kb.SystemParams(m=1.0, a=0.0))
+        doc = {
+            "system": {"model": "spherical", "m": 1.0, "a": 0.0, "beta": 0.0},
+            "wall": {"kind": "spherical-centered-circle", "colatitude": math.atan(1.0), "side": -1},
+            "initial": {"state": [*s0.q.tolist(), *s0.v.tolist()]},
+            "integrator": {"rtol": 1e-10, "atol": 1e-10, "max_step": 1.0},
+            "run": {"n_bounces": 5, "t_max": 100.0},
+        }
+        cfg = tmp_path / "cap.json"
+        write_config(cfg, doc)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["n_bounces"] == 5 and summary["max_drift"]["E_sph"] < 1e-8
+        doc["wall"]["colatitude"] = 4.0
+        write_config(cfg, doc)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
 
 
 class TestVerify:

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,9 +11,11 @@ from kcbilliards.integrals import (
     integral_set,
     lrl_eta,
     lrl_xi,
+    planar_columns,
     planar_energy,
     spherical_energy_chart,
 )
+from kcbilliards.errors import SingularPosition
 from kcbilliards.model import PlanarState, SystemParams
 
 S3 = math.sqrt(3.0)
@@ -166,13 +167,37 @@ class TestIntegralSetBitwise:
     @pytest.mark.parametrize("beta", [0.0, 0.3])
     def test_columns_are_bitwise_the_per_state_set(self, rng, beta):
         params = SystemParams(m=1.3, a=0.8, beta=beta)
-        ys = rng.uniform(-3.0, 3.0, size=(4, 500))
-        r = np.array([math.hypot(x, e) for x, e in zip(ys[0], ys[1])])
-        cols = integral_set(SimpleNamespace(
-            xi=ys[0], eta=ys[1], xi_dot=ys[2], eta_dot=ys[3], r=r), params)
-        for k, y in enumerate(ys.T):
+        ys = rng.uniform(-3.0, 3.0, size=(500, 4))
+        cols = integral_set(planar_columns(ys), params)
+        for k, y in enumerate(ys):
             ints = integral_set(PlanarState.from_array(y), params)
             assert tuple(c[k] for c in vars(cols).values()) == tuple(vars(ints).values())
+
+
+class TestPlanarColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ys=st.lists(st.tuples(_COORD, _COORD, _COORD, _COORD), min_size=1, max_size=12),
+        m=st.floats(min_value=0.1, max_value=3.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+        a=st.floats(min_value=0.0, max_value=3.0),
+        beta=st.sampled_from([0.0, 0.3, -0.2]),
+    )
+    def test_rows_are_bitwise_their_planar_states(self, ys, m, sign, a, beta):
+        ys = [y for y in ys if math.hypot(y[0], y[1]) > 1e-3]
+        assume(ys)
+        params = SystemParams(m=sign * m, a=a, beta=beta)
+        cols = planar_columns(np.array(ys))
+        ints = integral_set(cols, params)
+        for k, y in enumerate(ys):
+            s = PlanarState(*y)
+            assert cols.r[k] == s.r
+            assert tuple(c[k] for c in vars(ints).values()) == tuple(vars(integral_set(s, params)).values())
+
+    @given(x=_COORD)
+    def test_a_row_at_the_center_is_singular(self, x):
+        with pytest.raises(SingularPosition):
+            planar_columns([[x, 1.0, 0.0, 1.0], [0.0, 0.0, x, 1.0]])
 
 
 class TestGradients:

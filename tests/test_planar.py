@@ -358,6 +358,15 @@ class TestCollision:
             propagate_analytic(s0, 2.0 * t_c, params).as_array(), back, atol=1e-12
         )
 
+    @pytest.mark.parametrize("speed", [0.5, 2.0])
+    def test_oracles_agree_on_the_first_collision(self, speed):
+        # bound (E = -7/8, period 2.714) and unbound radial infalls from
+        # (0, 1): the regularized oracle times the first collision, not a
+        # later one, as Kepler's equation on the degenerate conic does
+        _, t_coll = levi_civita_through_collision(
+            PlanarState(0.0, 1.0, 0.0, -speed), SystemParams(m=1.0))
+        assert t_coll == pytest.approx(radial_fall_time(1.0, speed, 1.0), rel=1e-9)
+
     @pytest.mark.parametrize("speed", [0.5, math.sqrt(2.0), 2.0])
     def test_radial_propagation_through_the_center(self, speed):
         # bound, parabolic and hyperbolic infalls from r0 = 1 along
