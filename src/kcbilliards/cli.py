@@ -97,12 +97,11 @@ def cmd_simulate(args) -> int:
     traj_path = os.path.join(args.out, "trajectory.csv")
     if planar:
         ints = integral_set(planar_columns(ys), params)
-        out_io.write_planar_trajectory(traj_path, np.column_stack(
-            (ts, ys, ints.E_pl, ints.L, ints.A_eta, ints.D, ints.E_sph)).tolist())
+        out_io.write_planar_trajectory(traj_path, ts, ys, ints)
         series = {"D": ints.D.tolist(), "E_pl": ints.E_pl.tolist(), "E_sph": ints.E_sph.tolist()}
     else:
         e_sph = spherical_energy_embedded(SimpleNamespace(q=ys[:, :3], v=ys[:, 3:]), params)
-        out_io.write_spherical_trajectory(traj_path, np.column_stack((ts, ys, e_sph)).tolist())
+        out_io.write_spherical_trajectory(traj_path, ts, ys, e_sph)
         series = {"E_sph": e_sph.tolist()}
     if run is not None:
         # the start row, then each bounce's integrals on arrival; spherical
@@ -132,62 +131,37 @@ def cmd_verify(args) -> int:
 
 
 def cmd_project(args) -> int:
-    header, rows = out_io.read_csv(args.infile)
     params = SystemParams(m=1.0, a=args.a)
+    to_sphere = args.direction == "plane-to-sphere"
+    rows = out_io.read_states(args.infile, "planar" if to_sphere else "spherical")
     bad: List[int] = []
-    out_rows: List[List[float]] = []
-    if args.direction == "plane-to-sphere":
-        if header[:5] != ["t", "xi", "eta", "xi_dot", "eta_dot"]:
-            raise ConfigError("input does not look like a planar trajectory CSV")
-        for row in rows:
-            s = PlanarState(row[1], row[2], row[3], row[4])
-            sp = planar_to_sphere(s, params)
-            out_rows.append(
-                [row[0], *sp.q.tolist(), *sp.v.tolist(), time_change_density(sp)]
-            )
-        header_out = "t,qx,qy,qz,vx,vy,vz,dtau_dt"
-    else:
-        if header[:7] != ["t", "qx", "qy", "qz", "vx", "vy", "vz"]:
-            raise ConfigError("input does not look like a spherical trajectory CSV")
-        for i, row in enumerate(rows):
-            try:
-                sp = SphericalState.project(row[1:4], row[4:7])
-                s = sphere_to_planar(sp, params)
-            except BilliardError:
-                bad.append(i)
-                continue
-            out_rows.append(
-                [row[0], s.xi, s.eta, s.xi_dot, s.eta_dot, time_change_density(sp)]
-            )
-        header_out = "t,xi,eta,xi_dot,eta_dot,dtau_dt"
-    out_io.write_rows(args.outfile, header_out, out_rows)
+    images = []
+    try:
+        for i, (t, y) in enumerate(rows):
+            if to_sphere:
+                image = sp = planar_to_sphere(PlanarState(*y), params)
+            else:
+                sp = SphericalState.project(y[:3], y[3:])
+                try:
+                    image = sphere_to_planar(sp, params)
+                except BilliardError:
+                    bad.append(i)
+                    continue
+            images.append((t, image.as_array(), time_change_density(sp)))
+    except ValueError as exc:  # a zero q, or a planar row whose image overflows
+        raise ConfigError(f"{args.infile} row {i}: {exc}") from exc
+    out_io.write_projection(args.outfile, "spherical" if to_sphere else "planar", images)
     for i in bad:
         print(f"row {i}: not in the south hemisphere, skipped", file=sys.stderr)
-    log.info("projected %d rows (%d skipped)", len(out_rows), len(bad))
+    log.info("projected %d rows (%d skipped)", len(images), len(bad))
     return 0
 
 
 def cmd_plot(args) -> int:
-    header, rows = out_io.read_csv(args.infile)
-    points = []
-    bounce_points = []
-    if header[:3] == ["t", "xi", "eta"]:
-        points = [(r[1], r[2]) for r in rows]
-    elif header[:4] == ["t", "qx", "qy", "qz"]:
-        points = [(r[1], r[2]) for r in rows]
-    elif header[0] == "i":
-        bounce_points = [(r[2], r[3]) for r in rows]
-    else:
-        raise ConfigError("unrecognized CSV schema for plotting")
-    wall = None
-    if args.config:
-        cfg = load_config(args.config)
-        if cfg.model.domain == "planar":
-            wall = cfg.model.wall
-    out_io.svg_plot(
-        args.outfile, points, bounce_points=bounce_points, wall=wall,
-        title=os.path.basename(args.infile),
-    )
+    points, bounce_points = out_io.read_points(args.infile)
+    wall = load_config(args.config).model.wall if args.config else None
+    out_io.svg_plot(args.outfile, points, bounce_points=bounce_points, wall=wall,
+                    title=os.path.basename(args.infile))
     log.info("plot written to %s", args.outfile)
     return 0
 

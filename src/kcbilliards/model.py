@@ -118,7 +118,8 @@ _UNIT_TOL = 1e-12
 class SphericalState:
     """Point on the unit sphere with a tangent velocity, both in embedded 3-space.
 
-    Invariants |q| = 1 and q.v = 0 are enforced to 1e-12 on construction;
+    Invariants |q| = 1 and q.v = 0 are enforced to 1e-12 on construction,
+    and every component must be finite;
     use :meth:`project` to build a state from slightly off-constraint data.
     Pole avoidance (q != +-Z1) is checked by the force evaluation, which
     knows the center.
@@ -134,6 +135,8 @@ class SphericalState:
         object.__setattr__(self, "v", v)
         if q.shape != (3,) or v.shape != (3,):
             raise ValueError("q and v must be 3-vectors")
+        if not (np.isfinite(q).all() and np.isfinite(v).all()):
+            raise ValueError("q and v must be finite")
         if abs(np.linalg.norm(q) - 1.0) > _UNIT_TOL:
             raise ValueError("|q| must equal 1 within 1e-12")
         if abs(float(np.dot(q, v))) > _UNIT_TOL * max(1.0, float(np.linalg.norm(v))):

@@ -132,7 +132,8 @@ def integrate_spherical(
 ):
     """Integrate the embedded spherical flow from t_eval[0] to t_eval[-1].
 
-    The integration runs in chunks of 5 time units; every sample and
+    The integration runs in chunks of 5 time units, at least one, until
+    every sample is taken (a span of 1e-16 included); every sample and
     every chunk's end state is projected back onto the unit tangent
     bundle (constraint drift < 1e-14 afterwards). The ascending samples
     t_eval are read from each chunk's dense output in one call, equal to
@@ -147,7 +148,7 @@ def integrate_spherical(
     y = state.as_array()
     ys_out = []
     w_idx = 0
-    while t < t1 - 1e-15:
+    while w_idx < len(want):
         t_next = min(t + _CHUNK, t1)
         sol = solve_ivp(
             rhs,

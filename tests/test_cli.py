@@ -46,6 +46,34 @@ def flow_config(tmp_path):
     return str(p)
 
 
+# one run per kind of plotted file, like the runs the CI console-script step plots
+PLOT_RUNS = {
+    "line": {
+        "system": {"model": "kepler", "m": 1.0, "a": 1.0, "beta": 0.0},
+        "wall": {"kind": "planar-line", "side": -1},
+        "initial": {"state": [0.5, H1, 0.3, -0.8]},
+        "integrator": {"rtol": 1e-11, "atol": 1e-11, "max_step": 1.0},
+        "run": {"n_bounces": 8, "t_max": 50.0},
+    },
+    "circle": {
+        "system": {"model": "kepler", "m": 1.0, "a": 0.5, "beta": 0.0},
+        "wall": {"kind": "planar-centered-circle", "radius": 1.0, "side": 1},
+        "initial": {"state": [1.0, 0.0, 0.6, 0.5]},
+        "integrator": {"rtol": 1e-10, "atol": 1e-10, "max_step": 1.0},
+        "run": {"n_bounces": 5, "t_max": 100.0},
+    },
+    "spherical": {
+        "system": {"model": "spherical", "m": 1.0, "a": 0.5, "beta": 0.0},
+        "wall": {"kind": "spherical-great-circle", "side": -1},
+        # planar_to_sphere of (1.0, 0.2, -0.1, 0.9) at a = 0.5
+        "initial": {"state": [0.6294904643473184, 0.4555035791205103, -0.6294904643473184,
+                              -0.5542512301683983, 1.312375480433712, 0.39539258867383]},
+        "integrator": {"rtol": 1e-10, "atol": 1e-10, "max_step": 1.0},
+        "run": {"n_bounces": 0, "t_max": 20.0},
+    },
+}
+
+
 class TestSimulate:
     def test_billiard_run(self, billiard_config, tmp_path):
         out = tmp_path / "out"
@@ -191,6 +219,30 @@ class TestSimulate:
         write_config(cfg, doc)
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2 and "config error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t_max", [1e-16, 1e-15])
+    @pytest.mark.parametrize("domain", ["planar", "spherical"])
+    def test_tiny_t_max_flow_writes_every_sample(self, tmp_path, domain, t_max):
+        doc = json.loads(json.dumps(PLOT_RUNS["spherical"]))
+        if domain == "planar":
+            doc.update(system={"model": "kepler", "m": 1.0, "a": 0.5, "beta": 0.0},
+                       wall={"kind": "planar-line", "side": -1},
+                       initial={"state": [1.0, 0.2, -0.1, 0.9]})
+        doc["run"]["t_max"] = t_max
+        cfg = tmp_path / "tiny.json"
+        write_config(cfg, doc)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_csv(out / "trajectory.csv")
+        assert len(rows) == 1001 and rows[0][0] == 0.0 and rows[-1][0] == t_max
+
+    def test_spherical_state_off_the_sphere_exits_two(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(PLOT_RUNS["spherical"]))
+        doc["initial"]["state"] = [0.0, 0.0, -2.0, 1.0, 0.0, 0.0]
+        cfg = tmp_path / "off.json"
+        write_config(cfg, doc)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "invalid spherical state" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "nope.json"),
@@ -376,6 +428,48 @@ class TestProject:
                    "--direction", "sphere-to-plane", "--a", "0.5"])
         assert rc == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("direction, header, row", [
+        ("plane-to-sphere", PLANAR_HEADER, "0.5,1,{},0,1,0,0,0,0,0"),
+        ("sphere-to-plane", SPHERICAL_HEADER, "0.5,0,0,-1,{},1,0,0"),
+    ], ids=["plane-to-sphere", "sphere-to-plane"])
+    def test_non_finite_state_exits_two(self, tmp_path, capsys, direction, header, row, bad):
+        # the error names the file's line: the header is line 1
+        src = tmp_path / "s.csv"
+        src.write_text(f"{header}\n{row.format(0)}\n{row.format(bad)}\n")
+        dst = tmp_path / "d.csv"
+        rc = main(["project", "--in", str(src), "--out", str(dst),
+                   "--direction", direction, "--a", "0.5"])
+        assert rc == 2 and not dst.exists()
+        assert f"{src} line 3: a non-finite value" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # q / |q| at q = 0
+    @pytest.mark.parametrize("direction, text", [
+        ("sphere-to-plane", "t,qx,qy,qz,vx,vy,vz\n0,0,0,0,0,1,0\n"),   # q = 0
+        ("plane-to-sphere", "t,xi,eta,xi_dot,eta_dot\n0,1e300,0,1,0\n"),  # lambda^2 overflows
+    ], ids=["zero-q", "overflow"])
+    def test_row_that_is_no_state_exits_two(self, tmp_path, capsys, direction, text):
+        src = tmp_path / "s.csv"
+        src.write_text(text)
+        rc = main(["project", "--in", str(src), "--out", str(tmp_path / "d.csv"),
+                   "--direction", direction, "--a", "0.5"])
+        assert rc == 2 and "row 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("direction", ["plane-to-sphere", "sphere-to-plane"])
+    def test_other_domain_input_exits_two(self, flow_config, tmp_path, capsys, direction):
+        # the planar trajectory is the wrong input of sphere-to-plane, and
+        # its projection onto the sphere that of plane-to-sphere
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", flow_config, "--out", str(out)]) == 0
+        src = out / "trajectory.csv"
+        if direction == "plane-to-sphere":
+            assert main(["project", "--in", str(src), "--out", str(tmp_path / "s.csv"),
+                         "--direction", "plane-to-sphere", "--a", "0.5"]) == 0
+            src = tmp_path / "s.csv"
+        rc = main(["project", "--in", str(src), "--out", str(tmp_path / "d.csv"),
+                   "--direction", direction, "--a", "0.5"])
+        assert rc == 2 and "header does not begin with t," in capsys.readouterr().err
+
     def test_missing_input_exits_two(self, tmp_path):
         rc = main(["project", "--in", str(tmp_path / "nope.csv"), "--out",
                    str(tmp_path / "d.csv"), "--direction", "sphere-to-plane", "--a", "0.5"])
@@ -412,6 +506,11 @@ class TestPlot:
         src.write_text(f"{PLANAR_HEADER}\n{row}\n")
         assert main(["plot", "--in", str(src), "--out", str(tmp_path / "p.svg")]) == 2
 
+    def test_unknown_header_exits_two(self, tmp_path):
+        src = tmp_path / "s.csv"
+        src.write_text("x,y\n0,1\n")
+        assert main(["plot", "--in", str(src), "--out", str(tmp_path / "p.svg")]) == 2
+
     def test_missing_input_exits_two(self, tmp_path):
         assert main(["plot", "--in", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "p.svg")]) == 2
@@ -433,6 +532,24 @@ class TestPlot:
         rc = main(["plot", "--in", fixture, "--out", str(out)])
         assert rc == 0
         assert out.read_bytes() == open(golden, "rb").read()
+
+    @pytest.mark.parametrize("golden, run, infile", [
+        ("line", "line", "trajectory.csv"),          # the wall line across the view
+        ("circle", "circle", "trajectory.csv"),      # the wall circle as a polyline
+        ("bounces", "circle", "bounces.csv"),        # hit dots, no orbit
+        ("spherical", "spherical", "trajectory.csv"),  # (qx, qy); no spherical wall
+    ])
+    def test_golden_run_plots(self, tmp_path, golden, run, infile):
+        # the plot of each run with its config, byte for byte
+        cfg = tmp_path / "run.json"
+        write_config(cfg, PLOT_RUNS[run])
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        svg = tmp_path / "plot.svg"
+        assert main(["plot", "--in", str(out / infile), "--out", str(svg),
+                     "--config", str(cfg)]) == 0
+        expected = os.path.join(os.path.dirname(__file__), "data", f"golden_plot_{golden}.svg")
+        assert svg.read_bytes() == open(expected, "rb").read()
 
     def test_bounce_plot_polyline_count(self, billiard_config, tmp_path):
         out = tmp_path / "out"

@@ -13,6 +13,9 @@ from kcbilliards.errors import (
     ZeroMass,
 )
 from kcbilliards.model import (
+    PLANAR_CENTERED_CIRCLE,
+    PLANAR_LINE,
+    SPHERICAL_GREAT_CIRCLE,
     PlanarState,
     SphericalState,
     SystemParams,
@@ -73,6 +76,16 @@ class TestStates:
         with pytest.raises(ValueError):
             SphericalState(np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["q", "v"])
+    def test_spherical_state_rejects_non_finite(self, bad, where):
+        # a NaN passes every |q| = 1 and q.v = 0 comparison, and an infinite
+        # velocity passes the tangency check scaled by |v|
+        q, v = np.array([0.6, 0.0, -0.8]), np.array([0.8, 0.0, 0.6])
+        (q if where == "q" else v)[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SphericalState(q, v)
+
     def test_spherical_project(self):
         s = SphericalState.project([2.0, 0.0, 0.0], [0.5, 1.0, 0.0])
         assert np.linalg.norm(s.q) == pytest.approx(1.0, abs=1e-15)
@@ -106,6 +119,28 @@ class TestValidateConfig:
     def test_negative_radius_rejected(self):
         with pytest.raises(NegativeRadius):
             Wall.centered_circle(-2.0)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    def test_directly_built_circle_needs_a_positive_radius(self, radius):
+        wall = Wall(kind=PLANAR_CENTERED_CIRCLE, side=1, level=radius)
+        with pytest.raises(NegativeRadius):
+            validate_config(SystemParams(m=1.0), wall)
+
+    def test_great_circle_needs_a_unit_normal(self):
+        wall = Wall(kind=SPHERICAL_GREAT_CIRCLE, side=1, axis=(0.0, 2.0, 0.0))
+        with pytest.raises(ConfigError, match="unit vector"):
+            validate_config(SystemParams(m=1.0), wall)
+
+    def test_small_circle_must_be_centred_on_z1(self):
+        params = SystemParams(m=1.0, a=0.5)
+        validate_config(params, Wall.centered_small_circle(0.5, spherical_center(params)))
+        with pytest.raises(InconsistentWall):
+            validate_config(params, Wall.centered_small_circle(0.5, (0.0, 0.0, -1.0)))
+
+    @pytest.mark.parametrize("kind, side", [("planar-ellipse", 1), (PLANAR_LINE, 0)])
+    def test_wall_kind_and_side_are_checked(self, kind, side):
+        with pytest.raises(ConfigError):
+            Wall(kind=kind, side=side)
 
     def test_great_circle_normal_normalized(self):
         w = Wall.great_circle((0.0, 2.0, 0.0))
@@ -155,3 +190,13 @@ class TestParseConfig:
         doc["initial"]["state"] = [*q.tolist(), *v.tolist()]
         cfg = parse_config(doc)
         assert cfg.model.domain == "spherical"
+
+    def test_spherical_state_off_the_sphere(self):
+        # six finite numbers, but |q| = 2: a ConfigError, not a ValueError
+        doc = self._doc(
+            system={"model": "spherical", "m": 1.0, "a": 1.0, "beta": 0.0},
+            wall={"kind": "spherical-great-circle", "side": -1},
+            initial={"state": [0.0, 0.0, -2.0, 1.0, 0.0, 0.0]},
+        )
+        with pytest.raises(ConfigError, match="invalid spherical state"):
+            parse_config(doc)
