@@ -7,10 +7,12 @@ enters and leaves within one step is found) or exactly for both planar
 walls (beta = 0): the crossing of the conic with the line or the centered
 circle is one closed-form root in the universal variable of the planar
 kernel. Radial orbits aimed at an attractive center pass the collision by
-the elastic bounce: in the plane the numeric map integrates Levi-Civita's
-regularized field (q = u^2, dt/ds = r), which is regular through the
-center, and the exact map passes it in the universal variable; on the
-sphere a radial orbit is solved in closed form.
+the elastic bounce: the numeric map integrates Levi-Civita's regularized
+field (q = u^2, dt/ds = r), which is regular through the center, in the
+plane and, on the sphere, in the gnomonic chart of the attracting pole,
+where the spherical flow is planar Kepler flow (it runs there from 45
+degrees off the pole until it is 63 degrees off, embedded elsewhere); the
+exact map passes the center in the universal variable.
 
 Both maps share one rule for a start on the wall: a start moving out of
 the domain (normal speed above TANGENCY_REL of the speed) is reflected at
@@ -22,8 +24,8 @@ graze (the map acts as the identity there), or an Escape.
 
 from __future__ import annotations
 
-import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
@@ -35,7 +37,6 @@ from .errors import (
     DynamicsError,
     NotOnWall,
     PerturbedModel,
-    PoleSingularity,
     StepFailure,
     Undetermined,
 )
@@ -44,6 +45,7 @@ from .integrals import integral_set, planar_energy
 from .model import (
     PLANAR_CENTERED_CIRCLE,
     PLANAR_LINE,
+    SPHERICAL_GREAT_CIRCLE,
     BounceRecord,
     IntegralSet,
     IntegratorConfig,
@@ -55,6 +57,7 @@ from .model import (
     spherical_center,
 )
 from .planar import (
+    R_MIN,
     crossing_root,
     levi_civita_rhs,
     time_of_flight,
@@ -62,8 +65,8 @@ from .planar import (
     universal_state,
 )
 from .spherical import (
-    POLE_GUARD,
     flow_rhs as spherical_flow_rhs,
+    planar_to_sphere,
     project_constraints,
     sphere_to_planar,
     spherical_energy_embedded,
@@ -71,8 +74,6 @@ from .spherical import (
 
 TANGENCY_REL = 1e-8
 ON_WALL_TOL = 1e-10
-L_TOL = 1e-10
-_T_EPS_REL = 1e-9
 _EXACT_WALLS = (PLANAR_LINE, PLANAR_CENTERED_CIRCLE)
 
 
@@ -100,7 +101,7 @@ def wall_signed_distance(point, wall: Wall) -> float:
     elif wall.axis is None:
         f = math.hypot(float(point[0]), float(point[1]))
     else:
-        f = float(np.dot(point, wall.axis))
+        f = float(np.dot(point[:3], wall.axis))
     return (f - wall.level) * wall.side
 
 
@@ -306,7 +307,10 @@ def next_hit_analytic_line(
 # Numerical hit search
 # ---------------------------------------------------------------------------
 
-_POLE_EVENT_MARGIN = 1e-6
+# the pole chart's radii of entry and exit; the gap keeps the forms from alternating
+_CHART_IN, _CHART_OUT = 1.0, 2.0
+_CHART_FAR = 1e6  # the chart level of a wall with no point this near the pole
+_A0 = SystemParams(m=1.0, a=0.0)  # its chart pair is the gnomonic chart at (0, 0, -1)
 
 
 def _escape_certified(s: PlanarState, params: SystemParams, wall: Wall) -> bool:
@@ -337,6 +341,97 @@ def _levi_civita_to_planar(y) -> PlanarState:
     return PlanarState(q1, q2, p1 / r, p2 / r)
 
 
+# A leg's form, integrated in s from 0: field, state y, wall; y's position and its
+# s-derivative; clock (s, y) -> t and dt/ds; longest chunk in s and the span after
+# which the orbit repeats; the State of y; the event where the leg changes form.
+_Form = namedtuple("_Form", "rhs y wall phase clock rate span repeat state switch")
+
+
+def _levi_civita(c: PlanarState, energy: float, rhs, wall: Wall, t: float, state,
+                 conic: bool, switch=None) -> _Form:
+    """The Levi-Civita form of the Kepler state c at time t, whose clock is
+    the fifth component of rhs; a chunk spans at most one period
+    pi/sqrt(|E|/2) of the oscillator, after which a bound conic repeats."""
+    u, u_prime = kepler_to_hooke_point(complex(c.xi, c.eta), complex(c.xi_dot, c.eta_dot))
+    period = math.pi / math.sqrt(0.5 * abs(energy)) if energy != 0.0 else math.inf
+    y = np.array([u.real, u.imag, u_prime.real, u_prime.imag, t])
+    return _Form(rhs, y, wall, _squared, lambda s, y: y[4], lambda y: rhs(0.0, y)[4],
+                 period, period if conic and energy < 0.0 else math.inf, state, switch)
+
+
+def _leave_chart(s, y):
+    return y[0] * y[0] + y[1] * y[1] - _CHART_OUT
+
+
+_leave_chart.terminal = True
+_leave_chart.direction = 1.0
+
+
+def _spherical_forms(params: SystemParams, wall: Wall):
+    """The attracting pole P (Z1 if m' > 0, else -Z1), the q.P at which a
+    leg enters its chart, and the function (state, t, in_chart) -> the
+    leg's form at a spherical state: the embedded flow in the time t, or
+    the chart.
+
+    The chart is the chart pair at a = 0 on the sphere turned so that P
+    goes to (0, 0, -1): x = q/(q.P) - P, w = v (q.P) - q (v.P) = dx/dt in
+    the basis (e1, e2) of P's plane. It carries the spherical flow to the
+    planar Kepler flow of mass |m'|, and d tau/dt = (q.P)^2 = 1/(1 + |x|^2)
+    (Albouy, Projective dynamics and classical gravitation, 2008), so the
+    leg runs Levi-Civita's field at the chart energy with the clock
+    d tau/ds = r/(1 + r^2). Each spherical wall function has the sign of
+    a planar one there: a great circle n.q = 0 is the line x2 = -n.P/|n'|,
+    e2 along n' = n - (n.P) P, and the circle about Z1 is |x| = tan(rho),
+    rho its angle from P; a wall with no point within _CHART_FAR of x = 0
+    is put at that level.
+    """
+    sign, mu = math.copysign(1.0, params.m_prime), abs(params.m_prime)
+    pole = sign * spherical_center(params)
+    e1 = np.array([1.0, 0.0, 0.0])  # normal to Z1
+    if wall.kind == SPHERICAL_GREAT_CIRCLE:
+        n_p = float(np.dot(wall.axis, pole))
+        normal = np.asarray(wall.axis) - n_p * pole
+        k = float(np.linalg.norm(normal))
+        level = -math.copysign(_CHART_FAR, n_p)
+        if k * _CHART_FAR > abs(n_p):
+            e1, level = np.cross(normal, pole) / k, -n_p / k
+        chart_wall = Wall.line(level, wall.side)
+    else:
+        cos_rho = sign * wall.level
+        radius = math.sqrt(1.0 - cos_rho * cos_rho) / cos_rho if cos_rho > 0.0 else _CHART_FAR
+        chart_wall = Wall.centered_circle(min(radius, _CHART_FAR), -int(sign) * wall.side)
+    turn = np.array([e1, np.cross(pole, e1), -pole])
+    embedded = spherical_flow_rhs(params)
+    c_in = 1.0 / math.hypot(1.0, _CHART_IN)
+
+    def enter_chart(s, y):
+        return y[0] * pole[0] + y[1] * pole[1] + y[2] * pole[2] - c_in
+
+    enter_chart.terminal = True
+    enter_chart.direction = 1.0
+
+    def to_sphere(y):
+        s = planar_to_sphere(_levi_civita_to_planar(y), _A0)
+        return SphericalState.project(turn.T @ s.q, turn.T @ s.v)
+
+    def form(state: SphericalState, t: float, in_chart: bool) -> _Form:
+        if not in_chart:
+            return _Form(embedded, state.as_array(), wall, lambda y: y, lambda s, y: t + s,
+                         lambda y: 1.0, math.inf, math.inf,
+                         lambda y: SphericalState.project(y[:3], y[3:]), enter_chart)
+        c = sphere_to_planar(SphericalState(turn @ state.q, turn @ state.v), _A0)
+        energy = planar_energy(c, mu)
+        kepler = levi_civita_rhs(energy, 0.0)
+
+        def rhs(s, y):
+            *f, r = kepler(s, y)
+            return (*f, r / (1.0 + r * r))
+
+        return _levi_civita(c, energy, rhs, chart_wall, t, to_sphere, True, _leave_chart)
+
+    return pole, c_in, form
+
+
 def next_hit_numeric(
     state,
     model: Model,
@@ -345,32 +440,36 @@ def next_hit_numeric(
 ) -> HitOutcome:
     """Integrate the flow to the first wall crossing and refine the hit.
 
-    One engine serves the plane and the sphere. The sphere's embedded flow
-    runs in the time t. The planar flow runs in Levi-Civita form
-    (levi_civita_rhs at the start's energy, which reflection keeps), in the
-    fictitious time s of dt/ds = r with the clock t as a fifth component:
-    that field is regular through the center, so radial and near-radial
-    legs pass it by the elastic bounce.
+    One engine serves the plane and the sphere. Near a force center it
+    runs Levi-Civita's field (levi_civita_rhs) in the fictitious time s,
+    with the clock as a fifth component: that field is regular through the
+    center, so radial and near-radial legs pass it by the elastic bounce.
+    A planar leg runs in that form throughout, with dt/ds = r. A spherical
+    leg runs in it in the gnomonic chart of its attracting pole (see
+    _spherical_forms) from |x| = 1 (45 degrees off the pole) until |x| = 2,
+    elsewhere the embedded flow in t; a terminal event at either radius
+    ends the chunk, and the leg goes on in the other form.
 
     The integration runs in chunks of 16 (|g| + 0.05 wall scales) over the
     current speed, at least 0.25 in time, g the signed distance to the
-    wall; the chunk and integ.max_step become spans of the independent
-    variable through dt/ds at the chunk start (a planar chunk spans at most
-    one period pi/sqrt(|E|/2) of the oscillator). Both events read the wall
-    function and its rate at the position and its derivative (dq/ds = r v
-    in the plane). A crossing whose step ends outside the domain is refined
-    on that step's interpolant by bracketed root-finding. A step whose ends
-    both lie inside hides a crossing only where g has an interior minimum
-    below zero, so each step also watches the wall rate cross zero upwards;
-    at the first such minimum with g < 0 the step is integrated again from
-    its start to the minimum, which brackets the crossing. A hit whose
-    clock exceeds t_max, or no hit before the clock reaches it, raises
-    Undetermined; so does a bound planar leg at beta = 0 with no hit in
-    its first period of s, since its conic repeats. In the plane, Escape
-    is returned only with a certificate (unbound, receding beyond 1e3 wall
-    scales, and for the line wall no forward conic intersection). On the
-    sphere the state is projected back onto the unit tangent bundle after
-    each chunk.
+    wall; the chunk and integ.max_step become spans of s through dt/ds at
+    the chunk start (a Levi-Civita chunk spans at most one period
+    pi/sqrt(|E|/2) of the oscillator). Both events read the wall function
+    and its rate at the position and its s-derivative, in the chart on a
+    planar wall of the same sign. A crossing whose step ends outside the
+    domain is refined on that step's interpolant by bracketed
+    root-finding. A step whose ends both lie inside hides a crossing only
+    where g has an interior minimum below zero, so each step also watches
+    the wall rate cross zero upwards; at the first such minimum with g < 0
+    the step is integrated again from its start to the minimum, which
+    brackets the crossing. A hit whose clock exceeds t_max, or no hit
+    before the clock reaches it, raises Undetermined; so does a crossing at
+    a force center (dt/ds below R_MIN), which is removed from the wall, and
+    a bound conic (planar at beta = 0, or in the chart) with no hit in its
+    first period of s, since it repeats. In the plane, Escape is returned
+    only with a certificate (unbound, receding beyond 1e3 wall scales, and
+    for the line wall no forward conic intersection). The embedded state
+    is projected back onto the unit tangent bundle after each chunk.
 
     Two kinds of start are settled before any integration:
 
@@ -379,14 +478,10 @@ def next_hit_numeric(
       reflected at once: a bounce at t = 0 whose state_in is the start and
       whose state_out is reflect(start). The exact planar map obeys the same
       rule; grazing starts are left to the search.
-    - A radial spherical orbit aimed at the attracting center
-      (|(q x v).att| below 1e-10 times speed times the distance to the
-      center) is solved in closed form with the elastic bounce, along the
-      meridian through q, with the flight time from the exact integral of
-      d theta / sqrt(2 (E_sph + |m'| cot theta)). A spherical meridian
-      that meets the wall only at the removed center raises Undetermined.
-      A non-radial spherical orbit that enters the pole guard raises
-      PoleSingularity.
+    - A spherical start on a great-circle wall through the attracting pole,
+      with normal speed at most TANGENCY_REL of the speed, runs along the
+      wall, a great circle through the pole being invariant, and raises
+      Undetermined.
     """
     params = model.params
     wall = model.wall
@@ -394,206 +489,77 @@ def next_hit_numeric(
     if outward is not None:
         return outward
     spherical = isinstance(state, SphericalState)
-    dim = 3 if spherical else 2
-
-    # per domain: field, start, events' (position, rate), clock, dt/ds, chunk cap, state
     if spherical:
-        z1 = spherical_center(params)
-        att = z1 if params.m_prime > 0.0 else -z1
-        ell = float(np.dot(np.cross(state.q, state.v), att))
-        sin0 = float(np.linalg.norm(np.cross(state.q, att)))
-        if abs(ell) <= L_TOL * max(1e-30, state.speed * sin0):
-            return _spherical_radial_hit(state, params, wall, att)
-
-        def pole_event(s, y):
-            return (y[0] * att[0] + y[1] * att[1] + y[2] * att[2]) - (1.0 - _POLE_EVENT_MARGIN)
-
-        pole_event.terminal = True
-        pole_event.direction = 1.0
-        rhs = spherical_flow_rhs(params)
-        y = state.as_array()
-        extra_events = [pole_event]
-        phase = lambda y: y  # noqa: E731
-        clock = lambda s, y: s  # noqa: E731
-        dtds = lambda y: 1.0  # noqa: E731
-        span_cap = lambda t: t_max - t  # noqa: E731
-        hit_state = lambda y: SphericalState.project(y[:3], y[3:])  # noqa: E731
+        pole, c_in, sphere_form = _spherical_forms(params, wall)
+        on_wall = max(abs(_wall_value(state, wall)), abs(wall_signed_distance(pole, wall)))
+        if on_wall <= ON_WALL_TOL and abs(_normal_velocity(state, wall)) <= TANGENCY_REL * state.speed:
+            raise Undetermined("the orbit runs along a great-circle wall through the pole")
+        form = sphere_form(state, 0.0, float(state.q @ pole) >= c_in)
     else:
         energy = planar_energy(state, params.m, params.beta)
-        rhs = levi_civita_rhs(energy, params.beta)
-        w, w_prime = kepler_to_hooke_point(
-            complex(state.xi, state.eta), complex(state.xi_dot, state.eta_dot)
-        )
-        y = np.array([w.real, w.imag, w_prime.real, w_prime.imag, 0.0])
-        extra_events = []
-        period = math.pi / math.sqrt(0.5 * abs(energy)) if energy != 0.0 else math.inf
-        phase = _squared
-        clock = lambda s, y: y[4]  # noqa: E731
-        dtds = lambda y: y[0] * y[0] + y[1] * y[1]  # noqa: E731
-        span_cap = lambda t: period  # noqa: E731
-        hit_state = _levi_civita_to_planar
+        form = _levi_civita(state, energy, levi_civita_rhs(energy, params.beta), wall, 0.0,
+                            _levi_civita_to_planar, params.beta == 0.0)
 
     def g_event(s, y):
-        return wall_signed_distance(phase(y)[:dim], wall)
+        return wall_signed_distance(form.phase(y), form.wall)
 
     g_event.terminal = True
     g_event.direction = -1.0
 
     def minimum_event(s, y):
-        return _wall_rate(phase(y), wall)
+        return _wall_rate(form.phase(y), form.wall)
 
     minimum_event.direction = 1.0
-    events = [g_event, minimum_event] + extra_events
 
     def hit(s_hit, y_hit):
-        t_hit = float(clock(s_hit, y_hit))
+        t_hit = float(form.clock(s_hit, y_hit))
         if t_hit > t_max:
             raise Undetermined(f"no hit within t_max = {t_max}")
-        return _hit_or_tangency(t_hit, hit_state(y_hit), params, wall)
+        if form.rate(y_hit) < R_MIN:  # dt/ds vanishes only at a force center
+            raise Undetermined("the orbit meets the wall only at the removed center")
+        return _hit_or_tangency(t_hit, form.state(y_hit), params, wall)
 
     def integrate(s0, s1, y0, event_fns, max_step):
-        sol = solve_ivp(rhs, (s0, s1), y0, method="DOP853", rtol=integ.rtol,
+        sol = solve_ivp(form.rhs, (s0, s1), y0, method="DOP853", rtol=integ.rtol,
                         atol=integ.atol, max_step=max_step, events=event_fns)
         if not sol.success and sol.status != 1:
             raise StepFailure(f"integration failed: {sol.message}")
         return sol
 
-    scale = _wall_scale(wall)
-    s = t = 0.0
+    s, y, t = 0.0, form.y, 0.0
     while t < t_max:
-        p, rate = phase(y), dtds(y)
-        g = wall_signed_distance(p[:dim], wall)
-        speed = float(np.linalg.norm(p[dim:])) / rate
-        chunk = max(16.0 * (abs(g) + 0.05 * scale) / max(speed, 1e-9), 0.25)
+        p, rate = form.phase(y), form.rate(y)
+        g = wall_signed_distance(p, form.wall)
+        speed = float(np.linalg.norm(p[len(p) // 2:])) / rate
+        chunk = max(16.0 * (abs(g) + 0.05 * _wall_scale(form.wall)) / max(speed, 1e-9), 0.25)
         max_step = integ.max_step / rate
-        sol = integrate(s, s + min(span_cap(t), chunk / rate), y, events, max_step)
+        events = [g_event, minimum_event] + ([form.switch] if form.switch else [])
+        sol = integrate(s, s + min(form.span, chunk / rate), y, events, max_step)
         # every minimum recorded here comes before any crossing event; one
         # whose dip the step's re-integration does not confirm lies within
         # the tolerances and is passed over
         for s_min, y_min in zip(sol.t_events[1], sol.y_events[1]):
             k = int(np.searchsorted(sol.t, s_min, side="right")) - 1
-            if wall_signed_distance(phase(y_min)[:dim], wall) >= 0.0 or s_min <= sol.t[k]:
+            if wall_signed_distance(form.phase(y_min), form.wall) >= 0.0 or s_min <= sol.t[k]:
                 continue
             sub = integrate(sol.t[k], s_min, sol.y[:, k], [g_event], max_step)
             if sub.status == 1:
                 return hit(sub.t_events[0][0], sub.y_events[0][0])
         if sol.status == 1 and sol.t_events[0].size:
             return hit(sol.t_events[0][0], sol.y_events[0][0])
-        if sol.status == 1:  # the only other terminal event is the pole's
-            raise PoleSingularity("non-radial trajectory entered the pole guard; no continuation")
         s = float(sol.t[-1])
         y = sol.y[:, -1]
-        t = float(clock(s, y))
-        if spherical:
-            y = project_constraints(y)
-        elif params.beta == 0.0 and energy < 0.0 and s >= period:
+        t = float(form.clock(s, y))
+        if sol.status == 1:  # the switch event: the leg goes on in the other form
+            form = sphere_form(form.state(y), t, form.switch is not _leave_chart)
+            s, y = 0.0, form.y
+        elif s >= form.repeat:
             raise Undetermined("the bound conic missed the wall for a whole period")
-        elif _escape_certified(hit_state(y), params, wall):
+        elif spherical:
+            y = y if form.switch is _leave_chart else project_constraints(y)
+        elif _escape_certified(form.state(y), params, wall):
             return Escape("unbound, receding beyond the escape radius")
     raise Undetermined(f"no hit or escape certificate within t_max = {t_max}")
-
-
-def _radial_fall_time(E: float, mu: float, u: Optional[float] = None) -> float:
-    """Time a radial spherical orbit takes from the attracting pole to cot(theta) = u.
-
-    E is the spherical energy 0.5 theta_dot^2 - mu cot(theta), mu = |m'|;
-    u = None stands for the turning point cot(theta) = -E/mu. The value is
-    the closed form of int_u^inf du' / ((1 + u'^2) sqrt(2 (E + mu u'))),
-    which is int_0^theta d theta' / sqrt(2 (E + mu cot theta')). With
-    s^2 = E + mu u' it reads sqrt(2) mu int_s^inf ds / ((s^2 - E)^2 + mu^2);
-    partial fractions over the roots +-(alpha + i beta) = +-sqrt(E + i mu)
-    give one logarithm and one argument. Each is evaluated in a form free
-    of cancellation, so the result is good to a few ulps for any E and
-    mu > 0.
-    """
-    z = cmath.sqrt(complex(E, mu))
-    alpha, beta = z.real, z.imag
-    mu_u = -E if u is None else mu * u
-    s = math.sqrt(max(E + mu_u, 0.0))
-    b2 = (s + alpha) ** 2 + beta * beta
-    x = -4.0 * s * alpha / b2
-    if x > -0.5:
-        d_log = 0.5 * math.log1p(x)
-    else:
-        d = (mu_u - beta * beta) / (s + alpha)  # s - alpha, since alpha^2 = E + beta^2
-        d_log = 0.5 * math.log((d * d + beta * beta) / b2)
-    d_arg = -math.atan2(2.0 * beta * s, mu_u - 2.0 * beta * beta)
-    return (beta * d_log - alpha * d_arg) / (math.sqrt(2.0) * math.hypot(E, mu))
-
-
-def _spherical_radial_hit(
-    state: SphericalState, params: SystemParams, wall: Wall, att: np.ndarray
-) -> HitOutcome:
-    """Exact hit of a radial spherical orbit ((q x v).att below tolerance).
-
-    The orbit runs on the half meridian p(theta) = cos(theta) att +
-    sin(theta) e through q, theta the angle from the attracting pole att.
-    It bounces elastically at the pole and turns at cot(theta_max) =
-    -E/|m'|, so it is periodic: out from the pole and back in one period
-    T = 2 F(theta_max), F the fall time of :func:`_radial_fall_time`. The
-    wall meets the meridian where p(theta).w = k; the hit is the first
-    crossing that leaves the domain, and its time is the difference of
-    the phases along the period.
-
-    Raises:
-        Undetermined: if the meridian meets the wall only at the removed
-            center or beyond the turning point, or runs along the wall.
-        PoleSingularity: if the start lies within the pole guard.
-    """
-    mu = abs(params.m_prime)
-    q = state.q
-    c0 = float(np.dot(q, att))
-    if abs(c0) > 1.0 - POLE_GUARD:
-        raise PoleSingularity(f"state within the pole guard, |q.Z1| = {abs(c0)}")
-    e = q - c0 * att
-    sin0 = float(np.linalg.norm(e))
-    e = e / sin0
-    thdot0 = float(np.dot(state.v, c0 * e - sin0 * att))
-    u0 = c0 / sin0
-    E = 0.5 * thdot0 * thdot0 - mu * u0
-
-    w, k = np.asarray(wall.axis, dtype=float), wall.level
-    A = float(np.dot(att, w))
-    B = float(np.dot(e, w))
-    R = math.hypot(A, B)
-    if R == 0.0:
-        raise Undetermined("radial orbit runs along the wall")
-
-    period = 2.0 * _radial_fall_time(E, mu)
-    f0 = _radial_fall_time(E, mu, u0)
-    tau0 = f0 if thdot0 >= 0.0 else period - f0
-    th_max = math.atan2(mu, -E)
-    t_eps = _T_EPS_REL * period
-
-    best = None
-    psi = math.atan2(B, A)
-    delta = math.acos(max(-1.0, min(1.0, k / R)))
-    for th in ((psi + delta) % (2.0 * math.pi), (psi - delta) % (2.0 * math.pi)):
-        # theta = 0 is the removed center; beyond th_max is never reached
-        if not ON_WALL_TOL < th <= th_max:
-            continue
-        sin1, cos1 = math.sin(th), math.cos(th)
-        slope = wall.side * (B * cos1 - A * sin1)  # d g / d theta
-        u1 = cos1 / sin1
-        f1 = _radial_fall_time(E, mu, u1)
-        # the crossing leaves the domain where theta moves against slope
-        tau1 = period - f1 if slope > 0.0 else f1
-        dt = (tau1 - tau0) % period
-        if dt <= t_eps:
-            dt += period
-        if best is None or dt < best[0]:
-            best = (dt, sin1, cos1, u1, -1.0 if slope > 0.0 else 1.0)
-    if best is None:
-        raise Undetermined(
-            "radial orbit meets the wall only at the removed center or "
-            "beyond its turning point"
-        )
-    dt, sin1, cos1, u1, sigma = best
-    thdot1 = sigma * math.sqrt(2.0 * max(E + mu * u1, 0.0))
-    s_in = SphericalState.project(
-        cos1 * att + sin1 * e, thdot1 * (cos1 * e - sin1 * att)
-    )
-    return _hit_or_tangency(dt, s_in, params, wall)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,9 @@ from scipy.integrate import solve_ivp
 
 from . import io as out_io
 from .billiard import billiard_map
-from .errors import BilliardError, ConfigError, DynamicsError, StepFailure
+from .errors import (
+    BilliardError, ConfigError, DynamicsError, SingularPosition, StepFailure, WrongHalfPlane,
+)
 from .integrals import integral_set, planar_columns
 from .model import PlanarState, RunConfig, SphericalState, SystemParams, load_config
 from .planar import flow_rhs
@@ -134,26 +136,29 @@ def cmd_project(args) -> int:
     params = SystemParams(m=1.0, a=args.a)
     to_sphere = args.direction == "plane-to-sphere"
     rows = out_io.read_states(args.infile, "planar" if to_sphere else "spherical")
-    bad: List[int] = []
+    skipped: List[str] = []
     images = []
     try:
         for i, (t, y) in enumerate(rows):
-            if to_sphere:
-                image = sp = planar_to_sphere(PlanarState(*y), params)
-            else:
-                sp = SphericalState.project(y[:3], y[3:])
-                try:
+            try:
+                if to_sphere:
+                    image = sp = planar_to_sphere(PlanarState(*y), params)
+                else:
+                    sp = SphericalState.project(y[:3], y[3:])
                     image = sphere_to_planar(sp, params)
-                except BilliardError:
-                    bad.append(i)
-                    continue
+            except SingularPosition:
+                skipped.append(f"row {i}: at the force center, skipped")
+                continue
+            except WrongHalfPlane:
+                skipped.append(f"row {i}: not in the south hemisphere, skipped")
+                continue
             images.append((t, image.as_array(), time_change_density(sp)))
     except ValueError as exc:  # a zero q, or a planar row whose image overflows
         raise ConfigError(f"{args.infile} row {i}: {exc}") from exc
     out_io.write_projection(args.outfile, "spherical" if to_sphere else "planar", images)
-    for i in bad:
-        print(f"row {i}: not in the south hemisphere, skipped", file=sys.stderr)
-    log.info("projected %d rows (%d skipped)", len(images), len(bad))
+    for line in skipped:
+        print(line, file=sys.stderr)
+    log.info("projected %d rows (%d skipped)", len(images), len(skipped))
     return 0
 
 

@@ -192,13 +192,13 @@ def svg_plot(
     """Deterministic SVG: the axes through the origin where visible, a
     planar wall (no other wall kind is drawn), the force-center marker at
     the origin, the orbit polyline and the bounce dots. The view holds the
-    points, the origin and the wall."""
+    points, the bounce dots, the origin and the wall."""
     kind = wall.kind if wall is not None else None
     circle = [(wall.level * math.cos(2 * math.pi * k / 256),
                wall.level * math.sin(2 * math.pi * k / 256))
               for k in range(257)] if kind == PLANAR_CENTERED_CIRCLE else []
     line = [(0.0, wall.level)] if kind == PLANAR_LINE else []
-    px, (x0, x1, y0, y1) = _view([*points, *circle, (0.0, 0.0), *line])
+    px, (x0, x1, y0, y1) = _view([*points, *bounce_points, *circle, (0.0, 0.0), *line])
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '

@@ -4,7 +4,9 @@ The force center Z1 sits at (0, a/sqrt(1+a^2), -1/sqrt(1+a^2)); the force
 function is m' * cot(theta) with theta the angle from Z1 and
 m' = m*sqrt(1+a^2). Integration uses the explicit constraint term
 -|v|^2 q plus a post-step projection back to the sphere, so there are no
-chart singularities at the equator.
+chart singularities at the equator. Billiard legs run this field only
+away from the attracting pole; near it they run in its gnomonic chart,
+where the flow is planar Kepler flow (see kcbilliards.billiard).
 
 One pair of maps, ``planar_to_sphere``/``sphere_to_planar``, identifies
 the open southern hemisphere with the normalized planar chart: central
@@ -53,7 +55,8 @@ def flow_rhs(params: SystemParams) -> Callable:
     The acceleration is the tangential gradient of the force function
     m'*cot(theta), of magnitude |m'|/sin^2(theta), plus the centripetal
     constraint term -|v|^2 q. The returned function raises
-    PoleSingularity when |q . Z1| > 1 - 1e-10.
+    PoleSingularity when |q . Z1| > 1 - 1e-10; a billiard leg switches to
+    the pole chart at 45 degrees from the attracting pole, before that.
     """
     z1 = spherical_center(params)
     m_prime = params.m_prime

@@ -4,15 +4,21 @@ These deliberately avoid the code paths they check: the flow oracle is a
 plain high-accuracy ODE integration of the raw vector field, the anomaly
 oracle is bisection, the collision oracle integrates the regularized
 equations (z = w^2, dt = |w|^2 ds), which are smooth through the center,
-and the radial fall time is Kepler's equation on the degenerate conic.
+and the radial fall time is Kepler's equation on the degenerate conic. On
+the sphere the leg oracle integrates the raw embedded field, the radial
+fall time is a closed-form integral, and the pole-chart oracle takes the
+oscillator of the gnomonic chart in closed form and its clock by
+quadrature.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 
 from kcbilliards.model import PlanarState, SystemParams
 
@@ -170,3 +176,115 @@ def levi_civita_through_collision(state: PlanarState, params: SystemParams):
     )
     t_coll = float(sol.sol(res.x)[4])
     return state_at_time, t_coll
+
+
+def spherical_radial_fall_time(E: float, mu: float, u=None) -> float:
+    """Time a radial spherical orbit takes from the attracting pole to cot(theta) = u.
+
+    E is the spherical energy 0.5 theta_dot^2 - mu cot(theta), mu = |m'|;
+    u = None stands for the turning point cot(theta) = -E/mu. The value is
+    the closed form of int_u^inf du' / ((1 + u'^2) sqrt(2 (E + mu u'))),
+    which is int_0^theta d theta' / sqrt(2 (E + mu cot theta')). With
+    s^2 = E + mu u' it reads sqrt(2) mu int_s^inf ds / ((s^2 - E)^2 + mu^2);
+    partial fractions over the roots +-(alpha + i beta) = +-sqrt(E + i mu)
+    give one logarithm and one argument. Each is evaluated in a form free
+    of cancellation, so the result is good to a few ulps for any E and
+    mu > 0.
+    """
+    z = cmath.sqrt(complex(E, mu))
+    alpha, beta = z.real, z.imag
+    mu_u = -E if u is None else mu * u
+    s = math.sqrt(max(E + mu_u, 0.0))
+    b2 = (s + alpha) ** 2 + beta * beta
+    x = -4.0 * s * alpha / b2
+    if x > -0.5:
+        d_log = 0.5 * math.log1p(x)
+    else:
+        d = (mu_u - beta * beta) / (s + alpha)  # s - alpha, since alpha^2 = E + beta^2
+        d_log = 0.5 * math.log((d * d + beta * beta) / b2)
+    d_arg = -math.atan2(2.0 * beta * s, mu_u - 2.0 * beta * beta)
+    return (beta * d_log - alpha * d_arg) / (math.sqrt(2.0) * math.hypot(E, mu))
+
+
+def embedded_hit(q, v, m_prime: float, z1, wall_fn, t_max: float = 50.0, tol: float = 1e-13):
+    """First crossing of wall_fn(q) from positive to negative along the raw
+    embedded spherical field (force m' cot(theta) about z1, constraint term
+    -|v|^2 q), with no projection: (t, q, v) at the crossing, or None."""
+    z1 = np.asarray(z1, dtype=float)
+
+    def rhs(t, y):
+        q, v = y[:3], y[3:]
+        c = float(np.dot(q, z1))
+        k = m_prime / (1.0 - c * c) ** 1.5
+        return np.concatenate([v, k * (z1 - c * q) - np.dot(v, v) * q])
+
+    def g(t, y):
+        return wall_fn(y[:3])
+
+    g.terminal = True
+    g.direction = -1.0
+    sol = solve_ivp(rhs, (0.0, t_max), np.concatenate([q, v]), method="DOP853",
+                    rtol=tol, atol=tol, events=g)
+    assert sol.success, sol.message
+    if not sol.t_events[0].size:
+        return None
+    y = sol.y_events[0][0]
+    return float(sol.t_events[0][0]), y[:3], y[3:]
+
+
+def pole_chart_hit(q, v, pole, mu: float, radius: float):
+    """Where a spherical orbit that starts inside the circle |x| = radius of
+    the gnomonic chart at its attracting pole (x = q/(q.P) - P) first
+    leaves it: (tau, q, v).
+
+    In the chart the orbit is planar Kepler motion of mass mu with
+    w = v (q.P) - q (v.P) = dx/dt and d tau/dt = 1/(1 + |x|^2). In
+    Levi-Civita's form (x = u^2, dt/ds = |u|^2) it is the oscillator
+    u'' = (E/2) u, taken in closed form, u = u0 cos(k s) + u0' sin(k s)/k
+    with k = sqrt(-E/2) (complex for E > 0), so the orbit passes the pole
+    by the elastic bounce; the exit is a root of |u(s)|^2 - radius, and
+    tau = int r/(1 + r^2) ds by adaptive quadrature. The start must move,
+    at a chart energy other than zero.
+    """
+    pole = np.asarray(pole, dtype=float)
+    e1 = np.cross(pole, [0.0, 1.0, 0.0] if abs(pole[0]) > 0.5 else [1.0, 0.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(pole, e1)
+    c = float(np.dot(q, pole))
+    xv = q / c - pole
+    wv = v * c - q * float(np.dot(v, pole))
+    z = complex(np.dot(xv, e1), np.dot(xv, e2))
+    zd = complex(np.dot(wv, e1), np.dot(wv, e2))
+    E = 0.5 * abs(zd) ** 2 - mu / abs(z)
+    u0 = cmath.sqrt(z)
+    up0 = zd * abs(u0) ** 2 / (2.0 * u0)
+    k = cmath.sqrt(-0.5 * E)
+
+    def u(s):
+        return u0 * cmath.cos(k * s).real + up0 * (cmath.sin(k * s) / k).real
+
+    def u_prime(s):
+        return -u0 * (k * cmath.sin(k * s)).real + up0 * cmath.cos(k * s).real
+
+    def r(s):
+        return abs(u(s)) ** 2
+
+    # the first s where r climbs through the radius, bracketed on a grid fine
+    # against both the start's own scale and the oscillator's half period
+    ds = 1e-3 * min(abs(u0) / abs(up0), math.pi / abs(k))
+    s0 = 0.0
+    while not (r(s0) < radius <= r(s0 + ds)):
+        s0 += ds
+        assert s0 < 1e6, "no exit found"
+    s_hit = brentq(lambda s: r(s) - radius, s0, s0 + ds, xtol=1e-16, rtol=1e-15, maxiter=200)
+    tau, _ = quad(lambda s: r(s) / (1.0 + r(s) ** 2), 0.0, s_hit, epsabs=0.0, epsrel=1e-13,
+                  limit=500)
+    uh, uph = u(s_hit), u_prime(s_hit)
+    x = uh * uh
+    w = 2.0 * uh * uph / abs(uh) ** 2
+    x3 = x.real * e1 + x.imag * e2
+    w3 = w.real * e1 + w.imag * e2
+    lam = math.sqrt(1.0 + abs(x) ** 2)
+    qh = (pole + x3) / lam
+    vh = w3 * lam - qh * float(np.dot(x3, w3))
+    return tau, qh, vh

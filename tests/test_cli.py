@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from kcbilliards.cli import main
 from kcbilliards.integrals import integral_set
 from kcbilliards.io import PLANAR_HEADER, SPHERICAL_BOUNCE_HEADER, SPHERICAL_HEADER, read_csv
-from kcbilliards.model import PlanarState, SystemParams
+from kcbilliards.model import PlanarState, SystemParams, spherical_center
 
 H1 = -1.0 / math.sqrt(2.0)
 
@@ -420,6 +421,25 @@ class TestProject:
         assert rows[0][2] == pytest.approx(h)
 
 
+    @pytest.mark.parametrize("a", [0.0, 0.5])
+    @pytest.mark.parametrize("direction", ["plane-to-sphere", "sphere-to-plane"])
+    def test_force_center_row_is_skipped(self, tmp_path, capsys, direction, a):
+        # the force center, (xi, eta) = (0, 0) in the plane and Z1 on the
+        # sphere, has no image; both directions skip it and go on
+        if direction == "plane-to-sphere":
+            text = "t,xi,eta,xi_dot,eta_dot\n0,0,0,0.1,0\n1,0.5,0.2,0.1,0\n"
+        else:
+            z1 = ",".join(map(repr, spherical_center(SystemParams(m=1.0, a=a)).tolist()))
+            text = f"t,qx,qy,qz,vx,vy,vz\n0,{z1},1,0,0\n1,0.6,0,-0.8,0,1,0\n"
+        src, dst = tmp_path / "s.csv", tmp_path / "d.csv"
+        src.write_text(text)
+        rc = main(["project", "--in", str(src), "--out", str(dst),
+                   "--direction", direction, "--a", str(a)])
+        assert rc == 0
+        assert capsys.readouterr().err.splitlines() == ["row 0: at the force center, skipped"]
+        _, rows = read_csv(dst)
+        assert [r[0] for r in rows] == [1.0]
+
     @pytest.mark.parametrize("row", ["0,0,0,-1,0,1", "0,0,0,-1,0,x,0,0"])
     def test_malformed_rows_exit_two(self, tmp_path, row):
         src = tmp_path / "s.csv"
@@ -514,6 +534,23 @@ class TestPlot:
     def test_missing_input_exits_two(self, tmp_path):
         assert main(["plot", "--in", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "p.svg")]) == 2
+
+    def test_bounce_dots_lie_on_the_canvas(self, tmp_path):
+        # plotted without a config, the view holds the dots themselves
+        doc = {
+            "system": {"model": "kepler", "m": 1.0, "a": 0.5, "beta": 0.0},
+            "wall": {"kind": "planar-centered-circle", "radius": 3.0, "side": -1},
+            "initial": {"state": [3.0, 0.0, 0.1, 0.5]},
+            "integrator": {"rtol": 1e-10, "atol": 1e-10},
+            "run": {"n_bounces": 3, "t_max": 100.0},
+        }
+        cfg, out, svg = tmp_path / "c.json", tmp_path / "out", tmp_path / "b.svg"
+        write_config(cfg, doc)
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["plot", "--in", str(out / "bounces.csv"), "--out", str(svg)]) == 0
+        dots = re.findall(r'<circle cx="([^"]+)" cy="([^"]+)" r="3"', svg.read_text())
+        assert len(dots) == 3
+        assert all(0.0 <= float(x) <= 800.0 and 0.0 <= float(y) <= 600.0 for x, y in dots)
 
     def test_byte_identical_for_identical_input(self, flow_config, tmp_path):
         out = tmp_path / "out"
