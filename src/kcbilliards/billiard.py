@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     CollisionInsideInterval,
@@ -54,6 +53,7 @@ from .model import (
     SphericalState,
     SystemParams,
     Wall,
+    solve_ivp,
     spherical_center,
 )
 from .planar import (
@@ -522,7 +522,7 @@ def next_hit_numeric(
     def integrate(s0, s1, y0, event_fns, max_step):
         sol = solve_ivp(form.rhs, (s0, s1), y0, method="DOP853", rtol=integ.rtol,
                         atol=integ.atol, max_step=max_step, events=event_fns)
-        if not sol.success and sol.status != 1:
+        if not sol.success:
             raise StepFailure(f"integration failed: {sol.message}")
         return sol
 
@@ -573,13 +573,15 @@ class BilliardRun:
     outcome is "completed", "escape" or "tangency", or, when a leg raised
     a DynamicsError, that error's outcome ("undetermined", "step-failure",
     "pole-singularity" or "singular-position"); error then holds that
-    error, and records the bounces computed before the failed leg.
+    error, and records the bounces computed before the failed leg. On
+    "escape", reason holds the reason of the leg's Escape.
     """
 
     records: List[BounceRecord]
     outcome: str
     final_state: object
     error: Optional[DynamicsError] = None
+    reason: Optional[str] = None
 
     @property
     def n_bounces(self) -> int:
@@ -610,6 +612,7 @@ def billiard_map(
     clock = 0.0
     outcome = "completed"
     error = None
+    reason = None
     current = state
     for _ in range(n):
         try:
@@ -621,7 +624,7 @@ def billiard_map(
             outcome, error = exc.outcome, exc
             break
         if isinstance(out, Escape):
-            outcome = "escape"
+            outcome, reason = "escape", out.reason
             break
         clock += out.t_hit
         # a direct call: dataclasses.replace costs twice as much on this hot path
@@ -634,4 +637,5 @@ def billiard_map(
         if out.tangent:
             outcome = "tangency"
             break
-    return BilliardRun(records=records, outcome=outcome, final_state=current, error=error)
+    return BilliardRun(records=records, outcome=outcome, final_state=current, error=error,
+                       reason=reason)

@@ -20,7 +20,6 @@ from types import SimpleNamespace
 from typing import List
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import io as out_io
 from .billiard import billiard_map
@@ -28,7 +27,7 @@ from .errors import (
     BilliardError, ConfigError, DynamicsError, SingularPosition, StepFailure, WrongHalfPlane,
 )
 from .integrals import integral_set, planar_columns
-from .model import PlanarState, RunConfig, SphericalState, SystemParams, load_config
+from .model import PlanarState, RunConfig, SphericalState, SystemParams, load_config, solve_ivp
 from .planar import flow_rhs
 from .spherical import (
     integrate_spherical,

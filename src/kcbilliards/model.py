@@ -328,6 +328,21 @@ class IntegratorConfig:
     max_step: float = math.inf
 
 
+def solve_ivp(fun, t_span, y0, method="RK45", t_eval=None, dense_output=False,
+              events=None, vectorized=False, args=None, **options):
+    """scipy.integrate.solve_ivp, imported at the first call.
+
+    The package's one import of scipy.integrate, which takes longer to
+    load than the rest of the package together; the exact maps,
+    ``project``, ``plot`` and configuration errors never need it.
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(fun, t_span, y0, method=method, t_eval=t_eval,
+                           dense_output=dense_output, events=events,
+                           vectorized=vectorized, args=args, **options)
+
+
 @dataclass(frozen=True)
 class RunSpec:
     n_bounces: int = 0

@@ -21,10 +21,9 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import PoleSingularity, StepFailure
-from .model import PlanarState, SphericalState, SystemParams, spherical_center
+from .model import PlanarState, SphericalState, SystemParams, solve_ivp, spherical_center
 from .projective import plane_plane_project, plane_plane_push_velocity
 
 POLE_GUARD = 1e-10

@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass
 from typing import List
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .billiard import Escape, next_hit_analytic_line, next_hit_numeric
 from .integrals import gj_integral, planar_columns, planar_energy, spherical_energy_chart
@@ -26,6 +25,7 @@ from .model import (
     SphericalState,
     SystemParams,
     Wall,
+    solve_ivp,
     validate_config,
 )
 from .planar import propagate_analytic
