@@ -9,10 +9,9 @@ circle is one closed-form root in the universal variable of the planar
 kernel. Radial orbits aimed at an attractive center pass the collision by
 the elastic bounce: the numeric map integrates Levi-Civita's regularized
 field (q = u^2, dt/ds = r), which is regular through the center, in the
-plane and, on the sphere, in the gnomonic chart of the attracting pole,
-where the spherical flow is planar Kepler flow (it runs there from 45
-degrees off the pole until it is 63 degrees off, embedded elsewhere); the
-exact map passes the center in the universal variable.
+plane and, on the sphere, near the attracting pole in its gnomonic chart
+(see kcbilliards.spherical); the exact map passes the center in the
+universal variable.
 
 Both maps share one rule for a start on the wall: a start moving out of
 the domain (normal speed above TANGENCY_REL of the speed) is reflected at
@@ -25,7 +24,6 @@ graze (the map acts as the identity there), or an Escape.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
@@ -39,38 +37,13 @@ from .errors import (
     StepFailure,
     Undetermined,
 )
-from .conformal import kepler_to_hooke_point
 from .integrals import integral_set, planar_energy
-from .model import (
-    PLANAR_CENTERED_CIRCLE,
-    PLANAR_LINE,
-    SPHERICAL_GREAT_CIRCLE,
-    BounceRecord,
-    IntegralSet,
-    IntegratorConfig,
-    Model,
-    PlanarState,
-    SphericalState,
-    SystemParams,
-    Wall,
-    solve_ivp,
-    spherical_center,
-)
-from .planar import (
-    R_MIN,
-    crossing_root,
-    levi_civita_rhs,
-    time_of_flight,
-    universal_kernel,
-    universal_state,
-)
-from .spherical import (
-    flow_rhs as spherical_flow_rhs,
-    planar_to_sphere,
-    project_constraints,
-    sphere_to_planar,
-    spherical_energy_embedded,
-)
+from .model import (PLANAR_CENTERED_CIRCLE, PLANAR_LINE, BounceRecord, IntegralSet,
+                    IntegratorConfig, Model, PlanarState, SphericalState, SystemParams, Wall,
+                    solve_ivp)
+from .planar import (R_MIN, _levi_civita, _levi_civita_to_planar, crossing_root, levi_civita_rhs,
+                     time_of_flight, universal_kernel, universal_state)
+from .spherical import _leave_chart, _spherical_forms, sphere_to_planar, spherical_energy_embedded
 
 TANGENCY_REL = 1e-8
 ON_WALL_TOL = 1e-10
@@ -307,12 +280,6 @@ def next_hit_analytic_line(
 # Numerical hit search
 # ---------------------------------------------------------------------------
 
-# the pole chart's radii of entry and exit; the gap keeps the forms from alternating
-_CHART_IN, _CHART_OUT = 1.0, 2.0
-_CHART_FAR = 1e6  # the chart level of a wall with no point this near the pole
-_A0 = SystemParams(m=1.0, a=0.0)  # its chart pair is the gnomonic chart at (0, 0, -1)
-
-
 def _escape_certified(s: PlanarState, params: SystemParams, wall: Wall) -> bool:
     """Unbound, receding beyond 1e3 wall scales, and for the line wall with
     beta = 0 no forward conic intersection."""
@@ -325,111 +292,6 @@ def _escape_certified(s: PlanarState, params: SystemParams, wall: Wall) -> bool:
     if wall.kind != PLANAR_LINE or params.beta != 0.0:
         return True
     return isinstance(next_hit_analytic_line(s, params, wall), Escape)
-
-
-def _squared(y):
-    """q = u^2 and dq/ds = 2 u u' (= r v) of y = (u1, u2, u1', u2', t)."""
-    u1, u2, w1, w2 = y[0], y[1], y[2], y[3]
-    return (u1 * u1 - u2 * u2, 2.0 * u1 * u2,
-            2.0 * (u1 * w1 - u2 * w2), 2.0 * (u1 * w2 + u2 * w1))
-
-
-def _levi_civita_to_planar(y) -> PlanarState:
-    """The planar state of a Levi-Civita state: q = u^2, v = 2 u'/conj(u)."""
-    q1, q2, p1, p2 = _squared(y)
-    r = y[0] * y[0] + y[1] * y[1]
-    return PlanarState(q1, q2, p1 / r, p2 / r)
-
-
-# A leg's form, integrated in s from 0: field, state y, wall; y's position and its
-# s-derivative; clock (s, y) -> t and dt/ds; longest chunk in s and the span after
-# which the orbit repeats; the State of y; the event where the leg changes form.
-_Form = namedtuple("_Form", "rhs y wall phase clock rate span repeat state switch")
-
-
-def _levi_civita(c: PlanarState, energy: float, rhs, wall: Wall, t: float, state,
-                 conic: bool, switch=None) -> _Form:
-    """The Levi-Civita form of the Kepler state c at time t, whose clock is
-    the fifth component of rhs; a chunk spans at most one period
-    pi/sqrt(|E|/2) of the oscillator, after which a bound conic repeats."""
-    u, u_prime = kepler_to_hooke_point(complex(c.xi, c.eta), complex(c.xi_dot, c.eta_dot))
-    period = math.pi / math.sqrt(0.5 * abs(energy)) if energy != 0.0 else math.inf
-    y = np.array([u.real, u.imag, u_prime.real, u_prime.imag, t])
-    return _Form(rhs, y, wall, _squared, lambda s, y: y[4], lambda y: rhs(0.0, y)[4],
-                 period, period if conic and energy < 0.0 else math.inf, state, switch)
-
-
-def _leave_chart(s, y):
-    return y[0] * y[0] + y[1] * y[1] - _CHART_OUT
-
-
-_leave_chart.terminal = True
-_leave_chart.direction = 1.0
-
-
-def _spherical_forms(params: SystemParams, wall: Wall):
-    """The attracting pole P (Z1 if m' > 0, else -Z1), the q.P at which a
-    leg enters its chart, and the function (state, t, in_chart) -> the
-    leg's form at a spherical state: the embedded flow in the time t, or
-    the chart.
-
-    The chart is the chart pair at a = 0 on the sphere turned so that P
-    goes to (0, 0, -1): x = q/(q.P) - P, w = v (q.P) - q (v.P) = dx/dt in
-    the basis (e1, e2) of P's plane. It carries the spherical flow to the
-    planar Kepler flow of mass |m'|, and d tau/dt = (q.P)^2 = 1/(1 + |x|^2)
-    (Albouy, Projective dynamics and classical gravitation, 2008), so the
-    leg runs Levi-Civita's field at the chart energy with the clock
-    d tau/ds = r/(1 + r^2). Each spherical wall function has the sign of
-    a planar one there: a great circle n.q = 0 is the line x2 = -n.P/|n'|,
-    e2 along n' = n - (n.P) P, and the circle about Z1 is |x| = tan(rho),
-    rho its angle from P; a wall with no point within _CHART_FAR of x = 0
-    is put at that level.
-    """
-    sign, mu = math.copysign(1.0, params.m_prime), abs(params.m_prime)
-    pole = sign * spherical_center(params)
-    e1 = np.array([1.0, 0.0, 0.0])  # normal to Z1
-    if wall.kind == SPHERICAL_GREAT_CIRCLE:
-        n_p = float(np.dot(wall.axis, pole))
-        normal = np.asarray(wall.axis) - n_p * pole
-        k = float(np.linalg.norm(normal))
-        level = -math.copysign(_CHART_FAR, n_p)
-        if k * _CHART_FAR > abs(n_p):
-            e1, level = np.cross(normal, pole) / k, -n_p / k
-        chart_wall = Wall.line(level, wall.side)
-    else:
-        cos_rho = sign * wall.level
-        radius = math.sqrt(1.0 - cos_rho * cos_rho) / cos_rho if cos_rho > 0.0 else _CHART_FAR
-        chart_wall = Wall.centered_circle(min(radius, _CHART_FAR), -int(sign) * wall.side)
-    turn = np.array([e1, np.cross(pole, e1), -pole])
-    embedded = spherical_flow_rhs(params)
-    c_in = 1.0 / math.hypot(1.0, _CHART_IN)
-
-    def enter_chart(s, y):
-        return y[0] * pole[0] + y[1] * pole[1] + y[2] * pole[2] - c_in
-
-    enter_chart.terminal = True
-    enter_chart.direction = 1.0
-
-    def to_sphere(y):
-        s = planar_to_sphere(_levi_civita_to_planar(y), _A0)
-        return SphericalState.project(turn.T @ s.q, turn.T @ s.v)
-
-    def form(state: SphericalState, t: float, in_chart: bool) -> _Form:
-        if not in_chart:
-            return _Form(embedded, state.as_array(), wall, lambda y: y, lambda s, y: t + s,
-                         lambda y: 1.0, math.inf, math.inf,
-                         lambda y: SphericalState.project(y[:3], y[3:]), enter_chart)
-        c = sphere_to_planar(SphericalState(turn @ state.q, turn @ state.v), _A0)
-        energy = planar_energy(c, mu)
-        kepler = levi_civita_rhs(energy, 0.0)
-
-        def rhs(s, y):
-            *f, r = kepler(s, y)
-            return (*f, r / (1.0 + r * r))
-
-        return _levi_civita(c, energy, rhs, chart_wall, t, to_sphere, True, _leave_chart)
-
-    return pole, c_in, form
 
 
 def next_hit_numeric(
@@ -446,9 +308,9 @@ def next_hit_numeric(
     center, so radial and near-radial legs pass it by the elastic bounce.
     A planar leg runs in that form throughout, with dt/ds = r. A spherical
     leg runs in it in the gnomonic chart of its attracting pole (see
-    _spherical_forms) from |x| = 1 (45 degrees off the pole) until |x| = 2,
-    elsewhere the embedded flow in t; a terminal event at either radius
-    ends the chunk, and the leg goes on in the other form.
+    kcbilliards.spherical) from |x| = 1 (45 degrees off the pole) until
+    |x| = 2, elsewhere the embedded flow in t; a terminal event at either
+    radius ends the chunk, and the leg goes on in the other form.
 
     The integration runs in chunks of 16 (|g| + 0.05 wall scales) over the
     current speed, at least 0.25 in time, g the signed distance to the
@@ -490,7 +352,7 @@ def next_hit_numeric(
         return outward
     spherical = isinstance(state, SphericalState)
     if spherical:
-        pole, c_in, sphere_form = _spherical_forms(params, wall)
+        pole, c_in, sphere_form, _ = _spherical_forms(params, wall)
         on_wall = max(abs(_wall_value(state, wall)), abs(wall_signed_distance(pole, wall)))
         if on_wall <= ON_WALL_TOL and abs(_normal_velocity(state, wall)) <= TANGENCY_REL * state.speed:
             raise Undetermined("the orbit runs along a great-circle wall through the pole")
@@ -498,7 +360,7 @@ def next_hit_numeric(
     else:
         energy = planar_energy(state, params.m, params.beta)
         form = _levi_civita(state, energy, levi_civita_rhs(energy, params.beta), wall, 0.0,
-                            _levi_civita_to_planar, params.beta == 0.0)
+                            lambda y: PlanarState(*_levi_civita_to_planar(y)), params.beta == 0.0)
 
     def g_event(s, y):
         return wall_signed_distance(form.phase(y), form.wall)
@@ -556,7 +418,7 @@ def next_hit_numeric(
         elif s >= form.repeat:
             raise Undetermined("the bound conic missed the wall for a whole period")
         elif spherical:
-            y = y if form.switch is _leave_chart else project_constraints(y)
+            y = y if form.switch is _leave_chart else form.state(y).as_array()
         elif _escape_certified(form.state(y), params, wall):
             return Escape("unbound, receding beyond the escape radius")
     raise Undetermined(f"no hit or escape certificate within t_max = {t_max}")

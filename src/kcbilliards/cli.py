@@ -78,10 +78,7 @@ def cmd_simulate(args) -> int:
                 raise StepFailure(f"flow integration failed: {sol.message}")
             ts, ys = sol.t, sol.y.T
         else:
-            ts, ys = integrate_spherical(
-                cfg.initial, ts, params, rtol=cfg.integrator.rtol,
-                atol=cfg.integrator.atol, max_step=cfg.integrator.max_step,
-            )
+            ts, ys = integrate_spherical(cfg.initial, ts, params, cfg.integrator)
     else:
         run = billiard_map(
             cfg.initial,

@@ -30,6 +30,8 @@ PLANAR_CENTERED_CIRCLE = "planar-centered-circle"
 SPHERICAL_GREAT_CIRCLE = "spherical-great-circle"
 SPHERICAL_CENTERED_CIRCLE = "spherical-centered-circle"
 
+POLE_GUARD = 1e-10  # |q . Z1| beyond 1 - POLE_GUARD is at a pole of the sphere's center
+
 WALL_KINDS = (
     PLANAR_LINE,
     PLANAR_CENTERED_CIRCLE,
@@ -121,8 +123,8 @@ class SphericalState:
     Invariants |q| = 1 and q.v = 0 are enforced to 1e-12 on construction,
     and every component must be finite;
     use :meth:`project` to build a state from slightly off-constraint data.
-    Pole avoidance (q != +-Z1) is checked by the force evaluation, which
-    knows the center.
+    Pole avoidance (q != +-Z1) is checked where the center is known: by
+    parse_config for a configured start, and by the embedded force.
     """
 
     q: np.ndarray
@@ -393,7 +395,8 @@ def parse_config(doc: dict) -> RunConfig:
 
     Every section is an object and every number finite (max_step defaults
     to infinity); side and n_bounces are integral, rtol > 0, atol >= 0,
-    max_step > 0, n_bounces >= 0 and t_max > 0.
+    max_step > 0, n_bounces >= 0 and t_max > 0. A start at the force
+    center, or at either of its poles on the sphere, is a SingularPosition.
     """
     _require(isinstance(doc, dict), "config must be a JSON object")
     for key in ("system", "wall", "initial"):
@@ -457,6 +460,8 @@ def parse_config(doc: dict) -> RunConfig:
             initial = SphericalState.from_array(values)
         except ValueError as exc:
             raise ConfigError(f"invalid spherical state: {exc}") from exc
+        if abs(float(initial.q @ spherical_center(params))) > 1.0 - POLE_GUARD:
+            raise SingularPosition("the start lies at a pole of the force center")
 
     integ = IntegratorConfig(
         rtol=_finite(integ_sec.get("rtol", 1e-10), "integrator.rtol"),

@@ -1,9 +1,11 @@
 """Planar Kepler-Coulomb flow in the normalized chart.
 
 Provides the vector field (with the optional centrifugal perturbation),
-also in Levi-Civita's regularized form, and the universal-variable
-kernel: the conic through a state, for either mass sign and any energy,
-in Goodyear's s (dt/ds = r), with its flight time t(s) in closed form.
+also in Levi-Civita's regularized form with the clock as a component
+(the form numeric legs and the spherical flow integrate), and the
+universal-variable kernel: the conic through a state, for either mass
+sign and any energy, in Goodyear's s (dt/ds = r), with its flight time
+t(s) in closed form.
 One Newton on t(s) serves exact propagation and the anomaly equations
 (eccentric, Barker, hyperbolic), each t(s) from a pericentre; one
 crossing root on the kernel times the exact wall hit. The exact flight
@@ -17,8 +19,12 @@ potential term beta/(2 r^2).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from typing import Optional
 
+import numpy as np
+
+from .conformal import kepler_to_hooke_point
 from .errors import (
     CollisionInsideInterval,
     NonConvergence,
@@ -71,6 +77,40 @@ def levi_civita_rhs(energy: float, beta: float):
         return (y[2], y[3], c * y[0], c * y[1], r)
 
     return rhs
+
+
+def _squared(y):
+    """q = u^2 and dq/ds = 2 u u' (= r v) of y = (u1, u2, u1', u2', t)."""
+    u1, u2, w1, w2 = y[0], y[1], y[2], y[3]
+    return (u1 * u1 - u2 * u2, 2.0 * u1 * u2,
+            2.0 * (u1 * w1 - u2 * w2), 2.0 * (u1 * w2 + u2 * w1))
+
+
+def _levi_civita_to_planar(y):
+    """The planar position and velocity q = u^2, v = 2 u'/conj(u) of a
+    Levi-Civita state y, or of such states one per column."""
+    q1, q2, p1, p2 = _squared(y)
+    r = y[0] * y[0] + y[1] * y[1]
+    return q1, q2, p1 / r, p2 / r
+
+
+# A leg's or flow's form, integrated in s from 0: field, state y, wall (None for a
+# flow); y's position and its s-derivative; clock (s, y) -> t and dt/ds; longest
+# chunk in s and the span after which the orbit repeats; the State of y; the event
+# where the form changes.
+_Form = namedtuple("_Form", "rhs y wall phase clock rate span repeat state switch")
+
+
+def _levi_civita(c: PlanarState, energy: float, rhs, wall, t: float, state,
+                 conic: bool, switch=None) -> _Form:
+    """The Levi-Civita form of the Kepler state c at time t, whose clock is
+    the fifth component of rhs; a chunk spans at most one period
+    pi/sqrt(|E|/2) of the oscillator, after which a bound conic repeats."""
+    u, u_prime = kepler_to_hooke_point(complex(c.xi, c.eta), complex(c.xi_dot, c.eta_dot))
+    period = math.pi / math.sqrt(0.5 * abs(energy)) if energy != 0.0 else math.inf
+    y = np.array([u.real, u.imag, u_prime.real, u_prime.imag, t])
+    return _Form(rhs, y, wall, _squared, lambda s, y: y[4], lambda y: rhs(0.0, y)[4],
+                 period, period if conic and energy < 0.0 else math.inf, state, switch)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
-"""Kepler-Coulomb flow on the unit sphere, integrated in embedded 3-space.
+"""Kepler-Coulomb flow on the unit sphere, and the one way it is integrated.
 
 The force center Z1 sits at (0, a/sqrt(1+a^2), -1/sqrt(1+a^2)); the force
 function is m' * cot(theta) with theta the angle from Z1 and
-m' = m*sqrt(1+a^2). Integration uses the explicit constraint term
--|v|^2 q plus a post-step projection back to the sphere, so there are no
-chart singularities at the equator. Billiard legs run this field only
-away from the attracting pole; near it they run in its gnomonic chart,
-where the flow is planar Kepler flow (see kcbilliards.billiard).
+m' = m*sqrt(1+a^2). Near the attracting pole P (Z1, or -Z1 if m' < 0)
+the flow runs in P's gnomonic chart, where it is planar Kepler flow
+(Albouy, Projective dynamics and classical gravitation, 2008), in
+Levi-Civita's form, which passes the pole; elsewhere it runs in embedded
+3-space with the explicit constraint term -|v|^2 q, which has no chart
+singularity at the equator of P. The two forms of ``_spherical_forms``
+serve the billiard legs (see kcbilliards.billiard) and the free flow of
+``integrate_spherical`` alike.
 
 One pair of maps, ``planar_to_sphere``/``sphere_to_planar``, identifies
 the open southern hemisphere with the normalized planar chart: central
@@ -18,34 +21,16 @@ projection onto the plane z = -1 with the time change d tau / d t =
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import PoleSingularity, StepFailure
-from .model import PlanarState, SphericalState, SystemParams, solve_ivp, spherical_center
+from .errors import NonConvergence, PoleSingularity, StepFailure
+from .integrals import planar_energy
+from .model import (POLE_GUARD, SPHERICAL_GREAT_CIRCLE, IntegratorConfig, PlanarState,
+                    SphericalState, SystemParams, Wall, solve_ivp, spherical_center)
+from .planar import _MAX_ITER, _Form, _levi_civita, _levi_civita_to_planar, levi_civita_rhs
 from .projective import plane_plane_project, plane_plane_push_velocity
-
-POLE_GUARD = 1e-10
-
-
-def _rhs(t, y, m_prime, z1):
-    q = y[:3]
-    v = y[3:]
-    c = q[0] * z1[0] + q[1] * z1[1] + q[2] * z1[2]
-    if abs(c) > 1.0 - POLE_GUARD:
-        raise PoleSingularity("trajectory entered the pole guard region")
-    sin2 = 1.0 - c * c
-    k = m_prime / (sin2 * math.sqrt(sin2))
-    v2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
-    return (
-        v[0],
-        v[1],
-        v[2],
-        k * (z1[0] - c * q[0]) - v2 * q[0],
-        k * (z1[1] - c * q[1]) - v2 * q[1],
-        k * (z1[2] - c * q[2]) - v2 * q[2],
-    )
 
 
 def flow_rhs(params: SystemParams) -> Callable:
@@ -54,14 +39,22 @@ def flow_rhs(params: SystemParams) -> Callable:
     The acceleration is the tangential gradient of the force function
     m'*cot(theta), of magnitude |m'|/sin^2(theta), plus the centripetal
     constraint term -|v|^2 q. The returned function raises
-    PoleSingularity when |q . Z1| > 1 - 1e-10; a billiard leg switches to
+    PoleSingularity when |q . Z1| > 1 - POLE_GUARD; the flow switches to
     the pole chart at 45 degrees from the attracting pole, before that.
     """
     z1 = spherical_center(params)
     m_prime = params.m_prime
 
     def rhs(t, y):
-        return _rhs(t, y, m_prime, z1)
+        q, v = y[:3], y[3:]
+        c = q[0] * z1[0] + q[1] * z1[1] + q[2] * z1[2]
+        if abs(c) > 1.0 - POLE_GUARD:
+            raise PoleSingularity("trajectory entered the pole guard region")
+        sin2 = 1.0 - c * c
+        k = m_prime / (sin2 * math.sqrt(sin2))
+        v2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
+        return (v[0], v[1], v[2], k * (z1[0] - c * q[0]) - v2 * q[0],
+                k * (z1[1] - c * q[1]) - v2 * q[1], k * (z1[2] - c * q[2]) - v2 * q[2])
 
     return rhs
 
@@ -85,20 +78,24 @@ def time_change_density(s: SphericalState) -> float:
     return s.q[2] * s.q[2]
 
 
+def _chart_to_sphere(x, y, x_dot, y_dot):
+    """The point (x, y) of the plane z = -1 and its t-derivative mapped to
+    q = (x, y, -1)/lambda and d q/d tau, with (x', y') = lambda^2 (x_dot,
+    y_dot); elementwise, so it maps one state or columns of states."""
+    lam2 = 1.0 + x * x + y * y
+    lam = np.sqrt(lam2)
+    xp, yp = lam2 * x_dot, lam2 * y_dot
+    dd = (x * xp + y * yp) / lam2
+    q = np.array([x, y, np.full_like(x, -1.0)]) / lam
+    return q, np.array([xp - x * dd, yp - y * dd, dd]) / lam
+
+
 def planar_to_sphere(state: PlanarState, params: SystemParams) -> SphericalState:
     """Map a normalized planar state to the southern hemisphere: the chart
-    point (x, y) = (xi, sqrt(1+a^2) eta + a) goes to q = (x, y, -1)/lambda,
-    its velocity to d q/d tau, with (x', y') = lambda^2 (x_dot, y_dot)."""
+    point (x, y) = (xi, sqrt(1+a^2) eta + a) and its velocity go by _chart_to_sphere."""
     k = math.sqrt(1.0 + params.a * params.a)
-    x, y = state.xi, k * state.eta + params.a
-    lam2 = 1.0 + x * x + y * y
-    lam = math.sqrt(lam2)
-    q = np.array([x, y, -1.0]) / lam
-    xp = lam2 * state.xi_dot
-    yp = lam2 * (k * state.eta_dot)
-    dd = (x * xp + y * yp) / lam2
-    v = np.array([xp - x * dd, yp - y * dd, dd]) / lam
-    return SphericalState(q, v)
+    return SphericalState(*_chart_to_sphere(state.xi, k * state.eta + params.a,
+                                            state.xi_dot, k * state.eta_dot))
 
 
 _CHART_PLANE = np.array([0.0, 0.0, -1.0])
@@ -114,60 +111,161 @@ def sphere_to_planar(s: SphericalState, params: SystemParams) -> PlanarState:
     return PlanarState(x, (y - params.a) / k, x_dot, y_dot / k)
 
 
-def project_constraints(y: np.ndarray) -> np.ndarray:
-    """Project an embedded 6-vector back onto the unit tangent bundle."""
-    q = y[:3] / np.linalg.norm(y[:3])
-    v = y[3:] - np.dot(q, y[3:]) * q
-    return np.concatenate([q, v])
+# the pole chart's radii of entry and exit; the gap keeps the forms from alternating
+_CHART_IN, _CHART_OUT = 1.0, 2.0
+_CHART_FAR = 1e6  # the chart level of a wall with no point this near the pole
+_A0 = SystemParams(m=1.0, a=0.0)  # its chart pair is the gnomonic chart at (0, 0, -1)
 
 
-_CHUNK = 5.0
+def _leave_chart(s, y):
+    return y[0] * y[0] + y[1] * y[1] - _CHART_OUT
 
 
-def integrate_spherical(
-    state: SphericalState,
-    t_eval,
-    params: SystemParams,
-    rtol: float = 1e-10,
-    atol: float = 1e-10,
-    max_step: float = math.inf,
-):
-    """Integrate the embedded spherical flow from t_eval[0] to t_eval[-1].
+_leave_chart.terminal = True
+_leave_chart.direction = 1.0
 
-    The integration runs in chunks of 5 time units, at least one, until
-    every sample is taken (a span of 1e-16 included); every sample and
-    every chunk's end state is projected back onto the unit tangent
-    bundle (constraint drift < 1e-14 afterwards). The ascending samples
-    t_eval are read from each chunk's dense output in one call, equal to
-    per-sample calls.
+
+def _spherical_forms(params: SystemParams, wall: Optional[Wall] = None):
+    """The attracting pole P (Z1 if m' > 0, else -Z1), the q.P at which the
+    flow enters its chart, form(state, t, in_chart) -> the flow's form at a
+    state (the embedded field in the time t, or the chart), and to_sphere(y)
+    -> the embedded (q, v) of form states y, one state or one per column.
+
+    The chart is the chart pair at a = 0 on the sphere turned so that P
+    goes to (0, 0, -1): x = q/(q.P) - P, w = v (q.P) - q (v.P) = dx/dt in
+    the basis (e1, e2) of P's plane. It carries the spherical flow to the
+    planar Kepler flow of mass |m'|, and d tau/dt = (q.P)^2 = 1/(1 + |x|^2)
+    (Albouy, Projective dynamics and classical gravitation, 2008), so the
+    flow runs Levi-Civita's field at the chart energy with the clock
+    d tau/ds = r/(1 + r^2). Each spherical wall function has the sign of
+    a planar one there: a great circle n.q = 0 is the line x2 = -n.P/|n'|,
+    e2 along n' = n - (n.P) P, and the circle about Z1 is |x| = tan(rho),
+    rho its angle from P; a wall with no point within _CHART_FAR of x = 0
+    is put at that level. A free flow has no wall (wall None).
+    """
+    sign, mu = math.copysign(1.0, params.m_prime), abs(params.m_prime)
+    pole = sign * spherical_center(params)
+    e1 = np.array([1.0, 0.0, 0.0])  # normal to Z1
+    chart_wall = None
+    if wall is not None and wall.kind == SPHERICAL_GREAT_CIRCLE:
+        n_p = float(np.dot(wall.axis, pole))
+        normal = np.asarray(wall.axis) - n_p * pole
+        k = float(np.linalg.norm(normal))
+        level = -math.copysign(_CHART_FAR, n_p)
+        if k * _CHART_FAR > abs(n_p):
+            e1, level = np.cross(normal, pole) / k, -n_p / k
+        chart_wall = Wall.line(level, wall.side)
+    elif wall is not None:
+        cos_rho = sign * wall.level
+        radius = math.sqrt(1.0 - cos_rho * cos_rho) / cos_rho if cos_rho > 0.0 else _CHART_FAR
+        chart_wall = Wall.centered_circle(min(radius, _CHART_FAR), -int(sign) * wall.side)
+    turn = np.array([e1, np.cross(pole, e1), -pole])
+    embedded = flow_rhs(params)
+    c_in = 1.0 / math.hypot(1.0, _CHART_IN)
+
+    def enter_chart(s, y):
+        return y[0] * pole[0] + y[1] * pole[1] + y[2] * pole[2] - c_in
+
+    enter_chart.terminal = True
+    enter_chart.direction = 1.0
+
+    def to_sphere(y):
+        if len(y) == 6:  # embedded
+            return y[:3], y[3:]
+        q, v = _chart_to_sphere(*_levi_civita_to_planar(y))
+        return turn.T @ q, turn.T @ v
+
+    def as_state(y):
+        return SphericalState.project(*to_sphere(y))
+
+    def form(state: SphericalState, t: float, in_chart: bool):
+        if not in_chart:
+            return _Form(embedded, state.as_array(), wall, lambda y: y, lambda s, y: t + s,
+                         lambda y: 1.0, math.inf, math.inf, as_state, enter_chart)
+        c = sphere_to_planar(SphericalState(turn @ state.q, turn @ state.v), _A0)
+        energy = planar_energy(c, mu)
+        kepler = levi_civita_rhs(energy, 0.0)
+
+        def rhs(s, y):
+            *f, r = kepler(s, y)
+            return (*f, r / (1.0 + r * r))
+
+        return _levi_civita(c, energy, rhs, chart_wall, t, as_state, True, _leave_chart)
+
+    return pole, c_in, form, to_sphere
+
+
+def _clock_samples(sol, form, ts: np.ndarray) -> np.ndarray:
+    """The dense-output states of sol, one per column, where the form's
+    monotone clock (dt/ds = form.rate(y)) reads the times ts. Newton runs
+    from the interpolant of the step clocks inside the step that brackets
+    each time, bisecting where it leaves the bracket or does not halve its
+    step, until the clock is within 4 ulps of its time or the bracket
+    closes; on the linear embedded clock t + s the first guess holds. It
+    raises NonConvergence past _MAX_ITER iterations."""
+    clocks = form.clock(sol.t, sol.y)
+    k = np.searchsorted(clocks, ts).clip(1, sol.t.size - 1)
+    lo, hi, s = sol.t[k - 1], sol.t[k], np.interp(ts, clocks, sol.t)
+    todo, step = np.arange(ts.size), np.full_like(s, np.inf)
+    out = np.empty((sol.y.shape[0], ts.size))
+    for _ in range(_MAX_ITER):
+        if not todo.size:
+            return out
+        y = sol.sol(s)
+        f = form.clock(s, y) - ts[todo]
+        done = (np.abs(f) <= 4.0 * np.spacing(np.abs(ts[todo]))) | (
+            hi - lo <= 4.0 * np.spacing(np.abs(s)))
+        out[:, todo[done]] = y[:, done]
+        todo, s, f, y, lo, hi, step = (x[..., ~done] for x in (todo, s, f, y, lo, hi, step))
+        lo, hi = np.where(f < 0.0, s, lo), np.where(f > 0.0, s, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s_new = s - f / form.rate(y)
+        newton = (lo <= s_new) & (s_new <= hi) & (np.abs(s_new - s) < 0.5 * np.abs(step))
+        s_new = np.where(newton, s_new, 0.5 * (lo + hi))
+        step, s = s_new - s, s_new
+    raise NonConvergence("a flow sample's clock did not converge")
+
+
+def integrate_spherical(state: SphericalState, t_eval, params: SystemParams,
+                        integ: IntegratorConfig = IntegratorConfig()):
+    """Sample the spherical flow from t_eval[0] at the ascending times t_eval.
+
+    The flow runs the billiard legs' forms with no wall: the chart of the
+    attracting pole (entered 45 and left 63 degrees off it), which passes
+    the pole, and the embedded field elsewhere. Each form runs in one
+    integration (integ.max_step a span of s through dt/ds at its start)
+    until it switches or its clock reaches t_eval[-1]; the samples come
+    from its dense output (_clock_samples), projected onto the unit
+    tangent bundle.
 
     Returns:
         (ts, ys): the sample times t_eval and their 6-column state array.
     """
-    rhs = flow_rhs(params)
     want = np.asarray(t_eval, dtype=float)
-    t, t1 = float(want[0]), float(want[-1])
-    y = state.as_array()
-    ys_out = []
-    w_idx = 0
-    while w_idx < len(want):
-        t_next = min(t + _CHUNK, t1)
-        sol = solve_ivp(
-            rhs,
-            (t, t_next),
-            y,
-            method="DOP853",
-            rtol=rtol,
-            atol=atol,
-            max_step=max_step,
-            dense_output=True,
-        )
+    pole, c_in, sphere_form, to_sphere = _spherical_forms(params)
+    form = sphere_form(state, float(want[0]), float(state.q @ pole) >= c_in)
+
+    def at_end(s, y):
+        return form.clock(s, y) - want[-1]
+
+    at_end.terminal = True
+    at_end.direction = 1.0
+    samples, k = [], 0
+    while k < want.size:
+        sol = solve_ivp(form.rhs, (0.0, math.inf), form.y, method="DOP853", rtol=integ.rtol,
+                        atol=integ.atol, max_step=integ.max_step / form.rate(form.y),
+                        events=[at_end, form.switch], dense_output=True)
         if not sol.success:
             raise StepFailure(f"spherical integration failed: {sol.message}")
-        end = int(np.searchsorted(want, t_next + 1e-15, side="right"))
-        if end > w_idx:
-            ys_out.extend(project_constraints(row) for row in sol.sol(want[w_idx:end]).T)
-            w_idx = end
-        y = project_constraints(sol.y[:, -1])
-        t = t_next
-    return want[:w_idx], np.array(ys_out)
+        switched = sol.t_events[1].size > 0
+        t = float(form.clock(sol.t[-1], sol.y[:, -1]))
+        end = int(np.searchsorted(want, t, side="right")) if switched else want.size
+        samples.append(np.concatenate(to_sphere(_clock_samples(sol, form, want[k:end]))))
+        k = end
+        if switched:
+            form = sphere_form(form.state(sol.y[:, -1]), t, form.switch is not _leave_chart)
+    ys = np.hstack(samples)  # then projected onto the unit tangent bundle
+    q = ys[:3] / np.linalg.norm(ys[:3], axis=0)
+    ys = np.concatenate([q, ys[3:] - (q * ys[3:]).sum(axis=0) * q])
+    # rows in C order, so a row's E_sph from the columns has the bits of its own state
+    return want, np.ascontiguousarray(ys.T)

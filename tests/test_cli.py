@@ -173,7 +173,7 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         _, rows = read_csv(out / "trajectory.csv")  # %.17g round-trips doubles
         ts, ys = kb.integrate_spherical(s0, np.linspace(0.0, 5.0, 1001), params,
-                                        rtol=1e-10, atol=1e-10, max_step=1.0)
+                                        kb.IntegratorConfig(rtol=1e-10, atol=1e-10, max_step=1.0))
         assert np.array_equal(np.array(rows)[:, :7], np.column_stack((ts, ys)))
 
     def test_config_error_exit_code(self, tmp_path):
@@ -277,10 +277,7 @@ class TestSimulate:
         assert ",".join(bounce_header) == SPHERICAL_BOUNCE_HEADER
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n_bounces"] == n_bounces
-        # the flow passes near the pole every period and, at rtol 1e-11,
-        # loses about 5e-7 of E_sph per passage: only the billiard's drift is bounded
-        if n_bounces:
-            assert summary["max_drift"]["E_sph"] < 1e-8
+        assert summary["max_drift"]["E_sph"] < 1e-8
         for row in rows:  # each row's E_sph is that of its own state, to the bit
             s = kb.SphericalState.from_array(row[1:7])
             assert row[7] == kb.spherical_energy_embedded(s, params)
@@ -651,6 +648,26 @@ class TestDynamicsExitCode:
         write_config(cfg, doc)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err.startswith("dynamics error: flow integration failed: ")
+
+    @pytest.mark.parametrize("n_bounces", [0, 3])
+    @pytest.mark.parametrize("pole", [1.0, -1.0])
+    def test_spherical_start_at_a_pole_is_refused_at_load(self, tmp_path, capsys, pole,
+                                                          n_bounces):
+        # Z1 = (0, 0.6, -0.8) at a = 0.75, and its antipode: the config is
+        # refused as a singular position before the output directory is made
+        doc = {
+            "system": {"model": "spherical", "m": 1.0, "a": 0.75, "beta": 0.0},
+            "wall": {"kind": "spherical-great-circle", "side": -1},
+            "initial": {"state": [0.0, 0.6 * pole, -0.8 * pole, 1.0, 0.0, 0.0]},
+            "run": {"n_bounces": n_bounces, "t_max": 5.0},
+        }
+        cfg = tmp_path / "pole.json"
+        write_config(cfg, doc)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "dynamics error: the start lies at a pole of the force center\n")
+        assert not out.exists()
 
     def test_log_env_smoke(self, tmp_path, billiard_config, monkeypatch):
         monkeypatch.setenv("BILLIARD_LOG", "INFO")

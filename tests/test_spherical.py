@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from kcbilliards import spherical
+from oracles import spherical_radial_fall_time
+
 from kcbilliards.errors import PoleSingularity, WrongHalfPlane
 from kcbilliards.model import (
+    IntegratorConfig,
     PlanarState,
     SphericalState,
     SystemParams,
@@ -15,7 +17,6 @@ from kcbilliards.model import (
 from kcbilliards.spherical import (
     integrate_spherical,
     planar_to_sphere,
-    project_constraints,
     flow_rhs,
     sphere_to_planar,
     spherical_energy_embedded,
@@ -185,7 +186,7 @@ class TestIntegration:
         params = SystemParams(m=1.0, a=0.5)
         s0 = planar_to_sphere(PlanarState(1.0, 0.2, -0.1, 0.9), params)
         ts, ys = integrate_spherical(
-            s0, np.linspace(0.0, 100.0, 201), params, rtol=1e-10, atol=1e-10
+            s0, np.linspace(0.0, 100.0, 201), params, IntegratorConfig(rtol=1e-10, atol=1e-10)
         )
         y_end = ys[-1]
         assert abs(np.linalg.norm(y_end[:3]) - 1.0) < 1e-14
@@ -198,7 +199,7 @@ class TestIntegration:
         s0 = planar_to_sphere(PlanarState(1.0, 0.2, -0.1, 0.9), params)
         e0 = spherical_energy_embedded(s0, params)
         ts, ys = integrate_spherical(
-            s0, np.linspace(0.0, 100.0, 201), params, rtol=1e-11, atol=1e-13
+            s0, np.linspace(0.0, 100.0, 201), params, IntegratorConfig(rtol=1e-11, atol=1e-13)
         )
         worst = 0.0
         for y in ys:
@@ -207,23 +208,38 @@ class TestIntegration:
         assert worst / max(1.0, abs(e0)) < 1e-9
 
 
-    def test_samples_are_bitwise_the_per_sample_dense_output(self):
-        # the chunked loop with one sol.sol(t) call per sample, as reference
-        params = SystemParams(m=1.0, a=0.7)
-        s0 = planar_to_sphere(PlanarState(1.0, 0.2, -0.1, 0.9), params)
-        t_end, want = 12.5, np.linspace(0.0, 12.5, 401)
-        ts, ys = integrate_spherical(s0, want, params, rtol=1e-10, atol=1e-10)
-        ref, y, t, k = [], s0.as_array(), 0.0, 0
-        while t < t_end - 1e-15:
-            t_next = min(t + spherical._CHUNK, t_end)
-            sol = solve_ivp(flow_rhs(params), (t, t_next), y, method="DOP853",
-                            rtol=1e-10, atol=1e-10, dense_output=True)
-            while k < len(want) and want[k] <= t_next + 1e-15:
-                ref.append(project_constraints(sol.sol(want[k])))
-                k += 1
-            y, t = project_constraints(sol.y[:, -1]), t_next
+    def test_samples_match_the_embedded_field_across_both_chart_radii(self):
+        # at a = 0 the planar radius is the pole chart's |x|: the orbit runs
+        # from 25 to 72 degrees off the pole, so it enters the chart at
+        # |x| = 1 and leaves it at |x| = 2 several times
+        params = SystemParams(m=1.0, a=0.0)
+        s0 = planar_to_sphere(PlanarState(3.0, 0.0, 0.0, 0.3), params)
+        want = np.linspace(0.0, 12.5, 401)
+        ts, ys = integrate_spherical(s0, want, params, IntegratorConfig(rtol=1e-11, atol=1e-11))
+        angle = np.arccos(ys[:, :3] @ spherical_center(params))
+        assert angle.min() < math.atan(1.0) and angle.max() > math.atan(2.0)
+        assert angle.min() > 0.4
+        ref = solve_ivp(flow_rhs(params), (0.0, 12.5), s0.as_array(), method="DOP853",
+                        rtol=1e-13, atol=1e-13, t_eval=want)
         assert np.array_equal(ts, want)
-        assert np.array_equal(ys, np.array(ref))
+        np.testing.assert_allclose(ys, ref.y.T, rtol=0.0, atol=1e-8)
+        # with only the two ends sampled, most forms run without a sample
+        ts, ends = integrate_spherical(s0, want[[0, -1]], params,
+                                       IntegratorConfig(rtol=1e-11, atol=1e-11))
+        np.testing.assert_allclose(ends, ref.y.T[[0, -1]], rtol=0.0, atol=1e-8)
+
+    def test_radial_fall_passes_the_pole(self):
+        # from rest, the orbit falls into the pole at T, passes it in the
+        # chart, and is back at the start at 2T and 4T
+        params = SystemParams(m=1.0, a=0.5)
+        s0 = planar_to_sphere(PlanarState(1.0, 0.2, 0.0, 0.0), params)
+        fall = spherical_radial_fall_time(float(spherical_energy_embedded(s0, params)),
+                                          params.m_prime)
+        want = fall * np.arange(17) / 4
+        ts, ys = integrate_spherical(s0, want, params, IntegratorConfig(rtol=1e-10, atol=1e-10))
+        assert ts[4] == fall
+        assert geodesic_distance(ys[4, :3], spherical_center(params)) < 1e-6
+        np.testing.assert_allclose(ys[-1], s0.as_array(), rtol=0.0, atol=1e-8)
 
 
 class TestCorrespondence:
