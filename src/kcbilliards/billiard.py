@@ -41,8 +41,8 @@ from .integrals import integral_set, planar_energy
 from .model import (PLANAR_CENTERED_CIRCLE, PLANAR_LINE, BounceRecord, IntegralSet,
                     IntegratorConfig, Model, PlanarState, SphericalState, SystemParams, Wall,
                     solve_ivp)
-from .planar import (R_MIN, _levi_civita, _levi_civita_to_planar, crossing_root, levi_civita_rhs,
-                     time_of_flight, universal_kernel, universal_state)
+from .planar import (R_MIN, _planar_form, crossing_root, time_of_flight, universal_kernel,
+                     universal_state)
 from .spherical import _leave_chart, _spherical_forms, sphere_to_planar, spherical_energy_embedded
 
 TANGENCY_REL = 1e-8
@@ -358,9 +358,7 @@ def next_hit_numeric(
             raise Undetermined("the orbit runs along a great-circle wall through the pole")
         form = sphere_form(state, 0.0, float(state.q @ pole) >= c_in)
     else:
-        energy = planar_energy(state, params.m, params.beta)
-        form = _levi_civita(state, energy, levi_civita_rhs(energy, params.beta), wall, 0.0,
-                            lambda y: PlanarState(*_levi_civita_to_planar(y)), params.beta == 0.0)
+        form = _planar_form(state, params, wall)
 
     def g_event(s, y):
         return wall_signed_distance(form.phase(y), form.wall)

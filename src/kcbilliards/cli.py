@@ -1,5 +1,8 @@
 """Command-line front end: simulate, verify, project, plot.
 
+A flow (n_bounces = 0) runs a billiard leg's form with no wall, Levi-Civita's
+in the plane, and is sampled where the form's clock reads each time.
+
 Exit codes: 0 success, 2 configuration error, 3 dynamics undetermined or
 failed, 4 verification failure. A billiard run whose leg fails still
 writes the bounces computed before that leg, with the error as the
@@ -28,7 +31,7 @@ from .errors import (
 )
 from .integrals import integral_set, planar_columns
 from .model import PlanarState, RunConfig, SphericalState, SystemParams, load_config, solve_ivp
-from .planar import flow_rhs
+from .planar import _clock_end, _clock_samples, _levi_civita_to_planar, _planar_form
 from .spherical import (
     integrate_spherical,
     planar_to_sphere,
@@ -63,20 +66,15 @@ def cmd_simulate(args) -> int:
     records = []
     if cfg.run.n_bounces == 0:
         ts = np.linspace(0.0, cfg.run.t_max, _FLOW_SAMPLES)
-        if planar:
-            sol = solve_ivp(
-                lambda t, y: flow_rhs(t, y, params),
-                (0.0, cfg.run.t_max),
-                cfg.initial.as_array(),
-                method="DOP853",
-                rtol=cfg.integrator.rtol,
-                atol=cfg.integrator.atol,
-                max_step=cfg.integrator.max_step,
-                t_eval=ts,
-            )
+        if planar:  # the legs' Levi-Civita form with no wall, sampled by its clock
+            form = _planar_form(cfg.initial, params)
+            sol = solve_ivp(form.rhs, (0.0, math.inf), form.y, method="DOP853",
+                            rtol=cfg.integrator.rtol, atol=cfg.integrator.atol,
+                            max_step=cfg.integrator.max_step / form.rate(form.y),
+                            events=[_clock_end(form, cfg.run.t_max)], dense_output=True)
             if not sol.success:
                 raise StepFailure(f"flow integration failed: {sol.message}")
-            ts, ys = sol.t, sol.y.T
+            ys = np.transpose(_levi_civita_to_planar(_clock_samples(sol, form, ts)))
         else:
             ts, ys = integrate_spherical(cfg.initial, ts, params, cfg.integrator)
     else:

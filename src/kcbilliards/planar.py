@@ -1,11 +1,10 @@
 """Planar Kepler-Coulomb flow in the normalized chart.
 
-Provides the vector field (with the optional centrifugal perturbation),
-also in Levi-Civita's regularized form with the clock as a component
-(the form numeric legs and the spherical flow integrate), and the
-universal-variable kernel: the conic through a state, for either mass
-sign and any energy, in Goodyear's s (dt/ds = r), with its flight time
-t(s) in closed form.
+Provides the flow (with the optional centrifugal perturbation) in
+Levi-Civita's regularized form with the clock as a component, the one
+planar field that legs and flows integrate, and the universal-variable
+kernel: the conic through a state, for either mass sign and any energy,
+in Goodyear's s (dt/ds = r), with its flight time t(s) in closed form.
 One Newton on t(s) serves exact propagation and the anomaly equations
 (eccentric, Barker, hyperbolic), each t(s) from a pericentre; one
 crossing root on the kernel times the exact wall hit. The exact flight
@@ -31,29 +30,13 @@ from .errors import (
     PerturbedModel,
     SingularPosition,
 )
+from .integrals import planar_energy
 from .model import PlanarState, SystemParams
 
 R_MIN = 1e-12
 _MAX_ITER = 200
 # a discriminant this far below zero, relative to its terms, is a tangency
 _DISC_ROUNDING = 1e-15
-
-
-def flow_rhs(t, y, params: SystemParams):
-    """Right-hand side of the first-order system for solve_ivp.
-
-    The acceleration is -m*q/r^3 + beta*q/r^4.
-
-    Raises:
-        SingularPosition: if r < R_MIN (1e-12).
-    """
-    r = math.hypot(y[0], y[1])
-    if r < R_MIN:
-        raise SingularPosition(f"r = {r} below the singular-position guard {R_MIN}")
-    coeff = -params.m / r**3
-    if params.beta != 0.0:
-        coeff += params.beta / r**4
-    return (y[2], y[3], coeff * y[0], coeff * y[1])
 
 
 def levi_civita_rhs(energy: float, beta: float):
@@ -86,22 +69,27 @@ def _squared(y):
             2.0 * (u1 * w1 - u2 * w2), 2.0 * (u1 * w2 + u2 * w1))
 
 
+def _radius(y):
+    """r = |u|^2 = dt/ds of a Levi-Civita state y, or of such states one per column."""
+    return y[0] * y[0] + y[1] * y[1]
+
+
 def _levi_civita_to_planar(y):
     """The planar position and velocity q = u^2, v = 2 u'/conj(u) of a
     Levi-Civita state y, or of such states one per column."""
     q1, q2, p1, p2 = _squared(y)
-    r = y[0] * y[0] + y[1] * y[1]
+    r = _radius(y)
     return q1, q2, p1 / r, p2 / r
 
 
 # A leg's or flow's form, integrated in s from 0: field, state y, wall (None for a
-# flow); y's position and its s-derivative; clock (s, y) -> t and dt/ds; longest
-# chunk in s and the span after which the orbit repeats; the State of y; the event
-# where the form changes.
+# flow); y's position and its s-derivative; clock (s, y) -> t and dt/ds, both
+# elementwise on columns of states; longest chunk in s and the span after which the
+# orbit repeats; the State of y; the event where the form changes.
 _Form = namedtuple("_Form", "rhs y wall phase clock rate span repeat state switch")
 
 
-def _levi_civita(c: PlanarState, energy: float, rhs, wall, t: float, state,
+def _levi_civita(c: PlanarState, energy: float, rhs, rate, wall, t: float, state,
                  conic: bool, switch=None) -> _Form:
     """The Levi-Civita form of the Kepler state c at time t, whose clock is
     the fifth component of rhs; a chunk spans at most one period
@@ -109,8 +97,57 @@ def _levi_civita(c: PlanarState, energy: float, rhs, wall, t: float, state,
     u, u_prime = kepler_to_hooke_point(complex(c.xi, c.eta), complex(c.xi_dot, c.eta_dot))
     period = math.pi / math.sqrt(0.5 * abs(energy)) if energy != 0.0 else math.inf
     y = np.array([u.real, u.imag, u_prime.real, u_prime.imag, t])
-    return _Form(rhs, y, wall, _squared, lambda s, y: y[4], lambda y: rhs(0.0, y)[4],
+    return _Form(rhs, y, wall, _squared, lambda s, y: y[4], rate,
                  period, period if conic and energy < 0.0 else math.inf, state, switch)
+
+
+def _planar_form(state: PlanarState, params: SystemParams, wall=None) -> _Form:
+    """The form of a planar leg on wall, or of a free flow (wall None), from
+    the state at t = 0; at beta = 0 a bound conic repeats after one period."""
+    energy = planar_energy(state, params.m, params.beta)
+    return _levi_civita(state, energy, levi_civita_rhs(energy, params.beta), _radius, wall, 0.0,
+                        lambda y: PlanarState(*_levi_civita_to_planar(y)), params.beta == 0.0)
+
+
+def _clock_end(form: _Form, t_end: float):
+    """The terminal event where the form's clock rises through t_end."""
+    def at_end(s, y):
+        return form.clock(s, y) - t_end
+
+    at_end.terminal = True
+    at_end.direction = 1.0
+    return at_end
+
+
+def _clock_samples(sol, form: _Form, ts: np.ndarray) -> np.ndarray:
+    """The dense-output states of sol, one per column, where the form's
+    monotone clock (dt/ds = form.rate(y)) reads the times ts. Newton runs
+    from the interpolant of the step clocks inside the step that brackets
+    each time, bisecting where it leaves the bracket or does not halve its
+    step, until the clock is within 4 ulps of its time or the bracket
+    closes; on a linear clock such as the embedded t + s the first guess
+    holds. It raises NonConvergence past _MAX_ITER iterations."""
+    clocks = form.clock(sol.t, sol.y)
+    k = np.searchsorted(clocks, ts).clip(1, sol.t.size - 1)
+    lo, hi, s = sol.t[k - 1], sol.t[k], np.interp(ts, clocks, sol.t)
+    todo, step = np.arange(ts.size), np.full_like(s, np.inf)
+    out = np.empty((sol.y.shape[0], ts.size))
+    for _ in range(_MAX_ITER):
+        if not todo.size:
+            return out
+        y = sol.sol(s)
+        f = form.clock(s, y) - ts[todo]
+        done = (np.abs(f) <= 4.0 * np.spacing(np.abs(ts[todo]))) | (
+            hi - lo <= 4.0 * np.spacing(np.abs(s)))
+        out[:, todo[done]] = y[:, done]
+        todo, s, f, y, lo, hi, step = (x[..., ~done] for x in (todo, s, f, y, lo, hi, step))
+        lo, hi = np.where(f < 0.0, s, lo), np.where(f > 0.0, s, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s_new = s - f / form.rate(y)
+        newton = (lo <= s_new) & (s_new <= hi) & (np.abs(s_new - s) < 0.5 * np.abs(step))
+        s_new = np.where(newton, s_new, 0.5 * (lo + hi))
+        step, s = s_new - s, s_new
+    raise NonConvergence("a flow sample's clock did not converge")
 
 
 # ---------------------------------------------------------------------------

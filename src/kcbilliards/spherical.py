@@ -25,11 +25,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NonConvergence, PoleSingularity, StepFailure
+from .errors import PoleSingularity, StepFailure
 from .integrals import planar_energy
 from .model import (POLE_GUARD, SPHERICAL_GREAT_CIRCLE, IntegratorConfig, PlanarState,
                     SphericalState, SystemParams, Wall, solve_ivp, spherical_center)
-from .planar import _MAX_ITER, _Form, _levi_civita, _levi_civita_to_planar, levi_civita_rhs
+from .planar import (_Form, _clock_end, _clock_samples, _levi_civita, _levi_civita_to_planar,
+                     _radius, levi_civita_rhs)
 from .projective import plane_plane_project, plane_plane_push_velocity
 
 
@@ -60,17 +61,19 @@ def flow_rhs(params: SystemParams) -> Callable:
 
 
 def spherical_energy_embedded(s: SphericalState, params: SystemParams):
-    """Spherical energy (1/2)|v|^2 - m' * cot(theta) in embedded form.
+    """Spherical energy (1/2)|v|^2 - m' * cot(theta) in embedded form, with
+    sin(theta) = |q x Z1|, which does not cancel near the pole.
 
-    Elementwise: for (n, 3) sample arrays in s.q and s.v, each entry is the
-    value at that sample's SphericalState, to the bit."""
-    c = s.q @ spherical_center(params)
+    Elementwise: for (n, 3) sample arrays in s.q and s.v, in any memory
+    layout, each entry is the value at that sample's SphericalState, to the bit."""
+    z = spherical_center(params)
+    (q0, q1, q2), (v0, v1, v2) = s.q.T, s.v.T
+    c = q0 * z[0] + q1 * z[1] + q2 * z[2]
     if (np.abs(c) > 1.0 - POLE_GUARD).any():
         raise PoleSingularity("cot(theta) overflows inside the pole guard")
-    cot = c / np.sqrt(1.0 - c * c)
-    # the stacked matmul has np.dot's bits per sample (np.vecdot needs numpy 2)
-    v2 = (s.v[..., None, :] @ s.v[..., :, None])[..., 0, 0]
-    return 0.5 * v2 - params.m_prime * cot
+    n0, n1, n2 = q1 * z[2] - q2 * z[1], q2 * z[0] - q0 * z[2], q0 * z[1] - q1 * z[0]
+    sin = np.sqrt(n0 * n0 + n1 * n1 + n2 * n2)
+    return 0.5 * (v0 * v0 + v1 * v1 + v2 * v2) - params.m_prime * (c / sin)
 
 
 def time_change_density(s: SphericalState) -> float:
@@ -190,40 +193,13 @@ def _spherical_forms(params: SystemParams, wall: Optional[Wall] = None):
             *f, r = kepler(s, y)
             return (*f, r / (1.0 + r * r))
 
-        return _levi_civita(c, energy, rhs, chart_wall, t, as_state, True, _leave_chart)
+        def rate(y):
+            r = _radius(y)
+            return r / (1.0 + r * r)
+
+        return _levi_civita(c, energy, rhs, rate, chart_wall, t, as_state, True, _leave_chart)
 
     return pole, c_in, form, to_sphere
-
-
-def _clock_samples(sol, form, ts: np.ndarray) -> np.ndarray:
-    """The dense-output states of sol, one per column, where the form's
-    monotone clock (dt/ds = form.rate(y)) reads the times ts. Newton runs
-    from the interpolant of the step clocks inside the step that brackets
-    each time, bisecting where it leaves the bracket or does not halve its
-    step, until the clock is within 4 ulps of its time or the bracket
-    closes; on the linear embedded clock t + s the first guess holds. It
-    raises NonConvergence past _MAX_ITER iterations."""
-    clocks = form.clock(sol.t, sol.y)
-    k = np.searchsorted(clocks, ts).clip(1, sol.t.size - 1)
-    lo, hi, s = sol.t[k - 1], sol.t[k], np.interp(ts, clocks, sol.t)
-    todo, step = np.arange(ts.size), np.full_like(s, np.inf)
-    out = np.empty((sol.y.shape[0], ts.size))
-    for _ in range(_MAX_ITER):
-        if not todo.size:
-            return out
-        y = sol.sol(s)
-        f = form.clock(s, y) - ts[todo]
-        done = (np.abs(f) <= 4.0 * np.spacing(np.abs(ts[todo]))) | (
-            hi - lo <= 4.0 * np.spacing(np.abs(s)))
-        out[:, todo[done]] = y[:, done]
-        todo, s, f, y, lo, hi, step = (x[..., ~done] for x in (todo, s, f, y, lo, hi, step))
-        lo, hi = np.where(f < 0.0, s, lo), np.where(f > 0.0, s, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s_new = s - f / form.rate(y)
-        newton = (lo <= s_new) & (s_new <= hi) & (np.abs(s_new - s) < 0.5 * np.abs(step))
-        s_new = np.where(newton, s_new, 0.5 * (lo + hi))
-        step, s = s_new - s, s_new
-    raise NonConvergence("a flow sample's clock did not converge")
 
 
 def integrate_spherical(state: SphericalState, t_eval, params: SystemParams,
@@ -244,17 +220,11 @@ def integrate_spherical(state: SphericalState, t_eval, params: SystemParams,
     want = np.asarray(t_eval, dtype=float)
     pole, c_in, sphere_form, to_sphere = _spherical_forms(params)
     form = sphere_form(state, float(want[0]), float(state.q @ pole) >= c_in)
-
-    def at_end(s, y):
-        return form.clock(s, y) - want[-1]
-
-    at_end.terminal = True
-    at_end.direction = 1.0
     samples, k = [], 0
     while k < want.size:
         sol = solve_ivp(form.rhs, (0.0, math.inf), form.y, method="DOP853", rtol=integ.rtol,
                         atol=integ.atol, max_step=integ.max_step / form.rate(form.y),
-                        events=[at_end, form.switch], dense_output=True)
+                        events=[_clock_end(form, want[-1]), form.switch], dense_output=True)
         if not sol.success:
             raise StepFailure(f"spherical integration failed: {sol.message}")
         switched = sol.t_events[1].size > 0
@@ -267,5 +237,4 @@ def integrate_spherical(state: SphericalState, t_eval, params: SystemParams,
     ys = np.hstack(samples)  # then projected onto the unit tangent bundle
     q = ys[:3] / np.linalg.norm(ys[:3], axis=0)
     ys = np.concatenate([q, ys[3:] - (q * ys[3:]).sum(axis=0) * q])
-    # rows in C order, so a row's E_sph from the columns has the bits of its own state
-    return want, np.ascontiguousarray(ys.T)
+    return want, ys.T

@@ -6,10 +6,13 @@ import re
 import numpy as np
 import pytest
 
+from oracles import ode_trajectory
+
 from kcbilliards.cli import main
 from kcbilliards.integrals import integral_set
 from kcbilliards.io import PLANAR_HEADER, SPHERICAL_BOUNCE_HEADER, SPHERICAL_HEADER, read_csv
 from kcbilliards.model import PlanarState, SystemParams, spherical_center
+from kcbilliards.planar import propagate_analytic
 
 H1 = -1.0 / math.sqrt(2.0)
 
@@ -140,6 +143,24 @@ class TestSimulate:
         for row in rows:
             ints = integral_set(PlanarState.from_array(row[1:5]), params)
             assert row[5:] == [ints.E_pl, ints.L, ints.A_eta, ints.D, ints.E_sph]
+
+    @pytest.mark.parametrize("m,beta", [(1.0, 0.0), (-1.0, 0.0), (1.0, 0.3)])
+    def test_flow_samples_follow_the_physical_time_field(self, flow_config, tmp_path, m, beta):
+        # the flow runs in Levi-Civita's s and is sampled where its clock
+        # reads each time; the oracle integrates the field in t
+        doc = json.loads(open(flow_config).read())
+        doc["system"].update(model="kepler" if beta == 0.0 else "boltzmann", m=m, beta=beta)
+        doc["integrator"].update(rtol=1e-13, atol=1e-13)
+        cfg = tmp_path / "flow_oracle.json"
+        write_config(cfg, doc)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = np.array(read_csv(out / "trajectory.csv")[1])
+        ts = np.linspace(0.0, 3.0, 1001)
+        assert np.array_equal(rows[:, 0], ts)
+        ref = ode_trajectory(PlanarState(1.0, 0.2, -0.1, 0.9), ts,
+                             SystemParams(m=m, a=0.5, beta=beta), rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(rows[:, 1:5], ref, rtol=0.0, atol=1e-8)
 
     def test_billiard_rows_are_bitwise_the_integrals_of_their_states(
         self, billiard_config, tmp_path
@@ -635,11 +656,31 @@ class TestDynamicsExitCode:
         assert len(bounces) == 1
         assert bounces[0][1] == pytest.approx(3.39732646848734, abs=1e-8)
 
-    def test_flow_into_the_center_returns_three(self, tmp_path, capsys):
-        # a radial fall into the center: the flow integration itself fails
-        # and main reports the dynamics error
+    def test_radial_flow_passes_the_center_at_beta_zero(self, tmp_path):
+        # a radial fall: Levi-Civita's field is regular through the center,
+        # where the orbit bounces elastically, as propagate_analytic's does
         doc = {
             "system": {"model": "kepler", "m": 1.0, "a": 0.5, "beta": 0.0},
+            "wall": {"kind": "planar-line", "side": -1},
+            "initial": {"state": [1.0, 0.0, -0.2, 0.0]},
+            "integrator": {"rtol": 1e-12, "atol": 1e-12},
+            "run": {"n_bounces": 0, "t_max": 5.0},
+        }
+        cfg = tmp_path / "fall.json"
+        write_config(cfg, doc)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["outcome"] == "flow"
+        rows = np.array(read_csv(out / "trajectory.csv")[1])
+        start, params = PlanarState(1.0, 0.0, -0.2, 0.0), SystemParams(m=1.0, a=0.5)
+        ref = [propagate_analytic(start, t, params).as_array() for t in rows[:, 0]]
+        np.testing.assert_allclose(rows[:, 1:5], ref, rtol=0.0, atol=1e-8)
+
+    def test_flow_into_the_center_returns_three(self, tmp_path, capsys):
+        # a radial fall at beta < 0, where the field is singular at the
+        # center: levi_civita_rhs's guard ends the run with the dynamics error
+        doc = {
+            "system": {"model": "boltzmann", "m": 1.0, "a": 0.5, "beta": -0.01},
             "wall": {"kind": "planar-line", "side": -1},
             "initial": {"state": [1.0, 0.0, -0.2, 0.0]},
             "run": {"n_bounces": 0, "t_max": 5.0},
@@ -647,7 +688,7 @@ class TestDynamicsExitCode:
         cfg = tmp_path / "fall.json"
         write_config(cfg, doc)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
-        assert capsys.readouterr().err.startswith("dynamics error: flow integration failed: ")
+        assert capsys.readouterr().err.startswith("dynamics error: r = ")
 
     @pytest.mark.parametrize("n_bounces", [0, 3])
     @pytest.mark.parametrize("pole", [1.0, -1.0])

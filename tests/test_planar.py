@@ -28,7 +28,7 @@ from kcbilliards.model import PlanarState, SystemParams
 from kcbilliards.planar import (
     _stumpff_c,
     _stumpff_s,
-    flow_rhs,
+    levi_civita_rhs,
     propagate_analytic,
     solve_kepler_equation,
     time_of_flight,
@@ -37,32 +37,11 @@ from kcbilliards.planar import (
 )
 
 
-def rhs_accel(position, params):
-    """Acceleration -m q/r^3 + beta q/r^4, read off the flow RHS."""
-    y = [position[0], position[1], 0.0, 0.0]
-    return flow_rhs(0.0, y, params)[2:]
-
-
-class TestKeplerAccel:
-    def test_attractive_unit(self):
-        np.testing.assert_allclose(
-            rhs_accel([1.0, 0.0], SystemParams(m=1.0)), [-1.0, 0.0]
-        )
-
-    def test_repulsive(self):
-        np.testing.assert_allclose(
-            rhs_accel([0.0, 2.0], SystemParams(m=-1.0)), [0.0, 0.25]
-        )
-
-    def test_centrifugal_term(self):
-        # radial magnitude -m/r^2 + beta/r^3 at r = 1
-        np.testing.assert_allclose(
-            rhs_accel([1.0, 0.0], SystemParams(m=1.0, beta=0.5)), [-0.5, 0.0]
-        )
-
+class TestLeviCivitaRhs:
     def test_singular_guard(self):
+        # |u|^2 = 1e-14 < R_MIN: with beta != 0 the field is singular there
         with pytest.raises(SingularPosition):
-            rhs_accel([1e-13, 0.0], SystemParams(m=1.0))
+            levi_civita_rhs(-1.0, 0.5)(0.0, [1e-7, 0.0, 0.0, 0.0, 0.0])
 
 
 class TestKeplerEquation:

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -179,6 +180,20 @@ class TestEmbeddedEnergy:
                 emb = spherical_energy_embedded(planar_to_sphere(st, params), params)
                 chart = spherical_energy_chart(st, params.m, a)
                 assert abs(emb - chart) <= 1e-11 * max(1.0, abs(chart))
+
+    def test_one_state_and_columns_in_either_order_give_the_same_bits(self):
+        # test_spherical_run's flow, which passes close to the pole: every
+        # sum runs over the last axis elementwise, so the memory layout of
+        # the stacked samples does not change a bit
+        params = SystemParams(m=1.0, a=1.0)
+        s0 = planar_to_sphere(PlanarState(0.5, params.h, 0.3, -0.8), params)
+        _, ys = integrate_spherical(s0, np.linspace(0.0, 50.0, 1001), params,
+                                    IntegratorConfig(rtol=1e-11, atol=1e-11, max_step=1.0))
+        each = [spherical_energy_embedded(SphericalState(y[:3], y[3:]), params) for y in ys]
+        for order in "CF":
+            rows = np.array(ys, order=order)
+            cols = spherical_energy_embedded(SimpleNamespace(q=rows[:, :3], v=rows[:, 3:]), params)
+            assert cols.tolist() == each, order
 
 
 class TestIntegration:
