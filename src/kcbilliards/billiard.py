@@ -1,17 +1,17 @@
 """Wall geometry, reflection operators, hit detection and the billiard map.
 
-Hits are located either numerically (event-detecting adaptive integration
-with bracketed root refinement on the step interpolant, any wall and beta;
-each step's minima of the wall function are tracked, so a crossing that
-enters and leaves within one step is found) or exactly for both planar
-walls (beta = 0): the crossing of the conic with the line or the centered
-circle is one closed-form root in the universal variable of the planar
-kernel. Radial orbits aimed at an attractive center pass the collision by
-the elastic bounce: the numeric map integrates Levi-Civita's regularized
-field (q = u^2, dt/ds = r), which is regular through the center, in the
-plane and, on the sphere, near the attracting pole in its gnomonic chart
-(see kcbilliards.spherical); the exact map passes the center in the
-universal variable.
+Hits are located either numerically (adaptive integration, one per form of
+a leg, ended by events, with bracketed root refinement on the step
+interpolant, any wall and beta; each step's minima of the wall function
+are tracked, so a crossing that enters and leaves within one step is
+found) or exactly for both planar walls (beta = 0): the crossing of the
+conic with the line or the centered circle is one closed-form root in the
+universal variable of the planar kernel. Radial orbits aimed at an
+attractive center pass the collision by the elastic bounce: the numeric
+map integrates Levi-Civita's regularized field (q = u^2, dt/ds = r),
+regular through the center, in the plane and, on the sphere, near the
+attracting pole in its gnomonic chart (see kcbilliards.spherical); the
+exact map passes the center in the universal variable.
 
 Both maps share one rule for a start on the wall: a start moving out of
 the domain (normal speed above TANGENCY_REL of the speed) is reflected at
@@ -41,8 +41,8 @@ from .integrals import integral_set, planar_energy
 from .model import (PLANAR_CENTERED_CIRCLE, PLANAR_LINE, BounceRecord, IntegralSet,
                     IntegratorConfig, Model, PlanarState, SphericalState, SystemParams, Wall,
                     solve_ivp)
-from .planar import (R_MIN, _planar_form, crossing_root, time_of_flight, universal_kernel,
-                     universal_state)
+from .planar import (R_MIN, _clock_end, _planar_form, _radius, crossing_root, time_of_flight,
+                     universal_kernel, universal_state)
 from .spherical import _leave_chart, _spherical_forms, sphere_to_planar, spherical_energy_embedded
 
 TANGENCY_REL = 1e-8
@@ -280,18 +280,32 @@ def next_hit_analytic_line(
 # Numerical hit search
 # ---------------------------------------------------------------------------
 
-def _escape_certified(s: PlanarState, params: SystemParams, wall: Wall) -> bool:
-    """Unbound, receding beyond 1e3 wall scales, and for the line wall with
-    beta = 0 no forward conic intersection."""
-    if not (
-        s.r > 1e3 * _wall_scale(wall)
-        and s.xi * s.xi_dot + s.eta * s.eta_dot > 0.0
-        and planar_energy(s, params.m, params.beta) >= 0.0
-    ):
-        return False
-    if wall.kind != PLANAR_LINE or params.beta != 0.0:
-        return True
-    return isinstance(next_hit_analytic_line(s, params, wall), Escape)
+def _escape_event(state: PlanarState, params: SystemParams, wall: Wall, form):
+    """The escape certificate of an unbound planar leg as a terminal event
+    on its form, rising through zero where it comes to hold: beyond 1e3
+    wall scales and receding, and for the line a conic that misses it
+    ahead (beta = 0) or a speed away from it above what the force can still
+    turn, (|m|/r + |beta|/(2 r^2)) over the least radial speed to come,
+    min(sqrt(2E), v_r); None for a bound leg or a conic that meets the line."""
+    two_e = 2.0 * planar_energy(state, params.m, params.beta)
+    exact = wall.kind == PLANAR_LINE and params.beta == 0.0
+    if two_e < 0.0 or exact and not isinstance(next_hit_analytic_line(state, params, wall), Escape):
+        return None
+    r_escape = 1e3 * _wall_scale(wall)
+    m, beta = abs(params.m), abs(params.beta)
+
+    def escape(s, y):
+        q1, q2, w1, w2 = form.phase(y)  # w = dq/ds = r v
+        r = _radius(y)
+        value = min(r - r_escape, q1 * w1 + q2 * w2)
+        if wall.kind != PLANAR_LINE or exact:
+            return value
+        v_min = math.sqrt(min(two_e, ((q1 * w1 + q2 * w2) / (r * r)) ** 2))
+        return min(value, wall.side * w2 / r * v_min - m / r - beta / (2.0 * r * r))
+
+    escape.terminal = True
+    escape.direction = 1.0
+    return escape
 
 
 def next_hit_numeric(
@@ -309,29 +323,34 @@ def next_hit_numeric(
     A planar leg runs in that form throughout, with dt/ds = r. A spherical
     leg runs in it in the gnomonic chart of its attracting pole (see
     kcbilliards.spherical) from |x| = 1 (45 degrees off the pole) until
-    |x| = 2, elsewhere the embedded flow in t; a terminal event at either
-    radius ends the chunk, and the leg goes on in the other form.
+    |x| = 2, elsewhere the embedded flow in t.
 
-    The integration runs in chunks of 16 (|g| + 0.05 wall scales) over the
-    current speed, at least 0.25 in time, g the signed distance to the
-    wall; the chunk and integ.max_step become spans of s through dt/ds at
-    the chunk start (a Levi-Civita chunk spans at most one period
-    pi/sqrt(|E|/2) of the oscillator). Both events read the wall function
-    and its rate at the position and its s-derivative, in the chart on a
-    planar wall of the same sign. A crossing whose step ends outside the
-    domain is refined on that step's interpolant by bracketed
-    root-finding. A step whose ends both lie inside hides a crossing only
-    where g has an interior minimum below zero, so each step also watches
-    the wall rate cross zero upwards; at the first such minimum with g < 0
-    the step is integrated again from its start to the minimum, which
-    brackets the crossing. A hit whose clock exceeds t_max, or no hit
-    before the clock reaches it, raises Undetermined; so does a crossing at
-    a force center (dt/ds below R_MIN), which is removed from the wall, and
-    a bound conic (planar at beta = 0, or in the chart) with no hit in its
-    first period of s, since it repeats. In the plane, Escape is returned
-    only with a certificate (unbound, receding beyond 1e3 wall scales, and
-    for the line wall no forward conic intersection). The embedded state
-    is projected back onto the unit tangent bundle after each chunk.
+    Each form runs in one integration from s = 0, with integ.max_step a
+    span of s through dt/ds at the form's start, as for flows, until a
+    terminal event ends it:
+
+    - the wall crossing;
+    - the clock reaching t_max (_clock_end), which raises Undetermined;
+    - on the sphere, the switch at either chart radius, after which the
+      leg goes on in the other form;
+    - for a planar leg with E >= 0, its escape certificate (_escape_event)
+      coming to hold, which returns Escape, as does a start where it
+      holds: beyond 1e3 wall scales and receding, and for the line a conic
+      that misses it ahead (beta = 0, checked at the start; a conic that
+      meets it arms no such event) or a speed away from it that the force
+      can no longer turn.
+
+    Both wall events read the wall function and its rate at the position
+    and its s-derivative, in the chart on a planar wall of the same sign.
+    A crossing whose step ends outside the domain is refined on that
+    step's interpolant by bracketed root-finding. A step whose ends both
+    lie inside hides a crossing only where g has an interior minimum below
+    zero, so each step also watches the wall rate cross zero upwards; at
+    the first such minimum with g < 0 the step is integrated again from
+    its start to the minimum, which brackets the crossing. A crossing at a
+    force center (dt/ds below R_MIN), which is removed from the wall,
+    raises Undetermined; so does a bound conic (planar at beta = 0, or in
+    the chart) with no hit in its first period of s, since it repeats.
 
     Two kinds of start are settled before any integration:
 
@@ -350,8 +369,8 @@ def next_hit_numeric(
     outward = _outward_start(state, params, wall)
     if outward is not None:
         return outward
-    spherical = isinstance(state, SphericalState)
-    if spherical:
+    escape = None
+    if isinstance(state, SphericalState):
         pole, c_in, sphere_form, _ = _spherical_forms(params, wall)
         on_wall = max(abs(_wall_value(state, wall)), abs(wall_signed_distance(pole, wall)))
         if on_wall <= ON_WALL_TOL and abs(_normal_velocity(state, wall)) <= TANGENCY_REL * state.speed:
@@ -359,6 +378,9 @@ def next_hit_numeric(
         form = sphere_form(state, 0.0, float(state.q @ pole) >= c_in)
     else:
         form = _planar_form(state, params, wall)
+        escape = _escape_event(state, params, wall, form)
+        if escape is not None and escape(0.0, form.y) > 0.0:
+            return Escape("unbound, receding beyond the escape radius")
 
     def g_event(s, y):
         return wall_signed_distance(form.phase(y), form.wall)
@@ -372,54 +394,43 @@ def next_hit_numeric(
     minimum_event.direction = 1.0
 
     def hit(s_hit, y_hit):
-        t_hit = float(form.clock(s_hit, y_hit))
-        if t_hit > t_max:
-            raise Undetermined(f"no hit within t_max = {t_max}")
         if form.rate(y_hit) < R_MIN:  # dt/ds vanishes only at a force center
             raise Undetermined("the orbit meets the wall only at the removed center")
+        t_hit = float(form.clock(s_hit, y_hit))
         return _hit_or_tangency(t_hit, form.state(y_hit), params, wall)
 
-    def integrate(s0, s1, y0, event_fns, max_step):
-        sol = solve_ivp(form.rhs, (s0, s1), y0, method="DOP853", rtol=integ.rtol,
-                        atol=integ.atol, max_step=max_step, events=event_fns)
+    def integrate(s0, s1, y0, event_fns):
+        sol = solve_ivp(form.rhs, (s0, s1), y0, method="DOP853", rtol=integ.rtol, atol=integ.atol,
+                        max_step=integ.max_step / form.rate(form.y), events=event_fns)
         if not sol.success:
             raise StepFailure(f"integration failed: {sol.message}")
         return sol
 
-    s, y, t = 0.0, form.y, 0.0
-    while t < t_max:
-        p, rate = form.phase(y), form.rate(y)
-        g = wall_signed_distance(p, form.wall)
-        speed = float(np.linalg.norm(p[len(p) // 2:])) / rate
-        chunk = max(16.0 * (abs(g) + 0.05 * _wall_scale(form.wall)) / max(speed, 1e-9), 0.25)
-        max_step = integ.max_step / rate
-        events = [g_event, minimum_event] + ([form.switch] if form.switch else [])
-        sol = integrate(s, s + min(form.span, chunk / rate), y, events, max_step)
-        # every minimum recorded here comes before any crossing event; one
+    while True:
+        ends = [_clock_end(form, t_max)] + [e for e in (form.switch, escape) if e]
+        sol = integrate(0.0, form.repeat, form.y, [g_event, minimum_event] + ends)
+        # every minimum recorded here comes before any terminal event; one
         # whose dip the step's re-integration does not confirm lies within
         # the tolerances and is passed over
         for s_min, y_min in zip(sol.t_events[1], sol.y_events[1]):
             k = int(np.searchsorted(sol.t, s_min, side="right")) - 1
             if wall_signed_distance(form.phase(y_min), form.wall) >= 0.0 or s_min <= sol.t[k]:
                 continue
-            sub = integrate(sol.t[k], s_min, sol.y[:, k], [g_event], max_step)
+            sub = integrate(sol.t[k], s_min, sol.y[:, k], [g_event])
             if sub.status == 1:
                 return hit(sub.t_events[0][0], sub.y_events[0][0])
-        if sol.status == 1 and sol.t_events[0].size:
+        if sol.t_events[0].size:
             return hit(sol.t_events[0][0], sol.y_events[0][0])
-        s = float(sol.t[-1])
-        y = sol.y[:, -1]
-        t = float(form.clock(s, y))
-        if sol.status == 1:  # the switch event: the leg goes on in the other form
-            form = sphere_form(form.state(y), t, form.switch is not _leave_chart)
-            s, y = 0.0, form.y
-        elif s >= form.repeat:
+        if sol.status == 0:
             raise Undetermined("the bound conic missed the wall for a whole period")
-        elif spherical:
-            y = y if form.switch is _leave_chart else form.state(y).as_array()
-        elif _escape_certified(form.state(y), params, wall):
+        if sol.t_events[2].size:
+            raise Undetermined(f"no hit within t_max = {t_max}")
+        if not form.switch:  # the escape event
             return Escape("unbound, receding beyond the escape radius")
-    raise Undetermined(f"no hit or escape certificate within t_max = {t_max}")
+        # the switch event: the leg goes on in the other form
+        y = sol.y[:, -1]
+        t = float(form.clock(sol.t[-1], y))
+        form = sphere_form(form.state(y), t, form.switch is not _leave_chart)
 
 
 # ---------------------------------------------------------------------------

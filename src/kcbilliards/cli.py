@@ -77,6 +77,7 @@ def cmd_simulate(args) -> int:
             ys = np.transpose(_levi_civita_to_planar(_clock_samples(sol, form, ts)))
         else:
             ts, ys = integrate_spherical(cfg.initial, ts, params, cfg.integrator)
+        ys[0] = cfg.initial.as_array()  # the start itself, not its round trip through the form
     else:
         run = billiard_map(
             cfg.initial,

@@ -82,23 +82,22 @@ def _levi_civita_to_planar(y):
     return q1, q2, p1 / r, p2 / r
 
 
-# A leg's or flow's form, integrated in s from 0: field, state y, wall (None for a
-# flow); y's position and its s-derivative; clock (s, y) -> t and dt/ds, both
-# elementwise on columns of states; longest chunk in s and the span after which the
-# orbit repeats; the State of y; the event where the form changes.
-_Form = namedtuple("_Form", "rhs y wall phase clock rate span repeat state switch")
+# A leg's or flow's form, integrated in s from 0 in one call: field, state y, wall
+# (None for a flow); y's position and its s-derivative; clock (s, y) -> t and dt/ds,
+# both elementwise on columns of states; the span of s after which the orbit
+# repeats; the State of y; the event where the form changes.
+_Form = namedtuple("_Form", "rhs y wall phase clock rate repeat state switch")
 
 
 def _levi_civita(c: PlanarState, energy: float, rhs, rate, wall, t: float, state,
                  conic: bool, switch=None) -> _Form:
     """The Levi-Civita form of the Kepler state c at time t, whose clock is
-    the fifth component of rhs; a chunk spans at most one period
-    pi/sqrt(|E|/2) of the oscillator, after which a bound conic repeats."""
+    the fifth component of rhs; a bound conic repeats after one period
+    pi/sqrt(|E|/2) of the oscillator."""
     u, u_prime = kepler_to_hooke_point(complex(c.xi, c.eta), complex(c.xi_dot, c.eta_dot))
-    period = math.pi / math.sqrt(0.5 * abs(energy)) if energy != 0.0 else math.inf
+    repeat = math.pi / math.sqrt(-0.5 * energy) if conic and energy < 0.0 else math.inf
     y = np.array([u.real, u.imag, u_prime.real, u_prime.imag, t])
-    return _Form(rhs, y, wall, _squared, lambda s, y: y[4], rate,
-                 period, period if conic and energy < 0.0 else math.inf, state, switch)
+    return _Form(rhs, y, wall, _squared, lambda s, y: y[4], rate, repeat, state, switch)
 
 
 def _planar_form(state: PlanarState, params: SystemParams, wall=None) -> _Form:

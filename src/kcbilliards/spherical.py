@@ -184,7 +184,7 @@ def _spherical_forms(params: SystemParams, wall: Optional[Wall] = None):
     def form(state: SphericalState, t: float, in_chart: bool):
         if not in_chart:
             return _Form(embedded, state.as_array(), wall, lambda y: y, lambda s, y: t + s,
-                         lambda y: 1.0, math.inf, math.inf, as_state, enter_chart)
+                         lambda y: 1.0, math.inf, as_state, enter_chart)
         c = sphere_to_planar(SphericalState(turn @ state.q, turn @ state.v), _A0)
         energy = planar_energy(c, mu)
         kepler = levi_civita_rhs(energy, 0.0)

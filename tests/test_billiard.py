@@ -53,6 +53,20 @@ def is_hit(out):
     return isinstance(out, BounceRecord) and not out.tangent
 
 
+@pytest.fixture
+def ivp_calls(monkeypatch):
+    """A list that grows by one at each solve_ivp call of the numeric engine."""
+    calls = []
+    solve = kcbilliards.billiard.solve_ivp
+
+    def counting_solve_ivp(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(kcbilliards.billiard, "solve_ivp", counting_solve_ivp)
+    return calls
+
+
 def circle_wall_params():
     params = SystemParams(m=1.0, a=1.0 / S3)  # h = -1/2
     wall = Wall.line(params.h, side=1)
@@ -559,6 +573,61 @@ class TestNumericHit:
         model = validate_config(params, wall)
         assert isinstance(next_hit_numeric(PlanarState(*start), model, FAST), Escape)
 
+    def test_hit_past_the_escape_radius(self, ivp_calls):
+        # an unbound leg that meets the line at r = 4029, past 1e3 wall
+        # scales: its conic crosses ahead, so no escape event is armed and
+        # one integration reaches the hit
+        params = SystemParams(m=1.0, a=1.0)
+        model = validate_config(params, Wall.line(params.h, side=1))
+        s = PlanarState(2.0, -0.5, 5.0, -0.012307692307692315)
+        exact = next_hit_analytic_line(s, params, model.wall)
+        assert exact.t_hit == pytest.approx(821.4627993558961, rel=1e-14)
+        assert exact.state_in.r > 4e3
+        out = next_hit_numeric(s, model, FAST)
+        assert is_hit(out) and len(ivp_calls) == 1
+        assert out.t_hit == pytest.approx(exact.t_hit, rel=1e-10)
+        np.testing.assert_allclose(out.state_in.position, exact.state_in.position, rtol=1e-8)
+
+    @pytest.mark.parametrize("m, start, t_hit", [
+        # heading straight at the line 1 away, from beyond the radius or
+        # just inside it
+        (1.0, (2000.0, -1.0, 0.5, 1.0), 1.0),
+        (1.0, (999.9, -1.0, 0.5, 0.5), 2.0),
+        # 0.01 from the line and moving away from it at 1e-5, turned back
+        # by the pull toward the center beyond the line
+        (1e4, (1001.0, -0.01, 4.693396640810579, -1e-5), 80.57),
+    ])
+    def test_unbound_leg_near_the_line_beyond_the_escape_radius_hits(self, m, start, t_hit):
+        # beta = 0.3 has no exact conic test; these legs are unbound and
+        # receding at (or reaching) 1e3 wall scales, yet meet the line, so
+        # no speed away from it that the force cannot turn certifies them
+        params = SystemParams(m=m, a=0.5, beta=0.3)
+        model = validate_config(params, Wall.line(params.h, side=-1))
+        s = PlanarState(start[0], params.h + start[1], start[2], start[3])
+        out = next_hit_numeric(s, model, FAST)
+        assert is_hit(out) and out.t_hit == pytest.approx(t_hit, rel=1e-2)
+        ref = ode_propagate(s, out.t_hit, params)
+        np.testing.assert_allclose(ref.as_array(), out.state_in.as_array(), rtol=0.0, atol=1e-6)
+
+    def test_start_beyond_the_escape_radius_escapes_without_integrating(self, ivp_calls):
+        # unbound and receding at r = 2000 outside the unit circle
+        model = validate_config(SystemParams(m=1.0, a=0.0), Wall.centered_circle(1.0, side=1))
+        assert isinstance(next_hit_numeric(PlanarState(2000.0, 0.0, 1.0, 0.1), model, FAST), Escape)
+        assert ivp_calls == []
+
+    @pytest.mark.parametrize("domain", ["planar", "spherical"])
+    def test_one_integration_per_bounce(self, ivp_calls, domain):
+        # the acceptance runs of criteria 3 and 6: no leg switches form, so
+        # each runs in one solve_ivp call that its wall crossing ends
+        params = SystemParams(m=1.0, a=1.0)
+        start = PlanarState(0.5, params.h, 0.3, -0.8)
+        wall = Wall.line(params.h, side=-1)
+        if domain == "spherical":
+            wall = Wall.great_circle((0.0, 1.0, 0.0), side=-1)
+            start = planar_to_sphere(start, params)
+        run = billiard_map(start, 100, validate_config(params, wall), integ=FAST)
+        assert run.n_bounces == 100 and len(ivp_calls) == 100
+
     def test_radial_collision_delegates_to_analytic(self):
         params = SystemParams(m=1.0, a=1.0)
         wall = Wall.line(params.h, side=1)
@@ -611,7 +680,7 @@ class TestNumericHit:
             out.state_in.as_array(), exact.state_in.as_array(), rtol=0.0, atol=1e-8
         )
 
-    def test_near_radial_leg_meeting_the_wall_first_is_integrated(self, monkeypatch):
+    def test_near_radial_leg_meeting_the_wall_first_is_integrated(self, ivp_calls):
         # L^2/(m r) ~ 6e-9, and the wall lies between the start and the
         # center: the leg is integrated, an independent check of the exact hit
         params = SystemParams(m=1.0, a=0.7705378367530828)
@@ -619,15 +688,8 @@ class TestNumericHit:
         s = PlanarState(
             -0.6394684320158801, params.h, -0.4708137498403941, -0.44928073572685706
         )
-        calls = []
-
-        def counting_solve_ivp(*args, **kwargs):
-            calls.append(1)
-            return solve_ivp(*args, **kwargs)
-
-        monkeypatch.setattr(kcbilliards.billiard, "solve_ivp", counting_solve_ivp)
         out = next_hit_numeric(s, validate_config(params, wall), FAST)
-        assert is_hit(out) and calls
+        assert is_hit(out) and ivp_calls
 
     def test_near_radial_bound_orbit_missing_the_wall_is_undetermined(self):
         # the exact conic never meets the circle; like an integration that
@@ -711,25 +773,19 @@ class TestNumericHit:
             )
         assert hits >= 10 and misses >= 1
 
-    def test_hit_after_t_max_inside_one_chunk_is_undetermined(self, monkeypatch):
-        # one chunk spans the whole leg, so the integrator reaches the hit
-        # at t = 3.397 in one call; with t_max at half of that it is no hit
+    def test_hit_after_t_max_inside_one_chunk_is_undetermined(self, ivp_calls):
+        # one integration spans the whole leg, so the integrator reaches the
+        # hit at t = 3.397 in one call; with t_max at half of that the clock
+        # event ends that call and it is no hit
         params = SystemParams(m=1.0, a=0.0)
         model = validate_config(params, Wall.centered_circle(2.0, side=-1))
         s = PlanarState(1.0, 0.0, 0.0, 1.2)
         exact = next_hit_analytic_line(s, params, model.wall)
-        calls = []
-
-        def counting_solve_ivp(*args, **kwargs):
-            calls.append(1)
-            return solve_ivp(*args, **kwargs)
-
-        monkeypatch.setattr(kcbilliards.billiard, "solve_ivp", counting_solve_ivp)
         out = next_hit_numeric(s, model, FAST)
-        assert out.t_hit == pytest.approx(exact.t_hit, abs=1e-8) and len(calls) == 1
+        assert out.t_hit == pytest.approx(exact.t_hit, abs=1e-8) and len(ivp_calls) == 1
         with pytest.raises(Undetermined):
             next_hit_numeric(s, model, FAST, t_max=0.5 * exact.t_hit)
-        assert len(calls) == 2
+        assert len(ivp_calls) == 2
 
     @pytest.mark.parametrize("ell", [0.0, 1e-8, 1e-3])
     def test_boltzmann_leg_through_the_barrier_keeps_the_energy(self, ell):

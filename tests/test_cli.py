@@ -162,6 +162,30 @@ class TestSimulate:
                              SystemParams(m=m, a=0.5, beta=beta), rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(rows[:, 1:5], ref, rtol=0.0, atol=1e-8)
 
+    @pytest.mark.parametrize("model,a,beta,state", [
+        ("kepler", 0.5, 0.0, [0.7, -0.9, 0.31, 0.45]),
+        ("boltzmann", 0.5, 0.3, [0.7, -0.9, 0.31, 0.45]),
+        ("spherical", 0.5, 0.0, [0.6, 0.0, -0.8, 0.0, 0.9, 0.0]),
+    ])
+    def test_flow_row_zero_is_the_start_to_the_bit(self, tmp_path, model, a, beta, state):
+        # the sample at t = 0 mapped back from the integrated form is off
+        # by an ulp (eta_dot 0.45000000000000007 at beta = 0.3, qz
+        # -0.80000000000000016 on the sphere); the row is the start itself
+        wall = "spherical-great-circle" if model == "spherical" else "planar-line"
+        doc = {
+            "system": {"model": model, "m": 1.0, "a": a, "beta": beta},
+            "wall": {"kind": wall, "side": -1},
+            "initial": {"state": state},
+            "integrator": {"rtol": 1e-10, "atol": 1e-10, "max_step": 1.0},
+            "run": {"n_bounces": 0, "t_max": 3.0},
+        }
+        cfg = tmp_path / "start.json"
+        write_config(cfg, doc)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_csv(out / "trajectory.csv")  # %.17g round-trips doubles
+        assert rows[0][:len(state) + 1] == [0.0, *state]
+
     def test_billiard_rows_are_bitwise_the_integrals_of_their_states(
         self, billiard_config, tmp_path
     ):
@@ -195,7 +219,9 @@ class TestSimulate:
         _, rows = read_csv(out / "trajectory.csv")  # %.17g round-trips doubles
         ts, ys = kb.integrate_spherical(s0, np.linspace(0.0, 5.0, 1001), params,
                                         kb.IntegratorConfig(rtol=1e-10, atol=1e-10, max_step=1.0))
-        assert np.array_equal(np.array(rows)[:, :7], np.column_stack((ts, ys)))
+        # row 0 is the start itself, every later row the integrator's sample
+        assert np.array_equal(np.array(rows)[1:, :7], np.column_stack((ts, ys))[1:])
+        assert rows[0][1:7] == doc["initial"]["state"]
 
     def test_config_error_exit_code(self, tmp_path):
         doc = {
