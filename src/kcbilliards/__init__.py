@@ -70,7 +70,6 @@ from .planar import (
     propagate_analytic,
     solve_kepler_equation,
 )
-from .projective import plane_plane_project
 from .spherical import (
     integrate_spherical,
     planar_to_sphere,

@@ -81,41 +81,17 @@ def hooke_invariant(w: complex, w_prime: complex, energy: float) -> float:
 class HyperbolaWall:
     """Image of the wall line {Im z = h}: the set {2uv = level} in w = u+iv.
 
-    ``degenerate`` flags level = 0, where the set collapses to the pair
-    of coordinate axes; it is still usable as an implicit locus.
+    At level = 0 the set collapses to the pair of coordinate axes; it is
+    still usable as an implicit locus.
     """
 
     level: float
-    degenerate: bool
 
     def implicit(self, w: complex) -> float:
         """Value of 2uv - level at a w-plane point (zero on the wall)."""
         return 2.0 * w.real * w.imag - self.level
 
-    def normal(self, w: complex) -> complex:
-        """Unnormalized gradient of 2uv at a point, as a complex number."""
-        return complex(2.0 * w.imag, 2.0 * w.real)
-
 
 def line_image_wall(h: float) -> HyperbolaWall:
     """Wall of the Hooke billiard corresponding to the line {Im z = h}."""
-    return HyperbolaWall(level=float(h), degenerate=(h == 0.0))
-
-
-def hooke_reflection_residual(
-    w: complex, wp_in: complex, wp_out: complex, wall: HyperbolaWall
-) -> float:
-    """How far a transported bounce is from a specular hyperbola bounce.
-
-    Returns |wp_out - reflect(wp_in)| with the reflection of the incoming
-    w-plane velocity taken about the tangent of {2uv = level} at the
-    bounce point w; zero for a legal Hooke bounce.
-    """
-    n = wall.normal(w)
-    nn = abs(n)
-    if nn == 0.0:
-        return float("nan")
-    nu, nv = n.real / nn, n.imag / nn
-    dot = wp_in.real * nu + wp_in.imag * nv
-    ref = complex(wp_in.real - 2.0 * dot * nu, wp_in.imag - 2.0 * dot * nv)
-    return abs(wp_out - ref)
+    return HyperbolaWall(level=float(h))

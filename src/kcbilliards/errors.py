@@ -34,8 +34,8 @@ class CollisionInsideInterval(BilliardError):
 
 
 class WrongHalfPlane(BilliardError):
-    """Central projection requested outside the admissible half-space (for
-    the sphere-to-plane chart map: a point with q_z >= 0)."""
+    """sphere_to_planar was given a point with q_z >= 0 (-0.0 included),
+    whose ray from the origin misses the chart plane z = -1."""
 
 
 class NotOnWall(BilliardError):

@@ -13,8 +13,9 @@ serve the billiard legs (see kcbilliards.billiard) and the free flow of
 
 One pair of maps, ``planar_to_sphere``/``sphere_to_planar``, identifies
 the open southern hemisphere with the normalized planar chart: central
-projection onto the plane z = -1 with the time change d tau / d t =
-1/lambda^2, lambda^2 = 1 + x^2 + y^2, and the normalization (x, y) =
+projection onto the plane z = -1 (``_chart_to_sphere`` and its inverse
+``_sphere_to_chart``) with the time change d tau / d t = 1/lambda^2,
+lambda^2 = 1 + x^2 + y^2, and the normalization (x, y) =
 (xi, sqrt(1+a^2) eta + a) that moves the center to the origin.
 """
 
@@ -25,13 +26,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import PoleSingularity, StepFailure
+from .errors import PoleSingularity, StepFailure, WrongHalfPlane
 from .integrals import planar_energy
 from .model import (POLE_GUARD, SPHERICAL_GREAT_CIRCLE, IntegratorConfig, PlanarState,
                     SphericalState, SystemParams, Wall, solve_ivp, spherical_center)
 from .planar import (_Form, _clock_end, _clock_samples, _levi_civita, _levi_civita_to_planar,
                      _radius, levi_civita_rhs)
-from .projective import plane_plane_project, plane_plane_push_velocity
 
 
 def flow_rhs(params: SystemParams) -> Callable:
@@ -93,6 +93,13 @@ def _chart_to_sphere(x, y, x_dot, y_dot):
     return q, np.array([xp - x * dd, yp - y * dd, dd]) / lam
 
 
+def _sphere_to_chart(q, v):
+    """Inverse of _chart_to_sphere for q_z < 0: the chart point x = q_xy/lambda,
+    lambda = -q_z, and its t-derivative lambda v_xy + v_z q_xy."""
+    lam = -q[2]
+    return q[0] / lam, q[1] / lam, lam * v[0] + v[2] * q[0], lam * v[1] + v[2] * q[1]
+
+
 def planar_to_sphere(state: PlanarState, params: SystemParams) -> SphericalState:
     """Map a normalized planar state to the southern hemisphere: the chart
     point (x, y) = (xi, sqrt(1+a^2) eta + a) and its velocity go by _chart_to_sphere."""
@@ -101,15 +108,13 @@ def planar_to_sphere(state: PlanarState, params: SystemParams) -> SphericalState
                                             state.xi_dot, k * state.eta_dot))
 
 
-_CHART_PLANE = np.array([0.0, 0.0, -1.0])
-
-
 def sphere_to_planar(s: SphericalState, params: SystemParams) -> PlanarState:
-    """Inverse of :func:`planar_to_sphere`. The projective pair onto z = -1
-    gives the chart point and its t-derivative -q_z v + v_z q; raises
-    WrongHalfPlane if q_z >= 0."""
-    x, y, _ = plane_plane_project(s.q, _CHART_PLANE)
-    x_dot, y_dot, _ = plane_plane_push_velocity(s.q, s.v, _CHART_PLANE)
+    """Inverse of :func:`planar_to_sphere`: the chart point and its
+    t-derivative by _sphere_to_chart, then the inverse normalization.
+    Raises WrongHalfPlane if q_z >= 0 (the ray misses the plane z = -1)."""
+    if s.q[2] >= 0.0:
+        raise WrongHalfPlane(f"q_z = {s.q[2]} must be negative")
+    x, y, x_dot, y_dot = _sphere_to_chart(s.q, s.v)
     k = math.sqrt(1.0 + params.a * params.a)
     return PlanarState(x, (y - params.a) / k, x_dot, y_dot / k)
 
@@ -117,7 +122,6 @@ def sphere_to_planar(s: SphericalState, params: SystemParams) -> PlanarState:
 # the pole chart's radii of entry and exit; the gap keeps the forms from alternating
 _CHART_IN, _CHART_OUT = 1.0, 2.0
 _CHART_FAR = 1e6  # the chart level of a wall with no point this near the pole
-_A0 = SystemParams(m=1.0, a=0.0)  # its chart pair is the gnomonic chart at (0, 0, -1)
 
 
 def _leave_chart(s, y):
@@ -134,9 +138,9 @@ def _spherical_forms(params: SystemParams, wall: Optional[Wall] = None):
     state (the embedded field in the time t, or the chart), and to_sphere(y)
     -> the embedded (q, v) of form states y, one state or one per column.
 
-    The chart is the chart pair at a = 0 on the sphere turned so that P
-    goes to (0, 0, -1): x = q/(q.P) - P, w = v (q.P) - q (v.P) = dx/dt in
-    the basis (e1, e2) of P's plane. It carries the spherical flow to the
+    The chart is _sphere_to_chart on the sphere turned so that P goes to
+    (0, 0, -1): x = q/(q.P) - P, w = v (q.P) - q (v.P) = dx/dt in the basis
+    (e1, e2) of P's plane. It carries the spherical flow to the
     planar Kepler flow of mass |m'|, and d tau/dt = (q.P)^2 = 1/(1 + |x|^2)
     (Albouy, Projective dynamics and classical gravitation, 2008), so the
     flow runs Levi-Civita's field at the chart energy with the clock
@@ -185,7 +189,7 @@ def _spherical_forms(params: SystemParams, wall: Optional[Wall] = None):
         if not in_chart:
             return _Form(embedded, state.as_array(), wall, lambda y: y, lambda s, y: t + s,
                          lambda y: 1.0, math.inf, as_state, enter_chart)
-        c = sphere_to_planar(SphericalState(turn @ state.q, turn @ state.v), _A0)
+        c = PlanarState(*_sphere_to_chart(turn @ state.q, turn @ state.v))
         energy = planar_energy(c, mu)
         kepler = levi_civita_rhs(energy, 0.0)
 

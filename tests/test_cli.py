@@ -451,12 +451,13 @@ class TestProject:
             fh.write("t,qx,qy,qz,vx,vy,vz,E_sph\n")
             fh.write("0,0,0,1,0,1,0,0\n")   # north pole: skipped
             fh.write("1,0,0,-1,0,1,0,0\n")  # south pole: kept
+            fh.write("2,1,0,0,0,1,0,0\n")   # equator: skipped
         dst = tmp_path / "d.csv"
         rc = main(["project", "--in", str(src), "--out", str(dst),
                    "--direction", "sphere-to-plane", "--a", "0.5"])
         assert rc == 0
         err = capsys.readouterr().err
-        assert "row 0" in err
+        assert "row 0" in err and "row 2" in err
         _, rows = read_csv(dst)
         assert len(rows) == 1
         # the south pole maps to the wall-chart point (0, h)

@@ -16,6 +16,7 @@ from kcbilliards.model import (
     spherical_center,
 )
 from kcbilliards.spherical import (
+    _sphere_to_chart,
     integrate_spherical,
     planar_to_sphere,
     flow_rhs,
@@ -128,8 +129,10 @@ class TestChartMaps:
 
     def test_north_hemisphere_rejected(self):
         params = SystemParams(m=1.0, a=0.5)
-        for q in ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0]):
+        # q_z = -0.0 lies on the boundary as q_z = 0.0 does
+        for q in ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, -0.0]):
             s = SphericalState.project(q, [0.0, 1.0, 0.0])
+            assert math.copysign(1.0, s.q[2]) == math.copysign(1.0, q[2])
             with pytest.raises(WrongHalfPlane):
                 sphere_to_planar(s, params)
 
@@ -146,6 +149,59 @@ class TestChartMaps:
             s = planar_to_sphere(PlanarState(x, y, xd, yd), params)
             want = 0.5 * ((xd**2 + yd**2) + (x * yd - y * xd) ** 2)
             assert 0.5 * s.speed**2 == pytest.approx(want, rel=1e-11, abs=1e-12)
+
+
+class TestNormalizeChart:
+    """The affine normalization inside the chart pair of kcbilliards.spherical."""
+
+    def test_identity_at_zero_offset(self, rng):
+        # at a = 0 sphere_to_planar is the bare chart map onto z = -1, to the bit
+        params = SystemParams(m=1.0, a=0.0)
+        for _ in range(25):
+            q = rng.normal(size=3)
+            q[2] = -abs(q[2]) - 0.3
+            s = tangent_state(q, rng.normal(size=3))
+            want = [float(c) for c in _sphere_to_chart(s.q, s.v)]
+            assert sphere_to_planar(s, params).as_array().tolist() == want
+
+    def test_wall_line_maps_to_h(self, rng):
+        # the wall line eta = h and the great circle q_y = 0 are one set
+        for a in (0.5, 1.0, 3.0):
+            params = SystemParams(m=1.0, a=a)
+            for xi in rng.uniform(-3, 3, size=10):
+                s = planar_to_sphere(PlanarState(xi, params.h, 0.3, -0.2), params)
+                assert abs(s.q[1]) <= 1e-15
+                s = SphericalState.project([xi, 0.0, -1.0], [0.1, 0.0, 0.2])
+                assert sphere_to_planar(s, params).eta == pytest.approx(params.h, abs=1e-15)
+
+    def test_velocity_scaling(self):
+        # at the tangency point the embedded velocity is the chart velocity
+        s = SphericalState([0.0, 0.0, -1.0], [0.0, math.sqrt(2.0), 0.0])
+        p = sphere_to_planar(s, SystemParams(m=1.0, a=1.0))
+        assert p.eta_dot == pytest.approx(1.0)
+        assert p.xi_dot == 0.0
+
+    def test_round_trip(self, rng):
+        for a in (0.0, 0.5, 1.0, 3.0):
+            params = SystemParams(m=1.0, a=a)
+            for _ in range(25):
+                st = PlanarState(*rng.uniform(-3, 3, size=4))
+                back = sphere_to_planar(planar_to_sphere(st, params), params)
+                np.testing.assert_allclose(
+                    back.as_array(), st.as_array(), rtol=1e-13, atol=1e-13
+                )
+
+    def test_metric_norm_becomes_euclidean(self, rng):
+        # the chart's transported norm sqrt(xd^2 + yd^2/(1+a^2)) becomes
+        # the Euclidean speed of the normalized chart
+        for a in (0.5, 2.0):
+            params = SystemParams(m=1.0, a=a)
+            for _ in range(25):
+                xd, yd = rng.uniform(-2, 2, size=2)
+                p = sphere_to_planar(SphericalState([0.0, 0.0, -1.0], [xd, yd, 0.0]), params)
+                assert math.sqrt(xd * xd + yd * yd / (1.0 + a * a)) == pytest.approx(
+                    math.hypot(p.xi_dot, p.eta_dot), rel=1e-13
+                )
 
 
 class TestEmbeddedEnergy:
