@@ -164,8 +164,7 @@ def _spherical_integrals(s: SphericalState, params: SystemParams) -> IntegralSet
     """Embedded spherical energy plus, when projectable, the planar set."""
     e_sph = spherical_energy_embedded(s, params)
     if s.q[2] < 0.0:
-        base = integral_set(sphere_to_planar(s, params), params)
-        return IntegralSet(base.E_pl, base.L, base.A_xi, base.A_eta, base.D, e_sph)
+        return integral_set(sphere_to_planar(s, params), params)._replace(E_sph=e_sph)
     return IntegralSet(math.nan, math.nan, math.nan, math.nan, math.nan, e_sph)
 
 
@@ -498,12 +497,8 @@ def billiard_map(
             outcome, reason = "escape", out.reason
             break
         clock += out.t_hit
-        # a direct call: dataclasses.replace costs twice as much on this hot path
-        records.append(BounceRecord(
-            t_hit=clock, state_in=out.state_in, state_out=out.state_out,
-            integrals_in=out.integrals_in, integrals_out=out.integrals_out,
-            tangent=out.tangent,
-        ))
+        # the leg's record at the run's clock; out._replace(t_hit=clock) is slower
+        records.append(BounceRecord(clock, *out[1:]))
         current = out.state_out
         if out.tangent:
             outcome = "tangency"

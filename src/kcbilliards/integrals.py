@@ -5,10 +5,12 @@ angular momentum L, the two Laplace-Runge-Lenz components (A_xi, A_eta),
 the line-billiard invariant D = L^2 - 2 h A_eta, and the energy E_sph of
 the corresponding spherical system. E_sph is computed from its own chart
 expression, never via the identity E_sph = (1+a^2)(E_pl + D/2), so that
-the identity remains an end-to-end test. Every formula is elementwise: the
-same functions serve a single PlanarState and the columns of a stack of
-states (planar_columns), which is how the CLI evaluates its trajectory
-rows and verify its sampled states.
+the identity remains an end-to-end test. One kernel, _integrals, holds
+each formula and evaluates the terms they share once per state;
+integral_set and the single-quantity functions are views of it. Every
+formula is elementwise: the same functions serve a single PlanarState and
+the columns of a stack of states (planar_columns), which is how the CLI
+evaluates its trajectory rows and verify its sampled states.
 """
 
 from __future__ import annotations
@@ -22,58 +24,61 @@ from .errors import SingularPosition
 from .model import IntegralSet, PlanarState, SystemParams
 
 
-def planar_energy(s: PlanarState, m: float, beta: float = 0.0) -> float:
-    """Planar energy (1/2)(xi_dot^2 + eta_dot^2) - m/r.
-
-    With beta != 0 the centrifugal potential beta/(2 r^2) is included, so
-    the value is conserved along the perturbed flow as well.
-    """
+def _integrals(s, m: float, beta: float, a: float, h: float) -> tuple:
+    """The six integrals (E_pl, L, A_xi, A_eta, D, E_sph) at a planar state,
+    or elementwise at the rows of planar_columns(y): the one place each
+    formula is written, with r, L, the kinetic term and m/r evaluated once.
+    beta enters E_pl alone (the centrifugal potential beta/(2 r^2)); E_sph
+    is the chart expression of spherical_energy_chart."""
     r = s.r
-    e = 0.5 * (s.xi_dot * s.xi_dot + s.eta_dot * s.eta_dot) - m / r
-    if beta != 0.0:
-        e += beta / (2.0 * r * r)
-    return e
+    xi, eta, xi_dot, eta_dot = s.xi, s.eta, s.xi_dot, s.eta_dot
+    lam = xi * eta_dot - eta * xi_dot
+    kepler = 0.5 * (xi_dot * xi_dot + eta_dot * eta_dot) - m / r
+    e_pl = kepler + beta / (2.0 * r * r) if beta != 0.0 else kepler
+    m_eta = m * eta / r
+    a_eta = -lam * xi_dot - m_eta
+    one_a2 = 1.0 + a * a
+    coupling = lam * lam - (2.0 * a / math.sqrt(one_a2)) * (lam * xi_dot + m_eta)
+    return (e_pl, lam, lam * eta_dot - m * xi / r, a_eta, lam * lam - 2.0 * h * a_eta,
+            one_a2 * kepler + 0.5 * one_a2 * coupling)
+
+
+def planar_energy(s: PlanarState, m: float, beta: float = 0.0) -> float:
+    """Planar energy (1/2)(xi_dot^2 + eta_dot^2) - m/r, plus the centrifugal
+    potential beta/(2 r^2) when beta != 0, so that the value is conserved
+    along the perturbed flow as well."""
+    return _integrals(s, m, beta, 0.0, 0.0)[0]
 
 
 def angular_momentum(s: PlanarState) -> float:
     """L = xi*eta_dot - eta*xi_dot."""
-    return s.xi * s.eta_dot - s.eta * s.xi_dot
+    return _integrals(s, 1.0, 0.0, 0.0, 0.0)[1]
 
 
 def lrl_xi(s: PlanarState, m: float) -> float:
     """A_xi = L*eta_dot - m*xi/r."""
-    return angular_momentum(s) * s.eta_dot - m * s.xi / s.r
+    return _integrals(s, m, 0.0, 0.0, 0.0)[2]
 
 
 def lrl_eta(s: PlanarState, m: float) -> float:
     """A_eta = -L*xi_dot - m*eta/r."""
-    return -angular_momentum(s) * s.xi_dot - m * s.eta / s.r
+    return _integrals(s, m, 0.0, 0.0, 0.0)[3]
 
 
 def gj_integral(s: PlanarState, m: float, h: float) -> float:
     """Extra invariant of the line-wall billiard, D = L^2 - 2*h*A_eta."""
-    lam = angular_momentum(s)
-    return lam * lam - 2.0 * h * lrl_eta(s, m)
+    return _integrals(s, m, 0.0, 0.0, h)[4]
 
 
 def spherical_energy_chart(s: PlanarState, m: float, a: float) -> float:
-    """Energy of the corresponding spherical system, in chart variables.
-
-    Implements the displayed chart expression
+    """Energy of the corresponding spherical system, in chart variables:
 
         (1+a^2) * ((1/2)(xi_dot^2+eta_dot^2) - m/r)
         + ((1+a^2)/2) * (L^2 - (2a/sqrt(1+a^2)) * (L*xi_dot + m*eta/r))
 
     independently of the identity (1+a^2)(E_pl + D/2).
     """
-    one_a2 = 1.0 + a * a
-    r = s.r
-    lam = s.xi * s.eta_dot - s.eta * s.xi_dot
-    kinetic = 0.5 * (s.xi_dot * s.xi_dot + s.eta_dot * s.eta_dot)
-    coupling = lam * lam - (2.0 * a / math.sqrt(one_a2)) * (
-        lam * s.xi_dot + m * s.eta / r
-    )
-    return one_a2 * (kinetic - m / r) + 0.5 * one_a2 * coupling
+    return _integrals(s, m, 0.0, a, 0.0)[5]
 
 
 def planar_columns(y) -> SimpleNamespace:
@@ -98,12 +103,5 @@ def planar_columns(y) -> SimpleNamespace:
 def integral_set(s: PlanarState, params: SystemParams) -> IntegralSet:
     """Evaluate all six integrals at a planar state, or elementwise at the
     rows of planar_columns(y)."""
-    return IntegralSet(
-        E_pl=planar_energy(s, params.m, params.beta),
-        L=angular_momentum(s),
-        A_xi=lrl_xi(s, params.m),
-        A_eta=lrl_eta(s, params.m),
-        D=gj_integral(s, params.m, params.h),
-        E_sph=spherical_energy_chart(s, params.m, params.a),
-    )
+    return IntegralSet(*_integrals(s, params.m, params.beta, params.a, params.h))
 

@@ -13,7 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -85,7 +85,9 @@ class PlanarState:
 
     def __post_init__(self):
         for name in ("xi", "eta", "xi_dot", "eta_dot"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = getattr(self, name)
+            if type(value) is not float:
+                object.__setattr__(self, name, float(value))
         if self.xi == 0.0 and self.eta == 0.0:
             raise SingularPosition("(xi, eta) = (0, 0) is the singular center")
 
@@ -247,13 +249,13 @@ class Wall:
         return self.kind in (PLANAR_LINE, PLANAR_CENTERED_CIRCLE)
 
 
-@dataclass(frozen=True)
-class IntegralSet:
+class IntegralSet(NamedTuple):
     """Values of the six conserved quantities at one state.
 
     For beta = 0 these satisfy E_sph = (1+a^2)(E_pl + D/2); for
     beta != 0, E_pl is the flow energy including the centrifugal
-    potential and D is generically not conserved.
+    potential and D is generically not conserved. A named tuple, as
+    BounceRecord: both are built on every bounce.
     """
 
     E_pl: float
@@ -264,8 +266,7 @@ class IntegralSet:
     E_sph: float
 
 
-@dataclass(frozen=True)
-class BounceRecord:
+class BounceRecord(NamedTuple):
     """State and first integrals on both sides of one wall hit."""
 
     t_hit: float

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from oracles import (
     radial_fall_time,
     spherical_radial_fall_time,
 )
+from test_acceptance import BILLIARD_PARAMS, BILLIARD_START
 
 import kcbilliards.billiard
 from kcbilliards.billiard import (
@@ -970,6 +972,27 @@ class TestBilliardMap:
                 ra.state_in.as_array(), rn.state_in.as_array(), atol=1e-8
             )
             assert ra.t_hit == pytest.approx(rn.t_hit, abs=1e-8)
+
+    def test_exact_runs_keep_their_bits(self):
+        # sha256 over float.hex of every record field of 1000 exact line
+        # bounces and 200 exact centered-circle bounces: any change of an
+        # output bit on the exact path shows here. The circle's a = 0.5 makes
+        # 1 + a^2 no power of two, so a regrouped E_sph changes its bits too
+        line = validate_config(BILLIARD_PARAMS, Wall.line(BILLIARD_PARAMS.h, side=-1))
+        circle = validate_config(SystemParams(m=1.0, a=0.5), Wall.centered_circle(2.0, side=-1))
+        runs = (billiard_map(BILLIARD_START, 1000, line, mode="analytic"),
+                billiard_map(PlanarState(1.0, 0.0, 0.0, 1.2), 200, circle, mode="analytic"))
+        assert [(run.outcome, run.n_bounces) for run in runs] == [("completed", 1000),
+                                                                 ("completed", 200)]
+        states = ("xi", "eta", "xi_dot", "eta_dot")
+        digest = hashlib.sha256()
+        for rec in runs[0].records + runs[1].records:
+            values = (rec.t_hit, *(getattr(rec.state_in, k) for k in states),
+                      *(getattr(rec.state_out, k) for k in states),
+                      *rec.integrals_in, *rec.integrals_out, float(rec.tangent))
+            digest.update(" ".join(map(float.hex, values)).encode())
+        assert digest.hexdigest() == (
+            "911ed25d82fa46c53247d0f16f53c9c2c5b6d9c952260321648f6b355db1b335")
 
     def test_repulsive_pocket_escapes(self):
         # documented contrast: with a repulsive center the bouncing pocket

@@ -171,7 +171,7 @@ class TestIntegralSetBitwise:
         cols = integral_set(planar_columns(ys), params)
         for k, y in enumerate(ys):
             ints = integral_set(PlanarState.from_array(y), params)
-            assert tuple(c[k] for c in vars(cols).values()) == tuple(vars(ints).values())
+            assert tuple(c[k] for c in cols._asdict().values()) == tuple(ints._asdict().values())
 
 
 class TestPlanarColumns:
@@ -192,7 +192,7 @@ class TestPlanarColumns:
         for k, y in enumerate(ys):
             s = PlanarState(*y)
             assert cols.r[k] == s.r
-            assert tuple(c[k] for c in vars(ints).values()) == tuple(vars(integral_set(s, params)).values())
+            assert tuple(c[k] for c in ints._asdict().values()) == tuple(integral_set(s, params)._asdict().values())
 
     @given(x=_COORD)
     def test_a_row_at_the_center_is_singular(self, x):

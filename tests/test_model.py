@@ -16,6 +16,8 @@ from kcbilliards.model import (
     PLANAR_CENTERED_CIRCLE,
     PLANAR_LINE,
     SPHERICAL_GREAT_CIRCLE,
+    BounceRecord,
+    IntegralSet,
     PlanarState,
     SphericalState,
     SystemParams,
@@ -70,6 +72,11 @@ class TestStates:
         s = PlanarState(1.0, -2.0, 0.5, 0.25)
         assert PlanarState.from_array(s.as_array()) == s
 
+    def test_planar_fields_are_plain_floats(self):
+        s = PlanarState(1, np.float64(-2.0), np.int64(3), 0.25)
+        assert all(type(getattr(s, k)) is float for k in ("xi", "eta", "xi_dot", "eta_dot"))
+        assert s == PlanarState(1.0, -2.0, 3.0, 0.25)
+
     def test_spherical_constraints_enforced(self):
         with pytest.raises(ValueError):
             SphericalState(np.array([1.0, 0.0, 0.1]), np.zeros(3))
@@ -97,6 +104,25 @@ class TestStates:
             assert np.linalg.norm(z1) == pytest.approx(1.0, abs=1e-12)
             s = math.sqrt(1.0 + a * a)
             np.testing.assert_allclose(z1, [0.0, a / s, -1.0 / s], atol=1e-15)
+
+
+class TestImmutableValues:
+    """The domain values cannot be assigned to; FrozenInstanceError, which a
+    frozen dataclass raises, is an AttributeError like a named tuple's."""
+
+    def test_fields_cannot_be_assigned(self):
+        s = PlanarState(1.0, -2.0, 0.5, 0.25)
+        ints = IntegralSet(-0.5, 1.0, 0.1, 0.2, 0.3, -0.4)
+        rec = BounceRecord(1.5, s, s, ints, ints)
+        for value, field in ((s, "xi"), (ints, "D"), (rec, "t_hit"), (rec, "integrals_in")):
+            with pytest.raises(AttributeError):
+                setattr(value, field, 0.0)
+
+    def test_field_order(self):
+        assert IntegralSet._fields == ("E_pl", "L", "A_xi", "A_eta", "D", "E_sph")
+        assert BounceRecord._fields == (
+            "t_hit", "state_in", "state_out", "integrals_in", "integrals_out", "tangent")
+        assert BounceRecord(1.5, None, None, None, None).tangent is False
 
 
 class TestValidateConfig:
