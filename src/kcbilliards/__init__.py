@@ -18,9 +18,7 @@ from .billiard import (
     wall_signed_distance,
 )
 from .conformal import (
-    HyperbolaWall,
     hooke_invariant,
-    kepler_to_hooke_point,
     line_image_wall,
     transport_trajectory,
 )
@@ -43,11 +41,8 @@ from .errors import (
     ZeroMass,
 )
 from .integrals import (
-    angular_momentum,
     gj_integral,
     integral_set,
-    lrl_eta,
-    lrl_xi,
     planar_energy,
     spherical_energy_chart,
 )
@@ -67,6 +62,7 @@ from .model import (
     validate_config,
 )
 from .planar import (
+    kepler_to_hooke_point,
     propagate_analytic,
     solve_kepler_equation,
 )

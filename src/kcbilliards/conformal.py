@@ -1,74 +1,34 @@
 """Conformal transport of line-wall Kepler billiards to Hooke billiards.
 
 The squaring map w -> z = w^2 carries motion under an isotropic harmonic
-force to Kepler motion; inverting it sends a planar Kepler trajectory
-with energy E to a Hooke trajectory in the w-plane, parametrized by the
-regularizing fictitious time ds = dt/|w|^2. Along the image the quantity
-2|w'|^2 - E|w|^2 equals the Kepler mass factor m, and the image of the
-wall line {Im z = h} is the rectangular hyperbola {2uv = h}.
+force to Kepler motion; its inverse, Levi-Civita's map in planar, sends
+a planar Kepler trajectory with energy E to a Hooke trajectory in the
+w-plane, parametrized by the fictitious time ds = dt/|w|^2. Along the
+image 2|w'|^2 - E|w|^2 equals the Kepler mass factor m, and the image of
+the wall line {Im z = h} is the rectangular hyperbola {2uv = h}.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .errors import OriginSingularity
-
-
-def kepler_to_hooke_point(z: complex, z_dot: complex) -> Tuple[complex, complex]:
-    """Map one Kepler phase point to the Hooke plane (principal branch).
-
-    The Kepler energy enters only through :func:`hooke_invariant`.
-
-    Args:
-        z: planar position as a complex number (origin at the center).
-        z_dot: velocity dz/dt.
-
-    Returns:
-        (w, w_prime) with w = sqrt(z) and w_prime = z_dot * |w|^2 / (2 w),
-        the velocity in the fictitious time ds with dt/ds = |w|^2.
-
-    Raises:
-        OriginSingularity: at z = 0.
-    """
-    if z == 0:
-        raise OriginSingularity("the conformal map is singular at the origin")
-    w = cmath.sqrt(z)
-    w_prime = z_dot * (abs(w) ** 2) / (2.0 * w)
-    return w, w_prime
-
-
-def sqrt_continuous(z: complex, w_prev: complex) -> complex:
-    """Square root of z on the sheet continuous with the previous value."""
-    if z == 0:
-        raise OriginSingularity("the conformal map is singular at the origin")
-    w = cmath.sqrt(z)
-    if abs(w - w_prev) > abs(-w - w_prev):
-        w = -w
-    return w
+from .planar import kepler_to_hooke_point
 
 
 def transport_trajectory(
     zs: Sequence[complex], z_dots: Sequence[complex]
 ) -> List[Tuple[complex, complex]]:
-    """Map a sampled Kepler trajectory to the Hooke plane.
-
-    The branch of the square root is tracked continuously along the
-    samples (principal branch at the first point), so trajectories
-    crossing the negative real axis do not jump sheets.
-    """
+    """Map a sampled Kepler trajectory to the Hooke plane point by point,
+    on the branch continuous along the samples (principal at the first):
+    where -w lies nearer the previous root, (w, w') becomes (-w, -w'), so
+    trajectories crossing the negative real axis do not jump sheets."""
     out: List[Tuple[complex, complex]] = []
-    w_prev = None
     for z, zd in zip(zs, z_dots):
-        if w_prev is None:
-            w, wp = kepler_to_hooke_point(z, zd)
-        else:
-            w = sqrt_continuous(z, w_prev)
-            wp = zd * (abs(w) ** 2) / (2.0 * w)
+        w, wp = kepler_to_hooke_point(z, zd)
+        if out and abs(w - out[-1][0]) > abs(-w - out[-1][0]):
+            w, wp = -w, -wp
         out.append((w, wp))
-        w_prev = w
     return out
 
 

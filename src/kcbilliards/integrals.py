@@ -7,7 +7,9 @@ the corresponding spherical system. E_sph is computed from its own chart
 expression, never via the identity E_sph = (1+a^2)(E_pl + D/2), so that
 the identity remains an end-to-end test. One kernel, _integrals, holds
 each formula and evaluates the terms they share once per state;
-integral_set and the single-quantity functions are views of it. Every
+integral_set and the three single-quantity views the acceptance suite
+reads (planar_energy, gj_integral, spherical_energy_chart) are views of
+it, and L, A_xi and A_eta are read off integral_set. Every
 formula is elementwise: the same functions serve a single PlanarState and
 the columns of a stack of states (planar_columns), which is how the CLI
 evaluates its trajectory rows and verify its sampled states.
@@ -48,21 +50,6 @@ def planar_energy(s: PlanarState, m: float, beta: float = 0.0) -> float:
     potential beta/(2 r^2) when beta != 0, so that the value is conserved
     along the perturbed flow as well."""
     return _integrals(s, m, beta, 0.0, 0.0)[0]
-
-
-def angular_momentum(s: PlanarState) -> float:
-    """L = xi*eta_dot - eta*xi_dot."""
-    return _integrals(s, 1.0, 0.0, 0.0, 0.0)[1]
-
-
-def lrl_xi(s: PlanarState, m: float) -> float:
-    """A_xi = L*eta_dot - m*xi/r."""
-    return _integrals(s, m, 0.0, 0.0, 0.0)[2]
-
-
-def lrl_eta(s: PlanarState, m: float) -> float:
-    """A_eta = -L*xi_dot - m*eta/r."""
-    return _integrals(s, m, 0.0, 0.0, 0.0)[3]
 
 
 def gj_integral(s: PlanarState, m: float, h: float) -> float:

@@ -51,27 +51,29 @@ class SystemParams:
         beta: strength of the additional centrifugal force beta/r^3
            (potential term beta/(2 r^2)); beta = 0 is the pure
            Kepler-Coulomb case.
+
+    Set once, and left out of ==, hash and repr: scale = sqrt(1+a^2), the
+    factor of the normalization y = scale*eta + a; h = -a/scale, the level
+    of the wall line; m_prime = m*scale, the spherical system's mass factor.
     """
 
     m: float
     a: float = 0.0
     beta: float = 0.0
+    scale: float = field(init=False, repr=False, compare=False)
+    h: float = field(init=False, repr=False, compare=False)
+    m_prime: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.m, self.a, self.beta))):
+            raise ConfigError("m, a and beta must be finite")
         if self.m == 0.0:
             raise ZeroMass("mass factor m must be nonzero")
         if self.a < 0.0:
             raise ConfigError("offset a must be >= 0 by convention")
-
-    @property
-    def m_prime(self) -> float:
-        """Mass factor of the corresponding spherical system, m*sqrt(1+a^2)."""
-        return self.m * math.sqrt(1.0 + self.a * self.a)
-
-    @property
-    def h(self) -> float:
-        """Signed level of the wall line in the normalized chart, -a/sqrt(1+a^2)."""
-        return -self.a / math.sqrt(1.0 + self.a * self.a)
+        object.__setattr__(self, "scale", math.sqrt(1.0 + self.a * self.a))
+        object.__setattr__(self, "h", -self.a / self.scale)
+        object.__setattr__(self, "m_prime", self.m * self.scale)
 
 
 @dataclass(frozen=True)
@@ -171,6 +173,15 @@ class SphericalState:
 State = Union[PlanarState, SphericalState]
 
 
+def _unit(vector: Sequence[float], name: str) -> tuple:
+    """vector scaled to unit length; ConfigError if it is zero or not finite."""
+    v = np.asarray(vector, dtype=float)
+    norm = np.linalg.norm(v)
+    if not 0.0 < norm < math.inf:
+        raise ConfigError(f"{name} must be nonzero and finite")
+    return tuple(v / norm)
+
+
 @dataclass(frozen=True)
 class Wall:
     """A reflection wall: the level set f = ``level`` of one wall function f.
@@ -215,18 +226,15 @@ class Wall:
     @classmethod
     def centered_circle(cls, radius: float, side: int = 1) -> "Wall":
         """Planar circle of given radius centered at the force center."""
-        if radius <= 0.0:
+        if not radius > 0.0:
             raise NegativeRadius("circle wall radius must be positive")
         return cls(kind=PLANAR_CENTERED_CIRCLE, side=side, level=float(radius))
 
     @classmethod
     def great_circle(cls, normal: Sequence[float], side: int = 1) -> "Wall":
         """Spherical great circle; ``normal`` is the unit normal of its plane."""
-        n = np.asarray(normal, dtype=float)
-        nn = np.linalg.norm(n)
-        if nn == 0.0:
-            raise ConfigError("great-circle normal must be nonzero")
-        return cls(kind=SPHERICAL_GREAT_CIRCLE, side=side, axis=tuple(n / nn))
+        axis = _unit(normal, "great-circle normal")
+        return cls(kind=SPHERICAL_GREAT_CIRCLE, side=side, axis=axis)
 
     @classmethod
     def centered_small_circle(
@@ -235,13 +243,11 @@ class Wall:
         """Spherical circle of given colatitude about the center direction."""
         if not 0.0 < colatitude < math.pi:
             raise ConfigError("colatitude must lie in (0, pi)")
-        c = np.asarray(center, dtype=float)
-        c = c / np.linalg.norm(c)
         return cls(
             kind=SPHERICAL_CENTERED_CIRCLE,
             side=side,
             level=math.cos(colatitude),
-            axis=tuple(c),
+            axis=_unit(center, "small-circle center"),
         )
 
     @property
@@ -279,8 +285,7 @@ class BounceRecord(NamedTuple):
 
 def spherical_center(params: SystemParams) -> np.ndarray:
     """Unit-sphere position of the attractive (for m' > 0) center Z1."""
-    s = math.sqrt(1.0 + params.a * params.a)
-    return np.array([0.0, params.a / s, -1.0 / s])
+    return np.array([0.0, params.a / params.scale, -1.0 / params.scale])
 
 
 @dataclass(frozen=True)
@@ -307,16 +312,16 @@ def validate_config(params: SystemParams, wall: Wall) -> Model:
         NegativeRadius: nonpositive circle radius.
         ZeroMass: raised earlier by SystemParams itself.
     """
-    if wall.kind == PLANAR_LINE and abs(wall.level - params.h) > _H_TOL:
+    if wall.kind == PLANAR_LINE and not abs(wall.level - params.h) <= _H_TOL:
         raise InconsistentWall(
             f"line level {wall.level!r} does not equal h(a) = {params.h!r}"
         )
-    if wall.kind == PLANAR_CENTERED_CIRCLE and wall.level <= 0.0:
+    if wall.kind == PLANAR_CENTERED_CIRCLE and not wall.level > 0.0:
         raise NegativeRadius("circle wall radius must be positive")
-    if wall.kind == SPHERICAL_GREAT_CIRCLE and abs(np.linalg.norm(wall.axis) - 1) > _UNIT_TOL:
+    if wall.kind == SPHERICAL_GREAT_CIRCLE and not abs(np.linalg.norm(wall.axis) - 1) <= _UNIT_TOL:
         raise ConfigError("great-circle normal must be a unit vector")
-    if wall.kind == SPHERICAL_CENTERED_CIRCLE and (
-        np.linalg.norm(np.subtract(wall.axis, spherical_center(params))) > 1e-9
+    if wall.kind == SPHERICAL_CENTERED_CIRCLE and not (
+        np.linalg.norm(np.subtract(wall.axis, spherical_center(params))) <= 1e-9
     ):
         raise InconsistentWall("small-circle center must be Z1 of the params")
     return Model(params=params, wall=wall)
@@ -331,8 +336,7 @@ class IntegratorConfig:
     max_step: float = math.inf
 
 
-def solve_ivp(fun, t_span, y0, method="RK45", t_eval=None, dense_output=False,
-              events=None, vectorized=False, args=None, **options):
+def solve_ivp(*args, **kwargs):
     """scipy.integrate.solve_ivp, imported at the first call.
 
     The package's one import of scipy.integrate, which takes longer to
@@ -341,9 +345,7 @@ def solve_ivp(fun, t_span, y0, method="RK45", t_eval=None, dense_output=False,
     """
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
-    return scipy_solve_ivp(fun, t_span, y0, method=method, t_eval=t_eval,
-                           dense_output=dense_output, events=events,
-                           vectorized=vectorized, args=args, **options)
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Planar Kepler-Coulomb flow in the normalized chart.
 
-Provides the flow (with the optional centrifugal perturbation) in
-Levi-Civita's regularized form with the clock as a component, the one
-planar field that legs and flows integrate, and the universal-variable
+Provides Levi-Civita's map both ways (a Kepler state to its root u with
+u^2 = q, and back), the flow (with the optional centrifugal
+perturbation) in that regularized form with the clock as a component,
+the one planar field that legs and flows integrate, and the universal-variable
 kernel: the conic through a state, for either mass sign and any energy,
 in Goodyear's s (dt/ds = r), with its flight time t(s) in closed form.
 One Newton on t(s) serves exact propagation and the anomaly equations
@@ -17,16 +18,17 @@ potential term beta/(2 r^2).
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import namedtuple
 from typing import Optional
 
 import numpy as np
 
-from .conformal import kepler_to_hooke_point
 from .errors import (
     CollisionInsideInterval,
     NonConvergence,
+    OriginSingularity,
     PerturbedModel,
     SingularPosition,
 )
@@ -60,6 +62,22 @@ def levi_civita_rhs(energy: float, beta: float):
         return (y[2], y[3], c * y[0], c * y[1], r)
 
     return rhs
+
+
+def kepler_to_hooke_point(z: complex, z_dot: complex) -> tuple:
+    """Levi-Civita's map of one Kepler phase point, the inverse of
+    _levi_civita_to_planar: (w, w') with w = sqrt(z) on the principal
+    branch, z the position as a complex number (origin at the center), and
+    w' = z_dot |w|^2 / (2 w) the velocity in the fictitious time s with
+    dt/ds = |w|^2, z_dot = dz/dt.
+
+    Raises:
+        OriginSingularity: at z = 0.
+    """
+    if z == 0:
+        raise OriginSingularity("Levi-Civita's map is singular at the origin")
+    w = cmath.sqrt(z)
+    return w, z_dot * (abs(w) ** 2) / (2.0 * w)
 
 
 def _squared(y):

@@ -103,9 +103,8 @@ def _sphere_to_chart(q, v):
 def planar_to_sphere(state: PlanarState, params: SystemParams) -> SphericalState:
     """Map a normalized planar state to the southern hemisphere: the chart
     point (x, y) = (xi, sqrt(1+a^2) eta + a) and its velocity go by _chart_to_sphere."""
-    k = math.sqrt(1.0 + params.a * params.a)
-    return SphericalState(*_chart_to_sphere(state.xi, k * state.eta + params.a,
-                                            state.xi_dot, k * state.eta_dot))
+    return SphericalState(*_chart_to_sphere(state.xi, params.scale * state.eta + params.a,
+                                            state.xi_dot, params.scale * state.eta_dot))
 
 
 def sphere_to_planar(s: SphericalState, params: SystemParams) -> PlanarState:
@@ -115,8 +114,7 @@ def sphere_to_planar(s: SphericalState, params: SystemParams) -> PlanarState:
     if s.q[2] >= 0.0:
         raise WrongHalfPlane(f"q_z = {s.q[2]} must be negative")
     x, y, x_dot, y_dot = _sphere_to_chart(s.q, s.v)
-    k = math.sqrt(1.0 + params.a * params.a)
-    return PlanarState(x, (y - params.a) / k, x_dot, y_dot / k)
+    return PlanarState(x, (y - params.a) / params.scale, x_dot, y_dot / params.scale)
 
 
 # the pole chart's radii of entry and exit; the gap keeps the forms from alternating

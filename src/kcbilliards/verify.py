@@ -202,7 +202,7 @@ def correspondence_deviation(
     return max_dist, e_drift
 
 
-def check_projection_correspondence(seed: int) -> CheckResult:
+def check_projection_correspondence() -> CheckResult:
     """A planar Kepler arc maps onto the spherical trajectory pointwise."""
     params = SystemParams(m=1.0, a=0.5)
     state0 = PlanarState(1.0, 0.2, -0.1, 0.9)
@@ -218,7 +218,7 @@ def run_suite(seed: int, cases: int, inject_fault: bool = False) -> dict:
         check_reflection_d_invariance(seed, cases),
         check_spherical_energy_identity(seed + 1, cases),
         check_analytic_vs_numeric(seed + 2, anv_cases),
-        check_projection_correspondence(seed + 3),
+        check_projection_correspondence(),
     ]
     if inject_fault:
         results.append(

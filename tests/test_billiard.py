@@ -25,7 +25,7 @@ from kcbilliards.billiard import (
     wall_signed_distance,
 )
 from kcbilliards.errors import DynamicsError, NotOnWall, PerturbedModel, Undetermined
-from kcbilliards.integrals import angular_momentum, planar_energy
+from kcbilliards.integrals import integral_set, planar_energy
 from kcbilliards.model import (
     BounceRecord,
     IntegratorConfig,
@@ -172,8 +172,8 @@ class TestReflect:
                 2 * math.cos(th), 2 * math.sin(th), *rng.uniform(-2, 2, 2)
             )
             out = reflect(s, wall)
-            assert angular_momentum(out) == pytest.approx(
-                angular_momentum(s), abs=1e-14
+            assert integral_set(out, SystemParams(m=1.0)).L == pytest.approx(
+                integral_set(s, SystemParams(m=1.0)).L, abs=1e-14
             )
             assert planar_energy(out, 1.0) == pytest.approx(
                 planar_energy(s, 1.0), abs=1e-14
@@ -390,7 +390,7 @@ class TestAnalyticLineHit:
         params = SystemParams(m=1.0, a=1.0)
         wall = Wall.line(params.h, side=1)
         s = PlanarState(0.3, params.h, -0.2, 0.47)
-        L = angular_momentum(s)
+        L = integral_set(s, params).L
         assert abs(L) > 0  # generic state, sanity
         out = next_hit_analytic_line(s, params, wall)
         assert isinstance(out, (BounceRecord, Escape))

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 
 import numpy as np
 import pytest
@@ -6,15 +7,19 @@ import pytest
 from kcbilliards.billiard import billiard_map
 from kcbilliards.conformal import (
     hooke_invariant,
-    kepler_to_hooke_point,
     line_image_wall,
-    sqrt_continuous,
     transport_trajectory,
 )
 from kcbilliards.errors import OriginSingularity
 from kcbilliards.integrals import planar_energy
 from kcbilliards.model import PlanarState, SystemParams, Wall, validate_config
-from kcbilliards.planar import propagate_analytic
+from kcbilliards.planar import kepler_to_hooke_point, propagate_analytic
+
+
+def transport_digest(ws):
+    """sha256 over float.hex of every component of the transported (w, w')."""
+    hexes = (x.hex() for w, wp in ws for x in (w.real, w.imag, wp.real, wp.imag))
+    return hashlib.sha256(" ".join(hexes).encode()).hexdigest()
 
 
 class TestPointMap:
@@ -42,16 +47,17 @@ class TestPointMap:
             kepler_to_hooke_point(0.0j, 1.0j)
 
     def test_branch_continuity(self):
-        # walk across the negative real axis without jumping sheets
-        ts = np.linspace(0.3, -0.3, 25)
-        prev = cmath.sqrt(complex(-1.0, ts[0]))
-        for t in ts[1:]:
-            z = complex(-1.0, t)
-            w = sqrt_continuous(z, prev)
-            assert abs(w - prev) < 0.1
-            prev = w
-        # ended on the non-principal sheet below the cut
-        assert prev.imag > 0.9
+        # walk down across the negative real axis without jumping sheets
+        zs = [complex(-1.0, t) for t in np.linspace(0.3, -0.3, 25)]
+        ws = transport_trajectory(zs, [-1j] * len(zs))
+        assert ws[0][0] == cmath.sqrt(zs[0])
+        for (w0, _), (w1, _) in zip(ws, ws[1:]):
+            assert abs(w1 - w0) < 0.1
+        # ended on the non-principal sheet below the cut, with w' on it too
+        assert ws[-1][0].imag > 0.9
+        for z, (w, wp) in zip(zs, ws):
+            assert w * w == pytest.approx(z, abs=1e-15)
+            assert 2.0 * w * wp == pytest.approx(-1j * abs(w) ** 2, abs=1e-15)
 
 
 class TestLineImage:
@@ -136,6 +142,20 @@ class TestTrajectoryTransport:
             n /= abs(n)
             ref = wp_in - 2.0 * (wp_in.real * n.real + wp_in.imag * n.imag) * n
             assert abs(wp_out - ref) <= 1e-8 * scale
+
+    def test_criterion_8_samples_keep_their_bits(self):
+        # the digest that the transport's own square-root tracking gave; one map keeps these bits
+        _, _, zs, zds, _ = self._billiard_samples(n_bounces=6, samples_per_leg=30)
+        assert transport_digest(transport_trajectory(zs, zds)) == (
+            "96524c7903b696e2637585aacfe04a7fbfe68054e7150c8d9845503e6d9d3c99")
+
+    def test_winding_samples_keep_their_bits(self):
+        # three turns of a circular orbit: 211 of the 400 roots on the flipped branch
+        zs = [1.5 * cmath.exp(0.05j * k) for k in range(400)]
+        ws = transport_trajectory(zs, [1j * z for z in zs])
+        assert sum(w.real < 0.0 for w, _ in ws) == 211
+        assert transport_digest(ws) == (
+            "23c6cb3eb7df93c06647ce3c7c0d00c14e7d7e650727e835f5a161db6249d6d7")
 
     def test_branch_tracking_keeps_continuity(self):
         _, E, zs, zds, _ = self._billiard_samples()

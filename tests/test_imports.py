@@ -4,9 +4,12 @@ Loading it takes longer than importing the rest of the package, so a
 process that never integrates (the exact map, ``project``, ``plot``, a
 configuration error) must not pay for it. Each step runs in one fresh
 interpreter, in order, and reports whether the module was loaded after
-it; a numeric ``simulate`` run last is the positive control.
+it; a numeric ``simulate`` run last is the positive control. The last
+test guards the layering: Levi-Civita's map lives in ``planar``, and no
+engine module imports ``conformal``, which transports over it.
 """
 
+import ast
 import json
 import os
 import re
@@ -91,3 +94,22 @@ def test_the_package_imports_scipy_integrate_once():
     ]
     # indented: the import runs inside solve_ivp's body, not at module load
     assert sites == [("model.py", "    from scipy.integrate import solve_ivp as scipy_solve_ivp")]
+
+
+def _imported_modules(path):
+    """Every module, and every name from a module, that a source file
+    imports, with the package's relative imports made absolute."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["kcbilliards" if node.level else "", node.module]))
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_no_engine_module_imports_conformal():
+    for name in ("planar", "spherical", "billiard", "model", "integrals"):
+        imported = set(_imported_modules(PACKAGE / f"{name}.py"))
+        assert "kcbilliards.conformal" not in imported, name
+    assert "kcbilliards.planar" in set(_imported_modules(PACKAGE / "conformal.py"))

@@ -6,11 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kcbilliards.integrals import (
-    angular_momentum,
     gj_integral,
     integral_set,
-    lrl_eta,
-    lrl_xi,
     planar_columns,
     planar_energy,
     spherical_energy_chart,
@@ -19,6 +16,7 @@ from kcbilliards.errors import SingularPosition
 from kcbilliards.model import PlanarState, SystemParams
 
 S3 = math.sqrt(3.0)
+P1 = SystemParams(m=1.0)
 
 
 class TestPlanarEnergy:
@@ -39,31 +37,31 @@ class TestPlanarEnergy:
 
 class TestAngularMomentum:
     def test_circular(self):
-        assert angular_momentum(PlanarState(1, 0, 0, 1)) == 1.0
+        assert integral_set(PlanarState(1, 0, 0, 1), P1).L == 1.0
 
     def test_radial(self):
-        assert angular_momentum(PlanarState(1, 0, 1, 0)) == 0.0
+        assert integral_set(PlanarState(1, 0, 1, 0), P1).L == 0.0
 
     def test_oblique(self):
         s = PlanarState(S3 / 2, -0.5, 0.5, S3 / 2)
-        assert angular_momentum(s) == pytest.approx(1.0)
+        assert integral_set(s, P1).L == pytest.approx(1.0)
 
 
 class TestLRL:
     def test_circular_zero(self):
-        s = PlanarState(1, 0, 0, 1)
-        assert lrl_eta(s, 1.0) == pytest.approx(0.0)
-        assert lrl_xi(s, 1.0) == pytest.approx(0.0)
+        ints = integral_set(PlanarState(1, 0, 0, 1), P1)
+        assert ints.A_eta == pytest.approx(0.0)
+        assert ints.A_xi == pytest.approx(0.0)
 
     def test_oblique_eta_component(self):
         s = PlanarState(S3 / 2, -0.5, 0.5, S3 / 2)
         # A_eta = -L*xi_dot - m*eta/r = -1/2 + 1/2
-        assert lrl_eta(s, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert integral_set(s, P1).A_eta == pytest.approx(0.0, abs=1e-15)
 
     def test_parabolic_xi_component(self):
         s = PlanarState(1, 0, 0, math.sqrt(2.0))
         # A_xi = L*eta_dot - m*xi/r = 2 - 1
-        assert lrl_xi(s, 1.0) == pytest.approx(1.0)
+        assert integral_set(s, P1).A_xi == pytest.approx(1.0)
 
     def test_invariants_random(self, rng):
         # |A|^2 = m^2 + 2 E L^2 on every state, either sign of m
@@ -72,18 +70,16 @@ class TestLRL:
             y = rng.uniform(-3, 3, size=4)
             if math.hypot(y[0], y[1]) < 0.2:
                 continue
-            s = PlanarState(*y)
-            a2 = lrl_xi(s, m) ** 2 + lrl_eta(s, m) ** 2
-            rhs = m * m + 2.0 * planar_energy(s, m) * angular_momentum(s) ** 2
+            ints = integral_set(PlanarState(*y), SystemParams(m=m))
+            a2 = ints.A_xi ** 2 + ints.A_eta ** 2
+            rhs = m * m + 2.0 * ints.E_pl * ints.L ** 2
             assert abs(a2 - rhs) <= 1e-10 * max(1.0, abs(a2))
 
 
 class TestGJIntegral:
     def test_reduces_to_l_squared(self):
         s = PlanarState(0.3, -1.2, 0.7, 0.1)
-        assert gj_integral(s, 1.0, 0.0) == pytest.approx(
-            angular_momentum(s) ** 2
-        )
+        assert gj_integral(s, 1.0, 0.0) == pytest.approx(integral_set(s, P1).L ** 2)
 
     def test_oblique_sample(self):
         s = PlanarState(S3 / 2, -0.5, 0.5, S3 / 2)
@@ -92,8 +88,8 @@ class TestGJIntegral:
     def test_exact_reflection_invariance_of_sample(self):
         s = PlanarState(S3 / 2, -0.5, 0.5, -S3 / 2)
         # reflected oblique sample: L = -1/2, A_eta = 3/4
-        assert angular_momentum(s) == pytest.approx(-0.5)
-        assert lrl_eta(s, 1.0) == pytest.approx(0.75)
+        assert integral_set(s, P1).L == pytest.approx(-0.5)
+        assert integral_set(s, P1).A_eta == pytest.approx(0.75)
         assert gj_integral(s, 1.0, -0.5) == pytest.approx(1.0)
 
 
@@ -158,9 +154,6 @@ class TestIntegralSetBitwise:
         params = SystemParams(m=m, a=a, beta=beta)
         ints = integral_set(s, params)
         assert ints.E_pl == planar_energy(s, m, beta)
-        assert ints.L == angular_momentum(s)
-        assert ints.A_xi == lrl_xi(s, m)
-        assert ints.A_eta == lrl_eta(s, m)
         assert ints.D == gj_integral(s, m, params.h)
         assert ints.E_sph == spherical_energy_chart(s, m, a)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from kcbilliards.errors import (
 from kcbilliards.model import (
     PLANAR_CENTERED_CIRCLE,
     PLANAR_LINE,
+    SPHERICAL_CENTERED_CIRCLE,
     SPHERICAL_GREAT_CIRCLE,
     BounceRecord,
     IntegralSet,
@@ -61,6 +63,22 @@ class TestSystemParams:
         p2 = SystemParams(m=1.0, a=a + da)
         assert p2.h < p1.h
         assert SystemParams(m=1.0, a=0.0).h == 0.0
+
+    def test_root_is_derived_once_and_left_out_of_the_value(self):
+        p = SystemParams(m=-2.0, a=0.75, beta=0.1)
+        assert (p.scale, p.h, p.m_prime) == (
+            math.sqrt(1.0 + 0.75 * 0.75), -0.75 / math.sqrt(1.5625), -2.0 * math.sqrt(1.5625))
+        assert p == SystemParams(m=-2.0, a=0.75, beta=0.1) != SystemParams(m=-2.0, a=0.5, beta=0.1)
+        assert hash(p) == hash((-2.0, 0.75, 0.1))
+        assert repr(p) == "SystemParams(m=-2.0, a=0.75, beta=0.1)"
+        q = dataclasses.replace(p, a=2.0)
+        assert (q.scale, q.h, q.m_prime) == (math.sqrt(5.0), -2.0 / math.sqrt(5.0),
+                                             -2.0 * math.sqrt(5.0))
+
+    @pytest.mark.parametrize("field", ["m", "a", "beta"])
+    def test_nan_parameter_rejected(self, field):
+        with pytest.raises(ConfigError, match="finite"):
+            SystemParams(**{"m": 1.0, "a": 0.5, "beta": 0.0, field: math.nan})
 
 
 class TestStates:
@@ -167,6 +185,33 @@ class TestValidateConfig:
     def test_wall_kind_and_side_are_checked(self, kind, side):
         with pytest.raises(ConfigError):
             Wall(kind=kind, side=side)
+
+    def test_nan_line_level_rejected(self):
+        with pytest.raises(InconsistentWall):
+            validate_config(SystemParams(m=1.0, a=0.5), Wall.line(math.nan))
+
+    def test_nan_radius_rejected(self):
+        with pytest.raises(NegativeRadius):
+            Wall.centered_circle(math.nan)
+        with pytest.raises(NegativeRadius):
+            validate_config(SystemParams(m=1.0), Wall(kind=PLANAR_CENTERED_CIRCLE, level=math.nan))
+
+    def test_nan_great_circle_normal_rejected(self):
+        with pytest.raises(ConfigError, match="nonzero"):
+            Wall.great_circle((math.nan, 0.0, 0.0))
+        wall = Wall(kind=SPHERICAL_GREAT_CIRCLE, axis=(math.nan, 0.0, 0.0))
+        with pytest.raises(ConfigError, match="unit vector"):
+            validate_config(SystemParams(m=1.0), wall)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("center", [(0.0, 0.0, 0.0), (math.nan, 0.0, -1.0)])
+    def test_small_circle_center_must_be_a_direction(self, center):
+        with pytest.raises(ConfigError, match="center must be nonzero"):
+            Wall.centered_small_circle(0.5, center)
+        params = SystemParams(m=1.0, a=0.5)
+        wall = Wall(kind=SPHERICAL_CENTERED_CIRCLE, level=math.cos(0.5), axis=center)
+        with pytest.raises(InconsistentWall):
+            validate_config(params, wall)
 
     def test_great_circle_normal_normalized(self):
         w = Wall.great_circle((0.0, 2.0, 0.0))

@@ -18,12 +18,7 @@ from kcbilliards.errors import (
     PerturbedModel,
     SingularPosition,
 )
-from kcbilliards.integrals import (
-    angular_momentum,
-    lrl_eta,
-    lrl_xi,
-    planar_energy,
-)
+from kcbilliards.integrals import integral_set, planar_energy
 from kcbilliards.model import PlanarState, SystemParams
 from kcbilliards.planar import (
     _stumpff_c,
@@ -115,7 +110,7 @@ class TestPropagateAnalytic:
             if r < 0.5:
                 continue
             s0 = PlanarState(*y)
-            if abs(angular_momentum(s0)) < 1e-3:
+            if abs(integral_set(s0, params).L) < 1e-3:
                 continue
             dt = float(rng.uniform(0.1, 3.0))
             if m > 0 and planar_energy(s0, m) < 0:
@@ -163,19 +158,16 @@ class TestPropagateAnalytic:
             if math.hypot(y[0], y[1]) < 0.5:
                 continue
             s0 = PlanarState(*y)
-            if abs(angular_momentum(s0)) < 1e-3:
+            i0 = integral_set(s0, params)
+            if abs(i0.L) < 1e-3:
                 continue
             try:
                 s1 = propagate_analytic(s0, float(rng.uniform(0.05, 2.0)), params)
             except CollisionInsideInterval:
                 continue
-            for f in (
-                lambda s: planar_energy(s, 1.0),
-                angular_momentum,
-                lambda s: lrl_xi(s, 1.0),
-                lambda s: lrl_eta(s, 1.0),
-            ):
-                assert abs(f(s1) - f(s0)) <= 1e-11 * max(1.0, abs(f(s0)))
+            i1 = integral_set(s1, params)
+            for f1, f0 in zip(i1[:4], i0[:4]):  # E_pl, L, A_xi, A_eta
+                assert abs(f1 - f0) <= 1e-11 * max(1.0, abs(f0))
 
     def test_time_reversibility(self, rng):
         params = SystemParams(m=1.0)
@@ -184,7 +176,7 @@ class TestPropagateAnalytic:
             if math.hypot(y[0], y[1]) < 0.5:
                 continue
             s0 = PlanarState(*y)
-            if abs(angular_momentum(s0)) < 1e-3:
+            if abs(integral_set(s0, params).L) < 1e-3:
                 continue
             dt = float(rng.uniform(0.1, 2.0))
             try:
@@ -391,7 +383,7 @@ class TestTimeOfFlight:
             if math.hypot(y[0], y[1]) < 0.5:
                 continue
             s0 = PlanarState(*y)
-            if planar_energy(s0, 1.0) >= -0.05 or abs(angular_momentum(s0)) < 0.05:
+            if planar_energy(s0, 1.0) >= -0.05 or abs(integral_set(s0, params).L) < 0.05:
                 continue
             r0 = s0.r
             sigma0 = s0.xi * s0.xi_dot + s0.eta * s0.eta_dot

@@ -22,7 +22,7 @@ def test_individual_checks_pass():
     assert check_reflection_d_invariance(0, 2000).passed
     assert check_spherical_energy_identity(1, 2000).passed
     assert check_analytic_vs_numeric(2, 12).passed
-    assert check_projection_correspondence(3).passed
+    assert check_projection_correspondence().passed
 
 
 def test_suite_reports_all_checks():
