@@ -46,12 +46,15 @@ log = logging.getLogger("kcbilliards")
 _FLOW_SAMPLES = 1001
 
 
-def _drift(values: List[float]) -> float:
-    vals = [v for v in values if not math.isnan(v)]
-    if len(vals) < 2:
+def _drift(values) -> float:
+    """The largest deviation of a column from its first value, relative to
+    max(1, |first|), over its entries that are not NaN; 0.0 below two."""
+    vals = np.asarray(values, dtype=float)
+    vals = vals[~np.isnan(vals)]
+    if vals.size < 2:
         return 0.0
-    ref = vals[0]
-    return max(abs(v - ref) for v in vals) / max(1.0, abs(ref))
+    ref = float(vals[0])
+    return float(np.abs(vals - ref).max()) / max(1.0, abs(ref))
 
 
 def cmd_simulate(args) -> int:
@@ -95,15 +98,16 @@ def cmd_simulate(args) -> int:
     if planar:
         ints = integral_set(planar_columns(ys), params)
         out_io.write_planar_trajectory(traj_path, ts, ys, ints)
-        series = {"D": ints.D.tolist(), "E_pl": ints.E_pl.tolist(), "E_sph": ints.E_sph.tolist()}
+        series = {"D": ints.D, "E_pl": ints.E_pl, "E_sph": ints.E_sph}
     else:
         e_sph = spherical_energy_embedded(SimpleNamespace(q=ys[:, :3], v=ys[:, 3:]), params)
         out_io.write_spherical_trajectory(traj_path, ts, ys, e_sph)
-        series = {"E_sph": e_sph.tolist()}
+        series = {"E_sph": e_sph}
     if run is not None:
         # the start row, then each bounce's integrals on arrival; spherical
         # rows carry only E_sph, so E_pl and D start at the first bounce
-        series = {k: series.get(k, [])[:1] + [getattr(rec.integrals_in, k) for rec in records]
+        series = {k: np.concatenate([series.get(k, [])[:1],
+                                     [getattr(rec.integrals_in, k) for rec in records]])
                   for k in ("D", "E_pl", "E_sph")}
     out_io.write_bounces(os.path.join(args.out, "bounces.csv"), records, cfg.model.domain)
     summary = {

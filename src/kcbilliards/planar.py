@@ -53,13 +53,14 @@ def levi_civita_rhs(energy: float, beta: float):
     half_e, quarter_beta = 0.5 * energy, 0.25 * beta
 
     def rhs(s, y):
-        r = y[0] * y[0] + y[1] * y[1]
+        u1, u2, w1, w2, _ = np.asarray(y).tolist()  # plain floats: cheaper, same bits
+        r = u1 * u1 + u2 * u2
         c = half_e
         if quarter_beta != 0.0:
             if r < R_MIN:
                 raise SingularPosition(f"r = {r} below the singular-position guard {R_MIN}")
             c += quarter_beta / (r * r)
-        return (y[2], y[3], c * y[0], c * y[1], r)
+        return (w1, w2, c * u1, c * u2, r)
 
     return rhs
 
@@ -143,7 +144,16 @@ def _clock_samples(sol, form: _Form, ts: np.ndarray) -> np.ndarray:
     each time, bisecting where it leaves the bracket or does not halve its
     step, until the clock is within 4 ulps of its time or the bracket
     closes; on a linear clock such as the embedded t + s the first guess
-    holds. It raises NonConvergence past _MAX_ITER iterations."""
+    holds. It raises NonConvergence past _MAX_ITER iterations.
+
+    Each iteration evaluates every sample's DOP853 step interpolant in one
+    pass over tables of the steps' t_old, h, y_old and F: the step scipy's
+    OdeSolution picks for s, and its arithmetic in its order, so each state
+    has the bits of sol.sol(s)."""
+    steps = sol.sol.interpolants
+    t_old, h = np.array([p.t_old for p in steps]), np.array([p.h for p in steps])
+    y_old = np.array([p.y_old for p in steps])
+    powers = np.stack([p.F for p in steps], axis=1)[::-1]  # [power, step], highest first
     clocks = form.clock(sol.t, sol.y)
     k = np.searchsorted(clocks, ts).clip(1, sol.t.size - 1)
     lo, hi, s = sol.t[k - 1], sol.t[k], np.interp(ts, clocks, sol.t)
@@ -152,7 +162,14 @@ def _clock_samples(sol, form: _Form, ts: np.ndarray) -> np.ndarray:
     for _ in range(_MAX_ITER):
         if not todo.size:
             return out
-        y = sol.sol(s)
+        seg = (np.searchsorted(sol.sol.ts, s, side="left") - 1).clip(0, len(steps) - 1)
+        frac = ((s - t_old[seg]) / h[seg])[:, None]
+        y = np.zeros((s.size, y_old.shape[1]))
+        for i, f in enumerate(powers[:, seg]):
+            y += f
+            y *= frac if i % 2 == 0 else 1 - frac
+        y += y_old[seg]
+        y = y.T
         f = form.clock(s, y) - ts[todo]
         done = (np.abs(f) <= 4.0 * np.spacing(np.abs(ts[todo]))) | (
             hi - lo <= 4.0 * np.spacing(np.abs(s)))

@@ -43,19 +43,19 @@ def flow_rhs(params: SystemParams) -> Callable:
     PoleSingularity when |q . Z1| > 1 - POLE_GUARD; the flow switches to
     the pole chart at 45 degrees from the attracting pole, before that.
     """
-    z1 = spherical_center(params)
+    z0, z1, z2 = spherical_center(params).tolist()
     m_prime = params.m_prime
 
     def rhs(t, y):
-        q, v = y[:3], y[3:]
-        c = q[0] * z1[0] + q[1] * z1[1] + q[2] * z1[2]
+        q0, q1, q2, v0, v1, v2 = np.asarray(y).tolist()  # plain floats: cheaper, same bits
+        c = q0 * z0 + q1 * z1 + q2 * z2
         if abs(c) > 1.0 - POLE_GUARD:
             raise PoleSingularity("trajectory entered the pole guard region")
         sin2 = 1.0 - c * c
         k = m_prime / (sin2 * math.sqrt(sin2))
-        v2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
-        return (v[0], v[1], v[2], k * (z1[0] - c * q[0]) - v2 * q[0],
-                k * (z1[1] - c * q[1]) - v2 * q[1], k * (z1[2] - c * q[2]) - v2 * q[2])
+        vv = v0 * v0 + v1 * v1 + v2 * v2
+        return (v0, v1, v2, k * (z0 - c * q0) - vv * q0,
+                k * (z1 - c * q1) - vv * q1, k * (z2 - c * q2) - vv * q2)
 
     return rhs
 

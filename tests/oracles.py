@@ -8,7 +8,8 @@ and the radial fall time is Kepler's equation on the degenerate conic. On
 the sphere the leg oracle integrates the raw embedded field, the radial
 fall time is a closed-form integral, and the pole-chart oracle takes the
 oscillator of the gnomonic chart in closed form and its clock by
-quadrature.
+quadrature. The flow sampler oracle runs the package's clock Newton
+through scipy's own dense output, sol.sol.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
+from kcbilliards.errors import NonConvergence
 from kcbilliards.model import PlanarState, SystemParams
 
 
@@ -288,3 +290,31 @@ def pole_chart_hit(q, v, pole, mu: float, radius: float):
     qh = (pole + x3) / lam
     vh = w3 * lam - qh * float(np.dot(x3, w3))
     return tau, qh, vh
+
+
+def clock_samples_through_sol(sol, form, ts: np.ndarray, max_iter: int = 200) -> np.ndarray:
+    """planar._clock_samples with each Newton iteration's states read from
+    scipy's OdeSolution, sol.sol(s): the same start, bracket and stopping
+    rule, so the two agree to the bit while scipy's interpolant keeps its
+    arithmetic."""
+    clocks = form.clock(sol.t, sol.y)
+    k = np.searchsorted(clocks, ts).clip(1, sol.t.size - 1)
+    lo, hi, s = sol.t[k - 1], sol.t[k], np.interp(ts, clocks, sol.t)
+    todo, step = np.arange(ts.size), np.full_like(s, np.inf)
+    out = np.empty((sol.y.shape[0], ts.size))
+    for _ in range(max_iter):
+        if not todo.size:
+            return out
+        y = sol.sol(s)
+        f = form.clock(s, y) - ts[todo]
+        done = (np.abs(f) <= 4.0 * np.spacing(np.abs(ts[todo]))) | (
+            hi - lo <= 4.0 * np.spacing(np.abs(s)))
+        out[:, todo[done]] = y[:, done]
+        todo, s, f, y, lo, hi, step = (x[..., ~done] for x in (todo, s, f, y, lo, hi, step))
+        lo, hi = np.where(f < 0.0, s, lo), np.where(f > 0.0, s, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s_new = s - f / form.rate(y)
+        newton = (lo <= s_new) & (s_new <= hi) & (np.abs(s_new - s) < 0.5 * np.abs(step))
+        s_new = np.where(newton, s_new, 0.5 * (lo + hi))
+        step, s = s_new - s, s_new
+    raise NonConvergence("a flow sample's clock did not converge")

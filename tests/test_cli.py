@@ -8,7 +8,7 @@ import pytest
 
 from oracles import ode_trajectory
 
-from kcbilliards.cli import main
+from kcbilliards.cli import _drift, main
 from kcbilliards.integrals import integral_set
 from kcbilliards.io import PLANAR_HEADER, SPHERICAL_BOUNCE_HEADER, SPHERICAL_HEADER, read_csv
 from kcbilliards.model import PlanarState, SystemParams, spherical_center
@@ -383,6 +383,33 @@ class TestSimulate:
         doc["wall"]["colatitude"] = 4.0
         write_config(cfg, doc)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+
+
+def list_drift(values):
+    """summary.json's drift as a loop over a Python list: NaNs are skipped,
+    and fewer than two values give 0.0."""
+    vals = [v for v in values if not math.isnan(v)]
+    if len(vals) < 2:
+        return 0.0
+    ref = vals[0]
+    return max(abs(v - ref) for v in vals) / max(1.0, abs(ref))
+
+
+class TestDrift:
+    def test_columns_give_the_list_loop_bits(self):
+        rng = np.random.default_rng(24)
+        nan = math.nan
+        cases = [[], [0.3], [nan], [nan, nan, nan], [nan, 2.5], [nan, -4.0, nan, -4.0 + 1e-12],
+                 [1.0, nan, 1.0 + 3e-9, 1.0 - 2e-9]]
+        for n in (2, 17, 1001):
+            for scale in (1e-3, 0.7, *rng.uniform(1.5, 1e4, size=6)):  # below and above 1
+                col = scale * (1.0 + rng.normal(size=n) * 10.0 ** rng.uniform(-12, -6))
+                col[1:][rng.random(n - 1) < 0.2] = nan
+                cases.append(col.tolist())
+        for values in cases:
+            got = _drift(np.array(values, dtype=float))
+            assert type(got) is float
+            assert got.hex() == list_drift(values).hex(), values
 
 
 class TestVerify:

@@ -6,12 +6,14 @@ import pytest
 
 from oracles import (
     bisection_kepler_elliptic,
+    clock_samples_through_sol,
     levi_civita_through_collision,
     ode_propagate,
     ode_trajectory,
     radial_fall_time,
 )
 
+from kcbilliards import planar
 from kcbilliards.errors import (
     CollisionInsideInterval,
     NonConvergence,
@@ -19,8 +21,11 @@ from kcbilliards.errors import (
     SingularPosition,
 )
 from kcbilliards.integrals import integral_set, planar_energy
-from kcbilliards.model import PlanarState, SystemParams
+from kcbilliards.model import PlanarState, SystemParams, solve_ivp
 from kcbilliards.planar import (
+    _clock_end,
+    _clock_samples,
+    _planar_form,
     _stumpff_c,
     _stumpff_s,
     levi_civita_rhs,
@@ -30,6 +35,20 @@ from kcbilliards.planar import (
     universal_kernel,
     universal_state,
 )
+from kcbilliards.spherical import _spherical_forms, planar_to_sphere
+
+
+def numpy_scalar_levi_civita(energy, beta, y):
+    """Levi-Civita's field evaluated on the numpy scalars y[i] of an array."""
+    r = y[0] * y[0] + y[1] * y[1]
+    c = 0.5 * energy
+    if beta != 0.0:
+        c += 0.25 * beta / (r * r)
+    return (y[2], y[3], c * y[0], c * y[1], r)
+
+
+def same_bits(got, want) -> bool:
+    return np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
 
 
 class TestLeviCivitaRhs:
@@ -37,6 +56,72 @@ class TestLeviCivitaRhs:
         # |u|^2 = 1e-14 < R_MIN: with beta != 0 the field is singular there
         with pytest.raises(SingularPosition):
             levi_civita_rhs(-1.0, 0.5)(0.0, [1e-7, 0.0, 0.0, 0.0, 0.0])
+
+    def test_singular_guard_on_an_array(self):
+        with pytest.raises(SingularPosition):
+            levi_civita_rhs(-1.0, 0.5)(0.0, np.array([1e-7, 0.0, 0.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3])
+    def test_plain_floats_keep_the_numpy_scalar_bits(self, beta):
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            energy, y = rng.uniform(-2.0, 2.0), rng.normal(size=5) * rng.uniform(0.1, 10.0)
+            got = levi_civita_rhs(energy, beta)(0.0, y)
+            assert all(type(x) is float for x in got)
+            assert same_bits(got, numpy_scalar_levi_civita(energy, beta, y)), y
+
+
+def planar_flow(beta: float, t_max: float = 20.0):
+    """A planar flow's form and its dense solution, run as cmd_simulate runs it."""
+    form = _planar_form(PlanarState(0.7, -0.9, 0.31, 0.45), SystemParams(m=1.0, a=0.5, beta=beta))
+    sol = solve_ivp(form.rhs, (0.0, math.inf), form.y, method="DOP853", rtol=1e-10, atol=1e-10,
+                    events=[_clock_end(form, t_max)], dense_output=True)
+    assert sol.status == 1
+    return form, sol
+
+
+def sample_times(form, sol, n: int = 301) -> np.ndarray:
+    """Every step's clock, t = 0, the clock where an event cut the last step,
+    and n times evenly between."""
+    clocks = form.clock(sol.t, sol.y)
+    # the last step ends past the event that cut it
+    assert sol.sol.interpolants[-1].t > sol.t[-1]
+    assert clocks[0] == 0.0
+    return np.unique(np.concatenate([clocks, np.linspace(0.0, clocks[-1], n)]))
+
+
+class TestClockSamples:
+    @pytest.mark.parametrize("beta", [0.0, 0.3])
+    def test_planar_samples_match_the_sol_sol_newton_to_the_bit(self, beta):
+        form, sol = planar_flow(beta)
+        ts = sample_times(form, sol)
+        got = _clock_samples(sol, form, ts)
+        assert same_bits(got, clock_samples_through_sol(sol, form, ts))
+
+    @pytest.mark.parametrize("in_chart", [True, False])
+    def test_spherical_samples_match_the_sol_sol_newton_to_the_bit(self, in_chart):
+        # the pole chart's form from 27 degrees off the pole, and the embedded
+        # form from 72 degrees off it; each runs until it switches or t = 20
+        params = SystemParams(m=1.0, a=0.5)
+        pole, c_in, sphere_form, _ = _spherical_forms(params)
+        start = (0.5, params.h, 0.3, -0.8) if in_chart else (3.0, params.h, 0.0, 0.3)
+        state = planar_to_sphere(PlanarState(*start), params)
+        assert (float(state.q @ pole) >= c_in) == in_chart
+        form = sphere_form(state, 0.0, in_chart)
+        sol = solve_ivp(form.rhs, (0.0, math.inf), form.y, method="DOP853", rtol=1e-10,
+                        atol=1e-10, events=[_clock_end(form, 20.0), form.switch], dense_output=True)
+        assert sol.status == 1
+        ts = sample_times(form, sol)
+        got = _clock_samples(sol, form, ts)
+        assert same_bits(got, clock_samples_through_sol(sol, form, ts))
+
+    def test_non_convergence_raises(self, monkeypatch):
+        form, sol = planar_flow(0.0)
+        # evenly spaced times miss the step clocks, where the first guess is exact
+        ts = np.linspace(0.0, 20.0, 101)[1:-1]
+        monkeypatch.setattr(planar, "_MAX_ITER", 1)
+        with pytest.raises(NonConvergence):
+            _clock_samples(sol, form, ts)
 
 
 class TestKeplerEquation:

@@ -9,6 +9,7 @@ from oracles import spherical_radial_fall_time
 
 from kcbilliards.errors import PoleSingularity, WrongHalfPlane
 from kcbilliards.model import (
+    POLE_GUARD,
     IntegratorConfig,
     PlanarState,
     SphericalState,
@@ -17,6 +18,7 @@ from kcbilliards.model import (
 )
 from kcbilliards.spherical import (
     _sphere_to_chart,
+    _spherical_forms,
     integrate_spherical,
     planar_to_sphere,
     flow_rhs,
@@ -81,6 +83,62 @@ class TestSphericalAccel:
         s = tangent_state([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])
         force = rhs_accel(s, params)
         assert force[2] > 0.0  # away from the south-pole center
+
+
+def numpy_scalar_flow(params, y):
+    """The embedded field evaluated on the numpy scalars of arrays: Z1 and y."""
+    z1, q, v = spherical_center(params), y[:3], y[3:]
+    c = q[0] * z1[0] + q[1] * z1[1] + q[2] * z1[2]
+    sin2 = 1.0 - c * c
+    k = params.m_prime / (sin2 * math.sqrt(sin2))
+    v2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
+    return (v[0], v[1], v[2], k * (z1[0] - c * q[0]) - v2 * q[0],
+            k * (z1[1] - c * q[1]) - v2 * q[1], k * (z1[2] - c * q[2]) - v2 * q[2])
+
+
+def same_bits(got, want) -> bool:
+    return np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
+
+
+class TestFieldsOnPlainFloats:
+    def test_embedded_field_keeps_the_numpy_scalar_bits(self):
+        rng = np.random.default_rng(24)
+        for m, a in [(1.0, 0.5), (-0.7, 1.3)]:
+            params = SystemParams(m=m, a=a)
+            rhs = flow_rhs(params)
+            for _ in range(100):
+                s = tangent_state(rng.normal(size=3), rng.normal(size=3) * rng.uniform(0.1, 3.0))
+                got = rhs(0.0, s.as_array())
+                assert all(type(x) is float for x in got)
+                assert same_bits(got, numpy_scalar_flow(params, s.as_array())), s
+
+    def test_chart_field_keeps_the_numpy_scalar_bits(self):
+        # the chart field is Levi-Civita's at the chart energy E, with the clock
+        # r/(1 + r^2); its third component at u = (1, 0) is E/2 exactly
+        params = SystemParams(m=1.0, a=0.5)
+        pole, _, sphere_form, _ = _spherical_forms(params)
+        rhs = sphere_form(planar_to_sphere(PlanarState(0.5, params.h, 0.3, -0.8), params),
+                          0.0, True).rhs
+        half_e = rhs(0.0, [1.0, 0.0, 0.0, 0.0, 0.0])[2]
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            y = rng.normal(size=5) * rng.uniform(0.1, 10.0)
+            r = y[0] * y[0] + y[1] * y[1]
+            want = (y[2], y[3], half_e * y[0], half_e * y[1], r / (1.0 + r * r))
+            got = rhs(0.0, y)
+            assert all(type(x) is float for x in got)
+            assert same_bits(got, want), y
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_pole_guard(self, as_array):
+        params = SystemParams(m=1.0, a=0.5)
+        z1 = spherical_center(params)
+        for q in (z1, -z1):  # both poles lie inside the guard
+            # a point inside the guard band, just off the pole
+            q = q + 0.1 * math.sqrt(POLE_GUARD) * np.array([1.0, 0.0, 0.0])
+            y = np.concatenate([q / np.linalg.norm(q), [0.0, 0.1, 0.0]])
+            with pytest.raises(PoleSingularity):
+                flow_rhs(params)(0.0, y if as_array else y.tolist())
 
 
 class TestChartMaps:
