@@ -104,7 +104,7 @@ def _wall_value(state, wall: Wall) -> float:
 def _curved_normal(state, wall: Wall) -> np.ndarray:
     """Unit normal of a circle or spherical wall at the state, along grad f."""
     if wall.axis is None:
-        return state.position / state.r
+        return np.array([state.xi, state.eta]) / state.r
     axis = np.asarray(wall.axis, dtype=float)
     n = axis - float(np.dot(state.q, axis)) * state.q
     return n / np.linalg.norm(n)
@@ -114,7 +114,7 @@ def _normal_velocity(state, wall: Wall) -> float:
     """Velocity along the unit wall normal, positive into the domain."""
     if wall.kind == PLANAR_LINE:
         return wall.side * state.eta_dot
-    v = state.velocity if isinstance(state, PlanarState) else state.v
+    v = np.array([state.xi_dot, state.eta_dot]) if isinstance(state, PlanarState) else state.v
     return wall.side * float(np.dot(v, _curved_normal(state, wall)))
 
 
@@ -134,11 +134,10 @@ def reflect(state, wall: Wall):
     if wall.kind == PLANAR_LINE:
         return PlanarState(state.xi, state.eta, state.xi_dot, -state.eta_dot)
     n = _curved_normal(state, wall)
-    if isinstance(state, PlanarState):
-        v = state.velocity
-        v = v - 2.0 * float(np.dot(v, n)) * n
-        return PlanarState(state.xi, state.eta, v[0], v[1])
-    return SphericalState(state.q, state.v - 2.0 * float(np.dot(state.v, n)) * n)
+    planar = isinstance(state, PlanarState)
+    v = np.array([state.xi_dot, state.eta_dot]) if planar else state.v
+    v = v - 2.0 * float(np.dot(v, n)) * n
+    return PlanarState(state.xi, state.eta, v[0], v[1]) if planar else SphericalState(state.q, v)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,11 @@
 A flow (n_bounces = 0) runs a billiard leg's form with no wall, Levi-Civita's
 in the plane, and is sampled where the form's clock reads each time.
 
-Exit codes: 0 success, 2 configuration error, 3 dynamics undetermined or
-failed, 4 verification failure. A billiard run whose leg fails still
-writes the bounces computed before that leg, with the error as the
-summary's outcome. The BILLIARD_LOG environment variable sets the logging
-level.
+Exit codes: 0 success, 1 any other error of the package, 2 configuration
+error, 3 dynamics undetermined or failed, 4 verification failure. A
+billiard run whose leg fails still writes the bounces computed before that
+leg, with the error as the summary's outcome. The BILLIARD_LOG environment
+variable sets the logging level.
 """
 
 from __future__ import annotations

@@ -5,6 +5,10 @@ planar system always lives in the normalized (xi, eta) chart: the force
 center sits at the origin, kinetic energy is Euclidean, and the line
 wall is eta = h with h = -a/sqrt(1+a^2). The pre-normalization (x, y)
 chart exists only inside the chart maps of :mod:`kcbilliards.spherical`.
+
+A state is built by its constructor (or SphericalState.project).
+PlanarState, IntegralSet and BounceRecord are named tuples: each equals a
+plain tuple of its values, and _replace and _make skip PlanarState's checks.
 """
 
 from __future__ import annotations
@@ -76,30 +80,20 @@ class SystemParams:
         object.__setattr__(self, "m_prime", self.m * self.scale)
 
 
-@dataclass(frozen=True)
-class PlanarState:
-    """Position and velocity in the normalized (xi, eta) chart."""
+_PlanarFields = NamedTuple("_PlanarFields", [("xi", float), ("eta", float),
+                                             ("xi_dot", float), ("eta_dot", float)])
 
-    xi: float
-    eta: float
-    xi_dot: float
-    eta_dot: float
 
-    def __post_init__(self):
-        for name in ("xi", "eta", "xi_dot", "eta_dot"):
-            value = getattr(self, name)
-            if type(value) is not float:
-                object.__setattr__(self, name, float(value))
-        if self.xi == 0.0 and self.eta == 0.0:
+class PlanarState(_PlanarFields):
+    """Position and velocity in the normalized (xi, eta) chart, as floats."""
+
+    __slots__ = ()
+
+    def __new__(cls, xi: float, eta: float, xi_dot: float, eta_dot: float):
+        xi, eta, xi_dot, eta_dot = float(xi), float(eta), float(xi_dot), float(eta_dot)
+        if xi == 0.0 and eta == 0.0:
             raise SingularPosition("(xi, eta) = (0, 0) is the singular center")
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.xi, self.eta])
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return np.array([self.xi_dot, self.eta_dot])
+        return tuple.__new__(cls, (xi, eta, xi_dot, eta_dot))
 
     @property
     def r(self) -> float:
@@ -110,11 +104,7 @@ class PlanarState:
         return math.hypot(self.xi_dot, self.eta_dot)
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.xi, self.eta, self.xi_dot, self.eta_dot])
-
-    @classmethod
-    def from_array(cls, y: Sequence[float]) -> "PlanarState":
-        return cls(float(y[0]), float(y[1]), float(y[2]), float(y[3]))
+        return np.array(self)
 
 
 _UNIT_TOL = 1e-12
@@ -163,11 +153,6 @@ class SphericalState:
 
     def as_array(self) -> np.ndarray:
         return np.concatenate([self.q, self.v])
-
-    @classmethod
-    def from_array(cls, y: Sequence[float]) -> "SphericalState":
-        y = np.asarray(y, dtype=float)
-        return cls(y[:3].copy(), y[3:6].copy())
 
 
 State = Union[PlanarState, SphericalState]
@@ -260,8 +245,7 @@ class IntegralSet(NamedTuple):
 
     For beta = 0 these satisfy E_sph = (1+a^2)(E_pl + D/2); for
     beta != 0, E_pl is the flow energy including the centrifugal
-    potential and D is generically not conserved. A named tuple, as
-    BounceRecord: both are built on every bounce.
+    potential and D is generically not conserved.
     """
 
     E_pl: float
@@ -456,11 +440,11 @@ def parse_config(doc: dict) -> RunConfig:
     values = [_finite(x, "each initial.state value") for x in state_vec]
     if model.domain == "planar":
         _require(len(values) == 4, "planar run requires a 4-number state")
-        initial: State = PlanarState.from_array(values)
+        initial: State = PlanarState(*values)
     else:
         _require(len(values) == 6, "spherical run requires a 6-number state")
         try:
-            initial = SphericalState.from_array(values)
+            initial = SphericalState(values[:3], values[3:])
         except ValueError as exc:
             raise ConfigError(f"invalid spherical state: {exc}") from exc
         if abs(float(initial.q @ spherical_center(params))) > 1.0 - POLE_GUARD:

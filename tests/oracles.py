@@ -51,7 +51,7 @@ def ode_propagate(
         dense_output=False,
     )
     assert sol.success, sol.message
-    return PlanarState.from_array(sol.y[:, -1])
+    return PlanarState(*sol.y[:, -1])
 
 
 def ode_trajectory(state, t_eval, params, rtol=1e-12, atol=1e-12) -> np.ndarray:

@@ -24,7 +24,7 @@ from kcbilliards.billiard import (
     reflect,
     wall_signed_distance,
 )
-from kcbilliards.errors import DynamicsError, NotOnWall, PerturbedModel, Undetermined
+from kcbilliards.errors import DynamicsError, NotOnWall, PerturbedModel, StepFailure, Undetermined
 from kcbilliards.integrals import integral_set, planar_energy
 from kcbilliards.model import (
     BounceRecord,
@@ -384,6 +384,12 @@ class TestAnalyticLineHit:
                 PlanarState(0.0, -1.0, 0.3, 0.0), params, Wall.line(params.h)
             )
 
+    def test_spherical_wall_rejected(self):
+        params = SystemParams(m=1.0, a=1.0)
+        start = planar_to_sphere(PlanarState(0.5, params.h, 0.3, -0.8), params)
+        with pytest.raises(ValueError, match="analytic hit search supports only the planar walls"):
+            next_hit_analytic_line(start, params, Wall.great_circle((0.0, 1.0, 0.0), side=-1))
+
     def test_near_radial_uses_conic_machinery(self):
         # |L| below the collision tolerance but nonzero: the thin-ellipse
         # whip around the center is the elastic-bounce limit
@@ -588,7 +594,7 @@ class TestNumericHit:
         out = next_hit_numeric(s, model, FAST)
         assert is_hit(out) and len(ivp_calls) == 1
         assert out.t_hit == pytest.approx(exact.t_hit, rel=1e-10)
-        np.testing.assert_allclose(out.state_in.position, exact.state_in.position, rtol=1e-8)
+        np.testing.assert_allclose(out.state_in[:2], exact.state_in[:2], rtol=1e-8)
 
     @pytest.mark.parametrize("m, start, t_hit", [
         # heading straight at the line 1 away, from beyond the radius or
@@ -933,6 +939,32 @@ class TestBilliardMap:
         assert run.outcome == "undetermined"
         assert isinstance(run.error, Undetermined)
         assert run.final_state == run.records[0].state_out
+
+    def test_failed_integration_keeps_earlier_bounces(self, fail_solve_ivp):
+        # one solve_ivp call per leg (test_one_integration_per_bounce): the
+        # third call is the third leg's
+        params = SystemParams(m=1.0, a=1.0)
+        model = validate_config(params, Wall.line(params.h, side=-1))
+        start = PlanarState(0.5, params.h, 0.3, -0.8)
+        clean = billiard_map(start, 5, model, integ=FAST)
+        sols = fail_solve_ivp(kcbilliards.billiard, 3)
+        run = billiard_map(start, 5, model, integ=FAST)
+        assert (run.outcome, len(sols)) == ("step-failure", 3)
+        assert isinstance(run.error, StepFailure)
+        assert str(run.error).startswith("integration failed: ")
+        assert run.records == clean.records[:2]
+        assert run.final_state == clean.records[1].state_out
+
+    @pytest.mark.parametrize("mode, wall, message", [
+        ("exact", Wall.line(H05, side=-1), "mode must be 'numeric' or 'analytic'"),
+        ("analytic", Wall.great_circle((0.0, 1.0, 0.0), side=-1),
+         "analytic mode supports only the planar walls"),
+    ])
+    def test_mode_is_checked(self, mode, wall, message):
+        params = SystemParams(m=1.0, a=0.5)
+        start = PlanarState(0.5, params.h, 0.3, -0.8)
+        with pytest.raises(ValueError, match=message):
+            billiard_map(start, 1, validate_config(params, wall), mode=mode)
 
     def test_grazing_orbit_ends_in_tangency(self):
         # the circular orbit of radius -h touches the line after a quarter period

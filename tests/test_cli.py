@@ -8,6 +8,9 @@ import pytest
 
 from oracles import ode_trajectory
 
+import kcbilliards.cli
+import kcbilliards.planar
+import kcbilliards.spherical
 from kcbilliards.cli import _drift, main
 from kcbilliards.integrals import integral_set
 from kcbilliards.io import PLANAR_HEADER, SPHERICAL_BOUNCE_HEADER, SPHERICAL_HEADER, read_csv
@@ -141,7 +144,7 @@ class TestSimulate:
         _, rows = read_csv(out / "trajectory.csv")  # %.17g round-trips doubles
         params = SystemParams(m=1.0, a=0.5, beta=beta)
         for row in rows:
-            ints = integral_set(PlanarState.from_array(row[1:5]), params)
+            ints = integral_set(PlanarState(*row[1:5]), params)
             assert row[5:] == [ints.E_pl, ints.L, ints.A_eta, ints.D, ints.E_sph]
 
     @pytest.mark.parametrize("m,beta", [(1.0, 0.0), (-1.0, 0.0), (1.0, 0.3)])
@@ -197,7 +200,7 @@ class TestSimulate:
         params = SystemParams(m=1.0, a=1.0)
         assert len(rows) == 9
         for row in rows:
-            ints = integral_set(PlanarState.from_array(row[1:5]), params)
+            ints = integral_set(PlanarState(*row[1:5]), params)
             assert row[5:] == [ints.E_pl, ints.L, ints.A_eta, ints.D, ints.E_sph]
 
     def test_spherical_flow_rows_are_bitwise_the_integrator_samples(self, tmp_path):
@@ -233,6 +236,14 @@ class TestSimulate:
         write_config(cfg, doc)
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_unknown_wall_kind_exits_two(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(PLOT_RUNS["line"]))
+        doc["wall"]["kind"] = "planar-ellipse"
+        cfg = tmp_path / "ellipse.json"
+        write_config(cfg, doc)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: unknown wall kind 'planar-ellipse'\n"
 
     @pytest.mark.parametrize("section, key, value", [
         ("integrator", "atol", -1),
@@ -326,7 +337,7 @@ class TestSimulate:
         assert summary["n_bounces"] == n_bounces
         assert summary["max_drift"]["E_sph"] < 1e-8
         for row in rows:  # each row's E_sph is that of its own state, to the bit
-            s = kb.SphericalState.from_array(row[1:7])
+            s = kb.SphericalState(row[1:4], row[4:7])
             assert row[7] == kb.spherical_energy_embedded(s, params)
 
     def test_spherical_billiard_drifts_follow_the_bounce_records(self, tmp_path):
@@ -763,6 +774,30 @@ class TestDynamicsExitCode:
         assert capsys.readouterr().err == (
             "dynamics error: the start lies at a pole of the force center\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("domain, module, message", [
+        ("planar", kcbilliards.cli, "flow integration failed: "),
+        ("spherical", kcbilliards.spherical, "spherical integration failed: "),
+    ])
+    def test_failed_flow_integration_returns_three(self, flow_config, tmp_path, capsys,
+                                                   fail_solve_ivp, domain, module, message):
+        cfg = flow_config
+        if domain == "spherical":
+            cfg = tmp_path / "sphere.json"
+            write_config(cfg, PLOT_RUNS["spherical"])
+        fail_solve_ivp(module, 1)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("dynamics error: " + message)
+        assert os.listdir(out) == []
+
+    def test_other_package_error_returns_one(self, flow_config, tmp_path, capsys, monkeypatch):
+        # NonConvergence is neither a configuration nor a dynamics error
+        monkeypatch.setattr(kcbilliards.planar, "_MAX_ITER", 1)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", flow_config, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: a flow sample's clock did not converge\n"
+        assert os.listdir(out) == []
 
     def test_log_env_smoke(self, tmp_path, billiard_config, monkeypatch):
         monkeypatch.setenv("BILLIARD_LOG", "INFO")

@@ -163,7 +163,7 @@ class TestIntegralSetBitwise:
         ys = rng.uniform(-3.0, 3.0, size=(500, 4))
         cols = integral_set(planar_columns(ys), params)
         for k, y in enumerate(ys):
-            ints = integral_set(PlanarState.from_array(y), params)
+            ints = integral_set(PlanarState(*y), params)
             assert tuple(c[k] for c in cols._asdict().values()) == tuple(ints._asdict().values())
 
 

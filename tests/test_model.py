@@ -86,14 +86,29 @@ class TestStates:
         with pytest.raises(SingularPosition):
             PlanarState(0.0, 0.0, 1.0, 0.0)
 
+    def test_origin_rejected_after_coercion(self):
+        with pytest.raises(SingularPosition):
+            PlanarState(np.float64(0.0), -0.0, 1, 0)
+
+    def test_keyword_construction_gives_the_same_state(self):
+        s = PlanarState(xi=1, eta=np.float64(-2.0), xi_dot=0.5, eta_dot=np.int64(0))
+        assert s == PlanarState(1.0, -2.0, 0.5, 0.0)
+        assert all(type(x) is float for x in s)
+
     def test_round_trip_array(self):
         s = PlanarState(1.0, -2.0, 0.5, 0.25)
-        assert PlanarState.from_array(s.as_array()) == s
+        assert PlanarState(*s.as_array()) == s
 
     def test_planar_fields_are_plain_floats(self):
         s = PlanarState(1, np.float64(-2.0), np.int64(3), 0.25)
         assert all(type(getattr(s, k)) is float for k in ("xi", "eta", "xi_dot", "eta_dot"))
         assert s == PlanarState(1.0, -2.0, 3.0, 0.25)
+
+    @pytest.mark.parametrize("q, v", [([0.6, -0.8], [0.8, 0.6, 0.0]),
+                                      ([0.6, 0.0, -0.8], [[0.8, 0.0, 0.6]])])
+    def test_spherical_state_needs_3_vectors(self, q, v):
+        with pytest.raises(ValueError, match="q and v must be 3-vectors"):
+            SphericalState(q, v)
 
     def test_spherical_constraints_enforced(self):
         with pytest.raises(ValueError):
@@ -137,6 +152,8 @@ class TestImmutableValues:
                 setattr(value, field, 0.0)
 
     def test_field_order(self):
+        assert issubclass(PlanarState, tuple)
+        assert PlanarState._fields == ("xi", "eta", "xi_dot", "eta_dot")
         assert IntegralSet._fields == ("E_pl", "L", "A_xi", "A_eta", "D", "E_sph")
         assert BounceRecord._fields == (
             "t_hit", "state_in", "state_out", "integrals_in", "integrals_out", "tangent")
@@ -239,6 +256,10 @@ class TestParseConfig:
         doc = self._doc(system={"model": "kepler", "m": 1.0, "a": 1.0, "beta": 0.3})
         with pytest.raises(ConfigError):
             parse_config(doc)
+
+    def test_unknown_wall_kind(self):
+        with pytest.raises(ConfigError, match="unknown wall kind 'planar-ellipse'"):
+            parse_config(self._doc(wall={"kind": "planar-ellipse", "side": -1}))
 
     def test_wrong_state_length(self):
         doc = self._doc(initial={"state": [1.0, 2.0, 3.0]})

@@ -3,7 +3,10 @@ import math
 from dataclasses import asdict
 
 import numpy as np
+import pytest
 
+import kcbilliards.verify
+from kcbilliards.billiard import Escape
 from kcbilliards.integrals import gj_integral, planar_energy, spherical_energy_chart
 from kcbilliards.model import PlanarState
 from kcbilliards.verify import (
@@ -23,6 +26,19 @@ def test_individual_checks_pass():
     assert check_spherical_energy_identity(1, 2000).passed
     assert check_analytic_vs_numeric(2, 12).passed
     assert check_projection_correspondence().passed
+
+
+@pytest.mark.parametrize("escaping, passed, max_err", [
+    (("next_hit_numeric",), False, math.inf),
+    (("next_hit_numeric", "next_hit_analytic_line"), True, 0.0),
+])
+def test_escapes_are_compared_by_outcome(monkeypatch, escaping, passed, max_err):
+    # an Escape from one map where the other hits fails the check, and
+    # an Escape from both is a case counted as agreeing
+    for name in escaping:
+        monkeypatch.setattr(kcbilliards.verify, name, lambda *args: Escape("patched"))
+    got = check_analytic_vs_numeric(2, 6)
+    assert (got.passed, got.max_err, got.cases) == (passed, max_err, 6)
 
 
 def test_suite_reports_all_checks():
