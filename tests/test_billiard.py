@@ -1101,6 +1101,42 @@ def test_both_maps_class_a_bound_conic_missing_the_wall_alike(start, level):
     assert exact == numeric
 
 
+# The circle r = -h touches the line after a quarter period: the exact map
+# returns that graze (test_grazing_orbit_ends_in_tangency), the numeric map
+# raises Undetermined("the bound conic missed the wall for a whole period").
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the numeric map misses the graze the exact map returns")
+@pytest.mark.parametrize("rtol", [1e-10, 1e-12])
+def test_both_maps_return_the_graze_of_a_circle_touching_the_line(rtol):
+    params = SystemParams(m=1.0, a=0.5)
+    wall = Wall.line(params.h, side=1)
+    R = -params.h
+    s = PlanarState(R, 0.0, 0.0, -1.0 / math.sqrt(R))
+    integ = IntegratorConfig(rtol=rtol, atol=rtol)
+    legs = {"exact": lambda: next_hit_analytic_line(s, params, wall),
+            "numeric": lambda: next_hit_numeric(s, Model(params=params, wall=wall), integ)}
+    classes = {name: outcome_class(leg) for name, leg in legs.items()}
+    assert classes == {"exact": "tangency", "numeric": "tangency"}
+    for leg in legs.values():
+        assert leg().t_hit == pytest.approx(0.4697776745639036, rel=1e-8)
+
+
+@pytest.mark.parametrize("mode, tol", [("analytic", 1e-12), ("numeric", 1e-8)])
+def test_the_center_side_runs_the_far_side_billiard_backwards(mode, tol):
+    # the paper's side reversal: from the far side's last arrival, the map
+    # on the center side of the same line visits the far side's earlier
+    # hits in reverse, each with the normal velocity eta_dot reversed
+    far = billiard_map(BILLIARD_START, 50, validate_config(
+        BILLIARD_PARAMS, Wall.line(BILLIARD_PARAMS.h, side=-1)), mode="analytic")
+    assert far.n_bounces == 50
+    center = billiard_map(far.records[-1].state_in, 49, validate_config(
+        BILLIARD_PARAMS, Wall.line(BILLIARD_PARAMS.h, side=1)), mode=mode, integ=FAST)
+    assert center.n_bounces == 49
+    for j, rec in enumerate(center.records):
+        want = far.records[50 - 2 - j].state_in.as_array() * [1.0, 1.0, 1.0, -1.0]
+        np.testing.assert_allclose(rec.state_in.as_array(), want, rtol=0.0, atol=tol)
+
+
 class TestOnWallStart:
     """A start on the wall moving out of the domain is reflected at once."""
 

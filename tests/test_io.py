@@ -1,9 +1,13 @@
 import math
+from decimal import Decimal
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kcbilliards.billiard import _spherical_record, billiard_map
 from kcbilliards.io import (
+    _TABLE_MIN,
     PLANAR_BOUNCE_HEADER,
     SPHERICAL_BOUNCE_HEADER,
     write_bounces,
@@ -16,6 +20,37 @@ from kcbilliards.spherical import planar_to_sphere
 def _format_join(row) -> str:
     """The per-value formatting every CSV used before write_rows."""
     return ",".join(format(float(x), ".17g") for x in row)
+
+
+def sweep_values(rng, n):
+    """Seeded doubles of every kind "%.17g" prints, in blocks of one kind: n
+    random mantissas at each binary exponent (subnormals included), the
+    doubles at and one ulp either side of 10^k for k = -30..30, 25 n exact
+    ties at the 17th significant digit, 500 n values log-uniform over
+    1e-7..1e18, then +-0, subnormals, +-inf and NaN; each value has a
+    random sign."""
+    exponents = np.repeat(np.arange(-1074, 1024), n)
+    tens = np.array([float(f"1e{k}") for k in range(-30, 31)])
+    # M 2^-s with M odd and M 5^s of 18 digits has 18 significant digits,
+    # the last a 5: a tie between two 17-digit decimals
+    ties = []
+    for s in range(2, 24):
+        lo, hi = -(-10**17 // 5**s), min(2**53, 10**18 // 5**s)
+        odd = 2 * rng.integers(lo // 2, (hi - 1) // 2, size=25 * n) + 1
+        ties.append(np.ldexp(odd[odd >= lo].astype(np.float64), -s))
+    values = np.concatenate([
+        np.ldexp(1.0 + rng.random(exponents.size), exponents),
+        np.stack([np.nextafter(tens, 0.0), tens, np.nextafter(tens, np.inf)], axis=1).ravel(),
+        *ties,
+        10.0 ** rng.uniform(-7.0, 18.0, size=500 * n),
+        [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, math.inf, math.nan],
+    ])
+    return values * rng.choice([-1.0, 1.0], size=values.size)
+
+
+def _percent_rows(table) -> bytes:
+    """The rows of a table as _format_join writes them, one line each."""
+    return "".join(_format_join(row) + "\n" for row in table.tolist()).encode()
 
 
 def _bounce_values(i, rec, planar):
@@ -44,6 +79,29 @@ class TestWriteRows:
         write_rows(str(path), "i,a,b,tangent,n", rows)
         expected = "i,a,b,tangent,n\n" + "".join(_format_join(r) + "\n" for r in rows)
         assert path.read_bytes() == expected.encode()
+
+    def test_sweep_matches_format_join(self, tmp_path):
+        # the tier-1 share of the CI step that checks a million such values
+        values = sweep_values(np.random.default_rng(7), 4)
+        digits = [Decimal(x).as_tuple().digits for x in values.tolist() if 1e-6 <= abs(x) < 1e17]
+        assert sum(len(d) == 18 and d[-1] == 5 for d in digits) >= 1000  # exact ties
+        path = tmp_path / "sweep.csv"
+        # a row with a value the kernel does not cover goes to "%" whole,
+        # so every value also gets a row of its own
+        for header, table in (("a,b,c,d,e,f,g,h,i,j", np.resize(values, (-(-values.size // 10), 10))),
+                              ("a", values[:, None])):
+            write_rows(str(path), header, table)
+            assert path.read_bytes() == (header + "\n").encode() + _percent_rows(table)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=_TABLE_MIN // 2))
+    def test_any_float_on_either_side_of_the_table_size(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("rows") / "rows.csv"
+        small = np.array(values)[:, None]
+        big = np.resize(small, (_TABLE_MIN // 2, 2))
+        for header, table in (("a", small), ("a,b", big)):
+            write_rows(str(path), header, table)
+            assert path.read_bytes() == (header + "\n").encode() + _percent_rows(table)
 
     def test_empty_table_is_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
