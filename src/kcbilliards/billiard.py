@@ -1,21 +1,24 @@
 """Wall geometry, reflection operators, hit detection and the billiard map.
 
-Hits are located either numerically (adaptive integration, one per form of
-a leg, ended by events, with bracketed root refinement on the step
-interpolant, any wall and beta; each step's minima of the wall function
-are tracked, so a crossing that enters and leaves within one step is
-found) or exactly for both planar walls (beta = 0): the crossing of the
-conic with the line or the centered circle is one closed-form root in the
-universal variable of the planar kernel. Radial orbits aimed at an
-attractive center pass the collision by the elastic bounce: the numeric
-map integrates Levi-Civita's regularized field (q = u^2, dt/ds = r),
-regular through the center, in the plane and, on the sphere, near the
-attracting pole in its gnomonic chart (see kcbilliards.spherical); the
-exact map passes the center in the universal variable.
+Every wall is a level set of one wall function alpha |x| + n.x (see
+Wall); nothing here reads a wall's kind. Hits are located either
+numerically (adaptive integration, one per form of a leg, ended by events,
+with bracketed root refinement on the step interpolant, any wall and beta;
+each step's minima of the wall function are tracked, so a crossing that
+enters and leaves within one step is found) or exactly on the planar walls
+(beta = 0), whose wall function is affine in the planar kernel's
+(1, G1, G2) along a conic, so that a crossing is one closed-form root.
+Radial orbits aimed at an attractive center pass the collision by the
+elastic bounce: the numeric map integrates Levi-Civita's regularized
+field (q = u^2, dt/ds = r), regular through the center, in the plane and,
+on the sphere, near the attracting pole in its gnomonic chart (see
+kcbilliards.spherical); the exact map passes the center in the universal
+variable.
 
 Both maps share one rule for a start on the wall: a start moving out of
 the domain (normal speed above TANGENCY_REL of the speed) is reflected at
-once, as a bounce at t = 0 with state_in equal to the start.
+once, as a bounce at t = 0 with state_in equal to the start
+(_outward_start).
 
 A leg returns the BounceRecord of its hit, whose tangent flag marks a
 graze (the map acts as the identity there), or an Escape.
@@ -38,16 +41,14 @@ from .errors import (
     Undetermined,
 )
 from .integrals import integral_set, planar_energy
-from .model import (PLANAR_CENTERED_CIRCLE, PLANAR_LINE, BounceRecord, IntegralSet,
-                    IntegratorConfig, Model, PlanarState, SphericalState, SystemParams, Wall,
-                    solve_ivp)
+from .model import (BounceRecord, IntegralSet, IntegratorConfig, Model, PlanarState,
+                    SphericalState, SystemParams, Wall, solve_ivp)
 from .planar import (R_MIN, _clock_end, _planar_form, _radius, crossing_root, time_of_flight,
                      universal_kernel, universal_state)
 from .spherical import _leave_chart, _spherical_forms, sphere_to_planar, spherical_energy_embedded
 
 TANGENCY_REL = 1e-8
 ON_WALL_TOL = 1e-10
-_EXACT_WALLS = (PLANAR_LINE, PLANAR_CENTERED_CIRCLE)
 
 
 # ---------------------------------------------------------------------------
@@ -67,77 +68,65 @@ HitOutcome = Union[BounceRecord, Escape]
 # ---------------------------------------------------------------------------
 
 def wall_signed_distance(point, wall: Wall) -> float:
-    """Signed distance-like wall function side*(f - level), positive on the
-    dynamics side; f is eta, r or q.axis (see :class:`Wall`)."""
-    if wall.kind == PLANAR_LINE:
-        f = float(point[1])
-    elif wall.axis is None:
-        f = math.hypot(float(point[0]), float(point[1]))
-    else:
-        f = float(np.dot(point[:3], wall.axis))
+    """The wall function side*(alpha |x| + n.x - level) at a planar point
+    (xi, eta, ...), a PlanarState among them, or a point q of the sphere;
+    positive on the dynamics side (see :class:`Wall`)."""
+    n = wall.normal
+    f = float(np.dot(point[:3], n)) if len(n) == 3 else n[0] * point[0] + n[1] * point[1]
+    if wall.alpha:
+        f += wall.alpha * math.hypot(point[0], point[1])
     return (f - wall.level) * wall.side
 
 
 def _wall_rate(y, wall: Wall) -> float:
     """The rate of wall_signed_distance at y = (position, its derivative),
-    up to a positive factor (1/r for the planar circle): it crosses zero
-    upwards exactly where g has a minimum."""
-    if wall.kind == PLANAR_LINE:
-        f = y[3]
-    elif wall.axis is None:
-        f = y[0] * y[2] + y[1] * y[3]
-    else:
-        f = float(np.dot(y[3:], wall.axis))
+    up to a positive factor (r for a planar wall with alpha != 0): it
+    crosses zero upwards exactly where g has a minimum."""
+    n = wall.normal
+    f = float(np.dot(y[3:], n)) if len(n) == 3 else n[0] * y[2] + n[1] * y[3]
+    if wall.alpha:
+        f = wall.alpha * (y[0] * y[2] + y[1] * y[3]) + math.hypot(y[0], y[1]) * f
     return f * wall.side
 
 
-def _wall_scale(wall: Wall) -> float:
-    return max(1.0, abs(wall.level))
-
-
-def _wall_value(state, wall: Wall) -> float:
-    """wall_signed_distance at the position of a planar or spherical state."""
-    planar = isinstance(state, PlanarState)
-    return wall_signed_distance((state.xi, state.eta) if planar else state.q, wall)
-
-
-def _curved_normal(state, wall: Wall) -> np.ndarray:
-    """Unit normal of a circle or spherical wall at the state, along grad f."""
-    if wall.axis is None:
-        return np.array([state.xi, state.eta]) / state.r
-    axis = np.asarray(wall.axis, dtype=float)
-    n = axis - float(np.dot(state.q, axis)) * state.q
-    return n / np.linalg.norm(n)
-
-
-def _normal_velocity(state, wall: Wall) -> float:
-    """Velocity along the unit wall normal, positive into the domain."""
-    if wall.kind == PLANAR_LINE:
-        return wall.side * state.eta_dot
-    v = np.array([state.xi_dot, state.eta_dot]) if isinstance(state, PlanarState) else state.v
-    return wall.side * float(np.dot(v, _curved_normal(state, wall)))
+def _normal(state, wall: Wall) -> tuple:
+    """(n, v.n): the unit normal into the domain at the state, side times the
+    wall function's gradient alpha x/r + n (projected onto the tangent plane
+    and normalized on the sphere), and the velocity along it. A varying n
+    takes np.dot, whose last bits differ from a plain sum; the line's n
+    takes plain floats, exact there."""
+    side, alpha, n = wall.side, wall.alpha, wall.normal
+    if isinstance(state, SphericalState):
+        n = np.asarray(n) - float(np.dot(state.q, n)) * state.q
+        n = side * (n / np.linalg.norm(n))
+        return n, float(np.dot(state.v, n))
+    if not alpha:
+        n0, n1 = side * n[0], side * n[1]
+        return (n0, n1), state.xi_dot * n0 + state.eta_dot * n1
+    r = state.r
+    n = side * np.array([alpha * state.xi / r + n[0], alpha * state.eta / r + n[1]])
+    return n, float(np.dot(np.array([state.xi_dot, state.eta_dot]), n))
 
 
 def reflect(state, wall: Wall):
     """Specular reflection at the wall: v <- v - 2 (v.n) n.
 
     The position is unchanged and kinetic energy is preserved to rounding.
-    For the planar line the normal component is simply negated, which
-    makes the involution bit-exact.
+    On the planar line n is (0, +-1), so the normal component is negated
+    and the rest kept to the bit, which makes the involution bit-exact.
 
     Raises:
         NotOnWall: if the state is farther than 1e-10 (scaled) from the wall.
     """
-    g = _wall_value(state, wall)
-    if abs(g) > ON_WALL_TOL * _wall_scale(wall):
-        raise NotOnWall(f"signed distance {g} exceeds the on-wall tolerance")
-    if wall.kind == PLANAR_LINE:
-        return PlanarState(state.xi, state.eta, state.xi_dot, -state.eta_dot)
-    n = _curved_normal(state, wall)
     planar = isinstance(state, PlanarState)
-    v = np.array([state.xi_dot, state.eta_dot]) if planar else state.v
-    v = v - 2.0 * float(np.dot(v, n)) * n
-    return PlanarState(state.xi, state.eta, v[0], v[1]) if planar else SphericalState(state.q, v)
+    g = wall_signed_distance(state if planar else state.q, wall)
+    if abs(g) > ON_WALL_TOL * wall.scale:
+        raise NotOnWall(f"signed distance {g} exceeds the on-wall tolerance")
+    n, vn = _normal(state, wall)
+    if not planar:
+        return SphericalState(state.q, state.v - 2.0 * vn * n)
+    return PlanarState(state.xi, state.eta, state.xi_dot - 2.0 * vn * n[0],
+                       state.eta_dot - 2.0 * vn * n[1])
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +172,13 @@ def _spherical_record(
 
 
 def _outward_start(state, params: SystemParams, wall: Wall) -> Optional[BounceRecord]:
-    """Zero-time bounce for a start on the wall moving out of the domain.
-
-    Returns None when the start is off the wall (beyond the reflect
-    tolerance), moves into the domain, or grazes it (normal speed at most
-    TANGENCY_REL of the speed); the hit search then runs as usual.
-    """
-    if abs(_wall_value(state, wall)) > ON_WALL_TOL * _wall_scale(wall):
+    """Zero-time bounce for a start on the wall moving out of the domain;
+    None for a start off the wall (beyond the reflect tolerance), moving
+    into the domain or grazing it, which the hit search then takes."""
+    g = wall_signed_distance(state if isinstance(state, PlanarState) else state.q, wall)
+    if abs(g) > ON_WALL_TOL * wall.scale:
         return None
-    if _normal_velocity(state, wall) >= -TANGENCY_REL * state.speed:
+    if _normal(state, wall)[1] >= -TANGENCY_REL * state.speed:
         return None
     return _hit_or_tangency(0.0, state, params, wall)
 
@@ -201,7 +188,7 @@ def _hit_or_tangency(
 ) -> BounceRecord:
     """The bounce record at a hit, tangent when the normal speed there is at
     most TANGENCY_REL of the speed."""
-    tangent = abs(_normal_velocity(state_in, wall)) <= TANGENCY_REL * state_in.speed
+    tangent = abs(_normal(state_in, wall)[1]) <= TANGENCY_REL * state_in.speed
     record = _planar_record if isinstance(state_in, PlanarState) else _spherical_record
     return record(t_hit, state_in, params, wall, tangent=tangent)
 
@@ -217,10 +204,10 @@ def next_hit_analytic_line(
 ) -> HitOutcome:
     """First forward crossing out of the domain of a planar wall, exactly.
 
-    Serves the line and the centered circle alike. Along the conic, in
-    Goodyear's universal variable s (dt/ds = r, see universal_kernel), the
-    wall function side*(f - level) is c + P G1(s) + Q G2(s), because eta
-    and r are affine in (1, G1, G2); its crossing_root, the first root
+    Serves every planar wall alike. Along the conic, in Goodyear's
+    universal variable s (dt/ds = r, see universal_kernel), r and x are
+    affine in (1, G1, G2), so the wall function side*(alpha r + n.x -
+    level) is c + P G1(s) + Q G2(s); its crossing_root, the first root
     where it does not increase, is the first crossing out of the domain
     (grazing ones included). The root gets one Newton polish on the
     kernel; the time is t(s) in closed form and the state comes from
@@ -235,7 +222,7 @@ def next_hit_analytic_line(
     """
     if params.beta != 0.0:
         raise PerturbedModel("the analytic billiard map requires beta = 0")
-    if wall.kind not in _EXACT_WALLS:
+    if not wall.is_planar:
         raise ValueError("analytic hit search supports only the planar walls")
     outward = _outward_start(state, params, wall)
     if outward is not None:
@@ -245,12 +232,12 @@ def next_hit_analytic_line(
     sigma0 = state.xi * state.xi_dot + state.eta * state.eta_dot
     v2 = state.xi_dot**2 + state.eta_dot**2
     alpha = 2.0 * m / r0 - v2
-    if wall.kind == PLANAR_LINE:  # eta(s) = (1 - m G2/r0) eta0 + (r0 G1 + sigma0 G2) eta_dot0
-        c = state.eta - wall.level
-        P, Q = r0 * state.eta_dot, sigma0 * state.eta_dot - m * state.eta / r0
-    else:  # r(s) = r0 + sigma0 G1 + (m - alpha r0) G2
-        c, P, Q = r0 - wall.level, sigma0, r0 * v2 - m
-    c, P, Q = wall.side * c, wall.side * P, wall.side * Q
+    # r(s) = r0 + sigma0 G1 + (m - alpha r0) G2, x(s) = (1 - m G2/r0) x0 + (r0 G1 + sigma0 G2) v0
+    a_w, (n1, n2), side = wall.alpha, wall.normal, wall.side
+    nx, nv = n1 * state.xi + n2 * state.eta, n1 * state.xi_dot + n2 * state.eta_dot
+    c = side * (a_w * r0 + nx - wall.level)
+    P = side * (a_w * sigma0 + r0 * nv)
+    Q = side * (a_w * (r0 * v2 - m) + sigma0 * nv - m * nx / r0)
     s = crossing_root(alpha, c, P, Q)
     if s is None:
         return Escape("the orbit does not reach the wall")
@@ -264,7 +251,7 @@ def next_hit_analytic_line(
         F_new = c + P * g_new[1] + Q * g_new[2]
         if abs(F_new) < abs(F):
             g, F = g_new, F_new
-    if abs(F) > ON_WALL_TOL * _wall_scale(wall):  # a root at s = infinity
+    if abs(F) > ON_WALL_TOL * wall.scale:  # a root at s = infinity
         return Escape("the orbit meets the wall only at infinity")
     t_hit = time_of_flight(r0, sigma0, m, g)
     try:
@@ -281,25 +268,29 @@ def next_hit_analytic_line(
 def _escape_event(state: PlanarState, params: SystemParams, wall: Wall, form):
     """The escape certificate of an unbound planar leg as a terminal event
     on its form, rising through zero where it comes to hold: beyond 1e3
-    wall scales and receding, and for the line a conic that misses it
-    ahead (beta = 0) or a speed away from it above what the force can still
-    turn, (|m|/r + |beta|/(2 r^2)) over the least radial speed to come,
-    min(sqrt(2E), v_r); None for a bound leg or a conic that meets the line."""
+    wall scales and receding, and for an unbounded wall (|n| >= alpha, the
+    line) a conic that misses it ahead (beta = 0) or a speed away from it,
+    side n.v, above what the force can still turn, (|m|/r + |beta|/(2 r^2))
+    over the least radial speed to come, min(sqrt(2E), v_r); None for a
+    bound leg or a conic that meets an unbounded wall."""
     two_e = 2.0 * planar_energy(state, params.m, params.beta)
-    exact = wall.kind == PLANAR_LINE and params.beta == 0.0
+    n1, n2 = wall.normal
+    bounded = wall.alpha > math.hypot(n1, n2)
+    exact = not bounded and params.beta == 0.0
     if two_e < 0.0 or exact and not isinstance(next_hit_analytic_line(state, params, wall), Escape):
         return None
-    r_escape = 1e3 * _wall_scale(wall)
+    r_escape = 1e3 * wall.scale
     m, beta = abs(params.m), abs(params.beta)
 
     def escape(s, y):
         q1, q2, w1, w2 = form.phase(y)  # w = dq/ds = r v
         r = _radius(y)
         value = min(r - r_escape, q1 * w1 + q2 * w2)
-        if wall.kind != PLANAR_LINE or exact:
+        if bounded or exact:
             return value
         v_min = math.sqrt(min(two_e, ((q1 * w1 + q2 * w2) / (r * r)) ** 2))
-        return min(value, wall.side * w2 / r * v_min - m / r - beta / (2.0 * r * r))
+        away = wall.side * (n1 * w1 + n2 * w2) / r * v_min
+        return min(value, away - m / r - beta / (2.0 * r * r))
 
     escape.terminal = True
     escape.direction = 1.0
@@ -332,11 +323,7 @@ def next_hit_numeric(
     - on the sphere, the switch at either chart radius, after which the
       leg goes on in the other form;
     - for a planar leg with E >= 0, its escape certificate (_escape_event)
-      coming to hold, which returns Escape, as does a start where it
-      holds: beyond 1e3 wall scales and receding, and for the line a conic
-      that misses it ahead (beta = 0, checked at the start; a conic that
-      meets it arms no such event) or a speed away from it that the force
-      can no longer turn.
+      coming to hold, which returns Escape, as does a start where it holds.
 
     Both wall events read the wall function and its rate at the position
     and its s-derivative, in the chart on a planar wall of the same sign.
@@ -350,17 +337,11 @@ def next_hit_numeric(
     raises Undetermined; so does a bound conic (planar at beta = 0, or in
     the chart) with no hit in its first period of s, since it repeats.
 
-    Two kinds of start are settled before any integration:
-
-    - A start on the wall (within the reflect tolerance) moving out of the
-      domain, with normal speed above TANGENCY_REL of the speed, is
-      reflected at once: a bounce at t = 0 whose state_in is the start and
-      whose state_out is reflect(start). The exact planar map obeys the same
-      rule; grazing starts are left to the search.
-    - A spherical start on a great-circle wall through the attracting pole,
-      with normal speed at most TANGENCY_REL of the speed, runs along the
-      wall, a great circle through the pole being invariant, and raises
-      Undetermined.
+    Before any integration, a start on the wall moving out of the domain
+    bounces at once (see the module docstring), and a spherical start on a
+    great-circle wall through the attracting pole, with normal speed at most
+    TANGENCY_REL of the speed, runs along that invariant circle and raises
+    Undetermined.
     """
     params = model.params
     wall = model.wall
@@ -370,8 +351,8 @@ def next_hit_numeric(
     escape = None
     if isinstance(state, SphericalState):
         pole, c_in, sphere_form, _ = _spherical_forms(params, wall)
-        on_wall = max(abs(_wall_value(state, wall)), abs(wall_signed_distance(pole, wall)))
-        if on_wall <= ON_WALL_TOL and abs(_normal_velocity(state, wall)) <= TANGENCY_REL * state.speed:
+        on_wall = max(abs(wall_signed_distance(q, wall)) for q in (state.q, pole))
+        if on_wall <= ON_WALL_TOL and abs(_normal(state, wall)[1]) <= TANGENCY_REL * state.speed:
             raise Undetermined("the orbit runs along a great-circle wall through the pole")
         form = sphere_form(state, 0.0, float(state.q @ pole) >= c_in)
     else:
@@ -475,7 +456,7 @@ def billiard_map(
     """
     if mode not in ("numeric", "analytic"):
         raise ValueError("mode must be 'numeric' or 'analytic'")
-    if mode == "analytic" and model.wall.kind not in _EXACT_WALLS:
+    if mode == "analytic" and not model.wall.is_planar:
         raise ValueError("analytic mode supports only the planar walls")
     records: List[BounceRecord] = []
     clock = 0.0

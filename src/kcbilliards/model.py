@@ -36,12 +36,13 @@ SPHERICAL_CENTERED_CIRCLE = "spherical-centered-circle"
 
 POLE_GUARD = 1e-10  # |q . Z1| beyond 1 - POLE_GUARD is at a pole of the sphere's center
 
-WALL_KINDS = (
-    PLANAR_LINE,
-    PLANAR_CENTERED_CIRCLE,
-    SPHERICAL_GREAT_CIRCLE,
-    SPHERICAL_CENTERED_CIRCLE,
-)
+# (alpha, normal) of each kind's wall function; None for (0, the wall's axis)
+WALL_KINDS = {
+    PLANAR_LINE: (0.0, (0.0, 1.0)),
+    PLANAR_CENTERED_CIRCLE: (1.0, (0.0, 0.0)),
+    SPHERICAL_GREAT_CIRCLE: None,
+    SPHERICAL_CENTERED_CIRCLE: None,
+}
 
 
 @dataclass(frozen=True)
@@ -169,39 +170,47 @@ def _unit(vector: Sequence[float], name: str) -> tuple:
 
 @dataclass(frozen=True)
 class Wall:
-    """A reflection wall: the level set f = ``level`` of one wall function f.
+    """A reflection wall: the level set f = ``level`` of its wall function
+    f = alpha |x| + normal . x, where ``kind`` sets ``alpha`` and ``normal``
+    (derived, like ``scale`` = max(1, |level|), the wall's length scale,
+    and ``is_planar``, a normal of length 2, and left out of ==, hash and
+    repr). The planar kinds take no ``axis``, the spherical ones a 3-vector.
+    ``side`` selects the half-space of the dynamics, where ``side * (f -
+    level)`` (:func:`kcbilliards.billiard.wall_signed_distance`) is positive.
+    Per kind, with the half-space of ``side = +1``:
 
-    f is ``eta`` for the planar line (``level`` = h), the radius r for the
-    planar centered circle (``level`` = R), and ``q . axis`` on the sphere,
-    with ``axis`` the unit normal of the great circle's plane (``level`` =
-    0) or the center Z1 of the small circle (``level`` = cos colatitude).
-    ``axis`` is None for both planar walls.
-
-    The ``side`` sign selects the half-space the dynamics occupies: the
-    signed distance ``side * (f - level)`` of
-    :func:`kcbilliards.billiard.wall_signed_distance` is positive there.
-    ``side = +1`` selects
-
-    - ``eta > h`` for the planar line;
-    - ``r > R`` for the planar centered circle;
-    - ``q . axis > 0`` for the spherical great circle;
-    - the cap that contains Z1 for the spherical centered circle.
-
-    Under central projection the cap around Z1 is the region around the
-    planar force center, so the spherical centered circle's ``+1`` is the
-    opposite of the planar circle's ``+1``.
+    - ``planar-line``: f = eta, ``(0, (0, 1))``, ``level`` = h; ``eta > h``.
+    - ``planar-centered-circle``: f = r, ``(1, (0, 0))``, ``level`` = R; ``r > R``.
+    - ``spherical-great-circle``: f = q . axis, ``(0, axis)``, ``axis`` the
+      unit normal of its plane, ``level`` = 0; ``q . axis > 0``.
+    - ``spherical-centered-circle``: f = q . axis, ``(0, axis)``, ``axis``
+      its center Z1, ``level`` = cos colatitude; the cap that contains Z1,
+      which central projection takes to the region around the planar force
+      center: the opposite of the planar circle's ``+1``.
     """
 
     kind: str
     side: int = 1
     level: float = 0.0
     axis: Optional[tuple] = None
+    alpha: float = field(init=False, repr=False, compare=False)
+    normal: tuple = field(init=False, repr=False, compare=False)
+    scale: float = field(init=False, repr=False, compare=False)
+    is_planar: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in WALL_KINDS:
-            raise ConfigError(f"unknown wall kind {self.kind!r}")
-        if self.side not in (-1, 1):
-            raise ConfigError("wall side must be +1 or -1")
+        _require(self.kind in WALL_KINDS, f"unknown wall kind {self.kind!r}")
+        _require(self.side in (-1, 1), "wall side must be +1 or -1")
+        geometry = WALL_KINDS[self.kind]
+        _require(geometry is None or self.axis is None, f"a {self.kind} wall takes no axis")
+        _require(geometry or np.shape(self.axis) == (3,), f"{self.kind} needs a 3-vector axis")
+        _require(self.kind != SPHERICAL_GREAT_CIRCLE or self.level == 0.0,
+                 "a great circle lies at level 0")
+        alpha, normal = geometry or (0.0, tuple(self.axis))
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "scale", max(1.0, abs(self.level)))
+        object.__setattr__(self, "is_planar", len(normal) == 2)
 
     @classmethod
     def line(cls, h: float, side: int = 1) -> "Wall":
@@ -234,10 +243,6 @@ class Wall:
             level=math.cos(colatitude),
             axis=_unit(center, "small-circle center"),
         )
-
-    @property
-    def is_planar(self) -> bool:
-        return self.kind in (PLANAR_LINE, PLANAR_CENTERED_CIRCLE)
 
 
 class IntegralSet(NamedTuple):

@@ -18,6 +18,8 @@ import kcbilliards.billiard
 from kcbilliards.billiard import (
     ON_WALL_TOL,
     Escape,
+    _normal,
+    _wall_rate,
     billiard_map,
     next_hit_analytic_line,
     next_hit_numeric,
@@ -193,6 +195,109 @@ class TestReflect:
             e0 = spherical_energy_embedded(s, params)
             e1 = spherical_energy_embedded(out, params)
             assert abs(e1 - e0) <= 1e-12 * max(1.0, abs(e0))
+
+
+def d_wall(state, wall, params):
+    """The wall's own invariant (alpha^2 - |n|^2) L^2 + 2 level n.A, from the
+    wall's (alpha, n, level) and the state's L and Laplace-Runge-Lenz A."""
+    ints = integral_set(state, params)
+    (n1, n2), level = wall.normal, wall.level
+    return ((wall.alpha**2 - n1 * n1 - n2 * n2) * ints.L**2
+            + 2.0 * level * (n1 * ints.A_xi + n2 * ints.A_eta))
+
+
+def planar_wall_states(rng, wall, n):
+    """n random states on a planar wall: its points at a drawn xi or angle."""
+    for _ in range(n):
+        if wall.alpha:  # the centered circle r = level
+            th = rng.uniform(0.0, 2.0 * math.pi)
+            xi, eta = wall.level * math.cos(th), wall.level * math.sin(th)
+        else:  # the line eta = level
+            xi, eta = rng.uniform(-3.0, 3.0), wall.level
+            if xi == 0.0 and eta == 0.0:
+                continue
+        yield PlanarState(xi, eta, *rng.uniform(-2.0, 2.0, 2))
+
+
+class TestWallInvariant:
+    """reflect keeps D_wall = (alpha^2 - |n|^2) L^2 + 2 level n.A of every
+    planar wall alpha r + n.x = level: -D on the line, L^2 on the circle."""
+
+    @pytest.mark.parametrize("side", [1, -1])
+    @pytest.mark.parametrize("a", [0.0, 0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("m", [1.0, -1.0])
+    def test_line(self, m, a, side, rng):
+        params = SystemParams(m=m, a=a)
+        wall = Wall.line(params.h, side=side)
+        for s in planar_wall_states(rng, wall, 200):
+            d0 = d_wall(s, wall, params)
+            assert abs(d0 + integral_set(s, params).D) <= 1e-14 * max(1.0, abs(d0))
+            d1 = d_wall(reflect(s, wall), wall, params)
+            assert abs(d1 - d0) <= 1e-12 * max(1.0, abs(d0))
+
+    @pytest.mark.parametrize("side", [1, -1])
+    @pytest.mark.parametrize("radius", [0.5, 2.0])
+    @pytest.mark.parametrize("m", [1.0, -1.0])
+    def test_centered_circle(self, m, radius, side, rng):
+        params = SystemParams(m=m)
+        wall = Wall.centered_circle(radius, side=side)
+        for s in planar_wall_states(rng, wall, 200):
+            d0 = d_wall(s, wall, params)
+            assert d0 == integral_set(s, params).L ** 2
+            d1 = d_wall(reflect(s, wall), wall, params)
+            assert abs(d1 - d0) <= 1e-12 * max(1.0, abs(d0))
+
+
+def on_wall_states(rng, wall, n):
+    """n random states on any wall; on the sphere, points q with q.axis =
+    level and tangent velocities."""
+    if wall.is_planar:
+        yield from planar_wall_states(rng, wall, n)
+        return
+    axis = np.array(wall.normal)
+    e1 = np.cross(axis, (1.0, 0.0, 0.0) if abs(axis[0]) < 0.9 else (0.0, 1.0, 0.0))
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(axis, e1)
+    sin_rho = math.sqrt(1.0 - wall.level**2)
+    for _ in range(n):
+        th = rng.uniform(0.0, 2.0 * math.pi)
+        q = wall.level * axis + sin_rho * (math.cos(th) * e1 + math.sin(th) * e2)
+        yield SphericalState.project(q, rng.uniform(-1.5, 1.5, 3))
+
+
+ALL_WALLS = [
+    Wall.line(-0.6, side=1),
+    Wall.line(0.4, side=-1),
+    Wall.centered_circle(1.5, side=1),
+    Wall.centered_circle(0.7, side=-1),
+    Wall.great_circle((0.3, -1.0, 0.5), side=1),
+    Wall.great_circle((0.0, 1.0, 0.0), side=-1),
+    Wall.centered_small_circle(1.1, (0.0, 0.4, -1.0), side=1),
+    Wall.centered_small_circle(0.4, (0.2, 0.0, 1.0), side=-1),
+]
+
+
+@pytest.mark.parametrize("wall", ALL_WALLS, ids=lambda w: f"{w.kind}{w.side:+d}")
+def test_normal_is_the_wall_function_gradient(wall, rng):
+    # along the velocity, the wall function changes at the rate v.n times
+    # the length of its gradient (tangential on the sphere: sin of the
+    # circle's angular radius); _wall_rate has the same sign, as r times
+    # that rate on the circle (alpha = 1) and equal to it elsewhere
+    eps = 1e-6
+    grad = 1.0 if wall.is_planar else math.sqrt(1.0 - wall.level**2)
+    for s in on_wall_states(rng, wall, 50):
+        if wall.is_planar:
+            x, v = np.array(s[:2]), np.array(s[2:])
+        else:
+            x, v = s.q, s.v
+        rate = (wall_signed_distance(x + eps * v, wall)
+                - wall_signed_distance(x - eps * v, wall)) / (2.0 * eps)
+        n, vn = _normal(s, wall)
+        assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-15)
+        assert vn == pytest.approx(float(np.dot(v, n)), abs=1e-15)
+        assert vn * grad == pytest.approx(rate, abs=1e-6)
+        factor = np.linalg.norm(x) if wall.alpha else 1.0
+        assert _wall_rate((*x, *v), wall) == pytest.approx(factor * rate, abs=1e-6)
 
 
 class TestAnalyticLineHit:

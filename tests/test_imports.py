@@ -5,8 +5,9 @@ process that never integrates (the exact map, ``project``, ``plot``, a
 configuration error) must not pay for it. Each step runs in one fresh
 interpreter, in order, and reports whether the module was loaded after
 it; a numeric ``simulate`` run last is the positive control. The last
-test guards the layering: Levi-Civita's map lives in ``planar``, and no
-engine module imports ``conformal``, which transports over it.
+tests guard the layering: Levi-Civita's map lives in ``planar``, no
+engine module imports ``conformal``, which transports over it, and
+``billiard`` reads walls only through their wall function.
 """
 
 import ast
@@ -113,3 +114,14 @@ def test_no_engine_module_imports_conformal():
         imported = set(_imported_modules(PACKAGE / f"{name}.py"))
         assert "kcbilliards.conformal" not in imported, name
     assert "kcbilliards.planar" in set(_imported_modules(PACKAGE / "conformal.py"))
+
+
+def test_billiard_reads_no_wall_kind():
+    # every wall is its (alpha, normal, level, side); the kind is model's
+    tree = ast.parse((PACKAGE / "billiard.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert not {name for name in names if re.match(r"(PLANAR|SPHERICAL)_", name)}
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "kind"]

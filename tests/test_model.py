@@ -230,6 +230,32 @@ class TestValidateConfig:
         with pytest.raises(InconsistentWall):
             validate_config(params, wall)
 
+    @pytest.mark.parametrize("kind, level, axis, message", [
+        (SPHERICAL_GREAT_CIRCLE, 0.0, None, "needs a 3-vector axis"),
+        (SPHERICAL_CENTERED_CIRCLE, 0.5, None, "needs a 3-vector axis"),
+        (SPHERICAL_GREAT_CIRCLE, 0.0, (0.0, 1.0), "needs a 3-vector axis"),
+        (SPHERICAL_GREAT_CIRCLE, 0.3, (0.0, 1.0, 0.0), "lies at level 0"),
+        (PLANAR_LINE, -0.5, (0.0, 1.0, 0.0), "takes no axis"),
+        (PLANAR_CENTERED_CIRCLE, 1.0, (0.0, 0.0, 1.0), "takes no axis"),
+    ])
+    def test_wall_rejects_malformed_geometry(self, kind, level, axis, message):
+        # a spherical wall with no axis, a great circle with a 2-vector axis
+        # or off level 0, and a planar wall given an axis
+        with pytest.raises(ConfigError, match=message):
+            Wall(kind=kind, level=level, axis=axis)
+
+    def test_each_kind_sets_its_wall_function(self):
+        line, circle = Wall.line(-0.5), Wall.centered_circle(2.0)
+        great = Wall.great_circle((0.0, 2.0, 0.0))
+        cap = Wall.centered_small_circle(0.5, (0.0, 0.0, -1.0))
+        assert (line.alpha, line.normal, line.scale) == (0.0, (0.0, 1.0), 1.0)
+        assert (circle.alpha, circle.normal, circle.scale) == (1.0, (0.0, 0.0), 2.0)
+        assert (great.alpha, great.normal) == (0.0, (0.0, 1.0, 0.0))
+        assert (cap.alpha, cap.normal, cap.level) == (0.0, (0.0, 0.0, -1.0), math.cos(0.5))
+        assert [w.is_planar for w in (line, circle, great, cap)] == [True, True, False, False]
+        # derived, so left out of == and repr
+        assert line == Wall(kind=PLANAR_LINE, level=-0.5) and "normal" not in repr(line)
+
     def test_great_circle_normal_normalized(self):
         w = Wall.great_circle((0.0, 2.0, 0.0))
         assert np.linalg.norm(w.axis) == pytest.approx(1.0, abs=1e-15)

@@ -4,9 +4,14 @@
 
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts
 of the package. The configs are tasks 0-29 of seeds 0 and 1 of the
-benchmark's ``simulate-walls`` and ``simulate-flow`` workloads, built by
-``perfbench/inputs.py``. Each tree runs ``kcbilliards simulate`` on every
-config in a subprocess of its own, with PYTHONPATH set to that tree.
+benchmark's ``simulate-walls``, ``simulate-flow`` and ``line-exact``
+workloads, built by ``perfbench/inputs.py``. Each tree runs every config
+in a subprocess of its own, with PYTHONPATH set to that tree: the CLI's
+``kcbilliards simulate`` for the first two, and for ``line-exact`` the
+exact map as the benchmark runs it, ``load_config`` and then
+``billiard_map(..., mode="analytic")``, whose records ``io.write_bounces``
+writes to ``bounces.csv``. An exact run's outcome stands in for its exit
+code.
 
 The script prints, per workload and output file, the largest relative
 difference |a - b| / max(|a|, |b|) over all values (0 where the bytes are
@@ -31,21 +36,34 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import inputs  # noqa: E402
 import spec  # noqa: E402
 
-WORKLOADS = ("simulate-walls", "simulate-flow")
+CLI_FILES = ("trajectory.csv", "bounces.csv", "summary.json")
+FILES = {"simulate-walls": CLI_FILES, "simulate-flow": CLI_FILES, "line-exact": ("bounces.csv",)}
+WORKLOADS = tuple(FILES)
 SEEDS = (0, 1)
 TASKS = range(30)
-FILES = ("trajectory.csv", "bounces.csv", "summary.json")
 
-# Runs every (config, output directory) pair of argv[1] through the CLI in
-# this process and writes the exit codes, in order, to argv[2].
+# Runs every (workload, config, output directory) job of argv[1] in this
+# process, a line-exact one on the exact map and the others through the
+# CLI, and writes the exit codes (an exact run's outcome), in order, to
+# argv[2].
 _CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
+from kcbilliards.billiard import billiard_map
 from kcbilliards.cli import main
+from kcbilliards.io import write_bounces
+from kcbilliards.model import load_config
 codes = []
-for config, out in json.load(open(sys.argv[1])):
+for workload, config, out in json.load(open(sys.argv[1])):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            codes.append(main(["simulate", "--config", config, "--out", out]))
+            if workload == "line-exact":
+                cfg = load_config(config)
+                run = billiard_map(cfg.initial, cfg.run.n_bounces, cfg.model, mode="analytic")
+                os.makedirs(out)
+                write_bounces(os.path.join(out, "bounces.csv"), run.records, cfg.model.domain)
+                codes.append(run.outcome)
+            else:
+                codes.append(main(["simulate", "--config", config, "--out", out]))
         except Exception as exc:
             codes.append(f"uncaught {type(exc).__name__}: {exc}")
 json.dump(codes, open(sys.argv[2], "w"))
@@ -53,8 +71,8 @@ json.dump(codes, open(sys.argv[2], "w"))
 
 
 def run_tree(src: Path, jobs: list, work: Path, name: str) -> list:
-    """Exit codes of ``simulate`` on every (config, output directory) job,
-    run by the package in ``src``."""
+    """Exit codes of every (workload, config, output directory) job, run by
+    the package in ``src``."""
     job_file, code_file = work / f"{name}-jobs.json", work / f"{name}-codes.json"
     job_file.write_text(json.dumps(jobs))
     env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
@@ -125,7 +143,7 @@ def main(argv=None) -> int:
                     tasks.append((workload, seed, i, config))
         codes = {}
         for name, src in (("parent", parent), ("change", change)):
-            jobs = [(str(c), str(work / name / c.stem)) for _, _, _, c in tasks]
+            jobs = [(w, str(c), str(work / name / c.stem)) for w, _, _, c in tasks]
             codes[name] = run_tree(src, jobs, work, name)
         for workload in WORKLOADS:
             mine = [(k, t) for k, t in enumerate(tasks) if t[0] == workload]
@@ -134,7 +152,7 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} task {i}: exit code "
                           f"{codes['parent'][k]!r} -> {codes['change'][k]!r}")
                     failed = True
-            for fname in FILES:
+            for fname in FILES[workload]:
                 worst, same = 0.0, 0
                 for k, (_, seed, i, config) in mine:
                     diff, identical, mismatch = compare_file(
