@@ -325,8 +325,9 @@ def next_hit_numeric(
     - for a planar leg with E >= 0, its escape certificate (_escape_event)
       coming to hold, which returns Escape, as does a start where it holds.
 
-    Both wall events read the wall function and its rate at the position
-    and its s-derivative, in the chart on a planar wall of the same sign.
+    Both wall events read the model's wall function and its rate at the
+    form's phase, a position and its s-derivative: the planar point, or the
+    sphere point q, which the pole chart maps its own point to.
     A crossing whose step ends outside the domain is refined on that
     step's interpolant by bracketed root-finding. A step whose ends both
     lie inside hides a crossing only where g has an interior minimum below
@@ -350,25 +351,25 @@ def next_hit_numeric(
         return outward
     escape = None
     if isinstance(state, SphericalState):
-        pole, c_in, sphere_form, _ = _spherical_forms(params, wall)
+        pole, c_in, sphere_form, _ = _spherical_forms(params)
         on_wall = max(abs(wall_signed_distance(q, wall)) for q in (state.q, pole))
         if on_wall <= ON_WALL_TOL and abs(_normal(state, wall)[1]) <= TANGENCY_REL * state.speed:
             raise Undetermined("the orbit runs along a great-circle wall through the pole")
         form = sphere_form(state, 0.0, float(state.q @ pole) >= c_in)
     else:
-        form = _planar_form(state, params, wall)
+        form = _planar_form(state, params)
         escape = _escape_event(state, params, wall, form)
         if escape is not None and escape(0.0, form.y) > 0.0:
             return Escape("unbound, receding beyond the escape radius")
 
     def g_event(s, y):
-        return wall_signed_distance(form.phase(y), form.wall)
+        return wall_signed_distance(form.phase(y), wall)
 
     g_event.terminal = True
     g_event.direction = -1.0
 
     def minimum_event(s, y):
-        return _wall_rate(form.phase(y), form.wall)
+        return _wall_rate(form.phase(y), wall)
 
     minimum_event.direction = 1.0
 
@@ -393,7 +394,7 @@ def next_hit_numeric(
         # the tolerances and is passed over
         for s_min, y_min in zip(sol.t_events[1], sol.y_events[1]):
             k = int(np.searchsorted(sol.t, s_min, side="right")) - 1
-            if wall_signed_distance(form.phase(y_min), form.wall) >= 0.0 or s_min <= sol.t[k]:
+            if wall_signed_distance(form.phase(y_min), wall) >= 0.0 or s_min <= sol.t[k]:
                 continue
             sub = integrate(sol.t[k], s_min, sol.y[:, k], [g_event])
             if sub.status == 1:

@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import BounceRecord, IntegralSet, Wall
-from .model import PLANAR_CENTERED_CIRCLE, PLANAR_LINE
 
 # the time and state columns that open every trajectory of a domain
 PLANAR_STATE = ("t", "xi", "eta", "xi_dot", "eta_dot")
@@ -326,14 +325,15 @@ def svg_plot(
     title: str = "trajectory",
 ):
     """Deterministic SVG: the axes through the origin where visible, a
-    planar wall (no other wall kind is drawn), the force-center marker at
-    the origin, the orbit polyline and the bounce dots. The view holds the
-    points, the bounce dots, the origin and the wall."""
-    kind = wall.kind if wall is not None else None
+    planar wall from its wall function (alpha = 0: the line eta = level;
+    alpha = 1: the circle r = level; no spherical wall is drawn), the
+    force-center marker at the origin, the orbit polyline and the bounce
+    dots. The view holds the points, the bounce dots, the origin and the wall."""
+    planar = wall is not None and wall.is_planar
     circle = [(wall.level * math.cos(2 * math.pi * k / 256),
                wall.level * math.sin(2 * math.pi * k / 256))
-              for k in range(257)] if kind == PLANAR_CENTERED_CIRCLE else []
-    line = [(0.0, wall.level)] if kind == PLANAR_LINE else []
+              for k in range(257)] if planar and wall.alpha else []
+    line = [(0.0, wall.level)] if planar and not wall.alpha else []
     px, (x0, x1, y0, y1) = _view([*points, *bounce_points, *circle, (0.0, 0.0), *line])
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',

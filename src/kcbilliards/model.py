@@ -176,7 +176,8 @@ class Wall:
     and ``is_planar``, a normal of length 2, and left out of ==, hash and
     repr). The planar kinds take no ``axis``, the spherical ones a 3-vector.
     ``side`` selects the half-space of the dynamics, where ``side * (f -
-    level)`` (:func:`kcbilliards.billiard.wall_signed_distance`) is positive.
+    level)`` (:func:`kcbilliards.billiard.wall_signed_distance`) is positive,
+    read at q on the sphere in both forms of a leg, the pole chart included.
     Per kind, with the half-space of ``side = +1``:
 
     - ``planar-line``: f = eta, ``(0, (0, 1))``, ``level`` = h; ``eta > h``.
@@ -184,7 +185,8 @@ class Wall:
     - ``spherical-great-circle``: f = q . axis, ``(0, axis)``, ``axis`` the
       unit normal of its plane, ``level`` = 0; ``q . axis > 0``.
     - ``spherical-centered-circle``: f = q . axis, ``(0, axis)``, ``axis``
-      its center Z1, ``level`` = cos colatitude; the cap that contains Z1,
+      its center Z1, ``level`` = cos colatitude, in (-1, 1), where the
+      plane meets the sphere; the cap that contains Z1,
       which central projection takes to the region around the planar force
       center: the opposite of the planar circle's ``+1``.
     """
@@ -206,6 +208,7 @@ class Wall:
         _require(geometry or np.shape(self.axis) == (3,), f"{self.kind} needs a 3-vector axis")
         _require(self.kind != SPHERICAL_GREAT_CIRCLE or self.level == 0.0,
                  "a great circle lies at level 0")
+        _require(geometry or abs(self.level) < 1.0, f"a {self.kind} lies at a level in (-1, 1)")
         alpha, normal = geometry or (0.0, tuple(self.axis))
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "normal", normal)

@@ -101,14 +101,14 @@ def _levi_civita_to_planar(y):
     return q1, q2, p1 / r, p2 / r
 
 
-# A leg's or flow's form, integrated in s from 0 in one call: field, state y, wall
-# (None for a flow); y's position and its s-derivative; clock (s, y) -> t and dt/ds,
-# both elementwise on columns of states; the span of s after which the orbit
-# repeats; the State of y; the event where the form changes.
-_Form = namedtuple("_Form", "rhs y wall phase clock rate repeat state switch")
+# A leg's or flow's form, integrated in s from 0 in one call: field, state y; phase
+# y -> the point (planar, or on the sphere) where a leg reads its wall function, and
+# its s-derivative; clock (s, y) -> t and dt/ds, both elementwise on columns of states;
+# the span of s after which the orbit repeats; the State of y; the form's switch event.
+_Form = namedtuple("_Form", "rhs y phase clock rate repeat state switch")
 
 
-def _levi_civita(c: PlanarState, energy: float, rhs, rate, wall, t: float, state,
+def _levi_civita(c: PlanarState, energy: float, rhs, rate, phase, t: float, state,
                  conic: bool, switch=None) -> _Form:
     """The Levi-Civita form of the Kepler state c at time t, whose clock is
     the fifth component of rhs; a bound conic repeats after one period
@@ -116,15 +116,15 @@ def _levi_civita(c: PlanarState, energy: float, rhs, rate, wall, t: float, state
     u, u_prime = kepler_to_hooke_point(complex(c.xi, c.eta), complex(c.xi_dot, c.eta_dot))
     repeat = math.pi / math.sqrt(-0.5 * energy) if conic and energy < 0.0 else math.inf
     y = np.array([u.real, u.imag, u_prime.real, u_prime.imag, t])
-    return _Form(rhs, y, wall, _squared, lambda s, y: y[4], rate, repeat, state, switch)
+    return _Form(rhs, y, phase, lambda s, y: y[4], rate, repeat, state, switch)
 
 
-def _planar_form(state: PlanarState, params: SystemParams, wall=None) -> _Form:
-    """The form of a planar leg on wall, or of a free flow (wall None), from
-    the state at t = 0; at beta = 0 a bound conic repeats after one period."""
+def _planar_form(state: PlanarState, params: SystemParams) -> _Form:
+    """The form of a planar leg or free flow from the state at t = 0; its
+    phase is q = u^2 and dq/ds; at beta = 0 a bound conic repeats after one period."""
     energy = planar_energy(state, params.m, params.beta)
-    return _levi_civita(state, energy, levi_civita_rhs(energy, params.beta), _radius, wall, 0.0,
-                        lambda y: PlanarState(*_levi_civita_to_planar(y)), params.beta == 0.0)
+    return _levi_civita(state, energy, levi_civita_rhs(energy, params.beta), _radius, _squared,
+                        0.0, lambda y: PlanarState(*_levi_civita_to_planar(y)), params.beta == 0.0)
 
 
 def _clock_end(form: _Form, t_end: float):

@@ -22,16 +22,16 @@ lambda^2 = 1 + x^2 + y^2, and the normalization (x, y) =
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import PoleSingularity, StepFailure, WrongHalfPlane
 from .integrals import planar_energy
-from .model import (POLE_GUARD, SPHERICAL_GREAT_CIRCLE, IntegratorConfig, PlanarState,
-                    SphericalState, SystemParams, Wall, solve_ivp, spherical_center)
+from .model import (POLE_GUARD, IntegratorConfig, PlanarState, SphericalState, SystemParams,
+                    solve_ivp, spherical_center)
 from .planar import (_Form, _clock_end, _clock_samples, _levi_civita, _levi_civita_to_planar,
-                     _radius, levi_civita_rhs)
+                     _radius, _squared, levi_civita_rhs)
 
 
 def flow_rhs(params: SystemParams) -> Callable:
@@ -119,7 +119,6 @@ def sphere_to_planar(s: SphericalState, params: SystemParams) -> PlanarState:
 
 # the pole chart's radii of entry and exit; the gap keeps the forms from alternating
 _CHART_IN, _CHART_OUT = 1.0, 2.0
-_CHART_FAR = 1e6  # the chart level of a wall with no point this near the pole
 
 
 def _leave_chart(s, y):
@@ -130,7 +129,7 @@ _leave_chart.terminal = True
 _leave_chart.direction = 1.0
 
 
-def _spherical_forms(params: SystemParams, wall: Optional[Wall] = None):
+def _spherical_forms(params: SystemParams):
     """The attracting pole P (Z1 if m' > 0, else -Z1), the q.P at which the
     flow enters its chart, form(state, t, in_chart) -> the flow's form at a
     state (the embedded field in the time t, or the chart), and to_sphere(y)
@@ -142,29 +141,15 @@ def _spherical_forms(params: SystemParams, wall: Optional[Wall] = None):
     planar Kepler flow of mass |m'|, and d tau/dt = (q.P)^2 = 1/(1 + |x|^2)
     (Albouy, Projective dynamics and classical gravitation, 2008), so the
     flow runs Levi-Civita's field at the chart energy with the clock
-    d tau/ds = r/(1 + r^2). Each spherical wall function has the sign of
-    a planar one there: a great circle n.q = 0 is the line x2 = -n.P/|n'|,
-    e2 along n' = n - (n.P) P, and the circle about Z1 is |x| = tan(rho),
-    rho its angle from P; a wall with no point within _CHART_FAR of x = 0
-    is put at that level. A free flow has no wall (wall None).
+    d tau/ds = r/(1 + r^2). Its phase is the sphere point q = (x1 e1 +
+    x2 e2 + P)/lambda, lambda^2 = 1 + |x|^2, and dq/ds, regular at the
+    pole, so a leg reads the sphere's own wall function in either form.
     """
     sign, mu = math.copysign(1.0, params.m_prime), abs(params.m_prime)
     pole = sign * spherical_center(params)
     e1 = np.array([1.0, 0.0, 0.0])  # normal to Z1
-    chart_wall = None
-    if wall is not None and wall.kind == SPHERICAL_GREAT_CIRCLE:
-        n_p = float(np.dot(wall.axis, pole))
-        normal = np.asarray(wall.axis) - n_p * pole
-        k = float(np.linalg.norm(normal))
-        level = -math.copysign(_CHART_FAR, n_p)
-        if k * _CHART_FAR > abs(n_p):
-            e1, level = np.cross(normal, pole) / k, -n_p / k
-        chart_wall = Wall.line(level, wall.side)
-    elif wall is not None:
-        cos_rho = sign * wall.level
-        radius = math.sqrt(1.0 - cos_rho * cos_rho) / cos_rho if cos_rho > 0.0 else _CHART_FAR
-        chart_wall = Wall.centered_circle(min(radius, _CHART_FAR), -int(sign) * wall.side)
     turn = np.array([e1, np.cross(pole, e1), -pole])
+    _, p1, p2 = pole.tolist()  # P = (0, p1, p2), so e2 = P x e1 = (0, p2, -p1)
     embedded = flow_rhs(params)
     c_in = 1.0 / math.hypot(1.0, _CHART_IN)
 
@@ -173,6 +158,14 @@ def _spherical_forms(params: SystemParams, wall: Optional[Wall] = None):
 
     enter_chart.terminal = True
     enter_chart.direction = 1.0
+
+    def chart_phase(y):
+        # q and dq/ds = (w1 e1 + w2 e2)/lambda - (d lambda/ds / lambda) q, as floats
+        x1, x2, w1, w2 = _squared(np.asarray(y).tolist())
+        lam = math.sqrt(1.0 + x1 * x1 + x2 * x2)
+        d = (x1 * w1 + x2 * w2) / (lam * lam)
+        q0, q1, q2 = x1 / lam, (p1 + x2 * p2) / lam, (p2 - x2 * p1) / lam
+        return q0, q1, q2, w1 / lam - d * q0, w2 * p2 / lam - d * q1, -w2 * p1 / lam - d * q2
 
     def to_sphere(y):
         if len(y) == 6:  # embedded
@@ -185,7 +178,7 @@ def _spherical_forms(params: SystemParams, wall: Optional[Wall] = None):
 
     def form(state: SphericalState, t: float, in_chart: bool):
         if not in_chart:
-            return _Form(embedded, state.as_array(), wall, lambda y: y, lambda s, y: t + s,
+            return _Form(embedded, state.as_array(), lambda y: y, lambda s, y: t + s,
                          lambda y: 1.0, math.inf, as_state, enter_chart)
         c = PlanarState(*_sphere_to_chart(turn @ state.q, turn @ state.v))
         energy = planar_energy(c, mu)
@@ -199,7 +192,7 @@ def _spherical_forms(params: SystemParams, wall: Optional[Wall] = None):
             r = _radius(y)
             return r / (1.0 + r * r)
 
-        return _levi_civita(c, energy, rhs, rate, chart_wall, t, as_state, True, _leave_chart)
+        return _levi_civita(c, energy, rhs, rate, chart_phase, t, as_state, True, _leave_chart)
 
     return pole, c_in, form, to_sphere
 

@@ -29,6 +29,7 @@ from kcbilliards.billiard import (
 from kcbilliards.errors import DynamicsError, NotOnWall, PerturbedModel, StepFailure, Undetermined
 from kcbilliards.integrals import integral_set, planar_energy
 from kcbilliards.model import (
+    SPHERICAL_CENTERED_CIRCLE,
     BounceRecord,
     IntegratorConfig,
     Model,
@@ -1564,6 +1565,22 @@ class TestSphericalChartLegs:
             assert run.outcome == "completed" and run.n_bounces == 5, k
             es = [e for r in run.records for e in (r.integrals_in.E_sph, r.integrals_out.E_sph)]
             assert max(abs(e - es[0]) for e in es) <= 1e-8 * max(1.0, abs(es[0])), k
+
+    def test_chart_reads_a_cap_about_another_axis(self):
+        # a cap about e_x, not about the pole (built directly: validate_config
+        # takes caps about Z1 only); the leg starts in the pole chart, which
+        # must read the cap's own wall function and not one about the pole
+        params = SystemParams(m=1.0, a=0.5)
+        wall = Wall(kind=SPHERICAL_CENTERED_CIRCLE, level=0.3, axis=(1.0, 0.0, 0.0))
+        s0 = planar_to_sphere(PlanarState(1.0, 0.2, -0.1, 0.9), params)
+        assert float(s0.q @ spherical_center(params)) > 1.0 / math.sqrt(2.0)  # in the chart
+        out = next_hit_numeric(s0, Model(params, wall), FAST)
+        assert is_hit(out)
+        t, q, v = embedded_hit(s0.q, s0.v, params.m_prime, spherical_center(params),
+                               lambda q: wall_signed_distance(q, wall))
+        assert out.t_hit == pytest.approx(t, abs=1e-8)
+        np.testing.assert_allclose(out.state_in.q, q, atol=1e-8)
+        np.testing.assert_allclose(out.state_in.v, v, atol=1e-8)
 
 
 def test_repulsive_outward_radial_escapes_analytically():

@@ -7,7 +7,8 @@ interpreter, in order, and reports whether the module was loaded after
 it; a numeric ``simulate`` run last is the positive control. The last
 tests guard the layering: Levi-Civita's map lives in ``planar``, no
 engine module imports ``conformal``, which transports over it, and
-``billiard`` reads walls only through their wall function.
+no module but ``model`` reads a wall's kind: the rest read walls only
+through their wall function.
 """
 
 import ast
@@ -116,12 +117,21 @@ def test_no_engine_module_imports_conformal():
     assert "kcbilliards.planar" in set(_imported_modules(PACKAGE / "conformal.py"))
 
 
-def test_billiard_reads_no_wall_kind():
-    # every wall is its (alpha, normal, level, side); the kind is model's
-    tree = ast.parse((PACKAGE / "billiard.py").read_text())
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-              for alias in node.names}
-    assert not {name for name in names if re.match(r"(PLANAR|SPHERICAL)_", name)}
-    assert not [node for node in ast.walk(tree)
-                if isinstance(node, ast.Attribute) and node.attr == "kind"]
+def test_no_module_but_model_reads_a_wall_kind():
+    # every wall is its (alpha, normal, level, side); the kind is model's:
+    # no other module names a kind constant, compares with a kind string
+    # or reads .kind
+    kinds = {name for name, value in vars(model).items()
+             if isinstance(value, str) and value in model.WALL_KINDS} | {"WALL_KINDS"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        tree = ast.parse(path.read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        assert not names & kinds, path.name
+        assert not [node for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                    and isinstance(node.value, str) and node.value in model.WALL_KINDS], path.name
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "kind"], path.name

@@ -244,6 +244,20 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match=message):
             Wall(kind=kind, level=level, axis=axis)
 
+    @pytest.mark.parametrize("level", [2.0, 1.0, -1.0, -1.5, math.nan])
+    def test_spherical_circle_level_must_meet_the_sphere(self, level):
+        # no point of the sphere lies on q . Z1 = level outside (-1, 1)
+        params = SystemParams(m=1.0, a=0.5)
+        with pytest.raises(ConfigError, match=r"level in \(-1, 1\)"):
+            Wall(kind=SPHERICAL_CENTERED_CIRCLE, level=level,
+                 axis=tuple(spherical_center(params)))
+
+    @pytest.mark.parametrize("colatitude", [1e-9, math.pi - 1e-9])
+    def test_small_circle_whose_cosine_rounds_to_one_is_rejected(self, colatitude):
+        assert abs(math.cos(colatitude)) == 1.0
+        with pytest.raises(ConfigError, match=r"level in \(-1, 1\)"):
+            Wall.centered_small_circle(colatitude, spherical_center(SystemParams(m=1.0)))
+
     def test_each_kind_sets_its_wall_function(self):
         line, circle = Wall.line(-0.5), Wall.centered_circle(2.0)
         great = Wall.great_circle((0.0, 2.0, 0.0))

@@ -14,8 +14,10 @@ writes to ``bounces.csv``. An exact run's outcome stands in for its exit
 code.
 
 The script prints, per workload and output file, the largest relative
-difference |a - b| / max(|a|, |b|) over all values (0 where the bytes are
-identical; NaN equals NaN) and how many files are byte-identical. It
+difference |a - b| / max(|a|, |b|) over all values, the largest scaled
+difference |a - b| / max(1, |a|, |b|), the scale of the repo's drifts,
+which a value near zero does not inflate (both 0 where the bytes are
+identical; NaN equals NaN), and how many files are byte-identical. It
 exits 1 if any exit code, ``outcome``, ``n_bounces``, CSV header or row
 count differs, and 0 otherwise.
 """
@@ -82,10 +84,12 @@ def run_tree(src: Path, jobs: list, work: Path, name: str) -> list:
     return json.loads(code_file.read_text())
 
 
-def rel_diff(a: float, b: float) -> float:
+def diffs(a: float, b: float) -> tuple:
+    """(relative, scaled) difference of two values."""
     if a == b or (math.isnan(a) and math.isnan(b)):
-        return 0.0
-    return abs(a - b) / max(abs(a), abs(b))
+        return 0.0, 0.0
+    d, size = abs(a - b), max(abs(a), abs(b))
+    return d / size, d / max(1.0, size)
 
 
 def csv_rows(path: Path) -> tuple:
@@ -100,27 +104,29 @@ def json_leaves(doc, prefix: str = "") -> dict:
 
 
 def compare_file(a: Path, b: Path) -> tuple:
-    """(largest relative difference, byte-identical, what differs in shape or "")."""
+    """(largest (relative, scaled) difference, byte-identical, what differs
+    in shape or "")."""
+    fail = (math.inf, math.inf)
     if not (a.exists() and b.exists()):  # neither tree writes output after a config error
-        return (0.0, True, "") if a.exists() == b.exists() else (math.inf, False, "presence")
+        return ((0.0, 0.0), True, "") if a.exists() == b.exists() else (fail, False, "presence")
     if a.read_bytes() == b.read_bytes():
-        return 0.0, True, ""
+        return (0.0, 0.0), True, ""
     if a.suffix == ".json":
         la, lb = json_leaves(json.loads(a.read_text())), json_leaves(json.loads(b.read_text()))
         if la.keys() != lb.keys():
-            return math.inf, False, "summary keys"
+            return fail, False, "summary keys"
         for key in ("outcome", "n_bounces"):
             if la.get(key) != lb.get(key):
-                return math.inf, False, key
-        return max(rel_diff(la[k], lb[k]) for k in la if k != "outcome"), False, ""
-    (ha, ra), (hb, rb) = csv_rows(a), csv_rows(b)
-    if ha != hb:
-        return math.inf, False, "header"
-    if len(ra) != len(rb):
-        return math.inf, False, "row count"
-    worst = max((rel_diff(x, y) for row_a, row_b in zip(ra, rb) for x, y in zip(row_a, row_b)),
-                default=0.0)
-    return worst, False, ""
+                return fail, False, key
+        pairs = [diffs(la[k], lb[k]) for k in la if k != "outcome"]
+    else:
+        (ha, ra), (hb, rb) = csv_rows(a), csv_rows(b)
+        if ha != hb:
+            return fail, False, "header"
+        if len(ra) != len(rb):
+            return fail, False, "row count"
+        pairs = [diffs(x, y) for row_a, row_b in zip(ra, rb) for x, y in zip(row_a, row_b)]
+    return tuple(map(max, zip(*pairs))) or (0.0, 0.0), False, ""
 
 
 def main(argv=None) -> int:
@@ -153,16 +159,17 @@ def main(argv=None) -> int:
                           f"{codes['parent'][k]!r} -> {codes['change'][k]!r}")
                     failed = True
             for fname in FILES[workload]:
-                worst, same = 0.0, 0
+                worst, scaled, same = 0.0, 0.0, 0
                 for k, (_, seed, i, config) in mine:
-                    diff, identical, mismatch = compare_file(
+                    (diff, scale_diff), identical, mismatch = compare_file(
                         work / "parent" / config.stem / fname, work / "change" / config.stem / fname)
                     if mismatch:
                         print(f"{workload} seed {seed} task {i} {fname}: {mismatch} differs")
                         failed = True
-                    worst, same = max(worst, diff), same + identical
+                    worst, scaled = max(worst, diff), max(scaled, scale_diff)
+                    same += identical
                 print(f"{workload} {fname}: largest relative difference {worst:.3g}, "
-                      f"byte-identical {same}/{len(mine)}")
+                      f"largest scaled difference {scaled:.3g}, byte-identical {same}/{len(mine)}")
     print("FAILED: runs differ in outcome or shape" if failed else "same exit codes, outcomes, "
           "bounce and row counts")
     return 1 if failed else 0
