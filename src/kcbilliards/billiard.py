@@ -1,7 +1,7 @@
 """Wall geometry, reflection operators, hit detection and the billiard map.
 
-Every wall is a level set of one wall function alpha |x| + n.x (see
-Wall); nothing here reads a wall's kind. Hits are located either
+Every wall is a level set of one wall function alpha |x| + n.x: a Wall
+is that function, its level and its side. Hits are located either
 numerically (adaptive integration, one per form of a leg, ended by events,
 with bracketed root refinement on the step interpolant, any wall and beta;
 each step's minima of the wall function are tracked, so a crossing that
@@ -18,7 +18,8 @@ variable.
 Both maps share one rule for a start on the wall: a start moving out of
 the domain (normal speed above TANGENCY_REL of the speed) is reflected at
 once, as a bounce at t = 0 with state_in equal to the start
-(_outward_start).
+(_outward_start). A start outside the domain, beyond the on-wall
+tolerance, is a ConfigError in both.
 
 A leg returns the BounceRecord of its hit, whose tangent flag marks a
 graze (the map acts as the identity there), or an Escape.
@@ -34,6 +35,7 @@ import numpy as np
 
 from .errors import (
     CollisionInsideInterval,
+    ConfigError,
     DynamicsError,
     NotOnWall,
     PerturbedModel,
@@ -454,11 +456,18 @@ def billiard_map(
     :func:`next_hit_analytic_line`: it requires a planar wall (line or
     centered circle) and beta = 0. A leg that raises a DynamicsError ends
     the run with that error's outcome and keeps the bounces before it.
+
+    Raises:
+        ConfigError: the start lies outside the domain, its wall function
+            below -ON_WALL_TOL times the wall's scale.
     """
     if mode not in ("numeric", "analytic"):
         raise ValueError("mode must be 'numeric' or 'analytic'")
     if mode == "analytic" and not model.wall.is_planar:
         raise ValueError("analytic mode supports only the planar walls")
+    g = wall_signed_distance(state if isinstance(state, PlanarState) else state.q, model.wall)
+    if g < -ON_WALL_TOL * model.wall.scale:
+        raise ConfigError(f"the start lies outside the domain: wall function {g:.6g}")
     records: List[BounceRecord] = []
     clock = 0.0
     outcome = "completed"

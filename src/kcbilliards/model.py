@@ -17,7 +17,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -29,20 +29,7 @@ from .errors import (
     ZeroMass,
 )
 
-PLANAR_LINE = "planar-line"
-PLANAR_CENTERED_CIRCLE = "planar-centered-circle"
-SPHERICAL_GREAT_CIRCLE = "spherical-great-circle"
-SPHERICAL_CENTERED_CIRCLE = "spherical-centered-circle"
-
 POLE_GUARD = 1e-10  # |q . Z1| beyond 1 - POLE_GUARD is at a pole of the sphere's center
-
-# (alpha, normal) of each kind's wall function; None for (0, the wall's axis)
-WALL_KINDS = {
-    PLANAR_LINE: (0.0, (0.0, 1.0)),
-    PLANAR_CENTERED_CIRCLE: (1.0, (0.0, 0.0)),
-    SPHERICAL_GREAT_CIRCLE: None,
-    SPHERICAL_CENTERED_CIRCLE: None,
-}
 
 
 @dataclass(frozen=True)
@@ -159,79 +146,79 @@ class SphericalState:
 State = Union[PlanarState, SphericalState]
 
 
-def _unit(vector: Sequence[float], name: str) -> tuple:
+def _unit(vector: Sequence[float], name: str) -> np.ndarray:
     """vector scaled to unit length; ConfigError if it is zero or not finite."""
     v = np.asarray(vector, dtype=float)
     norm = np.linalg.norm(v)
     if not 0.0 < norm < math.inf:
         raise ConfigError(f"{name} must be nonzero and finite")
-    return tuple(v / norm)
+    return v / norm
 
 
 @dataclass(frozen=True)
 class Wall:
     """A reflection wall: the level set f = ``level`` of its wall function
-    f = alpha |x| + normal . x, where ``kind`` sets ``alpha`` and ``normal``
-    (derived, like ``scale`` = max(1, |level|), the wall's length scale,
-    and ``is_planar``, a normal of length 2, and left out of ==, hash and
-    repr). The planar kinds take no ``axis``, the spherical ones a 3-vector.
+    f = alpha |x| + normal . x, with ``normal`` a tuple of floats. Derived,
+    and left out of ==, hash and repr: ``scale`` = max(1, |level|), the
+    wall's length scale, and ``is_planar``, a normal of length 2.
     ``side`` selects the half-space of the dynamics, where ``side * (f -
     level)`` (:func:`kcbilliards.billiard.wall_signed_distance`) is positive,
     read at q on the sphere in both forms of a leg, the pole chart included.
-    Per kind, with the half-space of ``side = +1``:
+    The walls the engine serves, with the half-space of ``side = +1``:
 
-    - ``planar-line``: f = eta, ``(0, (0, 1))``, ``level`` = h; ``eta > h``.
-    - ``planar-centered-circle``: f = r, ``(1, (0, 0))``, ``level`` = R; ``r > R``.
-    - ``spherical-great-circle``: f = q . axis, ``(0, axis)``, ``axis`` the
-      unit normal of its plane, ``level`` = 0; ``q . axis > 0``.
-    - ``spherical-centered-circle``: f = q . axis, ``(0, axis)``, ``axis``
-      its center Z1, ``level`` = cos colatitude, in (-1, 1), where the
-      plane meets the sphere; the cap that contains Z1,
-      which central projection takes to the region around the planar force
-      center: the opposite of the planar circle's ``+1``.
+    - the line ``(0, (0, 1), h)``: f = eta, any level; ``eta > h``.
+    - the centered circle ``(1, (0, 0), R)``: f = r, R > 0
+      (NegativeRadius otherwise); ``r > R``.
+    - on the sphere ``(0, n, c)``: f = q . n, n a unit 3-vector, c in
+      (-1, 1), where the plane meets the sphere; ``q . n > c``. A great
+      circle is level 0. A cap about the center Z1 has the cap that
+      contains Z1 on its ``+1`` side, which central projection takes to
+      the region around the planar force center: the opposite of the
+      planar circle's ``+1``.
+
+    Anything else is a ConfigError.
     """
 
-    kind: str
+    alpha: float
+    normal: tuple
+    level: float
     side: int = 1
-    level: float = 0.0
-    axis: Optional[tuple] = None
-    alpha: float = field(init=False, repr=False, compare=False)
-    normal: tuple = field(init=False, repr=False, compare=False)
     scale: float = field(init=False, repr=False, compare=False)
     is_planar: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _require(self.kind in WALL_KINDS, f"unknown wall kind {self.kind!r}")
-        _require(self.side in (-1, 1), "wall side must be +1 or -1")
-        geometry = WALL_KINDS[self.kind]
-        _require(geometry is None or self.axis is None, f"a {self.kind} wall takes no axis")
-        _require(geometry or np.shape(self.axis) == (3,), f"{self.kind} needs a 3-vector axis")
-        _require(self.kind != SPHERICAL_GREAT_CIRCLE or self.level == 0.0,
-                 "a great circle lies at level 0")
-        _require(geometry or abs(self.level) < 1.0, f"a {self.kind} lies at a level in (-1, 1)")
-        alpha, normal = geometry or (0.0, tuple(self.axis))
-        object.__setattr__(self, "alpha", alpha)
+        normal = tuple(np.asarray(self.normal, dtype=float).reshape(-1).tolist())
         object.__setattr__(self, "normal", normal)
+        _require(self.side in (-1, 1), "wall side must be +1 or -1")
+        if len(normal) == 3:
+            _require(self.alpha == 0.0, "a spherical wall has alpha = 0")
+            _require(abs(math.hypot(*normal) - 1.0) <= _UNIT_TOL,
+                     "a spherical wall's normal must be a unit vector")
+            _require(abs(self.level) < 1.0, "a spherical wall lies at a level in (-1, 1)")
+        elif (self.alpha, normal) == (1.0, (0.0, 0.0)):
+            if not self.level > 0.0:
+                raise NegativeRadius("circle wall radius must be positive")
+        else:
+            _require((self.alpha, normal) == (0.0, (0.0, 1.0)),
+                     f"({self.alpha!r}, {normal!r}) is neither the line (0, (0, 1)), the "
+                     "centered circle (1, (0, 0)) nor a spherical wall (0, a unit 3-vector)")
         object.__setattr__(self, "scale", max(1.0, abs(self.level)))
         object.__setattr__(self, "is_planar", len(normal) == 2)
 
     @classmethod
     def line(cls, h: float, side: int = 1) -> "Wall":
         """Planar line wall eta = h."""
-        return cls(kind=PLANAR_LINE, side=side, level=float(h))
+        return cls(0.0, (0.0, 1.0), float(h), side)
 
     @classmethod
     def centered_circle(cls, radius: float, side: int = 1) -> "Wall":
         """Planar circle of given radius centered at the force center."""
-        if not radius > 0.0:
-            raise NegativeRadius("circle wall radius must be positive")
-        return cls(kind=PLANAR_CENTERED_CIRCLE, side=side, level=float(radius))
+        return cls(1.0, (0.0, 0.0), float(radius), side)
 
     @classmethod
     def great_circle(cls, normal: Sequence[float], side: int = 1) -> "Wall":
-        """Spherical great circle; ``normal`` is the unit normal of its plane."""
-        axis = _unit(normal, "great-circle normal")
-        return cls(kind=SPHERICAL_GREAT_CIRCLE, side=side, axis=axis)
+        """Spherical great circle; ``normal`` is the normal of its plane."""
+        return cls(0.0, _unit(normal, "great-circle normal"), 0.0, side)
 
     @classmethod
     def centered_small_circle(
@@ -240,12 +227,7 @@ class Wall:
         """Spherical circle of given colatitude about the center direction."""
         if not 0.0 < colatitude < math.pi:
             raise ConfigError("colatitude must lie in (0, pi)")
-        return cls(
-            kind=SPHERICAL_CENTERED_CIRCLE,
-            side=side,
-            level=math.cos(colatitude),
-            axis=_unit(center, "small-circle center"),
-        )
+        return cls(0.0, _unit(center, "small-circle center"), math.cos(colatitude), side)
 
 
 class IntegralSet(NamedTuple):
@@ -296,26 +278,21 @@ _H_TOL = 1e-12
 
 
 def validate_config(params: SystemParams, wall: Wall) -> Model:
-    """Check wall/params consistency and return a model handle.
+    """Check the wall against the params and return a model handle; the
+    wall checked its own geometry when it was built.
 
     Raises:
-        InconsistentWall: line level differs from h(a), or the small-circle
-            center differs from Z1(a).
-        NegativeRadius: nonpositive circle radius.
-        ZeroMass: raised earlier by SystemParams itself.
+        InconsistentWall: a line off eta = h(a), or a spherical wall off
+            level 0 whose normal differs from Z1(a).
     """
-    if wall.kind == PLANAR_LINE and not abs(wall.level - params.h) <= _H_TOL:
+    if wall.is_planar and wall.alpha == 0.0 and not abs(wall.level - params.h) <= _H_TOL:
         raise InconsistentWall(
             f"line level {wall.level!r} does not equal h(a) = {params.h!r}"
         )
-    if wall.kind == PLANAR_CENTERED_CIRCLE and not wall.level > 0.0:
-        raise NegativeRadius("circle wall radius must be positive")
-    if wall.kind == SPHERICAL_GREAT_CIRCLE and not abs(np.linalg.norm(wall.axis) - 1) <= _UNIT_TOL:
-        raise ConfigError("great-circle normal must be a unit vector")
-    if wall.kind == SPHERICAL_CENTERED_CIRCLE and not (
-        np.linalg.norm(np.subtract(wall.axis, spherical_center(params))) <= 1e-9
+    if not wall.is_planar and wall.level != 0.0 and not (
+        np.linalg.norm(np.subtract(wall.normal, spherical_center(params))) <= 1e-9
     ):
-        raise InconsistentWall("small-circle center must be Z1 of the params")
+        raise InconsistentWall("a spherical wall off level 0 must be centred on Z1 of the params")
     return Model(params=params, wall=wall)
 
 
@@ -383,7 +360,9 @@ def parse_config(doc: dict) -> RunConfig:
 
         {"system": {"model": "kepler"|"boltzmann"|"spherical",
                     "m": num, "a": num, "beta": num},
-         "wall": {"kind": str, "radius"?: num, "colatitude"?: num, "side": +-1},
+         "wall": {"kind": "planar-line"|"planar-centered-circle"
+                          |"spherical-great-circle"|"spherical-centered-circle",
+                  "radius"?: num, "colatitude"?: num, "side": +-1},
          "initial": {"state": [4 or 6 numbers]},
          "integrator": {"rtol": num, "atol": num, "max_step": num},
          "run": {"n_bounces": int, "t_max": num}}
@@ -417,15 +396,15 @@ def parse_config(doc: dict) -> RunConfig:
 
     kind = wall_sec.get("kind")
     side = _integer(wall_sec.get("side", 1), "wall.side")
-    if kind == PLANAR_LINE:
+    if kind == "planar-line":
         wall = Wall.line(params.h, side=side)
-    elif kind == PLANAR_CENTERED_CIRCLE:
+    elif kind == "planar-centered-circle":
         _require("radius" in wall_sec, "planar circle wall requires 'radius'")
         wall = Wall.centered_circle(_finite(wall_sec["radius"], "wall.radius"), side=side)
-    elif kind == SPHERICAL_GREAT_CIRCLE:
+    elif kind == "spherical-great-circle":
         # The canonical great circle corresponds to the planar line wall.
         wall = Wall.great_circle((0.0, 1.0, 0.0), side=side)
-    elif kind == SPHERICAL_CENTERED_CIRCLE:
+    elif kind == "spherical-centered-circle":
         _require("colatitude" in wall_sec, "centered circle wall requires 'colatitude'")
         wall = Wall.centered_small_circle(
             _finite(wall_sec["colatitude"], "wall.colatitude"), spherical_center(params), side=side

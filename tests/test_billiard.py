@@ -26,10 +26,10 @@ from kcbilliards.billiard import (
     reflect,
     wall_signed_distance,
 )
-from kcbilliards.errors import DynamicsError, NotOnWall, PerturbedModel, StepFailure, Undetermined
+from kcbilliards.errors import (ConfigError, DynamicsError, NotOnWall, PerturbedModel, StepFailure,
+                                Undetermined)
 from kcbilliards.integrals import integral_set, planar_energy
 from kcbilliards.model import (
-    SPHERICAL_CENTERED_CIRCLE,
     BounceRecord,
     IntegratorConfig,
     Model,
@@ -278,7 +278,14 @@ ALL_WALLS = [
 ]
 
 
-@pytest.mark.parametrize("wall", ALL_WALLS, ids=lambda w: f"{w.kind}{w.side:+d}")
+def wall_name(wall):
+    """The config schema's name of a wall, read from its (alpha, normal, level)."""
+    if wall.is_planar:
+        return "planar-centered-circle" if wall.alpha else "planar-line"
+    return "spherical-centered-circle" if wall.level else "spherical-great-circle"
+
+
+@pytest.mark.parametrize("wall", ALL_WALLS, ids=lambda w: f"{wall_name(w)}{w.side:+d}")
 def test_normal_is_the_wall_function_gradient(wall, rng):
     # along the velocity, the wall function changes at the rate v.n times
     # the length of its gradient (tangential on the sphere: sin of the
@@ -561,7 +568,7 @@ def exit_start(rng, wall, m, kind):
     in s.
     """
     while True:
-        if wall.kind == "planar-line":
+        if not wall.alpha:  # the line eta = level
             q = (math.copysign(rng.uniform(0.2, 1.5), rng.uniform(-1, 1)), wall.level)
             normal = (0.0, wall.side)
         else:
@@ -637,7 +644,7 @@ def test_exact_hit_on_a_parabola(start, wall):
     # r = 2 and |v| = 1 exactly: alpha = 2m/r - v^2 is exactly zero
     s = PlanarState(*start)
     assert 2.0 / s.r - s.speed**2 == 0.0
-    params = SystemParams(m=1.0, a=1.0 if wall.kind == "planar-line" else 0.0)
+    params = SystemParams(m=1.0, a=0.0 if wall.alpha else 1.0)
     dt, ds = exact_numeric_gap(s, params, wall)
     assert dt <= 1e-8 and ds <= 1e-8
 
@@ -1071,6 +1078,37 @@ class TestBilliardMap:
         start = PlanarState(0.5, params.h, 0.3, -0.8)
         with pytest.raises(ValueError, match=message):
             billiard_map(start, 1, validate_config(params, wall), mode=mode)
+
+    @pytest.mark.parametrize("mode", ["numeric", "analytic"])
+    def test_start_outside_the_domain_is_a_config_error(self, mode):
+        # eta = 0.5 lies above the line, outside the side = -1 wall's domain,
+        # where no billiard orbit starts
+        params = SystemParams(m=1.0, a=0.5)
+        model = validate_config(params, Wall.line(params.h, side=-1))
+        start = PlanarState(1.0, 0.5, 0.3, 0.2)
+        assert wall_signed_distance(start, model.wall) == pytest.approx(-0.947, abs=1e-3)
+        with pytest.raises(ConfigError, match="outside the domain"):
+            billiard_map(start, 1, model, mode=mode, integ=FAST)
+
+    def test_start_outside_a_spherical_cap_is_a_config_error(self):
+        # the cap about e_x of test_chart_reads_a_cap_about_another_axis, with
+        # the other side, so that its start lies outside the domain
+        params = SystemParams(m=1.0, a=0.5)
+        model = Model(params, Wall(0.0, (1.0, 0.0, 0.0), 0.3, side=-1))
+        start = planar_to_sphere(PlanarState(1.0, 0.2, -0.1, 0.9), params)
+        assert wall_signed_distance(start.q, model.wall) < 0.0
+        with pytest.raises(ConfigError, match="outside the domain"):
+            billiard_map(start, 1, model, integ=FAST)
+
+    @pytest.mark.parametrize("mode", ["numeric", "analytic"])
+    def test_start_on_the_wall_within_its_tolerance_runs(self, mode):
+        # half the on-wall tolerance beyond the line, moving into the domain
+        params = SystemParams(m=1.0, a=0.5)
+        model = validate_config(params, Wall.line(params.h, side=-1))
+        start = PlanarState(0.5, params.h + 0.5 * ON_WALL_TOL, 0.3, -0.8)
+        assert wall_signed_distance(start, model.wall) < 0.0
+        run = billiard_map(start, 3, model, mode=mode, integ=FAST)
+        assert (run.outcome, run.n_bounces) == ("completed", 3)
 
     def test_grazing_orbit_ends_in_tangency(self):
         # the circular orbit of radius -h touches the line after a quarter period
@@ -1571,7 +1609,7 @@ class TestSphericalChartLegs:
         # takes caps about Z1 only); the leg starts in the pole chart, which
         # must read the cap's own wall function and not one about the pole
         params = SystemParams(m=1.0, a=0.5)
-        wall = Wall(kind=SPHERICAL_CENTERED_CIRCLE, level=0.3, axis=(1.0, 0.0, 0.0))
+        wall = Wall(0.0, (1.0, 0.0, 0.0), 0.3)
         s0 = planar_to_sphere(PlanarState(1.0, 0.2, -0.1, 0.9), params)
         assert float(s0.q @ spherical_center(params)) > 1.0 / math.sqrt(2.0)  # in the chart
         out = next_hit_numeric(s0, Model(params, wall), FAST)

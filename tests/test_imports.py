@@ -117,12 +117,23 @@ def test_no_engine_module_imports_conformal():
     assert "kcbilliards.planar" in set(_imported_modules(PACKAGE / "conformal.py"))
 
 
+# the config schema's wall kinds, and the names of the constants that held them
+WALL_KINDS = {"planar-line", "planar-centered-circle", "spherical-great-circle",
+              "spherical-centered-circle"}
+KIND_NAMES = {"PLANAR_LINE", "PLANAR_CENTERED_CIRCLE", "SPHERICAL_GREAT_CIRCLE",
+              "SPHERICAL_CENTERED_CIRCLE", "WALL_KINDS"}
+
+
+def _strings(tree):
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
 def test_no_module_but_model_reads_a_wall_kind():
-    # every wall is its (alpha, normal, level, side); the kind is model's:
-    # no other module names a kind constant, compares with a kind string
-    # or reads .kind
-    kinds = {name for name, value in vars(model).items()
-             if isinstance(value, str) and value in model.WALL_KINDS} | {"WALL_KINDS"}
+    # every wall is its (alpha, normal, level, side); the kind strings are
+    # model's config schema: no other module names a kind constant, compares
+    # with a kind string or reads .kind or .axis
+    assert WALL_KINDS <= _strings(ast.parse((PACKAGE / "model.py").read_text()))
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "model.py":
             continue
@@ -130,8 +141,7 @@ def test_no_module_but_model_reads_a_wall_kind():
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                   for alias in node.names}
-        assert not names & kinds, path.name
-        assert not [node for node in ast.walk(tree) if isinstance(node, ast.Constant)
-                    and isinstance(node.value, str) and node.value in model.WALL_KINDS], path.name
-        assert not [node for node in ast.walk(tree)
-                    if isinstance(node, ast.Attribute) and node.attr == "kind"], path.name
+        assert not names & KIND_NAMES, path.name
+        assert not _strings(tree) & WALL_KINDS, path.name
+        assert not [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                    and node.attr in ("kind", "axis")], path.name

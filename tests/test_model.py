@@ -14,10 +14,6 @@ from kcbilliards.errors import (
     ZeroMass,
 )
 from kcbilliards.model import (
-    PLANAR_CENTERED_CIRCLE,
-    PLANAR_LINE,
-    SPHERICAL_CENTERED_CIRCLE,
-    SPHERICAL_GREAT_CIRCLE,
     BounceRecord,
     IntegralSet,
     PlanarState,
@@ -183,14 +179,12 @@ class TestValidateConfig:
 
     @pytest.mark.parametrize("radius", [0.0, -1.0])
     def test_directly_built_circle_needs_a_positive_radius(self, radius):
-        wall = Wall(kind=PLANAR_CENTERED_CIRCLE, side=1, level=radius)
         with pytest.raises(NegativeRadius):
-            validate_config(SystemParams(m=1.0), wall)
+            Wall(1.0, (0.0, 0.0), radius)
 
     def test_great_circle_needs_a_unit_normal(self):
-        wall = Wall(kind=SPHERICAL_GREAT_CIRCLE, side=1, axis=(0.0, 2.0, 0.0))
         with pytest.raises(ConfigError, match="unit vector"):
-            validate_config(SystemParams(m=1.0), wall)
+            Wall(0.0, (0.0, 2.0, 0.0), 0.0)
 
     def test_small_circle_must_be_centred_on_z1(self):
         params = SystemParams(m=1.0, a=0.5)
@@ -198,10 +192,33 @@ class TestValidateConfig:
         with pytest.raises(InconsistentWall):
             validate_config(params, Wall.centered_small_circle(0.5, (0.0, 0.0, -1.0)))
 
-    @pytest.mark.parametrize("kind, side", [("planar-ellipse", 1), (PLANAR_LINE, 0)])
-    def test_wall_kind_and_side_are_checked(self, kind, side):
+    def test_spherical_wall_off_level_zero_must_be_centred_on_z1(self):
+        # a great circle of any normal is valid; off level 0, only a cap about Z1
+        params = SystemParams(m=1.0, a=0.5)
+        validate_config(params, Wall(0.0, (1.0, 0.0, 0.0), 0.0))
+        with pytest.raises(InconsistentWall):
+            validate_config(params, Wall(0.0, (1.0, 0.0, 0.0), 0.3))
+
+    @pytest.mark.parametrize("alpha, normal, level, side", [
+        (1.0, (0.0, 0.5), 2.0, 1),  # the ellipse r + eta/2 = 2, a focal conic
+        (0.0, (0.0, 1.0), -0.5, 0),
+    ], ids=["planar-ellipse-1", "planar-line-0"])
+    def test_wall_kind_and_side_are_checked(self, alpha, normal, level, side):
         with pytest.raises(ConfigError):
-            Wall(kind=kind, side=side)
+            Wall(alpha, normal, level, side)
+
+    @pytest.mark.parametrize("alpha, normal, level, message", [
+        (0.0, (1.0, 0.0), 0.5, "neither the line"),  # the line xi = 0.5
+        (2.0, (0.0, 0.0), 1.0, "neither the line"),  # the circle 2 r = 1
+        (0.0, (0.0, 0.0), 1.0, "neither the line"),
+        (0.0, (0.0, 1.0, 0.0, 0.0), 0.0, "neither the line"),
+        (0.0, None, 0.0, "neither the line"),
+        (1.0, (0.0, 0.0, 1.0), 0.5, "alpha = 0"),
+    ], ids=["rotated-line", "scaled-circle", "zero-normal", "4-vector", "no-normal",
+            "alpha-on-the-sphere"])
+    def test_wall_is_one_the_engine_serves(self, alpha, normal, level, message):
+        with pytest.raises(ConfigError, match=message):
+            Wall(alpha, normal, level)
 
     def test_nan_line_level_rejected(self):
         with pytest.raises(InconsistentWall):
@@ -211,46 +228,28 @@ class TestValidateConfig:
         with pytest.raises(NegativeRadius):
             Wall.centered_circle(math.nan)
         with pytest.raises(NegativeRadius):
-            validate_config(SystemParams(m=1.0), Wall(kind=PLANAR_CENTERED_CIRCLE, level=math.nan))
+            Wall(1.0, (0.0, 0.0), math.nan)
 
     def test_nan_great_circle_normal_rejected(self):
         with pytest.raises(ConfigError, match="nonzero"):
             Wall.great_circle((math.nan, 0.0, 0.0))
-        wall = Wall(kind=SPHERICAL_GREAT_CIRCLE, axis=(math.nan, 0.0, 0.0))
         with pytest.raises(ConfigError, match="unit vector"):
-            validate_config(SystemParams(m=1.0), wall)
+            Wall(0.0, (math.nan, 0.0, 0.0), 0.0)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("center", [(0.0, 0.0, 0.0), (math.nan, 0.0, -1.0)])
     def test_small_circle_center_must_be_a_direction(self, center):
         with pytest.raises(ConfigError, match="center must be nonzero"):
             Wall.centered_small_circle(0.5, center)
-        params = SystemParams(m=1.0, a=0.5)
-        wall = Wall(kind=SPHERICAL_CENTERED_CIRCLE, level=math.cos(0.5), axis=center)
-        with pytest.raises(InconsistentWall):
-            validate_config(params, wall)
-
-    @pytest.mark.parametrize("kind, level, axis, message", [
-        (SPHERICAL_GREAT_CIRCLE, 0.0, None, "needs a 3-vector axis"),
-        (SPHERICAL_CENTERED_CIRCLE, 0.5, None, "needs a 3-vector axis"),
-        (SPHERICAL_GREAT_CIRCLE, 0.0, (0.0, 1.0), "needs a 3-vector axis"),
-        (SPHERICAL_GREAT_CIRCLE, 0.3, (0.0, 1.0, 0.0), "lies at level 0"),
-        (PLANAR_LINE, -0.5, (0.0, 1.0, 0.0), "takes no axis"),
-        (PLANAR_CENTERED_CIRCLE, 1.0, (0.0, 0.0, 1.0), "takes no axis"),
-    ])
-    def test_wall_rejects_malformed_geometry(self, kind, level, axis, message):
-        # a spherical wall with no axis, a great circle with a 2-vector axis
-        # or off level 0, and a planar wall given an axis
-        with pytest.raises(ConfigError, match=message):
-            Wall(kind=kind, level=level, axis=axis)
+        with pytest.raises(ConfigError, match="unit vector"):
+            Wall(0.0, center, math.cos(0.5))
 
     @pytest.mark.parametrize("level", [2.0, 1.0, -1.0, -1.5, math.nan])
     def test_spherical_circle_level_must_meet_the_sphere(self, level):
         # no point of the sphere lies on q . Z1 = level outside (-1, 1)
         params = SystemParams(m=1.0, a=0.5)
         with pytest.raises(ConfigError, match=r"level in \(-1, 1\)"):
-            Wall(kind=SPHERICAL_CENTERED_CIRCLE, level=level,
-                 axis=tuple(spherical_center(params)))
+            Wall(0.0, spherical_center(params), level)
 
     @pytest.mark.parametrize("colatitude", [1e-9, math.pi - 1e-9])
     def test_small_circle_whose_cosine_rounds_to_one_is_rejected(self, colatitude):
@@ -262,17 +261,27 @@ class TestValidateConfig:
         line, circle = Wall.line(-0.5), Wall.centered_circle(2.0)
         great = Wall.great_circle((0.0, 2.0, 0.0))
         cap = Wall.centered_small_circle(0.5, (0.0, 0.0, -1.0))
-        assert (line.alpha, line.normal, line.scale) == (0.0, (0.0, 1.0), 1.0)
-        assert (circle.alpha, circle.normal, circle.scale) == (1.0, (0.0, 0.0), 2.0)
-        assert (great.alpha, great.normal) == (0.0, (0.0, 1.0, 0.0))
+        assert (line.alpha, line.normal, line.level, line.scale) == (0.0, (0.0, 1.0), -0.5, 1.0)
+        assert (circle.alpha, circle.normal, circle.level, circle.scale) == (1.0, (0.0, 0.0), 2.0, 2.0)
+        assert (great.alpha, great.normal, great.level) == (0.0, (0.0, 1.0, 0.0), 0.0)
         assert (cap.alpha, cap.normal, cap.level) == (0.0, (0.0, 0.0, -1.0), math.cos(0.5))
         assert [w.is_planar for w in (line, circle, great, cap)] == [True, True, False, False]
-        # derived, so left out of == and repr
-        assert line == Wall(kind=PLANAR_LINE, level=-0.5) and "normal" not in repr(line)
+
+    @pytest.mark.parametrize("normal", [(0.0, 1.0), [0, 1], np.array([0.0, 1.0])])
+    def test_wall_is_its_four_fields(self, normal):
+        # the normal becomes a tuple of floats, so any sequence gives the
+        # same hashable value; scale and is_planar are derived, so left out
+        # of ==, hash and repr
+        wall = Wall(0.0, normal, -0.5)
+        assert wall == Wall.line(-0.5) and hash(wall) == hash(Wall.line(-0.5))
+        assert wall.normal == (0.0, 1.0) and all(type(x) is float for x in wall.normal)
+        assert repr(wall) == "Wall(alpha=0.0, normal=(0.0, 1.0), level=-0.5, side=1)"
+        assert [f.name for f in dataclasses.fields(Wall) if f.compare] == [
+            "alpha", "normal", "level", "side"]
 
     def test_great_circle_normal_normalized(self):
         w = Wall.great_circle((0.0, 2.0, 0.0))
-        assert np.linalg.norm(w.axis) == pytest.approx(1.0, abs=1e-15)
+        assert np.linalg.norm(w.normal) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestParseConfig:
