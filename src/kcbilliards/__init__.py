@@ -24,21 +24,14 @@ from .conformal import (
 )
 from .errors import (
     BilliardError,
-    CollisionInsideInterval,
     ConfigError,
     DynamicsError,
-    InconsistentWall,
-    NegativeRadius,
     NonConvergence,
-    NotOnWall,
-    OriginSingularity,
-    PerturbedModel,
     PoleSingularity,
     SingularPosition,
     StepFailure,
     Undetermined,
     WrongHalfPlane,
-    ZeroMass,
 )
 from .integrals import (
     gj_integral,

@@ -34,11 +34,10 @@ from typing import List, Optional, Union
 import numpy as np
 
 from .errors import (
-    CollisionInsideInterval,
+    BilliardError,
     ConfigError,
     DynamicsError,
-    NotOnWall,
-    PerturbedModel,
+    SingularPosition,
     StepFailure,
     Undetermined,
 )
@@ -118,12 +117,12 @@ def reflect(state, wall: Wall):
     and the rest kept to the bit, which makes the involution bit-exact.
 
     Raises:
-        NotOnWall: if the state is farther than 1e-10 (scaled) from the wall.
+        BilliardError: if the state is farther than 1e-10 (scaled) from the wall.
     """
     planar = isinstance(state, PlanarState)
     g = wall_signed_distance(state if planar else state.q, wall)
     if abs(g) > ON_WALL_TOL * wall.scale:
-        raise NotOnWall(f"signed distance {g} exceeds the on-wall tolerance")
+        raise BilliardError(f"signed distance {g} exceeds the on-wall tolerance")
     n, vn = _normal(state, wall)
     if not planar:
         return SphericalState(state.q, state.v - 2.0 * vn * n)
@@ -220,12 +219,12 @@ def next_hit_analytic_line(
     at t = 0. Agrees with the numerical hit search to 1e-8.
 
     Raises:
-        PerturbedModel: if params.beta != 0.
+        ConfigError: if params.beta != 0 or the wall is not planar.
     """
     if params.beta != 0.0:
-        raise PerturbedModel("the analytic billiard map requires beta = 0")
+        raise ConfigError("the analytic billiard map requires beta = 0")
     if not wall.is_planar:
-        raise ValueError("analytic hit search supports only the planar walls")
+        raise ConfigError("analytic hit search supports only the planar walls")
     outward = _outward_start(state, params, wall)
     if outward is not None:
         return outward
@@ -258,7 +257,7 @@ def next_hit_analytic_line(
     t_hit = time_of_flight(r0, sigma0, m, g)
     try:
         hit = universal_state(state, m, t_hit, g)
-    except CollisionInsideInterval:
+    except SingularPosition:
         return Escape("the orbit meets the wall only at the removed center")
     return _hit_or_tangency(t_hit, hit, params, wall)
 
@@ -453,19 +452,21 @@ def billiard_map(
 
     Every bounce record carries the full integral set on both sides and
     an absolute hit time. ``mode="analytic"`` takes the exact hit of
-    :func:`next_hit_analytic_line`: it requires a planar wall (line or
-    centered circle) and beta = 0. A leg that raises a DynamicsError ends
-    the run with that error's outcome and keeps the bounces before it.
+    :func:`next_hit_analytic_line`, whose first leg raises ConfigError
+    unless the wall is planar and beta = 0. A leg that raises a
+    DynamicsError ends the run with that error's outcome and keeps the
+    bounces before it.
 
     Raises:
-        ConfigError: the start lies outside the domain, its wall function
-            below -ON_WALL_TOL times the wall's scale.
+        ConfigError: the start and the wall lie in different domains, or
+            the start lies outside the domain, its wall function below
+            -ON_WALL_TOL times the wall's scale.
     """
     if mode not in ("numeric", "analytic"):
         raise ValueError("mode must be 'numeric' or 'analytic'")
-    if mode == "analytic" and not model.wall.is_planar:
-        raise ValueError("analytic mode supports only the planar walls")
-    g = wall_signed_distance(state if isinstance(state, PlanarState) else state.q, model.wall)
+    if isinstance(state, PlanarState) != model.wall.is_planar:
+        raise ConfigError(f"a {type(state).__name__} start against a {model.domain} wall")
+    g = wall_signed_distance(state if model.wall.is_planar else state.q, model.wall)
     if g < -ON_WALL_TOL * model.wall.scale:
         raise ConfigError(f"the start lies outside the domain: wall function {g:.6g}")
     records: List[BounceRecord] = []

@@ -1,36 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per distinction a caller
+makes. The CLI maps ConfigError, DynamicsError and any other BilliardError
+to exit codes 2, 3 and 1; billiard_map ends a run at a DynamicsError and
+reports its subclass as the run's outcome; cli project skips a row at the
+center (SingularPosition) or off the south hemisphere (WrongHalfPlane).
+"""
 
 
 class BilliardError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package (CLI exit 1)."""
 
 
 class ConfigError(BilliardError):
-    """A configuration file or parameter set failed validation."""
-
-
-class ZeroMass(ConfigError):
-    """The mass factor of the center must be nonzero."""
-
-
-class NegativeRadius(ConfigError):
-    """A circular wall radius must be positive."""
-
-
-class InconsistentWall(ConfigError):
-    """Wall geometry does not match the system parameters (line level != h(a))."""
-
-
-class PerturbedModel(BilliardError):
-    """Operation requires the unperturbed (beta = 0) Kepler-Coulomb field."""
+    """A configuration, parameter set, wall or start failed validation (CLI exit 2)."""
 
 
 class NonConvergence(BilliardError):
-    """An iterative solver exhausted its iteration cap."""
-
-
-class CollisionInsideInterval(BilliardError):
-    """The exact orbit point at the requested time lies at the center."""
+    """An iterative solver exhausted its iteration cap (CLI exit 1)."""
 
 
 class WrongHalfPlane(BilliardError):
@@ -38,13 +23,9 @@ class WrongHalfPlane(BilliardError):
     whose ray from the origin misses the chart plane z = -1."""
 
 
-class NotOnWall(BilliardError):
-    """Reflection requested for a state not on the wall."""
-
-
 class DynamicsError(BilliardError):
     """An error that ends a run and keeps the bounces computed before it;
-    each subclass names that run's outcome."""
+    each subclass names that run's outcome (CLI exit 3)."""
 
     outcome: str
 
@@ -69,10 +50,6 @@ class PoleSingularity(DynamicsError):
 
 
 class SingularPosition(DynamicsError):
-    """Position too close to the force center for the field to be evaluated."""
+    """Position too close to the force center for the field or an orbit map to be evaluated."""
 
     outcome = "singular-position"
-
-
-class OriginSingularity(BilliardError):
-    """Conformal map undefined at the origin."""

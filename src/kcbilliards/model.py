@@ -23,10 +23,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    InconsistentWall,
-    NegativeRadius,
     SingularPosition,
-    ZeroMass,
 )
 
 POLE_GUARD = 1e-10  # |q . Z1| beyond 1 - POLE_GUARD is at a pole of the sphere's center
@@ -60,7 +57,7 @@ class SystemParams:
         if not all(map(math.isfinite, (self.m, self.a, self.beta))):
             raise ConfigError("m, a and beta must be finite")
         if self.m == 0.0:
-            raise ZeroMass("mass factor m must be nonzero")
+            raise ConfigError("mass factor m must be nonzero")
         if self.a < 0.0:
             raise ConfigError("offset a must be >= 0 by convention")
         object.__setattr__(self, "scale", math.sqrt(1.0 + self.a * self.a))
@@ -167,8 +164,7 @@ class Wall:
     The walls the engine serves, with the half-space of ``side = +1``:
 
     - the line ``(0, (0, 1), h)``: f = eta, any level; ``eta > h``.
-    - the centered circle ``(1, (0, 0), R)``: f = r, R > 0
-      (NegativeRadius otherwise); ``r > R``.
+    - the centered circle ``(1, (0, 0), R)``: f = r, R > 0; ``r > R``.
     - on the sphere ``(0, n, c)``: f = q . n, n a unit 3-vector, c in
       (-1, 1), where the plane meets the sphere; ``q . n > c``. A great
       circle is level 0. A cap about the center Z1 has the cap that
@@ -196,8 +192,7 @@ class Wall:
                      "a spherical wall's normal must be a unit vector")
             _require(abs(self.level) < 1.0, "a spherical wall lies at a level in (-1, 1)")
         elif (self.alpha, normal) == (1.0, (0.0, 0.0)):
-            if not self.level > 0.0:
-                raise NegativeRadius("circle wall radius must be positive")
+            _require(self.level > 0.0, "circle wall radius must be positive")
         else:
             _require((self.alpha, normal) == (0.0, (0.0, 1.0)),
                      f"({self.alpha!r}, {normal!r}) is neither the line (0, (0, 1)), the "
@@ -282,17 +277,15 @@ def validate_config(params: SystemParams, wall: Wall) -> Model:
     wall checked its own geometry when it was built.
 
     Raises:
-        InconsistentWall: a line off eta = h(a), or a spherical wall off
+        ConfigError: a line off eta = h(a), or a spherical wall off
             level 0 whose normal differs from Z1(a).
     """
     if wall.is_planar and wall.alpha == 0.0 and not abs(wall.level - params.h) <= _H_TOL:
-        raise InconsistentWall(
-            f"line level {wall.level!r} does not equal h(a) = {params.h!r}"
-        )
+        raise ConfigError(f"line level {wall.level!r} does not equal h(a) = {params.h!r}")
     if not wall.is_planar and wall.level != 0.0 and not (
         np.linalg.norm(np.subtract(wall.normal, spherical_center(params))) <= 1e-9
     ):
-        raise InconsistentWall("a spherical wall off level 0 must be centred on Z1 of the params")
+        raise ConfigError("a spherical wall off level 0 must be centred on Z1 of the params")
     return Model(params=params, wall=wall)
 
 

@@ -26,10 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    CollisionInsideInterval,
+    ConfigError,
     NonConvergence,
-    OriginSingularity,
-    PerturbedModel,
     SingularPosition,
 )
 from .integrals import planar_energy
@@ -73,10 +71,10 @@ def kepler_to_hooke_point(z: complex, z_dot: complex) -> tuple:
     dt/ds = |w|^2, z_dot = dz/dt.
 
     Raises:
-        OriginSingularity: at z = 0.
+        SingularPosition: at z = 0.
     """
     if z == 0:
-        raise OriginSingularity("Levi-Civita's map is singular at the origin")
+        raise SingularPosition("Levi-Civita's map is singular at the origin")
     w = cmath.sqrt(z)
     return w, z_dot * (abs(w) ** 2) / (2.0 * w)
 
@@ -241,7 +239,7 @@ def universal_state(state: PlanarState, m: float, t: float, g) -> PlanarState:
     from the f and g functions of the kernel g.
 
     Raises:
-        CollisionInsideInterval: if that point lies within R_MIN of the center.
+        SingularPosition: if that point lies within R_MIN of the center.
     """
     r0 = state.r
     f = 1.0 - m * g[2] / r0
@@ -250,7 +248,7 @@ def universal_state(state: PlanarState, m: float, t: float, g) -> PlanarState:
     eta = f * state.eta + gg * state.eta_dot
     r1 = math.hypot(xi, eta)
     if r1 < R_MIN:
-        raise CollisionInsideInterval("the orbit point lies at the center")
+        raise SingularPosition("the orbit point lies at the center")
     f_dot = -m * g[1] / (r1 * r0)
     g_dot = 1.0 - m * g[2] / r1
     return PlanarState(
@@ -369,12 +367,12 @@ def propagate_analytic(state: PlanarState, dt: float, params: SystemParams) -> P
     elastic bounce, as in the billiard maps.
 
     Raises:
-        PerturbedModel: if params.beta != 0.
-        CollisionInsideInterval: if the state at dt lies within R_MIN of the center.
+        ConfigError: if params.beta != 0.
+        SingularPosition: if the state at dt lies within R_MIN of the center.
         NonConvergence: if the universal Kepler equation does not converge.
     """
     if params.beta != 0.0:
-        raise PerturbedModel("analytic propagation requires beta = 0")
+        raise ConfigError("analytic propagation requires beta = 0")
     if dt == 0.0:
         return state
     m, r0 = params.m, state.r

@@ -26,8 +26,7 @@ from kcbilliards.billiard import (
     reflect,
     wall_signed_distance,
 )
-from kcbilliards.errors import (ConfigError, DynamicsError, NotOnWall, PerturbedModel, StepFailure,
-                                Undetermined)
+from kcbilliards.errors import BilliardError, ConfigError, DynamicsError, StepFailure, Undetermined
 from kcbilliards.integrals import integral_set, planar_energy
 from kcbilliards.model import (
     BounceRecord,
@@ -147,7 +146,7 @@ class TestReflect:
             assert abs(k1 - k0) <= 1e-15 * k0
 
     def test_not_on_wall_rejected(self):
-        with pytest.raises(NotOnWall):
+        with pytest.raises(BilliardError, match="exceeds the on-wall tolerance"):
             reflect(PlanarState(1.0, 0.5, 0.0, -1.0), Wall.line(0.0))
 
     def test_line_d_invariance_property(self, rng):
@@ -492,7 +491,7 @@ class TestAnalyticLineHit:
 
     def test_perturbed_rejected(self):
         params = SystemParams(m=1.0, a=1.0, beta=0.1)
-        with pytest.raises(PerturbedModel):
+        with pytest.raises(ConfigError, match="requires beta = 0"):
             next_hit_analytic_line(
                 PlanarState(0.0, -1.0, 0.3, 0.0), params, Wall.line(params.h)
             )
@@ -500,7 +499,7 @@ class TestAnalyticLineHit:
     def test_spherical_wall_rejected(self):
         params = SystemParams(m=1.0, a=1.0)
         start = planar_to_sphere(PlanarState(0.5, params.h, 0.3, -0.8), params)
-        with pytest.raises(ValueError, match="analytic hit search supports only the planar walls"):
+        with pytest.raises(ConfigError, match="analytic hit search supports only the planar walls"):
             next_hit_analytic_line(start, params, Wall.great_circle((0.0, 1.0, 0.0), side=-1))
 
     def test_near_radial_uses_conic_machinery(self):
@@ -1071,13 +1070,33 @@ class TestBilliardMap:
     @pytest.mark.parametrize("mode, wall, message", [
         ("exact", Wall.line(H05, side=-1), "mode must be 'numeric' or 'analytic'"),
         ("analytic", Wall.great_circle((0.0, 1.0, 0.0), side=-1),
-         "analytic mode supports only the planar walls"),
+         "analytic hit search supports only the planar walls"),
     ])
     def test_mode_is_checked(self, mode, wall, message):
+        # an unknown mode is a ValueError; the exact map rejects a spherical
+        # start, on the image of the line, at its first leg
         params = SystemParams(m=1.0, a=0.5)
         start = PlanarState(0.5, params.h, 0.3, -0.8)
-        with pytest.raises(ValueError, match=message):
+        if not wall.is_planar:
+            start = planar_to_sphere(start, params)
+        with pytest.raises(ValueError if mode == "exact" else ConfigError, match=message):
             billiard_map(start, 1, validate_config(params, wall), mode=mode)
+
+    @pytest.mark.parametrize("mode", ["numeric", "analytic"])
+    @pytest.mark.parametrize("domain", ["planar", "spherical"])
+    def test_start_in_the_other_domain_is_a_config_error(self, domain, mode):
+        # only a Model built directly pairs a planar start with a spherical
+        # wall, or a spherical start with a planar one
+        params = SystemParams(m=1.0, a=0.5)
+        start = PlanarState(0.5, params.h, 0.3, -0.8)
+        if domain == "planar":
+            wall = Wall.great_circle((0.0, 1.0, 0.0), side=-1)
+            message = "a PlanarState start against a spherical wall"
+        else:
+            start = planar_to_sphere(start, params)
+            wall, message = Wall.line(params.h, side=-1), "a SphericalState start against a planar wall"
+        with pytest.raises(ConfigError, match=message):
+            billiard_map(start, 1, Model(params, wall), mode=mode)
 
     @pytest.mark.parametrize("mode", ["numeric", "analytic"])
     def test_start_outside_the_domain_is_a_config_error(self, mode):

@@ -10,7 +10,7 @@ from kcbilliards.conformal import (
     line_image_wall,
     transport_trajectory,
 )
-from kcbilliards.errors import OriginSingularity
+from kcbilliards.errors import SingularPosition
 from kcbilliards.integrals import planar_energy
 from kcbilliards.model import PlanarState, SystemParams, Wall, validate_config
 from kcbilliards.planar import kepler_to_hooke_point, propagate_analytic
@@ -43,7 +43,7 @@ class TestPointMap:
         assert hooke_invariant(w, wp, E) == pytest.approx(m)
 
     def test_origin_rejected(self):
-        with pytest.raises(OriginSingularity):
+        with pytest.raises(SingularPosition, match="singular at the origin"):
             kepler_to_hooke_point(0.0j, 1.0j)
 
     def test_branch_continuity(self):

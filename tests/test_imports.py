@@ -8,7 +8,8 @@ it; a numeric ``simulate`` run last is the positive control. The last
 tests guard the layering: Levi-Civita's map lives in ``planar``, no
 engine module imports ``conformal``, which transports over it, and
 no module but ``model`` reads a wall's kind: the rest read walls only
-through their wall function.
+through their wall function. Every module but ``__init__`` uses each
+name it imports.
 """
 
 import ast
@@ -145,3 +146,21 @@ def test_no_module_but_model_reads_a_wall_kind():
         assert not _strings(tree) & WALL_KINDS, path.name
         assert not [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
                     and node.attr in ("kind", "axis")], path.name
+
+
+def _unused_imports(source):
+    """The names a module imports (``from __future__`` aside) and never reads."""
+    tree = ast.parse(source)
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names}
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_every_imported_name_is_used():
+    # __init__ imports to re-export; any other module imports only what it
+    # reads, so no import of a renamed or deleted name survives
+    assert _unused_imports("import os.path\nfrom a import b as c, d\nos.path.join(d)") == {"c"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            assert not _unused_imports(path.read_text()), path.name

@@ -2,14 +2,18 @@ import math
 from decimal import Decimal
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcbilliards.billiard import _spherical_record, billiard_map
+from kcbilliards.errors import ConfigError
 from kcbilliards.io import (
     _TABLE_MIN,
     PLANAR_BOUNCE_HEADER,
     SPHERICAL_BOUNCE_HEADER,
+    read_csv,
+    svg_plot,
     write_bounces,
     write_rows,
 )
@@ -134,3 +138,23 @@ class TestWriteRows:
             for i, rec in enumerate(records)
         )
         assert path.read_bytes() == expected.encode()
+
+
+class TestReadCsv:
+    def test_blank_line_is_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("t,x\n1,2\n\n3,4\n")
+        assert read_csv(str(path)) == (["t", "x"], [[1.0, 2.0], [3.0, 4.0]])
+        path.write_text("t,x\n1,2\n\n3\n")
+        with pytest.raises(ConfigError, match="line 4: 1 values under 2 names"):
+            read_csv(str(path))
+
+
+def test_svg_plot_widens_a_flat_y_range(tmp_path):
+    # the points and the origin all lie on y = 0: the view spans y in [-1, 1],
+    # so the orbit runs at mid-height and the x-axis is drawn through it
+    path = tmp_path / "flat.svg"
+    svg_plot(str(path), [(1.0, 0.0), (2.0, 0.0)])
+    svg = path.read_text()
+    assert '<polyline points="300.000,300.000 560.000,300.000"' in svg
+    assert '<line x1="40.000" y1="300.000" x2="560.000" y2="300.000" stroke="#cccccc"/>' in svg

@@ -15,9 +15,8 @@ from oracles import (
 
 from kcbilliards import planar
 from kcbilliards.errors import (
-    CollisionInsideInterval,
+    ConfigError,
     NonConvergence,
-    PerturbedModel,
     SingularPosition,
 )
 from kcbilliards.integrals import integral_set, planar_energy
@@ -202,7 +201,7 @@ class TestPropagateAnalytic:
                 pass  # bound, any dt fine
             try:
                 got = propagate_analytic(s0, dt, params)
-            except CollisionInsideInterval:
+            except SingularPosition:
                 continue
             want = ode_propagate(s0, dt, params)
             np.testing.assert_allclose(
@@ -248,7 +247,7 @@ class TestPropagateAnalytic:
                 continue
             try:
                 s1 = propagate_analytic(s0, float(rng.uniform(0.05, 2.0)), params)
-            except CollisionInsideInterval:
+            except SingularPosition:
                 continue
             i1 = integral_set(s1, params)
             for f1, f0 in zip(i1[:4], i0[:4]):  # E_pl, L, A_xi, A_eta
@@ -267,7 +266,7 @@ class TestPropagateAnalytic:
             try:
                 s1 = propagate_analytic(s0, dt, params)
                 s2 = propagate_analytic(s1, -dt, params)
-            except CollisionInsideInterval:
+            except SingularPosition:
                 continue
             np.testing.assert_allclose(
                 s2.as_array(), s0.as_array(), rtol=1e-10, atol=1e-10
@@ -324,8 +323,16 @@ class TestPropagateAnalytic:
         for s1 in (before, after):
             assert abs(planar_energy(s1, 1.0) - planar_energy(s0, 1.0)) <= 1e-9 * s1.speed**2
 
+    def test_non_convergence_raises(self, monkeypatch):
+        # an eccentric orbit, where the first guess of s is not exact
+        state, params = PlanarState(1.0, 0.0, 0.0, 1.2), SystemParams(m=1.0)
+        propagate_analytic(state, 0.7, params)
+        monkeypatch.setattr(planar, "_MAX_ITER", 1)
+        with pytest.raises(NonConvergence, match="did not converge for dt = 0.7"):
+            propagate_analytic(state, 0.7, params)
+
     def test_perturbed_rejected(self):
-        with pytest.raises(PerturbedModel):
+        with pytest.raises(ConfigError, match="analytic propagation requires beta = 0"):
             propagate_analytic(
                 PlanarState(1, 0, 0, 1), 0.5, SystemParams(m=1.0, beta=0.1)
             )

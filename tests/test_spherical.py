@@ -295,6 +295,14 @@ class TestEmbeddedEnergy:
                 chart = spherical_energy_chart(st, params.m, a)
                 assert abs(emb - chart) <= 1e-11 * max(1.0, abs(chart))
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["Z1", "antipode"])
+    def test_pole_is_a_pole_singularity(self, sign):
+        # cot(theta) is infinite at either pole of the center's axis
+        params = SystemParams(m=1.0, a=0.5)
+        s = SphericalState(sign * spherical_center(params), [1.0, 0.0, 0.0])
+        with pytest.raises(PoleSingularity, match="inside the pole guard"):
+            spherical_energy_embedded(s, params)
+
     def test_one_state_and_columns_in_either_order_give_the_same_bits(self):
         # test_spherical_run's flow, which passes close to the pole: every
         # sum runs over the last axis elementwise, so the memory layout of
