@@ -79,6 +79,18 @@ def wall_signed_distance(point, wall: Wall) -> float:
     return (f - wall.level) * wall.side
 
 
+def _wall_value(state, wall: Wall) -> float:
+    """The wall function at the state's point (wall_signed_distance).
+
+    Raises:
+        ConfigError: if the state and the wall lie in different domains.
+    """
+    if isinstance(state, PlanarState) != wall.is_planar:
+        domain = "planar" if wall.is_planar else "spherical"
+        raise ConfigError(f"a {type(state).__name__} start against a {domain} wall")
+    return wall_signed_distance(state if wall.is_planar else state.q, wall)
+
+
 def _wall_rate(y, wall: Wall) -> float:
     """The rate of wall_signed_distance at y = (position, its derivative),
     up to a positive factor (r for a planar wall with alpha != 0): it
@@ -117,14 +129,14 @@ def reflect(state, wall: Wall):
     and the rest kept to the bit, which makes the involution bit-exact.
 
     Raises:
+        ConfigError: if the state and the wall lie in different domains.
         BilliardError: if the state is farther than 1e-10 (scaled) from the wall.
     """
-    planar = isinstance(state, PlanarState)
-    g = wall_signed_distance(state if planar else state.q, wall)
+    g = _wall_value(state, wall)
     if abs(g) > ON_WALL_TOL * wall.scale:
         raise BilliardError(f"signed distance {g} exceeds the on-wall tolerance")
     n, vn = _normal(state, wall)
-    if not planar:
+    if not wall.is_planar:
         return SphericalState(state.q, state.v - 2.0 * vn * n)
     return PlanarState(state.xi, state.eta, state.xi_dot - 2.0 * vn * n[0],
                        state.eta_dot - 2.0 * vn * n[1])
@@ -175,8 +187,9 @@ def _spherical_record(
 def _outward_start(state, params: SystemParams, wall: Wall) -> Optional[BounceRecord]:
     """Zero-time bounce for a start on the wall moving out of the domain;
     None for a start off the wall (beyond the reflect tolerance), moving
-    into the domain or grazing it, which the hit search then takes."""
-    g = wall_signed_distance(state if isinstance(state, PlanarState) else state.q, wall)
+    into the domain or grazing it, which the hit search then takes.
+    ConfigError for a start in the other domain than the wall's."""
+    g = _wall_value(state, wall)
     if abs(g) > ON_WALL_TOL * wall.scale:
         return None
     if _normal(state, wall)[1] >= -TANGENCY_REL * state.speed:
@@ -219,7 +232,7 @@ def next_hit_analytic_line(
     at t = 0. Agrees with the numerical hit search to 1e-8.
 
     Raises:
-        ConfigError: if params.beta != 0 or the wall is not planar.
+        ConfigError: if params.beta != 0, or the wall or the state is not planar.
     """
     if params.beta != 0.0:
         raise ConfigError("the analytic billiard map requires beta = 0")
@@ -339,9 +352,10 @@ def next_hit_numeric(
     raises Undetermined; so does a bound conic (planar at beta = 0, or in
     the chart) with no hit in its first period of s, since it repeats.
 
-    Before any integration, a start on the wall moving out of the domain
-    bounces at once (see the module docstring), and a spherical start on a
-    great-circle wall through the attracting pole, with normal speed at most
+    Before any integration, a start in the other domain than the wall's is a
+    ConfigError, a start on the wall moving out of the domain bounces at
+    once (see the module docstring), and a spherical start on a great-circle
+    wall through the attracting pole, with normal speed at most
     TANGENCY_REL of the speed, runs along that invariant circle and raises
     Undetermined.
     """
@@ -464,9 +478,7 @@ def billiard_map(
     """
     if mode not in ("numeric", "analytic"):
         raise ValueError("mode must be 'numeric' or 'analytic'")
-    if isinstance(state, PlanarState) != model.wall.is_planar:
-        raise ConfigError(f"a {type(state).__name__} start against a {model.domain} wall")
-    g = wall_signed_distance(state if model.wall.is_planar else state.q, model.wall)
+    g = _wall_value(state, model.wall)
     if g < -ON_WALL_TOL * model.wall.scale:
         raise ConfigError(f"the start lies outside the domain: wall function {g:.6g}")
     records: List[BounceRecord] = []

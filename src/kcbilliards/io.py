@@ -328,7 +328,8 @@ def svg_plot(
     planar wall from its wall function (alpha = 0: the line eta = level;
     alpha = 1: the circle r = level; no spherical wall is drawn), the
     force-center marker at the origin, the orbit polyline and the bounce
-    dots. The view holds the points, the bounce dots, the origin and the wall."""
+    dots. The view holds the points, the bounce dots, the origin and the
+    wall. The title is escaped as XML text."""
     planar = wall is not None and wall.is_planar
     circle = [(wall.level * math.cos(2 * math.pi * k / 256),
                wall.level * math.sin(2 * math.pi * k / 256))
@@ -339,7 +340,7 @@ def svg_plot(
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
-        f"<title>{title}</title>",
+        f"<title>{title.replace('&', '&amp;').replace('<', '&lt;').replace('>', '&gt;')}</title>",
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
     ]
     if x0 < 0.0 < x1:

@@ -362,8 +362,10 @@ def parse_config(doc: dict) -> RunConfig:
 
     Every section is an object and every number finite (max_step defaults
     to infinity); side and n_bounces are integral, rtol > 0, atol >= 0,
-    max_step > 0, n_bounces >= 0 and t_max > 0. A start at the force
-    center, or at either of its poles on the sphere, is a SingularPosition.
+    max_step > 0, n_bounces >= 0 and t_max > 0. The kepler and spherical
+    models require beta = 0: neither force has a beta term. A start at the
+    force center, or at either of its poles on the sphere, is a
+    SingularPosition.
     """
     _require(isinstance(doc, dict), "config must be a JSON object")
     for key in ("system", "wall", "initial"):
@@ -379,8 +381,8 @@ def parse_config(doc: dict) -> RunConfig:
         "system.model must be 'kepler', 'boltzmann' or 'spherical'",
     )
     beta = _finite(sys_sec.get("beta", 0.0), "system.beta")
-    if name == "kepler":
-        _require(beta == 0.0, "kepler model requires beta = 0")
+    if name != "boltzmann":
+        _require(beta == 0.0, f"{name} model requires beta = 0")
     params = SystemParams(
         m=_finite(sys_sec.get("m", 1.0), "system.m"),
         a=_finite(sys_sec.get("a", 0.0), "system.a"),

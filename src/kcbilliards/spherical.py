@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import PoleSingularity, StepFailure, WrongHalfPlane
+from .errors import ConfigError, PoleSingularity, StepFailure, WrongHalfPlane
 from .integrals import planar_energy
 from .model import (POLE_GUARD, IntegratorConfig, PlanarState, SphericalState, SystemParams,
                     solve_ivp, spherical_center)
@@ -144,7 +144,10 @@ def _spherical_forms(params: SystemParams):
     d tau/ds = r/(1 + r^2). Its phase is the sphere point q = (x1 e1 +
     x2 e2 + P)/lambda, lambda^2 = 1 + |x|^2, and dq/ds, regular at the
     pole, so a leg reads the sphere's own wall function in either form.
+    The spherical force has no beta term: ConfigError for params.beta != 0.
     """
+    if params.beta != 0.0:
+        raise ConfigError("the spherical flow requires beta = 0")
     sign, mu = math.copysign(1.0, params.m_prime), abs(params.m_prime)
     pole = sign * spherical_center(params)
     e1 = np.array([1.0, 0.0, 0.0])  # normal to Z1

@@ -1098,6 +1098,30 @@ class TestBilliardMap:
         with pytest.raises(ConfigError, match=message):
             billiard_map(start, 1, Model(params, wall), mode=mode)
 
+    @pytest.mark.parametrize("domain, entry", [
+        ("planar", "numeric"), ("spherical", "numeric"), ("spherical", "analytic"),
+        ("planar", "reflect"), ("spherical", "reflect"),
+    ])
+    def test_every_entry_checks_the_start_domain(self, domain, entry):
+        # called directly, each leg and reflect refuse a start in the other
+        # domain, as billiard_map does, rather than read its point in the
+        # wall's domain (the exact leg refuses a spherical wall first)
+        params = SystemParams(m=1.0, a=0.5)
+        start = PlanarState(0.5, params.h, 0.3, -0.8)
+        if domain == "planar":
+            wall = Wall.great_circle((0.0, 1.0, 0.0), side=-1)
+            message = "a PlanarState start against a spherical wall"
+        else:
+            start = planar_to_sphere(start, params)
+            wall, message = Wall.line(params.h, side=-1), "a SphericalState start against a planar wall"
+        with pytest.raises(ConfigError, match=message):
+            if entry == "numeric":
+                next_hit_numeric(start, Model(params, wall), FAST)
+            elif entry == "analytic":
+                next_hit_analytic_line(start, params, wall)
+            else:
+                reflect(start, wall)
+
     @pytest.mark.parametrize("mode", ["numeric", "analytic"])
     def test_start_outside_the_domain_is_a_config_error(self, mode):
         # eta = 0.5 lies above the line, outside the side = -1 wall's domain,

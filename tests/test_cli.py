@@ -2,6 +2,8 @@ import json
 import math
 import os
 import re
+import shutil
+import xml.dom.minidom
 
 import numpy as np
 import pytest
@@ -14,8 +16,10 @@ import kcbilliards.spherical
 from kcbilliards.cli import _drift, main
 from kcbilliards.integrals import integral_set
 from kcbilliards.io import PLANAR_HEADER, SPHERICAL_BOUNCE_HEADER, SPHERICAL_HEADER, read_csv
-from kcbilliards.model import PlanarState, SystemParams, spherical_center
+from kcbilliards.model import (IntegratorConfig, PlanarState, SphericalState, SystemParams,
+                               spherical_center)
 from kcbilliards.planar import propagate_analytic
+from kcbilliards.spherical import integrate_spherical, spherical_energy_embedded
 
 H1 = -1.0 / math.sqrt(2.0)
 
@@ -220,8 +224,8 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         _, rows = read_csv(out / "trajectory.csv")  # %.17g round-trips doubles
-        ts, ys = kb.integrate_spherical(s0, np.linspace(0.0, 5.0, 1001), params,
-                                        kb.IntegratorConfig(rtol=1e-10, atol=1e-10, max_step=1.0))
+        ts, ys = integrate_spherical(s0, np.linspace(0.0, 5.0, 1001), params,
+                                     IntegratorConfig(rtol=1e-10, atol=1e-10, max_step=1.0))
         # row 0 is the start itself, every later row the integrator's sample
         assert np.array_equal(np.array(rows)[1:, :7], np.column_stack((ts, ys))[1:])
         assert rows[0][1:7] == doc["initial"]["state"]
@@ -303,6 +307,16 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "invalid spherical state" in capsys.readouterr().err
 
+    def test_spherical_model_with_beta_exits_two(self, tmp_path, capsys):
+        # no spherical field reads beta: the run would be the beta = 0 sphere
+        doc = json.loads(json.dumps(PLOT_RUNS["spherical"]))
+        doc["system"]["beta"] = 0.3
+        cfg = tmp_path / "beta.json"
+        write_config(cfg, doc)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: spherical model requires beta = 0\n"
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "o")])
@@ -337,8 +351,8 @@ class TestSimulate:
         assert summary["n_bounces"] == n_bounces
         assert summary["max_drift"]["E_sph"] < 1e-8
         for row in rows:  # each row's E_sph is that of its own state, to the bit
-            s = kb.SphericalState(row[1:4], row[4:7])
-            assert row[7] == kb.spherical_energy_embedded(s, params)
+            s = SphericalState(row[1:4], row[4:7])
+            assert row[7] == spherical_energy_embedded(s, params)
 
     def test_spherical_billiard_drifts_follow_the_bounce_records(self, tmp_path):
         # drifts run over the start and each bounce's integrals on arrival;
@@ -369,7 +383,7 @@ class TestSimulate:
         assert summary["max_drift"] == {
             "D": drift([i.D for i in arrivals]),
             "E_pl": drift([i.E_pl for i in arrivals]),
-            "E_sph": drift([kb.spherical_energy_embedded(cfg.initial, params)]
+            "E_sph": drift([spherical_energy_embedded(cfg.initial, params)]
                            + [i.E_sph for i in arrivals]),
         }
 
@@ -645,6 +659,16 @@ class TestPlot:
         assert main(["plot", "--in", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "p.svg")]) == 2
 
+    def test_title_is_escaped(self, flow_config, tmp_path):
+        # the title is the input file's basename, which may hold & and <
+        out, src, svg = tmp_path / "out", tmp_path / "a&b<c.csv", tmp_path / "p.svg"
+        assert main(["simulate", "--config", flow_config, "--out", str(out)]) == 0
+        shutil.copy(out / "trajectory.csv", src)
+        assert main(["plot", "--in", str(src), "--out", str(svg)]) == 0
+        assert "<title>a&amp;b&lt;c.csv</title>" in svg.read_text()
+        title = xml.dom.minidom.parse(str(svg)).getElementsByTagName("title")[0]
+        assert title.firstChild.data == "a&b<c.csv"
+
     def test_bounce_dots_lie_on_the_canvas(self, tmp_path):
         # plotted without a config, the view holds the dots themselves
         doc = {
@@ -707,6 +731,24 @@ class TestPlot:
         text = svg.read_text()
         # one marker per bounce
         assert text.count('fill="#2ca02c"') == 8
+
+
+@pytest.mark.parametrize("command", ["simulate", "project", "plot"])
+def test_output_path_that_cannot_be_written_exits_two(flow_config, tmp_path, capsys, command):
+    # simulate --out naming an existing file; project and plot --out in a
+    # directory that does not exist
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", flow_config, "--out", str(out)]) == 0
+    traj, missing = str(out / "trajectory.csv"), str(tmp_path / "missing" / "x")
+    argv = {"simulate": ["simulate", "--config", flow_config, "--out", traj],
+            "project": ["project", "--in", traj, "--out", missing,
+                        "--direction", "plane-to-sphere", "--a", "0.5"],
+            "plot": ["plot", "--in", traj, "--out", missing]}[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert ("File exists" if command == "simulate" else "No such file or directory") in err
 
 
 class TestDynamicsExitCode:

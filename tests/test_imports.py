@@ -18,6 +18,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import kcbilliards
@@ -80,6 +81,15 @@ def test_scipy_integrate_loads_only_at_the_first_integration(tmp_path):
         ["config error", 2, False],
         ["numeric simulate", 0, True],
     ]
+
+
+def test_the_package_exports_only_what_its_callers_read():
+    # the README example, CI and the benchmark's set-up child read these
+    # seven as kcbilliards.X; every other name is imported from its module
+    exported = {name for name, value in vars(kcbilliards).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == {"SystemParams", "PlanarState", "Wall", "validate_config", "load_config",
+                        "billiard_map", "planar_to_sphere"}
 
 
 def test_every_module_integrates_through_one_solve_ivp():

@@ -7,13 +7,16 @@ from scipy.integrate import solve_ivp
 
 from oracles import spherical_radial_fall_time
 
-from kcbilliards.errors import PoleSingularity, WrongHalfPlane
+from kcbilliards.billiard import next_hit_numeric
+from kcbilliards.errors import ConfigError, PoleSingularity, WrongHalfPlane
 from kcbilliards.model import (
     POLE_GUARD,
     IntegratorConfig,
+    Model,
     PlanarState,
     SphericalState,
     SystemParams,
+    Wall,
     spherical_center,
 )
 from kcbilliards.spherical import (
@@ -377,6 +380,18 @@ class TestIntegration:
         assert ts[4] == fall
         assert geodesic_distance(ys[4, :3], spherical_center(params)) < 1e-6
         np.testing.assert_allclose(ys[-1], s0.as_array(), rtol=0.0, atol=1e-8)
+
+    @pytest.mark.parametrize("entry", ["flow", "leg"])
+    def test_the_sphere_refuses_beta(self, entry):
+        # the spherical force has no beta term, so a flow or a billiard leg
+        # called with one would run the beta = 0 sphere under another name
+        params = SystemParams(m=1.0, a=0.5, beta=0.3)
+        s0 = planar_to_sphere(PlanarState(1.0, 0.2, -0.1, 0.9), params)
+        with pytest.raises(ConfigError, match="the spherical flow requires beta = 0"):
+            if entry == "flow":
+                integrate_spherical(s0, [0.0, 1.0], params)
+            else:
+                next_hit_numeric(s0, Model(params, Wall.great_circle((0.0, 1.0, 0.0), side=-1)))
 
 
 class TestCorrespondence:
