@@ -86,8 +86,7 @@ def _wall_value(state, wall: Wall) -> float:
         ConfigError: if the state and the wall lie in different domains.
     """
     if isinstance(state, PlanarState) != wall.is_planar:
-        domain = "planar" if wall.is_planar else "spherical"
-        raise ConfigError(f"a {type(state).__name__} start against a {domain} wall")
+        raise ConfigError(f"a {type(state).__name__} state against a {wall.domain} wall")
     return wall_signed_distance(state if wall.is_planar else state.q, wall)
 
 

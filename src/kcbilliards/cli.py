@@ -4,11 +4,11 @@ A flow (n_bounces = 0) runs a billiard leg's form with no wall, Levi-Civita's
 in the plane, and is sampled where the form's clock reads each time.
 
 Exit codes: 0 success, 1 any other error of the package, 2 configuration
-error (an output path that cannot be written among them), 3 dynamics
-undetermined or failed, 4 verification failure. A billiard run whose leg
-fails still writes the bounces computed before that leg, with the error as
-the summary's outcome. The BILLIARD_LOG environment variable sets the
-logging level.
+error or any OS error reading or writing a file (a full disk too), 3
+dynamics undetermined or failed, 4 verification failure. A billiard run
+whose leg fails still writes the bounces computed before that leg, with the
+error as the summary's outcome. The BILLIARD_LOG environment variable sets
+the logging level.
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ def main(argv=None) -> int:
                 "project": cmd_project, "plot": cmd_plot}
     try:
         return commands[args.command](args)
-    except (ConfigError, OSError) as exc:  # OSError: an output path that cannot be written
+    except (ConfigError, OSError) as exc:  # OSError: any file read or write
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DynamicsError as exc:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from html import escape
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -340,7 +341,7 @@ def svg_plot(
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
-        f"<title>{title.replace('&', '&amp;').replace('<', '&lt;').replace('>', '&gt;')}</title>",
+        f"<title>{escape(title, quote=False)}</title>",
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
     ]
     if x0 < 0.0 < x1:

@@ -200,6 +200,10 @@ class Wall:
         object.__setattr__(self, "scale", max(1.0, abs(self.level)))
         object.__setattr__(self, "is_planar", len(normal) == 2)
 
+    @property
+    def domain(self) -> str:
+        return "planar" if self.is_planar else "spherical"
+
     @classmethod
     def line(cls, h: float, side: int = 1) -> "Wall":
         """Planar line wall eta = h."""
@@ -266,7 +270,7 @@ class Model:
 
     @property
     def domain(self) -> str:
-        return "planar" if self.wall.is_planar else "spherical"
+        return self.wall.domain
 
 
 _H_TOL = 1e-12

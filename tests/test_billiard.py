@@ -1091,10 +1091,10 @@ class TestBilliardMap:
         start = PlanarState(0.5, params.h, 0.3, -0.8)
         if domain == "planar":
             wall = Wall.great_circle((0.0, 1.0, 0.0), side=-1)
-            message = "a PlanarState start against a spherical wall"
+            message = "a PlanarState state against a spherical wall"
         else:
             start = planar_to_sphere(start, params)
-            wall, message = Wall.line(params.h, side=-1), "a SphericalState start against a planar wall"
+            wall, message = Wall.line(params.h, side=-1), "a SphericalState state against a planar wall"
         with pytest.raises(ConfigError, match=message):
             billiard_map(start, 1, Model(params, wall), mode=mode)
 
@@ -1110,10 +1110,10 @@ class TestBilliardMap:
         start = PlanarState(0.5, params.h, 0.3, -0.8)
         if domain == "planar":
             wall = Wall.great_circle((0.0, 1.0, 0.0), side=-1)
-            message = "a PlanarState start against a spherical wall"
+            message = "a PlanarState state against a spherical wall"
         else:
             start = planar_to_sphere(start, params)
-            wall, message = Wall.line(params.h, side=-1), "a SphericalState start against a planar wall"
+            wall, message = Wall.line(params.h, side=-1), "a SphericalState state against a planar wall"
         with pytest.raises(ConfigError, match=message):
             if entry == "numeric":
                 next_hit_numeric(start, Model(params, wall), FAST)
