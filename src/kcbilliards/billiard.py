@@ -19,7 +19,10 @@ Both maps share one rule for a start on the wall: a start moving out of
 the domain (normal speed above TANGENCY_REL of the speed) is reflected at
 once, as a bounce at t = 0 with state_in equal to the start
 (_outward_start). A start outside the domain, beyond the on-wall
-tolerance, is a ConfigError in both.
+tolerance, or a planar start with a component that is not finite, is a
+ConfigError in both, raised once at billiard_map's entry. Both share one
+rule for the flight time too: a leg whose hit comes more than
+t_max_per_leg after its start raises Undetermined.
 
 A leg returns the BounceRecord of its hit, whose tangent flag marks a
 graze (the map acts as the identity there), or an Escape.
@@ -131,10 +134,15 @@ def reflect(state, wall: Wall):
         ConfigError: if the state and the wall lie in different domains.
         BilliardError: if the state is farther than 1e-10 (scaled) from the wall.
     """
+    return _reflect(state, wall)
+
+
+def _reflect(state, wall: Wall, normal: Optional[tuple] = None):
+    """reflect, given the state's _normal where the caller has it."""
     g = _wall_value(state, wall)
     if abs(g) > ON_WALL_TOL * wall.scale:
         raise BilliardError(f"signed distance {g} exceeds the on-wall tolerance")
-    n, vn = _normal(state, wall)
+    n, vn = normal or _normal(state, wall)
     if not wall.is_planar:
         return SphericalState(state.q, state.v - 2.0 * vn * n)
     return PlanarState(state.xi, state.eta, state.xi_dot - 2.0 * vn * n[0],
@@ -147,17 +155,14 @@ def reflect(state, wall: Wall):
 
 def _planar_record(
     t_hit: float, state_in: PlanarState, params: SystemParams, wall: Wall,
-    tangent: bool = False,
+    tangent: bool = False, normal: Optional[tuple] = None,
 ) -> BounceRecord:
-    state_out = state_in if tangent else reflect(state_in, wall)
-    return BounceRecord(
-        t_hit=t_hit,
-        state_in=state_in,
-        state_out=state_out,
-        integrals_in=integral_set(state_in, params),
-        integrals_out=integral_set(state_out, params),
-        tangent=tangent,
-    )
+    """The record of a hit, given its _normal where the caller has it; the
+    reflection keeps the point, so both integral sets read one radius."""
+    state_out = state_in if tangent else _reflect(state_in, wall, normal)
+    r = state_in.r
+    return BounceRecord(t_hit, state_in, state_out, integral_set(state_in, params, r),
+                        integral_set(state_out, params, r), tangent)
 
 
 def _spherical_integrals(s: SphericalState, params: SystemParams) -> IntegralSet:
@@ -170,40 +175,37 @@ def _spherical_integrals(s: SphericalState, params: SystemParams) -> IntegralSet
 
 def _spherical_record(
     t_hit: float, state_in: SphericalState, params: SystemParams, wall: Wall,
-    tangent: bool = False,
+    tangent: bool = False, normal: Optional[tuple] = None,
 ) -> BounceRecord:
-    state_out = state_in if tangent else reflect(state_in, wall)
-    return BounceRecord(
-        t_hit=t_hit,
-        state_in=state_in,
-        state_out=state_out,
-        integrals_in=_spherical_integrals(state_in, params),
-        integrals_out=_spherical_integrals(state_out, params),
-        tangent=tangent,
-    )
+    state_out = state_in if tangent else _reflect(state_in, wall, normal)
+    return BounceRecord(t_hit, state_in, state_out, _spherical_integrals(state_in, params),
+                        _spherical_integrals(state_out, params), tangent)
 
 
-def _outward_start(state, params: SystemParams, wall: Wall) -> Optional[BounceRecord]:
-    """Zero-time bounce for a start on the wall moving out of the domain;
-    None for a start off the wall (beyond the reflect tolerance), moving
-    into the domain or grazing it, which the hit search then takes.
-    ConfigError for a start in the other domain than the wall's."""
-    g = _wall_value(state, wall)
+def _outward_start(state, params: SystemParams, wall: Wall, g: float,
+                   t0: float) -> Optional[BounceRecord]:
+    """Zero-time bounce, at the clock t0, for a start on the wall moving out
+    of the domain, given its wall function g; None for a start off the wall
+    (beyond the reflect tolerance), moving into the domain or grazing it,
+    which the hit search then takes."""
     if abs(g) > ON_WALL_TOL * wall.scale:
         return None
-    if _normal(state, wall)[1] >= -TANGENCY_REL * state.speed:
+    normal = _normal(state, wall)
+    if normal[1] >= -TANGENCY_REL * state.speed:
         return None
-    return _hit_or_tangency(0.0, state, params, wall)
+    return _hit_or_tangency(t0, state, params, wall, normal)
 
 
 def _hit_or_tangency(
-    t_hit: float, state_in, params: SystemParams, wall: Wall
+    t_hit: float, state_in, params: SystemParams, wall: Wall, normal: Optional[tuple] = None
 ) -> BounceRecord:
     """The bounce record at a hit, tangent when the normal speed there is at
-    most TANGENCY_REL of the speed."""
-    tangent = abs(_normal(state_in, wall)[1]) <= TANGENCY_REL * state_in.speed
+    most TANGENCY_REL of the speed; normal is _normal(state_in, wall) where
+    the caller has it, and the reflection reuses it."""
+    normal = normal or _normal(state_in, wall)
+    tangent = abs(normal[1]) <= TANGENCY_REL * state_in.speed
     record = _planar_record if isinstance(state_in, PlanarState) else _spherical_record
-    return record(t_hit, state_in, params, wall, tangent=tangent)
+    return record(t_hit, state_in, params, wall, tangent, normal)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +216,8 @@ def next_hit_analytic_line(
     state: PlanarState,
     params: SystemParams,
     wall: Wall,
+    t_max: float = math.inf,
+    t0: float = 0.0,
 ) -> HitOutcome:
     """First forward crossing out of the domain of a planar wall, exactly.
 
@@ -228,27 +232,31 @@ def next_hit_analytic_line(
     the same path; a radial leg passes the center by the elastic bounce.
     A crossing at the center itself is no hit (the center is removed from
     the wall), and a start on the wall moving out of the domain bounces
-    at t = 0. Agrees with the numerical hit search to 1e-8.
+    at t = 0. Agrees with the numerical hit search to 1e-8. As in
+    next_hit_numeric, the record's t_hit counts from t0, the clock at the
+    start.
 
     Raises:
         ConfigError: if params.beta != 0, or the wall or the state is not planar.
+        Undetermined: if the hit comes more than t_max after the start.
     """
     if params.beta != 0.0:
         raise ConfigError("the analytic billiard map requires beta = 0")
     if not wall.is_planar:
         raise ConfigError("analytic hit search supports only the planar walls")
-    outward = _outward_start(state, params, wall)
+    c = _wall_value(state, wall)  # F(0) below, to the bit; checks the domain
+    outward = _outward_start(state, params, wall, c, t0)
     if outward is not None:
         return outward
     m = params.m
-    r0 = state.r
-    sigma0 = state.xi * state.xi_dot + state.eta * state.eta_dot
-    v2 = state.xi_dot**2 + state.eta_dot**2
+    xi, eta, xi_dot, eta_dot = state
+    r0 = math.hypot(xi, eta)
+    sigma0 = xi * xi_dot + eta * eta_dot
+    v2 = xi_dot**2 + eta_dot**2
     alpha = 2.0 * m / r0 - v2
     # r(s) = r0 + sigma0 G1 + (m - alpha r0) G2, x(s) = (1 - m G2/r0) x0 + (r0 G1 + sigma0 G2) v0
     a_w, (n1, n2), side = wall.alpha, wall.normal, wall.side
-    nx, nv = n1 * state.xi + n2 * state.eta, n1 * state.xi_dot + n2 * state.eta_dot
-    c = side * (a_w * r0 + nx - wall.level)
+    nx, nv = n1 * xi + n2 * eta, n1 * xi_dot + n2 * eta_dot
     P = side * (a_w * sigma0 + r0 * nv)
     Q = side * (a_w * (r0 * v2 - m) + sigma0 * nv - m * nx / r0)
     s = crossing_root(alpha, c, P, Q)
@@ -267,11 +275,13 @@ def next_hit_analytic_line(
     if abs(F) > ON_WALL_TOL * wall.scale:  # a root at s = infinity
         return Escape("the orbit meets the wall only at infinity")
     t_hit = time_of_flight(r0, sigma0, m, g)
+    if t_hit > t_max:
+        raise Undetermined(f"no hit within t_max = {t_max}")
     try:
-        hit = universal_state(state, m, t_hit, g)
+        hit = universal_state(state, m, t_hit, g, r0)
     except SingularPosition:
         return Escape("the orbit meets the wall only at the removed center")
-    return _hit_or_tangency(t_hit, hit, params, wall)
+    return _hit_or_tangency(t0 + t_hit, hit, params, wall)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +325,7 @@ def next_hit_numeric(
     model: Model,
     integ: IntegratorConfig = IntegratorConfig(),
     t_max: float = 1000.0,
+    t0: float = 0.0,
 ) -> HitOutcome:
     """Integrate the flow to the first wall crossing and refine the hit.
 
@@ -356,11 +367,11 @@ def next_hit_numeric(
     once (see the module docstring), and a spherical start on a great-circle
     wall through the attracting pole, with normal speed at most
     TANGENCY_REL of the speed, runs along that invariant circle and raises
-    Undetermined.
+    Undetermined. The record's t_hit counts from t0, the clock at the start.
     """
     params = model.params
     wall = model.wall
-    outward = _outward_start(state, params, wall)
+    outward = _outward_start(state, params, wall, _wall_value(state, wall), t0)
     if outward is not None:
         return outward
     escape = None
@@ -390,7 +401,7 @@ def next_hit_numeric(
     def hit(s_hit, y_hit):
         if form.rate(y_hit) < R_MIN:  # dt/ds vanishes only at a force center
             raise Undetermined("the orbit meets the wall only at the removed center")
-        t_hit = float(form.clock(s_hit, y_hit))
+        t_hit = t0 + float(form.clock(s_hit, y_hit))
         return _hit_or_tangency(t_hit, form.state(y_hit), params, wall)
 
     def integrate(s0, s1, y0, event_fns):
@@ -464,20 +475,25 @@ def billiard_map(
     """Iterate hit-and-reflect up to n times or until a non-hit outcome.
 
     Every bounce record carries the full integral set on both sides and
-    an absolute hit time. ``mode="analytic"`` takes the exact hit of
-    :func:`next_hit_analytic_line`, whose first leg raises ConfigError
-    unless the wall is planar and beta = 0. A leg that raises a
+    an absolute hit time: each leg starts at the run's clock. ``mode="analytic"``
+    takes the exact hit of :func:`next_hit_analytic_line`, whose first leg
+    raises ConfigError unless the wall is planar and beta = 0. Both maps
+    share one t_max_per_leg rule: a leg whose hit comes more than
+    t_max_per_leg after its start raises Undetermined. A leg that raises a
     DynamicsError ends the run with that error's outcome and keeps the
     bounces before it.
 
     Raises:
-        ConfigError: the start and the wall lie in different domains, or
-            the start lies outside the domain, its wall function below
-            -ON_WALL_TOL times the wall's scale.
+        ConfigError: the start and the wall lie in different domains, a
+            planar start has a component that is not finite, or the start
+            lies outside the domain, its wall function below -ON_WALL_TOL
+            times the wall's scale.
     """
     if mode not in ("numeric", "analytic"):
         raise ValueError("mode must be 'numeric' or 'analytic'")
     g = _wall_value(state, model.wall)
+    if model.wall.is_planar and not all(map(math.isfinite, state)):
+        raise ConfigError(f"the start must be finite: {tuple(state)}")
     if g < -ON_WALL_TOL * model.wall.scale:
         raise ConfigError(f"the start lies outside the domain: wall function {g:.6g}")
     records: List[BounceRecord] = []
@@ -489,18 +505,17 @@ def billiard_map(
     for _ in range(n):
         try:
             if mode == "analytic":
-                out = next_hit_analytic_line(current, model.params, model.wall)
+                out = next_hit_analytic_line(current, model.params, model.wall, t_max_per_leg, clock)
             else:
-                out = next_hit_numeric(current, model, integ, t_max=t_max_per_leg)
+                out = next_hit_numeric(current, model, integ, t_max_per_leg, clock)
         except DynamicsError as exc:
             outcome, error = exc.outcome, exc
             break
         if isinstance(out, Escape):
             outcome, reason = "escape", out.reason
             break
-        clock += out.t_hit
-        # the leg's record at the run's clock; out._replace(t_hit=clock) is slower
-        records.append(BounceRecord(clock, *out[1:]))
+        clock = out.t_hit
+        records.append(out)
         current = out.state_out
         if out.tangent:
             outcome = "tangency"

@@ -26,13 +26,13 @@ from .errors import SingularPosition
 from .model import IntegralSet, PlanarState, SystemParams
 
 
-def _integrals(s, m: float, beta: float, a: float, h: float) -> tuple:
+def _integrals(s, m: float, beta: float, a: float, h: float, r=None) -> tuple:
     """The six integrals (E_pl, L, A_xi, A_eta, D, E_sph) at a planar state,
     or elementwise at the rows of planar_columns(y): the one place each
-    formula is written, with r, L, the kinetic term and m/r evaluated once.
-    beta enters E_pl alone (the centrifugal potential beta/(2 r^2)); E_sph
-    is the chart expression of spherical_energy_chart."""
-    r = s.r
+    formula is written, with r (s.r unless given), L, the kinetic term and
+    m/r evaluated once. beta enters E_pl alone (the centrifugal potential
+    beta/(2 r^2)); E_sph is the chart expression of spherical_energy_chart."""
+    r = s.r if r is None else r
     xi, eta, xi_dot, eta_dot = s.xi, s.eta, s.xi_dot, s.eta_dot
     lam = xi * eta_dot - eta * xi_dot
     kepler = 0.5 * (xi_dot * xi_dot + eta_dot * eta_dot) - m / r
@@ -87,8 +87,8 @@ def planar_columns(y) -> SimpleNamespace:
     return SimpleNamespace(xi=xi, eta=eta, xi_dot=xi_dot, eta_dot=eta_dot, r=r)
 
 
-def integral_set(s: PlanarState, params: SystemParams) -> IntegralSet:
+def integral_set(s: PlanarState, params: SystemParams, r=None) -> IntegralSet:
     """Evaluate all six integrals at a planar state, or elementwise at the
-    rows of planar_columns(y)."""
-    return IntegralSet(*_integrals(s, params.m, params.beta, params.a, params.h))
+    rows of planar_columns(y); r is s.r where the caller has it."""
+    return IntegralSet(*_integrals(s, params.m, params.beta, params.a, params.h, r))
 

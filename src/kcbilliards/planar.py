@@ -234,14 +234,14 @@ def time_of_flight(r0: float, sigma0: float, m: float, g) -> float:
     return r0 * g[1] + sigma0 * g[2] + m * g[3]
 
 
-def universal_state(state: PlanarState, m: float, t: float, g) -> PlanarState:
+def universal_state(state: PlanarState, m: float, t: float, g, r0=None) -> PlanarState:
     """The state a time t = time_of_flight(...) along the conic through state,
-    from the f and g functions of the kernel g.
+    from the f and g functions of the kernel g; r0 is state.r, if known.
 
     Raises:
         SingularPosition: if that point lies within R_MIN of the center.
     """
-    r0 = state.r
+    r0 = r0 or state.r
     f = 1.0 - m * g[2] / r0
     gg = t - m * g[3]
     xi = f * state.xi + gg * state.xi_dot

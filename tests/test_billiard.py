@@ -1213,6 +1213,60 @@ class TestBilliardMap:
         assert digest.hexdigest() == (
             "911ed25d82fa46c53247d0f16f53c9c2c5b6d9c952260321648f6b355db1b335")
 
+    @pytest.mark.parametrize("wall", [Wall.line(H05, side=-1), Wall.line(H05, side=1),
+                                      Wall.centered_circle(1.5, side=-1),
+                                      Wall.centered_circle(0.7, side=1)],
+                             ids=lambda w: f"{wall_name(w)}{w.side:+d}")
+    def test_exact_records_are_one_reflection_and_two_integral_sets(self, wall, rng):
+        # each exact record, built in one pass over its hit, holds to the bit
+        # what reflect and integral_set give for its states; the circular
+        # orbit of radius -h grazes the side = +1 line, a tangent record
+        params = SystemParams(m=1.0, a=0.5)
+        model = validate_config(params, wall)
+        starts = list(planar_wall_states(rng, wall, 40))
+        grazed = not wall.alpha and wall.side == 1
+        if grazed:
+            starts.append(PlanarState(-H05, 0.0, 0.0, -1.0 / math.sqrt(-H05)))
+        records = [rec for s in starts
+                   for rec in billiard_map(s, 20, model, mode="analytic").records]
+        assert len(records) >= 100
+        assert any(rec.tangent for rec in records) == grazed
+
+        def bits(values):
+            return [float.hex(float(v)) for v in values]
+
+        for rec in records:
+            out = rec.state_in if rec.tangent else reflect(rec.state_in, wall)
+            assert bits(rec.state_out) == bits(out)
+            assert bits(rec.integrals_in) == bits(integral_set(rec.state_in, params))
+            assert bits(rec.integrals_out) == bits(integral_set(rec.state_out, params))
+
+    @pytest.mark.parametrize("mode", ["numeric", "analytic"])
+    @pytest.mark.parametrize("t_max, n_bounces", [(0.05, 0), (0.81, 2)])
+    def test_both_maps_share_the_leg_time_limit(self, t_max, n_bounces, mode):
+        # the three legs take 0.803, 0.671 and 0.817: a leg longer than
+        # t_max_per_leg is Undetermined in either map
+        params = SystemParams(m=1.0, a=0.5)
+        model = validate_config(params, Wall.line(params.h, side=-1))
+        start = PlanarState(0.3, params.h, 0.2, -0.9)
+        assert billiard_map(start, 3, model, mode=mode, integ=FAST).n_bounces == 3
+        run = billiard_map(start, 3, model, mode=mode, integ=FAST, t_max_per_leg=t_max)
+        assert (run.outcome, run.n_bounces) == ("undetermined", n_bounces)
+        assert isinstance(run.error, Undetermined)
+        assert str(run.error) == f"no hit within t_max = {t_max}"
+
+    @pytest.mark.parametrize("mode", ["numeric", "analytic"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("k", range(4))
+    def test_non_finite_start_is_a_config_error(self, k, value, mode):
+        # PlanarState takes NaN and inf; billiard_map refuses them at entry
+        params = SystemParams(m=1.0, a=0.5)
+        model = validate_config(params, Wall.line(params.h, side=-1))
+        start = [0.3, params.h - 0.1, 0.2, -0.9]
+        start[k] = value
+        with pytest.raises(ConfigError, match="the start must be finite"):
+            billiard_map(PlanarState(*start), 3, model, mode=mode, integ=FAST)
+
     def test_repulsive_pocket_escapes(self):
         # documented contrast: with a repulsive center the bouncing pocket
         # under the center is unstable and generic orbits escape quickly
