@@ -19,13 +19,14 @@ Both maps share one rule for a start on the wall: a start moving out of
 the domain (normal speed above TANGENCY_REL of the speed) is reflected at
 once, as a bounce at t = 0 with state_in equal to the start
 (_outward_start). A start outside the domain, beyond the on-wall
-tolerance, or a planar start with a component that is not finite, is a
-ConfigError in both, raised once at billiard_map's entry. Both share one
-rule for the flight time too: a leg whose hit comes more than
-t_max_per_leg after its start raises Undetermined.
+tolerance, is a ConfigError in both, raised at billiard_map's entry; so
+is a planar start with a component that is not finite, there and at each
+leg's. Both share one rule for the flight time too: a leg whose hit comes
+more than t_max_per_leg after its start raises Undetermined.
 
-A leg returns the BounceRecord of its hit, whose tangent flag marks a
-graze (the map acts as the identity there), or an Escape.
+A leg returns an Escape or the BounceRecord that _hit_or_tangency
+assembles: the hit reflected once through reflect, unless its tangent
+flag marks a graze (the map acts as the identity there).
 """
 
 from __future__ import annotations
@@ -123,8 +124,9 @@ def _normal(state, wall: Wall) -> tuple:
     return n, float(np.dot(np.array([state.xi_dot, state.eta_dot]), n))
 
 
-def reflect(state, wall: Wall):
-    """Specular reflection at the wall: v <- v - 2 (v.n) n.
+def reflect(state, wall: Wall, normal: Optional[tuple] = None):
+    """Specular reflection at the wall: v <- v - 2 (v.n) n, with normal the
+    state's (n, v.n) from _normal where the caller has it.
 
     The position is unchanged and kinetic energy is preserved to rounding.
     On the planar line n is (0, +-1), so the normal component is negated
@@ -134,11 +136,6 @@ def reflect(state, wall: Wall):
         ConfigError: if the state and the wall lie in different domains.
         BilliardError: if the state is farther than 1e-10 (scaled) from the wall.
     """
-    return _reflect(state, wall)
-
-
-def _reflect(state, wall: Wall, normal: Optional[tuple] = None):
-    """reflect, given the state's _normal where the caller has it."""
     g = _wall_value(state, wall)
     if abs(g) > ON_WALL_TOL * wall.scale:
         raise BilliardError(f"signed distance {g} exceeds the on-wall tolerance")
@@ -153,16 +150,10 @@ def _reflect(state, wall: Wall, normal: Optional[tuple] = None):
 # Record assembly
 # ---------------------------------------------------------------------------
 
-def _planar_record(
-    t_hit: float, state_in: PlanarState, params: SystemParams, wall: Wall,
-    tangent: bool = False, normal: Optional[tuple] = None,
-) -> BounceRecord:
-    """The record of a hit, given its _normal where the caller has it; the
-    reflection keeps the point, so both integral sets read one radius."""
-    state_out = state_in if tangent else _reflect(state_in, wall, normal)
+def _planar_record(state_in: PlanarState, state_out: PlanarState, params: SystemParams) -> tuple:
+    """Both states' integral sets, at one radius: the reflection keeps the point."""
     r = state_in.r
-    return BounceRecord(t_hit, state_in, state_out, integral_set(state_in, params, r),
-                        integral_set(state_out, params, r), tangent)
+    return integral_set(state_in, params, r), integral_set(state_out, params, r)
 
 
 def _spherical_integrals(s: SphericalState, params: SystemParams) -> IntegralSet:
@@ -173,13 +164,15 @@ def _spherical_integrals(s: SphericalState, params: SystemParams) -> IntegralSet
     return IntegralSet(math.nan, math.nan, math.nan, math.nan, math.nan, e_sph)
 
 
-def _spherical_record(
-    t_hit: float, state_in: SphericalState, params: SystemParams, wall: Wall,
-    tangent: bool = False, normal: Optional[tuple] = None,
-) -> BounceRecord:
-    state_out = state_in if tangent else _reflect(state_in, wall, normal)
-    return BounceRecord(t_hit, state_in, state_out, _spherical_integrals(state_in, params),
-                        _spherical_integrals(state_out, params), tangent)
+def _spherical_record(state_in: SphericalState, state_out: SphericalState,
+                      params: SystemParams) -> tuple:
+    return _spherical_integrals(state_in, params), _spherical_integrals(state_out, params)
+
+
+def _check_finite(state, wall: Wall) -> None:
+    """Raises ConfigError if a planar start has a component that is not finite."""
+    if wall.is_planar and not all(map(math.isfinite, state)):
+        raise ConfigError(f"the start must be finite: {tuple(state)}")
 
 
 def _outward_start(state, params: SystemParams, wall: Wall, g: float,
@@ -188,6 +181,7 @@ def _outward_start(state, params: SystemParams, wall: Wall, g: float,
     of the domain, given its wall function g; None for a start off the wall
     (beyond the reflect tolerance), moving into the domain or grazing it,
     which the hit search then takes."""
+    _check_finite(state, wall)
     if abs(g) > ON_WALL_TOL * wall.scale:
         return None
     normal = _normal(state, wall)
@@ -199,13 +193,14 @@ def _outward_start(state, params: SystemParams, wall: Wall, g: float,
 def _hit_or_tangency(
     t_hit: float, state_in, params: SystemParams, wall: Wall, normal: Optional[tuple] = None
 ) -> BounceRecord:
-    """The bounce record at a hit, tangent when the normal speed there is at
-    most TANGENCY_REL of the speed; normal is _normal(state_in, wall) where
-    the caller has it, and the reflection reuses it."""
+    """The bounce record at a hit: state_in reflected once through reflect,
+    or kept when tangent (normal speed at most TANGENCY_REL of the speed);
+    normal is _normal(state_in, wall) where the caller has it."""
     normal = normal or _normal(state_in, wall)
     tangent = abs(normal[1]) <= TANGENCY_REL * state_in.speed
+    state_out = state_in if tangent else reflect(state_in, wall, normal)
     record = _planar_record if isinstance(state_in, PlanarState) else _spherical_record
-    return record(t_hit, state_in, params, wall, tangent, normal)
+    return BounceRecord(t_hit, state_in, state_out, *record(state_in, state_out, params), tangent)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +232,8 @@ def next_hit_analytic_line(
     start.
 
     Raises:
-        ConfigError: if params.beta != 0, or the wall or the state is not planar.
+        ConfigError: if params.beta != 0, the wall or the state is not
+            planar, or the start has a component that is not finite.
         Undetermined: if the hit comes more than t_max after the start.
     """
     if params.beta != 0.0:
@@ -371,13 +367,14 @@ def next_hit_numeric(
     """
     params = model.params
     wall = model.wall
-    outward = _outward_start(state, params, wall, _wall_value(state, wall), t0)
+    g = _wall_value(state, wall)
+    outward = _outward_start(state, params, wall, g, t0)
     if outward is not None:
         return outward
     escape = None
     if isinstance(state, SphericalState):
         pole, c_in, sphere_form, _ = _spherical_forms(params)
-        on_wall = max(abs(wall_signed_distance(q, wall)) for q in (state.q, pole))
+        on_wall = max(abs(g), abs(wall_signed_distance(pole, wall)))
         if on_wall <= ON_WALL_TOL and abs(_normal(state, wall)[1]) <= TANGENCY_REL * state.speed:
             raise Undetermined("the orbit runs along a great-circle wall through the pole")
         form = sphere_form(state, 0.0, float(state.q @ pole) >= c_in)
@@ -492,8 +489,7 @@ def billiard_map(
     if mode not in ("numeric", "analytic"):
         raise ValueError("mode must be 'numeric' or 'analytic'")
     g = _wall_value(state, model.wall)
-    if model.wall.is_planar and not all(map(math.isfinite, state)):
-        raise ConfigError(f"the start must be finite: {tuple(state)}")
+    _check_finite(state, model.wall)
     if g < -ON_WALL_TOL * model.wall.scale:
         raise ConfigError(f"the start lies outside the domain: wall function {g:.6g}")
     records: List[BounceRecord] = []

@@ -169,18 +169,20 @@ def _percent(rows, width: int) -> bytes:
 
 def write_rows(path: str, header: str, rows: Sequence[Sequence[float]]):
     """Write a CSV in one call: the header, then one line per row with each
-    value as "%.17g" % x (ints too), one value per header column. A table
-    of at least _TABLE_MIN values is formatted in numpy by _format_table,
-    a smaller one by "%"; both write the same bytes."""
+    value as "%.17g" % x (ints too), one value per header column (else a
+    ValueError, and nothing written). A table of at least _TABLE_MIN values
+    is formatted in numpy by _format_table, a smaller one by "%"; both
+    write the same bytes."""
     width = header.count(",") + 1
+    shape = rows.shape if isinstance(rows, np.ndarray) else (
+        len(rows), next((len(row) for row in rows if len(row) != width), width))
+    if shape[1:] != (width,):
+        raise ValueError(f"a table of shape {shape} under {width} columns")
     if len(rows) * width < _TABLE_MIN:
         # "%" formats a Python float faster than a numpy scalar
         text = _percent(rows.tolist() if isinstance(rows, np.ndarray) else rows, width)
     else:
-        table = np.asarray(rows, dtype=np.float64)
-        if table.ndim != 2 or table.shape[1] != width:
-            raise ValueError(f"a table of shape {table.shape} under {width} columns")
-        text = _format_table(table)
+        text = _format_table(np.asarray(rows, dtype=np.float64))
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         fh.write(text)

@@ -18,6 +18,7 @@ from typing import List
 import numpy as np
 
 from .billiard import Escape, next_hit_analytic_line, next_hit_numeric
+from .errors import StepFailure
 from .integrals import gj_integral, planar_columns, planar_energy, spherical_energy_chart
 from .model import (
     IntegratorConfig,
@@ -166,7 +167,7 @@ def correspondence_deviation(
     with the spherical trajectory integrated at rtol = atol = 1e-12 from
     the mapped initial state. The spherical field is scaled by
     d tau / d t = q_z^2, so that trajectory runs on the planar clock and
-    is sampled at the same times.
+    is sampled at the same times. A failed integration raises StepFailure.
 
     Returns:
         (max geodesic distance, relative spherical-energy drift).
@@ -189,7 +190,7 @@ def correspondence_deviation(
         atol=1e-12,
     )
     if not sol_sph.success:
-        raise RuntimeError(f"spherical oracle integration failed: {sol_sph.message}")
+        raise StepFailure(f"spherical oracle integration failed: {sol_sph.message}")
     max_dist = 0.0
     e0 = spherical_energy_embedded(s_sph0, params)
     e_drift = 0.0

@@ -58,6 +58,24 @@ def is_hit(out):
 
 
 @pytest.fixture
+def seam_calls(monkeypatch):
+    """Counts of the calls of billiard's module attributes reflect and
+    integral_set, the names a traced run wraps."""
+    calls = {"reflect": 0, "integral_set": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        fn = getattr(kcbilliards.billiard, name)
+        monkeypatch.setattr(kcbilliards.billiard, name, counting(name, fn))
+    return calls
+
+
+@pytest.fixture
 def ivp_calls(monkeypatch):
     """A list that grows by one at each solve_ivp call of the numeric engine."""
     calls = []
@@ -1241,6 +1259,35 @@ class TestBilliardMap:
             assert bits(rec.integrals_in) == bits(integral_set(rec.state_in, params))
             assert bits(rec.integrals_out) == bits(integral_set(rec.state_out, params))
 
+    @pytest.mark.parametrize("case", ["line-1", "line+1", "circle-1", "circle+1",
+                                      "numeric-line", "numeric-great-circle"])
+    def test_each_bounce_reflects_once_through_reflect(self, case, rng, seam_calls):
+        # every record reflects its hit through the module attribute reflect,
+        # once unless it is a graze, and a planar record reads integral_set
+        # twice; the numeric line run is bound, so that no escape
+        # certificate runs an exact leg of its own
+        if case == "numeric-line":
+            model = validate_config(BILLIARD_PARAMS, Wall.line(BILLIARD_PARAMS.h, side=-1))
+            assert planar_energy(BILLIARD_START, 1.0, 0.0) < 0.0
+            runs = [billiard_map(BILLIARD_START, 10, model, integ=FAST)]
+        elif case == "numeric-great-circle":
+            params = SystemParams(m=1.0, a=1.0)
+            model = validate_config(params, Wall.great_circle((0.0, 1.0, 0.0), side=-1))
+            s0 = planar_to_sphere(PlanarState(0.5, params.h, 0.3, -0.8), params)
+            runs = [billiard_map(s0, 10, model, integ=FAST)]
+        else:
+            side = 1 if case.endswith("+1") else -1
+            wall = (Wall.line(H05, side=side) if case.startswith("line")
+                    else Wall.centered_circle(0.7 if side == 1 else 1.5, side=side))
+            model = validate_config(SystemParams(m=1.0, a=0.5), wall)
+            runs = [billiard_map(s, 10, model, mode="analytic")
+                    for s in planar_wall_states(rng, wall, 10)]
+        records = [rec for run in runs for rec in run.records]
+        assert len(records) >= 10
+        assert seam_calls["reflect"] == sum(not rec.tangent for rec in records)
+        if model.wall.is_planar:
+            assert seam_calls["integral_set"] == 2 * len(records)
+
     @pytest.mark.parametrize("mode", ["numeric", "analytic"])
     @pytest.mark.parametrize("t_max, n_bounces", [(0.05, 0), (0.81, 2)])
     def test_both_maps_share_the_leg_time_limit(self, t_max, n_bounces, mode):
@@ -1259,13 +1306,20 @@ class TestBilliardMap:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("k", range(4))
     def test_non_finite_start_is_a_config_error(self, k, value, mode):
-        # PlanarState takes NaN and inf; billiard_map refuses them at entry
+        # PlanarState takes NaN and inf; billiard_map refuses them at entry,
+        # and so does each leg called directly
         params = SystemParams(m=1.0, a=0.5)
         model = validate_config(params, Wall.line(params.h, side=-1))
         start = [0.3, params.h - 0.1, 0.2, -0.9]
         start[k] = value
+        start = PlanarState(*start)
         with pytest.raises(ConfigError, match="the start must be finite"):
-            billiard_map(PlanarState(*start), 3, model, mode=mode, integ=FAST)
+            billiard_map(start, 3, model, mode=mode, integ=FAST)
+        with pytest.raises(ConfigError, match="the start must be finite"):
+            if mode == "analytic":
+                next_hit_analytic_line(start, params, model.wall)
+            else:
+                next_hit_numeric(start, model, FAST)
 
     def test_repulsive_pocket_escapes(self):
         # documented contrast: with a repulsive center the bouncing pocket

@@ -13,6 +13,7 @@ from oracles import ode_trajectory
 import kcbilliards.cli
 import kcbilliards.planar
 import kcbilliards.spherical
+import kcbilliards.verify
 from kcbilliards.cli import _drift, main
 from kcbilliards.integrals import integral_set
 from kcbilliards.io import PLANAR_HEADER, SPHERICAL_BOUNCE_HEADER, SPHERICAL_HEADER, read_csv
@@ -481,6 +482,15 @@ class TestVerify:
     def test_injected_fault_exit_code(self, capsys):
         rc = main(["verify", "--seed", "1", "--cases", "100", "--inject-fault"])
         assert rc == 4
+
+    def test_oracle_integration_failure_is_a_dynamics_error(self, capsys, fail_solve_ivp):
+        # the projection check's spherical integration gives up: exit 3,
+        # with the solver's message, and no report
+        sols = fail_solve_ivp(kcbilliards.verify, 1)
+        assert main(["verify", "--seed", "1", "--cases", "100"]) == 3
+        out, err = capsys.readouterr()
+        assert len(sols) == 1 and out == ""
+        assert err == f"dynamics error: spherical oracle integration failed: {sols[0].message}\n"
 
 
 class TestProject:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kcbilliards.billiard import _spherical_record, billiard_map
+from kcbilliards.billiard import _spherical_record, billiard_map, reflect
 from kcbilliards.errors import ConfigError
 from kcbilliards.io import (
     _TABLE_MIN,
@@ -17,7 +17,7 @@ from kcbilliards.io import (
     write_bounces,
     write_rows,
 )
-from kcbilliards.model import Model, PlanarState, SystemParams, Wall
+from kcbilliards.model import BounceRecord, Model, PlanarState, SystemParams, Wall
 from kcbilliards.spherical import planar_to_sphere
 
 
@@ -107,6 +107,21 @@ class TestWriteRows:
             write_rows(str(path), header, table)
             assert path.read_bytes() == (header + "\n").encode() + _percent_rows(table)
 
+    @pytest.mark.parametrize("n_rows", [3, 200])
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_a_row_of_the_wrong_width_is_refused_on_either_path(self, tmp_path, n_rows, width):
+        # 9 values go through "%", 600 through the numpy kernel: both refuse
+        # the table alike and write nothing
+        assert (n_rows * 3 < _TABLE_MIN) == (n_rows == 3)
+        path = tmp_path / "rows.csv"
+        message = fr"^a table of shape \({n_rows}, {width}\) under 3 columns$"
+        # every row of that width, as a list or an array, or only the last
+        for rows in ([(1.0,) * width] * n_rows, np.ones((n_rows, width)),
+                     [(1.0, 2.0, 3.0)] * (n_rows - 1) + [(1.0,) * width]):
+            with pytest.raises(ValueError, match=message):
+                write_rows(str(path), "a,b,c", rows)
+        assert not path.exists()
+
     def test_empty_table_is_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_rows(str(path), "t,x", [])
@@ -129,8 +144,9 @@ class TestWriteRows:
         params = SystemParams(m=1.0, a=1.0)
         wall = Wall.great_circle([0.0, 1.0, 0.0], side=1)
         s = planar_to_sphere(PlanarState(0.4, params.h, 0.3, 0.5), params)
-        records = [_spherical_record(0.5, s, params, wall),
-                   _spherical_record(0.75, s, params, wall, tangent=True)]
+        out = reflect(s, wall)
+        records = [BounceRecord(0.5, s, out, *_spherical_record(s, out, params), False),
+                   BounceRecord(0.75, s, s, *_spherical_record(s, s, params), True)]
         path = tmp_path / "bounces.csv"
         write_bounces(str(path), records, "spherical")
         expected = SPHERICAL_BOUNCE_HEADER + "\n" + "".join(
