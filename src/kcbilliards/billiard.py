@@ -19,10 +19,9 @@ Both maps share one rule for a start on the wall: a start moving out of
 the domain (normal speed above TANGENCY_REL of the speed) is reflected at
 once, as a bounce at t = 0 with state_in equal to the start
 (_outward_start). A start outside the domain, beyond the on-wall
-tolerance, is a ConfigError in both, raised at billiard_map's entry; so
-is a planar start with a component that is not finite, there and at each
-leg's. Both share one rule for the flight time too: a leg whose hit comes
-more than t_max_per_leg after its start raises Undetermined.
+tolerance, is a ConfigError in both, raised at billiard_map's entry.
+Both share one rule for the flight time too: a leg whose hit comes more
+than t_max_per_leg after its start raises Undetermined.
 
 A leg returns an Escape or the BounceRecord that _hit_or_tangency
 assembles: the hit reflected once through reflect, unless its tangent
@@ -169,19 +168,12 @@ def _spherical_record(state_in: SphericalState, state_out: SphericalState,
     return _spherical_integrals(state_in, params), _spherical_integrals(state_out, params)
 
 
-def _check_finite(state, wall: Wall) -> None:
-    """Raises ConfigError if a planar start has a component that is not finite."""
-    if wall.is_planar and not all(map(math.isfinite, state)):
-        raise ConfigError(f"the start must be finite: {tuple(state)}")
-
-
 def _outward_start(state, params: SystemParams, wall: Wall, g: float,
                    t0: float) -> Optional[BounceRecord]:
     """Zero-time bounce, at the clock t0, for a start on the wall moving out
     of the domain, given its wall function g; None for a start off the wall
     (beyond the reflect tolerance), moving into the domain or grazing it,
     which the hit search then takes."""
-    _check_finite(state, wall)
     if abs(g) > ON_WALL_TOL * wall.scale:
         return None
     normal = _normal(state, wall)
@@ -232,8 +224,8 @@ def next_hit_analytic_line(
     start.
 
     Raises:
-        ConfigError: if params.beta != 0, the wall or the state is not
-            planar, or the start has a component that is not finite.
+        ConfigError: if params.beta != 0, or the wall or the state is not
+            planar.
         Undetermined: if the hit comes more than t_max after the start.
     """
     if params.beta != 0.0:
@@ -481,15 +473,13 @@ def billiard_map(
     bounces before it.
 
     Raises:
-        ConfigError: the start and the wall lie in different domains, a
-            planar start has a component that is not finite, or the start
-            lies outside the domain, its wall function below -ON_WALL_TOL
-            times the wall's scale.
+        ConfigError: the start and the wall lie in different domains, or
+            the start lies outside the domain, its wall function below
+            -ON_WALL_TOL times the wall's scale.
     """
     if mode not in ("numeric", "analytic"):
         raise ValueError("mode must be 'numeric' or 'analytic'")
     g = _wall_value(state, model.wall)
-    _check_finite(state, model.wall)
     if g < -ON_WALL_TOL * model.wall.scale:
         raise ConfigError(f"the start lies outside the domain: wall function {g:.6g}")
     records: List[BounceRecord] = []

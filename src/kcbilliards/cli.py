@@ -65,7 +65,7 @@ def cmd_simulate(args) -> int:
     cfg: RunConfig = load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
     params = cfg.model.params
-    planar = cfg.model.domain == "planar"
+    planar = cfg.model.wall.is_planar
     run = None
     records = []
     if cfg.run.n_bounces == 0:
@@ -110,7 +110,7 @@ def cmd_simulate(args) -> int:
         series = {k: np.concatenate([series.get(k, [])[:1],
                                      [getattr(rec.integrals_in, k) for rec in records]])
                   for k in ("D", "E_pl", "E_sph")}
-    out_io.write_bounces(os.path.join(args.out, "bounces.csv"), records, cfg.model.domain)
+    out_io.write_bounces(os.path.join(args.out, "bounces.csv"), records, cfg.model.wall.domain)
     summary = {
         "outcome": "flow" if run is None else run.outcome,
         "n_bounces": len(records),
@@ -153,7 +153,7 @@ def cmd_project(args) -> int:
                 skipped.append(f"row {i}: not in the south hemisphere, skipped")
                 continue
             images.append((t, image.as_array(), time_change_density(sp)))
-    except ValueError as exc:  # a zero q, or a planar row whose image overflows
+    except (ValueError, ConfigError) as exc:  # a zero q, or an image that overflows
         raise ConfigError(f"{args.infile} row {i}: {exc}") from exc
     out_io.write_projection(args.outfile, "spherical" if to_sphere else "planar", images)
     for line in skipped:

@@ -32,7 +32,7 @@ class DynamicsError(BilliardError):
 
 class Undetermined(DynamicsError):
     """Hit search exhausted t_max without a hit or an escape certificate,
-    or a bound planar leg at beta = 0 missed the wall for a whole period."""
+    or a bound planar (beta = 0) or pole-chart leg missed the wall for a whole period."""
 
     outcome = "undetermined"
 

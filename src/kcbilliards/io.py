@@ -229,19 +229,21 @@ def write_summary(path: str, summary: dict):
         fh.write("\n")
 
 
-def read_csv(path: str, lead: Sequence[str] = ()) -> Tuple[List[str], List[List[float]]]:
+def read_csv(path: str, *leads: Sequence[str]) -> Tuple[List[str], List[List[float]]]:
     """Read a numeric CSV written by this package. ConfigError: unreadable
-    file, a header that does not begin with the columns ``lead``, a
-    non-numeric token, a row whose length differs from the header's, or a
-    non-finite value under ``lead`` (the error names the file's line)."""
+    file, a header that begins with none of the column lists ``leads`` (if
+    any), a non-numeric token, a row whose length differs from the header's,
+    or a non-finite value under the lead it begins with (naming the file's line)."""
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     with fh:
         header = fh.readline().strip().split(",")
-        if header[:len(lead)] != list(lead):
-            raise ConfigError(f"{path}: the header does not begin with {','.join(lead)}")
+        lead = next((lead for lead in leads or [()] if header[:len(lead)] == list(lead)), None)
+        if lead is None:
+            raise ConfigError(f"{path}: the header does not begin with "
+                              + " or ".join(map(",".join, leads)))
         rows = []
         for n, line in enumerate(fh, start=2):
             line = line.strip()
@@ -268,17 +270,20 @@ def read_states(path: str, domain: str):
     return [(row[0], row[1:len(lead)]) for row in rows]
 
 
+# plot's inputs: a trajectory (t and its position) or a bounce table (i, t_hit, the hit point)
+_PLOTTED = (PLANAR_STATE[:3], SPHERICAL_STATE[:4], PLANAR_BOUNCE_HEADER.split(",")[:4],
+            SPHERICAL_BOUNCE_HEADER.split(",")[:4])
+
+
 def read_points(path: str):
     """The (x, y) points ``plot`` draws from a CSV: (orbit, dots). A
-    trajectory, whose header begins with t and its position columns, gives
-    its (xi, eta) or (qx, qy) as the orbit; a bounce table gives its hit
-    points, the two columns after i and t_hit, as dots."""
-    header, rows = read_csv(path)
-    if header[:3] == list(PLANAR_STATE[:3]) or header[:4] == list(SPHERICAL_STATE[:4]):
-        return [(r[1], r[2]) for r in rows], []
+    trajectory gives its (xi, eta) or (qx, qy) as the orbit, a bounce table
+    its hit points as dots; read_csv refuses any other header and a
+    non-finite value in those columns."""
+    header, rows = read_csv(path, *_PLOTTED)
     if header[0] == "i":
         return [], [(r[2], r[3]) for r in rows]
-    raise ConfigError(f"{path}: not a trajectory or bounce table")
+    return [(r[1], r[2]) for r in rows], []
 
 
 # ---------------------------------------------------------------------------

@@ -70,12 +70,15 @@ _PlanarFields = NamedTuple("_PlanarFields", [("xi", float), ("eta", float),
 
 
 class PlanarState(_PlanarFields):
-    """Position and velocity in the normalized (xi, eta) chart, as floats."""
+    """Position and velocity in the normalized (xi, eta) chart: four finite floats."""
 
     __slots__ = ()
 
     def __new__(cls, xi: float, eta: float, xi_dot: float, eta_dot: float):
         xi, eta, xi_dot, eta_dot = float(xi), float(eta), float(xi_dot), float(eta_dot)
+        if not (math.isfinite(xi) and math.isfinite(eta)
+                and math.isfinite(xi_dot) and math.isfinite(eta_dot)):
+            raise ConfigError(f"a planar state must be finite: {(xi, eta, xi_dot, eta_dot)}")
         if xi == 0.0 and eta == 0.0:
             raise SingularPosition("(xi, eta) = (0, 0) is the singular center")
         return tuple.__new__(cls, (xi, eta, xi_dot, eta_dot))
@@ -268,10 +271,6 @@ class Model:
     params: SystemParams
     wall: Wall
 
-    @property
-    def domain(self) -> str:
-        return self.wall.domain
-
 
 _H_TOL = 1e-12
 
@@ -424,7 +423,7 @@ def parse_config(doc: dict) -> RunConfig:
         "initial.state must hold 4 (planar) or 6 (spherical) numbers",
     )
     values = [_finite(x, "each initial.state value") for x in state_vec]
-    if model.domain == "planar":
+    if wall.is_planar:
         _require(len(values) == 4, "planar run requires a 4-number state")
         initial: State = PlanarState(*values)
     else:

@@ -17,8 +17,8 @@ from typing import List
 
 import numpy as np
 
-from .billiard import Escape, next_hit_analytic_line, next_hit_numeric
-from .errors import StepFailure
+from .billiard import Escape, next_hit_analytic_line, next_hit_numeric, reflect
+from .errors import ConfigError, StepFailure
 from .integrals import gj_integral, planar_columns, planar_energy, spherical_energy_chart
 from .model import (
     IntegratorConfig,
@@ -64,20 +64,21 @@ def random_states(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def check_reflection_d_invariance(seed: int, cases: int) -> CheckResult:
-    """D is exactly invariant under the line-wall reflection."""
+    """D is exactly invariant under reflect at the wall line."""
     rng = np.random.default_rng(seed)
     tol = 1e-12
     worst = 0.0
     total = 0
     for a in (0.0, 0.5, 1.0, 3.0):
         for m in (-1.0, 1.0):
-            h = -a / math.sqrt(1.0 + a * a)
+            h = SystemParams(m, a).h
+            wall = Wall.line(h)
             n = max(1, cases // 8)
             xi = rng.uniform(-3.0, 3.0, n)
             xd = rng.uniform(-2.0, 2.0, n)
             ed = rng.uniform(-2.0, 2.0, n)
             y_in = np.column_stack((xi, np.full(n, h), xd, ed))[(xi != 0.0) | (h != 0.0)]
-            y_out = y_in * (1.0, 1.0, 1.0, -1.0)
+            y_out = np.array([reflect(PlanarState(*y), wall) for y in y_in.tolist()]).reshape(-1, 4)
             d_in = gj_integral(planar_columns(y_in), m, h)
             d_out = gj_integral(planar_columns(y_out), m, h)
             err = np.abs(d_out - d_in) / np.maximum(1.0, np.abs(d_in))
@@ -94,7 +95,7 @@ def check_spherical_energy_identity(seed: int, cases: int) -> CheckResult:
     total = 0
     for a in (0.0, 0.5, 1.0, 3.0):
         for m in (-1.0, 1.0):
-            h = -a / math.sqrt(1.0 + a * a)
+            h = SystemParams(m, a).h
             s = planar_columns(random_states(rng, max(1, cases // 8)))
             e_sph = spherical_energy_chart(s, m, a)
             rhs = (1.0 + a * a) * (planar_energy(s, m) + 0.5 * gj_integral(s, m, h))
@@ -213,7 +214,10 @@ def check_projection_correspondence() -> CheckResult:
 
 
 def run_suite(seed: int, cases: int, inject_fault: bool = False) -> dict:
-    """Run every check; deterministic for a fixed (seed, cases)."""
+    """Run every check; deterministic for a fixed (seed, cases). ConfigError
+    if seed < 0 or cases < 1."""
+    if seed < 0 or cases < 1:
+        raise ConfigError(f"verify needs seed >= 0 and cases >= 1, not {seed} and {cases}")
     anv_cases = max(6, min(60, cases // 100))
     results = [
         check_reflection_d_invariance(seed, cases),

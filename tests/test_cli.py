@@ -16,7 +16,8 @@ import kcbilliards.spherical
 import kcbilliards.verify
 from kcbilliards.cli import _drift, main
 from kcbilliards.integrals import integral_set
-from kcbilliards.io import PLANAR_HEADER, SPHERICAL_BOUNCE_HEADER, SPHERICAL_HEADER, read_csv
+from kcbilliards.io import (PLANAR_BOUNCE_HEADER, PLANAR_HEADER, SPHERICAL_BOUNCE_HEADER,
+                            SPHERICAL_HEADER, read_csv)
 from kcbilliards.model import (IntegratorConfig, PlanarState, SphericalState, SystemParams,
                                spherical_center)
 from kcbilliards.planar import propagate_analytic
@@ -483,6 +484,13 @@ class TestVerify:
         rc = main(["verify", "--seed", "1", "--cases", "100", "--inject-fault"])
         assert rc == 4
 
+    @pytest.mark.parametrize("args", [["--seed", "-1"], ["--cases", "0"], ["--cases", "-3"]])
+    def test_negative_seed_or_no_case_exits_two(self, capsys, args):
+        # refused before any check runs: no report, and no traceback
+        assert main(["verify", *args]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: verify needs seed >= 0 and cases >= 1, not ")
+
     def test_oracle_integration_failure_is_a_dynamics_error(self, capsys, fail_solve_ivp):
         # the projection check's spherical integration gives up: exit 3,
         # with the solver's message, and no report
@@ -598,10 +606,12 @@ class TestProject:
         assert f"{src} line 3: a non-finite value" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # q / |q| at q = 0
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("direction, text", [
         ("sphere-to-plane", "t,qx,qy,qz,vx,vy,vz\n0,0,0,0,0,1,0\n"),   # q = 0
         ("plane-to-sphere", "t,xi,eta,xi_dot,eta_dot\n0,1e300,0,1,0\n"),  # lambda^2 overflows
-    ], ids=["zero-q", "overflow"])
+        ("sphere-to-plane", "t,qx,qy,qz,vx,vy,vz\n0,1,0,-1e-320,0,1,0\n"),  # xi = 1/1e-320
+    ], ids=["zero-q", "overflow", "planar-overflow"])
     def test_row_that_is_no_state_exits_two(self, tmp_path, capsys, direction, text):
         src = tmp_path / "s.csv"
         src.write_text(text)
@@ -659,6 +669,20 @@ class TestPlot:
         src = tmp_path / "s.csv"
         src.write_text(f"{PLANAR_HEADER}\n{row}\n")
         assert main(["plot", "--in", str(src), "--out", str(tmp_path / "p.svg")]) == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("header", [PLANAR_BOUNCE_HEADER, PLANAR_HEADER],
+                             ids=["bounces", "trajectory"])
+    def test_non_finite_point_exits_two(self, tmp_path, capsys, header, bad):
+        # a NaN or infinite xi on line 3 would become "nan" pixels: exit 2,
+        # the line named, and no SVG written
+        rows = [["1"] * (header.count(",") + 1) for _ in range(3)]
+        rows[1][header.split(",").index("xi")] = bad
+        src, svg = tmp_path / "s.csv", tmp_path / "p.svg"
+        src.write_text("\n".join([header] + [",".join(row) for row in rows]) + "\n")
+        assert main(["plot", "--in", str(src), "--out", str(svg)]) == 2
+        assert f"{src} line 3: a non-finite value under" in capsys.readouterr().err
+        assert not svg.exists()
 
     def test_unknown_header_exits_two(self, tmp_path):
         src = tmp_path / "s.csv"

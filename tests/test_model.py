@@ -83,6 +83,15 @@ class TestStates:
         with pytest.raises(SingularPosition):
             PlanarState(np.float64(0.0), -0.0, 1, 0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("k", range(4))
+    def test_non_finite_component_rejected(self, k, value):
+        # as SystemParams and Wall refuse theirs
+        components = [0.3, -0.5, 0.2, -0.9]
+        components[k] = value
+        with pytest.raises(ConfigError, match=r"a planar state must be finite: \("):
+            PlanarState(*components)
+
     def test_keyword_construction_gives_the_same_state(self):
         s = PlanarState(xi=1, eta=np.float64(-2.0), xi_dot=0.5, eta_dot=np.int64(0))
         assert s == PlanarState(1.0, -2.0, 0.5, 0.0)
@@ -158,7 +167,7 @@ class TestValidateConfig:
         # a = 0 forces h = 0: a line wall through the center is valid
         params = SystemParams(m=-1.0, a=0.0)
         model = validate_config(params, Wall.line(0.0))
-        assert model.domain == "planar"
+        assert model.wall.domain == "planar"
 
     def test_line_level_matches_h(self):
         params = SystemParams(m=1.0, a=1.0)
@@ -327,7 +336,7 @@ class TestParseConfig:
         v = v - np.dot(q, v) * q
         doc["initial"]["state"] = [*q.tolist(), *v.tolist()]
         cfg = parse_config(doc)
-        assert cfg.model.domain == "spherical"
+        assert cfg.model.wall.domain == "spherical"
 
     def test_spherical_state_off_the_sphere(self):
         # six finite numbers, but |q| = 2: a ConfigError, not a ValueError

@@ -41,6 +41,17 @@ def test_escapes_are_compared_by_outcome(monkeypatch, escaping, passed, max_err)
     assert (got.passed, got.max_err, got.cases) == (passed, max_err, 6)
 
 
+def test_reflection_check_sees_a_broken_reflect(monkeypatch):
+    # the check reflects through the package's reflect: one that shifts
+    # xi_dot by 0.1 v.n and keeps eta_dot changes D, and the check fails
+    def broken(state, wall):
+        return state._replace(xi_dot=state.xi_dot + 0.1 * state.eta_dot)
+
+    monkeypatch.setattr(kcbilliards.verify, "reflect", broken)
+    got = check_reflection_d_invariance(0, 2000)
+    assert not got.passed and got.max_err > got.tol
+
+
 def test_suite_reports_all_checks():
     report = run_suite(seed=7, cases=1000)
     assert report["passed"]

@@ -62,7 +62,7 @@ for workload, config, out in json.load(open(sys.argv[1])):
                 cfg = load_config(config)
                 run = billiard_map(cfg.initial, cfg.run.n_bounces, cfg.model, mode="analytic")
                 os.makedirs(out)
-                write_bounces(os.path.join(out, "bounces.csv"), run.records, cfg.model.domain)
+                write_bounces(os.path.join(out, "bounces.csv"), run.records, cfg.model.wall.domain)
                 codes.append(run.outcome)
             else:
                 codes.append(main(["simulate", "--config", config, "--out", out]))
