@@ -236,7 +236,20 @@ def next_hit_analytic_line(
     outward = _outward_start(state, params, wall, c, t0)
     if outward is not None:
         return outward
-    m = params.m
+    crossing = _exact_crossing(state, params.m, wall, c, t_max)
+    if isinstance(crossing, Escape):
+        return crossing
+    return _hit_or_tangency(t0 + crossing[0], crossing[1], params, wall)
+
+
+def _exact_crossing(state: PlanarState, m: float, wall: Wall, c: float, t_max: float):
+    """The first forward crossing out of the domain along the conic of
+    next_hit_analytic_line, from a start whose wall function is c: its
+    (flight time, state), or the Escape that leg returns; no record.
+
+    Raises:
+        Undetermined: if the crossing comes more than t_max after the start.
+    """
     xi, eta, xi_dot, eta_dot = state
     r0 = math.hypot(xi, eta)
     sigma0 = xi * xi_dot + eta * eta_dot
@@ -266,29 +279,30 @@ def next_hit_analytic_line(
     if t_hit > t_max:
         raise Undetermined(f"no hit within t_max = {t_max}")
     try:
-        hit = universal_state(state, m, t_hit, g, r0)
+        return t_hit, universal_state(state, m, t_hit, g, r0)
     except SingularPosition:
         return Escape("the orbit meets the wall only at the removed center")
-    return _hit_or_tangency(t0 + t_hit, hit, params, wall)
 
 
 # ---------------------------------------------------------------------------
 # Numerical hit search
 # ---------------------------------------------------------------------------
 
-def _escape_event(state: PlanarState, params: SystemParams, wall: Wall, form):
+def _escape_event(state: PlanarState, params: SystemParams, wall: Wall, g: float, form):
     """The escape certificate of an unbound planar leg as a terminal event
     on its form, rising through zero where it comes to hold: beyond 1e3
     wall scales and receding, and for an unbounded wall (|n| >= alpha, the
     line) a conic that misses it ahead (beta = 0) or a speed away from it,
     side n.v, above what the force can still turn, (|m|/r + |beta|/(2 r^2))
     over the least radial speed to come, min(sqrt(2E), v_r); None for a
-    bound leg or a conic that meets an unbounded wall."""
+    bound leg or a conic that meets an unbounded wall (_exact_crossing from
+    the start, whose wall function is g)."""
     two_e = 2.0 * planar_energy(state, params.m, params.beta)
     n1, n2 = wall.normal
     bounded = wall.alpha > math.hypot(n1, n2)
     exact = not bounded and params.beta == 0.0
-    if two_e < 0.0 or exact and not isinstance(next_hit_analytic_line(state, params, wall), Escape):
+    if two_e < 0.0 or exact and not isinstance(
+            _exact_crossing(state, params.m, wall, g, math.inf), Escape):
         return None
     r_escape = 1e3 * wall.scale
     m, beta = abs(params.m), abs(params.beta)
@@ -372,7 +386,7 @@ def next_hit_numeric(
         form = sphere_form(state, 0.0, float(state.q @ pole) >= c_in)
     else:
         form = _planar_form(state, params)
-        escape = _escape_event(state, params, wall, form)
+        escape = _escape_event(state, params, wall, g, form)
         if escape is not None and escape(0.0, form.y) > 0.0:
             return Escape("unbound, receding beyond the escape radius")
 

@@ -1,7 +1,12 @@
 """Command-line front end: simulate, verify, project, plot.
 
-A flow (n_bounces = 0) runs a billiard leg's form with no wall, Levi-Civita's
-in the plane, and is sampled where the form's clock reads each time.
+A flow (n_bounces = 0) is sampled where its clock reads each time. Where
+its orbit has a closed form it is sampled on that conic: a planar flow at
+beta = 0, whose Levi-Civita form is an oscillator whose s is the universal
+variable, and a spherical flow bound in the chart of its attracting pole
+(see spherical.integrate_spherical); the integrator settings are not read.
+Any other flow integrates a billiard leg's form with no wall, Levi-Civita's
+in the plane.
 
 Exit codes: 0 success, 1 any other error of the package, 2 configuration
 error or any OS error reading or writing a file (a full disk too), 3
@@ -32,7 +37,8 @@ from .errors import (
 )
 from .integrals import integral_set, planar_columns
 from .model import PlanarState, RunConfig, SphericalState, SystemParams, load_config, solve_ivp
-from .planar import _clock_end, _clock_samples, _levi_civita_to_planar, _planar_form
+from .planar import (_clock_end, _clock_samples, _conic, _conic_samples, _levi_civita_to_planar,
+                     _planar_form)
 from .spherical import (
     integrate_spherical,
     planar_to_sphere,
@@ -70,7 +76,11 @@ def cmd_simulate(args) -> int:
     records = []
     if cfg.run.n_bounces == 0:
         ts = np.linspace(0.0, cfg.run.t_max, _FLOW_SAMPLES)
-        if planar:  # the legs' Levi-Civita form with no wall, sampled by its clock
+        if not planar:
+            ts, ys = integrate_spherical(cfg.initial, ts, params, cfg.integrator)
+        elif params.beta == 0.0:  # the conic itself, which the oscillator form would integrate
+            ys = _conic_samples(_conic(cfg.initial, params.m), ts)[:4].T
+        else:  # the legs' Levi-Civita form with no wall, sampled by its clock
             form = _planar_form(cfg.initial, params)
             sol = solve_ivp(form.rhs, (0.0, math.inf), form.y, method="DOP853",
                             rtol=cfg.integrator.rtol, atol=cfg.integrator.atol,
@@ -79,8 +89,6 @@ def cmd_simulate(args) -> int:
             if not sol.success:
                 raise StepFailure(f"flow integration failed: {sol.message}")
             ys = np.transpose(_levi_civita_to_planar(_clock_samples(sol, form, ts)))
-        else:
-            ts, ys = integrate_spherical(cfg.initial, ts, params, cfg.integrator)
         ys[0] = cfg.initial.as_array()  # the start itself, not its round trip through the form
     else:
         run = billiard_map(

@@ -8,7 +8,8 @@ chart exists only inside the chart maps of :mod:`kcbilliards.spherical`.
 
 A state is built by its constructor (or SphericalState.project).
 PlanarState, IntegralSet and BounceRecord are named tuples: each equals a
-plain tuple of its values, and _replace and _make skip PlanarState's checks.
+plain tuple of its values, and PlanarState's _replace and _make go through
+its constructor's checks.
 """
 
 from __future__ import annotations
@@ -82,6 +83,12 @@ class PlanarState(_PlanarFields):
         if xi == 0.0 and eta == 0.0:
             raise SingularPosition("(xi, eta) = (0, 0) is the singular center")
         return tuple.__new__(cls, (xi, eta, xi_dot, eta_dot))
+
+    @classmethod
+    def _make(cls, iterable) -> "PlanarState":
+        """The state of four values, through the constructor's checks;
+        _replace builds its state here too."""
+        return cls(*iterable)
 
     @property
     def r(self) -> float:

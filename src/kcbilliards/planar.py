@@ -11,6 +11,13 @@ One Newton on t(s) serves exact propagation and the anomaly equations
 crossing root on the kernel times the exact wall hit. The exact flight
 and hit pass a radial orbit's collision by the elastic bounce.
 
+A flow is sampled where its clock reads each time, by one bracketed
+Newton on arrays (_invert_clock): on the dense output of an integrated
+form (_clock_samples), or on a conic in closed form (_conic_samples),
+as the kernel's f and g functions on columns (_conic). At beta = 0 the
+planar form is Levi-Civita's oscillator, whose s is the universal
+variable, so a planar flow there needs no integration.
+
 Sign convention: the acceleration is -m*q/r^3 + beta*q/r^4, so m > 0
 attracts and m < 0 repels; beta > 0 is an outward force beta/r^3 with
 potential term beta/(2 r^2).
@@ -135,14 +142,43 @@ def _clock_end(form: _Form, t_end: float):
     return at_end
 
 
+def _invert_clock(at, clock, rate, grid, clocks, ts: np.ndarray) -> np.ndarray:
+    """The states at(s), one per column, where a monotone clock (clock(s, y),
+    with dt/ds = rate(y)) reads the times ts; grid is an ascending table of
+    s and clocks its clock readings, which bracket each time. Newton runs
+    from the interpolant of the table inside the cell that brackets each
+    time, bisecting where it leaves the bracket or does not halve its step,
+    until the clock is within 4 ulps of its time where dt/ds > 0 (never at
+    a force center itself, where the velocity is infinite), or the bracket
+    closes; on a linear clock such as the embedded t + s the first guess
+    holds. It raises NonConvergence past _MAX_ITER iterations."""
+    k = np.searchsorted(clocks, ts).clip(1, grid.size - 1)
+    lo, hi, s = grid[k - 1], grid[k], np.interp(ts, clocks, grid)
+    todo, step = np.arange(ts.size), np.full_like(s, np.inf)
+    y = at(s)
+    out = np.empty((y.shape[0], ts.size))
+    for _ in range(_MAX_ITER):
+        f, dt_ds = clock(s, y) - ts[todo], np.broadcast_to(rate(y), s.shape)
+        done = (np.abs(f) <= 4.0 * np.spacing(np.abs(ts[todo]))) & (dt_ds > 0.0) | (
+            hi - lo <= 4.0 * np.spacing(np.abs(s)))
+        out[:, todo[done]] = y[:, done]
+        todo, s, f, dt_ds, lo, hi, step = (x[~done] for x in (todo, s, f, dt_ds, lo, hi, step))
+        if not todo.size:
+            return out
+        lo, hi = np.where(f < 0.0, s, lo), np.where(f > 0.0, s, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s_new = s - f / dt_ds
+        newton = (lo <= s_new) & (s_new <= hi) & (np.abs(s_new - s) < 0.5 * np.abs(step))
+        s_new = np.where(newton, s_new, 0.5 * (lo + hi))
+        step, s = s_new - s, s_new
+        y = at(s)
+    raise NonConvergence("a flow sample's clock did not converge")
+
+
 def _clock_samples(sol, form: _Form, ts: np.ndarray) -> np.ndarray:
     """The dense-output states of sol, one per column, where the form's
-    monotone clock (dt/ds = form.rate(y)) reads the times ts. Newton runs
-    from the interpolant of the step clocks inside the step that brackets
-    each time, bisecting where it leaves the bracket or does not halve its
-    step, until the clock is within 4 ulps of its time or the bracket
-    closes; on a linear clock such as the embedded t + s the first guess
-    holds. It raises NonConvergence past _MAX_ITER iterations.
+    monotone clock (dt/ds = form.rate(y)) reads the times ts, by
+    _invert_clock over the table of the steps' ends.
 
     Each iteration evaluates every sample's DOP853 step interpolant in one
     pass over tables of the steps' t_old, h, y_old and F: the step scipy's
@@ -152,14 +188,8 @@ def _clock_samples(sol, form: _Form, ts: np.ndarray) -> np.ndarray:
     t_old, h = np.array([p.t_old for p in steps]), np.array([p.h for p in steps])
     y_old = np.array([p.y_old for p in steps])
     powers = np.stack([p.F for p in steps], axis=1)[::-1]  # [power, step], highest first
-    clocks = form.clock(sol.t, sol.y)
-    k = np.searchsorted(clocks, ts).clip(1, sol.t.size - 1)
-    lo, hi, s = sol.t[k - 1], sol.t[k], np.interp(ts, clocks, sol.t)
-    todo, step = np.arange(ts.size), np.full_like(s, np.inf)
-    out = np.empty((sol.y.shape[0], ts.size))
-    for _ in range(_MAX_ITER):
-        if not todo.size:
-            return out
+
+    def at(s):
         seg = (np.searchsorted(sol.sol.ts, s, side="left") - 1).clip(0, len(steps) - 1)
         frac = ((s - t_old[seg]) / h[seg])[:, None]
         y = np.zeros((s.size, y_old.shape[1]))
@@ -167,19 +197,27 @@ def _clock_samples(sol, form: _Form, ts: np.ndarray) -> np.ndarray:
             y += f
             y *= frac if i % 2 == 0 else 1 - frac
         y += y_old[seg]
-        y = y.T
-        f = form.clock(s, y) - ts[todo]
-        done = (np.abs(f) <= 4.0 * np.spacing(np.abs(ts[todo]))) | (
-            hi - lo <= 4.0 * np.spacing(np.abs(s)))
-        out[:, todo[done]] = y[:, done]
-        todo, s, f, y, lo, hi, step = (x[..., ~done] for x in (todo, s, f, y, lo, hi, step))
-        lo, hi = np.where(f < 0.0, s, lo), np.where(f > 0.0, s, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s_new = s - f / form.rate(y)
-        newton = (lo <= s_new) & (s_new <= hi) & (np.abs(s_new - s) < 0.5 * np.abs(step))
-        s_new = np.where(newton, s_new, 0.5 * (lo + hi))
-        step, s = s_new - s, s_new
-    raise NonConvergence("a flow sample's clock did not converge")
+        return y.T
+
+    return _invert_clock(at, form.clock, form.rate, sol.t, form.clock(sol.t, sol.y), ts)
+
+
+def _conic_samples(at, ts: np.ndarray) -> np.ndarray:
+    """The rows of at(s) where their clock, row 4 (dt/ds in row 5), reads
+    the ascending times ts, for a flow in closed form whose clock reads
+    ts[0] at s = 0. The table for _invert_clock is one grid of ts.size
+    values of s, up to the first power of two where the clock passes ts[-1].
+
+    Raises:
+        NonConvergence: if the clock stays below ts[-1] up to s = 2^60.
+    """
+    powers = 2.0 ** np.arange(-60.0, 61.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a hyperbola's clock overflows
+        reach = at(powers)[4] >= ts[-1]
+    if not reach.any():
+        raise NonConvergence("a flow sample's clock did not converge")
+    grid = np.linspace(0.0, powers[reach.argmax()], max(ts.size, 2))
+    return _invert_clock(at, lambda s, y: y[4], lambda y: y[5], grid, at(grid)[4], ts)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +294,48 @@ def universal_state(state: PlanarState, m: float, t: float, g, r0=None) -> Plana
         f_dot * state.xi + g_dot * state.xi_dot,
         f_dot * state.eta + g_dot * state.eta_dot,
     )
+
+
+def _kernel_columns(alpha: float, s: np.ndarray):
+    """(G1, G2, G3) of universal_kernel at each s of an array, for one alpha,
+    with the same Stumpff branches."""
+    z = alpha * s * s
+    c2 = np.polyval((-1.0 / 40320.0, 1.0 / 720.0, -1.0 / 24.0, 1.0 / 2.0), z)
+    c3 = np.polyval(_C3_SERIES, z)
+    if alpha != 0.0:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # z = 0 takes the series
+            w = np.sqrt(np.abs(z))
+            if alpha > 0.0:
+                big2, big3 = 2.0 * np.sin(0.5 * w) ** 2 / z, (w - np.sin(w)) / (z * w)
+            else:
+                big2, big3 = 2.0 * np.sinh(0.5 * w) ** 2 / -z, (np.sinh(w) - w) / (-z * w)
+        c2 = np.where(np.abs(z) < 1e-5, c2, big2)
+        c3 = np.where(np.abs(z) < 1.0, c3, big3)
+    g2, g3 = s * s * c2, s * s * s * c3
+    return s - alpha * g3, g2, g3
+
+
+def _conic(state: PlanarState, m: float):
+    """at(s) -> the conic through the state in closed form at the universal
+    variables s, as rows xi, eta, xi_dot, eta_dot, t(s) (time_of_flight) and
+    r = dt/ds: universal_state's f and g on columns. At the center itself
+    (r = 0) the velocity is not finite."""
+    xi, eta, xi_dot, eta_dot = state
+    r0 = state.r
+    sigma0 = xi * xi_dot + eta * eta_dot
+    alpha = 2.0 * m / r0 - state.speed**2
+
+    def at(s):
+        g1, g2, g3 = _kernel_columns(alpha, s)
+        t = r0 * g1 + sigma0 * g2 + m * g3
+        f, g = 1.0 - m * g2 / r0, t - m * g3
+        x, y = f * xi + g * xi_dot, f * eta + g * eta_dot
+        r = np.hypot(x, y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f_dot, g_dot = -m * g1 / (r * r0), 1.0 - m * g2 / r
+        return np.array([x, y, f_dot * xi + g_dot * xi_dot, f_dot * eta + g_dot * eta_dot, t, r])
+
+    return at
 
 
 def _solve_flight(r0: float, sigma0: float, alpha: float, m: float, dt: float):

@@ -9,7 +9,8 @@ Levi-Civita's form, which passes the pole; elsewhere it runs in embedded
 3-space with the explicit constraint term -|v|^2 q, which has no chart
 singularity at the equator of P. The two forms of ``_spherical_forms``
 serve the billiard legs (see kcbilliards.billiard) and the free flow of
-``integrate_spherical`` alike.
+``integrate_spherical`` alike, except for a free flow whose chart orbit
+is an ellipse: that one is sampled on its conic in closed form.
 
 One pair of maps, ``planar_to_sphere``/``sphere_to_planar``, identifies
 the open southern hemisphere with the normalized planar chart: central
@@ -21,6 +22,7 @@ lambda^2 = 1 + x^2 + y^2, and the normalization (x, y) =
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Callable
 
@@ -30,8 +32,8 @@ from .errors import ConfigError, PoleSingularity, StepFailure, WrongHalfPlane
 from .integrals import planar_energy
 from .model import (POLE_GUARD, IntegratorConfig, PlanarState, SphericalState, SystemParams,
                     solve_ivp, spherical_center)
-from .planar import (_Form, _clock_end, _clock_samples, _levi_civita, _levi_civita_to_planar,
-                     _radius, _squared, levi_civita_rhs)
+from .planar import (_Form, _clock_end, _clock_samples, _conic, _conic_samples, _levi_civita,
+                     _levi_civita_to_planar, _radius, _squared, levi_civita_rhs)
 
 
 def flow_rhs(params: SystemParams) -> Callable:
@@ -129,6 +131,18 @@ _leave_chart.terminal = True
 _leave_chart.direction = 1.0
 
 
+def _pole_chart(params: SystemParams):
+    """The attracting pole P (Z1 if m' > 0, else -Z1) and the rotation turn
+    with rows (e1, P x e1, -P), which takes P to (0, 0, -1): the sphere
+    turned by it projects onto P's gnomonic chart (_sphere_to_chart). The
+    spherical force has no beta term: ConfigError for params.beta != 0."""
+    if params.beta != 0.0:
+        raise ConfigError("the spherical flow requires beta = 0")
+    pole = math.copysign(1.0, params.m_prime) * spherical_center(params)
+    e1 = np.array([1.0, 0.0, 0.0])  # normal to Z1
+    return pole, np.array([e1, np.cross(pole, e1), -pole])
+
+
 def _spherical_forms(params: SystemParams):
     """The attracting pole P (Z1 if m' > 0, else -Z1), the q.P at which the
     flow enters its chart, form(state, t, in_chart) -> the flow's form at a
@@ -144,14 +158,10 @@ def _spherical_forms(params: SystemParams):
     d tau/ds = r/(1 + r^2). Its phase is the sphere point q = (x1 e1 +
     x2 e2 + P)/lambda, lambda^2 = 1 + |x|^2, and dq/ds, regular at the
     pole, so a leg reads the sphere's own wall function in either form.
-    The spherical force has no beta term: ConfigError for params.beta != 0.
+    ConfigError for params.beta != 0 (_pole_chart).
     """
-    if params.beta != 0.0:
-        raise ConfigError("the spherical flow requires beta = 0")
-    sign, mu = math.copysign(1.0, params.m_prime), abs(params.m_prime)
-    pole = sign * spherical_center(params)
-    e1 = np.array([1.0, 0.0, 0.0])  # normal to Z1
-    turn = np.array([e1, np.cross(pole, e1), -pole])
+    pole, turn = _pole_chart(params)
+    mu = abs(params.m_prime)
     _, p1, p2 = pole.tolist()  # P = (0, p1, p2), so e2 = P x e1 = (0, p2, -p1)
     embedded = flow_rhs(params)
     c_in = 1.0 / math.hypot(1.0, _CHART_IN)
@@ -200,22 +210,104 @@ def _spherical_forms(params: SystemParams):
     return pole, c_in, form, to_sphere
 
 
+# A chart orbit with alpha r0/mu at least this (alpha = -2E) runs in closed form. alpha =
+# 2 mu/r0 - |w|^2 cancels toward the parabola, and its rounding, 2 ulps/(alpha r0/mu)
+# relative, moves each pericentre passage in tau: over tau = 5, closed-form samples lay
+# 4.4e-10 (scaled) from the integrated ones at rtol 1e-13 at 1e-2, 2.5e-9 at 1e-3 and
+# 3.5e-7 at 1e-5. Every chart-bound benchmark start lies above 1e-2.
+_BOUND_MARGIN = 1e-2
+
+
+def _bound_chart_conic(state: SphericalState, params: SystemParams, turn, t0: float):
+    """The flow from state in P's chart in closed form, for a start in P's
+    hemisphere whose chart orbit is an ellipse (energy E < 0, alpha r0/mu
+    at least _BOUND_MARGIN): it never reaches the chart's equator, so the
+    whole flow is that one conic of mass mu = |m'|. Returns at(s), the
+    rows of planar._conic in the chart with the clock tau(s) in row 4 and
+    d tau/ds = r/(1 + r^2) in row 5; None for any other start.
+
+    With r(s) = A + R cos psi, psi = sqrt(alpha) s - phi (A = mu/alpha),
+    r/(1 + r^2) = Re 1/(r - i), and over each period of psi
+    int dpsi/(a + R cos psi) = (2/k) atan(c tan(psi/2)), a = A - i,
+    c = sqrt((a - R)/(a + R)), k = (a + R) c: Re c > 0, so atan meets no
+    branch cut, and each turn of psi adds 2 pi/k. a - R = r_p - i with the
+    pericentre r_p = L^2/(mu + alpha R), free of cancellation. The
+    difference of the two atans from the start is taken as one atan, of
+    k sin(h)/(a cos h + R cos(h - phi)) with h = sqrt(alpha) s/2, which
+    keeps tau - t0 to a few ulps of itself; the two atans only pick its
+    branch."""
+    q, v = turn @ state.q, turn @ state.v
+    if q[2] >= 0.0:  # q.P <= 0: outside P's hemisphere
+        return None
+    c = PlanarState(*_sphere_to_chart(q, v))
+    mu, r0 = abs(params.m_prime), c.r
+    alpha = 2.0 * mu / r0 - c.speed**2
+    if alpha * r0 < _BOUND_MARGIN * mu:
+        return None
+    w = math.sqrt(alpha)
+    sigma0, ell = c.xi * c.xi_dot + c.eta * c.eta_dot, c.xi * c.eta_dot - c.eta * c.xi_dot
+    big_a = mu / alpha
+    big_r = math.hypot(r0 - big_a, sigma0 / w)
+    phi = math.atan2(sigma0 / w, r0 - big_a)
+    a = complex(big_a, -1.0)
+    root = cmath.sqrt(complex(ell * ell / (mu + alpha * big_r), -1.0) / (a + big_r))
+    k = (a + big_r) * root
+
+    def turned_atan(psi):  # (whole turns of psi, atan(c tan(psi/2)) within the turn)
+        turns = np.floor((psi + math.pi) / (2.0 * math.pi))
+        return turns, np.arctan(root * np.tan(0.5 * (psi - 2.0 * math.pi * turns)))
+
+    turns0, atan0 = turned_atan(-phi)
+    conic = _conic(c, mu)
+
+    def at(s):
+        y = conic(s)
+        h = 0.5 * w * s
+        d = np.arctan(k * np.sin(h) / (a * np.cos(h) + big_r * np.cos(h - phi)))
+        turns, atans = turned_atan(w * s - phi)
+        d += math.pi * (turns - turns0 + np.round((atans - atan0 - d).real / math.pi))
+        y[4] = t0 + (2.0 / k * d).real / w
+        y[5] = y[5] / (1.0 + y[5] * y[5])
+        return y
+
+    return at
+
+
 def integrate_spherical(state: SphericalState, t_eval, params: SystemParams,
                         integ: IntegratorConfig = IntegratorConfig()):
     """Sample the spherical flow from t_eval[0] at the ascending times t_eval.
 
-    The flow runs the billiard legs' forms with no wall: the chart of the
+    A start whose orbit is bound in the chart of its attracting pole
+    (_bound_chart_conic) is sampled on that conic in closed form, where its
+    clock reads each time (_conic_samples), and integ is not read. Any
+    other flow runs the billiard legs' forms with no wall: the chart of the
     attracting pole (entered 45 and left 63 degrees off it), which passes
     the pole, and the embedded field elsewhere. Each form runs in one
     integration (integ.max_step a span of s through dt/ds at its start)
     until it switches or its clock reaches t_eval[-1]; the samples come
-    from its dense output (_clock_samples), projected onto the unit
-    tangent bundle.
+    from its dense output (_clock_samples). Either way the samples are
+    projected onto the unit tangent bundle.
 
     Returns:
         (ts, ys): the sample times t_eval and their 6-column state array.
     """
     want = np.asarray(t_eval, dtype=float)
+    _, turn = _pole_chart(params)
+    at = _bound_chart_conic(state, params, turn, float(want[0]))
+    if at is not None:
+        q, v = _chart_to_sphere(*_conic_samples(at, want)[:4])
+        ys = np.concatenate([turn.T @ q, turn.T @ v])
+    else:
+        ys = _integrated_samples(state, want, params, integ)
+    # projected onto the unit tangent bundle
+    q = ys[:3] / np.linalg.norm(ys[:3], axis=0)
+    ys = np.concatenate([q, ys[3:] - (q * ys[3:]).sum(axis=0) * q])
+    return want, ys.T
+
+
+def _integrated_samples(state: SphericalState, want: np.ndarray, params: SystemParams,
+                        integ: IntegratorConfig) -> np.ndarray:
+    """integrate_spherical's samples by integration, as embedded (q, v) rows."""
     pole, c_in, sphere_form, to_sphere = _spherical_forms(params)
     form = sphere_form(state, float(want[0]), float(state.q @ pole) >= c_in)
     samples, k = [], 0
@@ -232,7 +324,4 @@ def integrate_spherical(state: SphericalState, t_eval, params: SystemParams,
         k = end
         if switched:
             form = sphere_form(form.state(sol.y[:, -1]), t, form.switch is not _leave_chart)
-    ys = np.hstack(samples)  # then projected onto the unit tangent bundle
-    q = ys[:3] / np.linalg.norm(ys[:3], axis=0)
-    ys = np.concatenate([q, ys[3:] - (q * ys[3:]).sum(axis=0) * q])
-    return want, ys.T
+    return np.hstack(samples)

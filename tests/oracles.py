@@ -293,10 +293,10 @@ def pole_chart_hit(q, v, pole, mu: float, radius: float):
 
 
 def clock_samples_through_sol(sol, form, ts: np.ndarray, max_iter: int = 200) -> np.ndarray:
-    """planar._clock_samples with each Newton iteration's states read from
-    scipy's OdeSolution, sol.sol(s): the same start, bracket and stopping
-    rule, so the two agree to the bit while scipy's interpolant keeps its
-    arithmetic."""
+    """planar._clock_samples, the Newton of _invert_clock, with each
+    iteration's states read from scipy's OdeSolution, sol.sol(s): the same
+    start, bracket and stopping rule, so the two agree to the bit while
+    scipy's interpolant keeps its arithmetic."""
     clocks = form.clock(sol.t, sol.y)
     k = np.searchsorted(clocks, ts).clip(1, sol.t.size - 1)
     lo, hi, s = sol.t[k - 1], sol.t[k], np.interp(ts, clocks, sol.t)
@@ -307,7 +307,7 @@ def clock_samples_through_sol(sol, form, ts: np.ndarray, max_iter: int = 200) ->
             return out
         y = sol.sol(s)
         f = form.clock(s, y) - ts[todo]
-        done = (np.abs(f) <= 4.0 * np.spacing(np.abs(ts[todo]))) | (
+        done = (np.abs(f) <= 4.0 * np.spacing(np.abs(ts[todo]))) & (form.rate(y) > 0.0) | (
             hi - lo <= 4.0 * np.spacing(np.abs(s)))
         out[:, todo[done]] = y[:, done]
         todo, s, f, y, lo, hi, step = (x[..., ~done] for x in (todo, s, f, y, lo, hi, step))

@@ -711,6 +711,16 @@ class TestNumericHit:
         model = validate_config(params, wall)
         assert isinstance(next_hit_numeric(PlanarState(*start), model, FAST), Escape)
 
+    def test_escape_certificate_assembles_no_record(self, seam_calls):
+        # an unbound leg at beta = 0 whose conic meets the line ahead: the
+        # certificate asks the crossing alone, so the one record is the hit's
+        params = SystemParams(m=1.0, a=0.5)
+        model = validate_config(params, Wall.line(params.h, side=-1))
+        s = PlanarState(0.3, params.h - 1.0, 0.5, 2.0)
+        assert 2.0 * planar_energy(s, params.m) > 0.0
+        assert is_hit(next_hit_numeric(s, model, FAST))
+        assert seam_calls == {"reflect": 1, "integral_set": 2}
+
     def test_hit_past_the_escape_radius(self, ivp_calls):
         # an unbound leg that meets the line at r = 4029, past 1e3 wall
         # scales: its conic crosses ahead, so no escape event is armed and

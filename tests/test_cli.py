@@ -87,6 +87,31 @@ PLOT_RUNS = {
 }
 
 
+def _flow(model, beta, state, wall="planar-line"):
+    return {"system": {"model": model, "m": 1.0, "a": 0.5, "beta": beta},
+            "wall": {"kind": wall, "side": -1}, "initial": {"state": state},
+            "integrator": {"rtol": 1e-10, "atol": 1e-10, "max_step": 1.0},
+            "run": {"n_bounces": 0, "t_max": 5.0}}
+
+
+# one flow per side of the closed-form selection; each sphere is planar_to_sphere
+# of a planar state at a = 0.5, and its alpha r0/mu in the pole chart is given
+FLOW_RUNS = {
+    "kepler": _flow("kepler", 0.0, [1.0, 0.2, -0.1, 0.9]),
+    "repulsive": {**_flow("kepler", 0.0, [1.0, 0.2, -0.1, 0.9]),
+                  "system": {"model": "kepler", "m": -1.0, "a": 0.5, "beta": 0.0}},
+    "boltzmann": _flow("boltzmann", 0.3, [1.0, 0.2, -0.1, 0.9]),
+    # (1.0, 0.2, -0.1, 0.9): alpha r0/mu = 0.997
+    "chart-bound": _flow("spherical", 0.0, PLOT_RUNS["spherical"]["initial"]["state"],
+                         "spherical-great-circle"),
+    # (1.0, 0.2, 0.9, 1.6): alpha r0/mu = -0.462
+    "chart-unbound": _flow("spherical", 0.0, [0.6294904643473184, 0.4555035791205103,
+                                              -0.6294904643473184, 0.0483567820121964,
+                                              1.8421803299411597, 1.3813709914389185],
+                           "spherical-great-circle"),
+}
+
+
 class TestSimulate:
     def test_billiard_run(self, billiard_config, tmp_path):
         out = tmp_path / "out"
@@ -169,6 +194,26 @@ class TestSimulate:
         assert np.array_equal(rows[:, 0], ts)
         ref = ode_trajectory(PlanarState(1.0, 0.2, -0.1, 0.9), ts,
                              SystemParams(m=m, a=0.5, beta=beta), rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(rows[:, 1:5], ref, rtol=0.0, atol=1e-8)
+
+    @pytest.mark.parametrize("state", [
+        [1.0, 0.2, 1.2, 0.9],                                 # E > 0
+        [1.0, 0.2, -0.5, math.sqrt(2.0 / math.hypot(1.0, 0.2) - 0.25)],  # |E| below 1e-15
+        [1.0, 0.2, -0.8, -0.14],                              # pericentre 2.0e-4
+    ], ids=["hyperbola", "parabola", "near-radial"])
+    def test_closed_form_flow_follows_the_physical_time_field(self, flow_config, tmp_path, state):
+        # m = +-1 at E < 0 run in the test above; the oracle integrates the
+        # field in t
+        doc = json.loads(open(flow_config).read())
+        doc["initial"]["state"] = state
+        cfg = tmp_path / "flow_oracle.json"
+        write_config(cfg, doc)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = np.array(read_csv(out / "trajectory.csv")[1])
+        ts = np.linspace(0.0, 3.0, 1001)
+        ref = ode_trajectory(PlanarState(*state), ts, SystemParams(m=1.0, a=0.5),
+                             rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(rows[:, 1:5], ref, rtol=0.0, atol=1e-8)
 
     @pytest.mark.parametrize("model,a,beta,state", [
@@ -882,17 +927,34 @@ class TestDynamicsExitCode:
         ("planar", kcbilliards.cli, "flow integration failed: "),
         ("spherical", kcbilliards.spherical, "spherical integration failed: "),
     ])
-    def test_failed_flow_integration_returns_three(self, flow_config, tmp_path, capsys,
-                                                   fail_solve_ivp, domain, module, message):
-        cfg = flow_config
-        if domain == "spherical":
-            cfg = tmp_path / "sphere.json"
-            write_config(cfg, PLOT_RUNS["spherical"])
+    def test_failed_flow_integration_returns_three(self, tmp_path, capsys, fail_solve_ivp,
+                                                   domain, module, message):
+        # flows with no closed form, which integrate: beta = 0.3 in the
+        # plane, and a sphere unbound in its pole chart
+        cfg = tmp_path / "flow.json"
+        write_config(cfg, FLOW_RUNS["boltzmann" if domain == "planar" else "chart-unbound"])
         fail_solve_ivp(module, 1)
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith("dynamics error: " + message)
         assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("name, closed", [
+        ("kepler", True), ("repulsive", True), ("chart-bound", True),
+        ("boltzmann", False), ("chart-unbound", False),
+    ])
+    def test_only_flows_with_no_closed_form_integrate(self, tmp_path, monkeypatch, name, closed):
+        # beta = 0 in the plane, or bound in the pole chart: sampled on the conic
+        calls = []
+        for module in (kcbilliards.cli, kcbilliards.spherical):
+            monkeypatch.setattr(module, "solve_ivp", lambda *args, solve=module.solve_ivp,
+                                **kwargs: calls.append(1) or solve(*args, **kwargs))
+        cfg = tmp_path / "flow.json"
+        write_config(cfg, FLOW_RUNS[name])
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert (len(calls) == 0) == closed
+        rows = np.array(read_csv(tmp_path / "o" / "trajectory.csv")[1])
+        assert rows.shape[0] == 1001 and np.isfinite(rows).all()
 
     def test_other_package_error_returns_one(self, flow_config, tmp_path, capsys, monkeypatch):
         # NonConvergence is neither a configuration nor a dynamics error

@@ -2,7 +2,8 @@
 
 Loading it takes longer than importing the rest of the package, so a
 process that never integrates (the exact map, ``project``, ``plot``, a
-configuration error) must not pay for it. Each step runs in one fresh
+configuration error, a planar flow at beta = 0, sampled on its conic)
+must not pay for it. Each step runs in one fresh
 interpreter, in order, and reports whether the module was loaded after
 it; a numeric ``simulate`` run last is the positive control. The last
 tests guard the layering: Levi-Civita's map lives in ``planar``, no
@@ -52,6 +53,8 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
                        "--config", f"{work}/readme.json"]))
     step("config error", main(["simulate", "--config", f"{work}/bad.json",
                                "--out", f"{work}/bad"]))
+    step("planar flow at beta = 0", main(["simulate", "--config", f"{work}/flow.json",
+                                          "--out", f"{work}/flow"]))
     step("numeric simulate", main(["simulate", "--config", f"{work}/readme.json",
                                    "--out", f"{work}/out"]))
 json.dump(steps, open(f"{work}/steps.json", "w"))
@@ -63,6 +66,7 @@ def test_scipy_integrate_loads_only_at_the_first_integration(tmp_path):
     doc = json.loads(re.search(r"```json\n(.*?)```", readme.read_text(), re.S).group(1))
     doc["run"]["n_bounces"] = 2
     (tmp_path / "readme.json").write_text(json.dumps(doc))
+    (tmp_path / "flow.json").write_text(json.dumps({**doc, "run": {"n_bounces": 0, "t_max": 5.0}}))
     doc["integrator"]["atol"] = -1.0
     (tmp_path / "bad.json").write_text(json.dumps(doc))
     env = dict(os.environ)
@@ -79,6 +83,7 @@ def test_scipy_integrate_loads_only_at_the_first_integration(tmp_path):
         ["project", 0, False],
         ["plot", 0, False],
         ["config error", 2, False],
+        ["planar flow at beta = 0", 0, False],
         ["numeric simulate", 0, True],
     ]
 

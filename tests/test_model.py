@@ -92,6 +92,17 @@ class TestStates:
         with pytest.raises(ConfigError, match=r"a planar state must be finite: \("):
             PlanarState(*components)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("build", ["_replace", "_make"])
+    def test_replace_and_make_check_as_the_constructor(self, build, value):
+        s = PlanarState(0.3, -0.5, 0.2, -0.9)
+        with pytest.raises(ConfigError, match=r"a planar state must be finite: \("):
+            if build == "_replace":
+                s._replace(xi_dot=value)
+            else:
+                PlanarState._make([0.3, value, 0.2, -0.9])
+        assert type(s._replace(xi=1)) is PlanarState and s._replace(xi=1).xi == 1.0
+
     def test_keyword_construction_gives_the_same_state(self):
         s = PlanarState(xi=1, eta=np.float64(-2.0), xi_dot=0.5, eta_dot=np.int64(0))
         assert s == PlanarState(1.0, -2.0, 0.5, 0.0)

@@ -19,7 +19,10 @@ from kcbilliards.model import (
     Wall,
     spherical_center,
 )
+import kcbilliards.spherical
 from kcbilliards.spherical import (
+    _chart_to_sphere,
+    _pole_chart,
     _sphere_to_chart,
     _spherical_forms,
     integrate_spherical,
@@ -350,8 +353,8 @@ class TestIntegration:
 
     def test_samples_match_the_embedded_field_across_both_chart_radii(self):
         # at a = 0 the planar radius is the pole chart's |x|: the orbit runs
-        # from 25 to 72 degrees off the pole, so it enters the chart at
-        # |x| = 1 and leaves it at |x| = 2 several times
+        # from 25 to 72 degrees off the pole, across both chart radii of the
+        # integrated forms; it is an ellipse of the chart, sampled in closed form
         params = SystemParams(m=1.0, a=0.0)
         s0 = planar_to_sphere(PlanarState(3.0, 0.0, 0.0, 0.3), params)
         want = np.linspace(0.0, 12.5, 401)
@@ -377,9 +380,37 @@ class TestIntegration:
                                           params.m_prime)
         want = fall * np.arange(17) / 4
         ts, ys = integrate_spherical(s0, want, params, IntegratorConfig(rtol=1e-10, atol=1e-10))
+        assert np.isfinite(ys).all()
         assert ts[4] == fall
         assert geodesic_distance(ys[4, :3], spherical_center(params)) < 1e-6
         np.testing.assert_allclose(ys[-1], s0.as_array(), rtol=0.0, atol=1e-8)
+
+    @pytest.mark.parametrize("alpha_r0, r0, angle, closed", [
+        (0.3, 0.5, 0.5, True),     # 5.8 degrees off the pole at its pericentre
+        (0.02, 2.0, 1.2, True),    # just above the margin
+        (0.005, 2.0, 1.2, False),  # just below it: integrated
+        (-0.2, 0.5, 1.2, False),   # unbound in the chart: from 24 degrees off the pole
+                                   # it switches forms and crosses P's equator
+    ])
+    def test_flow_matches_the_embedded_field_on_either_path(self, monkeypatch, alpha_r0, r0,
+                                                             angle, closed):
+        # the start is built in P's chart from alpha r0/mu (alpha = -2E); a
+        # chart-bound orbit is sampled on its conic and integrates nothing
+        params = SystemParams(m=1.0, a=0.5)
+        pole, turn = _pole_chart(params)
+        mu = abs(params.m_prime)
+        speed = math.sqrt((2.0 - alpha_r0) * mu / r0)
+        q, v = _chart_to_sphere(r0, 0.0, speed * math.cos(angle), speed * math.sin(angle))
+        s0 = SphericalState.project(turn.T @ q, turn.T @ v)
+        calls = []
+        monkeypatch.setattr(kcbilliards.spherical, "solve_ivp",
+                            lambda *args, **kwargs: calls.append(1) or solve_ivp(*args, **kwargs))
+        want = np.linspace(0.0, 5.0, 401)
+        _, ys = integrate_spherical(s0, want, params, IntegratorConfig(rtol=1e-12, atol=1e-12))
+        assert (not calls) == closed
+        ref = solve_ivp(flow_rhs(params), (0.0, 5.0), s0.as_array(), method="DOP853",
+                        rtol=1e-13, atol=1e-13, t_eval=want)
+        np.testing.assert_allclose(ys, ref.y.T, rtol=0.0, atol=1e-8)
 
     @pytest.mark.parametrize("entry", ["flow", "leg"])
     def test_the_sphere_refuses_beta(self, entry):
