@@ -5,15 +5,26 @@ is that function, its level and its side. Hits are located either
 numerically (adaptive integration, one per form of a leg, ended by events,
 with bracketed root refinement on the step interpolant, any wall and beta;
 each step's minima of the wall function are tracked, so a crossing that
-enters and leaves within one step is found) or exactly on the planar walls
-(beta = 0), whose wall function is affine in the planar kernel's
-(1, G1, G2) along a conic, so that a crossing is one closed-form root.
-Radial orbits aimed at an attractive center pass the collision by the
-elastic bounce: the numeric map integrates Levi-Civita's regularized
-field (q = u^2, dt/ds = r), regular through the center, in the plane and,
-on the sphere, near the attracting pole in its gnomonic chart (see
-kcbilliards.spherical); the exact map passes the center in the universal
-variable.
+enters and leaves within one step is found) or exactly, where the wall
+function is affine in the planar kernel's (1, G1, G2) along a conic, so
+that a crossing is one closed-form root: on the planar walls at beta = 0,
+and on the sphere for a leg bound in the gnomonic chart of its attracting
+pole, where a great circle is a line and a circle about the center a
+centered circle (_chart_hit). Radial orbits aimed at an attractive center
+pass the collision by the elastic bounce: the numeric map integrates
+Levi-Civita's regularized field (q = u^2, dt/ds = r), regular through the
+center, in the plane and, on the sphere, near the attracting pole in its
+gnomonic chart (see kcbilliards.spherical); the exact legs pass the center
+in the universal variable.
+
+billiard_map's mode="numeric" runs every leg on the numeric engine, the
+oracle of the exact legs. mode="analytic" takes the exact leg wherever one
+exists, chosen from each leg's start alone (_choose_leg): the exact planar
+hit, the chart hit for a chart-bound spherical leg, and the numeric engine
+for any other spherical leg. Only numeric legs read the IntegratorConfig.
+An exact leg on a bound conic that never meets the wall returns
+Escape("the orbit does not reach the wall"), which its closed form proves;
+the numeric engine raises Undetermined after one period of such a conic.
 
 Both maps share one rule for a start on the wall: a start moving out of
 the domain (normal speed above TANGENCY_REL of the speed) is reflected at
@@ -30,7 +41,9 @@ flag marks a graze (the map acts as the identity there).
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import List, Optional, Union
 
@@ -49,7 +62,8 @@ from .model import (BounceRecord, IntegralSet, IntegratorConfig, Model, PlanarSt
                     SphericalState, SystemParams, Wall, solve_ivp)
 from .planar import (R_MIN, _clock_end, _planar_form, _radius, crossing_root, time_of_flight,
                      universal_kernel, universal_state)
-from .spherical import _leave_chart, _spherical_forms, sphere_to_planar, spherical_energy_embedded
+from .spherical import (_bound_chart_conic, _chart_to_sphere, _leave_chart, _pole_chart,
+                        _spherical_forms, sphere_to_planar, spherical_energy_embedded)
 
 TANGENCY_REL = 1e-8
 ON_WALL_TOL = 1e-10
@@ -168,13 +182,15 @@ def _spherical_record(state_in: SphericalState, state_out: SphericalState,
     return _spherical_integrals(state_in, params), _spherical_integrals(state_out, params)
 
 
-def _outward_start(state, params: SystemParams, wall: Wall, g: float,
-                   t0: float) -> Optional[BounceRecord]:
+def _outward_start(state, params: SystemParams, wall: Wall, g: float, t0: float,
+                   inward: bool) -> Optional[BounceRecord]:
     """Zero-time bounce, at the clock t0, for a start on the wall moving out
     of the domain, given its wall function g; None for a start off the wall
     (beyond the reflect tolerance), moving into the domain or grazing it,
-    which the hit search then takes."""
-    if abs(g) > ON_WALL_TOL * wall.scale:
+    which the hit search then takes. A start that is a non-tangent bounce's
+    state_out (inward) moves into the domain by construction, v_out.n =
+    -v_in.n > TANGENCY_REL speed, so it is not looked at."""
+    if inward or abs(g) > ON_WALL_TOL * wall.scale:
         return None
     normal = _normal(state, wall)
     if normal[1] >= -TANGENCY_REL * state.speed:
@@ -196,7 +212,7 @@ def _hit_or_tangency(
 
 
 # ---------------------------------------------------------------------------
-# Exact planar hit
+# Exact hits
 # ---------------------------------------------------------------------------
 
 def next_hit_analytic_line(
@@ -205,6 +221,7 @@ def next_hit_analytic_line(
     wall: Wall,
     t_max: float = math.inf,
     t0: float = 0.0,
+    inward: bool = False,
 ) -> HitOutcome:
     """First forward crossing out of the domain of a planar wall, exactly.
 
@@ -219,7 +236,8 @@ def next_hit_analytic_line(
     the same path; a radial leg passes the center by the elastic bounce.
     A crossing at the center itself is no hit (the center is removed from
     the wall), and a start on the wall moving out of the domain bounces
-    at t = 0. Agrees with the numerical hit search to 1e-8. As in
+    at t = 0, unless inward marks it a non-tangent bounce's state_out
+    (_outward_start). Agrees with the numerical hit search to 1e-8. As in
     next_hit_numeric, the record's t_hit counts from t0, the clock at the
     start.
 
@@ -233,7 +251,7 @@ def next_hit_analytic_line(
     if not wall.is_planar:
         raise ConfigError("analytic hit search supports only the planar walls")
     c = _wall_value(state, wall)  # F(0) below, to the bit; checks the domain
-    outward = _outward_start(state, params, wall, c, t0)
+    outward = _outward_start(state, params, wall, c, t0, inward)
     if outward is not None:
         return outward
     crossing = _exact_crossing(state, params.m, wall, c, t_max)
@@ -249,6 +267,27 @@ def _exact_crossing(state: PlanarState, m: float, wall: Wall, c: float, t_max: f
 
     Raises:
         Undetermined: if the crossing comes more than t_max after the start.
+    """
+    crossing = _conic_crossing(state, m, wall, c)
+    if isinstance(crossing, Escape):
+        return crossing
+    _, g, r0, sigma0 = crossing
+    t_hit = time_of_flight(r0, sigma0, m, g)
+    if t_hit > t_max:
+        raise Undetermined(f"no hit within t_max = {t_max}")
+    try:
+        return t_hit, universal_state(state, m, t_hit, g, r0)
+    except SingularPosition:
+        return Escape("the orbit meets the wall only at the removed center")
+
+
+def _conic_crossing(state: PlanarState, m: float, wall, c: float):
+    """The universal variable s of the first forward crossing out of the
+    domain along the conic of mass m through a planar state, the kernel
+    there, and the start's r0 and sigma0 = x.v: (s, kernel, r0, sigma0),
+    or the Escape of a conic that has none. The wall may be any whose
+    function side*(alpha r + n.x - level) is c at the start; its alpha,
+    normal, side and scale are read.
     """
     xi, eta, xi_dot, eta_dot = state
     r0 = math.hypot(xi, eta)
@@ -272,16 +311,75 @@ def _exact_crossing(state: PlanarState, m: float, wall: Wall, c: float, t_max: f
         g_new = universal_kernel(alpha, s - F / dF)
         F_new = c + P * g_new[1] + Q * g_new[2]
         if abs(F_new) < abs(F):
-            g, F = g_new, F_new
+            s, g, F = s - F / dF, g_new, F_new
     if abs(F) > ON_WALL_TOL * wall.scale:  # a root at s = infinity
         return Escape("the orbit meets the wall only at infinity")
-    t_hit = time_of_flight(r0, sigma0, m, g)
-    if t_hit > t_max:
-        raise Undetermined(f"no hit within t_max = {t_max}")
-    try:
-        return t_hit, universal_state(state, m, t_hit, g, r0)
-    except SingularPosition:
+    return s, g, r0, sigma0
+
+
+# A spherical wall's image in the gnomonic chart of the attracting pole, read by
+# _conic_crossing and wall_signed_distance as a planar Wall is.
+_ChartWall = namedtuple("_ChartWall", "alpha normal level side scale")
+
+
+def _chart_wall(wall: Wall, turn) -> Optional[_ChartWall]:
+    """The image of a spherical wall in the chart of turn (_pole_chart),
+    whose wall function has the sphere's sign over the pole's open
+    hemisphere, where it is affine in (1, G1, G2) along a chart conic; None
+    for a wall with no such image. With n' = turn n, q.n = (n'_1 x_1 +
+    n'_2 x_2 - n'_3)/lambda, lambda = sqrt(1 + |x|^2):
+
+    - a great circle, q.n = 0, is the line n'_1 x_1 + n'_2 x_2 = n'_3;
+    - a circle q.n = c about the pole (n'_1 = n'_2 = 0, n = -n'_3 P) is
+      1/lambda = -n'_3 c: for -n'_3 c > 0 the centered circle |x| = tan(rho),
+      cos(rho) = |c|, of side n'_3 side; otherwise the wall misses the
+      hemisphere, and a positive constant stands for it.
+    """
+    n1, n2, n3 = (turn @ np.asarray(wall.normal)).tolist()
+    c = wall.level
+    if c == 0.0:
+        return _ChartWall(0.0, (n1, n2), n3, wall.side, 1.0)
+    if abs(n1) + abs(n2) > 1e-14:  # n' is (0, 0, +-1) to rounding for a circle about the pole
+        return None
+    if n3 * c >= 0.0:
+        return _ChartWall(0.0, (0.0, 0.0), -1.0, 1, 1.0)
+    radius = math.sqrt((1.0 - c) * (1.0 + c)) / abs(c)
+    return _ChartWall(1.0, (0.0, 0.0), radius, int(math.copysign(1.0, n3)) * wall.side,
+                      max(1.0, radius))
+
+
+def _chart_hit(state: SphericalState, model: Model, pole, turn, chart_wall: _ChartWall,
+               chart: PlanarState, at, t_max: float, t0: float, inward: bool) -> HitOutcome:
+    """The exact hit of a spherical leg bound in the chart of its attracting
+    pole, whose chart state and closed form at(s) _bound_chart_conic gives:
+    the conic never leaves the pole's hemisphere, where the wall is
+    chart_wall, so the crossing is _conic_crossing's, of mass |m'|, and its
+    time the chart clock tau(s). The tangency test and the reflection are
+    the sphere's (_hit_or_tangency). A start on the wall takes
+    next_hit_numeric's rules; a crossing at the pole itself is no hit,
+    as a planar one at the center is not.
+
+    Raises:
+        Undetermined: if the hit comes more than t_max after the start, or
+            the start runs along a great-circle wall through the pole.
+    """
+    params, wall = model.params, model.wall
+    g = _wall_value(state, wall)
+    outward = _outward_start(state, params, wall, g, t0, inward)
+    if outward is not None:
+        return outward
+    _along_pole_circle(state, wall, g, pole)
+    crossing = _conic_crossing(chart, abs(params.m_prime), chart_wall,
+                               wall_signed_distance(chart, chart_wall))
+    if isinstance(crossing, Escape):
+        return crossing
+    y = at(np.array([crossing[0]]))[:, 0]
+    if y[5] < R_MIN:  # d tau/ds vanishes only at the pole
         return Escape("the orbit meets the wall only at the removed center")
+    if y[4] > t_max:
+        raise Undetermined(f"no hit within t_max = {t_max}")
+    q, v = _chart_to_sphere(*y[:4])
+    return _hit_or_tangency(t0 + y[4], SphericalState.project(turn.T @ q, turn.T @ v), params, wall)
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +420,22 @@ def _escape_event(state: PlanarState, params: SystemParams, wall: Wall, g: float
     return escape
 
 
+def _along_pole_circle(state: SphericalState, wall: Wall, g: float, pole) -> None:
+    """Raise Undetermined for a start on a great-circle wall through the
+    attracting pole, given its wall function g, with normal speed at most
+    TANGENCY_REL of the speed: it runs along that invariant circle."""
+    on_wall = max(abs(g), abs(wall_signed_distance(pole, wall)))
+    if on_wall <= ON_WALL_TOL and abs(_normal(state, wall)[1]) <= TANGENCY_REL * state.speed:
+        raise Undetermined("the orbit runs along a great-circle wall through the pole")
+
+
 def next_hit_numeric(
     state,
     model: Model,
     integ: IntegratorConfig = IntegratorConfig(),
     t_max: float = 1000.0,
     t0: float = 0.0,
+    inward: bool = False,
 ) -> HitOutcome:
     """Integrate the flow to the first wall crossing and refine the hit.
 
@@ -366,23 +474,23 @@ def next_hit_numeric(
 
     Before any integration, a start in the other domain than the wall's is a
     ConfigError, a start on the wall moving out of the domain bounces at
-    once (see the module docstring), and a spherical start on a great-circle
-    wall through the attracting pole, with normal speed at most
-    TANGENCY_REL of the speed, runs along that invariant circle and raises
-    Undetermined. The record's t_hit counts from t0, the clock at the start.
+    once unless inward marks it a non-tangent bounce's state_out (see the
+    module docstring), and a spherical start on a great-circle wall through
+    the attracting pole, with normal speed at most TANGENCY_REL of the
+    speed, runs along that invariant circle and raises Undetermined
+    (_along_pole_circle). The record's t_hit counts from t0, the clock at
+    the start.
     """
     params = model.params
     wall = model.wall
     g = _wall_value(state, wall)
-    outward = _outward_start(state, params, wall, g, t0)
+    outward = _outward_start(state, params, wall, g, t0, inward)
     if outward is not None:
         return outward
     escape = None
     if isinstance(state, SphericalState):
         pole, c_in, sphere_form, _ = _spherical_forms(params)
-        on_wall = max(abs(g), abs(wall_signed_distance(pole, wall)))
-        if on_wall <= ON_WALL_TOL and abs(_normal(state, wall)[1]) <= TANGENCY_REL * state.speed:
-            raise Undetermined("the orbit runs along a great-circle wall through the pole")
+        _along_pole_circle(state, wall, g, pole)
         form = sphere_form(state, 0.0, float(state.q @ pole) >= c_in)
     else:
         form = _planar_form(state, params)
@@ -445,6 +553,29 @@ def next_hit_numeric(
 # Billiard map
 # ---------------------------------------------------------------------------
 
+def _choose_leg(state, model: Model, mode: str, integ: IntegratorConfig):
+    """The leg billiard_map runs from state, as leg(t_max, t0, inward) ->
+    HitOutcome, and its solver label. Under mode="analytic" it is the exact
+    leg wherever one exists: "exact-planar" (next_hit_analytic_line) on a
+    planar wall, and "exact-chart" (_chart_hit) for a spherical start whose
+    orbit is bound in its attracting pole's chart (_bound_chart_conic: chart
+    energy below zero, a start in the pole's hemisphere, alpha r0/mu at
+    least _BOUND_MARGIN), against a wall with a chart image (_chart_wall).
+    Every other leg, and every leg under mode="numeric", is "numeric"
+    (next_hit_numeric), the only one that reads integ."""
+    params, wall = model.params, model.wall
+    if mode == "analytic":
+        if wall.is_planar:
+            return functools.partial(next_hit_analytic_line, state, params, wall), "exact-planar"
+        pole, turn = _pole_chart(params)
+        bound = _bound_chart_conic(state, params, turn, 0.0)
+        chart_wall = _chart_wall(wall, turn)
+        if bound is not None and chart_wall is not None:
+            leg = functools.partial(_chart_hit, state, model, pole, turn, chart_wall, *bound)
+            return leg, "exact-chart"
+    return functools.partial(next_hit_numeric, state, model, integ), "numeric"
+
+
 @dataclass(frozen=True)
 class BilliardRun:
     """Result of iterating the billiard map.
@@ -478,13 +609,16 @@ def billiard_map(
     """Iterate hit-and-reflect up to n times or until a non-hit outcome.
 
     Every bounce record carries the full integral set on both sides and
-    an absolute hit time: each leg starts at the run's clock. ``mode="analytic"``
-    takes the exact hit of :func:`next_hit_analytic_line`, whose first leg
-    raises ConfigError unless the wall is planar and beta = 0. Both maps
-    share one t_max_per_leg rule: a leg whose hit comes more than
-    t_max_per_leg after its start raises Undetermined. A leg that raises a
-    DynamicsError ends the run with that error's outcome and keeps the
-    bounces before it.
+    an absolute hit time: each leg starts at the run's clock.
+    ``mode="numeric"`` runs every leg on next_hit_numeric. ``mode="analytic"``
+    takes each leg's exact hit wherever one exists (_choose_leg): on a
+    planar wall that of :func:`next_hit_analytic_line`, whose first leg
+    raises ConfigError unless beta = 0, and on the sphere that of a leg
+    bound in its attracting pole's chart, any other spherical leg running
+    numerically. Both maps share one t_max_per_leg rule: a leg whose hit
+    comes more than t_max_per_leg after its start raises Undetermined. A
+    leg that raises a DynamicsError ends the run with that error's outcome
+    and keeps the bounces before it.
 
     Raises:
         ConfigError: the start and the wall lie in different domains, or
@@ -504,10 +638,9 @@ def billiard_map(
     current = state
     for _ in range(n):
         try:
-            if mode == "analytic":
-                out = next_hit_analytic_line(current, model.params, model.wall, t_max_per_leg, clock)
-            else:
-                out = next_hit_numeric(current, model, integ, t_max_per_leg, clock)
+            leg, _ = _choose_leg(current, model, mode, integ)
+            # every leg after the first starts from a non-tangent bounce
+            out = leg(t_max_per_leg, clock, bool(records))
         except DynamicsError as exc:
             outcome, error = exc.outcome, exc
             break

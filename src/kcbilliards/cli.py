@@ -8,6 +8,15 @@ variable, and a spherical flow bound in the chart of its attracting pole
 Any other flow integrates a billiard leg's form with no wall, Levi-Civita's
 in the plane.
 
+A billiard run (n_bounces > 0) takes each leg's exact hit wherever one
+exists, as billiard_map(mode="analytic") chooses it from the leg's start:
+every leg on a planar wall at beta = 0, and a spherical leg bound in the
+chart of its attracting pole. The numeric engine runs the legs at
+beta != 0 and the spherical legs that are not chart-bound, and only those
+read the integrator settings. A bound conic that never meets the wall
+ends an exact leg as an escape ("the orbit does not reach the wall"), a
+numeric one as undetermined (exit 3).
+
 Exit codes: 0 success, 1 any other error of the package, 2 configuration
 error or any OS error reading or writing a file (a full disk too), 3
 dynamics undetermined or failed, 4 verification failure. A billiard run
@@ -95,7 +104,7 @@ def cmd_simulate(args) -> int:
             cfg.initial,
             cfg.run.n_bounces,
             cfg.model,
-            mode="numeric",
+            mode="numeric" if params.beta != 0.0 else "analytic",
             integ=cfg.integrator,
             t_max_per_leg=cfg.run.t_max,
         )

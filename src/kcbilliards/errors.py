@@ -32,7 +32,8 @@ class DynamicsError(BilliardError):
 
 class Undetermined(DynamicsError):
     """Hit search exhausted t_max without a hit or an escape certificate,
-    or a bound planar (beta = 0) or pole-chart leg missed the wall for a whole period."""
+    or a numeric leg on a bound planar (beta = 0) or pole-chart conic missed
+    the wall for a whole period (an exact leg returns an Escape there)."""
 
     outcome = "undetermined"
 

@@ -8,9 +8,11 @@ the flow runs in P's gnomonic chart, where it is planar Kepler flow
 Levi-Civita's form, which passes the pole; elsewhere it runs in embedded
 3-space with the explicit constraint term -|v|^2 q, which has no chart
 singularity at the equator of P. The two forms of ``_spherical_forms``
-serve the billiard legs (see kcbilliards.billiard) and the free flow of
-``integrate_spherical`` alike, except for a free flow whose chart orbit
-is an ellipse: that one is sampled on its conic in closed form.
+serve the numeric billiard legs (see kcbilliards.billiard) and the free
+flow of ``integrate_spherical`` alike, except where the chart orbit is an
+ellipse (``_bound_chart_conic``): such a free flow is sampled on its
+conic in closed form, and billiard_map(mode="analytic") times such a
+leg's hit on it.
 
 One pair of maps, ``planar_to_sphere``/``sphere_to_planar``, identifies
 the open southern hemisphere with the normalized planar chart: central
@@ -222,9 +224,10 @@ def _bound_chart_conic(state: SphericalState, params: SystemParams, turn, t0: fl
     """The flow from state in P's chart in closed form, for a start in P's
     hemisphere whose chart orbit is an ellipse (energy E < 0, alpha r0/mu
     at least _BOUND_MARGIN): it never reaches the chart's equator, so the
-    whole flow is that one conic of mass mu = |m'|. Returns at(s), the
-    rows of planar._conic in the chart with the clock tau(s) in row 4 and
-    d tau/ds = r/(1 + r^2) in row 5; None for any other start.
+    whole flow is that one conic of mass mu = |m'|. Returns the start's
+    chart state and at(s), the rows of planar._conic in the chart with the
+    clock tau(s) in row 4 and d tau/ds = r/(1 + r^2) in row 5; None for
+    any other start.
 
     With r(s) = A + R cos psi, psi = sqrt(alpha) s - phi (A = mu/alpha),
     r/(1 + r^2) = Re 1/(r - i), and over each period of psi
@@ -270,7 +273,7 @@ def _bound_chart_conic(state: SphericalState, params: SystemParams, turn, t0: fl
         y[5] = y[5] / (1.0 + y[5] * y[5])
         return y
 
-    return at
+    return c, at
 
 
 def integrate_spherical(state: SphericalState, t_eval, params: SystemParams,
@@ -293,9 +296,9 @@ def integrate_spherical(state: SphericalState, t_eval, params: SystemParams,
     """
     want = np.asarray(t_eval, dtype=float)
     _, turn = _pole_chart(params)
-    at = _bound_chart_conic(state, params, turn, float(want[0]))
-    if at is not None:
-        q, v = _chart_to_sphere(*_conic_samples(at, want)[:4])
+    bound = _bound_chart_conic(state, params, turn, float(want[0]))
+    if bound is not None:
+        q, v = _chart_to_sphere(*_conic_samples(bound[1], want)[:4])
         ys = np.concatenate([turn.T @ q, turn.T @ v])
     else:
         ys = _integrated_samples(state, want, params, integ)

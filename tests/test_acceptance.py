@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, each printing a PASS line.
+"""Acceptance suite: one test per criterion, each printing a PASS line;
+criterion 6 runs on both maps.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report lines. Tolerances are pinned here and never relaxed at runtime.
@@ -198,6 +199,35 @@ def test_criterion_6_spherical_billiard():
         drift_s <= tol and drift_p <= tol,
         f"E_sph drift {drift_s:.2e}, projected E_pl drift {drift_p:.2e} <= {tol}, "
         "100 bounces",
+    )
+
+
+def test_criterion_6_spherical_billiard_on_exact_chart_legs(monkeypatch):
+    # the same run on billiard_map(mode="analytic"): every leg is bound in
+    # the attracting pole's chart, so none integrates
+    import kcbilliards.billiard
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("a leg integrated")
+
+    tol = 1e-8
+    monkeypatch.setattr(kcbilliards.billiard, "solve_ivp", no_integration)
+    wall = Wall.great_circle((0.0, 1.0, 0.0), side=-1)
+    model = validate_config(BILLIARD_PARAMS, wall)
+    s0 = planar_to_sphere(BILLIARD_START, BILLIARD_PARAMS)
+    start = time.perf_counter()
+    run = billiard_map(s0, 100, model, mode="analytic", integ=TIGHT)
+    elapsed = time.perf_counter() - start
+    assert run.n_bounces == 100
+    es = [r.integrals_in.E_sph for r in run.records]
+    ep = [r.integrals_in.E_pl for r in run.records]
+    drift_s = max(abs(e - es[0]) for e in es) / max(1.0, abs(es[0]))
+    drift_p = max(abs(e - ep[0]) for e in ep) / max(1.0, abs(ep[0]))
+    report(
+        "6 spherical-billiard (exact chart legs)",
+        drift_s <= tol and drift_p <= tol,
+        f"E_sph drift {drift_s:.2e}, projected E_pl drift {drift_p:.2e} <= {tol}, "
+        f"100 bounces in {elapsed * 1e3:.0f} ms, no integration",
     )
 
 

@@ -18,6 +18,7 @@ import kcbilliards.billiard
 from kcbilliards.billiard import (
     ON_WALL_TOL,
     Escape,
+    _choose_leg,
     _normal,
     _wall_rate,
     billiard_map,
@@ -1097,17 +1098,12 @@ class TestBilliardMap:
 
     @pytest.mark.parametrize("mode, wall, message", [
         ("exact", Wall.line(H05, side=-1), "mode must be 'numeric' or 'analytic'"),
-        ("analytic", Wall.great_circle((0.0, 1.0, 0.0), side=-1),
-         "analytic hit search supports only the planar walls"),
     ])
     def test_mode_is_checked(self, mode, wall, message):
-        # an unknown mode is a ValueError; the exact map rejects a spherical
-        # start, on the image of the line, at its first leg
+        # an unknown mode is a ValueError
         params = SystemParams(m=1.0, a=0.5)
         start = PlanarState(0.5, params.h, 0.3, -0.8)
-        if not wall.is_planar:
-            start = planar_to_sphere(start, params)
-        with pytest.raises(ValueError if mode == "exact" else ConfigError, match=message):
+        with pytest.raises(ValueError, match=message):
             billiard_map(start, 1, validate_config(params, wall), mode=mode)
 
     @pytest.mark.parametrize("mode", ["numeric", "analytic"])
@@ -1783,3 +1779,138 @@ def test_repulsive_outward_radial_escapes_analytically():
         PlanarState(0.0, 1.0, 0.0, 1.0), params, wall
     )
     assert isinstance(out, Escape)
+
+
+class TestExactChartLegs:
+    """billiard_map(mode="analytic") takes the exact hit of a spherical leg
+    bound in its attracting pole's chart, and the numeric leg elsewhere."""
+
+    @staticmethod
+    def _legs(s0, model, n):
+        """The records of the analytic run of n bounces from s0, whose every
+        leg is chart-bound, and each leg's start and clock."""
+        run = billiard_map(s0, n, model, mode="analytic", integ=FAST, t_max_per_leg=50.0)
+        assert run.outcome == "completed" and run.n_bounces == n
+        starts = [s0] + [rec.state_out for rec in run.records[:-1]]
+        clocks = [0.0] + [rec.t_hit for rec in run.records[:-1]]
+        assert {_choose_leg(s, model, "analytic", FAST)[1] for s in starts} == {"exact-chart"}
+        return run.records, starts, clocks
+
+    def _check_against_numeric(self, s0, model, n, speed=1.0):
+        records, starts, clocks = self._legs(s0, model, n)
+        for rec, start, clock in zip(records, starts, clocks):
+            out = next_hit_numeric(start, model, FAST, t_max=50.0, t0=clock)
+            assert is_hit(out) and not rec.tangent
+            assert rec.t_hit - clock == pytest.approx(out.t_hit - clock, rel=1e-8, abs=1e-8)
+            np.testing.assert_allclose(rec.state_in.q, out.state_in.q, rtol=0.0, atol=1e-8)
+            np.testing.assert_allclose(rec.state_in.v, out.state_in.v, rtol=0.0,
+                                       atol=1e-8 * max(1.0, speed))
+
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_cap_legs_match_the_numeric_leg(self, inside):
+        # five legs each of eight seeded caps about the attracting pole, for
+        # either sign of m: inside the cap from its circle toward the pole, or
+        # outside it and outward, below the chart's escape speed
+        rng = np.random.default_rng(36 if inside else 37)
+        for k in range(8):
+            m = 1.0 if k % 2 else -1.0
+            params = SystemParams(m=m, a=float(rng.uniform(0.0, 1.5)))
+            pole = _attracting_pole(params)
+            rho = float(rng.uniform(0.4, 1.2) if inside else rng.uniform(0.3, 0.7))
+            wall = Wall.centered_small_circle(rho if m > 0 else math.pi - rho,
+                                              spherical_center(params),
+                                              side=int(m) if inside else -int(m))
+            q, e_rho, e_psi = _on_circle(pole, rho, float(rng.uniform(0.0, 2.0 * math.pi)))
+            phi = float(rng.uniform(-1.4, 1.4))
+            escape_speed = math.sqrt(2.0 * abs(params.m_prime) / math.tan(rho))
+            speed = float(rng.uniform(0.3, 0.9) if inside else rng.uniform(0.8, 0.99)) * escape_speed
+            v = speed * ((-1.0 if inside else 1.0) * math.cos(phi) * e_rho + math.sin(phi) * e_psi)
+            self._check_against_numeric(SphericalState.project(q, v),
+                                        validate_config(params, wall), 5, speed)
+
+    @pytest.mark.parametrize("tilt", [0.0, 0.2, 0.5])
+    def test_great_circle_legs_match_the_numeric_leg(self, tilt):
+        # criterion 6's start against the canonical great circle and two
+        # tilted ones, whose chart images are lines at other angles
+        wall = Wall.great_circle((0.0, math.cos(tilt), math.sin(tilt)), side=-1)
+        s0 = planar_to_sphere(BILLIARD_START, BILLIARD_PARAMS)
+        self._check_against_numeric(s0, validate_config(BILLIARD_PARAMS, wall), 30)
+
+    @pytest.mark.parametrize("case", ["unbound", "below-margin", "other-hemisphere",
+                                      "cap-about-another-axis", "chart-bound"])
+    def test_legs_that_are_not_chart_bound_integrate(self, ivp_calls, case):
+        # at a = 0, m = 1 the paper's chart is the pole chart (mirrored), of
+        # mass 1: from r0 = 0.3 the speed sqrt(2/r0 - 1/60) gives alpha r0/mu
+        # = 1/200, half the margin, sqrt(2/r0 + 1) a hyperbola, 1 an ellipse
+        params = SystemParams(m=1.0, a=0.0)
+        wall = Wall.centered_small_circle(1.5, spherical_center(params), side=1)
+        speed = {"unbound": math.sqrt(2.0 / 0.3 + 1.0),
+                 "below-margin": math.sqrt(2.0 / 0.3 - 1.0 / 60.0)}.get(case, 1.0)
+        s0 = planar_to_sphere(PlanarState(0.3, 0.0, 0.0, speed), params)
+        if case == "other-hemisphere":  # q.P = cos 2 < 0, inside a cap of colatitude 2.1
+            wall = Wall.centered_small_circle(2.1, spherical_center(params), side=1)
+            s0 = SphericalState.project(np.array([math.sin(2.0), 0.0, -math.cos(2.0)]),
+                                        np.array([math.cos(2.0), 0.0, math.sin(2.0)]))
+        elif case == "cap-about-another-axis":  # chart-bound, but its chart image is no circle
+            params = SystemParams(m=1.0, a=0.5)
+            wall = Wall(0.0, (1.0, 0.0, 0.0), 0.3)
+            s0 = planar_to_sphere(PlanarState(1.0, 0.2, -0.1, 0.9), params)
+        model = Model(params, wall)
+        solver = _choose_leg(s0, model, "analytic", FAST)[1]
+        run = billiard_map(s0, 1, model, mode="analytic", integ=FAST)
+        assert run.outcome in ("completed", "escape")
+        assert solver == ("exact-chart" if case == "chart-bound" else "numeric")
+        assert (len(ivp_calls) > 0) == (solver == "numeric")
+
+    @pytest.mark.parametrize("m, colatitude, side, speed", [
+        (1.0, 2.0, 1, 0.8),    # a cap beyond the pole's hemisphere
+        (1.0, 1.2, 1, 0.8),    # a cap whose circle the slow orbit never reaches
+        (-1.0, 1.0, -1, 0.5),  # a cap about Z1, far from the pole -Z1
+    ])
+    def test_chart_conic_missing_the_wall_is_an_escape(self, m, colatitude, side, speed):
+        # the exact chart leg takes the exact planar leg's class; the
+        # numeric leg stops after one period of the conic
+        params = SystemParams(m=m, a=0.0 if m > 0 else 0.3)
+        model = validate_config(params, Wall.centered_small_circle(
+            colatitude, spherical_center(params), side=side))
+        q, _, e_psi = _on_circle(_attracting_pole(params), 0.5 if m > 0 else 0.4, 0.0)
+        s0 = SphericalState.project(q, speed * e_psi)
+        assert _choose_leg(s0, model, "analytic", FAST)[1] == "exact-chart"
+        run = billiard_map(s0, 1, model, mode="analytic", integ=FAST)
+        assert (run.outcome, run.reason) == ("escape", "the orbit does not reach the wall")
+        numeric = billiard_map(s0, 1, model, mode="numeric", integ=FAST)
+        assert str(numeric.error) == "the bound conic missed the wall for a whole period"
+
+    def test_great_circle_through_the_pole(self):
+        # a chart line through the center: a start running along it is
+        # Undetermined, as in the numeric leg, and a radial orbit whose only
+        # crossing is the removed pole escapes, as a planar one does
+        params = SystemParams(m=1.0, a=0.0)
+        model = validate_config(params, Wall.great_circle((0.0, 1.0, 0.0), side=1))
+        q = np.array([math.sin(1.0), 0.0, -math.cos(1.0)])
+        along = SphericalState.project(q, -0.5 * np.array([math.cos(1.0), 0.0, math.sin(1.0)]))
+        run = billiard_map(along, 1, model, mode="analytic", integ=FAST)
+        assert str(run.error) == "the orbit runs along a great-circle wall through the pole"
+        q = np.array([0.6 * math.sin(1.0), 0.8 * math.sin(1.0), -math.cos(1.0)])
+        to_pole = spherical_center(params) - float(q @ spherical_center(params)) * q
+        radial = SphericalState.project(q, 0.5 * to_pole / np.linalg.norm(to_pole))
+        run = billiard_map(radial, 1, model, mode="analytic", integ=FAST)
+        assert (run.outcome, run.reason) == ("escape",
+                                             "the orbit meets the wall only at the removed center")
+
+    @pytest.mark.parametrize("domain", ["planar", "spherical"])
+    def test_a_bounce_start_skips_the_outward_start_rule(self, monkeypatch, domain):
+        # a non-tangent bounce's state_out moves into the domain, so each
+        # exact leg after a bounce finds no normal but its hit's
+        calls = []
+        monkeypatch.setattr(kcbilliards.billiard, "_normal",
+                            lambda *a, fn=kcbilliards.billiard._normal: calls.append(1) or fn(*a))
+        wall = Wall.line(BILLIARD_PARAMS.h, side=-1)
+        s0 = BILLIARD_START
+        if domain == "spherical":
+            wall = Wall.great_circle((0.0, 1.0, 0.0), side=-1)
+            s0 = planar_to_sphere(s0, BILLIARD_PARAMS)
+        run = billiard_map(s0, 10, validate_config(BILLIARD_PARAMS, wall), mode="analytic")
+        assert run.n_bounces == 10
+        # the start on the wall is looked at once, then one normal per bounce
+        assert len(calls) == 11

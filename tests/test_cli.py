@@ -14,12 +14,13 @@ import kcbilliards.cli
 import kcbilliards.planar
 import kcbilliards.spherical
 import kcbilliards.verify
+from kcbilliards.billiard import billiard_map
 from kcbilliards.cli import _drift, main
 from kcbilliards.integrals import integral_set
 from kcbilliards.io import (PLANAR_BOUNCE_HEADER, PLANAR_HEADER, SPHERICAL_BOUNCE_HEADER,
                             SPHERICAL_HEADER, read_csv)
 from kcbilliards.model import (IntegratorConfig, PlanarState, SphericalState, SystemParams,
-                               spherical_center)
+                               load_config, spherical_center)
 from kcbilliards.planar import propagate_analytic
 from kcbilliards.spherical import integrate_spherical, spherical_energy_embedded
 
@@ -420,7 +421,7 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         cfg = kb.load_config(str(cfg_path))
-        run = kb.billiard_map(cfg.initial, 5, cfg.model, mode="numeric", integ=cfg.integrator,
+        run = kb.billiard_map(cfg.initial, 5, cfg.model, mode="analytic", integ=cfg.integrator,
                               t_max_per_leg=cfg.run.t_max)
         arrivals = [rec.integrals_in for rec in run.records]
 
@@ -868,6 +869,51 @@ class TestDynamicsExitCode:
         _, bounces = read_csv(str(out / "bounces.csv"))
         assert len(bounces) == 1
         assert bounces[0][1] == pytest.approx(3.39732646848734, abs=1e-8)
+
+    def test_bound_conic_missing_the_wall_is_an_escape(self, tmp_path):
+        # a tiny bound orbit (period 2e-12) inside the r = 10 circle: the
+        # exact leg proves that its conic never meets the wall, an escape
+        # (exit 0); the numeric map, the oracle, ends the leg as undetermined
+        # after one period of the conic, not after crawling on to t_max
+        doc = {
+            "system": {"model": "kepler", "m": 1.0, "a": 0.0, "beta": 0.0},
+            "wall": {"kind": "planar-centered-circle", "radius": 10.0, "side": -1},
+            "initial": {"state": [1e-8, 0.0, 0.0, 1e-3]},
+            "integrator": {"rtol": 1e-12, "atol": 1e-12},
+            "run": {"n_bounces": 1, "t_max": 1000.0},
+        }
+        cfg = tmp_path / "tiny.json"
+        write_config(cfg, doc)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["outcome"], summary["n_bounces"]) == ("escape", 0)
+        loaded = load_config(str(cfg))
+        run = billiard_map(loaded.initial, 1, loaded.model, mode="numeric",
+                           integ=loaded.integrator, t_max_per_leg=loaded.run.t_max)
+        assert run.outcome == "undetermined"
+        assert str(run.error) == "the bound conic missed the wall for a whole period"
+
+    def test_graze_of_a_circle_touching_the_line_is_a_tangency(self, tmp_path):
+        # the circular orbit r = -h touches the side = +1 line after a
+        # quarter period; the exact leg returns that graze, which the
+        # numeric leg misses (it ended the run as undetermined, exit 3)
+        params = SystemParams(m=1.0, a=0.5)
+        radius = -params.h
+        doc = {
+            "system": {"model": "kepler", "m": 1.0, "a": 0.5, "beta": 0.0},
+            "wall": {"kind": "planar-line", "side": 1},
+            "initial": {"state": [radius, 0.0, 0.0, -1.0 / math.sqrt(radius)]},
+            "integrator": {"rtol": 1e-12, "atol": 1e-12},
+            "run": {"n_bounces": 5, "t_max": 100.0},
+        }
+        cfg = tmp_path / "graze.json"
+        write_config(cfg, doc)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["outcome"] == "tangency" and summary["n_bounces"] == 1
+        assert summary["t_final"] == pytest.approx(0.4697776745639036, rel=1e-12)
 
     def test_radial_flow_passes_the_center_at_beta_zero(self, tmp_path):
         # a radial fall: Levi-Civita's field is regular through the center,

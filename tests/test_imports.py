@@ -2,10 +2,11 @@
 
 Loading it takes longer than importing the rest of the package, so a
 process that never integrates (the exact map, ``project``, ``plot``, a
-configuration error, a planar flow at beta = 0, sampled on its conic)
-must not pay for it. Each step runs in one fresh
-interpreter, in order, and reports whether the module was loaded after
-it; a numeric ``simulate`` run last is the positive control. The last
+configuration error, a planar flow at beta = 0, sampled on its conic, a
+planar billiard at beta = 0, whose every leg is exact) must not pay for
+it. Each step runs in one fresh interpreter, in order, and reports whether
+the module was loaded after it; a billiard ``simulate`` at beta = 0.3,
+whose legs are numeric, run last is the positive control. The last
 tests guard the layering: Levi-Civita's map lives in ``planar``, no
 engine module imports ``conformal``, which transports over it, and
 no module but ``model`` reads a wall's kind: the rest read walls only
@@ -55,8 +56,10 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
                                "--out", f"{work}/bad"]))
     step("planar flow at beta = 0", main(["simulate", "--config", f"{work}/flow.json",
                                           "--out", f"{work}/flow"]))
-    step("numeric simulate", main(["simulate", "--config", f"{work}/readme.json",
-                                   "--out", f"{work}/out"]))
+    step("planar billiard at beta = 0", main(["simulate", "--config", f"{work}/readme.json",
+                                              "--out", f"{work}/out"]))
+    step("numeric simulate", main(["simulate", "--config", f"{work}/boltzmann.json",
+                                   "--out", f"{work}/boltzmann"]))
 json.dump(steps, open(f"{work}/steps.json", "w"))
 """
 
@@ -67,6 +70,8 @@ def test_scipy_integrate_loads_only_at_the_first_integration(tmp_path):
     doc["run"]["n_bounces"] = 2
     (tmp_path / "readme.json").write_text(json.dumps(doc))
     (tmp_path / "flow.json").write_text(json.dumps({**doc, "run": {"n_bounces": 0, "t_max": 5.0}}))
+    boltzmann = {**doc, "system": {**doc["system"], "model": "boltzmann", "beta": 0.3}}
+    (tmp_path / "boltzmann.json").write_text(json.dumps(boltzmann))
     doc["integrator"]["atol"] = -1.0
     (tmp_path / "bad.json").write_text(json.dumps(doc))
     env = dict(os.environ)
@@ -84,6 +89,7 @@ def test_scipy_integrate_loads_only_at_the_first_integration(tmp_path):
         ["plot", 0, False],
         ["config error", 2, False],
         ["planar flow at beta = 0", 0, False],
+        ["planar billiard at beta = 0", 0, False],
         ["numeric simulate", 0, True],
     ]
 
