@@ -10,21 +10,31 @@ function is affine in the planar kernel's (1, G1, G2) along a conic, so
 that a crossing is one closed-form root: on the planar walls at beta = 0,
 and on the sphere for a leg bound in the gnomonic chart of its attracting
 pole, where a great circle is a line and a circle about the center a
-centered circle (_chart_hit). Radial orbits aimed at an attractive center
-pass the collision by the elastic bounce: the numeric map integrates
-Levi-Civita's regularized field (q = u^2, dt/ds = r), regular through the
-center, in the plane and, on the sphere, near the attracting pole in its
-gnomonic chart (see kcbilliards.spherical); the exact legs pass the center
-in the universal variable.
+centered circle (_chart_hit). At beta != 0 a planar orbit with L^2 + beta
+> 0 is a Kepler conic turned as it is swept (Newton's revolving orbits,
+_revolving_crossing), and its crossing of either planar wall comes from a
+march in the swept angle whose steps no root can outrun (_march).
+Radial orbits aimed at an attractive center pass the collision by the
+elastic bounce: the numeric map integrates Levi-Civita's regularized field
+(q = u^2, dt/ds = r), regular through the center, in the plane and, on the
+sphere, near the attracting pole in its gnomonic chart (see
+kcbilliards.spherical); the exact legs pass the center in the universal
+variable.
 
 billiard_map's mode="numeric" runs every leg on the numeric engine, the
 oracle of the exact legs. mode="analytic" takes the exact leg wherever one
 exists, chosen from each leg's start alone (_choose_leg): the exact planar
-hit, the chart hit for a chart-bound spherical leg, and the numeric engine
-for any other spherical leg. Only numeric legs read the IntegratorConfig.
+hit for every planar leg with L^2 + beta > 0, the chart hit for a
+chart-bound spherical leg, and the numeric engine for any other leg (a
+planar one at beta < 0 that falls into the center, a spherical one that
+is not chart-bound). Only numeric legs read the IntegratorConfig.
 An exact leg on a bound conic that never meets the wall returns
 Escape("the orbit does not reach the wall"), which its closed form proves;
 the numeric engine raises Undetermined after one period of such a conic.
+At beta != 0 the exact leg proves it only where the orbit's radii stay
+on one side of the wall (an apocentre short of the line, say); a turning
+orbit that has not met the wall by t_max_per_leg raises Undetermined, as
+the numeric leg does.
 
 Both maps share one rule for a start on the wall: a start moving out of
 the domain (normal speed above TANGENCY_REL of the speed) is reflected at
@@ -53,6 +63,7 @@ from .errors import (
     BilliardError,
     ConfigError,
     DynamicsError,
+    NonConvergence,
     SingularPosition,
     StepFailure,
     Undetermined,
@@ -60,8 +71,8 @@ from .errors import (
 from .integrals import integral_set, planar_energy
 from .model import (BounceRecord, IntegralSet, IntegratorConfig, Model, PlanarState,
                     SphericalState, SystemParams, Wall, solve_ivp)
-from .planar import (R_MIN, _clock_end, _planar_form, _radius, crossing_root, time_of_flight,
-                     universal_kernel, universal_state)
+from .planar import (_MAX_ITER, R_MIN, _clock_end, _planar_form, _radius, crossing_root,
+                     time_of_flight, universal_kernel, universal_state)
 from .spherical import (_bound_chart_conic, _chart_to_sphere, _leave_chart, _pole_chart,
                         _spherical_forms, sphere_to_planar, spherical_energy_embedded)
 
@@ -234,27 +245,29 @@ def next_hit_analytic_line(
     kernel; the time is t(s) in closed form and the state comes from
     the f and g functions. Radial, circular and near-parabolic legs take
     the same path; a radial leg passes the center by the elastic bounce.
-    A crossing at the center itself is no hit (the center is removed from
-    the wall), and a start on the wall moving out of the domain bounces
-    at t = 0, unless inward marks it a non-tangent bounce's state_out
-    (_outward_start). Agrees with the numerical hit search to 1e-8. As in
-    next_hit_numeric, the record's t_hit counts from t0, the clock at the
-    start.
+    At beta != 0 the orbit is a Kepler conic turned as it is swept
+    (_revolving_crossing). A crossing at the center itself is no hit (the
+    center is removed from the wall), and a start on the wall moving out
+    of the domain bounces at t = 0, unless inward marks it a non-tangent
+    bounce's state_out (_outward_start). Agrees with the numerical hit
+    search to 1e-8. As in next_hit_numeric, the record's t_hit counts
+    from t0, the clock at the start.
 
     Raises:
-        ConfigError: if params.beta != 0, or the wall or the state is not
-            planar.
+        ConfigError: if the wall or the state is not planar, or, at beta !=
+            0, L^2 + beta <= 0: that orbit falls into the center.
         Undetermined: if the hit comes more than t_max after the start.
     """
-    if params.beta != 0.0:
-        raise ConfigError("the analytic billiard map requires beta = 0")
     if not wall.is_planar:
         raise ConfigError("analytic hit search supports only the planar walls")
     c = _wall_value(state, wall)  # F(0) below, to the bit; checks the domain
     outward = _outward_start(state, params, wall, c, t0, inward)
     if outward is not None:
         return outward
-    crossing = _exact_crossing(state, params.m, wall, c, t_max)
+    if params.beta == 0.0:
+        crossing = _exact_crossing(state, params.m, wall, c, t_max)
+    else:
+        crossing = _revolving_crossing(state, params, wall, t_max)
     if isinstance(crossing, Escape):
         return crossing
     return _hit_or_tangency(t0 + crossing[0], crossing[1], params, wall)
@@ -315,6 +328,174 @@ def _conic_crossing(state: PlanarState, m: float, wall, c: float):
     if abs(F) > ON_WALL_TOL * wall.scale:  # a root at s = infinity
         return Escape("the orbit meets the wall only at infinity")
     return s, g, r0, sigma0
+
+
+# A bound march that meets no wall within this many turns of its conic gives up.
+_MAX_TURNS = 10**5
+
+
+def _revolving_crossing(state: PlanarState, params: SystemParams, wall: Wall, t_max: float):
+    """_exact_crossing at beta != 0, for L^2 + beta > 0: (flight time, state)
+    or an Escape.
+
+    Newton's theorem of revolving orbits (Principia I, Props. 43-44): under
+    r'' = (L^2 + beta)/r^3 - m/r^2 the orbit is the Kepler conic of the same
+    start with L_eff = sign(L) sqrt(L^2 + beta), which has the same r, r_dot
+    and energy, turned by psi = (kappa - 1) phi, kappa = L/L_eff, where phi
+    is the signed angle the conic has swept. _march finds p = |phi| at the
+    crossing; the time is the conic's t(s) at the universal variable of p,
+    and the state the conic's there, turned by psi, with the tangential
+    speed L/r.
+
+    Raises:
+        ConfigError: if L^2 + beta <= 0, an orbit that falls into the center.
+        Undetermined: if the crossing comes more than t_max after the start.
+    """
+    m = params.m
+    xi, eta, xi_dot, eta_dot = state
+    r0 = math.hypot(xi, eta)
+    ell = xi * eta_dot - eta * xi_dot
+    if ell * ell + params.beta <= 0.0:
+        raise ConfigError("the exact map requires L^2 + beta > 0")
+    ell_eff = math.copysign(math.sqrt(ell * ell + params.beta), ell)
+    kappa = ell / ell_eff
+    dv = (ell_eff - ell) / (r0 * r0)
+    conic = PlanarState(xi, eta, xi_dot - dv * eta, eta_dot + dv * xi)
+    sigma0 = xi * conic.xi_dot + eta * conic.eta_dot
+    alpha = 2.0 * m / r0 - conic.speed**2
+    p = _march(conic, m, wall, alpha, r0, sigma0, ell_eff, kappa, t_max)
+    if isinstance(p, Escape):
+        return p
+    s = _universal_of_angle(p, alpha, r0, sigma0, abs(ell_eff))
+    if s is None:
+        return Escape("the orbit meets the wall only at infinity")
+    g = universal_kernel(alpha, s)
+    t_hit = time_of_flight(r0, sigma0, m, g)
+    if t_hit > t_max:
+        raise Undetermined(f"no hit within t_max = {t_max}")
+    x, y, vx, vy = universal_state(conic, m, t_hit, g, r0)
+    psi = (kappa - 1.0) * math.copysign(p, ell_eff)
+    cos, sin = math.cos(psi), math.sin(psi)
+    dv = (ell - ell_eff) / (x * x + y * y)
+    vx, vy = vx - dv * y, vy + dv * x
+    return t_hit, PlanarState(cos * x - sin * y, sin * x + cos * y,
+                              cos * vx - sin * vy, sin * vx + cos * vy)
+
+
+def _march(conic: PlanarState, m: float, wall: Wall, alpha: float, r0: float, sigma0: float,
+           ell_eff: float, kappa: float, t_max: float):
+    """The swept angle p = |phi| of _revolving_crossing's first crossing
+    out of the domain, or its Escape.
+
+    With A the conic's Laplace-Runge-Lenz vector, r (m + A.e) = L_eff^2
+    along the conic, so (m + A.e) > 0 times the wall function side (alpha r
+    + n.x - level) is
+    H(p) = side (alpha L_eff^2 + L_eff^2 n.e(theta0 + kappa phi)
+                 - level (m + A.e(theta0 + phi))),
+    and |H''| <= M = L^2 |n| + |level| |A|. From each p the march steps by
+    the first root of the lower bound H + H' d - M d^2/2, which no root of
+    H precedes, until the upper bound H + H' d + M d^2/2 brackets a root,
+    where H decreases, and a bracketed Newton finds it. Where H and
+    H'^2/2M are both within H's rounding of zero, which a double root
+    resolves only to sqrt(eps) in p, the leg grazes: a Newton on H' goes
+    to H's minimum, which ends the march if H is within rounding of zero
+    there (_hit_or_tangency then judges the graze by TANGENCY_REL), and
+    which the march passes otherwise, or bracket-refines where H dips
+    below. The march returns an Escape where H's constant term exceeds
+    its two amplitudes, and at the asymptote of an unbound conic; it
+    raises Undetermined after the turns of a bound conic that take longer
+    than t_max, or _MAX_TURNS of them.
+    """
+    xi, eta = conic.xi / r0, conic.eta / r0  # e(theta0), and e(theta0 + pi/2) in the sweep
+    sweep = math.copysign(1.0, ell_eff)
+    (n1, n2), level, side = wall.normal, wall.level, wall.side
+    n_par, n_perp = n1 * xi + n2 * eta, sweep * (n2 * xi - n1 * eta)
+    le2, n_len = ell_eff * ell_eff, math.hypot(n1, n2)
+    a_par, a_perp = le2 / r0 - m, -abs(ell_eff) * sigma0 / r0  # A.e(theta0), A.e(theta0 + pi/2)
+    a_len = math.hypot(a_par, a_perp)
+    big_m = kappa * kappa * le2 * n_len + abs(level) * a_len
+    if side * (wall.alpha * le2 - level * m) > n_len * le2 + abs(level) * a_len or not big_m:
+        return Escape("the orbit does not reach the wall")
+    if alpha > 0.0:
+        period = 2.0 * math.pi * m / alpha**1.5
+        p_end = 2.0 * math.pi * (math.floor(min(t_max / period, _MAX_TURNS)) + 1.0)
+    else:  # the asymptote, where m + A.e = 0
+        p_end = math.atan2(a_perp, a_par) + math.acos(max(-1.0, min(1.0, -m / a_len)))
+    tol = 4.0 * math.ulp(le2 * (wall.alpha + n_len) + abs(level) * (abs(m) + a_len))
+
+    def wall_fn(p):  # H, H' and H''
+        ck, sk, cp, sp = math.cos(kappa * p), math.sin(kappa * p), math.cos(p), math.sin(p)
+        n_e, a_e = n_par * ck + n_perp * sk, a_par * cp + a_perp * sp
+        df = le2 * kappa * (n_perp * ck - n_par * sk) - level * (a_perp * cp - a_par * sp)
+        d2f = level * a_e - le2 * kappa * kappa * n_e
+        return side * (le2 * (wall.alpha + n_e) - level * (m + a_e)), side * df, side * d2f
+
+    def newton(p, lo, hi, order):
+        """The root in [lo, hi] of H (order 0), which decreases there, or of
+        H' (order 1), which increases: Newton, bisecting where it leaves
+        the bracket."""
+        for _ in range(_MAX_ITER):
+            f = wall_fn(p)
+            y, dy = f[order], f[order + 1]
+            if order == 0 and abs(y) <= tol:
+                return p
+            if (y > 0.0) == (order == 0):
+                lo = p
+            else:
+                hi = p
+            p_new = p - y / dy if dy else math.nan
+            if not lo <= p_new <= hi:
+                p_new = 0.5 * (lo + hi)
+            if abs(p_new - p) <= 4.0 * math.ulp(p):
+                return p_new
+            p = p_new
+        raise NonConvergence("the crossing of a revolving orbit did not converge")
+
+    p = 0.0
+    while True:
+        f, df, d2f = wall_fn(p)
+        f = max(f, 0.0)
+        if f <= tol and df <= 0.0 and df * df <= 2.0 * big_m * tol:
+            # H and its slope are within rounding of a touch: go to H's minimum
+            if d2f <= 0.0:
+                return p
+            p_min = newton(p, p, p - 4.0 * df / d2f + 4.0 * math.ulp(p), 1)
+            f_min = wall_fn(p_min)[0]
+            if f_min < -tol:  # a dip across the wall
+                return newton(0.5 * (p + p_min), p, p_min, 0)
+            if f_min <= tol:  # a graze, which _hit_or_tangency judges
+                return p_min
+            p = p_min
+        elif df < 0.0 and df * df >= 4.0 * big_m * f:
+            # the bounds' roots bracket the crossing, and H decreases between them
+            hi = p + 2.0 * f / (math.sqrt(df * df - 2.0 * big_m * f) - df)
+            return newton(p + 2.0 * f / (math.sqrt(df * df + 2.0 * big_m * f) - df), p, hi, 0)
+        else:
+            p += (df + math.sqrt(df * df + 2.0 * big_m * f)) / big_m
+        if p >= p_end:
+            if alpha > 0.0:
+                raise Undetermined(f"no hit within t_max = {t_max}")
+            return Escape("the orbit has no forward crossing out of the domain")
+
+
+def _universal_of_angle(p: float, alpha: float, r0: float, sigma0: float, ell: float):
+    """The universal variable s at which a Kepler conic from (r0, sigma0),
+    of angular momentum ell > 0, has swept the angle p >= 0; None beyond
+    the asymptote. With T = G1(s/2)/G0(s/2), tan(p/2) = ell T/(r0 + sigma0 T)
+    (from sqrt(r0 r) e^(i p/2) = r0 G0(s/2) + sigma0 G1(s/2) + i ell G1(s/2));
+    T is tan(w s/2)/w, s/2 or tanh(w s/2)/w (w = sqrt|alpha|), and on an
+    ellipse w s/2 lies in the half-turn of p/2."""
+    half = 0.5 * p
+    y, x = r0 * math.sin(half), ell * math.cos(half) - sigma0 * math.sin(half)
+    if alpha > 0.0:
+        w = math.sqrt(alpha)
+        return 2.0 * (math.pi * math.floor(half / math.pi) + math.atan2(w * y, x) % math.pi) / w
+    if x <= 0.0:
+        return None
+    if alpha == 0.0:
+        return 2.0 * y / x
+    u = math.sqrt(-alpha) * y / x
+    return 2.0 * math.atanh(u) / math.sqrt(-alpha) if u < 1.0 else None
 
 
 # A spherical wall's image in the gnomonic chart of the attracting pole, read by
@@ -557,16 +738,19 @@ def _choose_leg(state, model: Model, mode: str, integ: IntegratorConfig):
     """The leg billiard_map runs from state, as leg(t_max, t0, inward) ->
     HitOutcome, and its solver label. Under mode="analytic" it is the exact
     leg wherever one exists: "exact-planar" (next_hit_analytic_line) on a
-    planar wall, and "exact-chart" (_chart_hit) for a spherical start whose
+    planar wall, unless L^2 + beta <= 0 (beta < 0) draws the orbit into the
+    center, and "exact-chart" (_chart_hit) for a spherical start whose
     orbit is bound in its attracting pole's chart (_bound_chart_conic: chart
     energy below zero, a start in the pole's hemisphere, alpha r0/mu at
     least _BOUND_MARGIN), against a wall with a chart image (_chart_wall).
     Every other leg, and every leg under mode="numeric", is "numeric"
     (next_hit_numeric), the only one that reads integ."""
     params, wall = model.params, model.wall
-    if mode == "analytic":
-        if wall.is_planar:
+    if mode == "analytic" and wall.is_planar:
+        if params.beta >= 0.0 or (
+                state.xi * state.eta_dot - state.eta * state.xi_dot) ** 2 + params.beta > 0.0:
             return functools.partial(next_hit_analytic_line, state, params, wall), "exact-planar"
+    elif mode == "analytic":
         pole, turn = _pole_chart(params)
         bound = _bound_chart_conic(state, params, turn, 0.0)
         chart_wall = _chart_wall(wall, turn)
@@ -612,10 +796,9 @@ def billiard_map(
     an absolute hit time: each leg starts at the run's clock.
     ``mode="numeric"`` runs every leg on next_hit_numeric. ``mode="analytic"``
     takes each leg's exact hit wherever one exists (_choose_leg): on a
-    planar wall that of :func:`next_hit_analytic_line`, whose first leg
-    raises ConfigError unless beta = 0, and on the sphere that of a leg
-    bound in its attracting pole's chart, any other spherical leg running
-    numerically. Both maps share one t_max_per_leg rule: a leg whose hit
+    planar wall that of :func:`next_hit_analytic_line`, for every beta
+    with L^2 + beta > 0, and on the sphere that of a leg bound in its
+    attracting pole's chart; any other leg runs numerically. Both maps share one t_max_per_leg rule: a leg whose hit
     comes more than t_max_per_leg after its start raises Undetermined. A
     leg that raises a DynamicsError ends the run with that error's outcome
     and keeps the bounces before it.

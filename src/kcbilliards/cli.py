@@ -10,12 +10,17 @@ in the plane.
 
 A billiard run (n_bounces > 0) takes each leg's exact hit wherever one
 exists, as billiard_map(mode="analytic") chooses it from the leg's start:
-every leg on a planar wall at beta = 0, and a spherical leg bound in the
-chart of its attracting pole. The numeric engine runs the legs at
-beta != 0 and the spherical legs that are not chart-bound, and only those
-read the integrator settings. A bound conic that never meets the wall
-ends an exact leg as an escape ("the orbit does not reach the wall"), a
-numeric one as undetermined (exit 3).
+every leg on a planar wall with L^2 + beta > 0 (at beta != 0 a Kepler
+conic turned as it is swept), and a spherical leg bound in the chart of
+its attracting pole. The numeric engine runs the planar legs that fall
+into the center (L^2 + beta <= 0) and the spherical legs that are not
+chart-bound, and only those read the integrator settings. A bound conic
+that never meets the wall ends an exact leg as an escape ("the orbit
+does not reach the wall"), a numeric one as undetermined (exit 3).
+
+A spherical trajectory row inside the pole guard, where m' cot(theta) is
+infinite, carries the start's E_sph, which the flow and every reflection
+keep.
 
 Exit codes: 0 success, 1 any other error of the package, 2 configuration
 error or any OS error reading or writing a file (a full disk too), 3
@@ -42,10 +47,12 @@ import numpy as np
 from . import io as out_io
 from .billiard import billiard_map
 from .errors import (
-    BilliardError, ConfigError, DynamicsError, SingularPosition, StepFailure, WrongHalfPlane,
+    BilliardError, ConfigError, DynamicsError, PoleSingularity, SingularPosition, StepFailure,
+    WrongHalfPlane,
 )
 from .integrals import integral_set, planar_columns
-from .model import PlanarState, RunConfig, SphericalState, SystemParams, load_config, solve_ivp
+from .model import (POLE_GUARD, PlanarState, RunConfig, SphericalState, SystemParams, load_config,
+                    solve_ivp, spherical_center)
 from .planar import (_clock_end, _clock_samples, _conic, _conic_samples, _levi_civita_to_planar,
                      _planar_form)
 from .spherical import (
@@ -104,7 +111,7 @@ def cmd_simulate(args) -> int:
             cfg.initial,
             cfg.run.n_bounces,
             cfg.model,
-            mode="numeric" if params.beta != 0.0 else "analytic",
+            mode="analytic",
             integ=cfg.integrator,
             t_max_per_leg=cfg.run.t_max,
         )
@@ -118,7 +125,17 @@ def cmd_simulate(args) -> int:
         out_io.write_planar_trajectory(traj_path, ts, ys, ints)
         series = {"D": ints.D, "E_pl": ints.E_pl, "E_sph": ints.E_sph}
     else:
-        e_sph = spherical_energy_embedded(SimpleNamespace(q=ys[:, :3], v=ys[:, 3:]), params)
+        try:
+            e_sph = spherical_energy_embedded(SimpleNamespace(q=ys[:, :3], v=ys[:, 3:]), params)
+        except PoleSingularity:
+            # m' cot(theta) is infinite at a pole of Z1: a row inside the pole guard takes the
+            # start's E_sph, which the flow and every reflection keep (the start is never there)
+            z = spherical_center(params)
+            off = np.abs(ys[:, 0] * z[0] + ys[:, 1] * z[1] + ys[:, 2] * z[2]) <= 1.0 - POLE_GUARD
+            e_sph = np.empty(len(ys))
+            e_sph[off] = spherical_energy_embedded(SimpleNamespace(q=ys[off, :3], v=ys[off, 3:]),
+                                                   params)
+            e_sph[~off] = e_sph[0]
         out_io.write_spherical_trajectory(traj_path, ts, ys, e_sph)
         series = {"E_sph": e_sph}
     if run is not None:

@@ -25,6 +25,7 @@ lambda^2 = 1 + x^2 + y^2, and the normalization (x, y) =
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import Callable
 
@@ -133,16 +134,21 @@ _leave_chart.terminal = True
 _leave_chart.direction = 1.0
 
 
+@functools.lru_cache(maxsize=64)
 def _pole_chart(params: SystemParams):
     """The attracting pole P (Z1 if m' > 0, else -Z1) and the rotation turn
     with rows (e1, P x e1, -P), which takes P to (0, 0, -1): the sphere
-    turned by it projects onto P's gnomonic chart (_sphere_to_chart). The
-    spherical force has no beta term: ConfigError for params.beta != 0."""
+    turned by it projects onto P's gnomonic chart (_sphere_to_chart). Both
+    depend on the params alone, so each params computes them once, as
+    read-only arrays that every leg and flow shares. The spherical force
+    has no beta term: ConfigError for params.beta != 0."""
     if params.beta != 0.0:
         raise ConfigError("the spherical flow requires beta = 0")
     pole = math.copysign(1.0, params.m_prime) * spherical_center(params)
     e1 = np.array([1.0, 0.0, 0.0])  # normal to Z1
-    return pole, np.array([e1, np.cross(pole, e1), -pole])
+    turn = np.array([e1, np.cross(pole, e1), -pole])
+    pole.flags.writeable = turn.flags.writeable = False
+    return pole, turn
 
 
 def _spherical_forms(params: SystemParams):

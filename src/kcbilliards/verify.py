@@ -108,7 +108,8 @@ def check_spherical_energy_identity(seed: int, cases: int) -> CheckResult:
 def bound_wall_states(
     rng: np.random.Generator, n: int, params: SystemParams
 ) -> List[PlanarState]:
-    """States on the wall line moving into the bound side (E < 0 arcs)."""
+    """States on the wall line moving into the bound side (E < 0 arcs,
+    with the beta term beta/(2 r^2) in E)."""
     h = params.h
     out: List[PlanarState] = []
     while len(out) < n:
@@ -116,7 +117,7 @@ def bound_wall_states(
         if xi == 0.0 and h == 0.0:
             continue
         r = math.hypot(xi, h)
-        v_esc = math.sqrt(2.0 * params.m / r)
+        v_esc = math.sqrt(2.0 * (params.m / r - params.beta / (2.0 * r * r)))
         speed = float(rng.uniform(0.3, 0.9)) * v_esc
         phi = float(rng.uniform(math.pi + 0.15, 2.0 * math.pi - 0.15))
         out.append(
@@ -127,17 +128,20 @@ def bound_wall_states(
 
 def check_analytic_vs_numeric(seed: int, cases: int) -> CheckResult:
     """Analytic and numeric line-wall hits (the latter at rtol = atol =
-    1e-12) agree in position, velocity and time to 1e-8."""
+    1e-12) agree in position, velocity and time to 1e-8: half the cases
+    at a = 0.5, and at a = 1 the other half, split between beta = 0 and
+    beta = 0.3 (the revolving conic of the exact map)."""
     rng = np.random.default_rng(seed)
     agree_tol = 1e-8
     worst = 0.0
     total = 0
     integ = IntegratorConfig(rtol=1e-12, atol=1e-12)
-    for a in (0.5, 1.0):
-        params = SystemParams(m=1.0, a=a)
+    half = max(1, cases // 2)
+    for a, beta, n in ((0.5, 0.0, half), (1.0, 0.0, half - half // 2), (1.0, 0.3, half // 2)):
+        params = SystemParams(m=1.0, a=a, beta=beta)
         wall = Wall.line(params.h, side=-1)
         model = validate_config(params, wall)
-        for s in bound_wall_states(rng, max(1, cases // 2), params):
+        for s in bound_wall_states(rng, n, params):
             out_a = next_hit_analytic_line(s, params, wall)
             out_n = next_hit_numeric(s, model, integ)
             if isinstance(out_a, Escape) or isinstance(out_n, Escape):

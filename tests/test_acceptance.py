@@ -249,6 +249,35 @@ def test_criterion_7_nonintegrable_contrast():
     )
 
 
+def test_criterion_7_nonintegrable_contrast_on_exact_legs(monkeypatch):
+    # the same run on billiard_map(mode="analytic"): every leg is a Kepler
+    # conic turned as it is swept (Newton's revolving orbits), so none integrates
+    import kcbilliards.billiard
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("a leg integrated")
+
+    monkeypatch.setattr(kcbilliards.billiard, "solve_ivp", no_integration)
+    params = SystemParams(m=BILLIARD_PARAMS.m, a=BILLIARD_PARAMS.a, beta=0.3)
+    model = validate_config(params, Wall.line(params.h, side=-1))
+    start = time.perf_counter()
+    run = billiard_map(BILLIARD_START, 100, model, mode="analytic")
+    elapsed = time.perf_counter() - start
+    assert run.n_bounces == 100
+    E = [r.integrals_in.E_pl for r in run.records]
+    D = [r.integrals_in.D for r in run.records]
+    drift_e = max(abs(e - E[0]) for e in E) / max(1.0, abs(E[0]))
+    var_d = max(abs(d - D[0]) for d in D)
+    in_band = abs(var_d - D_VARIATION_REGRESSION) <= 0.05 * D_VARIATION_REGRESSION
+    report(
+        "7 nonintegrable-contrast (exact revolving legs)",
+        var_d > 1e-3 and drift_e <= 1e-8 and in_band,
+        f"D variation {var_d:.4e} > 1e-3 (regression {D_VARIATION_REGRESSION}), "
+        f"E_pl drift {drift_e:.2e} <= 1e-8, 100 bounces in {elapsed * 1e3:.0f} ms, "
+        "no integration",
+    )
+
+
 def test_criterion_8_conformal_transport():
     params = BILLIARD_PARAMS
     model = validate_config(params, Wall.line(params.h, side=-1))

@@ -509,11 +509,12 @@ class TestAnalyticLineHit:
         assert out_a.t_hit == pytest.approx(out_n.t_hit, abs=1e-8)
 
     def test_perturbed_rejected(self):
-        params = SystemParams(m=1.0, a=1.0, beta=0.1)
-        with pytest.raises(ConfigError, match="requires beta = 0"):
-            next_hit_analytic_line(
-                PlanarState(0.0, -1.0, 0.3, 0.0), params, Wall.line(params.h)
-            )
+        # beta = -0.1 and L^2 = 0.045: the orbit falls into the center, which
+        # no revolving conic describes
+        params = SystemParams(m=1.0, a=1.0, beta=-0.1)
+        start = PlanarState(0.0, params.h, 0.3, 0.0)
+        with pytest.raises(ConfigError, match=r"requires L\^2 \+ beta > 0"):
+            next_hit_analytic_line(start, params, Wall.line(params.h))
 
     def test_spherical_wall_rejected(self):
         params = SystemParams(m=1.0, a=1.0)
@@ -667,6 +668,40 @@ def test_exact_hit_on_a_parabola(start, wall):
     assert dt <= 1e-8 and ds <= 1e-8
 
 
+# beta = 0.3, a = 0.5, the side = -1 line: unbound legs at or beyond 1e3 wall
+# scales that meet the line, as (m, start relative to the line, t_hit)
+FAR_LINE_LEGS = [
+    # heading straight at the line 1 away, from beyond the radius or
+    # just inside it
+    (1.0, (2000.0, -1.0, 0.5, 1.0), 1.0),
+    (1.0, (999.9, -1.0, 0.5, 0.5), 2.0),
+    # 0.01 from the line and moving away from it at 1e-5, turned back
+    # by the pull toward the center beyond the line
+    (1e4, (1001.0, -0.01, 4.693396640810579, -1e-5), 80.57),
+]
+
+
+def barrier_start(ell):
+    """beta = 0.3: a start aimed at the center with angular momentum ell,
+    and its model; the leg turns at the centrifugal barrier (L^2 + beta > 0)
+    and leaves along its ray to the line."""
+    params = SystemParams(m=1.0, a=1.0, beta=0.3)
+    model = validate_config(params, Wall.line(params.h, side=1))
+    r0 = math.hypot(0.2, -0.5)
+    qhat = np.array([0.2, -0.5]) / r0
+    v = -1.5 * qhat + (ell / r0) * np.array([-qhat[1], qhat[0]])
+    return PlanarState(0.2, -0.5, v[0], v[1]), model
+
+
+def check_barrier_leg(out, s, params, ell):
+    assert is_hit(out)
+    e0 = planar_energy(s, params.m, params.beta)
+    e1 = planar_energy(out.state_in, params.m, params.beta)
+    assert abs(e1 - e0) <= 1e-10 * max(1.0, abs(e0))
+    if ell == 0.0:  # a radial leg comes back out along its ray
+        assert out.state_in.xi == pytest.approx(-0.4 * params.h, abs=1e-8)
+
+
 class TestNumericHit:
     def test_agrees_with_analytic_on_circular_example(self):
         params, wall = circle_wall_params()
@@ -737,15 +772,7 @@ class TestNumericHit:
         assert out.t_hit == pytest.approx(exact.t_hit, rel=1e-10)
         np.testing.assert_allclose(out.state_in[:2], exact.state_in[:2], rtol=1e-8)
 
-    @pytest.mark.parametrize("m, start, t_hit", [
-        # heading straight at the line 1 away, from beyond the radius or
-        # just inside it
-        (1.0, (2000.0, -1.0, 0.5, 1.0), 1.0),
-        (1.0, (999.9, -1.0, 0.5, 0.5), 2.0),
-        # 0.01 from the line and moving away from it at 1e-5, turned back
-        # by the pull toward the center beyond the line
-        (1e4, (1001.0, -0.01, 4.693396640810579, -1e-5), 80.57),
-    ])
+    @pytest.mark.parametrize("m, start, t_hit", FAR_LINE_LEGS)
     def test_unbound_leg_near_the_line_beyond_the_escape_radius_hits(self, m, start, t_hit):
         # beta = 0.3 has no exact conic test; these legs are unbound and
         # receding at (or reaching) 1e3 wall scales, yet meet the line, so
@@ -938,21 +965,8 @@ class TestNumericHit:
 
     @pytest.mark.parametrize("ell", [0.0, 1e-8, 1e-3])
     def test_boltzmann_leg_through_the_barrier_keeps_the_energy(self, ell):
-        # beta = 0.3: a leg aimed at the center turns at the centrifugal
-        # barrier (L^2 + beta > 0) and leaves along its ray to the line
-        params = SystemParams(m=1.0, a=1.0, beta=0.3)
-        model = validate_config(params, Wall.line(params.h, side=1))
-        r0 = math.hypot(0.2, -0.5)
-        qhat = np.array([0.2, -0.5]) / r0
-        v = -1.5 * qhat + (ell / r0) * np.array([-qhat[1], qhat[0]])
-        s = PlanarState(0.2, -0.5, v[0], v[1])
-        out = next_hit_numeric(s, model, FAST)
-        assert is_hit(out)
-        e0 = planar_energy(s, params.m, params.beta)
-        e1 = planar_energy(out.state_in, params.m, params.beta)
-        assert abs(e1 - e0) <= 1e-10 * max(1.0, abs(e0))
-        if ell == 0.0:  # a radial leg comes back out along its ray
-            assert out.state_in.xi == pytest.approx(-0.4 * params.h, abs=1e-8)
+        s, model = barrier_start(ell)
+        check_barrier_leg(next_hit_numeric(s, model, FAST), s, model.params, ell)
 
     def test_centered_circle_wall(self):
         params = SystemParams(m=1.0, a=0.0)
@@ -1914,3 +1928,155 @@ class TestExactChartLegs:
         assert run.n_bounces == 10
         # the start on the wall is looked at once, then one normal per bounce
         assert len(calls) == 11
+
+
+def revolving_start(rng, m, beta, wall_kind, side, ell):
+    """A start on a planar wall moving into the domain whose orbit returns
+    to the wall: 0.3-0.9 of the bound speed for m > 0 (the beta term in
+    the energy), 0.5-1.5 for m < 0, at least 0.15 rad off the wall's
+    tangent; ell = None draws the direction, ell = 0 or 1e-8 makes the
+    start radial with that angular momentum."""
+    while True:
+        if wall_kind == "line":
+            params = SystemParams(m=m, a=float(rng.uniform(0.8, 1.5)), beta=beta)
+            wall = Wall.line(params.h, side=side)
+            q = np.array([math.copysign(rng.uniform(0.5, 1.5), rng.uniform(-1.0, 1.0)), params.h])
+            normal = np.array([0.0, side])
+        else:
+            params = SystemParams(m=m, a=0.0, beta=beta)
+            wall = Wall.centered_circle(float(rng.uniform(1.0, 2.0)), side=side)
+            th = rng.uniform(0.0, 2.0 * math.pi)
+            normal = side * np.array([math.cos(th), math.sin(th)])
+            q = side * wall.level * normal
+        r = float(np.linalg.norm(q))
+        if m > 0.0:
+            speed = rng.uniform(0.3, 0.9) * math.sqrt(2.0 * (m / r - beta / (2.0 * r * r)))
+        else:
+            speed = rng.uniform(0.5, 1.5)
+        if ell is None:
+            th = rng.uniform(0.0, 2.0 * math.pi)
+            v = speed * np.array([math.cos(th), math.sin(th)])
+        else:
+            qhat = q / r
+            v = speed * qhat + ell / r * np.array([-qhat[1], qhat[0]])
+        if v @ normal < 0.0:
+            v = -v
+        if v @ normal > math.sin(0.15) * np.linalg.norm(v):
+            return PlanarState(*q, *v), params, wall
+
+
+# (m, wall, side) whose legs return to the wall: the center draws them back,
+# or a repulsive center lies on their side and pushes them back (or, past a
+# line, off along it)
+RETURNING = [(1.0, "line", -1), (1.0, "line", 1), (1.0, "circle", -1), (1.0, "circle", 1),
+             (-1.0, "line", 1), (-1.0, "circle", -1)]
+
+
+class TestRevolvingLegs:
+    """The exact leg at beta != 0: a Kepler conic turned as it is swept."""
+
+    @pytest.mark.parametrize("beta", [0.1, 0.3, 1.0])
+    @pytest.mark.parametrize("m, wall_kind, side", RETURNING)
+    def test_exact_leg_matches_numeric(self, beta, m, wall_kind, side, rng):
+        for ell in (None, None, 0.0, 1e-8):
+            s, params, wall = revolving_start(rng, m, beta, wall_kind, side, ell)
+            out_a = next_hit_analytic_line(s, params, wall)
+            out_n = next_hit_numeric(s, validate_config(params, wall), FAST)
+            if m < 0.0 and wall_kind == "line" and isinstance(out_a, Escape):
+                # the repulsive center may send the orbit off along the line
+                assert isinstance(out_n, Escape)
+                continue
+            assert is_hit(out_a) and is_hit(out_n)
+            assert out_a.t_hit == pytest.approx(out_n.t_hit, abs=1e-8)
+            np.testing.assert_allclose(out_a.state_in.as_array(), out_n.state_in.as_array(),
+                                       rtol=0.0, atol=1e-8)
+            e0 = planar_energy(s, params.m, params.beta)
+            assert planar_energy(out_a.state_in, params.m, params.beta) == pytest.approx(
+                e0, rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("ell", [0.0, 1e-8, 1e-3])
+    def test_leg_through_the_barrier_keeps_the_energy(self, ell):
+        # TestNumericHit's leg through the barrier, on the exact leg
+        s, model = barrier_start(ell)
+        check_barrier_leg(next_hit_analytic_line(s, model.params, model.wall), s, model.params,
+                          ell)
+
+    @pytest.mark.parametrize("m, start, t_hit", FAR_LINE_LEGS)
+    def test_unbound_leg_far_out_hits(self, m, start, t_hit):
+        # TestNumericHit's legs near the line beyond the escape radius
+        params = SystemParams(m=m, a=0.5, beta=0.3)
+        s = PlanarState(start[0], params.h + start[1], start[2], start[3])
+        out = next_hit_analytic_line(s, params, Wall.line(params.h, side=-1))
+        assert is_hit(out) and out.t_hit == pytest.approx(t_hit, rel=1e-2)
+        ref = ode_propagate(s, out.t_hit, params)
+        np.testing.assert_allclose(ref.as_array(), out.state_in.as_array(), rtol=0.0, atol=1e-6)
+
+    def test_the_leg_is_exact_unless_the_orbit_falls_into_the_center(self):
+        wall = Wall.line(BILLIARD_PARAMS.h, side=-1)
+        for beta, start, solver in [
+            (0.3, BILLIARD_START, "exact-planar"),
+            # beta < 0: L^2 = 0.045 + beta <= 0 falls in, L^2 = 0.125 does not
+            (-0.1, PlanarState(0.0, BILLIARD_PARAMS.h, 0.3, 0.2), "numeric"),
+            (-0.1, PlanarState(0.0, BILLIARD_PARAMS.h, 0.5, 0.2), "exact-planar"),
+        ]:
+            params = SystemParams(m=BILLIARD_PARAMS.m, a=BILLIARD_PARAMS.a, beta=beta)
+            model = validate_config(params, wall)
+            assert _choose_leg(start, model, "analytic", FAST)[1] == solver
+
+    def test_slow_precession_hits_after_many_turns(self):
+        # beta = 0.01 turns the apocentre by about 0.03 rad a turn: the orbit,
+        # whose apocentre starts opposite the line, meets it after 44.8 turns
+        params = SystemParams(m=1.0, a=1.0, beta=0.01)
+        model = validate_config(params, Wall.line(params.h, side=1))
+        s = PlanarState(0.0, 0.75, -1.0, 0.0)
+        out_a = next_hit_analytic_line(s, params, model.wall, t_max=1000.0)
+        out_n = next_hit_numeric(s, model, FAST, t_max=1000.0)
+        assert is_hit(out_a) and out_a.t_hit == pytest.approx(133.085744369, abs=1e-8)
+        assert out_a.t_hit == pytest.approx(out_n.t_hit, abs=1e-8)
+        np.testing.assert_allclose(out_a.state_in.as_array(), out_n.state_in.as_array(),
+                                   rtol=0.0, atol=1e-8)
+        # the march stops after the turns that take longer than t_max
+        with pytest.raises(Undetermined, match="no hit within t_max"):
+            next_hit_analytic_line(s, params, model.wall, t_max=15.0)
+        with pytest.raises(Undetermined, match="no hit within t_max"):
+            next_hit_analytic_line(s, params, model.wall, t_max=133.0)
+
+    def test_graze_ends_in_the_tangent_rule(self):
+        # the circular orbit r = R = -h of the beta field ((L^2 + beta)/R = m)
+        # touches the side = +1 line after a quarter turn: the march's steps
+        # shrink toward that double root until H and its slope lie within
+        # rounding of zero, and the minimum of H there is a graze
+        params = SystemParams(m=1.0, a=0.5, beta=0.3)
+        radius = -params.h
+        ell = math.sqrt(params.m * radius - params.beta)
+        model = validate_config(params, Wall.line(params.h, side=1))
+        run = billiard_map(PlanarState(radius, 0.0, 0.0, -ell / radius), 5, model, mode="analytic")
+        assert run.outcome == "tangency" and run.n_bounces == 1 and run.records[0].tangent
+        assert run.records[0].t_hit == pytest.approx(0.5 * math.pi * radius**2 / ell, rel=1e-14)
+
+    def test_unbound_leg_past_the_asymptote_escapes(self):
+        # an unbound conic whose branch ends inside the domain: both maps escape
+        params = SystemParams(m=1.0, a=0.5, beta=0.3)
+        model = validate_config(params, Wall.line(H05, side=-1))
+        s = PlanarState(0.5, H05, 2.0, -0.3)
+        assert next_hit_analytic_line(s, params, model.wall) == Escape(
+            "the orbit has no forward crossing out of the domain")
+        assert isinstance(next_hit_numeric(s, model, FAST), Escape)
+
+    @pytest.mark.parametrize("a, wall", [
+        (1.0, Wall.line(SystemParams(m=1.0, a=1.0).h, side=1)),
+        (0.0, Wall.centered_circle(2.0, side=-1)),
+        (0.0, Wall.centered_circle(0.2, side=1)),
+    ])
+    def test_bound_orbit_on_one_side_of_the_wall_escapes(self, a, wall):
+        # the radii run from L_eff^2/(m + |A|) = 0.301 to L_eff^2/(m - |A|) =
+        # 0.553: short of the line 0.707 away, inside the circle r = 2 and
+        # outside r = 0.2; the exact leg proves the miss, the numeric leg
+        # runs on to t_max
+        params = SystemParams(m=1.0, a=a, beta=0.3)
+        model = validate_config(params, wall)
+        s = PlanarState(0.3, 0.0, 0.0, 1.0)
+        assert next_hit_analytic_line(s, params, model.wall) == Escape(
+            "the orbit does not reach the wall")
+        with pytest.raises(Undetermined, match="no hit within t_max"):
+            next_hit_numeric(s, model, FAST, t_max=20.0)

@@ -8,7 +8,7 @@ import xml.dom.minidom
 import numpy as np
 import pytest
 
-from oracles import ode_trajectory
+from oracles import ode_trajectory, spherical_radial_fall_time
 
 import kcbilliards.cli
 import kcbilliards.planar
@@ -456,6 +456,36 @@ class TestSimulate:
         doc["wall"]["colatitude"] = 4.0
         write_config(cfg, doc)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+
+    def test_rows_at_the_pole_take_the_start_energy(self, tmp_path):
+        # a radial fall from rest: t_max four fall times puts samples 250 and
+        # 750 at the attracting pole, where m' cot(theta) is infinite; those
+        # rows carry the start's E_sph, and every other row its own
+        import kcbilliards as kb
+
+        params = kb.SystemParams(m=1.0, a=0.5)
+        s0 = kb.planar_to_sphere(kb.PlanarState(1.0, 0.2, 0.0, 0.0), params)
+        fall = spherical_radial_fall_time(spherical_energy_embedded(s0, params), params.m_prime)
+        assert fall == pytest.approx(0.574863447286315, rel=1e-14)
+        doc = {
+            "system": {"model": "spherical", "m": 1.0, "a": 0.5, "beta": 0.0},
+            "wall": {"kind": "spherical-great-circle", "side": -1},
+            "initial": {"state": [*s0.q.tolist(), *s0.v.tolist()]},
+            "run": {"n_bounces": 0, "t_max": 4.0 * 0.574863447286315},
+        }
+        cfg = tmp_path / "fall.json"
+        write_config(cfg, doc)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        _, rows = read_csv(tmp_path / "o" / "trajectory.csv")
+        at_pole = [k for k, row in enumerate(rows)
+                   if abs(np.dot(row[1:4], spherical_center(params))) > 1.0 - 1e-10]
+        assert at_pole == [250, 750]
+        for k, row in enumerate(rows):
+            own = None if k in at_pole else spherical_energy_embedded(
+                SphericalState(row[1:4], row[4:7]), params)
+            assert row[7] == (rows[0][7] if own is None else own)
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["outcome"] == "flow" and summary["max_drift"]["E_sph"] < 1e-10
 
 
 # A reflection at a centered circle conserves L, and D and E_sph only at

@@ -3,10 +3,11 @@
 Loading it takes longer than importing the rest of the package, so a
 process that never integrates (the exact map, ``project``, ``plot``, a
 configuration error, a planar flow at beta = 0, sampled on its conic, a
-planar billiard at beta = 0, whose every leg is exact) must not pay for
-it. Each step runs in one fresh interpreter, in order, and reports whether
-the module was loaded after it; a billiard ``simulate`` at beta = 0.3,
-whose legs are numeric, run last is the positive control. The last
+planar billiard at beta = 0 or at beta = 0.3, whose every leg is exact)
+must not pay for it. Each step runs in one fresh interpreter, in order,
+and reports whether the module was loaded after it; a great-circle
+billiard whose first leg starts outside its attracting pole's hemisphere,
+so that the leg is numeric, run last is the positive control. The last
 tests guard the layering: Levi-Civita's map lives in ``planar``, no
 engine module imports ``conformal``, which transports over it, and
 no module but ``model`` reads a wall's kind: the rest read walls only
@@ -22,6 +23,8 @@ import subprocess
 import sys
 import types
 from pathlib import Path
+
+import numpy as np
 
 import kcbilliards
 from kcbilliards import billiard, cli, model, spherical, verify
@@ -58,8 +61,10 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
                                           "--out", f"{work}/flow"]))
     step("planar billiard at beta = 0", main(["simulate", "--config", f"{work}/readme.json",
                                               "--out", f"{work}/out"]))
-    step("numeric simulate", main(["simulate", "--config", f"{work}/boltzmann.json",
-                                   "--out", f"{work}/boltzmann"]))
+    step("planar billiard at beta = 0.3", main(["simulate", "--config", f"{work}/boltzmann.json",
+                                                "--out", f"{work}/boltzmann"]))
+    step("numeric simulate", main(["simulate", "--config", f"{work}/sphere.json",
+                                   "--out", f"{work}/sphere"]))
 json.dump(steps, open(f"{work}/steps.json", "w"))
 """
 
@@ -72,6 +77,13 @@ def test_scipy_integrate_loads_only_at_the_first_integration(tmp_path):
     (tmp_path / "flow.json").write_text(json.dumps({**doc, "run": {"n_bounces": 0, "t_max": 5.0}}))
     boltzmann = {**doc, "system": {**doc["system"], "model": "boltzmann", "beta": 0.3}}
     (tmp_path / "boltzmann.json").write_text(json.dumps(boltzmann))
+    # q.Z1 < 0 at a = 0.5: the start lies outside the attracting pole's hemisphere
+    q = np.array([0.8, -0.1, 0.59]) / np.linalg.norm([0.8, -0.1, 0.59])
+    v = np.array([0.1, -0.3, -0.2]) - np.dot(q, [0.1, -0.3, -0.2]) * q
+    sphere = {**doc, "system": {"model": "spherical", "m": 1.0, "a": 0.5, "beta": 0.0},
+              "wall": {"kind": "spherical-great-circle", "side": -1},
+              "initial": {"state": [*q.tolist(), *v.tolist()]}}
+    (tmp_path / "sphere.json").write_text(json.dumps(sphere))
     doc["integrator"]["atol"] = -1.0
     (tmp_path / "bad.json").write_text(json.dumps(doc))
     env = dict(os.environ)
@@ -90,6 +102,7 @@ def test_scipy_integrate_loads_only_at_the_first_integration(tmp_path):
         ["config error", 2, False],
         ["planar flow at beta = 0", 0, False],
         ["planar billiard at beta = 0", 0, False],
+        ["planar billiard at beta = 0.3", 0, False],
         ["numeric simulate", 0, True],
     ]
 
