@@ -30,7 +30,8 @@ planar one at beta < 0 that falls into the center, a spherical one that
 is not chart-bound). Only numeric legs read the IntegratorConfig.
 An exact leg on a bound conic that never meets the wall returns
 Escape("the orbit does not reach the wall"), which its closed form proves;
-the numeric engine raises Undetermined after one period of such a conic.
+the numeric engine raises Undetermined after one period of such a conic,
+and on the sphere after one period of any orbit off its chart's parabola.
 At beta != 0 the exact leg proves it only where the orbit's radii stay
 on one side of the wall (an apocentre short of the line, say); a turning
 orbit that has not met the wall by t_max_per_leg raises Undetermined, as
@@ -73,7 +74,7 @@ from .model import (BounceRecord, IntegralSet, IntegratorConfig, Model, PlanarSt
                     SphericalState, SystemParams, Wall, solve_ivp)
 from .planar import (_MAX_ITER, R_MIN, _clock_end, _planar_form, _radius, crossing_root,
                      time_of_flight, universal_kernel, universal_state)
-from .spherical import (_bound_chart_conic, _chart_to_sphere, _leave_chart, _pole_chart,
+from .spherical import (_chart_conic, _chart_to_sphere, _leave_chart, _pole_chart,
                         _spherical_forms, sphere_to_planar, spherical_energy_embedded)
 
 TANGENCY_REL = 1e-8
@@ -532,7 +533,7 @@ def _chart_wall(wall: Wall, turn) -> Optional[_ChartWall]:
 def _chart_hit(state: SphericalState, model: Model, pole, turn, chart_wall: _ChartWall,
                chart: PlanarState, at, t_max: float, t0: float, inward: bool) -> HitOutcome:
     """The exact hit of a spherical leg bound in the chart of its attracting
-    pole, whose chart state and closed form at(s) _bound_chart_conic gives:
+    pole, whose chart state and closed form at(s) _chart_conic gives:
     the conic never leaves the pole's hemisphere, where the wall is
     chart_wall, so the crossing is _conic_crossing's, of mass |m'|, and its
     time the chart clock tau(s). The tangency test and the reflection are
@@ -651,7 +652,9 @@ def next_hit_numeric(
     its start to the minimum, which brackets the crossing. A crossing at a
     force center (dt/ds below R_MIN), which is removed from the wall,
     raises Undetermined; so does a bound conic (planar at beta = 0, or in
-    the chart) with no hit in its first period of s, since it repeats.
+    the chart) with no hit in its first period of s, and a spherical leg
+    off its chart's parabola with no hit within one period of its orbit
+    (_chart_conic), since each repeats.
 
     Before any integration, a start in the other domain than the wall's is a
     ConfigError, a start on the wall moving out of the domain bounces at
@@ -668,10 +671,13 @@ def next_hit_numeric(
     outward = _outward_start(state, params, wall, g, t0, inward)
     if outward is not None:
         return outward
-    escape = None
+    escape, t_end = None, t_max
     if isinstance(state, SphericalState):
         pole, c_in, sphere_form, _ = _spherical_forms(params)
         _along_pole_circle(state, wall, g, pole)
+        conic = _chart_conic(state, params, _pole_chart(params)[1], 0.0)
+        if conic is not None and conic.period < t_max:  # the orbit repeats after its period
+            t_end = conic.period
         form = sphere_form(state, 0.0, float(state.q @ pole) >= c_in)
     else:
         form = _planar_form(state, params)
@@ -704,7 +710,7 @@ def next_hit_numeric(
         return sol
 
     while True:
-        ends = [_clock_end(form, t_max)] + [e for e in (form.switch, escape) if e]
+        ends = [_clock_end(form, t_end)] + [e for e in (form.switch, escape) if e]
         sol = integrate(0.0, form.repeat, form.y, [g_event, minimum_event] + ends)
         # every minimum recorded here comes before any terminal event; one
         # whose dip the step's re-integration does not confirm lies within
@@ -718,7 +724,7 @@ def next_hit_numeric(
                 return hit(sub.t_events[0][0], sub.y_events[0][0])
         if sol.t_events[0].size:
             return hit(sol.t_events[0][0], sol.y_events[0][0])
-        if sol.status == 0:
+        if sol.status == 0 or sol.t_events[2].size and t_end < t_max:
             raise Undetermined("the bound conic missed the wall for a whole period")
         if sol.t_events[2].size:
             raise Undetermined(f"no hit within t_max = {t_max}")
@@ -740,9 +746,9 @@ def _choose_leg(state, model: Model, mode: str, integ: IntegratorConfig):
     leg wherever one exists: "exact-planar" (next_hit_analytic_line) on a
     planar wall, unless L^2 + beta <= 0 (beta < 0) draws the orbit into the
     center, and "exact-chart" (_chart_hit) for a spherical start whose
-    orbit is bound in its attracting pole's chart (_bound_chart_conic: chart
-    energy below zero, a start in the pole's hemisphere, alpha r0/mu at
-    least _BOUND_MARGIN), against a wall with a chart image (_chart_wall).
+    orbit is bound in its attracting pole's chart (_chart_conic's ellipse:
+    chart energy below zero, a start in the pole's hemisphere, alpha r0/mu
+    at least _BOUND_MARGIN), against a wall with a chart image (_chart_wall).
     Every other leg, and every leg under mode="numeric", is "numeric"
     (next_hit_numeric), the only one that reads integ."""
     params, wall = model.params, model.wall
@@ -752,10 +758,11 @@ def _choose_leg(state, model: Model, mode: str, integ: IntegratorConfig):
             return functools.partial(next_hit_analytic_line, state, params, wall), "exact-planar"
     elif mode == "analytic":
         pole, turn = _pole_chart(params)
-        bound = _bound_chart_conic(state, params, turn, 0.0)
+        conic = _chart_conic(state, params, turn, 0.0)
         chart_wall = _chart_wall(wall, turn)
-        if bound is not None and chart_wall is not None:
-            leg = functools.partial(_chart_hit, state, model, pole, turn, chart_wall, *bound)
+        if conic is not None and conic.at is not None and chart_wall is not None:
+            leg = functools.partial(_chart_hit, state, model, pole, turn, chart_wall, conic.chart,
+                                    conic.at)
             return leg, "exact-chart"
     return functools.partial(next_hit_numeric, state, model, integ), "numeric"
 

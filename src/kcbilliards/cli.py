@@ -3,10 +3,12 @@
 A flow (n_bounces = 0) is sampled where its clock reads each time. Where
 its orbit has a closed form it is sampled on that conic: a planar flow at
 beta = 0, whose Levi-Civita form is an oscillator whose s is the universal
-variable, and a spherical flow bound in the chart of its attracting pole
-(see spherical.integrate_spherical); the integrator settings are not read.
-Any other flow integrates a billiard leg's form with no wall, Levi-Civita's
-in the plane.
+variable, and a spherical flow off the parabola of the chart of its
+attracting pole, whose orbit is that chart's ellipse or both branches of
+its hyperbola, across the pole's equator (see
+spherical.integrate_spherical); the integrator settings are not read. Any
+other flow (beta != 0, or a sphere near that parabola) integrates a
+billiard leg's form with no wall, Levi-Civita's in the plane.
 
 A billiard run (n_bounces > 0) takes each leg's exact hit wherever one
 exists, as billiard_map(mode="analytic") chooses it from the leg's start:

@@ -32,8 +32,10 @@ class DynamicsError(BilliardError):
 
 class Undetermined(DynamicsError):
     """Hit search exhausted t_max without a hit or an escape certificate,
-    or a numeric leg on a bound planar (beta = 0) or pole-chart conic missed
-    the wall for a whole period (an exact leg returns an Escape there)."""
+    or a numeric leg missed the wall for a whole period of its orbit: a bound
+    planar (beta = 0) conic, or a spherical orbit off its pole chart's
+    parabola (an exact leg returns an Escape on a conic bound in the plane
+    or in the chart)."""
 
     outcome = "undetermined"
 

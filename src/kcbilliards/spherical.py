@@ -8,11 +8,14 @@ the flow runs in P's gnomonic chart, where it is planar Kepler flow
 Levi-Civita's form, which passes the pole; elsewhere it runs in embedded
 3-space with the explicit constraint term -|v|^2 q, which has no chart
 singularity at the equator of P. The two forms of ``_spherical_forms``
-serve the numeric billiard legs (see kcbilliards.billiard) and the free
-flow of ``integrate_spherical`` alike, except where the chart orbit is an
-ellipse (``_bound_chart_conic``): such a free flow is sampled on its
-conic in closed form, and billiard_map(mode="analytic") times such a
-leg's hit on it.
+serve the numeric billiard legs (see kcbilliards.billiard), and the free
+flows of ``integrate_spherical`` only near the parabola of the chart.
+Any other orbit is one conic of P's chart (``_chart_conic``): an ellipse,
+or both branches of a hyperbola, the far one traced beyond P's equator
+by the antipodes (-q, -v) with mass -|m'|. A free flow is sampled on
+that conic in closed form, across the equator; billiard_map(mode=
+"analytic") times a leg's hit on a chart ellipse, and a numeric leg that
+misses the wall stops after one period of the orbit.
 
 One pair of maps, ``planar_to_sphere``/``sphere_to_planar``, identifies
 the open southern hemisphere with the normalized planar chart: central
@@ -27,7 +30,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from typing import Callable
+from collections import namedtuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -35,8 +39,9 @@ from .errors import ConfigError, PoleSingularity, StepFailure, WrongHalfPlane
 from .integrals import planar_energy
 from .model import (POLE_GUARD, IntegratorConfig, PlanarState, SphericalState, SystemParams,
                     solve_ivp, spherical_center)
-from .planar import (_Form, _clock_end, _clock_samples, _conic, _conic_samples, _levi_civita,
-                     _levi_civita_to_planar, _radius, _squared, levi_civita_rhs)
+from .planar import (_Form, _clock_end, _clock_samples, _conic, _conic_samples, _invert_clock,
+                     _kernel_columns, _levi_civita, _levi_civita_to_planar, _radius, _squared,
+                     levi_civita_rhs)
 
 
 def flow_rhs(params: SystemParams) -> Callable:
@@ -218,43 +223,64 @@ def _spherical_forms(params: SystemParams):
     return pole, c_in, form, to_sphere
 
 
-# A chart orbit with alpha r0/mu at least this (alpha = -2E) runs in closed form. alpha =
-# 2 mu/r0 - |w|^2 cancels toward the parabola, and its rounding, 2 ulps/(alpha r0/mu)
-# relative, moves each pericentre passage in tau: over tau = 5, closed-form samples lay
-# 4.4e-10 (scaled) from the integrated ones at rtol 1e-13 at 1e-2, 2.5e-9 at 1e-3 and
-# 3.5e-7 at 1e-5. Every chart-bound benchmark start lies above 1e-2.
+# A chart orbit with |alpha| r0/mu at least this (alpha = -2E) runs in closed form. alpha =
+# 2 mu/r0 - |w|^2 cancels toward the parabola, and its rounding, 2 ulps/(|alpha| r0/mu)
+# relative, moves each pericentre passage in tau: over tau = 5, closed-form samples of an
+# ellipse lay 4.4e-10 (scaled) from the integrated ones at rtol 1e-13 at 1e-2, 2.5e-9 at
+# 1e-3 and 3.5e-7 at 1e-5. Every benchmark start lies outside this band.
 _BOUND_MARGIN = 1e-2
 
+# A spherical orbit as one conic of P's chart (_chart_conic): the start's chart state and
+# the closed form at(s) from it, for a chart ellipse (None for a hyperbola); the period of
+# the clock tau; and samples(ts) -> the embedded (q, v), one per column, where tau reads
+# the ascending times ts.
+_ChartConic = namedtuple("_ChartConic", "chart at period samples")
 
-def _bound_chart_conic(state: SphericalState, params: SystemParams, turn, t0: float):
-    """The flow from state in P's chart in closed form, for a start in P's
-    hemisphere whose chart orbit is an ellipse (energy E < 0, alpha r0/mu
-    at least _BOUND_MARGIN): it never reaches the chart's equator, so the
-    whole flow is that one conic of mass mu = |m'|. Returns the start's
-    chart state and at(s), the rows of planar._conic in the chart with the
-    clock tau(s) in row 4 and d tau/ds = r/(1 + r^2) in row 5; None for
-    any other start.
+# the largest float below 1, the end of a hyperbola branch's table in u = tanh(w s/2)
+_U_END = math.nextafter(1.0, 0.0)
 
-    With r(s) = A + R cos psi, psi = sqrt(alpha) s - phi (A = mu/alpha),
-    r/(1 + r^2) = Re 1/(r - i), and over each period of psi
-    int dpsi/(a + R cos psi) = (2/k) atan(c tan(psi/2)), a = A - i,
-    c = sqrt((a - R)/(a + R)), k = (a + R) c: Re c > 0, so atan meets no
-    branch cut, and each turn of psi adds 2 pi/k. a - R = r_p - i with the
-    pericentre r_p = L^2/(mu + alpha R), free of cancellation. The
-    difference of the two atans from the start is taken as one atan, of
-    k sin(h)/(a cos h + R cos(h - phi)) with h = sqrt(alpha) s/2, which
-    keeps tau - t0 to a few ulps of itself; the two atans only pick its
-    branch."""
+
+def _chart_conic(state: SphericalState, params: SystemParams, turn,
+                 t0: float) -> Optional[_ChartConic]:
+    """The spherical flow from state at time t0 as one conic of the chart of
+    turn (_pole_chart), in closed form (Albouy, Projective dynamics and
+    classical gravitation, 2008), for a start off P's equator with
+    |alpha| r0/mu at least _BOUND_MARGIN; None for any other start.
+
+    Beyond P's equator the antipode (-q, -v) is a chart state of mass -mu,
+    since cot(pi - theta) = -cot(theta): it runs the same equations in the
+    same time. A start in P's hemisphere with chart energy E < 0 (alpha > 0)
+    stays on one chart ellipse of mass mu = |m'|. Any other orbit
+    alternates between the two branches of one chart hyperbola, with the
+    same E, L and Laplace-Runge-Lenz vector A = (w2 L, -w1 L) - m x/r: the
+    near branch of mass mu in P's hemisphere, and the antipodes' far branch
+    of mass -mu beyond it. Each branch leaves through the equator at
+    s -> +inf and the other comes in at s -> -inf, in a finite time, since
+    d tau/ds = r/(1 + r^2) = Re 1/(r - i) decays like 1/r.
+
+    On the ellipse, with r(s) = A + R cos psi, psi = sqrt(alpha) s - phi
+    (A = mu/alpha), over each period of psi int dpsi/(a + R cos psi) =
+    (2/k) atan(c tan(psi/2)), a = A - i, c = sqrt((a - R)/(a + R)), k =
+    (a + R) c: Re c > 0, so atan meets no branch cut, and each turn of psi
+    adds 2 pi/k. a - R = r_p - i with the pericentre r_p = L^2/(mu + alpha
+    R), free of cancellation. The difference of the two atans from the
+    start is taken as one atan, of k sin(h)/(a cos h + R cos(h - phi)) with
+    h = sqrt(alpha) s/2, which keeps tau - t0 to a few ulps of itself; the
+    two atans only pick its branch. The hyperbola is _chart_hyperbola's."""
     q, v = turn @ state.q, turn @ state.v
-    if q[2] >= 0.0:  # q.P <= 0: outside P's hemisphere
+    if q[2] == 0.0:  # on P's equator: no chart point
         return None
-    c = PlanarState(*_sphere_to_chart(q, v))
+    near = q[2] < 0.0  # q.P > 0: in P's hemisphere
+    c = PlanarState(*_sphere_to_chart(q, v) if near else _sphere_to_chart(-q, -v))
     mu, r0 = abs(params.m_prime), c.r
-    alpha = 2.0 * mu / r0 - c.speed**2
-    if alpha * r0 < _BOUND_MARGIN * mu:
+    m = mu if near else -mu
+    alpha = 2.0 * m / r0 - c.speed**2
+    if abs(alpha) * r0 < _BOUND_MARGIN * mu:
         return None
-    w = math.sqrt(alpha)
     sigma0, ell = c.xi * c.xi_dot + c.eta * c.eta_dot, c.xi * c.eta_dot - c.eta * c.xi_dot
+    if alpha < 0.0:
+        return _chart_hyperbola(c, m, mu, alpha, sigma0, ell, turn, t0)
+    w = math.sqrt(alpha)
     big_a = mu / alpha
     big_r = math.hypot(r0 - big_a, sigma0 / w)
     phi = math.atan2(sigma0 / w, r0 - big_a)
@@ -279,33 +305,118 @@ def _bound_chart_conic(state: SphericalState, params: SystemParams, turn, t0: fl
         y[5] = y[5] / (1.0 + y[5] * y[5])
         return y
 
-    return c, at
+    def samples(ts):
+        q, v = _chart_to_sphere(*_conic_samples(at, ts)[:4])
+        return np.concatenate([turn.T @ q, turn.T @ v])
+
+    return _ChartConic(c, at, (2.0 * math.pi / k).real / w, samples)
+
+
+def _chart_hyperbola(c: PlanarState, m: float, mu: float, alpha: float, sigma0: float,
+                     ell: float, turn, t0: float) -> _ChartConic:
+    """_chart_conic's orbit on a chart hyperbola, from the start's chart
+    state c on the branch of mass m (sigma0 = x.w, ell = L).
+
+    With w = sqrt(-alpha), each branch, from its pericentre rho along A, is
+    r(s) = B + R cosh(w s) with B = m/alpha and R = rho - B = |A|/w^2, and
+    tau(s) = Re (2/(w k)) atan(c tanh(w s/2)) by the ellipse's integral,
+    with a = B - i: R - a = rho' + i, where rho' is the other branch's
+    pericentre, and R + a = rho - i, so c = sqrt((rho' + i)/(rho - i)) and
+    k = (rho - i) c, free of cancellation as are rho_near = L^2/(mu + |A|),
+    rho_far = (mu + |A|)/w^2 and |A| = hypot(mu, w L). A branch is tabled
+    and its clock inverted in u = tanh(w s/2), on which tau and d tau/du
+    stay smooth up to the equator, u = +-1. Its states are the f and g
+    functions from the pericentre, in the terms x = (rho - m G2) A/|A| +
+    L G1 A'/|A|, dx/dt = (-m G1 A/|A| + L G0 A'/|A|)/r (A' = A turned by
+    +90 degrees), which keep their digits for any L, and their sphere
+    states q = (x, -1)/lambda and dq/dtau = (dx/dt + L (-x2, x1),
+    x.dx/dt)/lambda in the turned frame: _chart_to_sphere's velocity with L
+    in place of the difference of two terms of order r^2, which near P's
+    equator (r -> inf) would leave an error of order r ulps. Over one
+    period, tau_near(1) + tau_far(1) twice, the near branch spans
+    (-tau_near(1), tau_near(1)) of the phase, counted from its pericentre,
+    and the far one the rest."""
+    w = math.sqrt(-alpha)
+    big_a = math.hypot(mu, w * ell)
+    a1, a2 = c.eta_dot * ell - m * c.xi / c.r, -c.xi_dot * ell - m * c.eta / c.r
+    norm = math.hypot(a1, a2)
+    a1, a2 = a1 / norm, a2 / norm
+    rho_near, rho_far = ell * ell / (mu + big_a), (mu + big_a) / (w * w)
+
+    def branch(m, rho, rho_other):
+        # at(u) at u = tanh(w s/2) from the pericentre, with tau(u) from there in row 4 and
+        # d tau/du in row 5, both finite up to u = +-1; and tau(1)
+        root = cmath.sqrt(complex(rho_other, 1.0) / complex(rho, -1.0))
+        scale = 2.0 / (w * complex(rho, -1.0) * root)
+        grow = m - alpha * rho  # r = rho + grow G2
+
+        def at(u):
+            g1, g2, _ = _kernel_columns(alpha, 2.0 / w * np.arctanh(u))
+            r = rho + grow * g2
+            along, across = rho - m * g2, ell * g1
+            with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 only at the pole
+                d_along, d_across = -m * g1 / r, ell * (1.0 - alpha * g2) / r
+            return np.array([along * a1 - across * a2, along * a2 + across * a1,
+                             d_along * a1 - d_across * a2, d_along * a2 + d_across * a1,
+                             (scale * np.arctan(root * u)).real,
+                             (scale * root / (1.0 + (root * u) ** 2)).real])
+
+        return at, grow, (scale * cmath.atan(root)).real
+
+    near, far = branch(mu, rho_near, rho_far), branch(-mu, rho_far, rho_near)
+    t_near, half = near[2], near[2] + far[2]  # half: from the near pericentre to the far one
+
+    def samples(ts):
+        # the start's phase: sigma = dr/ds = grow G1 = grow sinh(w s)/w on its branch,
+        # and tanh(asinh(x)/2) = x/(1 + sqrt(1 + x^2))
+        at, grow, _ = near if m > 0.0 else far
+        x = w * sigma0 / grow
+        phase0 = float(at(np.array([x / (1.0 + math.sqrt(1.0 + x * x))]))[4, 0])
+        phase0 += 0.0 if m > 0.0 else half
+        phase = (phase0 + (ts - t0) + t_near) % (2.0 * half) - t_near
+        on_far = phase >= t_near
+        out = np.empty((6, ts.size))
+        for (at, _, _), pick, centre, sign in ((near, ~on_far, 0.0, 1.0),
+                                              (far, on_far, half, -1.0)):
+            if not pick.any():
+                continue
+            grid = np.linspace(-_U_END, _U_END, max(int(pick.sum()), 2))
+            x1, x2, w1, w2 = _invert_clock(at, lambda u, y: y[4], lambda y: y[5], grid,
+                                           at(grid)[4], phase[pick] - centre)[:4]
+            lam = np.sqrt(1.0 + x1 * x1 + x2 * x2)
+            q = np.array([x1, x2, np.full_like(x1, -1.0)]) / lam
+            v = np.array([w1 - ell * x2, w2 + ell * x1, x1 * w1 + x2 * w2]) / lam
+            out[:, pick] = sign * np.concatenate([turn.T @ q, turn.T @ v])
+        return out
+
+    return _ChartConic(None, None, 2.0 * half, samples)
 
 
 def integrate_spherical(state: SphericalState, t_eval, params: SystemParams,
                         integ: IntegratorConfig = IntegratorConfig()):
     """Sample the spherical flow from t_eval[0] at the ascending times t_eval.
 
-    A start whose orbit is bound in the chart of its attracting pole
-    (_bound_chart_conic) is sampled on that conic in closed form, where its
-    clock reads each time (_conic_samples), and integ is not read. Any
-    other flow runs the billiard legs' forms with no wall: the chart of the
-    attracting pole (entered 45 and left 63 degrees off it), which passes
-    the pole, and the embedded field elsewhere. Each form runs in one
-    integration (integ.max_step a span of s through dt/ds at its start)
-    until it switches or its clock reaches t_eval[-1]; the samples come
-    from its dense output (_clock_samples). Either way the samples are
-    projected onto the unit tangent bundle.
+    A start off the parabola of its attracting pole's chart (_chart_conic)
+    is sampled on that chart's conic in closed form, where its clock reads
+    each time, and integ is not read: on the chart ellipse (_conic_samples)
+    or, for an orbit unbound in the chart, on the two branches of its chart
+    hyperbola, across P's equator. Any other flow (|alpha| r0/mu below
+    _BOUND_MARGIN, or a start on P's equator) runs the billiard legs' forms
+    with no wall: the chart of the attracting pole (entered 45 and left 63
+    degrees off it), which passes the pole, and the embedded field
+    elsewhere. Each form runs in one integration (integ.max_step a span of
+    s through dt/ds at its start) until it switches or its clock reaches
+    t_eval[-1]; the samples come from its dense output (_clock_samples).
+    Either way the samples are projected onto the unit tangent bundle.
 
     Returns:
         (ts, ys): the sample times t_eval and their 6-column state array.
     """
     want = np.asarray(t_eval, dtype=float)
     _, turn = _pole_chart(params)
-    bound = _bound_chart_conic(state, params, turn, float(want[0]))
-    if bound is not None:
-        q, v = _chart_to_sphere(*_conic_samples(bound[1], want)[:4])
-        ys = np.concatenate([turn.T @ q, turn.T @ v])
+    conic = _chart_conic(state, params, turn, float(want[0]))
+    if conic is not None:
+        ys = conic.samples(want)
     else:
         ys = _integrated_samples(state, want, params, integ)
     # projected onto the unit tangent bundle

@@ -8,8 +8,10 @@ and the radial fall time is Kepler's equation on the degenerate conic. On
 the sphere the leg oracle integrates the raw embedded field, the radial
 fall time is a closed-form integral, and the pole-chart oracle takes the
 oscillator of the gnomonic chart in closed form and its clock by
-quadrature. The flow sampler oracle runs the package's clock Newton
-through scipy's own dense output, sol.sol.
+quadrature. The pole-chart clock oracle samples a whole flow the same
+way: chart time from the scalar exact propagator, and tau by quadrature
+inverted by brentq. The flow sampler oracle runs the package's clock
+Newton through scipy's own dense output, sol.sol.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from scipy.optimize import brentq
 
 from kcbilliards.errors import NonConvergence
 from kcbilliards.model import PlanarState, SystemParams
+from kcbilliards.planar import propagate_analytic
 
 
 def ode_propagate(
@@ -290,6 +293,54 @@ def pole_chart_hit(q, v, pole, mu: float, radius: float):
     qh = (pole + x3) / lam
     vh = w3 * lam - qh * float(np.dot(x3, w3))
     return tau, qh, vh
+
+
+def pole_chart_clock(q, v, pole, mu: float, taus) -> np.ndarray:
+    """The spherical flow from (q, v) at the ascending times taus (taus[0]
+    = 0, the start) of the sphere's clock, through the gnomonic chart at
+    its attracting pole P, x = q/(q.P) - P, in a basis of P's plane of its
+    own, with w = dx/dt = v (q.P) - q (v.P): the (q, v) rows.
+
+    The chart orbit is planar Kepler motion of mass mu, taken at each chart
+    time t by propagate_analytic (the scalar universal-variable Newton, not
+    the columns or the clock Newton of the code under test). The sphere's
+    clock tau(t) = int_0^t dt'/(1 + |x(t')|^2) (Albouy's d tau/dt =
+    1/lambda^2) is adaptive quadrature on 40 subintervals of each span
+    between samples, inverted by brentq. The start lies in P's hemisphere,
+    and every sample before the chart orbit reaches P's equator.
+    """
+    pole = np.asarray(pole, dtype=float)
+    e1 = np.cross(pole, [0.0, 1.0, 0.0] if abs(pole[0]) > 0.5 else [1.0, 0.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(pole, e1)
+    c = float(np.dot(q, pole))
+    xv, wv = q / c - pole, v * c - q * float(np.dot(v, pole))
+    start = PlanarState(float(xv @ e1), float(xv @ e2), float(wv @ e1), float(wv @ e2))
+    chart_params = SystemParams(m=mu, a=0.0)
+
+    def rate(t):
+        s = propagate_analytic(start, t, chart_params)
+        return 1.0 / (1.0 + s.xi * s.xi + s.eta * s.eta)
+
+    def clock(t0, t1):  # tau(t1) - tau(t0)
+        edges = np.linspace(t0, t1, 41)
+        return math.fsum(quad(rate, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                         for lo, hi in zip(edges[:-1], edges[1:]))
+
+    rows, t, tau = [np.concatenate([q, v])], 0.0, 0.0
+    for target in taus[1:]:
+        step = target - tau  # d tau/dt <= 1, so the chart time runs at least this far
+        while clock(t, t + step) < target - tau:
+            step *= 2.0
+        t_new = brentq(lambda t1: clock(t, t1) - (target - tau), t, t + step, xtol=1e-15,
+                       rtol=4.0 * np.finfo(float).eps, maxiter=200)
+        t, tau = t_new, target
+        s = propagate_analytic(start, t, chart_params)
+        x3, w3 = s.xi * e1 + s.eta * e2, s.xi_dot * e1 + s.eta_dot * e2
+        lam = math.sqrt(1.0 + s.xi * s.xi + s.eta * s.eta)
+        qh = (pole + x3) / lam
+        rows.append(np.concatenate([qh, w3 * lam - qh * float(np.dot(x3, w3))]))
+    return np.array(rows)
 
 
 def clock_samples_through_sol(sol, form, ts: np.ndarray, max_iter: int = 200) -> np.ndarray:

@@ -1895,6 +1895,22 @@ class TestExactChartLegs:
         numeric = billiard_map(s0, 1, model, mode="numeric", integ=FAST)
         assert str(numeric.error) == "the bound conic missed the wall for a whole period"
 
+    def test_numeric_leg_missing_the_wall_stops_after_one_period(self, ivp_calls):
+        # a = 0, m = 1: from q.P = cos 2 < 0 the orbit is a chart hyperbola,
+        # alpha r0/mu = -4.19 on its far branch, which never reaches the cap
+        # of colatitude 2.5; the numeric leg stops after one period of its
+        # orbit (it integrated on to t_max = 1000 before, in 2.2 s)
+        params = SystemParams(m=1.0, a=0.0)
+        model = validate_config(params, Wall.centered_small_circle(
+            2.5, spherical_center(params), side=1))
+        s0 = SphericalState.project(np.array([math.sin(2.0), 0.0, -math.cos(2.0)]),
+                                    np.array([math.cos(2.0), 0.0, math.sin(2.0)]))
+        assert _choose_leg(s0, model, "analytic", FAST)[1] == "numeric"
+        run = billiard_map(s0, 1, model, mode="analytic", integ=FAST)
+        assert (run.outcome, str(run.error)) == (
+            "undetermined", "the bound conic missed the wall for a whole period")
+        assert len(ivp_calls) <= 4  # one form per chart crossing within the period
+
     def test_great_circle_through_the_pole(self):
         # a chart line through the center: a start running along it is
         # Undetermined, as in the numeric leg, and a radial orbit whose only

@@ -110,6 +110,12 @@ FLOW_RUNS = {
                                               -0.6294904643473184, 0.0483567820121964,
                                               1.8421803299411597, 1.3813709914389185],
                            "spherical-great-circle"),
+    # (2.23606797749979, 0.0, -0.5380974534470422, -0.8803656201263288): alpha r0/mu =
+    # 0.005, inside the parabola's band, where the flow integrates
+    "chart-parabolic": _flow("spherical", 0.0, [0.894427190999916, 0.2, -0.4,
+                                                0.17113408333964336, -2.121624349102051,
+                                                -0.6781447309364687],
+                             "spherical-great-circle"),
 }
 
 
@@ -1006,9 +1012,9 @@ class TestDynamicsExitCode:
     def test_failed_flow_integration_returns_three(self, tmp_path, capsys, fail_solve_ivp,
                                                    domain, module, message):
         # flows with no closed form, which integrate: beta = 0.3 in the
-        # plane, and a sphere unbound in its pole chart
+        # plane, and a sphere near the parabola of its pole chart
         cfg = tmp_path / "flow.json"
-        write_config(cfg, FLOW_RUNS["boltzmann" if domain == "planar" else "chart-unbound"])
+        write_config(cfg, FLOW_RUNS["boltzmann" if domain == "planar" else "chart-parabolic"])
         fail_solve_ivp(module, 1)
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
@@ -1016,11 +1022,12 @@ class TestDynamicsExitCode:
         assert os.listdir(out) == []
 
     @pytest.mark.parametrize("name, closed", [
-        ("kepler", True), ("repulsive", True), ("chart-bound", True),
-        ("boltzmann", False), ("chart-unbound", False),
+        ("kepler", True), ("repulsive", True), ("chart-bound", True), ("chart-unbound", True),
+        ("boltzmann", False), ("chart-parabolic", False),
     ])
     def test_only_flows_with_no_closed_form_integrate(self, tmp_path, monkeypatch, name, closed):
-        # beta = 0 in the plane, or bound in the pole chart: sampled on the conic
+        # beta = 0 in the plane, or off the parabola of the pole chart (an
+        # ellipse, or both branches of a hyperbola): sampled on the conic
         calls = []
         for module in (kcbilliards.cli, kcbilliards.spherical):
             monkeypatch.setattr(module, "solve_ivp", lambda *args, solve=module.solve_ivp,

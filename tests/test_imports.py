@@ -3,8 +3,9 @@
 Loading it takes longer than importing the rest of the package, so a
 process that never integrates (the exact map, ``project``, ``plot``, a
 configuration error, a planar flow at beta = 0, sampled on its conic, a
-planar billiard at beta = 0 or at beta = 0.3, whose every leg is exact)
-must not pay for it. Each step runs in one fresh interpreter, in order,
+planar billiard at beta = 0 or at beta = 0.3, whose every leg is exact, a
+spherical flow unbound in its pole chart, sampled on both branches of its
+chart hyperbola) must not pay for it. Each step runs in one fresh interpreter, in order,
 and reports whether the module was loaded after it; a great-circle
 billiard whose first leg starts outside its attracting pole's hemisphere,
 so that the leg is numeric, run last is the positive control. The last
@@ -63,6 +64,9 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
                                               "--out", f"{work}/out"]))
     step("planar billiard at beta = 0.3", main(["simulate", "--config", f"{work}/boltzmann.json",
                                                 "--out", f"{work}/boltzmann"]))
+    step("spherical flow unbound in its chart", main(["simulate", "--config",
+                                                      f"{work}/unbound.json",
+                                                      "--out", f"{work}/unbound"]))
     step("numeric simulate", main(["simulate", "--config", f"{work}/sphere.json",
                                    "--out", f"{work}/sphere"]))
 json.dump(steps, open(f"{work}/steps.json", "w"))
@@ -84,6 +88,12 @@ def test_scipy_integrate_loads_only_at_the_first_integration(tmp_path):
               "wall": {"kind": "spherical-great-circle", "side": -1},
               "initial": {"state": [*q.tolist(), *v.tolist()]}}
     (tmp_path / "sphere.json").write_text(json.dumps(sphere))
+    # planar_to_sphere of (1.0, 0.2, 0.9, 1.6) at a = 0.5: alpha r0/mu = -0.462 in the pole chart
+    unbound = {**sphere, "initial": {"state": [0.6294904643473184, 0.4555035791205103,
+                                               -0.6294904643473184, 0.0483567820121964,
+                                               1.8421803299411597, 1.3813709914389185]},
+               "run": {"n_bounces": 0, "t_max": 5.0}}
+    (tmp_path / "unbound.json").write_text(json.dumps(unbound))
     doc["integrator"]["atol"] = -1.0
     (tmp_path / "bad.json").write_text(json.dumps(doc))
     env = dict(os.environ)
@@ -103,6 +113,7 @@ def test_scipy_integrate_loads_only_at_the_first_integration(tmp_path):
         ["planar flow at beta = 0", 0, False],
         ["planar billiard at beta = 0", 0, False],
         ["planar billiard at beta = 0.3", 0, False],
+        ["spherical flow unbound in its chart", 0, False],
         ["numeric simulate", 0, True],
     ]
 

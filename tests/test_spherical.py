@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from oracles import spherical_radial_fall_time
+from oracles import pole_chart_clock, spherical_radial_fall_time
 
 from kcbilliards.billiard import next_hit_numeric
 from kcbilliards.errors import ConfigError, PoleSingularity, WrongHalfPlane
@@ -21,6 +21,7 @@ from kcbilliards.model import (
 )
 import kcbilliards.spherical
 from kcbilliards.spherical import (
+    _chart_conic,
     _chart_to_sphere,
     _pole_chart,
     _sphere_to_chart,
@@ -41,6 +42,34 @@ def tangent_state(q, v_raw):
     v = np.asarray(v_raw, dtype=float)
     v = v - np.dot(q, v) * q
     return SphericalState(q, v)
+
+
+def chart_start(params, alpha_r0, r0, angle, psi=0.0, far=False):
+    """A spherical start built in the chart of its attracting pole P: at
+    radius r0 and azimuth psi, with the speed of alpha r0/mu (alpha = -2E,
+    mu = |m'|) at angle off the outward radial; far=True takes the antipode
+    (-q, -v) of that start, beyond P's equator."""
+    _, turn = _pole_chart(params)
+    speed = math.sqrt((2.0 - alpha_r0) * abs(params.m_prime) / r0)
+    q, v = _chart_to_sphere(r0 * math.cos(psi), r0 * math.sin(psi),
+                            speed * math.cos(psi + angle), speed * math.sin(psi + angle))
+    sign = -1.0 if far else 1.0
+    return SphericalState.project(sign * (turn.T @ q), sign * (turn.T @ v))
+
+
+def chart_integrals(ys, params):
+    """Whether each sample row (q, v) lies in its attracting pole P's
+    hemisphere, and its chart's E, L, A1, A2 (A = (w2 L, -w1 L) - m x/r):
+    in P's chart of mass mu = |m'|, or of its antipode (-q, -v), of mass -mu."""
+    _, turn = _pole_chart(params)
+    q, v = turn @ ys[:, :3].T, turn @ ys[:, 3:].T
+    near = q[2] < 0.0
+    sign = np.where(near, 1.0, -1.0)
+    x1, x2, w1, w2 = _sphere_to_chart(sign * q, sign * v)
+    m, r = sign * abs(params.m_prime), np.hypot(x1, x2)
+    ell = x1 * w2 - x2 * w1
+    return near, np.array([0.5 * (w1 * w1 + w2 * w2) - m / r, ell,
+                           w2 * ell - m * x1 / r, -w1 * ell - m * x2 / r])
 
 
 def rhs_accel(s, params):
@@ -389,19 +418,15 @@ class TestIntegration:
         (0.3, 0.5, 0.5, True),     # 5.8 degrees off the pole at its pericentre
         (0.02, 2.0, 1.2, True),    # just above the margin
         (0.005, 2.0, 1.2, False),  # just below it: integrated
-        (-0.2, 0.5, 1.2, False),   # unbound in the chart: from 24 degrees off the pole
-                                   # it switches forms and crosses P's equator
+        (-0.2, 0.5, 1.2, True),    # unbound in the chart: from 24 degrees off the pole
+                                   # it crosses P's equator onto the far branch
     ])
     def test_flow_matches_the_embedded_field_on_either_path(self, monkeypatch, alpha_r0, r0,
                                                              angle, closed):
-        # the start is built in P's chart from alpha r0/mu (alpha = -2E); a
-        # chart-bound orbit is sampled on its conic and integrates nothing
+        # an orbit off the chart's parabola is sampled on its conic and
+        # integrates nothing
         params = SystemParams(m=1.0, a=0.5)
-        pole, turn = _pole_chart(params)
-        mu = abs(params.m_prime)
-        speed = math.sqrt((2.0 - alpha_r0) * mu / r0)
-        q, v = _chart_to_sphere(r0, 0.0, speed * math.cos(angle), speed * math.sin(angle))
-        s0 = SphericalState.project(turn.T @ q, turn.T @ v)
+        s0 = chart_start(params, alpha_r0, r0, angle)
         calls = []
         monkeypatch.setattr(kcbilliards.spherical, "solve_ivp",
                             lambda *args, **kwargs: calls.append(1) or solve_ivp(*args, **kwargs))
@@ -411,6 +436,88 @@ class TestIntegration:
         ref = solve_ivp(flow_rhs(params), (0.0, 5.0), s0.as_array(), method="DOP853",
                         rtol=1e-13, atol=1e-13, t_eval=want)
         np.testing.assert_allclose(ys, ref.y.T, rtol=0.0, atol=1e-8)
+
+    @pytest.mark.parametrize("m", [1.0, -1.0])
+    def test_unbound_flows_run_both_branches_of_their_chart_hyperbola(self, monkeypatch, m):
+        # seeded orbits unbound in P's chart, from either side of P's
+        # equator, over 2.2 periods: closed form on the near branch (mass
+        # mu) and the far one (the antipodes, mass -mu), with no integration
+        calls = []
+        monkeypatch.setattr(kcbilliards.spherical, "solve_ivp",
+                            lambda *args, **kwargs: calls.append(1) or solve_ivp(*args, **kwargs))
+        rng = np.random.default_rng(38 if m > 0 else 39)
+        branches = set()
+        for k in range(6):
+            params = SystemParams(m=m, a=float(rng.uniform(0.0, 1.5)))
+            s0 = chart_start(params, -float(rng.uniform(0.05, 3.0)), float(rng.uniform(0.5, 2.0)),
+                             float(rng.uniform(0.6, 2.5)), float(rng.uniform(0.0, 2.0 * math.pi)),
+                             far=k % 2 == 1)
+            period = _chart_conic(s0, params, _pole_chart(params)[1], 0.0).period
+            want = np.linspace(0.0, 2.2 * period, 601)
+            _, ys = integrate_spherical(s0, want, params)
+            ref = solve_ivp(flow_rhs(params), (0.0, want[-1]), s0.as_array(), method="DOP853",
+                            rtol=1e-13, atol=1e-13, t_eval=want)
+            np.testing.assert_allclose(ys, ref.y.T, rtol=0.0, atol=1e-8)
+            near, ints = chart_integrals(ys, params)
+            _, start = chart_integrals(s0.as_array()[None], params)
+            scale = abs(params.m_prime) + math.hypot(start[2, 0], start[3, 0]) + start[1, 0] ** 2
+            np.testing.assert_allclose(ints, np.broadcast_to(start, ints.shape), rtol=0.0,
+                                       atol=1e-10 * scale)
+            branches |= set(near.tolist())
+        assert not calls and branches == {True, False}
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_radial_unbound_flow_passes_the_pole(self, sign):
+        # L = 0, so the near branch's pericentre is the pole itself: the
+        # closed form passes it by the elastic bounce, as the integrated
+        # chart form does, falling in first or rising to the equator first
+        params = SystemParams(m=1.0, a=0.0)
+        _, turn = _pole_chart(params)
+        q, v = _chart_to_sphere(0.8, 0.0, sign * math.sqrt(2.7 / 0.8), 0.0)  # alpha r0/mu = -0.7
+        s0 = SphericalState.project(turn.T @ q, turn.T @ v)
+        want = np.linspace(0.0, 6.0, 601)
+        with np.errstate(all="raise"):
+            _, ys = integrate_spherical(s0, want, params)
+        ref = kcbilliards.spherical._integrated_samples(s0, want, params,
+                                                         IntegratorConfig(rtol=1e-13, atol=1e-13))
+        np.testing.assert_allclose(ys[:, :3], (ref[:3] / np.linalg.norm(ref[:3], axis=0)).T,
+                                   rtol=0.0, atol=1e-8)
+        assert (ys[:, :3] @ _pole_chart(params)[0]).min() < 0.0
+
+    @pytest.mark.parametrize("alpha_r0", [0.5, -1.0])
+    def test_samples_lie_on_the_cone_of_their_chart_conic(self, alpha_r0):
+        # the chart conic mu r + A.x = L^2, projected centrally, is the cone
+        # mu sin(theta) + A.q = L^2 cos(theta) through the sphere's center
+        # (theta from P, A in P's plane), on either branch of a hyperbola
+        params = SystemParams(m=1.0, a=0.5)
+        pole, turn = _pole_chart(params)
+        s0 = chart_start(params, alpha_r0, 0.5, 1.2)
+        _, ys = integrate_spherical(s0, np.linspace(0.0, 10.0, 1001), params)
+        _, (_, ell, a1, a2) = chart_integrals(s0.as_array()[None], params)
+        mu, big_a = abs(params.m_prime), turn.T @ np.array([a1[0], a2[0], 0.0])
+        q = ys[:, :3]
+        cos = q @ pole
+        residual = mu * np.linalg.norm(np.cross(q, pole), axis=1) + q @ big_a - ell**2 * cos
+        assert np.abs(residual).max() <= 1e-12 * (mu + np.linalg.norm(big_a) + ell[0] ** 2)
+        assert (cos < 0.0).any() == (alpha_r0 < 0.0)
+
+    @pytest.mark.parametrize("alpha_r0", [0.5, -1.0])
+    def test_samples_near_the_pole_match_the_timing_oracle(self, alpha_r0):
+        # an ellipse and a hyperbola's near branch, whose pericentres lie
+        # 0.05 and 0.09 degrees off the pole: the closed-form samples within
+        # 1 degree of it against chart time by propagate_analytic and tau by
+        # quadrature, inverted by brentq (oracles.pole_chart_clock)
+        params = SystemParams(m=1.0, a=0.5)
+        pole, _ = _pole_chart(params)
+        s0 = chart_start(params, alpha_r0, 0.3, math.pi - 0.05)
+        want = np.linspace(0.0, 0.3, 3001)
+        _, ys = integrate_spherical(s0, want, params)
+        close = np.flatnonzero(np.degrees(np.arccos(np.clip(ys[:, :3] @ pole, -1.0, 1.0))) < 1.0)
+        assert close.size >= 12
+        close = close[::4]  # speeds up to 51 there: scaled by max(1, |value|)
+        oracle = pole_chart_clock(s0.q, s0.v, pole, abs(params.m_prime),
+                                  np.concatenate([[0.0], want[close]]))
+        np.testing.assert_allclose(ys[close], oracle[1:], rtol=1e-10, atol=1e-10)
 
     @pytest.mark.parametrize("entry", ["flow", "leg"])
     def test_the_sphere_refuses_beta(self, entry):
