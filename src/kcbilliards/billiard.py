@@ -10,10 +10,12 @@ function is affine in the planar kernel's (1, G1, G2) along a conic, so
 that a crossing is one closed-form root: on the planar walls at beta = 0,
 and on the sphere for a leg bound in the gnomonic chart of its attracting
 pole, where a great circle is a line and a circle about the center a
-centered circle (_chart_hit). At beta != 0 a planar orbit with L^2 + beta
-> 0 is a Kepler conic turned as it is swept (Newton's revolving orbits,
-_revolving_crossing), and its crossing of either planar wall comes from a
-march in the swept angle whose steps no root can outrun (_march).
+centered circle (_chart_hit, which runs the planar leg's own crossing
+and f and g functions, timed by the chart clock). At beta != 0 a planar
+orbit with L^2 + beta > 0 is a Kepler conic turned as it is swept
+(Newton's revolving orbits, _revolving_crossing), and its crossing of
+either planar wall comes from a march in the swept angle whose steps no
+root can outrun (_march).
 Radial orbits aimed at an attractive center pass the collision by the
 elastic bounce: the numeric map integrates Levi-Civita's regularized field
 (q = u^2, dt/ds = r), regular through the center, in the plane and, on the
@@ -102,7 +104,11 @@ def wall_signed_distance(point, wall: Wall) -> float:
     (xi, eta, ...), a PlanarState among them, or a point q of the sphere;
     positive on the dynamics side (see :class:`Wall`)."""
     n = wall.normal
-    f = float(np.dot(point[:3], n)) if len(n) == 3 else n[0] * point[0] + n[1] * point[1]
+    if len(n) == 3:  # one point q, as plain floats
+        q0, q1, q2 = point[:3].tolist() if isinstance(point, np.ndarray) else point[:3]
+        f = q0 * n[0] + q1 * n[1] + q2 * n[2]
+    else:
+        f = n[0] * point[0] + n[1] * point[1]
     if wall.alpha:
         f += wall.alpha * math.hypot(point[0], point[1])
     return (f - wall.level) * wall.side
@@ -133,14 +139,18 @@ def _wall_rate(y, wall: Wall) -> float:
 def _normal(state, wall: Wall) -> tuple:
     """(n, v.n): the unit normal into the domain at the state, side times the
     wall function's gradient alpha x/r + n (projected onto the tangent plane
-    and normalized on the sphere), and the velocity along it. A varying n
-    takes np.dot, whose last bits differ from a plain sum; the line's n
-    takes plain floats, exact there."""
+    and normalized on the sphere), and the velocity along it. The circle's
+    n takes np.dot, whose last bits differ from a plain sum; the line's n
+    takes plain floats, exact there, and so does the sphere's, one state's
+    three components, which numpy's reductions would only slow."""
     side, alpha, n = wall.side, wall.alpha, wall.normal
     if isinstance(state, SphericalState):
-        n = np.asarray(n) - float(np.dot(state.q, n)) * state.q
-        n = side * (n / np.linalg.norm(n))
-        return n, float(np.dot(state.v, n))
+        (q0, q1, q2), (v0, v1, v2), (n0, n1, n2) = state.q.tolist(), state.v.tolist(), n
+        qn = q0 * n0 + q1 * n1 + q2 * n2
+        t0, t1, t2 = n0 - qn * q0, n1 - qn * q1, n2 - qn * q2
+        norm = side * math.sqrt(t0 * t0 + t1 * t1 + t2 * t2)
+        n0, n1, n2 = t0 / norm, t1 / norm, t2 / norm
+        return (n0, n1, n2), v0 * n0 + v1 * n1 + v2 * n2
     if not alpha:
         n0, n1 = side * n[0], side * n[1]
         return (n0, n1), state.xi_dot * n0 + state.eta_dot * n1
@@ -166,7 +176,8 @@ def reflect(state, wall: Wall, normal: Optional[tuple] = None):
         raise BilliardError(f"signed distance {g} exceeds the on-wall tolerance")
     n, vn = normal or _normal(state, wall)
     if not wall.is_planar:
-        return SphericalState(state.q, state.v - 2.0 * vn * n)
+        (v0, v1, v2), k = state.v.tolist(), 2.0 * vn
+        return SphericalState(state.q, np.array((v0 - k * n[0], v1 - k * n[1], v2 - k * n[2])))
     return PlanarState(state.xi, state.eta, state.xi_dot - 2.0 * vn * n[0],
                        state.eta_dot - 2.0 * vn * n[1])
 
@@ -274,10 +285,13 @@ def next_hit_analytic_line(
     return _hit_or_tangency(t0 + crossing[0], crossing[1], params, wall)
 
 
-def _exact_crossing(state: PlanarState, m: float, wall: Wall, c: float, t_max: float):
+def _exact_crossing(state: PlanarState, m: float, wall, c: float, t_max: float, clock=None):
     """The first forward crossing out of the domain along the conic of
     next_hit_analytic_line, from a start whose wall function is c: its
-    (flight time, state), or the Escape that leg returns; no record.
+    (flight time, state), or the Escape that leg returns; no record. The
+    state comes from the f and g functions at the flight time t(s); the
+    flight time is t(s) itself, or clock(s), a leg's own clock at the
+    universal variable s of the crossing (the chart's tau, _chart_hit).
 
     Raises:
         Undetermined: if the crossing comes more than t_max after the start.
@@ -285,12 +299,13 @@ def _exact_crossing(state: PlanarState, m: float, wall: Wall, c: float, t_max: f
     crossing = _conic_crossing(state, m, wall, c)
     if isinstance(crossing, Escape):
         return crossing
-    _, g, r0, sigma0 = crossing
-    t_hit = time_of_flight(r0, sigma0, m, g)
+    s, g, r0, sigma0 = crossing
+    t = time_of_flight(r0, sigma0, m, g)
+    t_hit = t if clock is None else float(clock(s))
     if t_hit > t_max:
         raise Undetermined(f"no hit within t_max = {t_max}")
     try:
-        return t_hit, universal_state(state, m, t_hit, g, r0)
+        return t_hit, universal_state(state, m, t, g, r0)
     except SingularPosition:
         return Escape("the orbit meets the wall only at the removed center")
 
@@ -531,15 +546,17 @@ def _chart_wall(wall: Wall, turn) -> Optional[_ChartWall]:
 
 
 def _chart_hit(state: SphericalState, model: Model, pole, turn, chart_wall: _ChartWall,
-               chart: PlanarState, at, t_max: float, t0: float, inward: bool) -> HitOutcome:
+               chart: PlanarState, clock, t_max: float, t0: float, inward: bool) -> HitOutcome:
     """The exact hit of a spherical leg bound in the chart of its attracting
-    pole, whose chart state and closed form at(s) _chart_conic gives:
-    the conic never leaves the pole's hemisphere, where the wall is
-    chart_wall, so the crossing is _conic_crossing's, of mass |m'|, and its
-    time the chart clock tau(s). The tangency test and the reflection are
-    the sphere's (_hit_or_tangency). A start on the wall takes
-    next_hit_numeric's rules; a crossing at the pole itself is no hit,
-    as a planar one at the center is not.
+    pole, whose chart state and clock tau(s) _chart_conic gives: the conic
+    never leaves the pole's hemisphere, where the wall is chart_wall, so
+    the crossing is the planar exact leg's (_exact_crossing, of mass |m'|:
+    the polished root of _conic_crossing, then the f and g functions at
+    t(s)), timed by tau(s). The chart state goes to the sphere on plain
+    floats. The tangency test and the reflection are the sphere's
+    (_hit_or_tangency). A start on the wall takes next_hit_numeric's
+    rules; a crossing at the pole itself is no hit, as a planar one at the
+    center is not.
 
     Raises:
         Undetermined: if the hit comes more than t_max after the start, or
@@ -551,17 +568,13 @@ def _chart_hit(state: SphericalState, model: Model, pole, turn, chart_wall: _Cha
     if outward is not None:
         return outward
     _along_pole_circle(state, wall, g, pole)
-    crossing = _conic_crossing(chart, abs(params.m_prime), chart_wall,
-                               wall_signed_distance(chart, chart_wall))
+    crossing = _exact_crossing(chart, abs(params.m_prime), chart_wall,
+                               wall_signed_distance(chart, chart_wall), t_max, clock)
     if isinstance(crossing, Escape):
         return crossing
-    y = at(np.array([crossing[0]]))[:, 0]
-    if y[5] < R_MIN:  # d tau/ds vanishes only at the pole
-        return Escape("the orbit meets the wall only at the removed center")
-    if y[4] > t_max:
-        raise Undetermined(f"no hit within t_max = {t_max}")
-    q, v = _chart_to_sphere(*y[:4])
-    return _hit_or_tangency(t0 + y[4], SphericalState.project(turn.T @ q, turn.T @ v), params, wall)
+    tau, hit = crossing
+    q, v = (np.array(_chart_to_sphere(*hit)) @ turn).tolist()  # turn.T q and turn.T v
+    return _hit_or_tangency(t0 + tau, SphericalState.project(q, v), params, wall)
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +667,11 @@ def next_hit_numeric(
     raises Undetermined; so does a bound conic (planar at beta = 0, or in
     the chart) with no hit in its first period of s, and a spherical leg
     off its chart's parabola with no hit within one period of its orbit
-    (_chart_conic), since each repeats.
+    (_chart_conic), since each repeats. A start on the wall moving into
+    the domain that its form reads at or below zero lifts the wall event
+    by that depth plus 4 ulps of the wall's scale, so that a first step
+    spanning a whole short excursion, whose ends both lie below zero
+    around a maximum of g, still brackets the return.
 
     Before any integration, a start in the other domain than the wall's is a
     ConfigError, a start on the wall moving out of the domain bounces at
@@ -684,9 +701,16 @@ def next_hit_numeric(
         escape = _escape_event(state, params, wall, g, form)
         if escape is not None and escape(0.0, form.y) > 0.0:
             return Escape("unbound, receding beyond the escape radius")
+    # the lift of the wall event for a start on the wall moving in (see above)
+    lift = -wall_signed_distance(form.phase(form.y), wall)
+    if lift < 0.0 or abs(g) > ON_WALL_TOL * wall.scale or (
+            _normal(state, wall)[1] <= TANGENCY_REL * state.speed):
+        lift = 0.0
+    else:
+        lift += 4.0 * math.ulp(wall.scale)
 
     def g_event(s, y):
-        return wall_signed_distance(form.phase(y), wall)
+        return wall_signed_distance(form.phase(y), wall) + lift
 
     g_event.terminal = True
     g_event.direction = -1.0
@@ -717,7 +741,7 @@ def next_hit_numeric(
         # the tolerances and is passed over
         for s_min, y_min in zip(sol.t_events[1], sol.y_events[1]):
             k = int(np.searchsorted(sol.t, s_min, side="right")) - 1
-            if wall_signed_distance(form.phase(y_min), wall) >= 0.0 or s_min <= sol.t[k]:
+            if g_event(s_min, y_min) >= 0.0 or s_min <= sol.t[k]:
                 continue
             sub = integrate(sol.t[k], s_min, sol.y[:, k], [g_event])
             if sub.status == 1:
@@ -760,9 +784,9 @@ def _choose_leg(state, model: Model, mode: str, integ: IntegratorConfig):
         pole, turn = _pole_chart(params)
         conic = _chart_conic(state, params, turn, 0.0)
         chart_wall = _chart_wall(wall, turn)
-        if conic is not None and conic.at is not None and chart_wall is not None:
+        if conic is not None and conic.clock is not None and chart_wall is not None:
             leg = functools.partial(_chart_hit, state, model, pole, turn, chart_wall, conic.chart,
-                                    conic.at)
+                                    conic.clock)
             return leg, "exact-chart"
     return functools.partial(next_hit_numeric, state, model, integ), "numeric"
 

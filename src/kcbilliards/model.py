@@ -126,25 +126,34 @@ class SphericalState:
         object.__setattr__(self, "v", v)
         if q.shape != (3,) or v.shape != (3,):
             raise ValueError("q and v must be 3-vectors")
-        if not (np.isfinite(q).all() and np.isfinite(v).all()):
+        # one state's checks on plain floats, which cost less than numpy's reductions
+        q0, q1, q2 = q.tolist()
+        v0, v1, v2 = v.tolist()
+        if not all(map(math.isfinite, (q0, q1, q2, v0, v1, v2))):
             raise ValueError("q and v must be finite")
-        if abs(np.linalg.norm(q) - 1.0) > _UNIT_TOL:
+        if abs(math.hypot(q0, q1, q2) - 1.0) > _UNIT_TOL:
             raise ValueError("|q| must equal 1 within 1e-12")
-        if abs(float(np.dot(q, v))) > _UNIT_TOL * max(1.0, float(np.linalg.norm(v))):
+        if abs(q0 * v0 + q1 * v1 + q2 * v2) > _UNIT_TOL * max(1.0, math.hypot(v0, v1, v2)):
             raise ValueError("v must be tangent to the sphere within 1e-12")
 
     @classmethod
     def project(cls, q: Sequence[float], v: Sequence[float]) -> "SphericalState":
-        """Renormalize q and remove the normal velocity component, then construct."""
+        """Renormalize q and remove the normal velocity component, then construct.
+        A zero q has no direction: its point is NaN, which the constructor refuses."""
         q = np.asarray(q, dtype=float)
         v = np.asarray(v, dtype=float)
-        q = q / np.linalg.norm(q)
-        v = v - np.dot(q, v) * q
-        return cls(q, v)
+        if q.shape != (3,) or v.shape != (3,):
+            return cls(q, v)
+        q0, q1, q2 = q.tolist()
+        v0, v1, v2 = v.tolist()
+        norm = math.hypot(q0, q1, q2) or math.nan
+        q0, q1, q2 = q0 / norm, q1 / norm, q2 / norm
+        qv = q0 * v0 + q1 * v1 + q2 * v2
+        return cls(np.array((q0, q1, q2)), np.array((v0 - qv * q0, v1 - qv * q1, v2 - qv * q2)))
 
     @property
     def speed(self) -> float:
-        return float(np.linalg.norm(self.v))
+        return math.hypot(*self.v.tolist())
 
     def as_array(self) -> np.ndarray:
         return np.concatenate([self.q, self.v])

@@ -14,8 +14,11 @@ Any other orbit is one conic of P's chart (``_chart_conic``): an ellipse,
 or both branches of a hyperbola, the far one traced beyond P's equator
 by the antipodes (-q, -v) with mass -|m'|. A free flow is sampled on
 that conic in closed form, across the equator; billiard_map(mode=
-"analytic") times a leg's hit on a chart ellipse, and a numeric leg that
-misses the wall stops after one period of the orbit.
+"analytic") times a leg's hit on a chart ellipse by the same clock at one
+float s, and a numeric leg that misses the wall stops after one period
+of the orbit. One state's maps and energy (_chart_to_sphere,
+sphere_to_planar, spherical_energy_embedded) run on plain floats, with
+the bits of the same operations on numpy columns.
 
 One pair of maps, ``planar_to_sphere``/``sphere_to_planar``, identifies
 the open southern hemisphere with the normalized planar chart: central
@@ -75,14 +78,18 @@ def spherical_energy_embedded(s: SphericalState, params: SystemParams):
     sin(theta) = |q x Z1|, which does not cancel near the pole.
 
     Elementwise: for (n, 3) sample arrays in s.q and s.v, in any memory
-    layout, each entry is the value at that sample's SphericalState, to the bit."""
-    z = spherical_center(params)
-    (q0, q1, q2), (v0, v1, v2) = s.q.T, s.v.T
-    c = q0 * z[0] + q1 * z[1] + q2 * z[2]
-    if (np.abs(c) > 1.0 - POLE_GUARD).any():
+    layout, each entry is the value at that sample's SphericalState, to the
+    bit. One state takes the same operations on plain floats, which round
+    as numpy's do."""
+    z0, z1, z2 = spherical_center(params).tolist()
+    one = s.q.ndim == 1
+    (q0, q1, q2), (v0, v1, v2) = (s.q.tolist(), s.v.tolist()) if one else (s.q.T, s.v.T)
+    c = q0 * z0 + q1 * z1 + q2 * z2
+    if abs(c) > 1.0 - POLE_GUARD if one else (np.abs(c) > 1.0 - POLE_GUARD).any():
         raise PoleSingularity("cot(theta) overflows inside the pole guard")
-    n0, n1, n2 = q1 * z[2] - q2 * z[1], q2 * z[0] - q0 * z[2], q0 * z[1] - q1 * z[0]
-    sin = np.sqrt(n0 * n0 + n1 * n1 + n2 * n2)
+    n0, n1, n2 = q1 * z2 - q2 * z1, q2 * z0 - q0 * z2, q0 * z1 - q1 * z0
+    sin2 = n0 * n0 + n1 * n1 + n2 * n2
+    sin = math.sqrt(sin2) if one else np.sqrt(sin2)
     return 0.5 * (v0 * v0 + v1 * v1 + v2 * v2) - params.m_prime * (c / sin)
 
 
@@ -94,13 +101,13 @@ def time_change_density(s: SphericalState) -> float:
 def _chart_to_sphere(x, y, x_dot, y_dot):
     """The point (x, y) of the plane z = -1 and its t-derivative mapped to
     q = (x, y, -1)/lambda and d q/d tau, with (x', y') = lambda^2 (x_dot,
-    y_dot); elementwise, so it maps one state or columns of states."""
+    y_dot), as two triples; elementwise, so it maps one state of plain
+    floats or columns of states."""
     lam2 = 1.0 + x * x + y * y
-    lam = np.sqrt(lam2)
+    lam = math.sqrt(lam2) if isinstance(lam2, float) else np.sqrt(lam2)
     xp, yp = lam2 * x_dot, lam2 * y_dot
     dd = (x * xp + y * yp) / lam2
-    q = np.array([x, y, np.full_like(x, -1.0)]) / lam
-    return q, np.array([xp - x * dd, yp - y * dd, dd]) / lam
+    return (x / lam, y / lam, -1.0 / lam), ((xp - x * dd) / lam, (yp - y * dd) / lam, dd / lam)
 
 
 def _sphere_to_chart(q, v):
@@ -121,9 +128,10 @@ def sphere_to_planar(s: SphericalState, params: SystemParams) -> PlanarState:
     """Inverse of :func:`planar_to_sphere`: the chart point and its
     t-derivative by _sphere_to_chart, then the inverse normalization.
     Raises WrongHalfPlane if q_z >= 0 (the ray misses the plane z = -1)."""
-    if s.q[2] >= 0.0:
-        raise WrongHalfPlane(f"q_z = {s.q[2]} must be negative")
-    x, y, x_dot, y_dot = _sphere_to_chart(s.q, s.v)
+    q, v = s.q.tolist(), s.v.tolist()  # one state: plain floats
+    if q[2] >= 0.0:
+        raise WrongHalfPlane(f"q_z = {q[2]} must be negative")
+    x, y, x_dot, y_dot = _sphere_to_chart(q, v)
     return PlanarState(x, (y - params.a) / params.scale, x_dot, y_dot / params.scale)
 
 
@@ -231,10 +239,10 @@ def _spherical_forms(params: SystemParams):
 _BOUND_MARGIN = 1e-2
 
 # A spherical orbit as one conic of P's chart (_chart_conic): the start's chart state and
-# the closed form at(s) from it, for a chart ellipse (None for a hyperbola); the period of
-# the clock tau; and samples(ts) -> the embedded (q, v), one per column, where tau reads
-# the ascending times ts.
-_ChartConic = namedtuple("_ChartConic", "chart at period samples")
+# its clock tau(s) at the universal variable s of the chart conic, a float or an array,
+# for a chart ellipse (None for a hyperbola); the period of tau; and samples(ts) -> the
+# embedded (q, v), one per column, where tau reads the ascending times ts.
+_ChartConic = namedtuple("_ChartConic", "chart clock period samples")
 
 # the largest float below 1, the end of a hyperbola branch's table in u = tanh(w s/2)
 _U_END = math.nextafter(1.0, 0.0)
@@ -266,7 +274,9 @@ def _chart_conic(state: SphericalState, params: SystemParams, turn,
     R), free of cancellation. The difference of the two atans from the
     start is taken as one atan, of k sin(h)/(a cos h + R cos(h - phi)) with
     h = sqrt(alpha) s/2, which keeps tau - t0 to a few ulps of itself; the
-    two atans only pick its branch. The hyperbola is _chart_hyperbola's."""
+    two atans only pick its branch. That clock is one formula for a float
+    s, an exact leg's hit, and for the arrays of at(s), which samples
+    inverts. The hyperbola is _chart_hyperbola's."""
     q, v = turn @ state.q, turn @ state.v
     if q[2] == 0.0:  # on P's equator: no chart point
         return None
@@ -295,13 +305,16 @@ def _chart_conic(state: SphericalState, params: SystemParams, turn,
     turns0, atan0 = turned_atan(-phi)
     conic = _conic(c, mu)
 
-    def at(s):
-        y = conic(s)
+    def clock(s):  # tau(s)
         h = 0.5 * w * s
         d = np.arctan(k * np.sin(h) / (a * np.cos(h) + big_r * np.cos(h - phi)))
         turns, atans = turned_atan(w * s - phi)
         d += math.pi * (turns - turns0 + np.round((atans - atan0 - d).real / math.pi))
-        y[4] = t0 + (2.0 / k * d).real / w
+        return t0 + (2.0 / k * d).real / w
+
+    def at(s):
+        y = conic(s)
+        y[4] = clock(s)
         y[5] = y[5] / (1.0 + y[5] * y[5])
         return y
 
@@ -309,7 +322,7 @@ def _chart_conic(state: SphericalState, params: SystemParams, turn,
         q, v = _chart_to_sphere(*_conic_samples(at, ts)[:4])
         return np.concatenate([turn.T @ q, turn.T @ v])
 
-    return _ChartConic(c, at, (2.0 * math.pi / k).real / w, samples)
+    return _ChartConic(c, clock, (2.0 * math.pi / k).real / w, samples)
 
 
 def _chart_hyperbola(c: PlanarState, m: float, mu: float, alpha: float, sigma0: float,

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from kcbilliards.billiard import (
     Escape,
     _choose_leg,
     _normal,
+    _spherical_integrals,
     _wall_rate,
     billiard_map,
     next_hit_analytic_line,
@@ -41,11 +43,17 @@ from kcbilliards.model import (
     validate_config,
 )
 from kcbilliards.planar import (
+    _planar_form,
     time_of_flight,
     universal_kernel,
     universal_state,
 )
-from kcbilliards.spherical import planar_to_sphere, spherical_energy_embedded
+from kcbilliards.spherical import (
+    _chart_conic,
+    _pole_chart,
+    planar_to_sphere,
+    spherical_energy_embedded,
+)
 
 S3 = math.sqrt(3.0)
 FAST = IntegratorConfig(rtol=1e-12, atol=1e-12)
@@ -963,6 +971,26 @@ class TestNumericHit:
             next_hit_numeric(s, model, FAST, t_max=0.5 * exact.t_hit)
         assert len(ivp_calls) == 2
 
+    def test_short_excursion_from_the_wall_is_found(self):
+        # a start on the wall moving into the domain at 1.5e-3 returns to it
+        # at t = 0.0086; Levi-Civita's round trip reads the start 1.1e-16
+        # outside the wall, and the first step spans the whole excursion, so
+        # both its ends lie below zero with a maximum between: the leg lifts
+        # its wall event by that depth (it ran on to t_max before)
+        params = SystemParams(m=1.0, a=1.241477828916, beta=0.1)
+        wall = Wall.line(params.h, side=-1)
+        s = PlanarState(-1.4615067194088351, params.h, -0.0013008168038598597,
+                        -0.0006931530277455555)
+        form = _planar_form(s, params)
+        assert wall_signed_distance(form.phase(form.y), wall) < 0.0
+        exact = next_hit_analytic_line(s, params, wall)
+        assert exact.t_hit == pytest.approx(0.008604302116977975, rel=1e-12)
+        out = next_hit_numeric(s, validate_config(params, wall), FAST, t_max=1.0)
+        assert is_hit(exact) and is_hit(out)
+        assert out.t_hit == pytest.approx(exact.t_hit, abs=1e-8)
+        np.testing.assert_allclose(out.state_in.as_array(), exact.state_in.as_array(),
+                                   rtol=0.0, atol=1e-8)
+
     @pytest.mark.parametrize("ell", [0.0, 1e-8, 1e-3])
     def test_boltzmann_leg_through_the_barrier_keeps_the_energy(self, ell):
         s, model = barrier_start(ell)
@@ -1673,6 +1701,26 @@ def _on_circle(pole, rho, psi):
     return q, math.cos(rho) * d - math.sin(rho) * pole, np.cross(pole, d)
 
 
+def cap_leg_start(rng, k, inside):
+    """(start, model, speed) of the k-th seeded chart-bound cap leg: a cap
+    about the attracting pole, m = -1 for even k and +1 for odd k, the start
+    on its circle inside the cap moving toward the pole, or outside it
+    moving outward below the chart's escape speed."""
+    m = 1.0 if k % 2 else -1.0
+    params = SystemParams(m=m, a=float(rng.uniform(0.0, 1.5)))
+    pole = _attracting_pole(params)
+    rho = float(rng.uniform(0.4, 1.2) if inside else rng.uniform(0.3, 0.7))
+    wall = Wall.centered_small_circle(rho if m > 0 else math.pi - rho,
+                                      spherical_center(params),
+                                      side=int(m) if inside else -int(m))
+    q, e_rho, e_psi = _on_circle(pole, rho, float(rng.uniform(0.0, 2.0 * math.pi)))
+    phi = float(rng.uniform(-1.4, 1.4))
+    escape_speed = math.sqrt(2.0 * abs(params.m_prime) / math.tan(rho))
+    speed = float(rng.uniform(0.3, 0.9) if inside else rng.uniform(0.8, 0.99)) * escape_speed
+    v = speed * ((-1.0 if inside else 1.0) * math.cos(phi) * e_rho + math.sin(phi) * e_psi)
+    return SphericalState.project(q, v), validate_config(params, wall), speed
+
+
 class TestSphericalChartLegs:
     """Spherical legs near the attracting pole run in its gnomonic chart."""
 
@@ -1827,20 +1875,34 @@ class TestExactChartLegs:
         # outside it and outward, below the chart's escape speed
         rng = np.random.default_rng(36 if inside else 37)
         for k in range(8):
-            m = 1.0 if k % 2 else -1.0
-            params = SystemParams(m=m, a=float(rng.uniform(0.0, 1.5)))
-            pole = _attracting_pole(params)
-            rho = float(rng.uniform(0.4, 1.2) if inside else rng.uniform(0.3, 0.7))
-            wall = Wall.centered_small_circle(rho if m > 0 else math.pi - rho,
-                                              spherical_center(params),
-                                              side=int(m) if inside else -int(m))
-            q, e_rho, e_psi = _on_circle(pole, rho, float(rng.uniform(0.0, 2.0 * math.pi)))
-            phi = float(rng.uniform(-1.4, 1.4))
-            escape_speed = math.sqrt(2.0 * abs(params.m_prime) / math.tan(rho))
-            speed = float(rng.uniform(0.3, 0.9) if inside else rng.uniform(0.8, 0.99)) * escape_speed
-            v = speed * ((-1.0 if inside else 1.0) * math.cos(phi) * e_rho + math.sin(phi) * e_psi)
-            self._check_against_numeric(SphericalState.project(q, v),
-                                        validate_config(params, wall), 5, speed)
+            s0, model, speed = cap_leg_start(rng, k, inside)
+            self._check_against_numeric(s0, model, 5, speed)
+
+    @pytest.mark.parametrize("case", ["tilt-0", "tilt-0.2", "tilt-0.5", "cap-inside",
+                                      "cap-outside"])
+    def test_hit_state_matches_the_sampled_conic(self, case):
+        # the hit's state comes from the f and g functions and tau(s) at one
+        # float s; the leg's closed-form samples reach the same time by
+        # _invert_clock on arrays, through _chart_conic's at(s)
+        if case.startswith("tilt"):
+            tilt = float(case.split("-")[1])
+            wall = Wall.great_circle((0.0, math.cos(tilt), math.sin(tilt)), side=-1)
+            legs = [(planar_to_sphere(BILLIARD_START, BILLIARD_PARAMS),
+                     validate_config(BILLIARD_PARAMS, wall), 1.0)]
+        else:
+            rng = np.random.default_rng(40)
+            legs = [cap_leg_start(rng, k, case == "cap-inside") for k in range(4)]
+        checked = 0
+        for s0, model, speed in legs:
+            turn = _pole_chart(model.params)[1]
+            for rec, start, clock in zip(*self._legs(s0, model, 8)):
+                conic = _chart_conic(start, model.params, turn, clock)
+                y = conic.samples(np.array([clock, rec.t_hit]))[:, 1]
+                np.testing.assert_allclose(rec.state_in.q, y[:3], rtol=0.0, atol=1e-12)
+                np.testing.assert_allclose(rec.state_in.v, y[3:], rtol=0.0,
+                                           atol=1e-12 * max(1.0, speed))
+                checked += 1
+        assert checked == 8 * len(legs)
 
     @pytest.mark.parametrize("tilt", [0.0, 0.2, 0.5])
     def test_great_circle_legs_match_the_numeric_leg(self, tilt):
@@ -1944,6 +2006,76 @@ class TestExactChartLegs:
         assert run.n_bounces == 10
         # the start on the wall is looked at once, then one normal per bounce
         assert len(calls) == 11
+
+
+SPHERE_WALL_CASES = ["great-circle-0", "great-circle-0.2", "great-circle-0.5", "cap+1", "cap-1"]
+
+
+class TestSphereGeometryOnFloats:
+    """One state's sphere geometry runs on plain floats. A numpy reference
+    (np.dot, np.linalg.norm, np.cross) on seeded states of each spherical
+    wall kind agrees with it to 1e-15 relative, and the vectorized energy
+    gives each state's bits."""
+
+    @staticmethod
+    def _states(case, rng):
+        params = SystemParams(m=1.0, a=0.5)
+        if case.startswith("great-circle"):
+            tilt = float(case.rsplit("-", 1)[1])
+            wall = Wall.great_circle((0.0, math.cos(tilt), math.sin(tilt)), side=-1)
+        else:
+            wall = Wall.centered_small_circle(1.0, spherical_center(params), side=int(case[3:]))
+        return params, wall, list(on_wall_states(rng, wall, 40))
+
+    @staticmethod
+    def _numpy_normal(s, wall):
+        n = np.asarray(wall.normal) - np.dot(s.q, wall.normal) * s.q
+        n = wall.side * n / np.linalg.norm(n)
+        return n, np.dot(s.v, n)
+
+    @pytest.mark.parametrize("case", SPHERE_WALL_CASES)
+    def test_normal_and_reflection_match_numpy(self, case, rng):
+        _, wall, states = self._states(case, rng)
+        for s in states:
+            speed = np.linalg.norm(s.v)
+            n, vn = _normal(s, wall)
+            n_ref, vn_ref = self._numpy_normal(s, wall)
+            assert np.linalg.norm(np.subtract(n, n_ref)) <= 1e-15
+            assert abs(vn - vn_ref) <= 1e-15 * speed
+            out = reflect(s, wall)
+            assert out.q.tolist() == s.q.tolist()
+            assert np.linalg.norm(out.v - (s.v - 2.0 * vn_ref * n_ref)) <= 1e-15 * speed
+            assert out.speed == pytest.approx(speed, rel=1e-15)
+
+    @pytest.mark.parametrize("case", SPHERE_WALL_CASES)
+    def test_integrals_match_numpy(self, case, rng):
+        params, _, states = self._states(case, rng)
+        z = spherical_center(params)
+        north = 0
+        for s in states:
+            got = _spherical_integrals(s, params)
+            c = np.dot(s.q, z)
+            cot = c / np.linalg.norm(np.cross(s.q, z))
+            kinetic, potential = 0.5 * np.dot(s.v, s.v), params.m_prime * cot
+            assert abs(got.E_sph - (kinetic - potential)) <= 1e-15 * (kinetic + abs(potential))
+            if s.q[2] >= 0.0:  # no chart point: the planar set is NaN
+                north += 1
+                assert all(math.isnan(x) for x in got[:5])
+                continue
+            lam = -s.q[2]
+            x, w = s.q[:2] / lam, lam * s.v[:2] + s.v[2] * s.q[:2]
+            ref = integral_set(PlanarState(x[0], (x[1] - params.a) / params.scale, w[0],
+                                           w[1] / params.scale), params)
+            for got_k, ref_k in zip(got[:5], ref[:5]):
+                assert abs(got_k - ref_k) <= 1e-15 * max(1.0, abs(ref_k))
+        assert 0 < north < len(states) or case.startswith("cap")
+
+    @pytest.mark.parametrize("case", SPHERE_WALL_CASES)
+    def test_one_state_energy_is_its_row_of_the_vectorized_call(self, case, rng):
+        params, _, states = self._states(case, rng)
+        rows = np.array([s.as_array() for s in states])
+        cols = spherical_energy_embedded(SimpleNamespace(q=rows[:, :3], v=rows[:, 3:]), params)
+        assert [spherical_energy_embedded(s, params) for s in states] == cols.tolist()
 
 
 def revolving_start(rng, m, beta, wall_kind, side, ell):
